@@ -2,7 +2,9 @@ package vdbms
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"vdbms/internal/core"
 	"vdbms/internal/executor"
@@ -301,7 +303,7 @@ type SearchResult struct {
 
 // Search executes a k-NN, hybrid, or multi-vector query.
 func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
-	preds, err := convertFilters(req.Filters)
+	preds, err := c.convertFilters(req.Filters)
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -380,7 +382,7 @@ func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (Sear
 // SearchRange returns every live vector within the squared-distance
 // radius, optionally filtered.
 func (c *Collection) SearchRange(q []float32, radius float32, filters []Filter) ([]Hit, error) {
-	preds, err := convertFilters(filters)
+	preds, err := c.convertFilters(filters)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +403,7 @@ func (c *Collection) SearchRange(q []float32, radius float32, filters []Filter) 
 // index (errors.Join), so callers keep the successful answers — the
 // same partial-results philosophy as the distributed read path.
 func (c *Collection) SearchBatch(qs [][]float32, req SearchRequest) ([][]Hit, error) {
-	preds, err := convertFilters(req.Filters)
+	preds, err := c.convertFilters(req.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +435,7 @@ type Iterator struct {
 
 // OpenIterator starts an incremental query; call Next for pages.
 func (c *Collection) OpenIterator(q []float32, filters []Filter, ef int) (*Iterator, error) {
-	preds, err := convertFilters(filters)
+	preds, err := c.convertFilters(filters)
 	if err != nil {
 		return nil, err
 	}
@@ -497,7 +499,21 @@ func convertValue(v any) (filter.Value, error) {
 	}
 }
 
-func convertFilters(fs []Filter) ([]filter.Predicate, error) {
+// ErrFilterType is wrapped by the error a query returns when a filter's
+// operand cannot be compared with its column: a string against a
+// numeric column (or the reverse), a number the column's type cannot
+// represent exactly, or no operand at all.
+var ErrFilterType = errors.New("vdbms: filter operand does not match column type")
+
+// convertFilters is the one place filter operands are checked against
+// the schema and brought to the column's own type; a predicate leaves
+// here comparable as-is or not at all (the engine's filter.Value is an
+// untyped union — an operand left in the wrong field would silently
+// compare as zero). Numbers convert when the conversion is lossless,
+// and a fractional bound on an int column is moved to the integer
+// bound with the same meaning (cat < 2.5 is cat < 3). JSON callers
+// need no pre-pass: their float64 numbers bind to int columns here.
+func (c *Collection) convertFilters(fs []Filter) ([]filter.Predicate, error) {
 	if len(fs) == 0 {
 		return nil, nil
 	}
@@ -507,25 +523,109 @@ func convertFilters(fs []Filter) ([]filter.Predicate, error) {
 		if err != nil {
 			return nil, err
 		}
+		typ, known := c.attrs[f.Column]
+		if !known {
+			// The engine names the unknown column; the operand is moot.
+			out = append(out, filter.Predicate{Column: f.Column, Op: op})
+			continue
+		}
 		p := filter.Predicate{Column: f.Column, Op: op}
 		if op == filter.In {
-			for _, s := range f.Set {
-				val, err := convertValue(s)
+			p.Set = make([]filter.Value, 0, len(f.Set))
+			for _, m := range f.Set {
+				// Membership is equality: a member the column cannot
+				// hold exactly matches no row and drops out.
+				_, v, ok, err := coerceOperand(typ, filter.Eq, m)
 				if err != nil {
 					return nil, fmt.Errorf("vdbms: filter on %q: %w", f.Column, err)
 				}
-				p.Set = append(p.Set, val)
+				if ok {
+					p.Set = append(p.Set, v)
+				}
 			}
-		} else if f.Value != nil {
-			val, err := convertValue(f.Value)
-			if err != nil {
-				return nil, fmt.Errorf("vdbms: filter on %q: %w", f.Column, err)
+			out = append(out, p)
+			continue
+		}
+		var ok bool
+		if p.Op, p.Value, ok, err = coerceOperand(typ, op, f.Value); err != nil {
+			return nil, fmt.Errorf("vdbms: filter on %q: %w", f.Column, err)
+		}
+		if !ok {
+			// Constant predicates: "= 2.5" on an int column matches no
+			// row (an empty IN set), "!= 2.5" every row (no predicate).
+			if op == filter.Ne {
+				continue
 			}
-			p.Value = val
+			p.Op, p.Value = filter.In, filter.Value{}
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// coerceOperand brings one operand to a column of type typ under
+// comparison op. It returns the operator and value to evaluate, or
+// ok=false when the comparison is constant (an equality against a value
+// the column cannot hold). Only a fractional float against an int
+// column changes the operator's bound: it moves to the neighbouring
+// integer that keeps the comparison's meaning.
+func coerceOperand(typ string, op filter.Op, v any) (filter.Op, filter.Value, bool, error) {
+	mismatch := func() (filter.Op, filter.Value, bool, error) {
+		return op, filter.Value{}, false, fmt.Errorf("%w: %s column, operand %v (%T)", ErrFilterType, typ, v, v)
+	}
+	var i int64
+	var f float64
+	isInt, isFloat := false, false
+	switch x := v.(type) {
+	case int:
+		i, isInt = int64(x), true
+	case int64:
+		i, isInt = x, true
+	case float64:
+		f, isFloat = x, true
+	case float32:
+		f, isFloat = float64(x), true
+	case string:
+		if typ != "string" {
+			return mismatch()
+		}
+		return op, filter.StringV(x), true, nil
+	default:
+		return mismatch()
+	}
+	switch typ {
+	case "int":
+		if isInt {
+			return op, filter.IntV(i), true, nil
+		}
+		// ±2^63 bound the floats that convert to int64 without overflow;
+		// NaN fails both compares.
+		if !(f >= -(1<<63) && f < 1<<63) {
+			return mismatch()
+		}
+		fl := math.Floor(f)
+		if fl == f {
+			return op, filter.IntV(int64(f)), true, nil
+		}
+		switch op {
+		case filter.Lt, filter.Le: // x < 2.5, x <= 2.5: x <= 2
+			return filter.Le, filter.IntV(int64(fl)), true, nil
+		case filter.Gt, filter.Ge: // x > 2.5, x >= 2.5: x > 2
+			return filter.Gt, filter.IntV(int64(fl)), true, nil
+		default:
+			return op, filter.Value{}, false, nil
+		}
+	case "float":
+		if isFloat {
+			return op, filter.FloatV(f), true, nil
+		}
+		if f = float64(i); f >= 1<<63 || int64(f) != i {
+			return mismatch() // beyond 2^53: not exactly a float64
+		}
+		return op, filter.FloatV(f), true, nil
+	default:
+		return mismatch()
+	}
 }
 
 func parseOp(s string) (filter.Op, error) {

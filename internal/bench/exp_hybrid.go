@@ -150,7 +150,7 @@ func runE8(w io.Writer, scale int) {
 	t3.AddRow("online (bitmap pre-filter)", sharedRecall(online, truthEq), onlineLat)
 	t3.AddRow("offline (pre-partitioned)", sharedRecall(offline, truthEq), offlineLat)
 	t3.Print(w)
-	fmt.Fprintln(w, "expected shape: offline blocking much faster at equal recall (no bitmap build, no blocked traversal) — its cost moved to build time and rigidity")
+	fmt.Fprintln(w, "expected shape: equal recall; offline blocking saves the O(n) bitmap build and the blocked traversal, an edge that grows with n (the compiled bitmap costs ~0.5 ns/row) — its cost moved to build time and rigidity")
 }
 
 // envTable exposes the attribute table of the hybrid env.
@@ -220,6 +220,61 @@ func runE12b(w io.Writer, scale int) {
 	}
 	t.Print(w)
 	fmt.Fprintln(w, "expected shape: cost/rule picks match or stay within a small factor of the oracle at the extremes")
+	attrCostTable(w, env, n, ds.Dim)
+}
+
+// attrCostTable measures what planner.Env.AttrCostRatio models: the
+// cost of one attribute check against one distance computation, for
+// both compiled forms (the column-at-a-time evaluator exhaustive plans
+// pay on every row, the per-id matcher traversals pay per visited
+// node), at the experiment's dimension and at d=128.
+func attrCostTable(w io.Writer, env *executor.Env, n, d int) {
+	t := NewTable(fmt.Sprintf("E12b attribute-check cost vs distance computation (n=%d)", n),
+		"d", "ns/distance", "ns/attr.block", "ns/attr.id", "ratio.block", "ratio.id")
+	cp, err := env.Attrs.Compile(predLT(100))
+	if err != nil {
+		fmt.Fprintf(w, "E12b: %v\n", err)
+		return
+	}
+	bm := cp.Bitmap()
+	block := perRow(n, func() { cp.EvalRange(bm, 0, n) })
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i * 7919 % n) // a traversal's ids are not sequential
+	}
+	matched := 0
+	perID := perRow(n, func() {
+		for _, id := range ids {
+			if cp.Match(id) {
+				matched++
+			}
+		}
+	})
+	for _, dd := range []int{d, 128} {
+		ds := dataset.Clustered(n, dd, 16, 0.4, 1)
+		fl, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, nil)
+		if err != nil {
+			fmt.Fprintf(w, "E12b: %v\n", err)
+			return
+		}
+		q := ds.Queries(1, 0.05, 4)[0]
+		dist := perRow(n, func() { fl.Search(q, 10, index.Params{Parallelism: 1}) }) //nolint:errcheck
+		t.AddRow(dd, dist, block, perID, block/dist, perID/dist)
+	}
+	t.Print(w)
+	fmt.Fprintln(w, "planner.Env.AttrCostRatio defaults to the block ratio (the n*attr term of exhaustive plans dominates; the per-id ratio only scales the visit term, which is >= 1 per visit anyway)")
+}
+
+// perRow is the best-of-five time of fn divided by the n rows it covers,
+// in nanoseconds.
+func perRow(n int, fn func()) float64 {
+	best := time.Duration(1 << 62)
+	for i := 0; i < 5; i++ {
+		if d := Timed(20, fn); d < best {
+			best = d
+		}
+	}
+	return float64(best.Nanoseconds()) / float64(n)
 }
 
 func measurePlan(env *executor.Env, qs [][]float32, k int, preds []filter.Predicate, plan planner.Plan) time.Duration {

@@ -21,6 +21,24 @@ func New(n int) *Bitset {
 // Len returns the capacity in bits.
 func (b *Bitset) Len() int { return b.n }
 
+// Reset resizes b to n bits, all clear, reusing its storage when it is
+// large enough — what lets a per-query bitmap live in a sync.Pool.
+func (b *Bitset) Reset(n int) {
+	nw := (n + 63) / 64
+	if cap(b.words) < nw {
+		b.words = make([]uint64, nw)
+	} else {
+		b.words = b.words[:nw]
+		clear(b.words)
+	}
+	b.n = n
+}
+
+// Words exposes the backing words (bit i is words[i>>6]>>(i&63)&1) so
+// column-at-a-time producers and word-walking scans can work on 64
+// rows per load. Writers must leave the bits at and beyond Len clear.
+func (b *Bitset) Words() []uint64 { return b.words }
+
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -75,10 +93,13 @@ func (b *Bitset) Or(other *Bitset) {
 	}
 }
 
-// AndNot removes other's bits from b.
+// AndNot removes other's bits from b. other may be shorter than b (a
+// deletion mask frozen before later appends): bits it does not cover
+// read as clear, exactly as Test reports them.
 func (b *Bitset) AndNot(other *Bitset) {
-	for i := range b.words {
-		b.words[i] &^= other.words[i]
+	n := min(len(b.words), len(other.words))
+	for i, w := range other.words[:n] {
+		b.words[i] &^= w
 	}
 }
 

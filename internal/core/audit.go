@@ -158,7 +158,7 @@ func (c *Collection) audit(cfg AuditConfig) (AuditReport, error) {
 	// this point is either visible in s or newer than every sample —
 	// either way a sample stamped < epoch is conservatively stale.
 	epoch := c.updateEpoch.Load()
-	exclude := s.exclude()
+	deleted := s.deleted()
 
 	var sum float64
 	for _, sm := range samples {
@@ -174,7 +174,7 @@ func (c *Collection) audit(cfg AuditConfig) (AuditReport, error) {
 		}
 		stale := false
 		for _, id := range sm.Served {
-			if id < 0 || id >= int64(s.rows) || (exclude != nil && exclude(id)) {
+			if id < 0 || id >= int64(s.rows) || (deleted != nil && deleted.Test(int(id))) {
 				stale = true
 				break
 			}
@@ -183,7 +183,7 @@ func (c *Collection) audit(cfg AuditConfig) (AuditReport, error) {
 			rep.Stale++
 			continue
 		}
-		truth, err := s.env.ExactGroundTruth(sm.Vector, sm.K, sm.Preds, exclude)
+		truth, err := s.env.ExactGroundTruth(sm.Vector, sm.K, sm.Preds, deleted)
 		if err != nil {
 			rep.Outcome = "error"
 			obs.RecallAudits.With("error").Inc()

@@ -112,23 +112,27 @@ type snapshot struct {
 // once at init, not per write.
 var stageWALWait = obs.SearchStageSeconds.With("wal_commit_wait")
 
-// exclude adapts the epoch's deletion mask to the executor's exclusion
-// callback. Bitset.Test reads out-of-range bits as false, so a mask
-// frozen at an older epoch is still correct if consulted against ids
-// appended later.
-func (s *snapshot) exclude() func(id int64) bool {
-	if s.del == nil || s.nDel == 0 {
+// deleted is the epoch's deletion mask as the executor takes it: nil
+// while nothing is deleted. The mask is frozen at the row count of the
+// delete that produced it and may be shorter than the epoch; the
+// executor reads rows it does not cover as live.
+func (s *snapshot) deleted() *bitset.Bitset {
+	if s.nDel == 0 {
 		return nil
 	}
-	del := s.del
-	return func(id int64) bool { return del.Test(int(id)) }
+	return s.del
 }
 
 // Collection is a mutable vector collection with hybrid search.
 //
 // The query path is lock-free: Search, SearchRange, SearchBatch, Get,
 // and OpenIterator load the current snapshot with one atomic pointer
-// read and never contend with writers or index builds. Writers
+// read and never contend with writers or index builds. That covers
+// predicates: a query compiles its filters once against the snapshot's
+// attribute view (one read-lock per referenced column, to capture the
+// slice header of its immutable prefix) and from then on evaluates
+// them on plain slices — no lock, map or shared counter per row, while
+// writers keep appending to, and reallocating, the same columns. Writers
 // (Insert, UpdateVector, Delete) serialize on a short mutex covering
 // only the mutation plus publication of the next snapshot; CreateIndex
 // and the automatic rebuilds run their builds off-lock and install
@@ -179,9 +183,14 @@ type Collection struct {
 	// snapshot before trusting it). targetRecall is the collection
 	// default recall SLO (float64 bits; 0 = none); defEf/defNProbe are
 	// the collection-level search-parameter defaults (SetSearchDefaults).
-	tuneMu    sync.Mutex
+	// The loop's lifecycle (tuneStop/tuneDone) belongs to tuneLife, not
+	// tuneMu: EnableTune/DisableTune hold tuneLife while they wait for
+	// the old loop to exit, and the loop, which takes tuneMu inside a
+	// pass, never takes tuneLife.
+	tuneLife  sync.Mutex
 	tuneStop  chan struct{}
 	tuneDone  chan struct{}
+	tuneMu    sync.Mutex
 	tuneCfg   TuneConfig
 	frontiers map[string]*tuner.Frontier
 	// reselect decision debouncing (tune.go): a drift decision must
@@ -942,7 +951,7 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 	env := s.env
 	ef, nprobe, source := c.resolveKnobs(req, s)
 	dec := Decision{Ef: ef, NProbe: nprobe, ParamSource: source}
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Exclude: s.exclude(), Span: root}
+	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root}
 
 	if len(req.Vectors) > 0 {
 		if req.EntityColumn == "" {
@@ -1087,7 +1096,7 @@ func (c *Collection) SearchRange(q []float32, radius float32, preds []filter.Pre
 
 func (c *Collection) searchRange(q []float32, radius float32, preds []filter.Predicate) ([]Result, error) {
 	s := c.snap.Load()
-	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Exclude: s.exclude()})
+	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
 	if err != nil {
 		return nil, err
 	}
@@ -1122,7 +1131,7 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 	// Ef/NProbe resolves through the recall target and collection
 	// defaults exactly once for the whole batch.
 	ef, nprobe, _ := c.resolveKnobs(req, s)
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Exclude: s.exclude()}
+	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted()}
 	res, err := env.SearchBatch(plan, qs, req.K, req.Preds, opts)
 	out := make([][]Result, len(res))
 	for i, rs := range res {
@@ -1143,7 +1152,7 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 func (c *Collection) OpenIterator(q []float32, preds []filter.Predicate, ef int) (*executor.Iterator, error) {
 	c.beginRead()
 	s := c.snap.Load()
-	it, err := s.env.NewIterator(q, preds, executor.Options{Ef: ef, Exclude: s.exclude()})
+	it, err := s.env.NewIterator(q, preds, executor.Options{Ef: ef, Deleted: s.deleted()})
 	if err != nil {
 		c.endRead()
 		return nil, err

@@ -438,7 +438,10 @@ func (c *Collection) startCheckpointer() {
 // collection only releases its mappings. After Close the collection
 // must not be used — retired snapshots may reference unmapped memory.
 func (c *Collection) Close() error {
-	c.DisableAudit() // in-memory collections need this too; idempotent
+	// In-memory collections need these too; both are idempotent. A
+	// background pass left running would scan columns Close unmaps.
+	c.DisableAudit()
+	c.DisableTune()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

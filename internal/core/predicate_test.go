@@ -1,0 +1,321 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"vdbms/internal/dataset"
+	"vdbms/internal/executor"
+	"vdbms/internal/filter"
+	"vdbms/internal/obs"
+	"vdbms/internal/vec"
+)
+
+// predicateCorpus is the differential corpus: rows with an int and a
+// string attribute derived from the row id, so a test can check any hit
+// against its predicate from the id alone.
+func predicateCorpus(t testing.TB, n, dim int) (*Collection, *dataset.Dataset) {
+	t.Helper()
+	c, err := NewCollection("diff", Schema{
+		Dim:        dim,
+		Attributes: map[string]filter.Kind{"g": filter.Int64, "tag": filter.String},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Clustered(n, dim, 6, 0.5, 17)
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(ds.Row(i), corpusAttrs(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, ds
+}
+
+func corpusAttrs(id int64) map[string]filter.Value {
+	return map[string]filter.Value{"g": filter.IntV(id * 7 % 100), "tag": filter.StringV(fmt.Sprintf("t%d", id%3))}
+}
+
+// corpusPreds is g < 30 AND tag IN (t0, t2); corpusMatch is the same
+// predicate decided from the row id.
+var corpusPreds = []filter.Predicate{
+	{Column: "g", Op: filter.Lt, Value: filter.IntV(30)},
+	{Column: "tag", Op: filter.In, Set: []filter.Value{filter.StringV("t0"), filter.StringV("t2")}},
+}
+
+func corpusMatch(id int64) bool { return id*7%100 < 30 && id%3 != 1 }
+
+// referenceTopK filters, then brute-forces: every admitted live row is
+// scored with the scalar distance, ordered by (distance, id) and cut at
+// k.
+func referenceTopK(ds *dataset.Dataset, n int, q []float32, k int, admit func(id int64) bool) []Result {
+	var all []Result
+	for id := int64(0); id < int64(n); id++ {
+		if admit(id) {
+			all = append(all, Result{ID: id, Dist: vec.SquaredL2(q, ds.Row(int(id)))})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Dist != all[j].Dist {
+			return all[i].Dist < all[j].Dist
+		}
+		return all[i].ID < all[j].ID
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// TestForcedPlansMatchReference: under every forced plan, at
+// parallelism 1, 2 and 8, with and without a deletion mask, the hits
+// (ids, order, distances) are byte-identical to a reference that
+// filters and then brute-forces. The installed indexes are exact (a
+// flat index; ivfflat probing every list, which also runs the per-id
+// matcher on several workers at once), so every plan has an exact
+// reference: post_filter's is the unfiltered top alpha*k, filtered.
+func TestForcedPlansMatchReference(t *testing.T) {
+	const n, dim, k, alpha = 3000, 16, 10, 8
+	for _, ix := range []struct {
+		kind   string
+		opts   map[string]int
+		nprobe int
+	}{{"flat", nil, 0}, {"ivfflat", map[string]int{"nlist": 8}, 8}, {"", nil, 0}} {
+		c, ds := predicateCorpus(t, n, dim)
+		if ix.kind != "" {
+			if err := c.CreateIndex(ix.kind, ix.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dead := map[int64]bool{}
+		for _, withDeletes := range []bool{false, true} {
+			if withDeletes {
+				for id := int64(0); id < n; id += 5 {
+					if err := c.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+					dead[id] = true
+				}
+			}
+			live := func(id int64) bool { return !dead[id] }
+			for qi, q := range ds.Queries(6, 0.1, 23) {
+				exact := referenceTopK(ds, n, q, k, func(id int64) bool { return live(id) && corpusMatch(id) })
+				var post []Result
+				for _, r := range referenceTopK(ds, n, q, alpha*k, live) {
+					if corpusMatch(r.ID) && len(post) < k {
+						post = append(post, r)
+					}
+				}
+				for _, plan := range []string{"brute_force", "pre_filter", "single_stage", "post_filter"} {
+					want := exact
+					if plan == "post_filter" {
+						want = post
+					}
+					for _, par := range []int{1, 2, 8} {
+						got, _, err := c.Search(Request{Vector: q, K: k, Preds: corpusPreds, Policy: "plan:" + plan,
+							Alpha: alpha, NProbe: ix.nprobe, Parallelism: par})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("index %q deletes=%v query %d plan %s parallelism %d:\n got %v\nwant %v",
+								ix.kind, withDeletes, qi, plan, par, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExhaustivePlansRecordFilterStage: every exhaustive operator
+// builds its allowlist under the "filter" stage — one histogram
+// observation and one span carrying the predicate's survivor count —
+// and none of it is booked inside index_probe; the survivor count is
+// the popcount before deletions, and it is what feeds the selectivity
+// histogram.
+func TestExhaustivePlansRecordFilterStage(t *testing.T) {
+	const n = 1200
+	c, ds := predicateCorpus(t, n, 8)
+	if err := c.CreateIndex("flat", nil); err != nil {
+		t.Fatal(err)
+	}
+	survivors := int64(0)
+	for id := int64(0); id < n; id++ {
+		if corpusMatch(id) {
+			survivors++
+		}
+	}
+	for id := int64(0); id < 100; id++ { // deletions must not change the measurement
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage := obs.SearchStageSeconds.With("filter")
+	recorded := c.Stats().Selectivity["g"].Count
+	check := func(name string, run func(tr *obs.Trace) error) {
+		t.Helper()
+		before := stage.Count()
+		tr := obs.NewTrace("search")
+		if err := run(tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := stage.Count() - before; got != 1 {
+			t.Fatalf("%s: %d filter-stage observations, want 1", name, got)
+		}
+		var filterSpan *obs.SpanReport
+		report := tr.Finish()
+		for i, ch := range report.Children {
+			if ch.Stage == "filter" {
+				filterSpan = &report.Children[i]
+			}
+			if ch.Stage == "index_probe" || ch.Stage == "range_scan" {
+				for _, g := range ch.Children {
+					if g.Stage == "filter" {
+						t.Fatalf("%s: filter span nested inside %s", name, ch.Stage)
+					}
+				}
+			}
+		}
+		if filterSpan == nil || filterSpan.Annotations["survivors"] != survivors {
+			t.Fatalf("%s: filter span %+v, want survivors=%d", name, filterSpan, survivors)
+		}
+		recorded++
+		sel := c.Stats().Selectivity["g"]
+		if sel.Count != recorded || math.Abs(sel.Mean-float64(survivors)/n) > 1e-12 {
+			t.Fatalf("%s: selectivity histogram count=%d mean=%v, want %d/%v", name, sel.Count, sel.Mean, recorded, float64(survivors)/n)
+		}
+	}
+	for _, plan := range []string{"brute_force", "pre_filter"} {
+		check(plan, func(tr *obs.Trace) error {
+			_, _, err := c.Search(Request{Vector: ds.Row(3), K: 5, Preds: corpusPreds, Policy: "plan:" + plan, Trace: tr})
+			return err
+		})
+	}
+	check("range", func(tr *obs.Trace) error {
+		s := c.snap.Load()
+		_, err := s.env.SearchRange(ds.Row(3), 4, corpusPreds, executor.Options{Deleted: s.deleted(), Span: tr.Root()})
+		return err
+	})
+}
+
+// TestPredicateReadPathRace runs predicate searches, range queries and
+// iterators while a writer appends rows (reallocating every attribute
+// column many times over) and deletes. Run under -race: the readers
+// evaluate predicates on plain slices captured at compile time, with
+// no lock between them and the appending writer. Every hit must
+// satisfy its predicate, lie below the row count, and not have been
+// deleted before its query began.
+func TestPredicateReadPathRace(t *testing.T) {
+	const preload, dim, k = 400, 8, 10
+	c, ds := predicateCorpus(t, preload, dim)
+	if err := c.CreateIndex("hnsw", map[string]int{"m": 6}); err != nil {
+		t.Fatal(err)
+	}
+	delOrder := make([]int64, 0, preload/4)
+	delPos := map[int64]int{}
+	for id := int64(1); id < preload; id += 4 {
+		delPos[id] = len(delOrder)
+		delOrder = append(delOrder, id)
+	}
+	var delDone atomic.Int64 // delOrder[:delDone] have been deleted
+	// The writer does a fixed amount of work — enough appends to
+	// reallocate each column several times — and the readers run until
+	// it is done, so the two overlap for the whole test without the
+	// collection (and every exhaustive query) growing without bound.
+	const appends = 4000
+	var writerDone atomic.Bool
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		defer writerDone.Store(true)
+		for i := 0; i < appends; i++ {
+			id := int64(c.Rows())
+			if _, err := c.Insert(ds.Row(i%preload), corpusAttrs(id)); err != nil {
+				t.Error(err)
+				return
+			}
+			if nd := delDone.Load(); i%8 == 0 && int(nd) < len(delOrder) {
+				if err := c.Delete(delOrder[nd]); err != nil {
+					t.Error(err)
+					return
+				}
+				delDone.Add(1)
+			}
+		}
+	}()
+
+	check := func(what string, ids []int64, deletedBefore int64) {
+		rows := int64(c.Rows())
+		for _, id := range ids {
+			switch pos, wasDeleted := delPos[id]; {
+			case !corpusMatch(id):
+				t.Errorf("%s returned row %d, which fails its predicate", what, id)
+			case id >= rows:
+				t.Errorf("%s returned row %d of %d", what, id, rows)
+			case wasDeleted && int64(pos) < deletedBefore:
+				t.Errorf("%s returned row %d, deleted before the query began", what, id)
+			}
+		}
+	}
+	ids := func(rs []Result) []int64 {
+		out := make([]int64, len(rs))
+		for i, r := range rs {
+			out[i] = r.ID
+		}
+		return out
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			policies := []string{"cost", "plan:brute_force", "plan:pre_filter", "plan:single_stage", "plan:post_filter"}
+			for i := 0; i < 20 || !writerDone.Load(); i++ {
+				q := ds.Row((i*7 + r) % preload)
+				nd := delDone.Load()
+				res, _, err := c.Search(Request{Vector: q, K: k, Preds: corpusPreds, Policy: policies[i%len(policies)]})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check("search", ids(res), nd)
+
+				nd = delDone.Load()
+				rng, err := c.SearchRange(q, 1.5, corpusPreds)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check("range", ids(rng), nd)
+
+				nd = delDone.Load()
+				it, err := c.OpenIterator(q, corpusPreds, 32)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for page := 0; page < 2; page++ {
+					hits, err := it.Next(7)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					pageIDs := make([]int64, len(hits))
+					for j, h := range hits {
+						pageIDs[j] = h.ID
+					}
+					check("iterator", pageIDs, nd)
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	writer.Wait()
+	c.WaitForIndex()
+}

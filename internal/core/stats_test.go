@@ -155,9 +155,11 @@ func TestAdaptivePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := []filter.Predicate{{Column: "cat", Op: filter.Eq, Value: filter.IntV(1)}}
-	// Warm the statistics past both observation thresholds.
+	// Warm the statistics past both observation thresholds: a serial
+	// visit-first probe records its cost and (only when serial — the
+	// counters are not shared across workers) its measured pass rate.
 	for i := 0; i < 40; i++ {
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5, Preds: preds, NProbe: 4}); err != nil {
+		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5, Preds: preds, NProbe: 4, Policy: "plan:single_stage", Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -156,13 +156,15 @@ func (c *Collection) SearchDefaults() (ef, nprobe int) {
 // is stopped before the new one starts. Safe while searches run.
 func (c *Collection) EnableTune(cfg TuneConfig) {
 	cfg = cfg.normalized()
+	c.tuneLife.Lock()
+	defer c.tuneLife.Unlock()
+	c.stopTuneLoop()
 	c.tuneMu.Lock()
-	defer c.tuneMu.Unlock()
 	if cfg.ReservoirSize > 0 && cfg.ReservoirSize != c.sampler.Load().Cap() {
 		c.sampler.Store(stats.NewReservoir(cfg.ReservoirSize))
 	}
 	c.tuneCfg = cfg
-	c.stopTuneLoopLocked()
+	c.tuneMu.Unlock()
 	c.samplingTune.Store(true)
 	c.refreshSampling()
 	if cfg.TargetRecall > 0 {
@@ -180,20 +182,19 @@ func (c *Collection) EnableTune(cfg TuneConfig) {
 // The frontier keeps its contents: queries with a target keep
 // resolving against the last published state, and TuneNow still works.
 func (c *Collection) DisableTune() {
-	c.tuneMu.Lock()
-	defer c.tuneMu.Unlock()
+	c.tuneLife.Lock()
+	defer c.tuneLife.Unlock()
 	c.samplingTune.Store(false)
 	c.refreshSampling()
-	c.stopTuneLoopLocked()
+	c.stopTuneLoop()
 }
 
-// stopTuneLoopLocked stops the background loop and waits for it to
-// exit. Waiting under tuneMu is safe for the same reason as the audit
-// loop: the loop body runs on the config captured at start and never
-// takes tuneMu itself (tunePass touches tuneMu only through
-// frontierFor and driftGate, both of which run between, not during,
-// the stop check).
-func (c *Collection) stopTuneLoopLocked() {
+// stopTuneLoop stops the background loop and waits for it to exit.
+// The caller holds tuneLife (which owns tuneStop/tuneDone and which
+// the loop never takes) and must NOT hold tuneMu: a pass in flight
+// takes tuneMu in frontierFor and maybeReselect, so waiting for it
+// under tuneMu deadlocks — the hang TestTuneReconfigureDuringPass pins.
+func (c *Collection) stopTuneLoop() {
 	if c.tuneStop != nil {
 		close(c.tuneStop)
 		<-c.tuneDone
@@ -283,7 +284,7 @@ func (c *Collection) tunePass(cfg TuneConfig) (TuneReport, error) {
 	defer c.endRead()
 	s := c.snap.Load()
 	epoch := c.updateEpoch.Load()
-	exclude := s.exclude()
+	deleted := s.deleted()
 
 	if s.env.ANN == nil {
 		// Serving is exact (no index, or one bypassed as stale):
@@ -324,7 +325,7 @@ func (c *Collection) tunePass(cfg TuneConfig) (TuneReport, error) {
 		}
 		stale := false
 		for _, id := range sm.Served {
-			if id < 0 || id >= int64(s.rows) || (exclude != nil && exclude(id)) {
+			if id < 0 || id >= int64(s.rows) || (deleted != nil && deleted.Test(int(id))) {
 				stale = true
 				break
 			}
@@ -333,7 +334,7 @@ func (c *Collection) tunePass(cfg TuneConfig) (TuneReport, error) {
 			rep.Stale++
 			continue
 		}
-		truth, err := s.env.ExactGroundTruth(sm.Vector, sm.K, sm.Preds, exclude)
+		truth, err := s.env.ExactGroundTruth(sm.Vector, sm.K, sm.Preds, deleted)
 		if err != nil {
 			rep.Outcome = "error"
 			obs.TunePasses.With("error").Inc()
@@ -362,7 +363,7 @@ func (c *Collection) tunePass(cfg TuneConfig) (TuneReport, error) {
 			} else {
 				ef = param
 			}
-			res, st, err := s.env.ReplayANN(sm.Vector, sm.K, ef, nprobe, sm.Preds, exclude)
+			res, st, err := s.env.ReplayANN(sm.Vector, sm.K, ef, nprobe, sm.Preds, deleted)
 			if err != nil {
 				rep.Outcome = "error"
 				obs.TunePasses.With("error").Inc()

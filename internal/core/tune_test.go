@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"vdbms/internal/dataset"
+	"vdbms/internal/index"
 	"vdbms/internal/obs"
+	"vdbms/internal/topk"
 	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
@@ -597,5 +599,115 @@ func TestRootSpanCarriesDecision(t *testing.T) {
 	}
 	if rep.Annotations["ef"] != 48 {
 		t.Fatalf("root span ef annotation %d, want 48", rep.Annotations["ef"])
+	}
+}
+
+// gatedIndex is a flat index whose Search parks on gate while it is
+// armed, announcing each parked call on parked — how a test holds a
+// tune pass in flight inside ReplayANN.
+type gatedIndex struct {
+	index.Index
+	mu     sync.Mutex
+	gate   chan struct{}
+	parked chan struct{}
+}
+
+func (g *gatedIndex) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
+	g.mu.Lock()
+	gate, parked := g.gate, g.parked
+	g.mu.Unlock()
+	if gate != nil {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	return g.Index.Search(q, k, p)
+}
+
+var (
+	gatedOnce sync.Once
+	gatedLast *gatedIndex // the most recently built "testgated" index
+)
+
+func registerGatedIndex() {
+	gatedOnce.Do(func() {
+		index.Register("testgated", func(data []float32, n, d int, _ vec.Metric, _ map[string]int) (index.Index, error) {
+			fl, err := index.NewFlat(data, n, d, nil)
+			gatedLast = &gatedIndex{Index: fl}
+			return gatedLast, err
+		})
+	})
+}
+
+// TestTuneReconfigureDuringPass is the regression test for the tuneMu
+// deadlock: EnableTune (and DisableTune, and Close through it) used to
+// wait for the loop to exit while holding tuneMu, which a pass in
+// flight takes in frontierFor and maybeReselect. The pass is parked
+// inside its ANN replay, EnableTune is called again, and only once it
+// is provably inside (it holds the lifecycle lock) is the pass let go —
+// straight into maybeReselect's tuneMu.
+func TestTuneReconfigureDuringPass(t *testing.T) {
+	registerGatedIndex()
+	const n, d = 300, 8
+	ds := dataset.Clustered(n, d, 4, 0.4, 83)
+	c, err := NewCollection("reconf", Schema{Dim: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateIndex("testgated", nil); err != nil {
+		t.Fatal(err)
+	}
+	g := gatedLast
+	cfg := TuneConfig{Interval: time.Millisecond, TargetRecall: 0.9, PassSamples: 4, Reselect: true}
+	c.EnableTune(cfg)
+	for _, q := range ds.Queries(8, 0.1, 89) {
+		if _, _, err := c.Search(Request{Vector: q, K: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	g.mu.Lock()
+	g.gate, g.parked = gate, parked
+	g.mu.Unlock()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no tune pass reached its ANN replay")
+	}
+
+	reconfigured := make(chan struct{})
+	go func() {
+		defer close(reconfigured)
+		cfg.TargetRecall = 0.8
+		c.EnableTune(cfg)
+	}()
+	for c.tuneLife.TryLock() { // until EnableTune is inside, waiting for the loop
+		c.tuneLife.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	g.mu.Lock()
+	g.gate = nil
+	g.mu.Unlock()
+	close(gate)
+	select {
+	case <-reconfigured:
+	case <-time.After(10 * time.Second):
+		t.Fatal("EnableTune deadlocked against the pass it was waiting for")
+	}
+	if got := c.TargetRecall(); got != 0.8 {
+		t.Fatalf("target recall %v after reconfigure, want 0.8", got)
+	}
+	if err := c.Close(); err != nil { // stops the new loop through DisableTune
+		t.Fatal(err)
+	}
+	if c.tuneStop != nil {
+		t.Fatal("Close left the tune loop running")
 	}
 }

@@ -9,9 +9,10 @@ package executor
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
+	"vdbms/internal/bitset"
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/obs"
@@ -115,9 +116,11 @@ func NewEnvScorer(sc *vec.Scorer, fn vec.DistanceFunc, ann index.Index, attrs *f
 type Options struct {
 	Ef     int // index beam/leaf budget
 	NProbe int // bucket probes
-	// Exclude hides rows from every plan (used by the engine for
-	// deletion masks); it composes with predicate filters.
-	Exclude func(id int64) bool
+	// Deleted, when non-nil, hides its set rows from every plan (the
+	// engine's deletion mask). Exhaustive operators fold it into their
+	// allowlist word-wise; traversals test it per visited id. It may
+	// cover fewer rows than the Env: uncovered rows are live.
+	Deleted *bitset.Bitset
 	// Parallelism is the intra-query worker count for partitioned
 	// scans (flat ranges, IVF inverted lists). 0 uses the shared pool
 	// width (GOMAXPROCS), 1 forces serial scans. Results are identical
@@ -136,65 +139,138 @@ type Options struct {
 }
 
 func (o Options) params() index.Params {
-	p := index.Params{Ef: o.Ef, NProbe: o.NProbe, Parallelism: o.Parallelism, RerankK: o.RerankK}
-	if o.Exclude != nil {
-		excl := o.Exclude
-		p.Filter = func(id int64) bool { return !excl(id) }
-	}
-	return p
+	return index.Params{Ef: o.Ef, NProbe: o.NProbe, Parallelism: o.Parallelism, RerankK: o.RerankK}
 }
 
-// withPred layers a predicate filter on top of any exclusion filter
-// already present in params.
-func withPred(params index.Params, pred func(id int64) bool) index.Params {
-	if prev := params.Filter; prev != nil {
-		params.Filter = func(id int64) bool { return prev(id) && pred(id) }
-	} else {
-		params.Filter = pred
+// compile binds the query's predicates to this snapshot's attribute
+// view, once per query; nil means "no predicates". Every operator works
+// off the compiled form (filter.Compiled): the column-at-a-time
+// evaluator for exhaustive plans, the per-id matcher for traversals.
+func (e *Env) compile(preds []filter.Predicate) (*filter.Compiled, error) {
+	if len(preds) == 0 {
+		return nil, nil
 	}
-	return params
+	if e.Attrs == nil {
+		return nil, fmt.Errorf("executor: predicates given but no attribute table")
+	}
+	return e.Attrs.Compile(preds)
+}
+
+// visitFilter is the visit-first admission test of a traversal: live
+// (not in del) and matching cp. Nil when neither constrains the query.
+func visitFilter(cp *filter.Compiled, del *bitset.Bitset) func(id int64) bool {
+	switch {
+	case cp == nil && del == nil:
+		return nil
+	case del == nil:
+		return cp.Matcher()
+	case cp == nil:
+		return func(id int64) bool { return !del.Test(int(id)) }
+	default:
+		match := cp.Matcher()
+		return func(id int64) bool { return !del.Test(int(id)) && match(id) }
+	}
+}
+
+// bitmapPool recycles per-query allowlists: an exhaustive operator
+// takes one, fills it, hands it to the scan and returns it when the
+// scan has returned (no index retains Params.Allow past Search).
+var bitmapPool = sync.Pool{New: func() any { return new(bitset.Bitset) }}
+
+func releaseBitmap(bm *bitset.Bitset) {
+	if bm != nil {
+		bitmapPool.Put(bm)
+	}
+}
+
+// allowBitmap builds the block-first allowlist of an exhaustive
+// operator over all N rows: the predicate's match bits from the
+// column-at-a-time evaluator, then the deletion mask cleared out of
+// them word-wise. survivors is the predicate's exact match count,
+// taken before deletions are folded in. It returns nil when nothing
+// constrains the scan; otherwise the caller owes a releaseBitmap.
+func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset) (bm *bitset.Bitset, survivors int) {
+	if cp == nil && del == nil {
+		return nil, e.N
+	}
+	bm = bitmapPool.Get().(*bitset.Bitset)
+	bm.Reset(e.N)
+	if cp == nil {
+		bm.SetAll()
+		survivors = e.N
+	} else {
+		cp.EvalRange(bm, 0, e.N)
+		survivors = bm.Count()
+	}
+	if del != nil {
+		bm.AndNot(del)
+	}
+	return bm, survivors
+}
+
+// filterStage is allowBitmap on the serving path: with a predicate the
+// build is the query's "filter" stage — timed into the stage histogram,
+// spanned with its survivor count, and fed to the collection's
+// statistics (a bitmap build evaluates the predicate on every row, so
+// it is both the exact selectivity of the predicate and the cleanest
+// per-evaluation timing for the calibrated attribute-cost ratio).
+func (e *Env) filterStage(preds []filter.Predicate, cp *filter.Compiled, opts Options) (bm *bitset.Bitset, survivors int) {
+	if cp == nil {
+		return e.allowBitmap(nil, opts.Deleted)
+	}
+	fsp := opts.Span.Start("filter")
+	start := time.Now()
+	bm, survivors = e.allowBitmap(cp, opts.Deleted)
+	elapsed := time.Since(start)
+	stageFilter.Observe(elapsed.Seconds())
+	fsp.Annotate("survivors", int64(survivors))
+	fsp.End()
+	if e.Stats != nil {
+		e.Stats.RecordAttrCost(elapsed.Nanoseconds(), int64(e.N))
+		e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
+	}
+	return bm, survivors
 }
 
 // minSelEvals is the minimum per-row predicate evaluations before a
-// scan's measured pass rate is recorded into the selectivity
+// traversal's measured pass rate is recorded into the selectivity
 // histograms — below it one scan is too small a sample to be a
 // useful prior. It is deliberately low enough that a typical
 // post-filter over-fetch (alpha*k) still records: per-scan noise
 // averages out across the many observations the adaptive planner
-// requires before trusting the prior. Exact measurements (pre-filter
-// bitmap cardinalities) are recorded regardless.
+// requires before trusting the prior. Exact measurements (bitmap
+// cardinalities of exhaustive plans) are recorded regardless.
 const minSelEvals = 16
 
-// predCount tallies predicate evaluations during one scan so the
-// measured pass rate (admitted / evaluated) can feed the selectivity
-// histograms afterwards. Counters are atomic because partitioned
-// scans evaluate the filter from multiple workers. The predicate runs
-// after the exclusion mask (withPred composition), so the measurement
-// is over live rows actually examined — exact for exhaustive scans,
-// a query-local sample for pushed-down index traversals.
-type predCount struct{ evaluated, admitted atomic.Int64 }
+// selCount tallies the predicate evaluations of one serial traversal so
+// its pass rate (admitted / evaluated over the live rows it visited) can
+// feed the selectivity histograms afterwards — a query-local sample.
+// The counters are plain words owned by the query: they are attached
+// only to probes that call the filter from a single goroutine (see
+// filtersSerially), so no cache line is shared between cores.
+type selCount struct{ evaluated, admitted int64 }
 
-func (pc *predCount) wrap(pred func(id int64) bool) func(id int64) bool {
+func (sc *selCount) wrap(cp *filter.Compiled, del *bitset.Bitset) func(id int64) bool {
+	match := cp.Matcher()
 	return func(id int64) bool {
-		pc.evaluated.Add(1)
-		if pred(id) {
-			pc.admitted.Add(1)
+		if del != nil && del.Test(int(id)) {
+			return false
+		}
+		sc.evaluated++
+		if match(id) {
+			sc.admitted++
 			return true
 		}
 		return false
 	}
 }
 
-// countedPred compiles the predicate filter, wrapped with evaluation
-// counters when stats collection is on. A nil predCount means "do not
-// record" (stats absent or disabled).
-func (e *Env) countedPred(preds []filter.Predicate) (func(id int64) bool, *predCount) {
-	pred := e.Attrs.FilterFunc(preds)
-	if e.Stats == nil || !e.Stats.Enabled() {
-		return pred, nil
-	}
-	pc := &predCount{}
-	return pc.wrap(pred), pc
+// filtersSerially reports whether idx will call params.Filter from one
+// goroutine only: every family does except the ones that partition a
+// query across pool workers and say so through index.ConcurrentFilter.
+func filtersSerially(idx index.Index, params index.Params) bool {
+	cf, ok := idx.(index.ConcurrentFilter)
+	return !ok || !cf.FiltersConcurrently(params)
 }
 
 // recordMeasuredSel feeds one measured selectivity observation
@@ -209,48 +285,48 @@ func (e *Env) recordMeasuredSel(preds []filter.Predicate, admitted, evaluated in
 	}
 }
 
-// recordCounted records a counting wrapper's measured pass rate when
-// the scan examined enough rows to be worth keeping.
-func (e *Env) recordCounted(pc *predCount, preds []filter.Predicate) {
-	if pc == nil {
-		return
-	}
-	if n := pc.evaluated.Load(); n >= minSelEvals {
-		e.recordMeasuredSel(preds, pc.admitted.Load(), n)
-	}
-}
-
 // Execute runs a (possibly predicated) top-k query under the given
 // plan. preds may be empty, in which case every plan degenerates to a
 // plain index or flat scan.
 func (e *Env) Execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
+	if err := e.checkQuery(q, k); err != nil {
+		return nil, err
+	}
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
+	}
+	return e.execute(p, q, k, preds, cp, opts)
+}
+
+func (e *Env) checkQuery(q []float32, k int) error {
 	if k <= 0 {
-		return nil, index.ErrBadK
+		return index.ErrBadK
 	}
 	if len(q) != e.Dim {
-		return nil, fmt.Errorf("%w: query %d, env %d", index.ErrDim, len(q), e.Dim)
+		return fmt.Errorf("%w: query %d, env %d", index.ErrDim, len(q), e.Dim)
 	}
-	if len(preds) > 0 {
-		if e.Attrs == nil {
-			return nil, fmt.Errorf("executor: predicates given but no attribute table")
-		}
-		if err := e.Attrs.Validate(preds); err != nil {
-			return nil, err
-		}
-	}
+	return nil
+}
+
+// execute dispatches a checked query to its plan's operator. cp is
+// preds compiled against this Env (nil when preds is empty); preds
+// itself travels along only to name the columns a measured selectivity
+// is recorded under.
+func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
 	switch p.Kind {
 	case planner.BruteForce:
 		e.advise(AdviseSequential)
-		return e.bruteForce(q, k, preds, opts)
+		return e.bruteForce(q, k, preds, cp, opts)
 	case planner.PreFilter:
 		e.advise(AdviseSequential)
-		return e.preFilter(q, k, preds, opts)
+		return e.preFilter(q, k, preds, cp, opts)
 	case planner.PostFilter:
 		e.advise(AdviseRandom)
-		return e.postFilter(q, k, preds, p.Alpha, opts)
+		return e.postFilter(q, k, preds, cp, p.Alpha, opts)
 	case planner.SingleStage:
 		e.advise(AdviseRandom)
-		return e.singleStage(q, k, preds, opts)
+		return e.singleStage(q, k, preds, cp, opts)
 	default:
 		return nil, fmt.Errorf("executor: unknown plan %v", p.Kind)
 	}
@@ -318,21 +394,15 @@ func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, sp
 	return res, err
 }
 
-// bruteForce fuses the predicate into an exhaustive scan (plan A).
-// The scan evaluates the predicate on every live row, so its counted
-// pass rate is an exact selectivity measurement.
-func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
+// bruteForce is the exhaustive scan (plan A): the predicate is
+// evaluated column-at-a-time into an allowlist — an exact selectivity
+// measurement, recorded under the filter stage — and the flat index
+// scores exactly the surviving live rows.
+func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
 	params := opts.params()
-	var pc *predCount
-	if len(preds) > 0 {
-		var pred func(id int64) bool
-		pred, pc = e.countedPred(preds)
-		params = withPred(params, pred)
-	}
+	params.Allow, _ = e.filterStage(preds, cp, opts)
 	res, err := e.probe(e.Flat, q, k, params, opts.Span)
-	if err == nil {
-		e.recordCounted(pc, preds)
-	}
+	releaseBitmap(params.Allow)
 	return res, err
 }
 
@@ -340,33 +410,13 @@ func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, opts Opti
 // block-first allowlist (plan B). When the survivor set is tiny the
 // index scan is skipped for an exact scan over survivors, matching the
 // behavior AnalyticDB-V's optimizer picks in that regime.
-func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
-	if len(preds) == 0 {
+func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+	if cp == nil {
 		return e.indexOrFlat(q, k, opts)
 	}
-	fsp := opts.Span.Start("filter")
-	fstart := time.Now()
-	bm, err := e.Attrs.Bitmap(preds)
-	felapsed := time.Since(fstart)
-	stageFilter.Observe(felapsed.Seconds())
-	if err != nil {
-		fsp.End()
-		return nil, err
-	}
-	if e.Stats != nil {
-		// A bitmap build evaluates the predicate on every row: the
-		// cleanest per-eval timing for the calibrated attr-cost ratio.
-		e.Stats.RecordAttrCost(felapsed.Nanoseconds(), int64(e.N))
-	}
-	survivors := bm.Count()
-	fsp.Annotate("survivors", int64(survivors))
-	fsp.End()
-	// The bitmap cardinality over the full table is the predicate's
-	// exact selectivity — the measured observation the adaptive
-	// planner's per-column prior is built from.
-	e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
 	params := opts.params()
-	params.Allow = bm
+	var survivors int
+	params.Allow, survivors = e.filterStage(preds, cp, opts)
 	// Small survivor sets are scanned exactly: cheaper than a blocked
 	// index scan and immune to the graph-disconnection effect of
 	// online blocking (Section 2.3(1)).
@@ -374,16 +424,19 @@ func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, opts Optio
 	if exactCutoff < 256 {
 		exactCutoff = 256
 	}
-	if e.ANN == nil || survivors <= exactCutoff {
-		return e.probe(e.Flat, q, k, params, opts.Span)
+	idx := index.Index(e.Flat)
+	if e.ANN != nil && survivors > exactCutoff {
+		idx = e.ANN
 	}
-	return e.probe(e.ANN, q, k, params, opts.Span)
+	res, err := e.probe(idx, q, k, params, opts.Span)
+	releaseBitmap(params.Allow)
+	return res, err
 }
 
 // postFilter over-fetches alpha*k unfiltered candidates and applies
 // the predicate afterwards (plan C). It may return fewer than k
 // results — the documented trade-off of this plan.
-func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, alpha int, opts Options) ([]topk.Result, error) {
+func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, alpha int, opts Options) ([]topk.Result, error) {
 	if alpha <= 0 {
 		alpha = 4
 	}
@@ -395,7 +448,7 @@ func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, alpha int
 	if err != nil {
 		return nil, err
 	}
-	if len(preds) == 0 {
+	if cp == nil {
 		if len(cands) > k {
 			cands = cands[:k]
 		}
@@ -410,15 +463,9 @@ func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, alpha int
 	// deterministic sample size instead of stopping wherever the k-th
 	// admission happened to land.
 	out := make([]topk.Result, 0, k)
-	var evaluated, admitted int64
+	var admitted int64
 	for _, r := range cands {
-		ok, err := e.Attrs.Matches(preds, int(r.ID))
-		if err != nil {
-			psp.End()
-			return nil, err
-		}
-		evaluated++
-		if ok {
+		if cp.Match(r.ID) {
 			admitted++
 			if len(out) < k {
 				out = append(out, r)
@@ -432,40 +479,45 @@ func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, alpha int
 	// is still a real observation of the predicate on live rows; the
 	// minimum-evaluations bar keeps degenerate over-fetches from
 	// quantizing the histograms to 0-or-1 observations.
-	if evaluated >= minSelEvals {
+	if evaluated := int64(len(cands)); evaluated >= minSelEvals {
 		e.recordMeasuredSel(preds, admitted, evaluated)
 	}
 	return out, nil
 }
 
 // singleStage pushes the predicate into the traversal (plan D,
-// visit-first scan). The counted pass rate over visited rows is a
-// query-local selectivity sample (exact when the fallback is the
-// exhaustive flat scan).
-func (e *Env) singleStage(q []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
+// visit-first scan): the index calls the per-id matcher on the nodes it
+// visits. On a serial traversal the pass rate over visited live rows
+// is recorded as a query-local selectivity sample. Without an ANN
+// index the plan is the exhaustive scan.
+func (e *Env) singleStage(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+	if e.ANN == nil {
+		return e.bruteForce(q, k, preds, cp, opts)
+	}
 	params := opts.params()
-	var pc *predCount
-	if len(preds) > 0 {
-		var pred func(id int64) bool
-		pred, pc = e.countedPred(preds)
-		params = withPred(params, pred)
+	var sc *selCount
+	if cp != nil && e.Stats != nil && e.Stats.Enabled() && filtersSerially(e.ANN, params) {
+		sc = &selCount{}
+		params.Filter = sc.wrap(cp, opts.Deleted)
+	} else {
+		params.Filter = visitFilter(cp, opts.Deleted)
 	}
-	idx := index.Index(e.Flat)
-	if e.ANN != nil {
-		idx = e.ANN
-	}
-	res, err := e.probe(idx, q, k, params, opts.Span)
-	if err == nil {
-		e.recordCounted(pc, preds)
+	res, err := e.probe(e.ANN, q, k, params, opts.Span)
+	if err == nil && sc != nil && sc.evaluated >= minSelEvals {
+		e.recordMeasuredSel(preds, sc.admitted, sc.evaluated)
 	}
 	return res, err
 }
 
+// indexOrFlat answers an unpredicated top-k over the live rows: the
+// ANN index when there is one, the exhaustive scan otherwise.
 func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, error) {
-	if e.ANN != nil {
-		return e.probe(e.ANN, q, k, opts.params(), opts.Span)
+	if e.ANN == nil {
+		return e.bruteForce(q, k, nil, nil, opts)
 	}
-	return e.probe(e.Flat, q, k, opts.params(), opts.Span)
+	params := opts.params()
+	params.Filter = visitFilter(nil, opts.Deleted)
+	return e.probe(e.ANN, q, k, params, opts.Span)
 }
 
 // Plan chooses an execution plan for a (k, preds) query shape under
@@ -484,6 +536,19 @@ func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, erro
 // execution paths (bitmap cardinalities, per-row filter pass rates),
 // so the prior stays independent of the estimator it corrects.
 func (e *Env) Plan(k int, preds []filter.Predicate, policy string, span *obs.Span) (planner.Plan, error) {
+	var cp *filter.Compiled
+	if len(preds) > 0 && e.Attrs != nil {
+		var err error
+		if cp, err = e.Attrs.Compile(preds); err != nil {
+			return planner.Plan{}, err
+		}
+	}
+	return e.plan(k, preds, cp, policy, span)
+}
+
+// plan selects the plan for a query whose predicates are already
+// compiled (cp nil plans as unfiltered).
+func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy string, span *obs.Span) (planner.Plan, error) {
 	psp := span.Start("plan")
 	start := time.Now()
 	env := planner.Env{
@@ -497,12 +562,8 @@ func (e *Env) Plan(k int, preds []filter.Predicate, policy string, span *obs.Spa
 		// scan it would beat.
 		env.QuantRatio = 0.35
 	}
-	if len(preds) > 0 && e.Attrs != nil {
-		sel, err := e.Attrs.EstimateSelectivity(preds, 256)
-		if err != nil {
-			psp.End()
-			return planner.Plan{}, err
-		}
+	if cp != nil {
+		sel := cp.EstimateSelectivity(256)
 		env.Selectivity = sel
 		psp.Annotate("selectivity_ppm", int64(sel*1e6))
 	}
@@ -572,11 +633,19 @@ func min64(a, b int64) int64 {
 // Search plans and executes in one step using the given selection
 // policy ("rule", "cost", or a planner.Profile name).
 func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options, policy string) ([]topk.Result, planner.Plan, error) {
-	plan, err := e.Plan(k, preds, policy, opts.Span)
+	// One compile serves planning (the selectivity sample) and execution.
+	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, planner.Plan{}, err
 	}
-	res, err := e.Execute(plan, q, k, preds, opts)
+	plan, err := e.plan(k, preds, cp, policy, opts.Span)
+	if err != nil {
+		return nil, planner.Plan{}, err
+	}
+	if err := e.checkQuery(q, k); err != nil {
+		return nil, plan, err
+	}
+	res, err := e.execute(plan, q, k, preds, cp, opts)
 	return res, plan, err
 }
 
@@ -592,10 +661,17 @@ func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options,
 // read path. Callers that need all-or-nothing can treat any non-nil
 // error as fatal.
 func (e *Env) SearchBatch(p planner.Plan, qs [][]float32, k int, preds []filter.Predicate, opts Options) ([][]topk.Result, error) {
+	// One compile serves the whole batch: a Compiled is immutable.
+	cp, err := e.compile(preds)
+	if err != nil {
+		return make([][]topk.Result, len(qs)), err
+	}
 	out := make([][]topk.Result, len(qs))
 	errs := make([]error, len(qs))
 	pool.Default().Run(len(qs), func(i int) {
-		out[i], errs[i] = e.Execute(p, qs[i], k, preds, opts)
+		if errs[i] = e.checkQuery(qs[i], k); errs[i] == nil {
+			out[i], errs[i] = e.execute(p, qs[i], k, preds, cp, opts)
+		}
 	})
 	var failed []error
 	for i, err := range errs {
@@ -608,39 +684,30 @@ func (e *Env) SearchBatch(p planner.Plan, qs [][]float32, k int, preds []filter.
 }
 
 // SearchRange answers a range query: all (admitted) vectors within the
-// given distance threshold. The exclusion mask and parallelism knobs
-// in opts apply exactly as in Execute — excluded rows are skipped
-// before scoring — and the scan records a "range_scan" span under
-// opts.Span and counts against the flat index family.
+// given distance threshold. It is an exhaustive operator: predicates
+// and the deletion mask in opts become one allowlist (the "filter"
+// stage, as in Execute), and the scan over it records a "range_scan"
+// span under opts.Span and counts against the flat index family.
 func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
 	e.advise(AdviseSequential)
-	params := opts.params()
-	var pc *predCount
-	if len(preds) > 0 {
-		if e.Attrs == nil {
-			return nil, fmt.Errorf("executor: predicates given but no attribute table")
-		}
-		if err := e.Attrs.Validate(preds); err != nil {
-			return nil, err
-		}
-		var pred func(id int64) bool
-		pred, pc = e.countedPred(preds)
-		params = withPred(params, pred)
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
 	}
+	params := opts.params()
+	params.Allow, _ = e.filterStage(preds, cp, opts)
 	var st index.SearchStats
 	params.Stats = &st
 	sp := opts.Span.Start("range_scan")
 	start := time.Now()
 	res, err := e.Flat.SearchRange(q, radius, params)
 	stageRange.Observe(time.Since(start).Seconds())
+	releaseBitmap(params.Allow)
 	sp.Annotate("distance_comps", st.DistanceComps)
 	sp.Annotate("hits", int64(len(res)))
 	sp.End()
 	obs.IndexProbes.With("flat").Inc()
 	obs.IndexDistanceComps.With("flat").Add(st.DistanceComps)
-	if err == nil {
-		e.recordCounted(pc, preds)
-	}
 	return res, err
 }
 
@@ -656,22 +723,18 @@ func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate,
 // frontier. Predicates are pushed down as a traversal filter (the
 // visit-first shape), so the replay measures the index's filtered
 // behavior without depending on the plan the serving path happened to
-// pick. exclude mirrors Options.Exclude (deletion mask).
-func (e *Env) ReplayANN(q []float32, k, ef, nprobe int, preds []filter.Predicate, exclude func(id int64) bool) ([]topk.Result, index.SearchStats, error) {
+// pick. deleted mirrors Options.Deleted (deletion mask).
+func (e *Env) ReplayANN(q []float32, k, ef, nprobe int, preds []filter.Predicate, deleted *bitset.Bitset) ([]topk.Result, index.SearchStats, error) {
 	var st index.SearchStats
 	if e.ANN == nil {
 		return nil, st, fmt.Errorf("executor: replay requires an ANN index")
 	}
-	params := Options{Exclude: exclude, Ef: ef, NProbe: nprobe}.params()
-	if len(preds) > 0 {
-		if e.Attrs == nil {
-			return nil, st, fmt.Errorf("executor: predicates given but no attribute table")
-		}
-		if err := e.Attrs.Validate(preds); err != nil {
-			return nil, st, err
-		}
-		params = withPred(params, e.Attrs.FilterFunc(preds))
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, st, err
 	}
+	params := Options{Ef: ef, NProbe: nprobe}.params()
+	params.Filter = visitFilter(cp, deleted)
 	params.Stats = &st
 	res, err := e.ANN.Search(q, k, params)
 	return res, st, err
@@ -682,18 +745,16 @@ func (e *Env) ReplayANN(q []float32, k, ef, nprobe int, preds []filter.Predicate
 // no probe counters, no stage histograms, no stats observations. The
 // recall auditor uses it to compute ground truth on a pinned snapshot
 // without the audit inflating the very serving statistics it is
-// meant to validate. exclude mirrors Options.Exclude (deletion mask).
-func (e *Env) ExactGroundTruth(q []float32, k int, preds []filter.Predicate, exclude func(id int64) bool) ([]topk.Result, error) {
+// meant to validate. deleted mirrors Options.Deleted (deletion mask).
+func (e *Env) ExactGroundTruth(q []float32, k int, preds []filter.Predicate, deleted *bitset.Bitset) ([]topk.Result, error) {
 	e.advise(AdviseSequential)
-	params := Options{Exclude: exclude}.params()
-	if len(preds) > 0 {
-		if e.Attrs == nil {
-			return nil, fmt.Errorf("executor: predicates given but no attribute table")
-		}
-		if err := e.Attrs.Validate(preds); err != nil {
-			return nil, err
-		}
-		params = withPred(params, e.Attrs.FilterFunc(preds))
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
 	}
-	return e.Flat.Search(q, k, params)
+	var params index.Params
+	params.Allow, _ = e.allowBitmap(cp, deleted)
+	res, err := e.Flat.Search(q, k, params)
+	releaseBitmap(params.Allow)
+	return res, err
 }

@@ -22,9 +22,11 @@ import (
 
 // Iterator pages through a ranked result stream.
 type Iterator struct {
-	env      *Env
-	q        []float32
-	preds    []filter.Predicate
+	env *Env
+	q   []float32
+	// admit is the visit-first test (compiled predicate and deletion
+	// mask) built once at open; nil admits every row.
+	admit    func(id int64) bool
 	opts     Options
 	useANN   bool
 	returned map[int64]struct{}
@@ -41,16 +43,12 @@ func (e *Env) NewIterator(q []float32, preds []filter.Predicate, opts Options) (
 	if len(q) != e.Dim {
 		return nil, fmt.Errorf("executor: iterator query dim %d, env %d", len(q), e.Dim)
 	}
-	if len(preds) > 0 {
-		if e.Attrs == nil {
-			return nil, fmt.Errorf("executor: predicates given but no attribute table")
-		}
-		if err := e.Attrs.Validate(preds); err != nil {
-			return nil, err
-		}
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
 	}
 	return &Iterator{
-		env: e, q: q, preds: preds, opts: opts,
+		env: e, q: q, admit: visitFilter(cp, opts.Deleted), opts: opts,
 		useANN:   e.ANN != nil,
 		returned: map[int64]struct{}{},
 		depth:    32,
@@ -92,9 +90,7 @@ func (it *Iterator) refill() error {
 	if !it.useANN {
 		// Materialize the full exact ordering once.
 		params := it.opts.params()
-		if len(it.preds) > 0 {
-			params = withPred(params, e.Attrs.FilterFunc(it.preds))
-		}
+		params.Filter = it.admit
 		res, err := e.Flat.Search(it.q, e.N, params)
 		if err != nil {
 			return err
@@ -114,9 +110,7 @@ func (it *Iterator) refill() error {
 	if params.Ef < it.depth {
 		params.Ef = it.depth
 	}
-	if len(it.preds) > 0 {
-		params = withPred(params, e.Attrs.FilterFunc(it.preds))
-	}
+	params.Filter = it.admit
 	k := it.depth
 	if k > e.N {
 		k = e.N

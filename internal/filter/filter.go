@@ -333,133 +333,45 @@ func (t *Table) BulkRestore(n int, ints map[string][]int64, flts map[string][]fl
 	return nil
 }
 
-// matches evaluates one predicate against row id.
-func (t *Table) matches(p Predicate, id int) (bool, error) {
-	c, ok := t.Column(p.Column)
-	if !ok {
-		return false, fmt.Errorf("filter: unknown column %q", p.Column)
-	}
-	v := c.Get(id)
-	switch c.Kind() {
-	case Int64:
-		return cmpOrdered(p.Op, v.I, p.Value.I, p.Set, func(x Value) int64 { return x.I })
-	case Float64:
-		return cmpOrdered(p.Op, v.F, p.Value.F, p.Set, func(x Value) float64 { return x.F })
-	default:
-		return cmpOrdered(p.Op, v.S, p.Value.S, p.Set, func(x Value) string { return x.S })
-	}
-}
-
-func cmpOrdered[T int64 | float64 | string](op Op, have, want T, set []Value, get func(Value) T) (bool, error) {
-	switch op {
-	case Eq:
-		return have == want, nil
-	case Ne:
-		return have != want, nil
-	case Lt:
-		return have < want, nil
-	case Le:
-		return have <= want, nil
-	case Gt:
-		return have > want, nil
-	case Ge:
-		return have >= want, nil
-	case In:
-		for _, s := range set {
-			if have == get(s) {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("filter: unknown op %v", op)
-	}
-}
-
-// Matches evaluates a conjunction of predicates against a row.
+// Matches evaluates a conjunction of predicates against a row. It is a
+// convenience wrapper that compiles on every call; anything evaluating
+// more than a handful of rows should Compile once and use the result.
 func (t *Table) Matches(preds []Predicate, id int) (bool, error) {
-	for _, p := range preds {
-		ok, err := t.matches(p, id)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+	c, err := t.Compile(preds)
+	if err != nil {
+		return false, err
 	}
-	return true, nil
+	return c.Match(int64(id)), nil
 }
 
 // Bitmap builds the allowlist bitmap of a predicate conjunction over
 // all current rows — the offline step of block-first scan.
 func (t *Table) Bitmap(preds []Predicate) (*bitset.Bitset, error) {
-	n := t.Len()
-	b := bitset.New(n)
-	for id := 0; id < n; id++ {
-		ok, err := t.Matches(preds, id)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			b.Set(id)
-		}
+	c, err := t.Compile(preds)
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	return c.Bitmap(), nil
 }
 
 // FilterFunc adapts a predicate conjunction to the visit-first
-// index.Params.Filter signature. Evaluation errors surface as
-// non-matches; Validate first to catch schema mistakes.
+// index.Params.Filter signature, compiled over the rows present now
+// (later appends do not match). Compile errors surface as a filter
+// that matches nothing; call Compile to see them.
 func (t *Table) FilterFunc(preds []Predicate) func(id int64) bool {
-	return func(id int64) bool {
-		ok, err := t.Matches(preds, int(id))
-		return err == nil && ok
+	c, err := t.Compile(preds)
+	if err != nil {
+		return func(int64) bool { return false }
 	}
+	return c.Matcher()
 }
 
-// Validate checks that every predicate references an existing column.
-func (t *Table) Validate(preds []Predicate) error {
-	for _, p := range preds {
-		if _, ok := t.Column(p.Column); !ok {
-			return fmt.Errorf("filter: unknown column %q", p.Column)
-		}
-	}
-	return nil
-}
-
-// EstimateSelectivity samples up to sampleSize rows and returns the
-// fraction matching — the statistic rule-based planners (Qdrant,
-// Vespa) key their pre/post-filter decision on. Rows are drawn with a
-// deterministic LCG rather than a fixed stride so periodic attribute
-// patterns cannot alias with the sample.
+// EstimateSelectivity compiles preds and returns the matching fraction
+// of up to sampleSize sampled rows (see Compiled.EstimateSelectivity).
 func (t *Table) EstimateSelectivity(preds []Predicate, sampleSize int) (float64, error) {
-	n := t.Len()
-	if n == 0 {
-		return 1, nil
+	c, err := t.Compile(preds)
+	if err != nil {
+		return 0, err
 	}
-	if sampleSize <= 0 || sampleSize > n {
-		sampleSize = n
-	}
-	match := 0
-	state := uint64(88172645463325252)
-	for i := 0; i < sampleSize; i++ {
-		var id int
-		if sampleSize == n {
-			id = i
-		} else {
-			// xorshift64 for a cheap, seedless deterministic draw.
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			id = int(state % uint64(n))
-		}
-		ok, err := t.Matches(preds, id)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			match++
-		}
-	}
-	return float64(match) / float64(sampleSize), nil
+	return c.EstimateSelectivity(sampleSize), nil
 }

@@ -155,10 +155,10 @@ func TestSelectivityEstimate(t *testing.T) {
 
 func TestValidateAndErrors(t *testing.T) {
 	tbl := buildTable(t, 5)
-	if err := tbl.Validate([]Predicate{{Column: "nope", Op: Eq}}); err == nil {
+	if _, err := tbl.Compile([]Predicate{{Column: "nope", Op: Eq}}); err == nil {
 		t.Fatal("want unknown-column error")
 	}
-	if err := tbl.Validate([]Predicate{{Column: "price", Op: Eq}}); err != nil {
+	if _, err := tbl.Compile([]Predicate{{Column: "price", Op: Eq}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Matches([]Predicate{{Column: "nope", Op: Eq}}, 0); err == nil {

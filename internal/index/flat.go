@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"vdbms/internal/obs"
@@ -139,19 +141,28 @@ func (f *Flat) ResetStats() { f.comps.Store(0) }
 // per worker the goroutine hand-off costs more than the scan itself.
 const minRowsPerPartition = 1024
 
-// workers picks the partition count for an n-row scan, backing off
-// defaulted parallelism when partitions would be tiny.
-func (f *Flat) workers(requested int) int {
-	w := pool.Default().Effective(requested, f.n)
-	if requested <= 0 && w > 1 {
+// workers picks the partition count for a scan under p, backing off
+// defaulted parallelism when partitions would be tiny. The work is the
+// rows actually scored: all of them, or an allowlist's survivors (one
+// popcount pass — a 1 %-selective scan is not worth a second worker).
+func (f *Flat) workers(p *Params) int {
+	w := pool.Default().Effective(p.Parallelism, f.n)
+	if p.Parallelism <= 0 && w > 1 {
 		// Defaulted parallelism backs off when partitions would be tiny;
 		// an explicit knob is honored as given.
-		if byWork := (f.n + minRowsPerPartition - 1) / minRowsPerPartition; byWork < w {
+		work := f.n
+		if p.Allow != nil {
+			work = p.Allow.Count()
+		}
+		if byWork := (work + minRowsPerPartition - 1) / minRowsPerPartition; byWork < w {
 			w = byWork
 		}
 	}
 	return w
 }
+
+// FiltersConcurrently implements ConcurrentFilter.
+func (f *Flat) FiltersConcurrently(p Params) bool { return f.workers(&p) > 1 }
 
 // Search implements Index by exhaustive scan. With a predicate it
 // degenerates to the "single-stage brute-force scan" plan the paper
@@ -176,7 +187,7 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	if f.qsc != nil {
 		kk = f.spec.ResolveRerankK(p, k, f.n)
 	}
-	w := f.workers(p.Parallelism)
+	w := f.workers(&p)
 	var merged *topk.Collector
 	var comps int64
 	if w <= 1 {
@@ -218,9 +229,9 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 // scanRange scores rows [lo, hi) into c and returns the distance
 // computations performed. It reads only shared immutable state, so
 // disjoint ranges run concurrently. Unconstrained scans score whole
-// contiguous blocks; predicated scans gather admitted ids and flush
-// them through the same kernels, so only admitted rows are scored (and
-// counted) — identical accounting to the per-row path.
+// contiguous blocks; predicated scans gather admitted ids (forAdmitted)
+// and score them through the same kernels, so only admitted rows are
+// scored (and counted).
 func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) int64 {
 	// blockScorer is the slice of the Bind contract both the float and
 	// the quantized kernels share; picking the binding here is what
@@ -235,9 +246,9 @@ func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) 
 	} else {
 		b = f.sc.Bind(q)
 	}
-	dist := make([]float32, scanBlock)
 	comps := int64(0)
 	if !p.Constrained() {
+		dist := make([]float32, scanBlock)
 		for blo := lo; blo < hi; blo += scanBlock {
 			bhi := blo + scanBlock
 			if bhi > hi {
@@ -251,26 +262,78 @@ func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) 
 		}
 		return comps
 	}
-	ids := make([]int32, 0, scanBlock)
-	flush := func() {
+	forAdmitted(p, lo, hi, func(ids []int32, dist []float32) {
 		b.ScoreIDs(ids, dist)
 		for o, id := range ids {
 			c.Push(int64(id), dist[o])
 		}
 		comps += int64(len(ids))
-		ids = ids[:0]
-	}
-	for i := lo; i < hi; i++ {
-		if !p.Admits(int64(i)) {
-			continue
-		}
-		ids = append(ids, int32(i))
-		if len(ids) == scanBlock {
-			flush()
-		}
-	}
-	flush()
+	})
 	return comps
+}
+
+// gatherBuf is the scratch of one predicated scan partition: the block
+// of admitted ids and the distances the kernel writes for them. Pooled,
+// so a filtered query allocates neither.
+type gatherBuf struct {
+	ids  []int32
+	dist []float32
+}
+
+var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
+
+// forAdmitted gathers the rows of [lo, hi) that p admits into blocks of
+// up to scanBlock ids and hands each block to emit, in ascending id
+// order, with a distance buffer of the same capacity to score into. An
+// Allow bitmap is walked word by word — zero words cost one load per 64
+// rows and set bits are peeled with TrailingZeros64 — so a selective
+// allowlist is scanned in time proportional to its survivors, not to
+// the rows it spans; a Filter, alone or on top of Allow, is called once
+// per candidate row.
+func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) {
+	buf := gatherPool.Get().(*gatherBuf)
+	defer gatherPool.Put(buf)
+	if cap(buf.ids) < scanBlock {
+		buf.ids, buf.dist = make([]int32, 0, scanBlock), make([]float32, scanBlock)
+	}
+	ids, dist := buf.ids[:0], buf.dist[:scanBlock]
+	add := func(id int) {
+		ids = append(ids, int32(id))
+		if len(ids) == scanBlock {
+			emit(ids, dist)
+			ids = ids[:0]
+		}
+	}
+	if p.Allow == nil {
+		for i := lo; i < hi; i++ {
+			if p.Filter(int64(i)) {
+				add(i)
+			}
+		}
+	} else {
+		if n := p.Allow.Len(); hi > n {
+			hi = n // rows the bitmap does not cover are blocked
+		}
+		words := p.Allow.Words()
+		for base := lo &^ 63; base < hi; base += 64 {
+			w := words[base>>6]
+			if base < lo {
+				w &^= 1<<uint(lo-base) - 1
+			}
+			if hi-base < 64 {
+				w &= 1<<uint(hi-base) - 1
+			}
+			for ; w != 0; w &= w - 1 {
+				id := base + bits.TrailingZeros64(w)
+				if p.Filter == nil || p.Filter(int64(id)) {
+					add(id)
+				}
+			}
+		}
+	}
+	if len(ids) > 0 {
+		emit(ids, dist)
+	}
 }
 
 // SearchRange returns all ids within the distance threshold, the range
@@ -282,7 +345,7 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 	if len(q) != f.dim {
 		return nil, fmt.Errorf("%w: query %d, index %d", ErrDim, len(q), f.dim)
 	}
-	w := f.workers(p.Parallelism)
+	w := f.workers(&p)
 	if w <= 1 {
 		out, comps := f.rangeScan(q, radius, 0, f.n, &p)
 		f.comps.Add(comps)
@@ -317,10 +380,10 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 // [lo, hi) and keep rows within the radius, in ascending id order.
 func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]topk.Result, int64) {
 	b := f.sc.Bind(q)
-	dist := make([]float32, scanBlock)
 	var out []topk.Result
 	comps := int64(0)
 	if !p.Constrained() {
+		dist := make([]float32, scanBlock)
 		for blo := lo; blo < hi; blo += scanBlock {
 			bhi := blo + scanBlock
 			if bhi > hi {
@@ -336,8 +399,7 @@ func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]
 		}
 		return out, comps
 	}
-	ids := make([]int32, 0, scanBlock)
-	flush := func() {
+	forAdmitted(p, lo, hi, func(ids []int32, dist []float32) {
 		b.ScoreIDs(ids, dist)
 		for o, id := range ids {
 			if d := dist[o]; d <= radius {
@@ -345,17 +407,6 @@ func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]
 			}
 		}
 		comps += int64(len(ids))
-		ids = ids[:0]
-	}
-	for i := lo; i < hi; i++ {
-		if !p.Admits(int64(i)) {
-			continue
-		}
-		ids = append(ids, int32(i))
-		if len(ids) == scanBlock {
-			flush()
-		}
-	}
-	flush()
+	})
 	return out, comps
 }

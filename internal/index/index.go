@@ -100,6 +100,17 @@ type Index interface {
 	Search(q []float32, k int, p Params) ([]topk.Result, error)
 }
 
+// ConcurrentFilter is implemented by index families that may split one
+// Search across pool workers (flat row ranges, IVF inverted lists) and
+// so call Params.Filter from several goroutines at once. A caller that
+// hangs single-goroutine state on the filter — a plain counter — asks
+// first; families that do not implement it always filter serially.
+type ConcurrentFilter interface {
+	// FiltersConcurrently reports whether a Search with these params
+	// would evaluate the filter on more than one goroutine.
+	FiltersConcurrently(p Params) bool
+}
+
 // Remappable is implemented by indexes that can rebind themselves to
 // a different backing column holding byte-identical vector content —
 // the memory tier uses it to move a collection's float column between

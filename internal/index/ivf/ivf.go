@@ -215,6 +215,14 @@ func (iv *IVF) ScannedFraction(q []float32, nprobe int) float64 {
 	return float64(total) / float64(iv.n)
 }
 
+// FiltersConcurrently implements index.ConcurrentFilter: the probed
+// lists are split across workers whenever Search would use more than
+// one (nprobe is the task count it sizes the fan-out by).
+func (iv *IVF) FiltersConcurrently(p index.Params) bool {
+	nprobe := min(max(p.NProbe, 1), iv.cents.K)
+	return pool.Default().Effective(p.Parallelism, nprobe) > 1
+}
+
 // Search implements index.Index. p.NProbe selects how many buckets to
 // scan (default 1).
 //

@@ -87,9 +87,7 @@ type Env struct {
 	// n/nlist for IVF). Zero falls back to a sqrt(N) heuristic.
 	IndexComps float64
 	// AttrCostRatio is the cost of one attribute predicate check
-	// relative to one distance computation; default 0.3 (calibrated
-	// against this engine's interpreted predicate evaluator — see
-	// E12b).
+	// relative to one distance computation; default defaultAttrCostRatio.
 	AttrCostRatio float64
 	// Alpha for post-filter plans; default 4.
 	Alpha int
@@ -112,12 +110,22 @@ type Env struct {
 	ShortfallSelectivity float64
 }
 
+// defaultAttrCostRatio is measured by E12b (EXPERIMENTS.md): the
+// compiled column-at-a-time evaluator that exhaustive plans pay on
+// every row checks one attribute in ~0.5 ns, against ~64 ns for one
+// d=128 distance computation (18 ns at d=32, where the ratio is 0.03).
+// The per-id matcher traversals use is ~4x dearer per check, but it
+// only scales the visit term, where a visit already costs a full
+// distance computation. The "adaptive" policy replaces this constant
+// with the ratio it measures online.
+const defaultAttrCostRatio = 0.01
+
 func (e Env) normalized() Env {
 	if e.Alpha <= 0 {
 		e.Alpha = 4
 	}
 	if e.AttrCostRatio <= 0 {
-		e.AttrCostRatio = 0.3
+		e.AttrCostRatio = defaultAttrCostRatio
 	}
 	if e.IndexComps <= 0 {
 		c := 1.0
@@ -264,7 +272,7 @@ type Observed struct {
 	SelObservations int64
 	// AttrCostRatio is the measured cost of one attribute predicate
 	// evaluation relative to one full-precision distance computation
-	// (ns per eval / ns per comp), replacing the static 0.3 once
+	// (ns per eval / ns per comp), replacing the static default once
 	// AttrObservations backs it.
 	AttrCostRatio    float64
 	AttrObservations int64

@@ -336,9 +336,6 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		for i := range req.Filters {
-			req.Filters[i] = normalizeFilter(col, req.Filters[i])
-		}
 		ctx, cancel := s.searchCtx(r)
 		defer cancel()
 		// Tracing is on when the client asks (X-Vdbms-Trace: 1) or the
@@ -401,9 +398,6 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 		if len(req.Vectors) == 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("batch search needs vectors"))
 			return
-		}
-		for i := range req.Filters {
-			req.Filters[i] = normalizeFilter(col, req.Filters[i])
 		}
 		par := req.Parallelism
 		if par == 0 {
@@ -478,15 +472,6 @@ func coerce(typ string, v any) any {
 	}
 	if typ == "int" {
 		return int64(f)
-	}
-	return f
-}
-
-func normalizeFilter(col *vdbms.Collection, f vdbms.Filter) vdbms.Filter {
-	typ := col.AttributeTypes()[f.Column]
-	f.Value = coerce(typ, f.Value)
-	for i := range f.Set {
-		f.Set[i] = coerce(typ, f.Set[i])
 	}
 	return f
 }

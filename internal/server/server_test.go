@@ -96,6 +96,26 @@ func TestHTTPLifecycle(t *testing.T) {
 			t.Fatalf("filter violated: %d", id)
 		}
 	}
+	// A fractional bound on an int column keeps its meaning (cat < 2.5
+	// is cat <= 2, not the truncated cat < 2).
+	rec, out = doJSON(t, srv, "POST", "/collections/docs/search", SearchBody{
+		Vector: ds.Row(7), K: 100, Policy: "plan:brute_force",
+		Filters: []vdbms.Filter{{Column: "cat", Op: "<", Value: 2.5}},
+	})
+	if rec.Code != http.StatusOK || len(out["Hits"].([]any)) != 60 {
+		t.Fatalf("cat < 2.5: %d, %d hits, want the 60 rows with cat 0..2", rec.Code, len(out["Hits"].([]any)))
+	}
+	// An operand of the wrong type is the client's error.
+	for _, f := range []vdbms.Filter{
+		{Column: "cat", Op: "=", Value: "2"},
+		{Column: "score", Op: "<", Value: "low"},
+		{Column: "cat", Op: "in", Set: []any{1.0, "two"}},
+	} {
+		rec, _ = doJSON(t, srv, "POST", "/collections/docs/search", SearchBody{Vector: ds.Row(7), K: 5, Filters: []vdbms.Filter{f}})
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "does not match column type") {
+			t.Fatalf("%+v: %d %s, want 400 naming the type mismatch", f, rec.Code, rec.Body)
+		}
+	}
 	// Float filter works too.
 	rec, out = doJSON(t, srv, "POST", "/collections/docs/search", SearchBody{
 		Vector: ds.Row(7), K: 5,

@@ -18,26 +18,31 @@ fi
 
 go vet ./...
 go build ./...
-go test -race ./...
+# Every suite step carries an explicit per-package -timeout: the race
+# detector does not find deadlocks, and without one a hung test (the
+# tuneMu deadlock sat in TestTuneLoopLifecycle for the 10-minute
+# package default) fails late. With it the run dies in minutes, with
+# a goroutine dump naming the two sides.
+go test -race -timeout 5m ./...
 # Intra-query parallelism must degrade to serial cleanly: the whole
 # suite also runs single-threaded, where the worker pool has width 1
 # and every fan-out takes the inline path.
-GOMAXPROCS=1 go test ./...
+GOMAXPROCS=1 go test -timeout 3m ./...
 # Crash-recovery smoke under the race detector: the kill -9 harness
 # (subprocess inserting with fsync=always, SIGKILLed mid-stream, then
 # recovered) plus the torn-tail and checkpoint/recover equivalence
 # tests — the durable write path's acceptance gate. These already ran
 # inside the full suite above; running them again under -race with a
 # dedicated -count=1 keeps the gate explicit and cache-proof.
-go test -race -count=1 -run 'TestCrashRecoveryKill9|TestRecoverTornTail|TestPropertyCheckpointRecoverEquivalence' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornTail|TestPropertyCheckpointRecoverEquivalence' ./internal/core/
 # Bounded-memory smoke under the race detector: a database held to a
 # budget far smaller than its data must walk the degradation ladder
 # (evict its float column to the mmap tier, keep answering correctly,
 # shed work-carrying requests with 503 past the budget) instead of
 # growing without bound. Gates the memory-tiered serving path the same
 # way the kill -9 harness gates the WAL.
-go test -race -count=1 -run 'TestBoundedMemoryLadderSmoke' .
-go test -race -count=1 -run 'TestShedRefusesWork|TestEvictByteEquivalence' ./internal/server/ ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestBoundedMemoryLadderSmoke' .
+go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence' ./internal/server/ ./internal/core/
 # Adaptive query optimization gates. The tuner must converge on a
 # degraded index (coarse IVF, target_recall=0.95 -> a trusted frontier
 # resolving a parameter cheaper than the ladder maximum that still
@@ -45,20 +50,34 @@ go test -race -count=1 -run 'TestShedRefusesWork|TestEvictByteEquivalence' ./int
 # through the background builder without blocking concurrent searches
 # — both pinned under -race because the tuner, builder, and readers
 # share the collection.
-go test -race -count=1 -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence' ./internal/core/
+# Compiled-predicate gates. The differential tests hold the per-id
+# matcher and the column-at-a-time evaluator to a reference evaluator
+# over every Kind x Op, and every forced plan at parallelism 1/2/8,
+# with and without deletions, to filter-then-brute-force. The race
+# test runs predicate searches, range queries and iterators against a
+# writer that reallocates the columns under them — the read path takes
+# no lock per row, so -race is the only thing standing between a
+# missed happens-before edge and production. The deadlock regression
+# holds a tune pass in flight across an EnableTune.
+go test -race -count=1 -timeout 3m ./internal/filter/
+go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # Knob propagation end to end: HTTP body -> SearchRequest -> executor
 # options -> index params, layered overrides, and the X-Vdbms-Plan
 # response header that reports the executed plan + resolved knobs.
-go test -race -count=1 -run 'TestPlanHeaderAndKnobPropagation' ./internal/server/
+go test -race -count=1 -timeout 3m -run 'TestPlanHeaderAndKnobPropagation' ./internal/server/
 # Adaptive planning overhead: resolving knobs through the tuned
 # frontier must cost <= 5% versus pinning the same parameter
 # statically. A timing gate, so it runs without -race (the race
 # detector's ~10x slowdown would drown the 5% signal).
-go test -count=1 -run 'TestAdaptivePlanningOverhead' ./internal/core/
+go test -count=1 -timeout 3m -run 'TestAdaptivePlanningOverhead' ./internal/core/
 # Fuzz smoke for the top-k split/merge metamorphic oracle (split across
 # N collectors + Merge == one collector), so the corpus keeps growing.
 go test -run '^$' -fuzz FuzzMergeEquivalence -fuzztime 5s ./internal/topk/
 go test -run '^$' -bench BenchmarkSearch -benchtime 1x ./internal/obs/
+# Block-evaluator smoke: 20 000 rows, int64 range predicate, ns/row.
+go test -run '^$' -bench BenchmarkCompiledPredicateScan -benchtime 1x ./internal/filter/
 # Metrics documentation lint: every vdbms_* metric family declared in
 # internal/obs/metrics.go must appear in the README metrics reference
 # table, so the exported surface can never silently outgrow its docs.

@@ -3,6 +3,7 @@ package vdbms
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -218,6 +219,72 @@ func TestFiltersConversion(t *testing.T) {
 	if _, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 1,
 		Filters: []Filter{{Column: "price", Op: "=", Value: struct{}{}}}}); err == nil {
 		t.Fatal("want value error")
+	}
+}
+
+// TestFilterOperandCoercion: an operand is compared in its column's own
+// type or not at all. Numbers convert when that is lossless, a
+// fractional bound on an int column keeps its meaning, and everything
+// else is a typed error — never a comparison against a zero value.
+func TestFilterOperandCoercion(t *testing.T) {
+	const n = 300
+	col, ds := productCollection(t, n) // cat = i%100 (int), price = i%500 (float), brand (string)
+	count := func(f Filter) int {
+		t.Helper()
+		hits, err := col.SearchRange(ds.Row(0), math.MaxFloat32, []Filter{f})
+		if err != nil {
+			t.Fatalf("%+v: %v", f, err)
+		}
+		return len(hits)
+	}
+	same := [][2]Filter{
+		{{Column: "cat", Op: "<", Value: 5.0}, {Column: "cat", Op: "<", Value: 5}},
+		{{Column: "cat", Op: "<", Value: 2.5}, {Column: "cat", Op: "<=", Value: 2}},
+		{{Column: "cat", Op: "<=", Value: 2.5}, {Column: "cat", Op: "<=", Value: 2}},
+		{{Column: "cat", Op: ">", Value: float32(97.5)}, {Column: "cat", Op: ">=", Value: 98}},
+		{{Column: "cat", Op: ">=", Value: 97.5}, {Column: "cat", Op: ">=", Value: 98}},
+		{{Column: "cat", Op: "<", Value: -0.5}, {Column: "cat", Op: "<", Value: 0}},
+		{{Column: "cat", Op: "in", Set: []any{2.5}}, {Column: "cat", Op: "in"}},
+		{{Column: "cat", Op: "in", Set: []any{1.0, 2.5, 3, int64(7)}}, {Column: "cat", Op: "in", Set: []any{1, 3, 7}}},
+		{{Column: "price", Op: ">=", Value: 250}, {Column: "price", Op: ">=", Value: 250.0}},
+		{{Column: "price", Op: "in", Set: []any{1, int64(2), 3.0}}, {Column: "price", Op: "in", Set: []any{1.0, 2.0, 3.0}}},
+	}
+	for _, pair := range same {
+		if got, want := count(pair[0]), count(pair[1]); got != want {
+			t.Fatalf("%+v admits %d rows, %+v admits %d", pair[0], got, pair[1], want)
+		}
+	}
+	if got := count(Filter{Column: "cat", Op: "<", Value: 5.0}); got != 15 {
+		t.Fatalf("cat < 5.0 admits %d rows, want 15 (a float operand used to compare as cat < 0)", got)
+	}
+	if got := count(Filter{Column: "cat", Op: "=", Value: 2.5}); got != 0 {
+		t.Fatalf("cat = 2.5 admits %d rows, want none", got)
+	}
+	if got := count(Filter{Column: "cat", Op: "!=", Value: 2.5}); got != n {
+		t.Fatalf("cat != 2.5 admits %d rows, want all %d", got, n)
+	}
+	for _, bad := range []Filter{
+		{Column: "cat", Op: "=", Value: "5"},
+		{Column: "price", Op: "<", Value: "cheap"},
+		{Column: "brand", Op: "=", Value: 5},
+		{Column: "brand", Op: "in", Set: []any{"acme", 1.5}},
+		{Column: "cat", Op: "in", Set: []any{1, "two"}},
+		{Column: "cat", Op: "<"}, // no operand: never "cat < 0"
+		{Column: "cat", Op: "<", Value: math.NaN()},
+		{Column: "cat", Op: "<", Value: math.Inf(1)},
+		{Column: "cat", Op: "<", Value: 1e19},
+		{Column: "price", Op: "=", Value: int64(1<<53 + 1)},
+	} {
+		_, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 1, Filters: []Filter{bad}})
+		if !errors.Is(err, ErrFilterType) {
+			t.Fatalf("%+v: error %v, want ErrFilterType", bad, err)
+		}
+	}
+	if _, err := col.OpenIterator(ds.Row(0), []Filter{{Column: "brand", Op: "<", Value: 1}}, 0); !errors.Is(err, ErrFilterType) {
+		t.Fatalf("iterator: error %v, want ErrFilterType", err)
+	}
+	if _, err := col.SearchBatch([][]float32{ds.Row(0)}, SearchRequest{K: 1, Filters: []Filter{{Column: "cat", Op: "=", Value: "1"}}}); !errors.Is(err, ErrFilterType) {
+		t.Fatalf("batch: error %v, want ErrFilterType", err)
 	}
 }
 
