@@ -555,12 +555,11 @@ func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy 
 		N: e.N, K: k, HasIndex: e.ANN != nil, Selectivity: 1,
 	}
 	if qi, ok := e.ANN.(index.Quantized); ok && qi.QuantizedScan() {
-		// Quantized candidate generation touches code bytes instead of
-		// float32 rows; discount per-probe cost by the SQ8 ratio (the
-		// most common codec — PQ is cheaper still) so cost-based
-		// selection doesn't abandon a quantized index for a brute-force
-		// scan it would beat.
-		env.QuantRatio = 0.35
+		// Mark the index as quantized without a static discount: the
+		// sq8 LUT scan is no cheaper per comparison than the float32
+		// kernel (planner.Env.QuantRatio). Only the adaptive policy's
+		// measured ratio, when below 1, discounts the probe.
+		env.QuantRatio = 1
 	}
 	if cp != nil {
 		sel := cp.EstimateSelectivity(256)

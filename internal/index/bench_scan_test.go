@@ -8,43 +8,90 @@ import (
 	"vdbms/internal/vec"
 )
 
-// BenchmarkFlatScan compares the per-row DistanceFunc scan against the
-// block-kernel scorer scan at the acceptance scale (100k x 128-d),
-// serial, for each metric with a specialized kernel. The perrow
-// baseline wraps the canonical function in a closure so MetricOf
-// cannot recognize it and Flat falls back to row-at-a-time scoring —
-// exactly the dispatch every scan paid before the scoring engine.
+// portableL2 and portableDot are the loops of vec's portable kernel tier
+// (four stride-4 accumulators), copied here because that tier is not
+// exported: BenchmarkFlatScan's generic rows scan with them, so the
+// file records what the scan costs where the assembly is not available.
+func portableL2(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0, d1, d2, d3 := a[i]-b[i], a[i+1]-b[i+1], a[i+2]-b[i+2], a[i+3]-b[i+3]
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s0 += float32(d * d)
+	}
+	return s0 + s1 + s2 + s3
+}
+
+func portableDot(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += float32(a[i] * b[i])
+		s1 += float32(a[i+1] * b[i+1])
+		s2 += float32(a[i+2] * b[i+2])
+		s3 += float32(a[i+3] * b[i+3])
+	}
+	for ; i < len(a); i++ {
+		s0 += float32(a[i] * b[i])
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// BenchmarkFlatScan measures the flat scan at the acceptance scale
+// (100k x 128-d), serial, for each metric with a kernel. perrow wraps
+// the canonical function in a closure so MetricOf cannot recognize it
+// and Flat falls back to row-at-a-time scoring — the dispatch every
+// scan paid before the scoring engine, each call on the process's
+// kernel. scorer is the block path on the process's kernel (the
+// assembly on an amd64 host with AVX). generic scans row at a time
+// with the portable tier's loops (none for cosine: its per-row scalar
+// form is the perrow row already).
 func BenchmarkFlatScan(b *testing.B) {
 	ds := dataset.Uniform(100_000, 128, 1)
 	q := ds.Queries(1, 0.1, 2)[0]
 	rows := float64(ds.Count)
 	metrics := []struct {
-		name string
-		fn   vec.DistanceFunc
+		name     string
+		fn       vec.DistanceFunc
+		portable vec.DistanceFunc
 	}{
-		{"l2", vec.SquaredL2},
-		{"ip", vec.NegInnerProduct},
-		{"cosine", vec.CosineDistance},
+		{"l2", vec.SquaredL2, portableL2},
+		{"ip", vec.NegInnerProduct, func(a, c []float32) float32 { return -portableDot(a, c) }},
+		{"cosine", vec.CosineDistance, nil},
 	}
 	for _, m := range metrics {
 		scalar := m.fn
-		perrow, err := NewFlat(ds.Data, ds.Count, ds.Dim,
-			func(a, c []float32) float32 { return scalar(a, c) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		scorer, err := NewFlat(ds.Data, ds.Count, ds.Dim, m.fn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, v := range []struct {
+		variants := []struct {
 			name string
-			f    *Flat
-		}{{"perrow", perrow}, {"scorer", scorer}} {
+			fn   vec.DistanceFunc
+		}{
+			{"perrow", func(a, c []float32) float32 { return scalar(a, c) }},
+			{"scorer", m.fn},
+		}
+		if m.portable != nil {
+			variants = append(variants, struct {
+				name string
+				fn   vec.DistanceFunc
+			}{"generic", m.portable})
+		}
+		for _, v := range variants {
+			f, err := NewFlat(ds.Data, ds.Count, ds.Dim, v.fn)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.Run(m.name+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(int64(ds.Count) * int64(ds.Dim) * 4)
 				for i := 0; i < b.N; i++ {
-					if _, err := v.f.Search(q, 10, Params{Parallelism: 1}); err != nil {
+					if _, err := f.Search(q, 10, Params{Parallelism: 1}); err != nil {
 						b.Fatal(err)
 					}
 				}

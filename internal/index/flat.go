@@ -171,8 +171,8 @@ func (f *Flat) FiltersConcurrently(p Params) bool { return f.workers(&p) > 1 }
 // The scan is partitioned into p.Parallelism contiguous row ranges,
 // each feeding its own collector, merged at the end. Because both the
 // per-range collectors and the merge resolve ties by (dist, id), and
-// the block kernels preserve the scalar accumulation order, the result
-// is byte-identical at every worker count and block size.
+// the kernel scores every row on its own in one accumulation order,
+// the result is byte-identical at every worker count and block size.
 func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, ErrBadK
@@ -248,39 +248,43 @@ func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) 
 	}
 	comps := int64(0)
 	if !p.Constrained() {
-		dist := make([]float32, scanBlock)
+		buf := getGatherBuf()
+		defer gatherPool.Put(buf)
 		for blo := lo; blo < hi; blo += scanBlock {
-			bhi := blo + scanBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			b.ScoreBlock(blo, bhi, dist)
-			for i := blo; i < bhi; i++ {
-				c.Push(int64(i), dist[i-blo])
-			}
-			comps += int64(bhi - blo)
+			dist := buf.dist[:min(scanBlock, hi-blo)]
+			b.ScoreBlock(blo, blo+len(dist), dist)
+			c.PushBlock(int64(blo), dist)
+			comps += int64(len(dist))
 		}
 		return comps
 	}
 	forAdmitted(p, lo, hi, func(ids []int32, dist []float32) {
 		b.ScoreIDs(ids, dist)
-		for o, id := range ids {
-			c.Push(int64(id), dist[o])
-		}
+		c.PushIDs(ids, dist)
 		comps += int64(len(ids))
 	})
 	return comps
 }
 
-// gatherBuf is the scratch of one predicated scan partition: the block
-// of admitted ids and the distances the kernel writes for them. Pooled,
-// so a filtered query allocates neither.
+// gatherBuf is the scratch of one scan partition: the distances the
+// kernel writes for a block and, in a predicated scan, the admitted ids
+// of the block. Pooled, so a scan allocates neither.
 type gatherBuf struct {
 	ids  []int32
 	dist []float32
 }
 
 var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
+
+// getGatherBuf takes a buffer of at least scanBlock entries from the
+// pool; the caller returns it with gatherPool.Put.
+func getGatherBuf() *gatherBuf {
+	buf := gatherPool.Get().(*gatherBuf)
+	if cap(buf.ids) < scanBlock {
+		buf.ids, buf.dist = make([]int32, 0, scanBlock), make([]float32, scanBlock)
+	}
+	return buf
+}
 
 // forAdmitted gathers the rows of [lo, hi) that p admits into blocks of
 // up to scanBlock ids and hands each block to emit, in ascending id
@@ -291,11 +295,8 @@ var gatherPool = sync.Pool{New: func() any { return new(gatherBuf) }}
 // the rows it spans; a Filter, alone or on top of Allow, is called once
 // per candidate row.
 func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) {
-	buf := gatherPool.Get().(*gatherBuf)
+	buf := getGatherBuf()
 	defer gatherPool.Put(buf)
-	if cap(buf.ids) < scanBlock {
-		buf.ids, buf.dist = make([]int32, 0, scanBlock), make([]float32, scanBlock)
-	}
 	ids, dist := buf.ids[:0], buf.dist[:scanBlock]
 	add := func(id int) {
 		ids = append(ids, int32(id))
@@ -383,19 +384,17 @@ func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]
 	var out []topk.Result
 	comps := int64(0)
 	if !p.Constrained() {
-		dist := make([]float32, scanBlock)
+		buf := getGatherBuf()
+		defer gatherPool.Put(buf)
 		for blo := lo; blo < hi; blo += scanBlock {
-			bhi := blo + scanBlock
-			if bhi > hi {
-				bhi = hi
-			}
-			b.ScoreBlock(blo, bhi, dist)
-			for i := blo; i < bhi; i++ {
-				if d := dist[i-blo]; d <= radius {
-					out = append(out, topk.Result{ID: int64(i), Dist: d})
+			dist := buf.dist[:min(scanBlock, hi-blo)]
+			b.ScoreBlock(blo, blo+len(dist), dist)
+			for i, d := range dist {
+				if d <= radius {
+					out = append(out, topk.Result{ID: int64(blo + i), Dist: d})
 				}
 			}
-			comps += int64(bhi - blo)
+			comps += int64(len(dist))
 		}
 		return out, comps
 	}

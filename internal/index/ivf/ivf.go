@@ -357,9 +357,7 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 	comps := int64(0)
 	flush := func() {
 		b.ScoreIDs(ids, dist)
-		for o, id := range ids {
-			c.Push(int64(id), dist[o])
-		}
+		c.PushIDs(ids, dist)
 		comps += int64(len(ids))
 		ids = ids[:0]
 	}

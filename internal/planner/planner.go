@@ -92,13 +92,17 @@ type Env struct {
 	// Alpha for post-filter plans; default 4.
 	Alpha int
 	// QuantRatio, in (0,1), discounts IndexComps when the index scans
-	// quantized codes: one code-LUT comparison reads BytesPerRow bytes
-	// instead of 4*dim and skips the multiply chain, so its cost
-	// relative to a full-precision comparison is well below 1 (the
-	// executor sets ~0.35 for SQ8, or the measured ratio once
-	// calibration has observed enough scans). 0 (or ≥1) means full
-	// precision. The exact re-rank stage is already counted inside
-	// IndexComps by the indexes' own accounting.
+	// quantized codes and one code comparison is cheaper than one
+	// full-precision comparison. 0 means a full-precision index; ≥1
+	// means a quantized index whose scan earns no discount, which is
+	// what the executor sets statically: since the float32 scan runs
+	// on the AVX kernel the sq8 LUT scan costs 2.2x a float32
+	// comparison, not 0.35x (BenchmarkQuantScan; the 4-bit PQ fast
+	// scan is at 0.2x). The "adaptive" policy replaces a non-zero
+	// value with the measured ratio once calibration has observed
+	// enough scans and that ratio is below 1. The exact re-rank stage
+	// is already counted inside IndexComps by the indexes' own
+	// accounting.
 	QuantRatio float64
 	// ShortfallSelectivity is the pessimistic selectivity the
 	// post-filter shortfall gate judges with. Cost ranking may use a
@@ -112,13 +116,14 @@ type Env struct {
 
 // defaultAttrCostRatio is measured by E12b (EXPERIMENTS.md): the
 // compiled column-at-a-time evaluator that exhaustive plans pay on
-// every row checks one attribute in ~0.5 ns, against ~64 ns for one
-// d=128 distance computation (18 ns at d=32, where the ratio is 0.03).
-// The per-id matcher traversals use is ~4x dearer per check, but it
-// only scales the visit term, where a visit already costs a full
-// distance computation. The "adaptive" policy replaces this constant
-// with the ratio it measures online.
-const defaultAttrCostRatio = 0.01
+// every row checks one attribute in ~0.5 ns, against ~24 ns for one
+// d=128 distance computation of a flat scan on the AVX kernel (4.4 ns
+// at d=32, where the ratio is 0.12; on the portable kernel 63 ns and
+// 0.008). The per-id matcher traversals use is ~4x dearer per check,
+// but it only scales the visit term, where a visit already costs a
+// full distance computation. The "adaptive" policy replaces this
+// constant with the ratio it measures online.
+const defaultAttrCostRatio = 0.02
 
 func (e Env) normalized() Env {
 	if e.Alpha <= 0 {

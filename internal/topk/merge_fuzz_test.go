@@ -24,7 +24,8 @@ func resultsEqual(a, b []Result) bool {
 
 // splitMergeOracle pushes the stream into one collector, then splits
 // the same stream across n collectors (round-robin) and Merges them,
-// and reports whether the two top-k sets agree.
+// and fails unless the two top-k sets agree; it also feeds the stream
+// through PushBlock and PushIDs in blocks of n.
 func splitMergeOracle(t *testing.T, k, n int, stream []Result) {
 	t.Helper()
 	single := NewCollector(k)
@@ -45,6 +46,30 @@ func splitMergeOracle(t *testing.T, k, n int, stream []Result) {
 	if !resultsEqual(single.Results(), merged.Results()) {
 		t.Fatalf("split(%d)+Merge diverged from serial push:\nserial: %v\nmerged: %v",
 			n, single.Results(), merged.Results())
+	}
+	// PushBlock and PushIDs must agree with the loop of Push, candidate
+	// count included, however the stream is cut into blocks. PushBlock
+	// numbers its candidates itself, so it gets the stream's distances
+	// under consecutive ids (ties then fall to the smaller position).
+	byPos, blockwise, gathered := NewCollector(k), NewCollector(k), NewCollector(k)
+	dist := make([]float32, len(stream))
+	ids := make([]int32, len(stream))
+	for i, r := range stream {
+		dist[i], ids[i] = r.Dist, int32(r.ID)
+		byPos.Push(int64(i), r.Dist)
+	}
+	for lo := 0; lo < len(stream); lo += n {
+		hi := min(lo+n, len(stream))
+		blockwise.PushBlock(int64(lo), dist[lo:hi])
+		gathered.PushIDs(ids[lo:hi], dist[lo:hi])
+	}
+	if !resultsEqual(byPos.Results(), blockwise.Results()) || byPos.Pushes() != blockwise.Pushes() {
+		t.Fatalf("PushBlock diverged from a loop of Push:\npush:  %v (%d)\nblock: %v (%d)",
+			byPos.Results(), byPos.Pushes(), blockwise.Results(), blockwise.Pushes())
+	}
+	if !resultsEqual(single.Results(), gathered.Results()) || single.Pushes() != gathered.Pushes() {
+		t.Fatalf("PushIDs diverged from a loop of Push:\npush: %v (%d)\nids:  %v (%d)",
+			single.Results(), single.Pushes(), gathered.Results(), gathered.Pushes())
 	}
 	// MergeResults must agree with Merge.
 	lists := make([][]Result, n)

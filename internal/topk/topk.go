@@ -60,10 +60,10 @@ func (c *Collector) Worst() float32 {
 	return c.heap[0].Dist
 }
 
-// Pushes returns how many candidates have been offered via Push since
-// construction (or the last Reset), whether or not they were kept.
-// Merge traces use it to report how many per-shard candidates fed the
-// final top-k.
+// Pushes returns how many candidates have been offered via Push,
+// PushBlock or PushIDs since construction (or the last Reset), whether
+// or not they were kept. Merge traces use it to report how many
+// per-shard candidates fed the final top-k.
 func (c *Collector) Pushes() int64 { return c.pushes }
 
 // worse reports whether a ranks after b in the (Dist, ID) total
@@ -80,17 +80,55 @@ func worse(a, b Result) bool {
 // under the (Dist, ID) order).
 func (c *Collector) Push(id int64, dist float32) bool {
 	c.pushes++
+	return c.offer(Result{ID: id, Dist: dist})
+}
+
+// offer is Push without the accounting.
+func (c *Collector) offer(r Result) bool {
 	if len(c.heap) < c.k {
-		c.heap = append(c.heap, Result{ID: id, Dist: dist})
+		c.heap = append(c.heap, r)
 		c.siftUp(len(c.heap) - 1)
 		return true
 	}
-	if !worse(c.heap[0], Result{ID: id, Dist: dist}) {
+	if !worse(c.heap[0], r) {
 		return false
 	}
-	c.heap[0] = Result{ID: id, Dist: dist}
+	c.heap[0] = r
 	c.siftDown(0)
 	return true
+}
+
+// PushBlock offers the candidates (base+i, dist[i]) — one scored block
+// of a contiguous scan. The kept set and Pushes() are those of a loop
+// of Push; the difference is that the pruning bound stays in a local
+// and the heap is entered only by a candidate that can win (one tying
+// the bound still can, on its id), which in a scan past its first few
+// blocks is almost none.
+func (c *Collector) PushBlock(base int64, dist []float32) {
+	c.pushes += int64(len(dist))
+	worst := c.Worst()
+	for i, d := range dist {
+		if d > worst {
+			continue
+		}
+		c.offer(Result{ID: base + int64(i), Dist: d})
+		worst = c.Worst()
+	}
+}
+
+// PushIDs is PushBlock for a gathered block: it offers the candidates
+// (ids[i], dist[i]).
+func (c *Collector) PushIDs(ids []int32, dist []float32) {
+	c.pushes += int64(len(ids))
+	worst := c.Worst()
+	for i, id := range ids {
+		d := dist[i]
+		if d > worst {
+			continue
+		}
+		c.offer(Result{ID: int64(id), Dist: d})
+		worst = c.Worst()
+	}
 }
 
 // WouldAccept reports whether a candidate at dist would certainly be

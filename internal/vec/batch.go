@@ -1,36 +1,5 @@
 package vec
 
-// Batched kernels. Computing many distances against a single query in
-// one call keeps the query vector hot in registers/cache, which is the
-// portable analog of the SIMD batching discussed in Section 2.3 of the
-// paper (André et al., Johnson et al.).
-
-// SquaredL2Batch writes SquaredL2(q, base[i*d:...]) into out[i] for a
-// row-major base matrix of n vectors of dimension d. out must have
-// length n.
-func SquaredL2Batch(q []float32, base []float32, d int, out []float32) {
-	n := len(out)
-	for i := 0; i < n; i++ {
-		out[i] = SquaredL2(q, base[i*d:(i+1)*d])
-	}
-}
-
-// DotBatch writes Dot(q, base[i]) into out[i].
-func DotBatch(q []float32, base []float32, d int, out []float32) {
-	n := len(out)
-	for i := 0; i < n; i++ {
-		out[i] = Dot(q, base[i*d:(i+1)*d])
-	}
-}
-
-// DistanceBatch evaluates fn(q, row) over a row-major matrix.
-func DistanceBatch(fn DistanceFunc, q []float32, base []float32, d int, out []float32) {
-	n := len(out)
-	for i := 0; i < n; i++ {
-		out[i] = fn(q, base[i*d:(i+1)*d])
-	}
-}
-
 // Mean computes the centroid of the given vectors. All vectors must
 // share the same dimension; Mean returns nil for an empty input.
 func Mean(vs [][]float32) []float32 {

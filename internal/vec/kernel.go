@@ -1,0 +1,87 @@
+package vec
+
+// The two scoring tiers. SquaredL2 and Dot (a block of one row) — and
+// through them every Scorer path, k-means, PQ training and the index
+// scans — run on one of exactly two kernels, chosen once per process:
+// the AVX assembly in kernel_amd64.s (amd64, with the CPU and OS
+// support checked at start-up), or the portable loops below (every
+// other platform, an amd64 CPU without AVX, or a build with the purego
+// tag, which exists so CI can run the portable tier on an AVX host). The assembly keeps
+// the accumulation order of the portable loops, so the two tiers
+// return the same bits (NaN payloads aside) and a result does not
+// depend on the machine that computed it. The per-platform files
+// define the two entry points, l2Rows and dotRows, on top of these.
+
+// head returns v[:n]. Unlike the bare slice expression it panics when v
+// holds fewer than n elements even if its capacity would cover them: a
+// short operand is a caller's bug on either tier, never a read of
+// whatever lies behind it.
+func head(v []float32, n int) []float32 {
+	if len(v) < n {
+		panic("vec: operand shorter than the vectors it is scored against")
+	}
+	return v[:n]
+}
+
+// squaredL2Generic is the portable squared-L2 kernel: four stride-4
+// accumulators, the trailing len(a)&3 elements into the first, summed
+// left to right. The float32 conversions forbid the compiler to fuse
+// the multiply into the add (arm64 and GOAMD64=v3 otherwise do), which
+// would round differently from the assembly tier.
+func squaredL2Generic(a, b []float32) float32 {
+	b = head(b, len(a))
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		d2 := a[i+2] - b[i+2]
+		d3 := a[i+3] - b[i+3]
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s0 += float32(d * d)
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// dotGeneric is the portable dot-product kernel, in the accumulation
+// order of squaredL2Generic.
+func dotGeneric(a, b []float32) float32 {
+	b = head(b, len(a))
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += float32(a[i] * b[i])
+		s1 += float32(a[i+1] * b[i+1])
+		s2 += float32(a[i+2] * b[i+2])
+		s3 += float32(a[i+3] * b[i+3])
+	}
+	for ; i < len(a); i++ {
+		s0 += float32(a[i] * b[i])
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// l2RowsGeneric scores the len(out) contiguous rows of len(q) floats in
+// rows: out[i] = squaredL2Generic(q, row i).
+func l2RowsGeneric(q, rows, out []float32) {
+	d := len(q)
+	rows = head(rows, len(out)*d)
+	for i := range out {
+		out[i] = squaredL2Generic(q, rows[i*d:(i+1)*d])
+	}
+}
+
+// dotRowsGeneric is l2RowsGeneric for the dot product.
+func dotRowsGeneric(q, rows, out []float32) {
+	d := len(q)
+	rows = head(rows, len(out)*d)
+	for i := range out {
+		out[i] = dotGeneric(q, rows[i*d:(i+1)*d])
+	}
+}

@@ -1,0 +1,62 @@
+//go:build amd64 && !purego
+
+package vec
+
+// useAVX is decided once at start-up; nothing else selects a kernel.
+var useAVX = hasAVX()
+
+// hasAVX reports whether the CPU implements AVX and the operating
+// system saves the YMM state across context switches.
+func hasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	// XCR0 bits 1 and 2: the OS preserves the XMM and YMM registers.
+	lo, _ := xgetbv()
+	return lo&6 == 6
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// l2RowsAVX and dotRowsAVX score the n contiguous rows of d floats at
+// rows against the d floats at q into the n floats at out. They read
+// exactly d floats of q and n*d of rows and write n of out; the
+// wrappers below are what makes those extents hold.
+//
+//go:noescape
+func l2RowsAVX(q, rows *float32, d, n int, out *float32)
+
+//go:noescape
+func dotRowsAVX(q, rows *float32, d, n int, out *float32)
+
+// l2Rows scores the len(out) contiguous rows of len(q) floats in rows:
+// out[i] = SquaredL2(q, row i).
+func l2Rows(q, rows, out []float32) {
+	if !useAVX {
+		l2RowsGeneric(q, rows, out)
+		return
+	}
+	rows = head(rows, len(out)*len(q))
+	if len(rows) == 0 {
+		clear(out)
+		return
+	}
+	l2RowsAVX(&q[0], &rows[0], len(q), len(out), &out[0])
+}
+
+// dotRows is l2Rows for the dot product.
+func dotRows(q, rows, out []float32) {
+	if !useAVX {
+		dotRowsGeneric(q, rows, out)
+		return
+	}
+	rows = head(rows, len(out)*len(q))
+	if len(rows) == 0 {
+		clear(out)
+		return
+	}
+	dotRowsAVX(&q[0], &rows[0], len(q), len(out), &out[0])
+}

@@ -1,0 +1,75 @@
+//go:build linux
+
+package vec
+
+import (
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n floats that end flush against a PROT_NONE page:
+// reading one float past them faults.
+func guarded(t *testing.T, n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	if n*4 > page {
+		t.Fatalf("guarded: %d floats do not fit a page", n)
+	}
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[page-n*4])), n)
+}
+
+// TestKernelStaysInBounds places each operand so that it ends flush
+// against an unreadable page, for every length 0..257 (so every tail
+// shape, at every 4-byte alignment of the start) and every 4-byte start
+// offset of the other operand in a 32-byte window. A kernel that loads
+// past len floats — a full-width load over a short tail, as the odd-row
+// pair kernel of PR 4 did — faults here, which SetPanicOnFault turns
+// into a test failure instead of a crash.
+func TestKernelStaysInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const rowsPerBlock = 3
+	for d := 0; d <= 257; d++ {
+		vecG := guarded(t, d)
+		blockG := guarded(t, rowsPerBlock*d)
+		for i := range vecG {
+			vecG[i] = float32(i%7) - 3
+		}
+		for i := range blockG {
+			blockG[i] = float32(i%5) - 2
+		}
+		heap := make([]float32, rowsPerBlock*d+8)
+		for i := range heap {
+			heap[i] = float32(i%3) - 1
+		}
+		out := make([]float32, rowsPerBlock)
+		for off := 0; off < 8; off++ {
+			free := heap[off : off+d]
+			freeBlock := heap[off : off+rowsPerBlock*d]
+			// Guarded second operand, guarded first operand, both.
+			_ = SquaredL2(free, vecG) + SquaredL2(vecG, free) + SquaredL2(vecG, vecG)
+			_ = Dot(free, vecG) + Dot(vecG, free) + Dot(vecG, vecG)
+			// Block form: guarded rows, then a guarded query.
+			l2Rows(free, blockG, out)
+			dotRows(free, blockG, out)
+			l2Rows(vecG, freeBlock, out)
+			dotRows(vecG, freeBlock, out)
+		}
+	}
+}

@@ -6,17 +6,25 @@ package vec
 // Mahalanobis) recomputed that state on every comparison. A Scorer is
 // built once per (metric, dataset): it precomputes per-row state —
 // inverse norms for cosine, the Cholesky pre-transform for Mahalanobis
-// — and scores candidates through metric-specialized block kernels
-// that process two rows per pass, sharing the query loads (the
-// portable analog of the SIMD distance kernels of Section 2.3).
+// — and scores a contiguous block with one call into the process's
+// scoring kernel (kernel.go; the SIMD distance kernel of Section 2.3
+// where the CPU has AVX), the loop over rows inside it.
 //
-// Numeric contract: for L2, inner product, L1, Linf, and Hamming every
-// Scorer path reproduces the scalar DistanceFunc bit for bit (the
-// kernels keep each row's accumulation order identical to the scalar
-// functions). Cosine and Mahalanobis use cached per-row state, so
-// their scores agree with the scalar functions only to ~1e-7 relative
-// error; callers that mix paths must tolerate that (the property tests
-// pin 1e-5).
+// Numeric contract. Every path returns the same bits for the same
+// (query, row): SquaredL2/Dot, ScoreAt, ScoreBlock at any block split,
+// ScoreIDs, ScoreRows and QueryKernel all reach the same kernel, which
+// has exactly one per-row accumulation order — so a result does not
+// depend on block size, worker count, or whether the rows live on the
+// heap or in a mapping. The two kernels (assembly and portable) share
+// that order, so it does not depend on the machine or the purego tag
+// either; the kernel tests pin assembly == portable bit for bit
+// (NaN compares as NaN, whatever its payload) for every length 0..257.
+// For L2, inner product, L1, Linf and Hamming this also means
+// bit-for-bit agreement with the exported DistanceFunc. Cosine and
+// Mahalanobis use cached per-row state, so against the scalar
+// CosineDistance / Mahalanobis2.Distance they agree only to ~1e-7
+// relative error; callers that mix those paths must tolerate that (the
+// property tests pin 1e-5).
 //
 // Zero-vector contract (cosine): a zero row or zero query caches an
 // inverse norm of 0, so every score against it is exactly 1 —
@@ -242,6 +250,10 @@ func invNormOf(v []float32) float32 {
 	return float32(1 / math.Sqrt(float64(nn)))
 }
 
+// cosineOf turns a dot product and the two cached inverse norms into a
+// cosine distance; every cosine path goes through this one expression.
+func cosineOf(dp, invA, invB float32) float32 { return 1 - dp*invA*invB }
+
 // ScoreAt scores row id against q. One-shot convenience; loops should
 // Bind once and use the bound scorer.
 func (s *Scorer) ScoreAt(q []float32, id int) float32 { return s.Bind(q).ScoreAt(id) }
@@ -254,7 +266,8 @@ func (s *Scorer) ScoreBlock(q []float32, lo, hi int, out []float32) {
 
 // ScoreRows scores two stored rows against each other using cached
 // state on both sides (graph edge pruning: robust-prune compares
-// candidate pairs, not query-row pairs).
+// candidate pairs, not query-row pairs). It returns the bits of
+// Bind(row i).ScoreAt(j).
 func (s *Scorer) ScoreRows(i, j int) float32 {
 	d := s.dim
 	ri := s.data[i*d : (i+1)*d]
@@ -267,7 +280,7 @@ func (s *Scorer) ScoreRows(i, j int) float32 {
 	case s.metric == InnerProduct:
 		return -Dot(ri, rj)
 	case s.metric == Cosine:
-		return 1 - Dot(ri, rj)*s.invNorm[i]*s.invNorm[j]
+		return cosineOf(Dot(ri, rj), s.invNorm[j], s.invNorm[i])
 	case s.metric == L1:
 		return ManhattanDistance(ri, rj)
 	case s.metric == Linf:
@@ -319,7 +332,7 @@ func (b Bound) ScoreAt(id int) float32 {
 	case s.metric == InnerProduct:
 		return -Dot(b.q, row)
 	case s.metric == Cosine:
-		return 1 - Dot(b.q, row)*s.invNorm[id]*b.qInv
+		return cosineOf(Dot(b.q, row), s.invNorm[id], b.qInv)
 	case s.metric == L1:
 		return ManhattanDistance(b.q, row)
 	case s.metric == Linf:
@@ -333,60 +346,35 @@ func (b Bound) ScoreAt(id int) float32 {
 	}
 }
 
-// ScoreBlock scores the contiguous rows [lo, hi) into out[:hi-lo].
-// The per-row accumulation order matches the scalar kernels, so
-// results are independent of how a scan is chunked into blocks.
+// ScoreBlock scores the contiguous rows [lo, hi) into out[:hi-lo], bit
+// for bit what ScoreAt returns for each row, so results are independent
+// of how a scan is chunked into blocks.
 func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 	s := b.s
 	d := s.dim
-	data := s.data
+	out = out[:hi-lo]
 	switch {
-	case s.metric == L2 && s.fn == nil:
-		o := 0
-		i := lo
-		for ; i+2 <= hi; i, o = i+2, o+2 {
-			out[o], out[o+1] = l2Pair(b.q, data[i*d:(i+1)*d], data[(i+1)*d:(i+2)*d])
+	case s.metric == L2:
+		l2Rows(b.q, s.data[lo*d:hi*d], out)
+	case s.metric == InnerProduct:
+		dotRows(b.q, s.data[lo*d:hi*d], out)
+		for i, dp := range out {
+			out[i] = -dp
 		}
-		if i < hi {
-			out[o] = SquaredL2(b.q, data[i*d:(i+1)*d])
-		}
-	case s.metric == InnerProduct && s.fn == nil:
-		o := 0
-		i := lo
-		for ; i+2 <= hi; i, o = i+2, o+2 {
-			dp0, dp1 := dotPair(b.q, data[i*d:(i+1)*d], data[(i+1)*d:(i+2)*d])
-			out[o], out[o+1] = -dp0, -dp1
-		}
-		if i < hi {
-			out[o] = -Dot(b.q, data[i*d:(i+1)*d])
-		}
-	case s.metric == Cosine && s.fn == nil:
-		o := 0
-		i := lo
-		for ; i+2 <= hi; i, o = i+2, o+2 {
-			dp0, dp1 := dotPair(b.q, data[i*d:(i+1)*d], data[(i+1)*d:(i+2)*d])
-			out[o] = 1 - dp0*s.invNorm[i]*b.qInv
-			out[o+1] = 1 - dp1*s.invNorm[i+1]*b.qInv
-		}
-		if i < hi {
-			out[o] = 1 - Dot(b.q, data[i*d:(i+1)*d])*s.invNorm[i]*b.qInv
+	case s.metric == Cosine:
+		dotRows(b.q, s.data[lo*d:hi*d], out)
+		inv := s.invNorm[lo:hi]
+		for i, dp := range out {
+			out[i] = cosineOf(dp, inv[i], b.qInv)
 		}
 	case s.metric == Mahalanobis && s.chol != nil:
-		trows := s.trows
-		o := 0
-		i := lo
-		for ; i+2 <= hi; i, o = i+2, o+2 {
-			out[o], out[o+1] = l2Pair(b.tq, trows[i*d:(i+1)*d], trows[(i+1)*d:(i+2)*d])
-		}
-		if i < hi {
-			out[o] = SquaredL2(b.tq, trows[i*d:(i+1)*d])
-		}
+		l2Rows(b.tq, s.trows[lo*d:hi*d], out)
 	default:
-		// L1/Linf/Hamming have no per-row state and opaque funcs cannot
-		// be fused; the block still amortizes dispatch to one direct
-		// call per row.
-		for i, o := lo, 0; i < hi; i, o = i+1, o+1 {
-			out[o] = b.ScoreAt(i)
+		// L1/Linf/Hamming, the exact Mahalanobis form and opaque funcs
+		// (metric -1) have no kernel; the block still amortizes dispatch
+		// to one direct call per row.
+		for i := range out {
+			out[i] = b.ScoreAt(lo + i)
 		}
 	}
 }
@@ -395,168 +383,9 @@ func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 // scans whose candidates are not contiguous (inverted lists, filtered
 // scans, memtable rows surviving generation checks).
 func (b Bound) ScoreIDs(ids []int32, out []float32) {
-	s := b.s
-	d := s.dim
-	data := s.data
-	row := func(o int) []float32 {
-		i := int(ids[o])
-		return data[i*d : (i+1)*d]
+	for o, id := range ids {
+		out[o] = b.ScoreAt(int(id))
 	}
-	switch {
-	case s.metric == L2 && s.fn == nil:
-		o := 0
-		for ; o+2 <= len(ids); o += 2 {
-			out[o], out[o+1] = l2Pair(b.q, row(o), row(o+1))
-		}
-		if o < len(ids) {
-			out[o] = SquaredL2(b.q, row(o))
-		}
-	case s.metric == InnerProduct && s.fn == nil:
-		o := 0
-		for ; o+2 <= len(ids); o += 2 {
-			dp0, dp1 := dotPair(b.q, row(o), row(o+1))
-			out[o], out[o+1] = -dp0, -dp1
-		}
-		if o < len(ids) {
-			out[o] = -Dot(b.q, row(o))
-		}
-	case s.metric == Cosine && s.fn == nil:
-		inv := func(o int) float32 { return s.invNorm[int(ids[o])] }
-		o := 0
-		for ; o+2 <= len(ids); o += 2 {
-			dp0, dp1 := dotPair(b.q, row(o), row(o+1))
-			out[o] = 1 - dp0*inv(o)*b.qInv
-			out[o+1] = 1 - dp1*inv(o+1)*b.qInv
-		}
-		if o < len(ids) {
-			out[o] = 1 - Dot(b.q, row(o))*inv(o)*b.qInv
-		}
-	default:
-		for o, id := range ids {
-			out[o] = b.ScoreAt(int(id))
-		}
-	}
-}
-
-// dotPair computes Dot(q, r0) and Dot(q, r1) in one pass, sharing the
-// query loads. Each row keeps Dot's exact accumulation order (four
-// stride-4 accumulators, tail into the first): the 8-wide main loop
-// feeds each accumulator the same element sequence as the scalar code,
-// just with less loop overhead, so the results are bit-identical to
-// two scalar calls.
-func dotPair(q, r0, r1 []float32) (float32, float32) {
-	n := len(q)
-	r0 = r0[:n]
-	r1 = r1[:n]
-	var a0, a1, a2, a3 float32
-	var b0, b1, b2, b3 float32
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		a0 += q[i] * r0[i]
-		a1 += q[i+1] * r0[i+1]
-		a2 += q[i+2] * r0[i+2]
-		a3 += q[i+3] * r0[i+3]
-		a0 += q[i+4] * r0[i+4]
-		a1 += q[i+5] * r0[i+5]
-		a2 += q[i+6] * r0[i+6]
-		a3 += q[i+7] * r0[i+7]
-		b0 += q[i] * r1[i]
-		b1 += q[i+1] * r1[i+1]
-		b2 += q[i+2] * r1[i+2]
-		b3 += q[i+3] * r1[i+3]
-		b0 += q[i+4] * r1[i+4]
-		b1 += q[i+5] * r1[i+5]
-		b2 += q[i+6] * r1[i+6]
-		b3 += q[i+7] * r1[i+7]
-	}
-	for ; i+4 <= n; i += 4 {
-		q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
-		a0 += q0 * r0[i]
-		a1 += q1 * r0[i+1]
-		a2 += q2 * r0[i+2]
-		a3 += q3 * r0[i+3]
-		b0 += q0 * r1[i]
-		b1 += q1 * r1[i+1]
-		b2 += q2 * r1[i+2]
-		b3 += q3 * r1[i+3]
-	}
-	for ; i < n; i++ {
-		a0 += q[i] * r0[i]
-		b0 += q[i] * r1[i]
-	}
-	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
-}
-
-// l2Pair computes SquaredL2(q, r0) and SquaredL2(q, r1) in one pass,
-// bit-identical to two scalar calls (same per-accumulator order; see
-// dotPair for the 8-wide unrolling argument).
-func l2Pair(q, r0, r1 []float32) (float32, float32) {
-	n := len(q)
-	r0 = r0[:n]
-	r1 = r1[:n]
-	var a0, a1, a2, a3 float32
-	var b0, b1, b2, b3 float32
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		e0 := q[i] - r0[i]
-		e1 := q[i+1] - r0[i+1]
-		e2 := q[i+2] - r0[i+2]
-		e3 := q[i+3] - r0[i+3]
-		a0 += e0 * e0
-		a1 += e1 * e1
-		a2 += e2 * e2
-		a3 += e3 * e3
-		e0 = q[i+4] - r0[i+4]
-		e1 = q[i+5] - r0[i+5]
-		e2 = q[i+6] - r0[i+6]
-		e3 = q[i+7] - r0[i+7]
-		a0 += e0 * e0
-		a1 += e1 * e1
-		a2 += e2 * e2
-		a3 += e3 * e3
-		f0 := q[i] - r1[i]
-		f1 := q[i+1] - r1[i+1]
-		f2 := q[i+2] - r1[i+2]
-		f3 := q[i+3] - r1[i+3]
-		b0 += f0 * f0
-		b1 += f1 * f1
-		b2 += f2 * f2
-		b3 += f3 * f3
-		f0 = q[i+4] - r1[i+4]
-		f1 = q[i+5] - r1[i+5]
-		f2 = q[i+6] - r1[i+6]
-		f3 = q[i+7] - r1[i+7]
-		b0 += f0 * f0
-		b1 += f1 * f1
-		b2 += f2 * f2
-		b3 += f3 * f3
-	}
-	for ; i+4 <= n; i += 4 {
-		q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
-		e0 := q0 - r0[i]
-		e1 := q1 - r0[i+1]
-		e2 := q2 - r0[i+2]
-		e3 := q3 - r0[i+3]
-		a0 += e0 * e0
-		a1 += e1 * e1
-		a2 += e2 * e2
-		a3 += e3 * e3
-		f0 := q0 - r1[i]
-		f1 := q1 - r1[i+1]
-		f2 := q2 - r1[i+2]
-		f3 := q3 - r1[i+3]
-		b0 += f0 * f0
-		b1 += f1 * f1
-		b2 += f2 * f2
-		b3 += f3 * f3
-	}
-	for ; i < n; i++ {
-		e := q[i] - r0[i]
-		a0 += e * e
-		f := q[i] - r1[i]
-		b0 += f * f
-	}
-	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
 }
 
 // transform computes dst = Lᵀ·v (the Cholesky pre-transform), with
@@ -637,7 +466,7 @@ func (k QueryKernel) Score(v []float32) float32 {
 	case InnerProduct:
 		return -Dot(k.q, v)
 	case Cosine:
-		return 1 - Dot(k.q, v)*invNormOf(v)*k.qInv
+		return cosineOf(Dot(k.q, v), invNormOf(v), k.qInv)
 	case L1:
 		return ManhattanDistance(k.q, v)
 	case Linf:

@@ -1,59 +1,91 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// BenchmarkScoreBlock measures the raw block kernels against per-row
-// scalar calls over the same data: 64k rows of 128-d, scored in
-// 256-row blocks.
+// BenchmarkScoreBlock measures the block scoring paths over the same
+// data, scored in 256-row blocks: 64k rows of 128-d for each metric
+// with a kernel, plus L2 at d=32 and d=768 over the same number of
+// floats. Per shape:
+//
+//	perrow   one exported DistanceFunc call per row (the process's kernel)
+//	block    Bound.ScoreBlock (the process's kernel: the assembly on an
+//	         amd64 host with AVX, else the portable loops)
+//	generic  the portable loops, called directly — the second tier on
+//	         the same host, whatever the build tags
+//
+// block vs generic is the assembly's speed-up; EXPERIMENTS.md E9 quotes it.
 func BenchmarkScoreBlock(b *testing.B) {
-	const n, d, block = 1 << 16, 128, 256
+	const floats, block = 1 << 23, 256
 	rng := rand.New(rand.NewSource(1))
-	data := make([]float32, n*d)
+	data := make([]float32, floats)
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	q := make([]float32, d)
-	for i := range q {
-		q[i] = float32(rng.NormFloat64())
-	}
-	rows := float64(n)
-	for _, m := range []Metric{L2, InnerProduct, Cosine} {
+	for _, shape := range []struct {
+		m Metric
+		d int
+	}{{L2, 128}, {InnerProduct, 128}, {Cosine, 128}, {L2, 32}, {L2, 768}} {
+		m, d := shape.m, shape.d
+		n := floats / d
+		q := data[:d]
 		sc, err := NewScorer(m, data, n, d)
 		if err != nil {
 			b.Fatal(err)
 		}
+		bound := sc.Bind(q)
 		fn := Distance(m)
-		b.Run(m.String()+"/perrow", func(b *testing.B) {
-			b.SetBytes(int64(n) * d * 4)
-			var sink float32
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < n; r++ {
-					sink += fn(q, data[r*d:(r+1)*d])
+		// generic mirrors ScoreBlock on the portable tier.
+		generic := func(lo, hi int, out []float32) {
+			rows := data[lo*d : hi*d]
+			switch m {
+			case L2:
+				l2RowsGeneric(q, rows, out)
+			case InnerProduct:
+				dotRowsGeneric(q, rows, out)
+				for i, dp := range out {
+					out[i] = -dp
+				}
+			case Cosine:
+				dotRowsGeneric(q, rows, out)
+				for i, dp := range out {
+					out[i] = cosineOf(dp, sc.invNorm[lo+i], bound.qInv)
 				}
 			}
-			_ = sink
-			b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-		b.Run(m.String()+"/block", func(b *testing.B) {
-			b.SetBytes(int64(n) * d * 4)
-			out := make([]float32, block)
-			bound := sc.Bind(q)
-			var sink float32
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < n; lo += block {
-					hi := lo + block
-					if hi > n {
-						hi = n
+		}
+		name := m.String()
+		if d != 128 {
+			name = fmt.Sprintf("%s/d=%d", name, d)
+		}
+		for _, v := range []struct {
+			name  string
+			score func(lo, hi int, out []float32)
+		}{
+			{"perrow", func(lo, hi int, out []float32) {
+				for r := lo; r < hi; r++ {
+					out[r-lo] = fn(q, data[r*d:(r+1)*d])
+				}
+			}},
+			{"block", bound.ScoreBlock},
+			{"generic", generic},
+		} {
+			b.Run(name+"/"+v.name, func(b *testing.B) {
+				b.SetBytes(floats * 4)
+				out := make([]float32, block)
+				var sink float32
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < n; lo += block {
+						hi := min(lo+block, n)
+						v.score(lo, hi, out[:hi-lo])
+						sink += out[0]
 					}
-					bound.ScoreBlock(lo, hi, out)
-					sink += out[0]
 				}
-			}
-			_ = sink
-			b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+				_ = sink
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }

@@ -28,9 +28,12 @@ func relClose(a, b float32, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// exactMetrics reproduce the scalar distance bit for bit through every
-// scorer path; approxMetrics (cached-state reformulations) are held to
-// 1e-5 relative.
+// exactMetrics return, on every scorer path, the bits of the exported
+// DistanceFunc: for L2 and inner product because the function and the
+// paths are the same kernel (kernel_test.go holds that kernel to the
+// portable loops), for L1/Linf/Hamming because the paths call the
+// function. Cosine, a cached-state reformulation, is held to 1e-5
+// relative.
 var exactMetrics = []Metric{L2, InnerProduct, L1, Linf, Hamming}
 
 func checkScore(t *testing.T, m Metric, got, want float32, path string) {
@@ -48,9 +51,9 @@ func checkScore(t *testing.T, m Metric, got, want float32, path string) {
 }
 
 // TestScorerMatchesScalar is the core property test: for every metric,
-// ScoreAt / ScoreBlock / ScoreIDs agree with the scalar DistanceFunc on
-// random data — bit-identically for L2/IP/L1/Linf/Hamming, within 1e-5
-// relative for cosine.
+// ScoreAt / ScoreBlock / ScoreIDs / ScoreRows agree with the exported
+// DistanceFunc on random data — bit-identically for
+// L2/IP/L1/Linf/Hamming, within 1e-5 relative for cosine.
 func TestScorerMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range []int{1, 3, 7, 32, 65} {
@@ -96,9 +99,9 @@ func TestScorerMatchesScalar(t *testing.T) {
 }
 
 // TestScorerBlockInvariance verifies that chunking a scan into blocks
-// of any size yields bit-identical scores: the kernels preserve the
-// per-row accumulation order, so block boundaries cannot leak into the
-// results.
+// of any size yields bit-identical scores: the kernel scores each row
+// on its own, in one accumulation order, so block boundaries cannot
+// leak into the results.
 func TestScorerBlockInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n, d := 2053, 24
@@ -195,22 +198,7 @@ func TestCosineZeroVectors(t *testing.T) {
 func TestMahalanobisScorer(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d, n := 6, 61
-	// M = A·Aᵀ + I is symmetric positive definite.
-	a := randData(rng, d, d)
-	m := make([][]float32, d)
-	for i := range m {
-		m[i] = make([]float32, d)
-		for j := range m[i] {
-			var s float64
-			for k := 0; k < d; k++ {
-				s += float64(a[i*d+k]) * float64(a[j*d+k])
-			}
-			if i == j {
-				s++
-			}
-			m[i][j] = float32(s)
-		}
-	}
+	m := spdMatrix(rng, d)
 	mh, err := NewMahalanobis(m)
 	if err != nil {
 		t.Fatal(err)

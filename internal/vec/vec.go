@@ -115,43 +115,24 @@ func Distance(m Metric) DistanceFunc {
 	}
 }
 
-// SquaredL2 returns sum((a[i]-b[i])^2). The loop is unrolled four ways;
-// on amd64 the compiler vectorizes the independent accumulators, which
-// is the portable Go analog of the SIMD kernels cited in Section 2.3.
+// SquaredL2 returns sum((a[i]-b[i])^2) over the len(a) leading elements
+// (a b shorter than a panics). It runs on the process's scoring kernel
+// (kernel.go): AVX assembly where the CPU has it — the SIMD distance
+// kernel of Section 2.3 — and a four-accumulator scalar loop elsewhere,
+// which the Go compiler does not vectorize. Both accumulate in the same
+// order and return the same bits.
 func SquaredL2(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	var out [1]float32
+	l2Rows(a, b, out[:])
+	return out[0]
 }
 
-// Dot returns the dot product of a and b.
+// Dot returns the dot product of a and b, on the same kernel and with
+// the same length rule as SquaredL2.
 func Dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
+	var out [1]float32
+	dotRows(a, b, out[:])
+	return out[0]
 }
 
 // NegInnerProduct returns -Dot(a, b) so that maximum inner product

@@ -244,38 +244,6 @@ func TestCosineScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestBatchKernelsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n, d = 37, 13
-	base := make([]float32, n*d)
-	for i := range base {
-		base[i] = rng.Float32()
-	}
-	q := make([]float32, d)
-	for i := range q {
-		q[i] = rng.Float32()
-	}
-	out := make([]float32, n)
-	SquaredL2Batch(q, base, d, out)
-	for i := 0; i < n; i++ {
-		if want := SquaredL2(q, base[i*d:(i+1)*d]); out[i] != want {
-			t.Fatalf("row %d: batch %v scalar %v", i, out[i], want)
-		}
-	}
-	DotBatch(q, base, d, out)
-	for i := 0; i < n; i++ {
-		if want := Dot(q, base[i*d:(i+1)*d]); out[i] != want {
-			t.Fatalf("dot row %d: batch %v scalar %v", i, out[i], want)
-		}
-	}
-	DistanceBatch(ManhattanDistance, q, base, d, out)
-	for i := 0; i < n; i++ {
-		if want := ManhattanDistance(q, base[i*d:(i+1)*d]); out[i] != want {
-			t.Fatalf("l1 row %d: batch %v scalar %v", i, out[i], want)
-		}
-	}
-}
-
 func TestMeanAndAXPY(t *testing.T) {
 	m := Mean([][]float32{{1, 3}, {3, 5}})
 	if m[0] != 2 || m[1] != 4 {

@@ -16,8 +16,15 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# go vet's asmdecl pass checks internal/vec/kernel_amd64.s against the
+# Go declarations: a wrong frame size or argument offset fails here.
 go vet ./...
 go build ./...
+# Cross-build: the kernel files are split by build tag (amd64 && !purego
+# / the complement); every platform must end up with exactly one
+# implementation of l2Rows/dotRows.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/vec/
 # Every suite step carries an explicit per-package -timeout: the race
 # detector does not find deadlocks, and without one a hung test (the
 # tuneMu deadlock sat in TestTuneLoopLifecycle for the 10-minute
@@ -28,6 +35,13 @@ go test -race -timeout 5m ./...
 # suite also runs single-threaded, where the worker pool has width 1
 # and every fan-out takes the inline path.
 GOMAXPROCS=1 go test -timeout 3m ./...
+# The portable kernel tier on this (AVX) host: the purego tag swaps the
+# assembly for the portable loops under SquaredL2/Dot, and the packages
+# whose numbers flow through them run their suites again. The kernel
+# tests (tier equality, guard pages, path consistency) run on both
+# tiers and under -race.
+go test -tags purego -count=1 -timeout 5m ./internal/vec/ ./internal/index/... ./internal/kmeans/ ./internal/quant/
+go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathConsistency' ./internal/vec/
 # Crash-recovery smoke under the race detector: the kill -9 harness
 # (subprocess inserting with fsync=always, SIGKILLed mid-stream, then
 # recovered) plus the torn-tail and checkpoint/recover equivalence
@@ -76,6 +90,9 @@ go test -count=1 -timeout 3m -run 'TestAdaptivePlanningOverhead' ./internal/core
 # N collectors + Merge == one collector), so the corpus keeps growing.
 go test -run '^$' -fuzz FuzzMergeEquivalence -fuzztime 5s ./internal/topk/
 go test -run '^$' -bench BenchmarkSearch -benchtime 1x ./internal/obs/
+# Kernel smoke: every (metric, dimension) shape through the per-row,
+# block and portable paths once.
+go test -run '^$' -bench BenchmarkScoreBlock -benchtime 1x ./internal/vec/
 # Block-evaluator smoke: 20 000 rows, int64 range predicate, ns/row.
 go test -run '^$' -bench BenchmarkCompiledPredicateScan -benchtime 1x ./internal/filter/
 # Metrics documentation lint: every vdbms_* metric family declared in
