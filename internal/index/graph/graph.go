@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"vdbms/internal/index"
@@ -35,12 +36,10 @@ type Neighborhoods interface {
 type Searcher struct {
 	Data []float32
 	Dim  int
-	Fn   vec.DistanceFunc
-	// Scorer, when set, serves all distance computations with cached
-	// per-row state (inverse norms for cosine, the Mahalanobis
-	// pre-transform); Fn is the fallback for callers that only have a
-	// bare function. Traversals bind the query once per search, so the
-	// query-side state is also resolved once instead of per edge.
+	// Scorer serves all distance computations with cached per-row state
+	// (inverse norms for cosine, the Mahalanobis pre-transform).
+	// Traversals bind the query once per search, so the query-side state
+	// is also resolved once instead of per edge.
 	Scorer *vec.Scorer
 	// Comps counts distance computations (incremented by searches and
 	// build helpers; the caller owns reset). Atomic because concurrent
@@ -71,36 +70,21 @@ func (s *Searcher) Row(id int32) []float32 {
 	return s.Data[int(id)*s.Dim : (int(id)+1)*s.Dim]
 }
 
-// Dist computes the distance from q to node id, counting the work.
-// One-shot; traversal loops should Bind the query instead.
-func (s *Searcher) Dist(q []float32, id int32) float32 {
-	s.Comps.Add(1)
-	if s.Scorer != nil {
-		return s.Scorer.ScoreAt(q, int(id))
-	}
-	return s.Fn(q, s.Row(id))
-}
-
 // DistRows computes the distance between two stored rows, using cached
-// state on both sides when a Scorer is present (edge pruning compares
-// node pairs, so cosine norms would otherwise be recomputed per edge).
+// state on both sides (edge pruning compares node pairs, so cosine
+// norms would otherwise be recomputed per edge).
 func (s *Searcher) DistRows(i, j int32) float32 {
 	s.Comps.Add(1)
-	if s.Scorer != nil {
-		return s.Scorer.ScoreRows(int(i), int(j))
-	}
-	return s.Fn(s.Row(i), s.Row(j))
+	return s.Scorer.ScoreRows(int(i), int(j))
 }
 
 // Query is a query bound to a Searcher: per-query scoring state is
-// resolved once and every Dist is one kernel call plus the Comps
-// increment. It is a value; copying is cheap.
+// resolved once and every Dist is one kernel call. It does not count
+// into Comps; a caller adds what it computed, once. It is a value;
+// copying is cheap.
 type Query struct {
-	s  *Searcher
 	b  vec.Bound
-	qb vec.QuantBound   // set when the Searcher scans quantized codes
-	fn vec.DistanceFunc // set when no Scorer: scalar fallback
-	q  []float32
+	qb vec.QuantBound // set when the Searcher scans quantized codes
 }
 
 // Bind prepares per-query scoring state for q. When the Searcher
@@ -108,24 +92,82 @@ type Query struct {
 // the per-query LUT here, once per search).
 func (s *Searcher) Bind(q []float32) Query {
 	if s.Quant != nil {
-		return Query{s: s, qb: s.Quant.Bind(q)}
+		return Query{qb: s.Quant.Bind(q)}
 	}
-	if s.Scorer != nil {
-		return Query{s: s, b: s.Scorer.Bind(q)}
-	}
-	return Query{s: s, fn: s.Fn, q: q}
+	return Query{b: s.Scorer.Bind(q)}
 }
 
 // Dist returns the distance from the bound query to node id.
 func (bq Query) Dist(id int32) float32 {
-	bq.s.Comps.Add(1)
 	if bq.qb != nil {
 		return bq.qb.ScoreAt(int(id))
 	}
-	if bq.fn != nil {
-		return bq.fn(bq.q, bq.s.Row(id))
-	}
 	return bq.b.ScoreAt(int(id))
+}
+
+// Traversal is the scratch of one search in flight, bound to its query.
+// Everything a traversal grows lives here and is reused by the next
+// search that draws the scratch from the pool, so a probe allocates only
+// the slice it returns, and its distance computations are counted in a
+// local that End publishes once.
+type Traversal struct {
+	s  *Searcher
+	bq Query
+	// visited has one bit per node. The set bits are exactly those of
+	// the ids in touched, so a search clears them by replaying the list:
+	// a few hundred stores, where clearing the words would cost n/64 and
+	// a stamp per node would cost 32 times the memory per search in flight.
+	visited  []uint64
+	touched  []int32
+	frontier topk.MinQueue
+	// beam holds the ef closest nodes seen, which without a predicate
+	// are also the results. Under one, results holds the ef closest
+	// admitted nodes while beam keeps bounding the expansion, so a
+	// selective filter cannot stall it.
+	beam, results topk.Collector
+	dist          []float32 // scores of the list being expanded
+	comps         int64
+}
+
+var traversals = sync.Pool{New: func() any { return new(Traversal) }}
+
+// Begin draws a scratch from the pool — shared by every Searcher, so it
+// may have served a larger or a smaller graph — and binds it to q. The
+// caller runs its walks and beam searches on it from one goroutine and
+// then calls End.
+func (s *Searcher) Begin(q []float32) *Traversal {
+	t := traversals.Get().(*Traversal)
+	t.s, t.bq, t.comps = s, s.Bind(q), 0
+	return t
+}
+
+// End publishes the traversal's distance computations — one per node
+// visited — to the Searcher's counter and to stats, when non-nil, and
+// returns the scratch to the pool.
+func (t *Traversal) End(stats *index.SearchStats) {
+	t.s.Comps.Add(t.comps)
+	if stats != nil {
+		stats.NodesVisited += t.comps
+		stats.DistanceComps += t.comps
+	}
+	t.s, t.bq = nil, Query{} // a pooled scratch must not pin a column
+	traversals.Put(t)
+}
+
+// score returns the distances of the nodes ids, from one kernel call.
+// The slice is the scratch's: valid until the next score.
+func (t *Traversal) score(ids []int32) []float32 {
+	if cap(t.dist) < len(ids) {
+		t.dist = make([]float32, 2*len(ids))
+	}
+	dist := t.dist[:len(ids)]
+	if t.bq.qb != nil {
+		t.bq.qb.ScoreIDs(ids, dist)
+	} else {
+		t.bq.b.ScoreIDs(ids, dist)
+	}
+	t.comps += int64(len(ids))
+	return dist
 }
 
 // BeamSearch runs best-first search from the entry points with beam
@@ -138,74 +180,92 @@ func (bq Query) Dist(id int32) float32 {
 // blocked nodes are still *traversed* (otherwise a selective filter
 // disconnects the graph) but never enter the result set.
 func BeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) []topk.Result {
+	t := s.Begin(q)
+	res := t.BeamSearch(adj, entries, k, ef, &p)
+	t.End(p.Stats)
+	return res
+}
+
+// BeamSearch is the package-level BeamSearch on a scratch the caller
+// holds, for searches of several steps (HNSW's descent, then its base
+// layer) that share one query binding and one count.
+func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p *index.Params) []topk.Result {
 	if ef < k {
 		ef = k
 	}
-	bq := s.Bind(q)
-	visited := make(map[int32]struct{}, 4*ef)
-	var frontier topk.MinQueue
-	// results keeps the ef best admitted nodes; admitted tracks how
-	// the beam bound evolves regardless of predicate admission so a
-	// selective filter cannot stall expansion.
-	results := topk.NewCollector(ef)
-	beam := topk.NewCollector(ef)
-	for _, e := range entries {
-		if _, dup := visited[e]; dup {
-			continue
-		}
-		visited[e] = struct{}{}
-		d := bq.Dist(e)
-		frontier.Push(int64(e), d)
-		beam.Push(int64(e), d)
-		if p.Admits(int64(e)) {
-			results.Push(int64(e), d)
-		}
+	// Clearing here and not in End also cleans up after a search that a
+	// panicking Filter cut short.
+	for _, id := range t.touched {
+		t.visited[id>>6] = 0
 	}
-	for frontier.Len() > 0 {
-		cur := frontier.Pop()
-		if beam.Full() && cur.Dist > beam.Worst() {
+	t.touched = t.touched[:0]
+	if words := (t.s.Scorer.Rows() + 63) / 64; len(t.visited) < words {
+		t.visited = make([]uint64, words)
+	}
+	t.frontier.Reset()
+	t.beam.ResetK(ef)
+	results := &t.beam
+	if p.Constrained() {
+		results = &t.results
+		results.ResetK(ef)
+	}
+	t.expand(entries, results, p, false)
+	for t.frontier.Len() > 0 {
+		cur := t.frontier.Pop()
+		if t.beam.Full() && cur.Dist > t.beam.Worst() {
 			break
 		}
-		for _, nb := range adj.Neighbors(int32(cur.ID)) {
-			if _, dup := visited[nb]; dup {
-				continue
-			}
-			visited[nb] = struct{}{}
-			d := bq.Dist(nb)
-			if beam.Full() && d >= beam.Worst() && results.Full() && d >= results.Worst() {
-				continue
-			}
-			frontier.Push(int64(nb), d)
-			beam.Push(int64(nb), d)
-			if p.Admits(int64(nb)) {
-				results.Push(int64(nb), d)
-			}
+		t.expand(adj.Neighbors(int32(cur.ID)), results, p, true)
+	}
+	best := results.Drain()
+	best = best[:min(k, len(best))]
+	return append(make([]topk.Result, 0, len(best)), best...)
+}
+
+// expand visits the nodes of list not visited before, in three passes:
+// mark them, score them in one kernel call — their rows are scattered,
+// and the kernel can only overlap the misses of rows it is handed
+// together — then offer them to the heaps in list order. Scoring is
+// pure, so every candidate meets the heaps in the state a
+// score-as-you-go loop would have left them in and the outcome is the
+// same. prune drops a candidate that can enter neither a full beam nor
+// full results; the entry points are offered without it.
+func (t *Traversal) expand(list []int32, results *topk.Collector, p *index.Params, prune bool) {
+	first := len(t.touched)
+	for _, id := range list {
+		w, bit := &t.visited[id>>6], uint64(1)<<(id&63)
+		if *w&bit == 0 {
+			*w |= bit
+			t.touched = append(t.touched, id)
 		}
 	}
-	if p.Stats != nil {
-		// Every visited node cost exactly one distance computation.
-		p.Stats.NodesVisited += int64(len(visited))
-		p.Stats.DistanceComps += int64(len(visited))
+	ids := t.touched[first:]
+	constrained := results != &t.beam
+	for i, d := range t.score(ids) {
+		if prune && t.beam.Full() && d >= t.beam.Worst() && (!constrained || results.Full() && d >= results.Worst()) {
+			continue
+		}
+		id := int64(ids[i])
+		t.frontier.Push(id, d)
+		t.beam.Push(id, d)
+		if constrained && p.Admits(id) {
+			results.Push(id, d)
+		}
 	}
-	res := results.Results()
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
 }
 
 // GreedyWalk performs pure greedy descent (beam width 1) from entry,
 // returning the local minimum reached. Used by HNSW's upper layers and
 // by monotonic-path probing during MSN construction.
-func GreedyWalk(s *Searcher, adj Neighborhoods, q []float32, entry int32) (int32, float32) {
-	bq := s.Bind(q)
-	cur := entry
-	curD := bq.Dist(cur)
+func (t *Traversal) GreedyWalk(adj Neighborhoods, entry int32) (int32, float32) {
+	t.comps++
+	cur, curD := entry, t.bq.Dist(entry)
 	for {
+		nbrs := adj.Neighbors(cur)
 		improved := false
-		for _, nb := range adj.Neighbors(cur) {
-			if d := bq.Dist(nb); d < curD {
-				cur, curD = nb, d
+		for i, d := range t.score(nbrs) {
+			if d < curD {
+				cur, curD = nbrs[i], d
 				improved = true
 			}
 		}

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"vdbms/internal/bitset"
@@ -24,7 +27,250 @@ func lineGraph(n int) (*Searcher, Adjacency) {
 			adj[i] = append(adj[i], int32(i+1))
 		}
 	}
-	return &Searcher{Data: data, Dim: 1, Fn: vec.SquaredL2}, adj
+	return newSearcher(data, 1), adj
+}
+
+func newSearcher(data []float32, dim int) *Searcher {
+	sc, err := vec.NewScorer(vec.L2, data, len(data)/dim, dim)
+	if err != nil {
+		panic(err)
+	}
+	return &Searcher{Data: data, Dim: dim, Scorer: sc}
+}
+
+// refBeamSearch is the traversal this package ran before the pooled
+// scratch: a map for the visited set, beam and results pushed in
+// lock-step, one distance computed as each node is met. It stays as the
+// oracle the scratch-based BeamSearch must equal, hit for hit and count
+// for count.
+func refBeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) []topk.Result {
+	if ef < k {
+		ef = k
+	}
+	bq := s.Bind(q)
+	visited := make(map[int32]struct{}, 4*ef)
+	var frontier topk.MinQueue
+	results := topk.NewCollector(ef)
+	beam := topk.NewCollector(ef)
+	for _, e := range entries {
+		if _, dup := visited[e]; dup {
+			continue
+		}
+		visited[e] = struct{}{}
+		d := bq.Dist(e)
+		frontier.Push(int64(e), d)
+		beam.Push(int64(e), d)
+		if p.Admits(int64(e)) {
+			results.Push(int64(e), d)
+		}
+	}
+	for frontier.Len() > 0 {
+		cur := frontier.Pop()
+		if beam.Full() && cur.Dist > beam.Worst() {
+			break
+		}
+		for _, nb := range adj.Neighbors(int32(cur.ID)) {
+			if _, dup := visited[nb]; dup {
+				continue
+			}
+			visited[nb] = struct{}{}
+			d := bq.Dist(nb)
+			if beam.Full() && d >= beam.Worst() && results.Full() && d >= results.Worst() {
+				continue
+			}
+			frontier.Push(int64(nb), d)
+			beam.Push(int64(nb), d)
+			if p.Admits(int64(nb)) {
+				results.Push(int64(nb), d)
+			}
+		}
+	}
+	if p.Stats != nil {
+		p.Stats.NodesVisited += int64(len(visited))
+		p.Stats.DistanceComps += int64(len(visited))
+	}
+	res := results.Results()
+	if len(res) > k {
+		res = res[:k]
+	}
+	return res
+}
+
+// randomGraph draws n points on a small integer grid, so that distances
+// tie often and the (Dist, ID) order decides, and out-lists of 0..2*deg
+// ids that may repeat an id or name the node itself.
+func randomGraph(rng *rand.Rand, n, dim, deg int) (*Searcher, Adjacency) {
+	data := make([]float32, n*dim)
+	for i := range data {
+		data[i] = float32(rng.Intn(6))
+	}
+	adj := make(Adjacency, n)
+	for i := range adj {
+		for e := rng.Intn(2*deg + 1); e > 0; e-- {
+			adj[i] = append(adj[i], int32(rng.Intn(n)))
+		}
+	}
+	return newSearcher(data, dim), adj
+}
+
+type search struct {
+	q       []float32
+	entries []int32
+	k, ef   int
+	p       index.Params
+}
+
+// randomSearch draws one search of a graph of n nodes: the query, one
+// to six entry points (repeats included), k and ef on either side of
+// each other — one time in four a beam narrower than the entry points —
+// and one of the four predicate shapes, of which an empty allowlist or
+// a filter that refuses everything block every node.
+func randomSearch(rng *rand.Rand, n, dim int) search {
+	c := search{q: make([]float32, dim), k: 1 + rng.Intn(12), ef: 1 + rng.Intn(40)}
+	if rng.Intn(4) == 0 {
+		c.k, c.ef = 1+rng.Intn(2), 1+rng.Intn(3)
+	}
+	for i := range c.q {
+		c.q[i] = float32(rng.Intn(6)) + 0.25*float32(rng.Intn(3))
+	}
+	for e := 1 + rng.Intn(6); e > 0; e-- {
+		c.entries = append(c.entries, int32(rng.Intn(n)))
+	}
+	if rng.Intn(4) == 0 {
+		c.entries = append(c.entries, c.entries[0])
+	}
+	shape := rng.Intn(4)
+	if shape&1 != 0 {
+		c.p.Allow = bitset.New(n)
+		for i, share := 0, rng.Intn(4); i < n; i++ { // share 0: all blocked
+			if rng.Intn(3) < share {
+				c.p.Allow.Set(i)
+			}
+		}
+	}
+	if shape&2 != 0 {
+		mod := int64(rng.Intn(4)) // mod 0: all blocked
+		c.p.Filter = func(id int64) bool { return mod != 0 && id%mod == 0 }
+	}
+	return c
+}
+
+// TestBeamSearchMatchesReference holds BeamSearch to the map-based
+// reference over random graphs, including graphs whose entry point has
+// no out-edges, and every predicate shape: the same hits and the same
+// per-query counts. The searches share the package's scratch pool, so
+// each one also inherits a scratch that served a graph of another size.
+func TestBeamSearchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for g := 0; g < 300; g++ {
+		n, dim := 1+rng.Intn(300), 1+rng.Intn(9)
+		s, adj := randomGraph(rng, n, dim, 1+rng.Intn(6))
+		for i := 0; i < 20; i++ {
+			c := randomSearch(rng, n, dim)
+			if i%5 == 0 {
+				adj[c.entries[0]] = nil // an isolated entry point
+			}
+			var got, want index.SearchStats
+			c.p.Stats = &want
+			ref := refBeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
+			c.p.Stats = &got
+			res := BeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
+			if !reflect.DeepEqual(res, ref) || got != want {
+				t.Fatalf("graph %d search %d (n=%d k=%d ef=%d entries=%v allow=%v filter=%v):\n got %v %+v\nwant %v %+v",
+					g, i, n, c.k, c.ef, c.entries, c.p.Allow != nil, c.p.Filter != nil, res, got, ref, want)
+			}
+			if comps := s.Comps.Swap(0); comps != want.DistanceComps {
+				t.Fatalf("graph %d search %d: Comps grew by %d, stats say %d", g, i, comps, want.DistanceComps)
+			}
+		}
+	}
+}
+
+// TestScratchSharedAcrossGraphs runs searches of a small and a large
+// graph from eight goroutines at once, all drawing from the one pool: a
+// scratch sized by the small graph has to grow for the large one, and
+// no search may see bits another left behind. One search in sixteen has
+// a Filter that panics half-way, which must not poison the scratch for
+// whoever draws it next.
+func TestScratchSharedAcrossGraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type fixture struct {
+		s        *Searcher
+		adj      Adjacency
+		searches []search
+		want     [][]topk.Result
+	}
+	var fixtures []*fixture
+	for _, n := range []int{70, 5000} {
+		f := &fixture{}
+		f.s, f.adj = randomGraph(rng, n, 4, 4)
+		for i := 0; i < 64; i++ {
+			c := randomSearch(rng, n, 4)
+			f.searches = append(f.searches, c)
+			f.want = append(f.want, refBeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p))
+		}
+		fixtures = append(fixtures, f)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				f := fixtures[(i+w)%2]
+				j := (i*7 + w) % len(f.searches)
+				c := f.searches[j]
+				if i%16 == 0 {
+					func() {
+						defer func() { _ = recover() }()
+						calls := 0
+						c.p.Filter = func(int64) bool {
+							if calls++; calls > 3 {
+								panic("filter gave up")
+							}
+							return true
+						}
+						BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p)
+					}()
+					continue
+				}
+				if res := BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p); !reflect.DeepEqual(res, f.want[j]) {
+					t.Errorf("worker %d search %d on n=%d: got %v, want %v", w, i, len(f.adj), res, f.want[j])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestScratchReusedManyTimes runs 100 000 searches on one scratch: the
+// visited bits are cleared by replaying what a search touched, so a
+// bit that once survived would wrong every search after it.
+func TestScratchReusedManyTimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const n, dim = 400, 4
+	s, adj := randomGraph(rng, n, dim, 5)
+	searches := make([]search, 128)
+	want := make([][]topk.Result, len(searches))
+	for i := range searches {
+		c := randomSearch(rng, n, dim)
+		searches[i], want[i] = c, refBeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
+	}
+	rounds := 100000
+	if testing.Short() {
+		rounds = 5000
+	}
+	tr := s.Begin(searches[0].q)
+	defer tr.End(nil)
+	for i := 0; i < rounds; i++ {
+		j := i % len(searches)
+		c := searches[j]
+		tr.bq = s.Bind(c.q)
+		if res := tr.BeamSearch(adj, c.entries, c.k, c.ef, &c.p); !reflect.DeepEqual(res, want[j]) {
+			t.Fatalf("search %d: got %v, want %v", i, res, want[j])
+		}
+	}
 }
 
 func TestBeamSearchFindsNearest(t *testing.T) {
@@ -76,7 +322,9 @@ func TestBeamSearchDuplicateEntries(t *testing.T) {
 
 func TestGreedyWalkDescends(t *testing.T) {
 	s, adj := lineGraph(100)
-	id, d := GreedyWalk(s, adj, []float32{77.2}, 0)
+	tr := s.Begin([]float32{77.2})
+	id, d := tr.GreedyWalk(adj, 0)
+	tr.End(nil)
 	if id != 77 {
 		t.Fatalf("greedy reached %d (d=%v)", id, d)
 	}
@@ -88,7 +336,7 @@ func TestRobustPruneRNGRule(t *testing.T) {
 	// than to p (d2(1,1.9)=0.81 <= d2(p,1.9)=3.61); the point at -5
 	// lies on the other side and survives (d2(1,-5)=36 > 25).
 	data := []float32{0, 1, 1.9, -5}
-	s := &Searcher{Data: data, Dim: 1, Fn: vec.SquaredL2}
+	s := newSearcher(data, 1)
 	cands := []topk.Result{
 		{ID: 1, Dist: 1},
 		{ID: 2, Dist: 1.9 * 1.9},
@@ -114,7 +362,7 @@ func TestRobustPruneRNGRule(t *testing.T) {
 
 func TestRobustPruneSkipsSelf(t *testing.T) {
 	data := []float32{0, 1}
-	s := &Searcher{Data: data, Dim: 1, Fn: vec.SquaredL2}
+	s := newSearcher(data, 1)
 	kept := RobustPrune(s, 0, []topk.Result{{ID: 0, Dist: 0}, {ID: 1, Dist: 1}}, 4, 1)
 	if len(kept) != 1 || kept[0] != 1 {
 		t.Fatalf("kept = %v", kept)

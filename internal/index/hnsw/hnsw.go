@@ -74,7 +74,7 @@ func Build(data []float32, n, d int, cfg Config) (*HNSW, error) {
 	}
 	h := &HNSW{
 		cfg: cfg, dim: d, n: n,
-		s:      &graph.Searcher{Data: data, Dim: d, Fn: vec.Distance(cfg.Metric), Scorer: sc},
+		s:      &graph.Searcher{Data: data, Dim: d, Scorer: sc},
 		nodeLv: make([]int8, n),
 		ml:     1 / math.Log(float64(cfg.M)),
 	}
@@ -123,11 +123,14 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 		h.maxLv = lv
 		return
 	}
-	q := h.s.Row(id)
+	// One traversal scratch serves the whole insert; the pool hands the
+	// next insert the same one.
+	t := h.s.Begin(h.s.Row(id))
+	defer t.End(nil)
 	ep := h.entry
 	// Greedy descent through layers above the node's top layer.
 	for l := h.maxLv; l > lv; l-- {
-		ep, _ = graph.GreedyWalk(h.s, h.layers[l], q, ep)
+		ep, _ = t.GreedyWalk(h.layers[l], ep)
 	}
 	// Beam search and connect on each layer from min(lv, maxLv) down.
 	top := lv
@@ -136,7 +139,7 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 	}
 	entries := []int32{ep}
 	for l := top; l >= 0; l-- {
-		found := graph.BeamSearch(h.s, h.layers[l], q, entries, h.cfg.EfConstruct, h.cfg.EfConstruct, index.Params{})
+		found := t.BeamSearch(h.layers[l], entries, h.cfg.EfConstruct, h.cfg.EfConstruct, &index.Params{})
 		m := h.cfg.M
 		if l == 0 {
 			m = 2 * h.cfg.M // standard HNSW allows 2M at the base layer
@@ -242,7 +245,7 @@ func (h *HNSW) Remap(data []float32) (index.Index, bool) {
 	sc.Extend(data, h.n)
 	h2 := &HNSW{
 		cfg: h.cfg, dim: h.dim, n: h.n,
-		s:      &graph.Searcher{Data: data, Dim: h.dim, Fn: h.s.Fn, Scorer: sc, Quant: h.s.Quant},
+		s:      &graph.Searcher{Data: data, Dim: h.dim, Scorer: sc, Quant: h.s.Quant},
 		frozen: h.frozen,
 		nodeLv: h.nodeLv,
 		entry:  h.entry,
@@ -277,14 +280,18 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 			ef = kk
 		}
 	}
+	// The descent and the base-layer search share one scratch, so the
+	// per-query stats and the cumulative count see the same comparisons.
+	t := h.s.Begin(q)
 	ep := h.entry
 	for l := h.maxLv; l >= 1; l-- {
-		ep, _ = graph.GreedyWalk(h.s, h.frozen[l], q, ep)
+		ep, _ = t.GreedyWalk(h.frozen[l], ep)
 		if p.Stats != nil {
 			p.Stats.GreedyHops++
 		}
 	}
-	res := graph.BeamSearch(h.s, h.frozen[0], q, []int32{ep}, kk, ef, p)
+	res := t.BeamSearch(h.frozen[0], []int32{ep}, kk, ef, &p)
+	t.End(p.Stats)
 	if h.s.Quant != nil {
 		h.s.Comps.Add(int64(len(res)))
 		if p.Stats != nil {

@@ -1,11 +1,15 @@
 package hnsw
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/vec"
 )
 
@@ -223,5 +227,77 @@ func TestHNSWQuantRegistryOpts(t *testing.T) {
 	}
 	if _, err := index.Build("hnsw", ds.Data, 300, 8, vec.Cosine, map[string]int{"quant": int(index.QuantPQ)}); err == nil {
 		t.Fatal("pq under cosine should be rejected (ADC decomposes L2 only)")
+	}
+}
+
+// slabHash fingerprints a frozen graph: every out-list, in node order.
+func slabHash(nh graph.Neighborhoods) uint64 {
+	h := fnv.New64a()
+	for i := 0; i < nh.Len(); i++ {
+		nbrs := nh.Neighbors(int32(i))
+		binary.Write(h, binary.LittleEndian, int32(len(nbrs)))
+		binary.Write(h, binary.LittleEndian, nbrs)
+	}
+	return h.Sum64()
+}
+
+// TestBuildIdentity: for a fixed seed the frozen layers are, edge for
+// edge, the ones the map-based traversal this package was built on until
+// PR 16 produced (the hashes were taken from that build). Construction
+// runs on the same BeamSearch as serving, so a traversal that visits,
+// prunes or orders differently shows here as a different graph.
+func TestBuildIdentity(t *testing.T) {
+	ds := dataset.Clustered(3000, 32, 8, 1.0, 7)
+	h, err := Build(ds.Data, ds.Count, ds.Dim, Config{M: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, nh := range h.frozen {
+		got = append(got, slabHash(nh))
+	}
+	want := []uint64{0x465940e4aa6d1701, 0xb34639eaea95ea41, 0x26cb266661d7ddfd, 0x942a627105e6e1c9, 0x1dfeaf773f5ebca5}
+	if !slices.Equal(got, want) {
+		t.Errorf("layers hash to %#x, want %#x", got, want)
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestSearchAllocations: an unconstrained probe allocates the slice it
+// returns and nothing else; everything else lives in the pooled
+// traversal scratch. A predicate may cost one more.
+func TestSearchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	ds := dataset.Clustered(3000, 32, 8, 1.0, 7)
+	h, err := Build(ds.Data, ds.Count, ds.Dim, Config{M: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := ds.Queries(64, 0.5, 8)
+	allow := bitset.New(ds.Count)
+	for i := 0; i < ds.Count; i += 10 {
+		allow.Set(i)
+	}
+	for _, tc := range []struct {
+		name string
+		p    index.Params
+		max  float64
+	}{
+		{"unconstrained", index.Params{Ef: 64}, 2},
+		{"allow", index.Params{Ef: 64, Allow: allow}, 3},
+	} {
+		i := 0
+		got := testing.AllocsPerRun(500, func() {
+			if _, err := h.Search(qs[i%len(qs)], 10, tc.p); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > tc.max {
+			t.Errorf("%s: %v allocations per search, want <= %v", tc.name, got, tc.max)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package ivf
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"vdbms/internal/index"
@@ -348,12 +349,26 @@ type blockScorer interface {
 	ScoreIDs(ids []int32, out []float32)
 }
 
+// listBuf is the scratch of one list-scanning worker — the ids gathered
+// for a block and the distances the kernel writes for them — pooled, as
+// Flat's gather buffer is, so a probe allocates neither.
+type listBuf struct {
+	ids  []int32
+	dist []float32
+}
+
+var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
+
 // scanListsBlocked gathers admitted member ids across the lists and
 // scores them in blocks through b. Only admitted rows are scored (and
 // counted), exactly like the per-row path.
 func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p *index.Params) int64 {
-	ids := make([]int32, 0, listScanBlock)
-	dist := make([]float32, listScanBlock)
+	buf := listBufs.Get().(*listBuf)
+	defer listBufs.Put(buf)
+	if cap(buf.ids) < listScanBlock {
+		buf.ids, buf.dist = make([]int32, 0, listScanBlock), make([]float32, listScanBlock)
+	}
+	ids, dist := buf.ids[:0], buf.dist[:listScanBlock]
 	comps := int64(0)
 	flush := func() {
 		b.ScoreIDs(ids, dist)

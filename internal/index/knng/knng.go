@@ -94,7 +94,7 @@ func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
 		return nil, fmt.Errorf("knng: %w", err)
 	}
 	g := &Graph{cfg: cfg, dim: d, n: n,
-		s: &graph.Searcher{Data: data, Dim: d, Fn: vec.Distance(cfg.Metric), Scorer: sc}}
+		s: &graph.Searcher{Data: data, Dim: d, Scorer: sc}}
 	switch cfg.Init {
 	case Exact:
 		g.buildExact()

@@ -99,7 +99,7 @@ func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
 		return nil, fmt.Errorf("nsg: %w", err)
 	}
 	g := &Graph{cfg: cfg, dim: d, n: n,
-		s: &graph.Searcher{Data: data, Dim: d, Fn: vec.Distance(cfg.Metric), Scorer: sc}}
+		s: &graph.Searcher{Data: data, Dim: d, Scorer: sc}}
 	g.medoid = g.findMedoid()
 
 	switch cfg.Variant {
@@ -174,6 +174,7 @@ func (g *Graph) findMedoid() int32 {
 		cent[j] *= inv
 	}
 	bq := g.s.Bind(cent)
+	g.s.Comps.Add(int64(g.n))
 	best, bestD := int32(0), float32(0)
 	for i := 0; i < g.n; i++ {
 		dd := bq.Dist(int32(i))
@@ -242,8 +243,9 @@ func (g *Graph) buildFANNG() {
 		if src == tgt {
 			continue
 		}
-		q := g.s.Row(tgt)
-		stall, stallD := graph.GreedyWalk(g.s, g.adj, q, src)
+		t := g.s.Begin(g.s.Row(tgt))
+		stall, stallD := t.GreedyWalk(g.adj, src)
+		t.End(nil)
 		if stallD == 0 || stall == tgt {
 			continue // reached the target (distance 0 at tgt itself)
 		}
@@ -370,7 +372,7 @@ func (g *Graph) Remap(data []float32) (index.Index, bool) {
 	sc.Extend(data, g.n)
 	g2 := &Graph{
 		cfg: g.cfg, dim: g.dim, n: g.n,
-		s:      &graph.Searcher{Data: data, Dim: g.dim, Fn: g.s.Fn, Scorer: sc, Quant: g.s.Quant},
+		s:      &graph.Searcher{Data: data, Dim: g.dim, Scorer: sc, Quant: g.s.Quant},
 		frozen: g.frozen,
 		medoid: g.medoid,
 	}

@@ -1,10 +1,13 @@
 package nsg
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/vec"
 )
 
@@ -155,5 +158,37 @@ func TestFANNGRegistry(t *testing.T) {
 	idx, err := index.Build("fanng", ds.Data, 60, 4, vec.L2, map[string]int{"r": 6, "trials": 6})
 	if err != nil || idx.Name() != "fanng" {
 		t.Fatalf("%v", err)
+	}
+}
+
+// slabHash fingerprints a frozen graph: every out-list, in node order.
+func slabHash(nh graph.Neighborhoods) uint64 {
+	h := fnv.New64a()
+	for i := 0; i < nh.Len(); i++ {
+		nbrs := nh.Neighbors(int32(i))
+		binary.Write(h, binary.LittleEndian, int32(len(nbrs)))
+		binary.Write(h, binary.LittleEndian, nbrs)
+	}
+	return h.Sum64()
+}
+
+// TestBuildIdentity: for a fixed seed the frozen graphs are, edge for
+// edge, the ones the map-based traversal this package was built on until
+// PR 16 produced (the hashes were taken from that build): NSG's search
+// trials and orphan repair, Vamana's two passes and FANNG's greedy walks
+// all run on the shared traversal.
+func TestBuildIdentity(t *testing.T) {
+	ds := dataset.Clustered(2000, 32, 8, 1.0, 7)
+	for _, tc := range []struct {
+		v    Variant
+		want uint64
+	}{{NSG, 0xb2aa07ae178b2d}, {Vamana, 0xcc9931cdb5a2352b}, {FANNG, 0x5ea25f526f252857}} {
+		g, err := Build(ds.Data, ds.Count, ds.Dim, Config{Variant: tc.v, R: 16, Seed: 3, Trials: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slabHash(g.frozen); got != tc.want {
+			t.Errorf("%s hashes to %#x, want %#x", g.Name(), got, tc.want)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func Build(data []float32, n, d int, cfg Config) (*NSW, error) {
 		return nil, fmt.Errorf("nsw: %w", err)
 	}
 	g := &NSW{cfg: cfg, dim: d, n: n,
-		s:   &graph.Searcher{Data: data, Dim: d, Fn: vec.Distance(cfg.Metric), Scorer: sc},
+		s:   &graph.Searcher{Data: data, Dim: d, Scorer: sc},
 		adj: make(graph.Adjacency, n),
 	}
 	for id := 1; id < n; id++ {
@@ -100,7 +100,7 @@ func (g *NSW) Remap(data []float32) (index.Index, bool) {
 	sc.Extend(data, g.n)
 	g2 := &NSW{
 		cfg: g.cfg, dim: g.dim, n: g.n,
-		s:      &graph.Searcher{Data: data, Dim: g.dim, Fn: g.s.Fn, Scorer: sc},
+		s:      &graph.Searcher{Data: data, Dim: g.dim, Scorer: sc},
 		frozen: g.frozen,
 	}
 	return g2, true

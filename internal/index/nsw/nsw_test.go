@@ -1,10 +1,13 @@
 package nsw
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/vec"
 )
 
@@ -101,5 +104,30 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := index.Build("nsw", ds.Data, 50, 4, vec.L2, map[string]int{"zz": 1}); err == nil {
 		t.Fatal("want unknown-option error")
+	}
+}
+
+// slabHash fingerprints a frozen graph: every out-list, in node order.
+func slabHash(nh graph.Neighborhoods) uint64 {
+	h := fnv.New64a()
+	for i := 0; i < nh.Len(); i++ {
+		nbrs := nh.Neighbors(int32(i))
+		binary.Write(h, binary.LittleEndian, int32(len(nbrs)))
+		binary.Write(h, binary.LittleEndian, nbrs)
+	}
+	return h.Sum64()
+}
+
+// TestBuildIdentity: the frozen graph is, edge for edge, the one the
+// map-based traversal this package was built on until PR 16 produced
+// (the hash was taken from that build).
+func TestBuildIdentity(t *testing.T) {
+	ds := dataset.Clustered(3000, 32, 8, 1.0, 7)
+	g, err := Build(ds.Data, ds.Count, ds.Dim, Config{M: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slabHash(g.frozen), uint64(0x5c5b10c81d11a00f); got != want {
+		t.Errorf("graph hashes to %#x, want %#x", got, want)
 	}
 }

@@ -12,8 +12,9 @@
 package topk
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Result is one search hit: a row id and its distance to the query.
@@ -144,19 +145,40 @@ func (c *Collector) WouldAccept(dist float32) bool {
 func (c *Collector) Results() []Result {
 	out := make([]Result, len(c.heap))
 	copy(out, c.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortResults(out)
 	return out
+}
+
+// Drain sorts the kept hits in place, in the order of Results, and
+// returns the collector's own storage: no copy, valid until the next
+// Reset, which must come before the next Push.
+func (c *Collector) Drain() []Result {
+	sortResults(c.heap)
+	return c.heap
+}
+
+func sortResults(rs []Result) {
+	slices.SortFunc(rs, func(a, b Result) int {
+		if a.Dist != b.Dist {
+			if a.Dist < b.Dist {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }
 
 // Reset empties the collector, keeping capacity.
 func (c *Collector) Reset() {
 	c.heap = c.heap[:0]
 	c.pushes = 0
+}
+
+// ResetK is Reset for a collector that is reused at a different k.
+func (c *Collector) ResetK(k int) {
+	c.k = k
+	c.Reset()
 }
 
 func (c *Collector) siftUp(i int) {

@@ -10,7 +10,8 @@ package vec
 // the accumulation order of the portable loops, so the two tiers
 // return the same bits (NaN payloads aside) and a result does not
 // depend on the machine that computed it. The per-platform files
-// define the two entry points, l2Rows and dotRows, on top of these.
+// define the entry points — l2Rows and dotRows for contiguous rows,
+// l2Gather and dotGather for rows named by id — on top of these.
 
 // head returns v[:n]. Unlike the bare slice expression it panics when v
 // holds fewer than n elements even if its capacity would cover them: a
@@ -83,5 +84,22 @@ func dotRowsGeneric(q, rows, out []float32) {
 	rows = head(rows, len(out)*d)
 	for i := range out {
 		out[i] = dotGeneric(q, rows[i*d:(i+1)*d])
+	}
+}
+
+// l2GatherGeneric scores the rows of len(q) floats that ids name in the
+// row-major data: out[i] = squaredL2Generic(q, row ids[i]).
+func l2GatherGeneric(q, data []float32, ids []int32, out []float32) {
+	d := len(q)
+	for i, id := range ids {
+		out[i] = squaredL2Generic(q, head(data[int(id)*d:], d))
+	}
+}
+
+// dotGatherGeneric is l2GatherGeneric for the dot product.
+func dotGatherGeneric(q, data []float32, ids []int32, out []float32) {
+	d := len(q)
+	for i, id := range ids {
+		out[i] = dotGeneric(q, head(data[int(id)*d:], d))
 	}
 }

@@ -60,3 +60,55 @@ func dotRows(q, rows, out []float32) {
 	}
 	dotRowsAVX(&q[0], &rows[0], len(q), len(out), &out[0])
 }
+
+// l2GatherAVX and dotGatherAVX score the n rows of d floats that the n
+// ids name in data, row ids[i] starting d*ids[i] floats in. They read
+// d floats of q, n ids and d floats of each named row, and write n of
+// out; gatherRows is what makes every named row lie inside data.
+//
+//go:noescape
+func l2GatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
+
+//go:noescape
+func dotGatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
+
+// gatherRows panics unless every id names a whole row of d floats
+// inside data, and reports whether there is anything to score.
+func gatherRows(data []float32, ids []int32, d int, out []float32) bool {
+	if d == 0 {
+		clear(out)
+		return false
+	}
+	rows := len(data) / d
+	for _, id := range ids {
+		if int(id) < 0 || int(id) >= rows {
+			panic("vec: gathered row id outside the data")
+		}
+	}
+	return len(ids) > 0
+}
+
+// l2Gather scores the rows ids name in the row-major data:
+// out[i] = SquaredL2(q, row ids[i]).
+func l2Gather(q, data []float32, ids []int32, out []float32) {
+	if !useAVX {
+		l2GatherGeneric(q, data, ids, out)
+		return
+	}
+	out = out[:len(ids)]
+	if gatherRows(data, ids, len(q), out) {
+		l2GatherAVX(&q[0], &data[0], &ids[0], len(q), len(ids), &out[0])
+	}
+}
+
+// dotGather is l2Gather for the dot product.
+func dotGather(q, data []float32, ids []int32, out []float32) {
+	if !useAVX {
+		dotGatherGeneric(q, data, ids, out)
+		return
+	}
+	out = out[:len(ids)]
+	if gatherRows(data, ids, len(q), out) {
+		dotGatherAVX(&q[0], &data[0], &ids[0], len(q), len(ids), &out[0])
+	}
+}

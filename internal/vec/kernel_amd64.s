@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// Both kernels score n contiguous rows of d floats against q, one row
-// after the other, each row in the accumulation order of the portable
-// loops in kernel.go — so the two tiers return the same bits:
+// The kernels score n rows of d floats against q — contiguous rows, or
+// rows named by id further down — one row after the other, each row in
+// the accumulation order of the portable loops in kernel.go — so the
+// two tiers return the same bits:
 //
 //	X0 = (s0, s1, s2, s3)   lane j sums the terms of elements j, j+4, j+8, ...
 //	8-float step:  terms in Y1; X0 += low half, then X0 += high half
@@ -24,8 +25,8 @@
 // ahead of itself (+25 % rows/s on a 32 MB block, nothing in cache).
 // Only inside the block, though: on a row that ends less than that far
 // before the block does — every row of a single-row call — the
-// prefetch names the line being loaded anyway, so a graph traversal
-// does not drag in the neighbours of every row it visits.
+// prefetch names the line being loaded anyway, so scoring one row does
+// not drag in the rows stored after it.
 //
 // Register use: SI q, DI current row, AX byte offset in the row,
 // DX row bytes, R9/R10/R11 last offset at which an 8/4/1-float step
@@ -82,6 +83,109 @@
 	DECQ      BX \
 	JNZ       row
 
+// L2ROW and DOTROW score the row at DI into the accumulators; the
+// labels make each usable once per function.
+#define L2ROW \
+	CMPQ   AX, R9 \
+	JGT    step4 \
+step8: \
+	PREFETCHT0 (R13)(AX*1) \
+	VMOVUPS (SI)(AX*1), Y1 \
+	VSUBPS  (DI)(AX*1), Y1, Y1 \
+	VMULPS  Y1, Y1, Y1 \
+	ACCUM8 \
+	ADDQ    $32, AX \
+	CMPQ    AX, R9 \
+	JLE     step8 \
+step4: \
+	CMPQ    AX, R10 \
+	JGT     step1 \
+	VMOVUPS (SI)(AX*1), X1 \
+	VSUBPS  (DI)(AX*1), X1, X1 \
+	VMULPS  X1, X1, X1 \
+	VADDPS  X1, X0, X0 \
+	ADDQ    $16, AX \
+step1: \
+	CMPQ    AX, R11 \
+	JGT     finish \
+	VMOVSS  (SI)(AX*1), X1 \
+	VSUBSS  (DI)(AX*1), X1, X1 \
+	VMULSS  X1, X1, X1 \
+	VADDSS  X1, X0, X0 \
+	ADDQ    $4, AX \
+	JMP     step1 \
+finish:
+
+#define DOTROW \
+	CMPQ   AX, R9 \
+	JGT    step4 \
+step8: \
+	PREFETCHT0 (R13)(AX*1) \
+	VMOVUPS (SI)(AX*1), Y1 \
+	VMULPS  (DI)(AX*1), Y1, Y1 \
+	ACCUM8 \
+	ADDQ    $32, AX \
+	CMPQ    AX, R9 \
+	JLE     step8 \
+step4: \
+	CMPQ    AX, R10 \
+	JGT     step1 \
+	VMOVUPS (SI)(AX*1), X1 \
+	VMULPS  (DI)(AX*1), X1, X1 \
+	VADDPS  X1, X0, X0 \
+	ADDQ    $16, AX \
+step1: \
+	CMPQ    AX, R11 \
+	JGT     finish \
+	VMOVSS  (SI)(AX*1), X1 \
+	VMULSS  (DI)(AX*1), X1, X1 \
+	VADDSS  X1, X0, X0 \
+	ADDQ    $4, AX \
+	JMP     step1 \
+finish:
+
+// The gather kernels score the rows that n ids name, each with the row
+// macros above, so a gathered row gets the bits it gets in a block.
+// The rows of a neighbour list or an inverted list are scattered, each
+// a fresh miss that the core cannot start early for the same reason as
+// above, so while one row is scored the loop prefetches the row
+// gatherAhead ids on — through the same PREFETCHT0, whose base R13 is
+// now that row. Near the end of the list it is the row being scored:
+// an id is only ever read from inside the list.
+//
+// Register use beyond the contiguous kernels': CX data, R12 the id of
+// the current row (a pointer into ids).
+
+#define gatherAhead 2
+
+#define GATHERPROLOGUE \
+	MOVQ q+0(FP), SI \
+	MOVQ data+8(FP), CX \
+	MOVQ ids+16(FP), R12 \
+	MOVQ d+24(FP), DX \
+	MOVQ n+32(FP), BX \
+	MOVQ out+40(FP), R8 \
+	SHLQ $2, DX \
+	LEAQ -32(DX), R9 \
+	LEAQ -16(DX), R10 \
+	LEAQ -4(DX), R11 \
+	TESTQ BX, BX \
+	JZ   done
+
+#define GATHERROWSTART \
+	VXORPS   X0, X0, X0 \
+	XORQ     AX, AX \
+	MOVLQSX  (R12), DI \
+	IMULQ    DX, DI \
+	ADDQ     CX, DI \
+	LEAQ     (4*gatherAhead)(R12), R13 \
+	CMPQ     BX, $gatherAhead \
+	CMOVQLE  R12, R13 \
+	MOVLQSX  (R13), R13 \
+	IMULQ    DX, R13 \
+	ADDQ     CX, R13 \
+	ADDQ     $4, R12
+
 // func l2RowsAVX(q, rows *float32, d, n int, out *float32)
 //
 // out[i] = sum_j (q[j] - rows[i*d+j])^2 for i in [0, n).
@@ -89,35 +193,7 @@ TEXT ·l2RowsAVX(SB), NOSPLIT, $0-40
 	PROLOGUE
 row:
 	ROWSTART
-	CMPQ   AX, R9
-	JGT    step4
-step8:
-	PREFETCHT0 (R13)(AX*1)
-	VMOVUPS (SI)(AX*1), Y1
-	VSUBPS  (DI)(AX*1), Y1, Y1
-	VMULPS  Y1, Y1, Y1
-	ACCUM8
-	ADDQ    $32, AX
-	CMPQ    AX, R9
-	JLE     step8
-step4:
-	CMPQ    AX, R10
-	JGT     step1
-	VMOVUPS (SI)(AX*1), X1
-	VSUBPS  (DI)(AX*1), X1, X1
-	VMULPS  X1, X1, X1
-	VADDPS  X1, X0, X0
-	ADDQ    $16, AX
-step1:
-	CMPQ    AX, R11
-	JGT     finish
-	VMOVSS  (SI)(AX*1), X1
-	VSUBSS  (DI)(AX*1), X1, X1
-	VMULSS  X1, X1, X1
-	VADDSS  X1, X0, X0
-	ADDQ    $4, AX
-	JMP     step1
-finish:
+	L2ROW
 	FINISH
 done:
 	VZEROUPPER
@@ -130,32 +206,33 @@ TEXT ·dotRowsAVX(SB), NOSPLIT, $0-40
 	PROLOGUE
 row:
 	ROWSTART
-	CMPQ   AX, R9
-	JGT    step4
-step8:
-	PREFETCHT0 (R13)(AX*1)
-	VMOVUPS (SI)(AX*1), Y1
-	VMULPS  (DI)(AX*1), Y1, Y1
-	ACCUM8
-	ADDQ    $32, AX
-	CMPQ    AX, R9
-	JLE     step8
-step4:
-	CMPQ    AX, R10
-	JGT     step1
-	VMOVUPS (SI)(AX*1), X1
-	VMULPS  (DI)(AX*1), X1, X1
-	VADDPS  X1, X0, X0
-	ADDQ    $16, AX
-step1:
-	CMPQ    AX, R11
-	JGT     finish
-	VMOVSS  (SI)(AX*1), X1
-	VMULSS  (DI)(AX*1), X1, X1
-	VADDSS  X1, X0, X0
-	ADDQ    $4, AX
-	JMP     step1
-finish:
+	DOTROW
+	FINISH
+done:
+	VZEROUPPER
+	RET
+
+// func l2GatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
+//
+// out[i] = sum_j (q[j] - data[ids[i]*d+j])^2 for i in [0, n).
+TEXT ·l2GatherAVX(SB), NOSPLIT, $0-48
+	GATHERPROLOGUE
+row:
+	GATHERROWSTART
+	L2ROW
+	FINISH
+done:
+	VZEROUPPER
+	RET
+
+// func dotGatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
+//
+// out[i] = sum_j q[j] * data[ids[i]*d+j] for i in [0, n).
+TEXT ·dotGatherAVX(SB), NOSPLIT, $0-48
+	GATHERPROLOGUE
+row:
+	GATHERROWSTART
+	DOTROW
 	FINISH
 done:
 	VZEROUPPER

@@ -35,6 +35,18 @@ func guarded(t *testing.T, n int) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[page-n*4])), n)
 }
 
+// guardedIDs returns a copy of ids that ends flush against a PROT_NONE
+// page: reading one id past them faults.
+func guardedIDs(t *testing.T, ids ...int32) []int32 {
+	t.Helper()
+	if len(ids) == 0 {
+		return nil
+	}
+	g := unsafe.Slice((*int32)(unsafe.Pointer(&guarded(t, len(ids))[0])), len(ids))
+	copy(g, ids)
+	return g
+}
+
 // TestKernelStaysInBounds places each operand so that it ends flush
 // against an unreadable page, for every length 0..257 (so every tail
 // shape, at every 4-byte alignment of the start) and every 4-byte start
@@ -42,9 +54,27 @@ func guarded(t *testing.T, n int) []float32 {
 // past len floats — a full-width load over a short tail, as the odd-row
 // pair kernel of PR 4 did — faults here, which SetPanicOnFault turns
 // into a test failure instead of a crash.
+//
+// The gather kernels get the same operands plus an id list that is
+// itself flush against an unreadable page, of every length up to twice
+// the kernel's prefetch distance and naming the first and the last row
+// of the block in every position: the row prefetched while another is
+// scored is named by an id further on, and near the end of the list
+// there is none — a kernel that read it anyway faults on the ids, and
+// one that loaded what it should only prefetch faults on the rows.
 func TestKernelStaysInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const rowsPerBlock = 3
+	var idLists [][]int32
+	for n := 0; n <= 5; n++ {
+		for first := int32(0); first < rowsPerBlock; first++ {
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = (first + int32(i)*(rowsPerBlock-1)) % rowsPerBlock
+			}
+			idLists = append(idLists, guardedIDs(t, ids...))
+		}
+	}
 	for d := 0; d <= 257; d++ {
 		vecG := guarded(t, d)
 		blockG := guarded(t, rowsPerBlock*d)
@@ -70,6 +100,13 @@ func TestKernelStaysInBounds(t *testing.T) {
 			dotRows(free, blockG, out)
 			l2Rows(vecG, freeBlock, out)
 			dotRows(vecG, freeBlock, out)
+		}
+		gout := make([]float32, 5)
+		for _, ids := range idLists {
+			l2Gather(heap[:d], blockG, ids, gout)
+			dotGather(heap[:d], blockG, ids, gout)
+			l2Gather(vecG, heap[:rowsPerBlock*d], ids, gout)
+			dotGather(vecG, heap[:rowsPerBlock*d], ids, gout)
 		}
 	}
 }

@@ -205,10 +205,19 @@ func TestScorerPathConsistency(t *testing.T) {
 			for o, i := range rng.Perm(n) {
 				ids[o] = int32(i)
 			}
-			b.ScoreIDs(ids, out)
-			for o, id := range ids {
-				if !sameBits(out[o], ref[id]) {
-					t.Fatalf("%v d=%d id %d: ScoreIDs %v, ScoreAt %v", m, d, id, out[o], ref[id])
+			// Every list length up to 40, so every distance from the end
+			// of a list at which the gather kernel stops prefetching ahead,
+			// then the whole permutation; an id may repeat.
+			ids[3] = ids[1]
+			for l := 0; l <= n; l++ {
+				if l > 40 && l < n {
+					continue
+				}
+				b.ScoreIDs(ids[:l], out)
+				for o, id := range ids[:l] {
+					if !sameBits(out[o], ref[id]) {
+						t.Fatalf("%v d=%d list of %d, id %d: ScoreIDs %v, ScoreAt %v", m, d, l, id, out[o], ref[id])
+					}
 				}
 			}
 		}

@@ -295,8 +295,8 @@ func (s *Scorer) ScoreRows(i, j int) float32 {
 }
 
 // Bound is a scorer with per-query state resolved once (the query's
-// inverse norm for cosine, its pre-transform for Mahalanobis), so
-// gather-style ScoreAt calls from graph traversals pay no per-call
+// inverse norm for cosine, its pre-transform for Mahalanobis), so the
+// ScoreIDs and ScoreAt calls of a graph traversal pay no per-call
 // setup. A Bound is a value; copying it is cheap and safe.
 type Bound struct {
 	s    *Scorer
@@ -379,12 +379,33 @@ func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 	}
 }
 
-// ScoreIDs scores a gather list: out[i] = dist(q, row ids[i]). Used by
-// scans whose candidates are not contiguous (inverted lists, filtered
-// scans, memtable rows surviving generation checks).
+// ScoreIDs scores a gather list: out[i] = dist(q, row ids[i]), bit for
+// bit what ScoreAt returns for each id. Used by scans whose candidates
+// are not contiguous (a graph node's neighbour list, inverted lists,
+// filtered scans, memtable rows surviving generation checks); the rows
+// are scattered, so the kernel prefetches ahead along ids.
 func (b Bound) ScoreIDs(ids []int32, out []float32) {
-	for o, id := range ids {
-		out[o] = b.ScoreAt(int(id))
+	s := b.s
+	out = out[:len(ids)]
+	switch {
+	case s.metric == L2:
+		l2Gather(b.q, s.data, ids, out)
+	case s.metric == InnerProduct:
+		dotGather(b.q, s.data, ids, out)
+		for i, dp := range out {
+			out[i] = -dp
+		}
+	case s.metric == Cosine:
+		dotGather(b.q, s.data, ids, out)
+		for i, dp := range out {
+			out[i] = cosineOf(dp, s.invNorm[ids[i]], b.qInv)
+		}
+	case s.metric == Mahalanobis && s.chol != nil:
+		l2Gather(b.tq, s.trows, ids, out)
+	default:
+		for i, id := range ids {
+			out[i] = b.ScoreAt(int(id))
+		}
 	}
 }
 

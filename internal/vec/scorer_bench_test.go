@@ -16,8 +16,14 @@ import (
 //	         amd64 host with AVX, else the portable loops)
 //	generic  the portable loops, called directly — the second tier on
 //	         the same host, whatever the build tags
+//	gather   Bound.ScoreIDs over the same rows in a shuffled order: every
+//	         row a cache miss, as in a graph traversal or an inverted list
+//	scoreat  the same shuffled rows, one Bound.ScoreAt call each — gather
+//	         without the batch and its prefetch
 //
-// block vs generic is the assembly's speed-up; EXPERIMENTS.md E9 quotes it.
+// block vs generic is the assembly's speed-up, gather vs scoreat the
+// prefetch's, gather vs block what scattered rows still cost;
+// EXPERIMENTS.md E9 quotes them.
 func BenchmarkScoreBlock(b *testing.B) {
 	const floats, block = 1 << 23, 256
 	rng := rand.New(rand.NewSource(1))
@@ -38,6 +44,10 @@ func BenchmarkScoreBlock(b *testing.B) {
 		}
 		bound := sc.Bind(q)
 		fn := Distance(m)
+		shuffled := make([]int32, n)
+		for i, id := range rng.Perm(n) {
+			shuffled[i] = int32(id)
+		}
 		// generic mirrors ScoreBlock on the portable tier.
 		generic := func(lo, hi int, out []float32) {
 			rows := data[lo*d : hi*d]
@@ -71,6 +81,12 @@ func BenchmarkScoreBlock(b *testing.B) {
 			}},
 			{"block", bound.ScoreBlock},
 			{"generic", generic},
+			{"gather", func(lo, hi int, out []float32) { bound.ScoreIDs(shuffled[lo:hi], out) }},
+			{"scoreat", func(lo, hi int, out []float32) {
+				for i, id := range shuffled[lo:hi] {
+					out[i] = bound.ScoreAt(int(id))
+				}
+			}},
 		} {
 			b.Run(name+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(floats * 4)

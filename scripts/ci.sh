@@ -22,7 +22,7 @@ go vet ./...
 go build ./...
 # Cross-build: the kernel files are split by build tag (amd64 && !purego
 # / the complement); every platform must end up with exactly one
-# implementation of l2Rows/dotRows.
+# implementation of l2Rows/dotRows and l2Gather/dotGather.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 # Every suite step carries an explicit per-package -timeout: the race
@@ -77,6 +77,15 @@ go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDri
 go test -race -count=1 -timeout 3m ./internal/filter/
 go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
 go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
+# Graph traversal gates. BeamSearch against the map-based reference it
+# replaced (hits and per-query counts, every predicate shape), the
+# pooled scratch shared by eight goroutines over graphs of two sizes
+# with a panicking filter thrown in, 100 000 searches on one scratch;
+# then the families on top of it: graphs built edge for edge as the
+# reference built them, and per-query comps summing to DistanceComps().
+# The scratch pool is the only state searches share, so -race.
+go test -race -count=1 -timeout 5m ./internal/index/graph/
+go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/
 # Knob propagation end to end: HTTP body -> SearchRequest -> executor
 # options -> index params, layered overrides, and the X-Vdbms-Plan
 # response header that reports the executed plan + resolved knobs.
@@ -91,8 +100,11 @@ go test -count=1 -timeout 3m -run 'TestAdaptivePlanningOverhead' ./internal/core
 go test -run '^$' -fuzz FuzzMergeEquivalence -fuzztime 5s ./internal/topk/
 go test -run '^$' -bench BenchmarkSearch -benchtime 1x ./internal/obs/
 # Kernel smoke: every (metric, dimension) shape through the per-row,
-# block and portable paths once.
+# block, portable and gather (shuffled ids) paths once.
 go test -run '^$' -bench BenchmarkScoreBlock -benchtime 1x ./internal/vec/
+# Graph traversal smoke: the benchmark's HNSW at ef 16/64/256, with and
+# without an allowlist, serial and parallel, one probe each.
+go test -run '^$' -bench BenchmarkBeamSearch -benchtime 1x ./internal/index/graph/
 # Block-evaluator smoke: 20 000 rows, int64 range predicate, ns/row.
 go test -run '^$' -bench BenchmarkCompiledPredicateScan -benchtime 1x ./internal/filter/
 # Metrics documentation lint: every vdbms_* metric family declared in
