@@ -10,6 +10,7 @@ import (
 	"vdbms/internal/executor"
 	"vdbms/internal/filter"
 	"vdbms/internal/obs"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -111,9 +112,13 @@ func (c *Collection) Len() int { return c.inner.Len() }
 
 // Insert appends a vector with attribute values (one per schema
 // column; use nil when the schema has no attributes) and returns the
-// assigned id.
+// assigned id. Values are checked against the column types the way
+// filter operands are: a number converts when that is lossless (7.0
+// stores 7 in an int column), and anything else — 2.5 or "seven" on an
+// int column — fails with an error wrapping ErrAttrType. The vector is
+// copied; the caller keeps ownership of it.
 func (c *Collection) Insert(vector []float32, attrs map[string]any) (int64, error) {
-	converted, err := convertAttrs(attrs)
+	converted, err := c.convertAttrs(attrs)
 	if err != nil {
 		return 0, err
 	}
@@ -198,11 +203,9 @@ type Filter struct {
 	Set    []any
 }
 
-// Hit is one search result.
-type Hit struct {
-	ID   int64
-	Dist float32
-}
+// Hit is one search result: the engine's own top-k entry, {ID, Dist},
+// handed up without a copy.
+type Hit = topk.Result
 
 // SearchRequest describes a vector query.
 type SearchRequest struct {
@@ -303,6 +306,23 @@ type SearchResult struct {
 
 // Search executes a k-NN, hybrid, or multi-vector query.
 func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
+	return c.SearchContext(context.Background(), req)
+}
+
+// SearchContext executes Search under ctx, on the caller's goroutine. A
+// query whose context is cancelled or past its deadline stops: the
+// exhaustive scan and the allowlist build check ctx once per block, the
+// graph indexes (hnsw, nsw, nsg, knng) once per expanded node, the IVF
+// family once per inverted list, and every other family before its
+// probe starts. The search then returns ctx's error — no work continues
+// in the background — and the truncated probe is kept out of the
+// collection's statistics, the recall auditor and the tuner. An
+// uncancellable ctx (context.Background) costs one nil check per
+// block.
+func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (SearchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return SearchResult{}, err
+	}
 	preds, err := c.convertFilters(req.Filters)
 	if err != nil {
 		return SearchResult{}, err
@@ -334,12 +354,16 @@ func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
 		Aggregator:   agg,
 		Weights:      req.Weights,
 		Trace:        tr,
+		Ctx:          ctx,
 	})
 	if err != nil {
 		return SearchResult{}, err
 	}
+	if res == nil {
+		res = []Hit{} // an empty answer encodes as [], not null
+	}
 	out := SearchResult{
-		Hits:        convertHits(res),
+		Hits:        res,
 		Plan:        dec.Plan.Kind.String(),
 		Ef:          dec.Ef,
 		NProbe:      dec.NProbe,
@@ -352,33 +376,6 @@ func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
 	return out, nil
 }
 
-// SearchContext executes Search under ctx: a query whose context is
-// cancelled or past its deadline returns ctx's error instead of
-// running to completion. The underlying index probe is CPU-bound and
-// cannot be interrupted mid-flight, so on early return it finishes in
-// the background and its result is discarded; the caller gets its
-// answer (or error) no later than the deadline either way.
-func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (SearchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SearchResult{}, err
-	}
-	type out struct {
-		res SearchResult
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		res, err := c.Search(req)
-		ch <- out{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-ctx.Done():
-		return SearchResult{}, ctx.Err()
-	}
-}
-
 // SearchRange returns every live vector within the squared-distance
 // radius, optionally filtered.
 func (c *Collection) SearchRange(q []float32, radius float32, filters []Filter) ([]Hit, error) {
@@ -386,11 +383,7 @@ func (c *Collection) SearchRange(q []float32, radius float32, filters []Filter) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.inner.SearchRange(q, radius, preds)
-	if err != nil {
-		return nil, err
-	}
-	return convertHits(res), nil
+	return c.inner.SearchRange(q, radius, preds)
 }
 
 // SearchBatch answers a batch of queries in parallel, all against one
@@ -407,7 +400,7 @@ func (c *Collection) SearchBatch(qs [][]float32, req SearchRequest) ([][]Hit, er
 	if err != nil {
 		return nil, err
 	}
-	res, batchErr := c.inner.SearchBatch(qs, core.Request{
+	return c.inner.SearchBatch(qs, core.Request{
 		K:            req.K,
 		Preds:        preds,
 		Policy:       req.Policy,
@@ -418,14 +411,6 @@ func (c *Collection) SearchBatch(qs [][]float32, req SearchRequest) ([][]Hit, er
 		RerankK:      req.RerankK,
 		Parallelism:  req.Parallelism,
 	})
-	out := make([][]Hit, len(res))
-	for i, rs := range res {
-		if rs == nil {
-			continue
-		}
-		out[i] = convertHits(rs)
-	}
-	return out, batchErr
 }
 
 // Iterator pages through results incrementally (Section 2.6(5)).
@@ -448,55 +433,37 @@ func (c *Collection) OpenIterator(q []float32, filters []Filter, ef int) (*Itera
 
 // Next returns up to n further hits; empty means exhausted.
 func (it *Iterator) Next(n int) ([]Hit, error) {
-	res, err := it.inner.Next(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Hit, len(res))
-	for i, r := range res {
-		out[i] = Hit{ID: r.ID, Dist: r.Dist}
-	}
-	return out, nil
+	return it.inner.Next(n)
 }
 
-func convertHits(rs []core.Result) []Hit {
-	out := make([]Hit, len(rs))
-	for i, r := range rs {
-		out[i] = Hit{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
+// ErrAttrType is wrapped by the error Insert returns when an attribute
+// value cannot be stored in its column exactly: a string in a numeric
+// column (or the reverse), a fractional or out-of-range number in an
+// int column, an int beyond 2^53 in a float column, or no value.
+var ErrAttrType = errors.New("vdbms: attribute value does not match column type")
 
-func convertAttrs(attrs map[string]any) (map[string]filter.Value, error) {
+// convertAttrs checks insert values against the schema and brings each
+// to its column's own type under the lossless rule convertFilters
+// applies to operands. A column the schema does not declare passes
+// through untyped, for the engine to name.
+func (c *Collection) convertAttrs(attrs map[string]any) (map[string]filter.Value, error) {
 	if attrs == nil {
 		return nil, nil
 	}
 	out := make(map[string]filter.Value, len(attrs))
 	for name, v := range attrs {
-		val, err := convertValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("vdbms: attribute %q: %w", name, err)
+		typ, known := c.attrs[name]
+		if !known {
+			out[name] = filter.Value{}
+			continue
+		}
+		val, fractional, ok := columnValue(typ, v)
+		if !ok || fractional {
+			return nil, fmt.Errorf("%w: attribute %q: %s column, value %v (%T)", ErrAttrType, name, typ, v, v)
 		}
 		out[name] = val
 	}
 	return out, nil
-}
-
-func convertValue(v any) (filter.Value, error) {
-	switch x := v.(type) {
-	case int:
-		return filter.IntV(int64(x)), nil
-	case int64:
-		return filter.IntV(x), nil
-	case float64:
-		return filter.FloatV(x), nil
-	case float32:
-		return filter.FloatV(float64(x)), nil
-	case string:
-		return filter.StringV(x), nil
-	default:
-		return filter.Value{}, fmt.Errorf("unsupported value type %T", v)
-	}
 }
 
 // ErrFilterType is wrapped by the error a query returns when a filter's
@@ -570,61 +537,71 @@ func (c *Collection) convertFilters(fs []Filter) ([]filter.Predicate, error) {
 // column changes the operator's bound: it moves to the neighbouring
 // integer that keeps the comparison's meaning.
 func coerceOperand(typ string, op filter.Op, v any) (filter.Op, filter.Value, bool, error) {
-	mismatch := func() (filter.Op, filter.Value, bool, error) {
+	val, fractional, ok := columnValue(typ, v)
+	switch {
+	case !ok:
 		return op, filter.Value{}, false, fmt.Errorf("%w: %s column, operand %v (%T)", ErrFilterType, typ, v, v)
+	case !fractional:
+		return op, val, true, nil
 	}
+	switch op { // val is the floor of the fractional operand
+	case filter.Lt, filter.Le: // x < 2.5, x <= 2.5: x <= 2
+		return filter.Le, val, true, nil
+	case filter.Gt, filter.Ge: // x > 2.5, x >= 2.5: x > 2
+		return filter.Gt, val, true, nil
+	default:
+		return op, filter.Value{}, false, nil
+	}
+}
+
+// columnValue converts v to the type of a typ column — the one
+// conversion both filter operands and inserted values go through. ok is
+// false when v's kind does not fit the column (a string against a
+// numeric column or the reverse, an unsupported type) or its value is
+// out of the column's exact range (a float beyond ±2^63 or NaN for int,
+// an int beyond 2^53 for float). A fractional number against an int
+// column is the one inexact case: fractional is true and val holds its
+// floor, for the caller to reject or to move a bound by.
+func columnValue(typ string, v any) (val filter.Value, fractional, ok bool) {
 	var i int64
 	var f float64
-	isInt, isFloat := false, false
+	isInt := false
 	switch x := v.(type) {
 	case int:
 		i, isInt = int64(x), true
 	case int64:
 		i, isInt = x, true
 	case float64:
-		f, isFloat = x, true
+		f = x
 	case float32:
-		f, isFloat = float64(x), true
+		f = float64(x)
 	case string:
-		if typ != "string" {
-			return mismatch()
-		}
-		return op, filter.StringV(x), true, nil
+		return filter.StringV(x), false, typ == "string"
 	default:
-		return mismatch()
+		return filter.Value{}, false, false
 	}
 	switch typ {
 	case "int":
 		if isInt {
-			return op, filter.IntV(i), true, nil
+			return filter.IntV(i), false, true
 		}
 		// ±2^63 bound the floats that convert to int64 without overflow;
 		// NaN fails both compares.
 		if !(f >= -(1<<63) && f < 1<<63) {
-			return mismatch()
+			return filter.Value{}, false, false
 		}
 		fl := math.Floor(f)
-		if fl == f {
-			return op, filter.IntV(int64(f)), true, nil
-		}
-		switch op {
-		case filter.Lt, filter.Le: // x < 2.5, x <= 2.5: x <= 2
-			return filter.Le, filter.IntV(int64(fl)), true, nil
-		case filter.Gt, filter.Ge: // x > 2.5, x >= 2.5: x > 2
-			return filter.Gt, filter.IntV(int64(fl)), true, nil
-		default:
-			return op, filter.Value{}, false, nil
-		}
+		return filter.IntV(int64(fl)), fl != f, true
 	case "float":
-		if isFloat {
-			return op, filter.FloatV(f), true, nil
+		if !isInt {
+			return filter.FloatV(f), false, true
 		}
 		if f = float64(i); f >= 1<<63 || int64(f) != i {
-			return mismatch() // beyond 2^53: not exactly a float64
+			return filter.Value{}, false, false // beyond 2^53: not exactly a float64
 		}
-		return op, filter.FloatV(f), true, nil
+		return filter.FloatV(f), false, true
 	default:
-		return mismatch()
+		return filter.Value{}, false, false
 	}
 }
 

@@ -128,13 +128,5 @@ func (d *Dynamic) Compact() error { return d.inner.Compact() }
 // Search returns the k nearest live vectors; ef tunes segment index
 // beam width (0 = default).
 func (d *Dynamic) Search(q []float32, k, ef int) ([]Hit, error) {
-	res, err := d.inner.Search(q, k, ef, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Hit, len(res))
-	for i, r := range res {
-		out[i] = Hit{ID: r.ID, Dist: r.Dist}
-	}
-	return out, nil
+	return d.inner.Search(q, k, ef, nil)
 }

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -809,13 +810,14 @@ type Request struct {
 	// allocates it with obs.NewTrace, passes it here, and reads the
 	// report with Trace.Finish() after Search returns.
 	Trace *obs.Trace
+	// Ctx, when non-nil, cancels the search on the caller's goroutine:
+	// it is polled per scan block, beam expansion and inverted list, and
+	// a cancelled search returns Ctx.Err() (executor.Options.Ctx).
+	Ctx context.Context
 }
 
-// Result is one hit.
-type Result struct {
-	ID   int64
-	Dist float32
-}
+// Result is one hit: the index's own type, handed up without a copy.
+type Result = topk.Result
 
 // Parameter-source labels: where a query's resolved Ef/NProbe came
 // from, in resolution priority order. Exported per query in Decision,
@@ -951,7 +953,7 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 	env := s.env
 	ef, nprobe, source := c.resolveKnobs(req, s)
 	dec := Decision{Ef: ef, NProbe: nprobe, ParamSource: source}
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root}
+	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root, Ctx: req.Ctx}
 
 	if len(req.Vectors) > 0 {
 		if req.EntityColumn == "" {
@@ -968,7 +970,7 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 		return res, dec, err
 	}
 
-	var res []topk.Result
+	var res []Result
 	var err error
 	if len(req.Policy) > 5 && req.Policy[:5] == "plan:" {
 		dec.Plan, err = parsePlan(req.Policy[5:], req.Alpha)
@@ -983,7 +985,7 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 		return nil, dec, err
 	}
 	c.tagDecision(root, dec)
-	return convert(res), dec, nil
+	return res, dec, nil
 }
 
 // tagDecision records the resolved plan and parameters on the query's
@@ -1062,17 +1064,10 @@ func (c *Collection) multiVector(s *snapshot, req Request, opts executor.Options
 		return nil, fmt.Errorf("core: entity column %q must be Int64", req.EntityColumn)
 	}
 	m := c.entityMap(s, req.EntityColumn, col)
-	var res []topk.Result
-	var err error
 	if env.ANN != nil {
-		res, err = env.MultiVectorANN(m, req.Aggregator, req.Vectors, req.Weights, req.K, 0, opts)
-	} else {
-		res, err = env.MultiVectorExact(m, req.Aggregator, req.Vectors, req.Weights, req.K)
+		return env.MultiVectorANN(m, req.Aggregator, req.Vectors, req.Weights, req.K, 0, opts)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return convert(res), nil
+	return env.MultiVectorExact(m, req.Aggregator, req.Vectors, req.Weights, req.K)
 }
 
 // SearchRange returns all live rows within the squared-distance
@@ -1096,11 +1091,7 @@ func (c *Collection) SearchRange(q []float32, radius float32, preds []filter.Pre
 
 func (c *Collection) searchRange(q []float32, radius float32, preds []filter.Predicate) ([]Result, error) {
 	s := c.snap.Load()
-	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
-	if err != nil {
-		return nil, err
-	}
-	return convert(res), nil
+	return s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
 }
 
 // SearchBatch answers many queries under one shared plan. The request
@@ -1132,15 +1123,7 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 	// defaults exactly once for the whole batch.
 	ef, nprobe, _ := c.resolveKnobs(req, s)
 	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted()}
-	res, err := env.SearchBatch(plan, qs, req.K, req.Preds, opts)
-	out := make([][]Result, len(res))
-	for i, rs := range res {
-		if rs == nil {
-			continue
-		}
-		out[i] = convert(rs)
-	}
-	return out, err
+	return env.SearchBatch(plan, qs, req.K, req.Preds, opts)
 }
 
 // OpenIterator starts incremental paging over the collection. The
@@ -1160,14 +1143,6 @@ func (c *Collection) OpenIterator(q []float32, preds []filter.Predicate, ef int)
 	// The iterator has no Close; release the reader pin when it dies.
 	runtime.SetFinalizer(it, func(*executor.Iterator) { c.endRead() })
 	return it, nil
-}
-
-func convert(rs []topk.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }
 
 // Stats returns a point-in-time snapshot of the collection's online

@@ -7,6 +7,7 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -136,10 +137,15 @@ type Options struct {
 	// across goroutines, so batch callers should leave Span nil and
 	// trace the batch as a whole.
 	Span *obs.Span
+	// Ctx, when non-nil, cancels the query: the allowlist build polls it
+	// every bitmapBlock rows and the index probe carries it in
+	// index.Params, so a cancelled query stops within one block or
+	// expansion and returns Ctx.Err().
+	Ctx context.Context
 }
 
 func (o Options) params() index.Params {
-	return index.Params{Ef: o.Ef, NProbe: o.NProbe, Parallelism: o.Parallelism, RerankK: o.RerankK}
+	return index.Params{Ef: o.Ef, NProbe: o.NProbe, Parallelism: o.Parallelism, RerankK: o.RerankK, Ctx: o.Ctx}
 }
 
 // compile binds the query's predicates to this snapshot's attribute
@@ -183,15 +189,23 @@ func releaseBitmap(bm *bitset.Bitset) {
 	}
 }
 
+// bitmapBlock is how many rows the allowlist build evaluates between two
+// polls of the query's context: whole words, and a few microseconds of
+// predicate evaluation — about what one scan block of the flat index
+// costs.
+const bitmapBlock = 8192
+
 // allowBitmap builds the block-first allowlist of an exhaustive
 // operator over all N rows: the predicate's match bits from the
 // column-at-a-time evaluator, then the deletion mask cleared out of
 // them word-wise. survivors is the predicate's exact match count,
 // taken before deletions are folded in. It returns nil when nothing
-// constrains the scan; otherwise the caller owes a releaseBitmap.
-func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset) (bm *bitset.Bitset, survivors int) {
+// constrains the scan; otherwise the caller owes a releaseBitmap. The
+// evaluation polls done before every bitmapBlock rows and gives up,
+// returning stopped and no bitmap, once it has closed.
+func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset, done <-chan struct{}) (bm *bitset.Bitset, survivors int, stopped bool) {
 	if cp == nil && del == nil {
-		return nil, e.N
+		return nil, e.N, false
 	}
 	bm = bitmapPool.Get().(*bitset.Bitset)
 	bm.Reset(e.N)
@@ -199,13 +213,19 @@ func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset) (bm *bitset.B
 		bm.SetAll()
 		survivors = e.N
 	} else {
-		cp.EvalRange(bm, 0, e.N)
+		for lo := 0; lo < e.N; lo += bitmapBlock {
+			if index.Stopped(done) {
+				releaseBitmap(bm)
+				return nil, 0, true
+			}
+			cp.EvalRange(bm, lo, min(lo+bitmapBlock, e.N))
+		}
 		survivors = bm.Count()
 	}
 	if del != nil {
 		bm.AndNot(del)
 	}
-	return bm, survivors
+	return bm, survivors, false
 }
 
 // filterStage is allowBitmap on the serving path: with a predicate the
@@ -213,23 +233,30 @@ func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset) (bm *bitset.B
 // spanned with its survivor count, and fed to the collection's
 // statistics (a bitmap build evaluates the predicate on every row, so
 // it is both the exact selectivity of the predicate and the cleanest
-// per-evaluation timing for the calibrated attribute-cost ratio).
-func (e *Env) filterStage(preds []filter.Predicate, cp *filter.Compiled, opts Options) (bm *bitset.Bitset, survivors int) {
+// per-evaluation timing for the calibrated attribute-cost ratio). A
+// build the query's context cut short returns its error and records
+// nothing.
+func (e *Env) filterStage(preds []filter.Predicate, cp *filter.Compiled, opts Options) (bm *bitset.Bitset, survivors int, err error) {
 	if cp == nil {
-		return e.allowBitmap(nil, opts.Deleted)
+		bm, survivors, _ = e.allowBitmap(nil, opts.Deleted, nil)
+		return bm, survivors, nil
 	}
+	params := opts.params()
 	fsp := opts.Span.Start("filter")
 	start := time.Now()
-	bm, survivors = e.allowBitmap(cp, opts.Deleted)
+	bm, survivors, stopped := e.allowBitmap(cp, opts.Deleted, params.Done())
 	elapsed := time.Since(start)
 	stageFilter.Observe(elapsed.Seconds())
 	fsp.Annotate("survivors", int64(survivors))
 	fsp.End()
+	if stopped {
+		return nil, 0, params.Err()
+	}
 	if e.Stats != nil {
 		e.Stats.RecordAttrCost(elapsed.Nanoseconds(), int64(e.N))
 		e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
 	}
-	return bm, survivors
+	return bm, survivors, nil
 }
 
 // minSelEvals is the minimum per-row predicate evaluations before a
@@ -337,8 +364,14 @@ func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predica
 // obs counters (always on) and the query's trace span (when opts.Span
 // is set). Every plan funnels its index/flat scans through here so
 // /metrics attributes work to the index family that actually served
-// the query.
+// the query. A query whose context has ended is refused here — the one
+// check families that do not poll params.Ctx themselves get — and a
+// probe that fails, cancelled ones included, feeds nothing to the cost
+// model: its truncated comps would bias the observed probe cost.
 func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, span *obs.Span) ([]topk.Result, error) {
+	if err := params.Err(); err != nil {
+		return nil, err
+	}
 	var st index.SearchStats
 	params.Stats = &st
 	sp := span.Start("index_probe")
@@ -348,7 +381,7 @@ func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, sp
 	stageProbe.Observe(elapsed.Seconds())
 	sp.End()
 	name := idx.Name()
-	if e.Stats != nil {
+	if e.Stats != nil && err == nil {
 		if idx == e.ANN {
 			// Observed probe cost feeds the adaptive cost model; exact
 			// scans are excluded — their cost is already exactly N.
@@ -400,7 +433,10 @@ func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, sp
 // scores exactly the surviving live rows.
 func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
 	params := opts.params()
-	params.Allow, _ = e.filterStage(preds, cp, opts)
+	var err error
+	if params.Allow, _, err = e.filterStage(preds, cp, opts); err != nil {
+		return nil, err
+	}
 	res, err := e.probe(e.Flat, q, k, params, opts.Span)
 	releaseBitmap(params.Allow)
 	return res, err
@@ -416,7 +452,10 @@ func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter
 	}
 	params := opts.params()
 	var survivors int
-	params.Allow, survivors = e.filterStage(preds, cp, opts)
+	var err error
+	if params.Allow, survivors, err = e.filterStage(preds, cp, opts); err != nil {
+		return nil, err
+	}
 	// Small survivor sets are scanned exactly: cheaper than a blocked
 	// index scan and immune to the graph-disconnection effect of
 	// online blocking (Section 2.3(1)).
@@ -694,7 +733,9 @@ func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate,
 		return nil, err
 	}
 	params := opts.params()
-	params.Allow, _ = e.filterStage(preds, cp, opts)
+	if params.Allow, _, err = e.filterStage(preds, cp, opts); err != nil {
+		return nil, err
+	}
 	var st index.SearchStats
 	params.Stats = &st
 	sp := opts.Span.Start("range_scan")
@@ -752,7 +793,7 @@ func (e *Env) ExactGroundTruth(q []float32, k int, preds []filter.Predicate, del
 		return nil, err
 	}
 	var params index.Params
-	params.Allow, _ = e.allowBitmap(cp, deleted)
+	params.Allow, _, _ = e.allowBitmap(cp, deleted, nil)
 	res, err := e.Flat.Search(q, k, params)
 	releaseBitmap(params.Allow)
 	return res, err

@@ -173,6 +173,8 @@ func (f *Flat) FiltersConcurrently(p Params) bool { return f.workers(&p) > 1 }
 // per-range collectors and the merge resolve ties by (dist, id), and
 // the kernel scores every row on its own in one accumulation order,
 // the result is byte-identical at every worker count and block size.
+// Every partition polls p.Ctx once per block; a cancelled scan returns
+// its context's error with the rows it did score counted.
 func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, ErrBadK
@@ -210,10 +212,16 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 			comps += compsBy[i]
 		}
 	}
-	res := merged.Results()
-	if f.qsc != nil {
-		comps += int64(len(res))
-		res = RerankExact(f.sc, q, res, k)
+	// A partition that stopped early left done closed for good, so this
+	// one check sees every early stop.
+	stopped := Stopped(p.Done())
+	var res []topk.Result
+	if !stopped {
+		res = merged.Results()
+		if f.qsc != nil {
+			comps += int64(len(res))
+			res = RerankExact(f.sc, q, res, k)
+		}
 	}
 	f.comps.Add(comps)
 	if p.Stats != nil {
@@ -223,6 +231,9 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 		}
 		p.Stats.Partitions += int64(w)
 	}
+	if stopped {
+		return nil, p.Err()
+	}
 	return res, nil
 }
 
@@ -231,7 +242,8 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 // disjoint ranges run concurrently. Unconstrained scans score whole
 // contiguous blocks; predicated scans gather admitted ids (forAdmitted)
 // and score them through the same kernels, so only admitted rows are
-// scored (and counted).
+// scored (and counted). Either way it stops after the block during
+// which p.Ctx ended.
 func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) int64 {
 	// blockScorer is the slice of the Bind contract both the float and
 	// the quantized kernels share; picking the binding here is what
@@ -247,10 +259,11 @@ func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) 
 		b = f.sc.Bind(q)
 	}
 	comps := int64(0)
+	done := p.Done()
 	if !p.Constrained() {
 		buf := getGatherBuf()
 		defer gatherPool.Put(buf)
-		for blo := lo; blo < hi; blo += scanBlock {
+		for blo := lo; blo < hi && !Stopped(done); blo += scanBlock {
 			dist := buf.dist[:min(scanBlock, hi-blo)]
 			b.ScoreBlock(blo, blo+len(dist), dist)
 			c.PushBlock(int64(blo), dist)
@@ -258,7 +271,7 @@ func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) 
 		}
 		return comps
 	}
-	forAdmitted(p, lo, hi, func(ids []int32, dist []float32) {
+	forAdmitted(p, lo, hi, done, func(ids []int32, dist []float32) {
 		b.ScoreIDs(ids, dist)
 		c.PushIDs(ids, dist)
 		comps += int64(len(ids))
@@ -293,20 +306,23 @@ func getGatherBuf() *gatherBuf {
 // rows and set bits are peeled with TrailingZeros64 — so a selective
 // allowlist is scanned in time proportional to its survivors, not to
 // the rows it spans; a Filter, alone or on top of Allow, is called once
-// per candidate row.
-func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) {
+// per candidate row. It polls done (from Params.Done) after every block
+// and stops gathering once it has closed.
+func forAdmitted(p *Params, lo, hi int, done <-chan struct{}, emit func(ids []int32, dist []float32)) {
 	buf := getGatherBuf()
 	defer gatherPool.Put(buf)
 	ids, dist := buf.ids[:0], buf.dist[:scanBlock]
+	stop := Stopped(done)
 	add := func(id int) {
 		ids = append(ids, int32(id))
 		if len(ids) == scanBlock {
 			emit(ids, dist)
 			ids = ids[:0]
+			stop = Stopped(done)
 		}
 	}
 	if p.Allow == nil {
-		for i := lo; i < hi; i++ {
+		for i := lo; i < hi && !stop; i++ {
 			if p.Filter(int64(i)) {
 				add(i)
 			}
@@ -316,7 +332,7 @@ func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) 
 			hi = n // rows the bitmap does not cover are blocked
 		}
 		words := p.Allow.Words()
-		for base := lo &^ 63; base < hi; base += 64 {
+		for base := lo &^ 63; base < hi && !stop; base += 64 {
 			w := words[base>>6]
 			if base < lo {
 				w &^= 1<<uint(lo-base) - 1
@@ -324,7 +340,7 @@ func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) 
 			if hi-base < 64 {
 				w &= 1<<uint(hi-base) - 1
 			}
-			for ; w != 0; w &= w - 1 {
+			for ; w != 0 && !stop; w &= w - 1 {
 				id := base + bits.TrailingZeros64(w)
 				if p.Filter == nil || p.Filter(int64(id)) {
 					add(id)
@@ -332,7 +348,7 @@ func forAdmitted(p *Params, lo, hi int, emit func(ids []int32, dist []float32)) 
 			}
 		}
 	}
-	if len(ids) > 0 {
+	if len(ids) > 0 && !stop {
 		emit(ids, dist)
 	}
 }
@@ -398,7 +414,7 @@ func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]
 		}
 		return out, comps
 	}
-	forAdmitted(p, lo, hi, func(ids []int32, dist []float32) {
+	forAdmitted(p, lo, hi, nil, func(ids []int32, dist []float32) {
 		b.ScoreIDs(ids, dist)
 		for o, id := range ids {
 			if d := dist[o]; d <= radius {

@@ -179,17 +179,21 @@ func (t *Traversal) score(ids []int32) []float32 {
 // Predicate handling implements visit-first scan (Section 2.3(2)):
 // blocked nodes are still *traversed* (otherwise a selective filter
 // disconnects the graph) but never enter the result set.
-func BeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) []topk.Result {
+//
+// p.Ctx is polled once per popped node: a cancelled search returns its
+// context's error after at most one further expansion, with the nodes
+// it did score counted. A search without one cannot fail.
+func BeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) ([]topk.Result, error) {
 	t := s.Begin(q)
-	res := t.BeamSearch(adj, entries, k, ef, &p)
+	res, err := t.BeamSearch(adj, entries, k, ef, &p)
 	t.End(p.Stats)
-	return res
+	return res, err
 }
 
 // BeamSearch is the package-level BeamSearch on a scratch the caller
 // holds, for searches of several steps (HNSW's descent, then its base
 // layer) that share one query binding and one count.
-func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p *index.Params) []topk.Result {
+func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p *index.Params) ([]topk.Result, error) {
 	if ef < k {
 		ef = k
 	}
@@ -209,8 +213,12 @@ func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p 
 		results = &t.results
 		results.ResetK(ef)
 	}
+	done := p.Done()
 	t.expand(entries, results, p, false)
 	for t.frontier.Len() > 0 {
+		if index.Stopped(done) {
+			return nil, p.Err()
+		}
 		cur := t.frontier.Pop()
 		if t.beam.Full() && cur.Dist > t.beam.Worst() {
 			break
@@ -219,7 +227,7 @@ func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p 
 	}
 	best := results.Drain()
 	best = best[:min(k, len(best))]
-	return append(make([]topk.Result, 0, len(best)), best...)
+	return append(make([]topk.Result, 0, len(best)), best...), nil
 }
 
 // expand visits the nodes of list not visited before, in three passes:

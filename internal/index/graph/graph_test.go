@@ -174,7 +174,7 @@ func TestBeamSearchMatchesReference(t *testing.T) {
 			c.p.Stats = &want
 			ref := refBeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
 			c.p.Stats = &got
-			res := BeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
+			res, _ := BeamSearch(s, adj, c.q, c.entries, c.k, c.ef, c.p)
 			if !reflect.DeepEqual(res, ref) || got != want {
 				t.Fatalf("graph %d search %d (n=%d k=%d ef=%d entries=%v allow=%v filter=%v):\n got %v %+v\nwant %v %+v",
 					g, i, n, c.k, c.ef, c.entries, c.p.Allow != nil, c.p.Filter != nil, res, got, ref, want)
@@ -230,11 +230,11 @@ func TestScratchSharedAcrossGraphs(t *testing.T) {
 							}
 							return true
 						}
-						BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p)
+						_, _ = BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p)
 					}()
 					continue
 				}
-				if res := BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p); !reflect.DeepEqual(res, f.want[j]) {
+				if res, _ := BeamSearch(f.s, f.adj, c.q, c.entries, c.k, c.ef, c.p); !reflect.DeepEqual(res, f.want[j]) {
 					t.Errorf("worker %d search %d on n=%d: got %v, want %v", w, i, len(f.adj), res, f.want[j])
 					return
 				}
@@ -267,7 +267,7 @@ func TestScratchReusedManyTimes(t *testing.T) {
 		j := i % len(searches)
 		c := searches[j]
 		tr.bq = s.Bind(c.q)
-		if res := tr.BeamSearch(adj, c.entries, c.k, c.ef, &c.p); !reflect.DeepEqual(res, want[j]) {
+		if res, _ := tr.BeamSearch(adj, c.entries, c.k, c.ef, &c.p); !reflect.DeepEqual(res, want[j]) {
 			t.Fatalf("search %d: got %v, want %v", i, res, want[j])
 		}
 	}
@@ -275,7 +275,7 @@ func TestScratchReusedManyTimes(t *testing.T) {
 
 func TestBeamSearchFindsNearest(t *testing.T) {
 	s, adj := lineGraph(100)
-	res := BeamSearch(s, adj, []float32{42.3}, []int32{0}, 3, 16, index.Params{})
+	res, _ := BeamSearch(s, adj, []float32{42.3}, []int32{0}, 3, 16, index.Params{})
 	if len(res) != 3 || res[0].ID != 42 {
 		t.Fatalf("res = %v", res)
 	}
@@ -291,7 +291,7 @@ func TestBeamSearchTraversesBlockedNodes(t *testing.T) {
 	s, adj := lineGraph(50)
 	allow := bitset.New(50)
 	allow.Set(49)
-	res := BeamSearch(s, adj, []float32{0}, []int32{0}, 1, 64, index.Params{Allow: allow})
+	res, _ := BeamSearch(s, adj, []float32{0}, []int32{0}, 1, 64, index.Params{Allow: allow})
 	if len(res) != 1 || res[0].ID != 49 {
 		t.Fatalf("blocked traversal failed: %v", res)
 	}
@@ -299,7 +299,7 @@ func TestBeamSearchTraversesBlockedNodes(t *testing.T) {
 
 func TestBeamSearchFilterFunc(t *testing.T) {
 	s, adj := lineGraph(30)
-	res := BeamSearch(s, adj, []float32{10}, []int32{0}, 5, 64, index.Params{
+	res, _ := BeamSearch(s, adj, []float32{10}, []int32{0}, 5, 64, index.Params{
 		Filter: func(id int64) bool { return id%2 == 0 },
 	})
 	for _, r := range res {
@@ -314,7 +314,7 @@ func TestBeamSearchFilterFunc(t *testing.T) {
 
 func TestBeamSearchDuplicateEntries(t *testing.T) {
 	s, adj := lineGraph(10)
-	res := BeamSearch(s, adj, []float32{5}, []int32{0, 0, 9}, 2, 8, index.Params{})
+	res, _ := BeamSearch(s, adj, []float32{5}, []int32{0, 0, 9}, 2, 8, index.Params{})
 	if len(res) != 2 {
 		t.Fatalf("res = %v", res)
 	}

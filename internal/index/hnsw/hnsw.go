@@ -139,7 +139,7 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 	}
 	entries := []int32{ep}
 	for l := top; l >= 0; l-- {
-		found := t.BeamSearch(h.layers[l], entries, h.cfg.EfConstruct, h.cfg.EfConstruct, &index.Params{})
+		found, _ := t.BeamSearch(h.layers[l], entries, h.cfg.EfConstruct, h.cfg.EfConstruct, &index.Params{}) // no Ctx: cannot fail
 		m := h.cfg.M
 		if l == 0 {
 			m = 2 * h.cfg.M // standard HNSW allows 2M at the base layer
@@ -290,8 +290,11 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 			p.Stats.GreedyHops++
 		}
 	}
-	res := t.BeamSearch(h.frozen[0], []int32{ep}, kk, ef, &p)
+	res, err := t.BeamSearch(h.frozen[0], []int32{ep}, kk, ef, &p)
 	t.End(p.Stats)
+	if err != nil {
+		return nil, err
+	}
 	if h.s.Quant != nil {
 		h.s.Comps.Add(int64(len(res)))
 		if p.Stats != nil {

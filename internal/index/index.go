@@ -5,6 +5,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,6 +52,44 @@ type Params struct {
 	// configured (or default) re-rank width; it is ignored by
 	// full-precision indexes.
 	RerankK int
+	// Ctx, when non-nil, cancels the search. Families poll it at their
+	// natural boundaries — a scan block, a popped beam node, an inverted
+	// list — and return Ctx.Err() from the first boundary after it ends,
+	// with the work done so far still counted in Stats. Families with
+	// no such seam rely on the executor's check at entry.
+	Ctx context.Context
+}
+
+// Done returns the channel a search polls with Stopped: nil (never
+// ready) when p carries no context or one that cannot be cancelled, so
+// an uncancellable search pays one nil check per boundary. Each pool
+// worker takes its own.
+func (p *Params) Done() <-chan struct{} {
+	if p.Ctx == nil {
+		return nil
+	}
+	return p.Ctx.Done()
+}
+
+// Stopped reports whether done, from Params.Done, has closed.
+func Stopped(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Err is the error of a search Stopped cut short: its context's.
+func (p *Params) Err() error {
+	if p.Ctx == nil {
+		return nil
+	}
+	return p.Ctx.Err()
 }
 
 // SearchStats collects the work one Search call performed. Backends

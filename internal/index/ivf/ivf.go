@@ -231,7 +231,9 @@ func (iv *IVF) FiltersConcurrently(p index.Params) bool {
 // contiguous groups scanned concurrently, each into its own collector,
 // merged at the end. Per-list work (including the per-list residual
 // ADC table) is computed identically in every schedule, so results are
-// byte-identical at every worker count.
+// byte-identical at every worker count. Every worker polls p.Ctx before
+// each list; a cancelled probe returns its context's error with the
+// rows it did score counted.
 func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, index.ErrBadK
@@ -278,10 +280,16 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 			comps += compsBy[i]
 		}
 	}
-	res := merged.Results()
-	if iv.cfg.Variant != Flat {
-		comps += int64(len(res))
-		res = index.RerankExact(iv.sc, q, res, k)
+	// A worker that stopped early left done closed for good, so this one
+	// check sees every early stop.
+	stopped := index.Stopped(p.Done())
+	var res []topk.Result
+	if !stopped {
+		res = merged.Results()
+		if iv.cfg.Variant != Flat {
+			comps += int64(len(res))
+			res = index.RerankExact(iv.sc, q, res, k)
+		}
 	}
 	iv.comps.Add(comps)
 	if p.Stats != nil {
@@ -291,6 +299,9 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 			w = 1
 		}
 		p.Stats.Partitions += int64(w)
+	}
+	if stopped {
+		return nil, p.Err()
 	}
 	return res, nil
 }
@@ -302,7 +313,8 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 var listScanBlock = 256
 
 // scanLists scores every admitted member of the given inverted lists
-// into c and returns the distance computations performed. sharedADC is
+// into c and returns the distance computations performed, polling p.Ctx
+// before each list and stopping once it has ended. sharedADC is
 // the query-relative table for the non-residual ADC variant (nil
 // otherwise); the residual variant builds a per-list table locally so
 // concurrent workers never share mutable state.
@@ -322,7 +334,11 @@ func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.P
 	if iv.cfg.Residual {
 		resid = make([]float32, iv.dim)
 	}
+	done := p.Done()
 	for _, list := range lists {
+		if index.Stopped(done) {
+			break
+		}
 		if iv.cfg.Residual {
 			cent := iv.cents.Centroid(list)
 			for j := range resid {
@@ -376,7 +392,11 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 		comps += int64(len(ids))
 		ids = ids[:0]
 	}
+	done := p.Done()
 	for _, list := range lists {
+		if index.Stopped(done) {
+			return comps
+		}
 		for _, id := range iv.lists[list] {
 			if !p.Admits(int64(id)) {
 				continue

@@ -297,7 +297,7 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 	for e := 0; e < g.n && len(entries) < g.cfg.NumEntry; e += stride {
 		entries = append(entries, int32(e))
 	}
-	return graph.BeamSearch(g.s, g.adj, q, entries, k, ef, p), nil
+	return graph.BeamSearch(g.s, g.adj, q, entries, k, ef, p)
 }
 
 func init() {

@@ -192,7 +192,7 @@ func (g *Graph) findMedoid() int32 {
 func (g *Graph) pass(alpha float32) {
 	for v := 0; v < g.n; v++ {
 		q := g.s.Row(int32(v))
-		visited := graph.BeamSearch(g.s, g.adj, q, []int32{g.medoid}, g.cfg.L, g.cfg.L, index.Params{})
+		visited, _ := graph.BeamSearch(g.s, g.adj, q, []int32{g.medoid}, g.cfg.L, g.cfg.L, index.Params{}) // no Ctx: cannot fail
 		// Include current neighbors so established edges compete.
 		cands := visited
 		for _, nb := range g.adj[v] {
@@ -275,7 +275,7 @@ func (g *Graph) connectOrphans() {
 			continue
 		}
 		// Attach from the closest reachable node found by beam search.
-		res := graph.BeamSearch(g.s, g.adj, g.s.Row(int32(v)), []int32{g.medoid}, 1, g.cfg.L, index.Params{})
+		res, _ := graph.BeamSearch(g.s, g.adj, g.s.Row(int32(v)), []int32{g.medoid}, 1, g.cfg.L, index.Params{}) // no Ctx: cannot fail
 		if len(res) == 0 {
 			res = []topk.Result{{ID: int64(g.medoid)}}
 		}
@@ -414,7 +414,10 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 			ef = kk
 		}
 	}
-	res := graph.BeamSearch(g.s, g.frozen, q, []int32{g.medoid}, kk, ef, p)
+	res, err := graph.BeamSearch(g.s, g.frozen, q, []int32{g.medoid}, kk, ef, p)
+	if err != nil {
+		return nil, err
+	}
 	if g.s.Quant != nil {
 		g.s.Comps.Add(int64(len(res)))
 		if p.Stats != nil {

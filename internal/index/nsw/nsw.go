@@ -57,7 +57,7 @@ func Build(data []float32, n, d int, cfg Config) (*NSW, error) {
 	}
 	for id := 1; id < n; id++ {
 		q := g.s.Row(int32(id))
-		found := graph.BeamSearch(g.s, g.adj[:id], q, []int32{0}, cfg.M, cfg.EfConstruct, index.Params{})
+		found, _ := graph.BeamSearch(g.s, g.adj[:id], q, []int32{0}, cfg.M, cfg.EfConstruct, index.Params{}) // no Ctx: cannot fail
 		for _, r := range found {
 			nb := int32(r.ID)
 			g.adj[id] = append(g.adj[id], nb)
@@ -122,7 +122,7 @@ func (g *NSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 			ef = 32
 		}
 	}
-	return graph.BeamSearch(g.s, g.frozen, q, []int32{0}, k, ef, p), nil
+	return graph.BeamSearch(g.s, g.frozen, q, []int32{0}, k, ef, p)
 }
 
 func init() {

@@ -40,6 +40,10 @@ type Server struct {
 	parallelism  int
 	logf         func(format string, args ...any)
 	mem          *memory.Manager
+	// requests holds each route's vdbms_http_requests_total child,
+	// bound once at New so a request pays a map read, not a locked
+	// labelled lookup.
+	requests map[string]*obs.Counter
 }
 
 // Option configures a Server.
@@ -90,13 +94,24 @@ func New(db *vdbms.DB, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.mux.HandleFunc("/collections", s.handleCollections)
-	s.mux.HandleFunc("/collections/", s.handleCollection)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.Handle("/metrics", obs.MetricsHandler(obs.Default()))
-	s.mux.Handle("/debug/stats", obs.StatsHandlerExtras(obs.Default(), s.collectionStats))
-	s.mux.Handle("/debug/slowlog", obs.SlowLogHandler(obs.DefaultSlowLog()))
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	routes := []struct {
+		pattern string
+		h       http.Handler
+	}{
+		{"/collections", http.HandlerFunc(s.handleCollections)},
+		{"/collections/", http.HandlerFunc(s.handleCollection)},
+		{"/query", http.HandlerFunc(s.handleQuery)},
+		{"/metrics", obs.MetricsHandler(obs.Default())},
+		{"/debug/stats", obs.StatsHandlerExtras(obs.Default(), s.collectionStats)},
+		{"/debug/slowlog", obs.SlowLogHandler(obs.DefaultSlowLog())},
+		{"/healthz", http.HandlerFunc(s.handleHealthz)},
+	}
+	s.requests = make(map[string]*obs.Counter, len(routes))
+	for _, rt := range routes {
+		s.mux.Handle(rt.pattern, rt.h)
+		label := routeLabel(rt.pattern)
+		s.requests[label] = obs.HTTPRequests.With(label)
+	}
 	return s
 }
 
@@ -153,7 +168,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	obs.HTTPRequests.With(routeLabel(r.URL.Path)).Inc()
+	label := routeLabel(r.URL.Path)
+	c := s.requests[label]
+	if c == nil {
+		c = obs.HTTPRequests.With(label) // a path no route serves
+	}
+	c.Inc()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -167,35 +187,30 @@ func routeLabel(path string) string {
 	return path
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already out, so the client sees a truncated
-		// body; count it instead of losing the failure silently.
-		obs.HTTPEncodeErrors.Inc()
-	}
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // searchCtx derives the per-query context: the request context (which
 // ends when the client disconnects) bounded by the server's query
-// timeout.
+// timeout, when it has one.
 func (s *Server) searchCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.queryTimeout > 0 {
 		return context.WithTimeout(r.Context(), s.queryTimeout)
 	}
-	return context.WithCancel(r.Context())
+	return r.Context(), func() {}
 }
 
-// searchErrStatus maps a failed search to an HTTP status: deadline
-// overruns are 504s, everything else a 400 (malformed request).
+// statusClientClosedRequest answers a search whose client went away
+// before it finished (nginx's 499): the search was stopped, not failed,
+// and the request was not malformed.
+const statusClientClosedRequest = 499
+
+// searchErrStatus maps a failed search to an HTTP status: a search the
+// server's deadline stopped is a 504, one whose client went away a 499,
+// everything else a 400 (malformed request).
 func searchErrStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
 	}
 	return http.StatusBadRequest
 }
@@ -257,13 +272,13 @@ type SearchBody struct {
 
 func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/collections/")
-	parts := strings.Split(rest, "/")
-	name := parts[0]
+	name, action, sub := strings.Cut(rest, "/")
+	action, _, _ = strings.Cut(action, "/")
 	if name == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing collection name"))
 		return
 	}
-	if len(parts) == 1 {
+	if !sub {
 		switch r.Method {
 		case http.MethodDelete:
 			if err := s.db.DropCollection(name); err != nil {
@@ -306,19 +321,9 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w) {
 		return
 	}
-	switch parts[1] {
+	switch action {
 	case "vectors":
-		var req InsertRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := col.Insert(req.Vector, normalizeAttrs(col, req.Attrs))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]int64{"id": id})
+		s.handleInsert(w, r, col)
 	case "index":
 		var req IndexRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -331,96 +336,129 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"index": req.Kind})
 	case "search":
-		var req SearchBody
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx, cancel := s.searchCtx(r)
-		defer cancel()
-		// Tracing is on when the client asks (X-Vdbms-Trace: 1) or the
-		// slow-query log needs span trees to be useful.
-		wantTrace := r.Header.Get(TraceHeader) == "1"
-		par := req.Parallelism
-		if par == 0 {
-			par = s.parallelism
-		}
-		start := time.Now()
-		res, err := col.SearchContext(ctx, vdbms.SearchRequest{
-			Vector: req.Vector, Vectors: req.Vectors, K: req.K,
-			Filters: req.Filters, Policy: req.Policy, Ef: req.Ef,
-			NProbe: req.NProbe, TargetRecall: req.TargetRecall,
-			Alpha: req.Alpha, RerankK: req.RerankK,
-			Parallelism:  par,
-			EntityColumn: req.EntityColumn, Aggregator: req.Aggregator,
-			Trace: wantTrace || s.slowQuery > 0,
-		})
-		elapsed := time.Since(start)
-		if err != nil {
-			writeErr(w, searchErrStatus(err), err)
-			return
-		}
-		w.Header().Set(PlanHeader, fmt.Sprintf("%s;ef=%d;nprobe=%d;source=%s",
-			res.Plan, res.Ef, res.NProbe, res.ParamSource))
-		if res.Trace != nil {
-			// Traced queries compete for a slot among the slowest
-			// exemplars retained for /debug/slowlog.
-			obs.DefaultSlowLog().Offer(obs.SlowLogEntry{
-				Collection:    name,
-				K:             req.K,
-				DurationNanos: elapsed.Nanoseconds(),
-				When:          start,
-				Trace:         res.Trace,
-			})
-		}
-		if s.slowQuery > 0 && elapsed >= s.slowQuery {
-			obs.SlowQueries.Inc()
-			tree, _ := json.Marshal(res.Trace)
-			s.logf("slow query: collection=%s k=%d elapsed=%s trace=%s",
-				name, req.K, elapsed, tree)
-		}
-		if !wantTrace {
-			res.Trace = nil
-		}
-		writeJSON(w, http.StatusOK, res)
+		s.handleSearch(w, r, col)
 	case "batch":
-		// POST /collections/{name}/batch answers many queries in one
-		// round trip. Vectors carries the batch; the remaining fields
-		// are the shared execution knobs (k, filters, policy, ef,
-		// nprobe, alpha, parallelism). Partial failures follow the
-		// library contract: failed slots are null and "error" names
-		// each failing query, alongside HTTP 200 for the successes.
-		var req SearchBody
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if len(req.Vectors) == 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("batch search needs vectors"))
-			return
-		}
-		par := req.Parallelism
-		if par == 0 {
-			par = s.parallelism
-		}
-		hits, err := col.SearchBatch(req.Vectors, vdbms.SearchRequest{
-			K: req.K, Filters: req.Filters, Policy: req.Policy,
-			Ef: req.Ef, NProbe: req.NProbe, TargetRecall: req.TargetRecall,
-			Alpha: req.Alpha, RerankK: req.RerankK, Parallelism: par,
-		})
-		if err != nil && hits == nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		body := map[string]any{"results": hits}
-		if err != nil {
-			body["error"] = err.Error()
-			obs.PartialResponses.Inc()
-		}
-		writeJSON(w, http.StatusOK, body)
+		s.handleBatch(w, r, col)
 	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown action %q", parts[1]))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown action %q", action))
 	}
+}
+
+// handleInsert serves POST /collections/{name}/vectors. Attribute values
+// are checked against the schema by Collection.Insert; a mismatch is
+// the client's error.
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *vdbms.Collection) {
+	rb := getReqBuf()
+	defer rb.release()
+	req := &rb.insert
+	if err := rb.decodeInsert(r.Body, req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	id, err := col.Insert(req.Vector, req.Attrs)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	rb.writeInsert(w, id)
+}
+
+// handleSearch serves POST /collections/{name}/search. The search runs
+// on this goroutine under the request's context, bounded by the query
+// timeout, and is stopped — not abandoned — when either ends.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms.Collection) {
+	rb := getReqBuf()
+	defer rb.release()
+	req := &rb.search
+	if err := rb.decodeSearch(r.Body, req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel := s.searchCtx(r)
+	defer cancel()
+	// Tracing is on when the client asks (X-Vdbms-Trace: 1) or the
+	// slow-query log needs span trees to be useful.
+	wantTrace := r.Header.Get(TraceHeader) == "1"
+	par := req.Parallelism
+	if par == 0 {
+		par = s.parallelism
+	}
+	start := time.Now()
+	res, err := col.SearchContext(ctx, vdbms.SearchRequest{
+		Vector: req.Vector, Vectors: req.Vectors, K: req.K,
+		Filters: req.Filters, Policy: req.Policy, Ef: req.Ef,
+		NProbe: req.NProbe, TargetRecall: req.TargetRecall,
+		Alpha: req.Alpha, RerankK: req.RerankK,
+		Parallelism:  par,
+		EntityColumn: req.EntityColumn, Aggregator: req.Aggregator,
+		Trace: wantTrace || s.slowQuery > 0,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		writeErr(w, searchErrStatus(err), err)
+		return
+	}
+	w.Header()[PlanHeader] = []string{planHeader(&res)}
+	if res.Trace != nil {
+		// Traced queries compete for a slot among the slowest
+		// exemplars retained for /debug/slowlog.
+		obs.DefaultSlowLog().Offer(obs.SlowLogEntry{
+			Collection:    col.Name(),
+			K:             req.K,
+			DurationNanos: elapsed.Nanoseconds(),
+			When:          start,
+			Trace:         res.Trace,
+		})
+	}
+	if s.slowQuery > 0 && elapsed >= s.slowQuery {
+		obs.SlowQueries.Inc()
+		tree, _ := json.Marshal(res.Trace)
+		s.logf("slow query: collection=%s k=%d elapsed=%s trace=%s",
+			col.Name(), req.K, elapsed, tree)
+	}
+	if !wantTrace {
+		res.Trace = nil
+	}
+	rb.writeSearch(w, &res)
+}
+
+// handleBatch serves POST /collections/{name}/batch, which answers many
+// queries in one round trip. Vectors carries the batch; the remaining
+// fields are the shared execution knobs (k, filters, policy, ef,
+// nprobe, alpha, parallelism). Partial failures follow the library
+// contract: failed slots are null and "error" names each failing
+// query, alongside HTTP 200 for the successes.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, col *vdbms.Collection) {
+	rb := getReqBuf()
+	defer rb.release()
+	req := &rb.search
+	if err := rb.decodeSearch(r.Body, req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if len(req.Vectors) == 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch search needs vectors"))
+		return
+	}
+	par := req.Parallelism
+	if par == 0 {
+		par = s.parallelism
+	}
+	hits, err := col.SearchBatch(req.Vectors, vdbms.SearchRequest{
+		K: req.K, Filters: req.Filters, Policy: req.Policy,
+		Ef: req.Ef, NProbe: req.NProbe, TargetRecall: req.TargetRecall,
+		Alpha: req.Alpha, RerankK: req.RerankK, Parallelism: par,
+	})
+	if err != nil && hits == nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	body := map[string]any{"results": hits}
+	if err != nil {
+		body["error"] = err.Error()
+		obs.PartialResponses.Inc()
+	}
+	rb.writeJSON(w, http.StatusOK, body)
 }
 
 // QueryRequest is the body of POST /query.
@@ -447,31 +485,4 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// normalizeAttrs coerces JSON numbers (always float64 after decoding)
-// to the column's declared type so "cat": 3 binds to int columns while
-// float columns keep float64 values. Unknown columns pass through and
-// fail schema validation downstream.
-func normalizeAttrs(col *vdbms.Collection, attrs map[string]any) map[string]any {
-	if attrs == nil {
-		return nil
-	}
-	types := col.AttributeTypes()
-	out := make(map[string]any, len(attrs))
-	for k, v := range attrs {
-		out[k] = coerce(types[k], v)
-	}
-	return out
-}
-
-func coerce(typ string, v any) any {
-	f, ok := v.(float64)
-	if !ok {
-		return v
-	}
-	if typ == "int" {
-		return int64(f)
-	}
-	return f
 }

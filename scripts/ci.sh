@@ -86,6 +86,22 @@ go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # The scratch pool is the only state searches share, so -race.
 go test -race -count=1 -timeout 5m ./internal/index/graph/
 go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/
+# Request path gates. Search, batch and insert bodies are decoded by a
+# hand-written pass that must agree with encoding/json on every input —
+# fuzzed differentially, seeded with the benchmark's bodies. Pooled
+# vectors must not outlive their response: they are poisoned with NaN
+# on release while eight goroutines search and insert. A cancelled or
+# timed-out search must stop within one scan block, beam expansion or
+# inverted list on the caller's goroutine, leave no goroutine behind
+# and feed nothing to the statistics. All shared-state tests, so -race.
+go test -run '^$' -fuzz '^FuzzDecodeSearchBody$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server/
+go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
+go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
+    . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
+# Request path smoke: the decoder against encoding/json on the
+# ann_search body, and one loopback round trip.
+go test -run '^$' -bench 'BenchmarkDecodeSearchBody|BenchmarkServeSearch' -benchtime 1x ./internal/server/
 # Knob propagation end to end: HTTP body -> SearchRequest -> executor
 # options -> index params, layered overrides, and the X-Vdbms-Plan
 # response header that reports the executed plan + resolved knobs.
