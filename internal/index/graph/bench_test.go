@@ -3,32 +3,32 @@ package graph_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/topk"
+	"vdbms/internal/vec"
 )
 
 var benchSink []topk.Result
 
-// BenchmarkBeamSearch probes the graph the ann_search and
-// filtered_search workloads of benchmark/ serve — 20 000 × 128-d rows in
-// 64 clusters, hnsw m=16, queries jittered off stored rows — through
-// HNSW.Search, which is the greedy descent plus one BeamSearch. The
-// allow variant admits a random 10 % of the rows, so the traversal runs
-// its constrained branch (two heaps, blocked nodes still expanded).
-func BenchmarkBeamSearch(b *testing.B) {
+// benchGraph builds the graph the ann_search and filtered_search
+// workloads of benchmark/ serve — 20 000 × 128-d rows in 64 clusters,
+// hnsw m=16 — with 1 000 queries jittered off stored rows and an
+// allowlist admitting a random 10 % of the rows.
+func benchGraph(tb testing.TB) (*hnsw.HNSW, *dataset.Dataset, [][]float32, *bitset.Bitset) {
 	const n, d = 20000, 128
 	ds := dataset.Clustered(n, d, 64, 1.0, 1)
 	h, err := hnsw.Build(ds.Data, n, d, hnsw.Config{M: 16})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	qs := ds.Queries(1000, 0.5, 3)
 	allow := bitset.New(n)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < n; i++ {
@@ -36,6 +36,47 @@ func BenchmarkBeamSearch(b *testing.B) {
 			allow.Set(i)
 		}
 	}
+	return h, ds, ds.Queries(1000, 0.5, 3), allow
+}
+
+// TestBeamSearchFloatSweep holds BeamSearch to the oracle on the
+// benchmark's graph: float data, where distances almost never tie, at
+// every ef and predicate shape BenchmarkBeamSearch times — the same
+// hits and the same per-query counts for every query. The searches
+// start from node 0, so most cross the graph before they converge.
+func TestBeamSearchFloatSweep(t *testing.T) {
+	h, ds, qs, allow := benchGraph(t)
+	if testing.Short() {
+		qs = qs[:100]
+	}
+	sc, err := vec.NewScorer(vec.L2, ds.Data, ds.Count, ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &graph.Searcher{Data: ds.Data, Dim: ds.Dim, Scorer: sc}
+	base := h.BaseLayer()
+	for _, ef := range []int{16, 64, 256} {
+		for _, p := range []index.Params{{}, {Allow: allow}} {
+			for i, q := range qs {
+				var got, want index.SearchStats
+				p.Stats = &want
+				ref := graph.RefBeamSearch(s, base, q, []int32{0}, 10, ef, p)
+				p.Stats = &got
+				res, _ := graph.BeamSearch(s, base, q, []int32{0}, 10, ef, p)
+				if !reflect.DeepEqual(res, ref) || got != want {
+					t.Fatalf("ef=%d allow=%v query %d:\n got %v %+v\nwant %v %+v", ef, p.Allow != nil, i, res, got, ref, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBeamSearch probes benchGraph through HNSW.Search, which is
+// the greedy descent plus one BeamSearch. The allow variant admits a
+// random 10 % of the rows, so the traversal runs its constrained branch
+// (blocked nodes still expanded, admitted ones collected apart).
+func BenchmarkBeamSearch(b *testing.B) {
+	h, _, qs, allow := benchGraph(b)
 	for _, ef := range []int{16, 64, 256} {
 		for _, constrained := range []bool{false, true} {
 			p := index.Params{Ef: ef}

@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -117,16 +118,33 @@ type Traversal struct {
 	// the ids in touched, so a search clears them by replaying the list:
 	// a few hundred stores, where clearing the words would cost n/64 and
 	// a stamp per node would cost 32 times the memory per search in flight.
-	visited  []uint64
-	touched  []int32
-	frontier topk.MinQueue
-	// beam holds the ef closest nodes seen, which without a predicate
-	// are also the results. Under one, results holds the ef closest
-	// admitted nodes while beam keeps bounding the expansion, so a
-	// selective filter cannot stall it.
-	beam, results topk.Collector
-	dist          []float32 // scores of the list being expanded
-	comps         int64
+	visited []uint64
+	touched []int32
+	// pool holds the ef closest nodes seen in (dist, id) order — the beam
+	// that bounds the expansion, and without a predicate the results too.
+	// next is the position of the first node in it not yet expanded.
+	pool []candidate
+	next int
+	// results holds the ef closest admitted nodes under a predicate.
+	// Blocked nodes still enter the pool and are expanded, so a selective
+	// filter cannot stall the search.
+	results topk.Collector
+	dist    []float32     // scores of the list being expanded
+	entries []int32       // Score's distinct ids
+	seeds   []topk.Result // and its answer
+	comps   int64
+}
+
+// candidate is one node of a traversal's pool.
+type candidate struct {
+	id       int32
+	dist     float32
+	expanded bool
+}
+
+// before reports whether (d, id) ranks ahead of c in the pool's order.
+func before(d float32, id int32, c candidate) bool {
+	return d < c.dist || d == c.dist && id < c.id
 }
 
 var traversals = sync.Pool{New: func() any { return new(Traversal) }}
@@ -170,30 +188,47 @@ func (t *Traversal) score(ids []int32) []float32 {
 	return dist
 }
 
+// Score returns the distinct ids of entries with their distances, in
+// the order they first appear, for seeding a walk or a beam search. The
+// slice is the scratch's: valid until the next Score.
+func (t *Traversal) Score(entries []int32) []topk.Result {
+	t.entries = t.entries[:0]
+	for i, id := range entries {
+		if !slices.Contains(entries[:i], id) {
+			t.entries = append(t.entries, id)
+		}
+	}
+	t.seeds = t.seeds[:0]
+	for i, d := range t.score(t.entries) {
+		t.seeds = append(t.seeds, topk.Result{ID: int64(t.entries[i]), Dist: d})
+	}
+	return t.seeds
+}
+
 // BeamSearch runs best-first search from the entry points with beam
 // width ef, returning up to k admitted results. It is the canonical
-// procedure of NSW/HNSW/NSG/Vamana: maintain a candidate min-heap and
-// a bounded result set; stop when the closest unexpanded candidate is
-// worse than the worst kept result.
+// procedure of NSW/HNSW/NSG/Vamana: keep the ef closest nodes seen, and
+// expand the closest of them not yet expanded until there is none.
 //
 // Predicate handling implements visit-first scan (Section 2.3(2)):
 // blocked nodes are still *traversed* (otherwise a selective filter
 // disconnects the graph) but never enter the result set.
 //
-// p.Ctx is polled once per popped node: a cancelled search returns its
+// p.Ctx is polled once per expansion: a cancelled search returns its
 // context's error after at most one further expansion, with the nodes
 // it did score counted. A search without one cannot fail.
 func BeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) ([]topk.Result, error) {
 	t := s.Begin(q)
-	res, err := t.BeamSearch(adj, entries, k, ef, &p)
+	res, err := t.BeamSearch(adj, t.Score(entries), k, ef, &p)
 	t.End(p.Stats)
 	return res, err
 }
 
 // BeamSearch is the package-level BeamSearch on a scratch the caller
-// holds, for searches of several steps (HNSW's descent, then its base
-// layer) that share one query binding and one count.
-func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p *index.Params) ([]topk.Result, error) {
+// holds, from entry points it has scored (by Score, a GreedyWalk, or an
+// earlier BeamSearch), for searches of several steps — HNSW's descent,
+// then its layers — that share one query binding and one count.
+func (t *Traversal) BeamSearch(adj Neighborhoods, entries []topk.Result, k, ef int, p *index.Params) ([]topk.Result, error) {
 	if ef < k {
 		ef = k
 	}
@@ -206,68 +241,116 @@ func (t *Traversal) BeamSearch(adj Neighborhoods, entries []int32, k, ef int, p 
 	if words := (t.s.Scorer.Rows() + 63) / 64; len(t.visited) < words {
 		t.visited = make([]uint64, words)
 	}
-	t.frontier.Reset()
-	t.beam.ResetK(ef)
-	results := &t.beam
-	if p.Constrained() {
-		results = &t.results
-		results.ResetK(ef)
+	t.pool, t.next = t.pool[:0], 0
+	constrained := p.Constrained()
+	if constrained {
+		t.results.ResetK(ef)
 	}
+	for _, e := range entries {
+		if id := int32(e.ID); t.mark(id) {
+			t.offer(id, e.Dist, ef, p, constrained)
+		}
+	}
+	slab, _ := adj.(*Slab)
 	done := p.Done()
-	t.expand(entries, results, p, false)
-	for t.frontier.Len() > 0 {
+	for t.next < len(t.pool) {
 		if index.Stopped(done) {
 			return nil, p.Err()
 		}
-		cur := t.frontier.Pop()
-		if t.beam.Full() && cur.Dist > t.beam.Worst() {
-			break
+		cur := &t.pool[t.next]
+		cur.expanded = true
+		id := cur.id
+		next := t.next + 1
+		for next < len(t.pool) && t.pool[next].expanded {
+			next++
 		}
-		t.expand(adj.Neighbors(int32(cur.ID)), results, p, true)
+		t.next = next
+		// The list of the node expanded after this one is a dependent
+		// miss behind its pool entry: start it now, so it overlaps this
+		// expansion's scoring. An insert ahead of it may change which node
+		// that is; the hint is then wasted, never wrong.
+		if slab != nil && next < len(t.pool) {
+			slab.prefetch(t.pool[next].id)
+		}
+		t.expand(adj.Neighbors(id), ef, p, constrained)
 	}
-	best := results.Drain()
-	best = best[:min(k, len(best))]
-	return append(make([]topk.Result, 0, len(best)), best...), nil
+	var best []topk.Result
+	if constrained {
+		best = t.results.Drain()
+		best = append(make([]topk.Result, 0, min(k, len(best))), best[:min(k, len(best))]...)
+	} else {
+		best = make([]topk.Result, min(k, len(t.pool)))
+		for i := range best {
+			best[i] = topk.Result{ID: int64(t.pool[i].id), Dist: t.pool[i].dist}
+		}
+	}
+	return best, nil
+}
+
+// mark sets id's visited bit and reports whether it was clear.
+func (t *Traversal) mark(id int32) bool {
+	w, bit := &t.visited[id>>6], uint64(1)<<(id&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	t.touched = append(t.touched, id)
+	return true
 }
 
 // expand visits the nodes of list not visited before, in three passes:
 // mark them, score them in one kernel call — their rows are scattered,
 // and the kernel can only overlap the misses of rows it is handed
-// together — then offer them to the heaps in list order. Scoring is
-// pure, so every candidate meets the heaps in the state a
-// score-as-you-go loop would have left them in and the outcome is the
-// same. prune drops a candidate that can enter neither a full beam nor
-// full results; the entry points are offered without it.
-func (t *Traversal) expand(list []int32, results *topk.Collector, p *index.Params, prune bool) {
+// together — then offer them to the pool in list order. Scoring is
+// pure, so every candidate meets the pool in the state a score-as-you-go
+// loop would have left it in and the outcome is the same.
+func (t *Traversal) expand(list []int32, ef int, p *index.Params, constrained bool) {
 	first := len(t.touched)
 	for _, id := range list {
-		w, bit := &t.visited[id>>6], uint64(1)<<(id&63)
-		if *w&bit == 0 {
-			*w |= bit
-			t.touched = append(t.touched, id)
-		}
+		t.mark(id)
 	}
 	ids := t.touched[first:]
-	constrained := results != &t.beam
 	for i, d := range t.score(ids) {
-		if prune && t.beam.Full() && d >= t.beam.Worst() && (!constrained || results.Full() && d >= results.Worst()) {
-			continue
-		}
-		id := int64(ids[i])
-		t.frontier.Push(id, d)
-		t.beam.Push(id, d)
-		if constrained && p.Admits(id) {
-			results.Push(id, d)
-		}
+		t.offer(ids[i], d, ef, p, constrained)
 	}
 }
 
-// GreedyWalk performs pure greedy descent (beam width 1) from entry,
-// returning the local minimum reached. Used by HNSW's upper layers and
-// by monotonic-path probing during MSN construction.
-func (t *Traversal) GreedyWalk(adj Neighborhoods, entry int32) (int32, float32) {
-	t.comps++
-	cur, curD := entry, t.bq.Dist(entry)
+// offer inserts a scored node into the pool, dropping the last entry of
+// a full pool, unless the node does not rank ahead of that entry; and,
+// under a predicate, an admitted node into results. An insert ahead of
+// the first unexpanded node makes it the next one.
+func (t *Traversal) offer(id int32, d float32, ef int, p *index.Params, constrained bool) {
+	if constrained && d <= t.results.Worst() && p.Admits(int64(id)) {
+		t.results.Push(int64(id), d)
+	}
+	n := len(t.pool)
+	if n == ef && !before(d, id, t.pool[n-1]) {
+		return
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if before(d, id, t.pool[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if n < ef {
+		t.pool = append(t.pool, candidate{})
+	}
+	copy(t.pool[lo+1:], t.pool[lo:])
+	t.pool[lo] = candidate{id: id, dist: d}
+	if lo < t.next {
+		t.next = lo
+	}
+}
+
+// GreedyWalk performs pure greedy descent (beam width 1) from the scored
+// entry, returning the local minimum reached. Used by HNSW's upper
+// layers and by monotonic-path probing during MSN construction.
+func (t *Traversal) GreedyWalk(adj Neighborhoods, entry topk.Result) topk.Result {
+	cur, curD := int32(entry.ID), entry.Dist
 	for {
 		nbrs := adj.Neighbors(cur)
 		improved := false
@@ -278,7 +361,7 @@ func (t *Traversal) GreedyWalk(adj Neighborhoods, entry int32) (int32, float32) 
 			}
 		}
 		if !improved {
-			return cur, curD
+			return topk.Result{ID: int64(cur), Dist: curD}
 		}
 	}
 }

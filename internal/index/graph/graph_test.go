@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,57 +39,63 @@ func newSearcher(data []float32, dim int) *Searcher {
 	return &Searcher{Data: data, Dim: dim, Scorer: sc}
 }
 
-// refBeamSearch is the traversal this package ran before the pooled
-// scratch: a map for the visited set, beam and results pushed in
-// lock-step, one distance computed as each node is met. It stays as the
-// oracle the scratch-based BeamSearch must equal, hit for hit and count
-// for count.
+// refBeamSearch is the canonical traversal, written to be read rather
+// than to be fast: a map for the visited set, one distance computed as
+// each node is met, and the beam as a plain list of at most ef nodes in
+// (Dist, ID) order, from which the closest node not yet expanded is
+// expanded next until none is left. A node that cannot enter a full
+// beam is dropped; results collects the admitted nodes. It is the oracle
+// the pooled BeamSearch must equal, hit for hit and count for count.
 func refBeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) []topk.Result {
 	if ef < k {
 		ef = k
 	}
 	bq := s.Bind(q)
 	visited := make(map[int32]struct{}, 4*ef)
-	var frontier topk.MinQueue
+	type node struct {
+		topk.Result
+		expanded bool
+	}
+	var beam []node
 	results := topk.NewCollector(ef)
-	beam := topk.NewCollector(ef)
-	for _, e := range entries {
-		if _, dup := visited[e]; dup {
-			continue
+	meet := func(id int32) {
+		if _, dup := visited[id]; dup {
+			return
 		}
-		visited[e] = struct{}{}
-		d := bq.Dist(e)
-		frontier.Push(int64(e), d)
-		beam.Push(int64(e), d)
-		if p.Admits(int64(e)) {
-			results.Push(int64(e), d)
+		visited[id] = struct{}{}
+		r := topk.Result{ID: int64(id), Dist: bq.Dist(id)}
+		if p.Admits(r.ID) {
+			results.Push(r.ID, r.Dist)
+		}
+		i := 0
+		for i < len(beam) && (beam[i].Dist < r.Dist || beam[i].Dist == r.Dist && beam[i].ID < r.ID) {
+			i++
+		}
+		if i == ef {
+			return
+		}
+		if beam = slices.Insert(beam, i, node{Result: r}); len(beam) > ef {
+			beam = beam[:ef]
 		}
 	}
-	for frontier.Len() > 0 {
-		cur := frontier.Pop()
-		if beam.Full() && cur.Dist > beam.Worst() {
+	for _, e := range entries {
+		meet(e)
+	}
+	for {
+		i := slices.IndexFunc(beam, func(n node) bool { return !n.expanded })
+		if i < 0 {
 			break
 		}
-		for _, nb := range adj.Neighbors(int32(cur.ID)) {
-			if _, dup := visited[nb]; dup {
-				continue
-			}
-			visited[nb] = struct{}{}
-			d := bq.Dist(nb)
-			if beam.Full() && d >= beam.Worst() && results.Full() && d >= results.Worst() {
-				continue
-			}
-			frontier.Push(int64(nb), d)
-			beam.Push(int64(nb), d)
-			if p.Admits(int64(nb)) {
-				results.Push(int64(nb), d)
-			}
+		beam[i].expanded = true
+		for _, nb := range adj.Neighbors(int32(beam[i].ID)) {
+			meet(nb)
 		}
 	}
 	if p.Stats != nil {
 		p.Stats.NodesVisited += int64(len(visited))
 		p.Stats.DistanceComps += int64(len(visited))
 	}
+	// Without a predicate results and the beam hold the same ef nodes.
 	res := results.Results()
 	if len(res) > k {
 		res = res[:k]
@@ -267,7 +274,7 @@ func TestScratchReusedManyTimes(t *testing.T) {
 		j := i % len(searches)
 		c := searches[j]
 		tr.bq = s.Bind(c.q)
-		if res, _ := tr.BeamSearch(adj, c.entries, c.k, c.ef, &c.p); !reflect.DeepEqual(res, want[j]) {
+		if res, _ := tr.BeamSearch(adj, tr.Score(c.entries), c.k, c.ef, &c.p); !reflect.DeepEqual(res, want[j]) {
 			t.Fatalf("search %d: got %v, want %v", i, res, want[j])
 		}
 	}
@@ -323,10 +330,10 @@ func TestBeamSearchDuplicateEntries(t *testing.T) {
 func TestGreedyWalkDescends(t *testing.T) {
 	s, adj := lineGraph(100)
 	tr := s.Begin([]float32{77.2})
-	id, d := tr.GreedyWalk(adj, 0)
+	got := tr.GreedyWalk(adj, tr.Score([]int32{0})[0])
 	tr.End(nil)
-	if id != 77 {
-		t.Fatalf("greedy reached %d (d=%v)", id, d)
+	if got.ID != 77 {
+		t.Fatalf("greedy reached %v", got)
 	}
 }
 

@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"unsafe"
+
+	"vdbms/internal/vec"
+)
+
 // Slab is frozen adjacency: every neighbor list packed into one flat
 // []int32 with a prefix-sum offset table. A 10M-node graph stored as
 // Adjacency carries 10M slice headers (240 MB of pointers the GC must
@@ -36,6 +42,19 @@ func Freeze(adj Adjacency) Neighborhoods {
 // Neighbors implements Neighborhoods.
 func (s *Slab) Neighbors(id int32) []int32 {
 	return s.flat[s.off[id]:s.off[id+1]]
+}
+
+// prefetch starts loading id's neighbour list: the line it starts on
+// and the one 64 bytes on, which together hold a list of up to 16 ids
+// from any offset and the 32 of an HNSW base layer when it starts on a
+// line.
+func (s *Slab) prefetch(id int32) {
+	lo, hi := s.off[id], s.off[id+1]
+	if lo == hi {
+		return
+	}
+	vec.Prefetch(unsafe.Pointer(&s.flat[lo]))
+	vec.Prefetch(unsafe.Pointer(&s.flat[min(lo+16, hi-1)]))
 }
 
 // Len implements Neighborhoods.

@@ -127,17 +127,19 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 	// next insert the same one.
 	t := h.s.Begin(h.s.Row(id))
 	defer t.End(nil)
-	ep := h.entry
+	// The entry is scored once: each layer starts from the scored
+	// node(s) the layer above ended on.
+	ep := t.Score([]int32{h.entry})[0]
 	// Greedy descent through layers above the node's top layer.
 	for l := h.maxLv; l > lv; l-- {
-		ep, _ = t.GreedyWalk(h.layers[l], ep)
+		ep = t.GreedyWalk(h.layers[l], ep)
 	}
 	// Beam search and connect on each layer from min(lv, maxLv) down.
 	top := lv
 	if top > h.maxLv {
 		top = h.maxLv
 	}
-	entries := []int32{ep}
+	entries := []topk.Result{ep}
 	for l := top; l >= 0; l-- {
 		found, _ := t.BeamSearch(h.layers[l], entries, h.cfg.EfConstruct, h.cfg.EfConstruct, &index.Params{}) // no Ctx: cannot fail
 		m := h.cfg.M
@@ -157,14 +159,9 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 				h.shrink(l, nb, m)
 			}
 		}
-		// Next layer starts from this layer's results.
-		entries = entries[:0]
-		for _, r := range found {
-			entries = append(entries, int32(r.ID))
-		}
-		if len(entries) == 0 {
-			entries = []int32{ep}
-		}
+		// Next layer starts from this layer's results, scored; never
+		// empty, since the entries were candidates too.
+		entries = found
 	}
 	if lv > h.maxLv {
 		h.maxLv = lv
@@ -217,8 +214,9 @@ func (h *HNSW) QuantizedScan() bool { return h.s.Quant != nil }
 // keeps hot (codes when quantized, float32 rows otherwise).
 func (h *HNSW) ScoringBytes() int { return h.s.ScoringBytes(h.n) }
 
-// AvgBaseDegree reports mean degree of the bottom layer.
-func (h *HNSW) AvgBaseDegree() float64 { return graph.AvgDegree(h.frozen[0]) }
+// BaseLayer returns the bottom layer's adjacency, the graph the beam
+// search of every query runs on.
+func (h *HNSW) BaseLayer() graph.Neighborhoods { return h.frozen[0] }
 
 // MemoryBytes implements index.MemoryFootprint: the slab-packed layer
 // adjacency plus per-node levels, and the quantized code block.
@@ -283,14 +281,14 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 	// The descent and the base-layer search share one scratch, so the
 	// per-query stats and the cumulative count see the same comparisons.
 	t := h.s.Begin(q)
-	ep := h.entry
+	ep := t.Score([]int32{h.entry})[0]
 	for l := h.maxLv; l >= 1; l-- {
-		ep, _ = t.GreedyWalk(h.frozen[l], ep)
+		ep = t.GreedyWalk(h.frozen[l], ep)
 		if p.Stats != nil {
 			p.Stats.GreedyHops++
 		}
 	}
-	res, err := t.BeamSearch(h.frozen[0], []int32{ep}, kk, ef, &p)
+	res, err := t.BeamSearch(h.frozen[0], []topk.Result{ep}, kk, ef, &p)
 	t.End(p.Stats)
 	if err != nil {
 		return nil, err

@@ -66,7 +66,7 @@ func TestHierarchyExists(t *testing.T) {
 	}
 	// Degree cap: base layer average degree bounded by 2M (plus slack
 	// for re-pruning under-full nodes).
-	if d := h.AvgBaseDegree(); d > float64(2*8)+1 {
+	if d := graph.AvgDegree(h.BaseLayer()); d > float64(2*8)+1 {
 		t.Fatalf("base degree %v exceeds 2M", d)
 	}
 }

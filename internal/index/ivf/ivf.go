@@ -375,9 +375,11 @@ type listBuf struct {
 
 var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
 
-// scanListsBlocked gathers admitted member ids across the lists and
-// scores them in blocks through b. Only admitted rows are scored (and
-// counted), exactly like the per-row path.
+// scanListsBlocked scores the admitted members of the lists in blocks
+// through b. Without a predicate every member is admitted, so each list
+// goes to the kernel as it is stored, block by block; under one, the
+// admitted ids are gathered across lists into a block first. Only
+// admitted rows are scored (and counted), exactly like the per-row path.
 func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p *index.Params) int64 {
 	buf := listBufs.Get().(*listBuf)
 	defer listBufs.Put(buf)
@@ -386,13 +388,25 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 	}
 	ids, dist := buf.ids[:0], buf.dist[:listScanBlock]
 	comps := int64(0)
-	flush := func() {
-		b.ScoreIDs(ids, dist)
+	score := func(ids []int32) {
+		b.ScoreIDs(ids, dist[:len(ids)])
 		c.PushIDs(ids, dist)
 		comps += int64(len(ids))
-		ids = ids[:0]
 	}
 	done := p.Done()
+	if !p.Constrained() {
+		for _, list := range lists {
+			if index.Stopped(done) {
+				return comps
+			}
+			for members := iv.lists[list]; len(members) > 0; {
+				n := min(len(members), listScanBlock)
+				score(members[:n])
+				members = members[n:]
+			}
+		}
+		return comps
+	}
 	for _, list := range lists {
 		if index.Stopped(done) {
 			return comps
@@ -403,11 +417,12 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 			}
 			ids = append(ids, id)
 			if len(ids) == listScanBlock {
-				flush()
+				score(ids)
+				ids = ids[:0]
 			}
 		}
 	}
-	flush()
+	score(ids)
 	return comps
 }
 

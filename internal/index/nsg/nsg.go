@@ -244,12 +244,12 @@ func (g *Graph) buildFANNG() {
 			continue
 		}
 		t := g.s.Begin(g.s.Row(tgt))
-		stall, stallD := t.GreedyWalk(g.adj, src)
+		stall := t.GreedyWalk(g.adj, t.Score([]int32{src})[0])
 		t.End(nil)
-		if stallD == 0 || stall == tgt {
+		if stall.Dist == 0 || int32(stall.ID) == tgt {
 			continue // reached the target (distance 0 at tgt itself)
 		}
-		g.addReverse(stall, tgt, 1.0)
+		g.addReverse(int32(stall.ID), tgt, 1.0)
 	}
 }
 

@@ -2,6 +2,16 @@
 
 package vec
 
+import "unsafe"
+
+// Prefetch asks the core to start loading the cache line holding p into
+// every cache level (PREFETCHT0) and returns at once. It is a hint: it
+// never faults and changes no result; a caller uses it to overlap a
+// load it will make soon with work it does first.
+//
+//go:noescape
+func Prefetch(p unsafe.Pointer)
+
 // useAVX is decided once at start-up; nothing else selects a kernel.
 var useAVX = hasAVX()
 

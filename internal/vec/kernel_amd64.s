@@ -238,6 +238,12 @@ done:
 	VZEROUPPER
 	RET
 
+// func Prefetch(p unsafe.Pointer)
+TEXT ·Prefetch(SB), NOSPLIT, $0-8
+	MOVQ       p+0(FP), AX
+	PREFETCHT0 (AX)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -2,6 +2,12 @@
 
 package vec
 
+import "unsafe"
+
+// Prefetch is a hint with nothing behind it on this tier: see the amd64
+// version.
+func Prefetch(unsafe.Pointer) {}
+
 // l2Rows scores the len(out) contiguous rows of len(q) floats in rows:
 // out[i] = SquaredL2(q, row i).
 func l2Rows(q, rows, out []float32) { l2RowsGeneric(q, rows, out) }

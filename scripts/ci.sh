@@ -22,7 +22,7 @@ go vet ./...
 go build ./...
 # Cross-build: the kernel files are split by build tag (amd64 && !purego
 # / the complement); every platform must end up with exactly one
-# implementation of l2Rows/dotRows and l2Gather/dotGather.
+# implementation of l2Rows/dotRows, l2Gather/dotGather and Prefetch.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 # Every suite step carries an explicit per-package -timeout: the race
@@ -77,13 +77,17 @@ go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDri
 go test -race -count=1 -timeout 3m ./internal/filter/
 go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
 go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
-# Graph traversal gates. BeamSearch against the map-based reference it
-# replaced (hits and per-query counts, every predicate shape), the
+# Graph traversal gates. The candidate pool against the map-based
+# oracle (hits and per-query counts, every predicate shape) on tie-heavy
+# grid graphs and, in TestBeamSearchFloatSweep, on the benchmark's
+# 20 000-row HNSW at ef 16/64/256 with and without an allowlist; the
 # pooled scratch shared by eight goroutines over graphs of two sizes
 # with a panicking filter thrown in, 100 000 searches on one scratch;
 # then the families on top of it: graphs built edge for edge as the
-# reference built them, and per-query comps summing to DistanceComps().
-# The scratch pool is the only state searches share, so -race.
+# pre-PR 16 traversal built them (TestBuildIdentity), and per-query
+# comps summing to DistanceComps(). The first line runs the whole graph
+# package, the sweep included. The scratch pool is the only state
+# searches share, so -race.
 go test -race -count=1 -timeout 5m ./internal/index/graph/
 go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/
 # Request path gates. Search, batch and insert bodies are decoded by a
