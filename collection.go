@@ -218,11 +218,11 @@ type SearchRequest struct {
 	K int
 	// Filters are conjunctive attribute predicates (hybrid query).
 	Filters []Filter
-	// Policy selects the plan: "" or "cost" (cost-based optimizer),
-	// "rule" (selectivity heuristic), a system profile ("vearch",
-	// "weaviate", "qdrant", "analyticdb-v", "milvus", "euclid"), or
-	// "plan:<brute_force|pre_filter|post_filter|single_stage>" to
-	// force one.
+	// Policy is "" to let the cost-based optimizer choose the plan
+	// (with the collection's measured probe cost and cost ratios once
+	// it has served enough queries, static defaults before), or
+	// "plan:<brute_force|pre_filter|post_filter|single_stage>" to force
+	// one. Any other value is an error.
 	Policy string
 	// Ef is the index beam/leaf budget (0 = index default).
 	Ef int

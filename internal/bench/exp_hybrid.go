@@ -11,6 +11,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/planner"
+	"vdbms/internal/stats"
 	"vdbms/internal/topk"
 )
 
@@ -156,11 +157,15 @@ func runE8(w io.Writer, scale int) {
 // envTable exposes the attribute table of the hybrid env.
 func envTable(e *executor.Env) *filter.Table { return e.Attrs }
 
-// E12b — plan selection quality: the cost-based optimizer's plan vs
-// the per-selectivity oracle (the fastest plan measured), reported as
-// latency regret (Section 2.3, cost-based selection; open problem 3).
+// E12b — plan selection quality: the optimizer's pick, cold (no
+// statistics: static inputs) and warm (after a mixed 1/10/50 % warm-up:
+// the HNSW's measured probe cost and the calibrated cost ratios),
+// against the per-selectivity oracle (the fastest plan measured),
+// reported as latency regret (Section 2.3, cost-based selection; open
+// problem 3). The last column says whether pre_filter is the oracle —
+// the regime, if any, where that operator earns its place.
 func init() {
-	register("E12b", "cost-based plan selection tracks the measured-best plan", runE12b)
+	register("E12b", "cost-based plan selection on measured inputs tracks the measured-best plan", runE12b)
 }
 
 func runE12b(w io.Writer, scale int) {
@@ -172,54 +177,92 @@ func runE12b(w io.Writer, scale int) {
 	}
 	qs := ds.Queries(15, 0.05, 4)
 	k := 10
-	plans := []planner.Plan{
-		{Kind: planner.BruteForce},
-		{Kind: planner.PreFilter},
-		{Kind: planner.PostFilter, Alpha: 8},
-		{Kind: planner.SingleStage},
+	opts := executor.Options{Ef: 100}
+	sels := []int64{2, 20, 100, 500, 900}
+	type row struct {
+		oracle     string
+		lat        map[string]time.Duration
+		cold, warm planner.Plan
 	}
-	t := NewTable(fmt.Sprintf("E12b plan-picker regret (n=%d)", n),
-		"selectivity", "oracle.plan", "oracle.lat", "cost.plan", "cost.lat", "rule.plan", "rule.lat")
-	for _, selPermille := range []int64{2, 20, 100, 500, 900} {
+	rows := make([]row, len(sels))
+	// Cold: the fresh Env has served nothing, so it plans on static
+	// inputs. Everything it runs from here on is measured.
+	for i, selPermille := range sels {
+		rows[i].cold, _ = env.Plan(k, predLT(selPermille), "", nil)
+	}
+	for i, selPermille := range sels {
 		preds := predLT(selPermille)
-		sel := float64(selPermille) / 1000
-		lat := map[string]time.Duration{}
-		var bestPlan string
-		var bestLat time.Duration
-		for _, plan := range plans {
+		r := &rows[i]
+		r.lat = map[string]time.Duration{}
+		var eligible []planner.Plan
+		for _, plan := range planner.Enumerate(true, 4) {
 			// A (c,k)-search must return k results when they exist, so
 			// the oracle disqualifies plans that starve: a plan that is
 			// "fast" because it found almost nothing is not a winner.
 			var returned int
-			mean := Timed(1, func() {
-				for _, q := range qs {
-					res, _ := env.Execute(plan, q, k, preds, executor.Options{Ef: 100})
-					returned += len(res)
+			for _, q := range qs {
+				res, _ := env.Execute(plan, q, k, preds, opts)
+				returned += len(res)
+			}
+			if float64(returned) >= 0.9*float64(k*len(qs)) {
+				eligible = append(eligible, plan)
+			}
+		}
+		// Whichever plan is timed first reads slow: pre_filter over few
+		// survivors runs brute_force's code, yet timed once each in a
+		// fixed order the second of the two won by 1-2 us. Plans are
+		// timed in three interleaved rounds and keep their best.
+		for round := 0; round < 3; round++ {
+			for _, plan := range eligible {
+				name := plan.Kind.String()
+				if d := measurePlan(env, qs, k, preds, plan); round == 0 || d < r.lat[name] {
+					r.lat[name] = d
 				}
-			}) / time.Duration(len(qs))
-			if float64(returned) < 0.9*float64(k*len(qs)) {
-				continue
-			}
-			lat[plan.Kind.String()] = mean
-			if bestPlan == "" || mean < bestLat {
-				bestPlan, bestLat = plan.Kind.String(), mean
 			}
 		}
-		penv := planner.Env{N: n, K: k, Selectivity: sel, HasIndex: true, Alpha: 8, IndexComps: 800}
-		costPlan := planner.CostBased(penv)
-		rulePlan := planner.RuleBased(penv)
-		costLat, ok := lat[costPlan.Kind.String()]
-		if !ok {
-			costLat = measurePlan(env, qs, k, preds, costPlan)
+		for _, plan := range eligible {
+			if name := plan.Kind.String(); r.oracle == "" || r.lat[name] < r.lat[r.oracle] {
+				r.oracle = name
+			}
 		}
-		ruleLat, ok := lat[rulePlan.Kind.String()]
-		if !ok {
-			ruleLat = measurePlan(env, qs, k, preds, rulePlan)
+	}
+
+	// Warm-up: the filtered_search mix, planned by the optimizer itself,
+	// on a fresh tracker — the oracle's forced plans above are not the
+	// workload.
+	env.Stats = stats.New("e12b")
+	for i, q := range ds.Queries(90, 0.05, 5) {
+		env.Search(q, k, predLT([]int64{10, 100, 500}[i%3]), opts, "") //nolint:errcheck
+	}
+	for i, selPermille := range sels {
+		rows[i].warm, _ = env.Plan(k, predLT(selPermille), "", nil)
+	}
+	comps, probes := env.Stats.MeanProbeComps()
+	cal := env.Stats.Calibration()
+
+	t := NewTable(fmt.Sprintf("E12b plan-picker regret (n=%d, ef=%d)", n, opts.Ef),
+		"selectivity", "oracle.plan", "oracle.lat", "cold.plan", "cold.lat", "warm.plan", "warm.lat", "pre_filter.path", "pre_filter.is.oracle")
+	for i, r := range rows {
+		lat := func(p planner.Plan) time.Duration {
+			if d, ok := r.lat[p.Kind.String()]; ok {
+				return d
+			}
+			return measurePlan(env, qs, k, predLT(sels[i]), p) // starved: never the oracle
 		}
-		t.AddRow(sel, bestPlan, bestLat, costPlan.Kind.String(), costLat, rulePlan.Kind.String(), ruleLat)
+		// Below the executor's exact cutoff pre_filter scans its
+		// survivors with the flat index — brute_force's own path.
+		path := "index"
+		if int(sels[i])*n/1000 <= max(16*k, 256) {
+			path = "flat"
+		}
+		t.AddRow(float64(sels[i])/1000, r.oracle, r.lat[r.oracle], r.cold.Kind.String(), lat(r.cold),
+			r.warm.Kind.String(), lat(r.warm), path, r.oracle == planner.PreFilter.String())
 	}
 	t.Print(w)
-	fmt.Fprintln(w, "expected shape: cost/rule picks match or stay within a small factor of the oracle at the extremes")
+	fmt.Fprintf(w, "inputs: index_comps cold %.0f (16*ceil(sqrt(n))), warm %.0f measured over %d probes; attr_cost_ratio cold %.3f, warm %.3f\n",
+		planner.Env{N: n}.Normalized().IndexComps, comps, probes,
+		planner.Env{}.Normalized().AttrCostRatio, cal.NsPerAttrEval/cal.NsPerComp)
+	fmt.Fprintln(w, "expected shape: warm picks match the oracle or stay within a small factor of it; where pre_filter runs the flat path it is brute_force's code, so either may time faster")
 	attrCostTable(w, env, n, ds.Dim)
 }
 
@@ -277,8 +320,10 @@ func perRow(n int, fn func()) float64 {
 	return float64(best.Nanoseconds()) / float64(n)
 }
 
+// measurePlan is the mean latency of plan over qs, each query run 20
+// times.
 func measurePlan(env *executor.Env, qs [][]float32, k int, preds []filter.Predicate, plan planner.Plan) time.Duration {
-	return Timed(1, func() {
+	return Timed(20, func() {
 		for _, q := range qs {
 			env.Execute(plan, q, k, preds, executor.Options{Ef: 100}) //nolint:errcheck
 		}

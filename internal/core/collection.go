@@ -783,8 +783,9 @@ type Request struct {
 	Vectors [][]float32 // multi-vector query (with EntityColumn)
 	K       int
 	Preds   []filter.Predicate
-	// Policy selects plan choice: "cost" (default), "rule", a
-	// planner profile name, or "plan:<kind>" to force a plan.
+	// Policy is "" to let the cost-based optimizer choose the plan, or
+	// "plan:<brute_force|pre_filter|post_filter|single_stage>" to force
+	// one (planner.ParsePolicy); any other value is an error.
 	Policy string
 	Ef     int
 	NProbe int
@@ -953,6 +954,10 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 	env := s.env
 	ef, nprobe, source := c.resolveKnobs(req, s)
 	dec := Decision{Ef: ef, NProbe: nprobe, ParamSource: source}
+	plan, forced, err := planner.ParsePolicy(req.Policy, req.Alpha)
+	if err != nil {
+		return nil, dec, err
+	}
 	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root, Ctx: req.Ctx}
 
 	if len(req.Vectors) > 0 {
@@ -971,15 +976,11 @@ func (c *Collection) search(req Request) ([]Result, Decision, error) {
 	}
 
 	var res []Result
-	var err error
-	if len(req.Policy) > 5 && req.Policy[:5] == "plan:" {
-		dec.Plan, err = parsePlan(req.Policy[5:], req.Alpha)
-		if err != nil {
-			return nil, dec, err
-		}
-		res, err = env.Execute(dec.Plan, req.Vector, req.K, req.Preds, opts)
+	if forced {
+		dec.Plan = plan
+		res, err = env.Execute(plan, req.Vector, req.K, req.Preds, opts)
 	} else {
-		res, dec.Plan, err = env.Search(req.Vector, req.K, req.Preds, opts, req.Policy)
+		res, dec.Plan, err = env.Search(req.Vector, req.K, req.Preds, opts, "")
 	}
 	if err != nil {
 		return nil, dec, err
@@ -1003,23 +1004,6 @@ func (c *Collection) tagDecision(root *obs.Span, dec Decision) {
 	if dec.NProbe > 0 {
 		root.Annotate("nprobe", int64(dec.NProbe))
 	}
-}
-
-func parsePlan(name string, alpha int) (planner.Plan, error) {
-	if alpha <= 0 {
-		alpha = 4
-	}
-	switch name {
-	case "brute_force":
-		return planner.Plan{Kind: planner.BruteForce}, nil
-	case "pre_filter":
-		return planner.Plan{Kind: planner.PreFilter}, nil
-	case "post_filter":
-		return planner.Plan{Kind: planner.PostFilter, Alpha: alpha}, nil
-	case "single_stage":
-		return planner.Plan{Kind: planner.SingleStage}, nil
-	}
-	return planner.Plan{}, fmt.Errorf("core: unknown plan %q", name)
 }
 
 // entityEntry is one cached row→entity grouping.
@@ -1108,12 +1092,9 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 	defer c.touchAccount()
 	s := c.snap.Load()
 	env := s.env
-	var plan planner.Plan
-	var err error
-	if len(req.Policy) > 5 && req.Policy[:5] == "plan:" {
-		plan, err = parsePlan(req.Policy[5:], req.Alpha)
-	} else {
-		plan, err = env.Plan(req.K, req.Preds, req.Policy, nil)
+	plan, forced, err := planner.ParsePolicy(req.Policy, req.Alpha)
+	if err == nil && !forced {
+		plan, err = env.Plan(req.K, req.Preds, "", nil)
 	}
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"vdbms/internal/dataset"
@@ -112,7 +113,7 @@ func TestSearchPlansAndPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := []filter.Predicate{{Column: "g", Op: filter.Lt, Value: filter.IntV(5)}}
-	for _, policy := range []string{"", "rule", "plan:pre_filter", "plan:post_filter", "plan:single_stage", "plan:brute_force"} {
+	for _, policy := range []string{"", "plan:pre_filter", "plan:post_filter", "plan:single_stage", "plan:brute_force"} {
 		res, plan, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: policy, Ef: 100})
 		if err != nil {
 			t.Fatalf("%q: %v", policy, err)
@@ -126,11 +127,16 @@ func TestSearchPlansAndPolicy(t *testing.T) {
 			}
 		}
 	}
-	if _, err := parsePlan("zz", 0); err == nil {
-		t.Fatal("want plan parse error")
+	if _, dec, _ := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: "plan:post_filter"}); dec.Plan.Alpha != 4 {
+		t.Fatalf("forced post_filter alpha = %d, want 4", dec.Plan.Alpha)
 	}
-	if p, _ := parsePlan("post_filter", 0); p.Alpha != 4 {
-		t.Fatal("default alpha wrong")
+	for _, policy := range []string{"zz", "plan:zz", "cost", "rule", "adaptive", "vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant"} {
+		if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
+			t.Fatalf("Search policy %q: err = %v, want planner.ErrPolicy", policy, err)
+		}
+		if _, err := c.SearchBatch([][]float32{ds.Row(0)}, Request{K: 5, Preds: preds, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
+			t.Fatalf("SearchBatch policy %q: err = %v, want planner.ErrPolicy", policy, err)
+		}
 	}
 }
 

@@ -275,7 +275,7 @@ func TestPredicateReadPathRace(t *testing.T) {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
-			policies := []string{"cost", "plan:brute_force", "plan:pre_filter", "plan:single_stage", "plan:post_filter"}
+			policies := []string{"", "plan:brute_force", "plan:pre_filter", "plan:single_stage", "plan:post_filter"}
 			for i := 0; i < 20 || !writerDone.Load(); i++ {
 				q := ds.Row((i*7 + r) % preload)
 				nd := delDone.Load()

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vdbms/internal/bitset"
@@ -40,7 +41,8 @@ var (
 // Env is immutable once constructed and safe for any number of
 // concurrent queries: core builds one per published epoch and every
 // search that loads that epoch shares it, so nothing here may be
-// mutated after NewEnv/NewEnvScorer returns.
+// mutated after NewEnv/NewEnvScorer returns (the own statistics tracker
+// of an Env without Stats is installed once, atomically).
 type Env struct {
 	Data  []float32 // row-major vectors
 	N     int
@@ -49,12 +51,15 @@ type Env struct {
 	ANN   index.Index      // optional ANN index
 	Flat  *index.Flat      // exact scan fallback (required)
 	Attrs *filter.Table    // optional attribute table
-	// Stats, when non-nil, receives query observations (probe cost,
-	// sampled predicate selectivities) for the owning collection's
-	// online statistics. The owner sets it before publishing the Env;
-	// the stats.Collection itself is concurrency-safe and shared
-	// across epochs. Nil costs one pointer check per site.
+	// Stats is the owning collection's online statistics: it receives
+	// the Env's query observations (probe cost, scan timings, measured
+	// selectivities) and backs the optimizer's measured inputs. The
+	// owner sets it before publishing the Env; the stats.Collection is
+	// concurrency-safe and shared across epochs. Left nil, the Env keeps
+	// a tracker of its own, made on first use, so a standalone Env plans
+	// from the queries it has served exactly as a collection does.
 	Stats *stats.Collection
+	own   atomic.Pointer[stats.Collection]
 	// Advise, when non-nil, receives the access pattern the chosen plan
 	// is about to drive over Data — AdviseSequential for exhaustive
 	// scans (brute force, pre-filter allowlists, range scans),
@@ -74,6 +79,19 @@ const (
 	// AdviseRandom marks point lookups driven by an index traversal.
 	AdviseRandom
 )
+
+// tracker is where the Env's observations go and its measured inputs
+// come from: the owner's Stats, or else the Env's own tracker.
+func (e *Env) tracker() *stats.Collection {
+	if e.Stats != nil {
+		return e.Stats
+	}
+	if t := e.own.Load(); t != nil {
+		return t
+	}
+	e.own.CompareAndSwap(nil, stats.New(""))
+	return e.own.Load()
+}
 
 // advise forwards the plan's access pattern to the owner's hook.
 func (e *Env) advise(p AccessPattern) {
@@ -252,21 +270,19 @@ func (e *Env) filterStage(preds []filter.Predicate, cp *filter.Compiled, opts Op
 	if stopped {
 		return nil, 0, params.Err()
 	}
-	if e.Stats != nil {
-		e.Stats.RecordAttrCost(elapsed.Nanoseconds(), int64(e.N))
-		e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
-	}
+	e.tracker().RecordAttrCost(elapsed.Nanoseconds(), int64(e.N))
+	e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
 	return bm, survivors, nil
 }
 
 // minSelEvals is the minimum per-row predicate evaluations before a
 // traversal's measured pass rate is recorded into the selectivity
 // histograms — below it one scan is too small a sample to be a
-// useful prior. It is deliberately low enough that a typical
+// useful observation. It is deliberately low enough that a typical
 // post-filter over-fetch (alpha*k) still records: per-scan noise
-// averages out across the many observations the adaptive planner
-// requires before trusting the prior. Exact measurements (bitmap
-// cardinalities of exhaustive plans) are recorded regardless.
+// averages out across the histogram's many observations. Exact
+// measurements (bitmap cardinalities of exhaustive plans) are
+// recorded regardless.
 const minSelEvals = 16
 
 // selCount tallies the predicate evaluations of one serial traversal so
@@ -303,12 +319,13 @@ func filtersSerially(idx index.Index, params index.Params) bool {
 // recordMeasuredSel feeds one measured selectivity observation
 // (admitted survivors / rows examined) into the per-column histograms.
 func (e *Env) recordMeasuredSel(preds []filter.Predicate, admitted, evaluated int64) {
-	if e.Stats == nil || evaluated <= 0 {
+	if evaluated <= 0 {
 		return
 	}
 	sel := float64(admitted) / float64(evaluated)
+	st := e.tracker()
 	for _, p := range preds {
-		e.Stats.RecordSelectivity(p.Column, sel)
+		st.RecordSelectivity(p.Column, sel)
 	}
 }
 
@@ -381,20 +398,21 @@ func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, sp
 	stageProbe.Observe(elapsed.Seconds())
 	sp.End()
 	name := idx.Name()
-	if e.Stats != nil && err == nil {
+	if err == nil {
+		tr := e.tracker()
 		if idx == e.ANN {
-			// Observed probe cost feeds the adaptive cost model; exact
-			// scans are excluded — their cost is already exactly N.
-			e.Stats.RecordProbe(st.DistanceComps)
+			// Observed probe cost feeds the cost model; exact scans
+			// are excluded — their cost is already exactly N.
+			tr.RecordProbe(st.DistanceComps)
 			quant := false
 			if qi, ok := idx.(index.Quantized); ok && qi.QuantizedScan() {
 				quant = true
 			}
-			e.Stats.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, quant)
+			tr.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, quant)
 		} else {
 			// Flat probes are the full-precision ns-per-comp baseline
 			// the calibrated cost ratios are measured against.
-			e.Stats.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, false)
+			tr.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, false)
 		}
 	}
 	sp.Tag("index", name)
@@ -474,24 +492,19 @@ func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter
 
 // postFilter over-fetches alpha*k unfiltered candidates and applies
 // the predicate afterwards (plan C). It may return fewer than k
-// results — the documented trade-off of this plan.
+// results — the documented trade-off of this plan. With no predicate
+// there is nothing to over-fetch for: it asks the index for k, so the
+// probe runs at the ef the query resolved rather than max(ef, alpha*k).
 func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, alpha int, opts Options) ([]topk.Result, error) {
+	if cp == nil {
+		return e.indexOrFlat(q, k, opts)
+	}
 	if alpha <= 0 {
 		alpha = 4
 	}
-	fetch := alpha * k
-	if fetch > e.N {
-		fetch = e.N
-	}
-	cands, err := e.indexOrFlat(q, fetch, opts)
+	cands, err := e.indexOrFlat(q, min(alpha*k, e.N), opts)
 	if err != nil {
 		return nil, err
-	}
-	if cp == nil {
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		return cands, nil
 	}
 	psp := opts.Span.Start("post_filter")
 	pstart := time.Now()
@@ -535,7 +548,7 @@ func (e *Env) singleStage(q []float32, k int, preds []filter.Predicate, cp *filt
 	}
 	params := opts.params()
 	var sc *selCount
-	if cp != nil && e.Stats != nil && e.Stats.Enabled() && filtersSerially(e.ANN, params) {
+	if cp != nil && e.tracker().Enabled() && filtersSerially(e.ANN, params) {
 		sc = &selCount{}
 		params.Filter = sc.wrap(cp, opts.Deleted)
 	} else {
@@ -559,21 +572,21 @@ func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, erro
 	return e.probe(e.ANN, q, k, params, opts.Span)
 }
 
-// Plan chooses an execution plan for a (k, preds) query shape under
-// the given selection policy ("", "cost", "rule", "adaptive", or a
-// planner.Profile name) without executing anything. Search composes
-// Plan and Execute; batch callers plan once here and reuse the plan
-// for every query in the batch. span, when non-nil, receives the
+// Plan chooses an execution plan for a (k, preds) query shape without
+// executing anything. policy must be "": the optimizer is the only
+// policy here, and any other value is a planner.ErrPolicy — a caller
+// forcing a plan (planner.ParsePolicy) runs it with Execute. Search
+// composes Plan and Execute; batch callers plan once here and reuse the
+// plan for every query in the batch. span, when non-nil, receives the
 // "plan" stage span.
 //
-// The "adaptive" policy is cost-based selection over an environment
-// refined with the collection's online statistics (observed ANN probe
-// cost, per-column selectivity priors — planner.AdaptiveEnv); with no
-// Stats attached it degrades to plain cost-based selection. The
-// sampled estimate computed here is used for plan choice only; the
+// The optimizer is planner.CostBased over the query's sampled
+// selectivity and, once the Env's statistics (Stats, or its own
+// tracker) back them, the measured probe cost and cost ratios
+// (planner.AdaptiveEnv); while they are cold it plans with the static
+// defaults. The sampled estimate is used for plan choice only; the
 // selectivity histograms are fed measured survivor fractions by the
-// execution paths (bitmap cardinalities, per-row filter pass rates),
-// so the prior stays independent of the estimator it corrects.
+// execution paths (bitmap cardinalities, per-row filter pass rates).
 func (e *Env) Plan(k int, preds []filter.Predicate, policy string, span *obs.Span) (planner.Plan, error) {
 	var cp *filter.Compiled
 	if len(preds) > 0 && e.Attrs != nil {
@@ -582,12 +595,18 @@ func (e *Env) Plan(k int, preds []filter.Predicate, policy string, span *obs.Spa
 			return planner.Plan{}, err
 		}
 	}
-	return e.plan(k, preds, cp, policy, span)
+	return e.plan(k, cp, policy, span)
 }
 
 // plan selects the plan for a query whose predicates are already
-// compiled (cp nil plans as unfiltered).
-func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy string, span *obs.Span) (planner.Plan, error) {
+// compiled (cp nil plans as unfiltered). When traced, the "plan" span
+// carries the optimizer's inputs — index_comps and attr_cost_ppm, each
+// tagged "measured" or "default" — so a plan that depends on served
+// history can be explained from the trace.
+func (e *Env) plan(k int, cp *filter.Compiled, policy string, span *obs.Span) (planner.Plan, error) {
+	if policy != "" {
+		return planner.Plan{}, fmt.Errorf("%w %q: the executor plans with the optimizer only; run a forced plan with Execute", planner.ErrPolicy, policy)
+	}
 	psp := span.Start("plan")
 	start := time.Now()
 	env := planner.Env{
@@ -596,8 +615,8 @@ func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy 
 	if qi, ok := e.ANN.(index.Quantized); ok && qi.QuantizedScan() {
 		// Mark the index as quantized without a static discount: the
 		// sq8 LUT scan is no cheaper per comparison than the float32
-		// kernel (planner.Env.QuantRatio). Only the adaptive policy's
-		// measured ratio, when below 1, discounts the probe.
+		// kernel (planner.Env.QuantRatio). Only a measured ratio below
+		// 1 discounts the probe.
 		env.QuantRatio = 1
 	}
 	if cp != nil {
@@ -605,21 +624,14 @@ func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy 
 		env.Selectivity = sel
 		psp.Annotate("selectivity_ppm", int64(sel*1e6))
 	}
-	var plan planner.Plan
-	switch policy {
-	case "", "cost":
-		plan = planner.CostBased(env)
-	case "rule":
-		plan = planner.RuleBased(env)
-	case "adaptive":
-		plan = planner.CostBased(planner.AdaptiveEnv(env, e.observed(preds)))
-	default:
-		p, err := planner.Profile(policy).Select(env)
-		if err != nil {
-			psp.End()
-			return planner.Plan{}, err
-		}
-		plan = p
+	env = planner.AdaptiveEnv(env, e.observed())
+	plan := planner.CostBased(env)
+	if psp != nil {
+		in := env.Normalized()
+		psp.Annotate("index_comps", int64(in.IndexComps))
+		psp.Tag("index_comps_source", inputSource(env.IndexComps))
+		psp.Annotate("attr_cost_ppm", int64(in.AttrCostRatio*1e6))
+		psp.Tag("attr_cost_source", inputSource(env.AttrCostRatio))
 	}
 	psp.Tag("plan", plan.Kind.String())
 	stagePlan.Observe(time.Since(start).Seconds())
@@ -627,56 +639,46 @@ func (e *Env) plan(k int, preds []filter.Predicate, cp *filter.Compiled, policy 
 	return plan, nil
 }
 
-// observed assembles the planner's measured statistics from the
-// collection's stats tracker (zero-valued when none is attached —
-// AdaptiveEnv then changes nothing).
-func (e *Env) observed(preds []filter.Predicate) planner.Observed {
-	if e.Stats == nil {
-		return planner.Observed{}
+// inputSource names where an optimizer input came from: AdaptiveEnv
+// sets only the inputs it measured, the rest plan at their defaults.
+func inputSource(v float64) string {
+	if v > 0 {
+		return "measured"
 	}
+	return "default"
+}
+
+// observed assembles the planner's measured statistics from the Env's
+// tracker (zero-valued before any query has run — AdaptiveEnv then
+// changes nothing).
+func (e *Env) observed() planner.Observed {
+	st := e.tracker()
 	var o planner.Observed
-	o.MeanProbeComps, o.ProbeCount = e.Stats.MeanProbeComps()
-	if len(preds) > 0 {
-		cols := make([]string, len(preds))
-		for i, p := range preds {
-			cols[i] = p.Column
-		}
-		if mean, n, ok := e.Stats.SelectivityPrior(cols); ok {
-			o.MeanSelectivity, o.SelObservations = mean, n
-		}
-	}
+	o.MeanProbeComps, o.ProbeCount = st.MeanProbeComps()
 	// Timing calibration: ratios are only meaningful against a measured
 	// full-precision baseline, and trust is gated by the smaller of the
 	// two scan counts behind each ratio.
-	if cal := e.Stats.Calibration(); cal.NsPerComp > 0 {
+	if cal := st.Calibration(); cal.NsPerComp > 0 {
 		if cal.NsPerAttrEval > 0 {
 			o.AttrCostRatio = cal.NsPerAttrEval / cal.NsPerComp
-			o.AttrObservations = min64(cal.CompScans, cal.AttrScans)
+			o.AttrObservations = min(cal.CompScans, cal.AttrScans)
 		}
 		if cal.NsPerQuantComp > 0 {
 			o.QuantRatio = cal.NsPerQuantComp / cal.NsPerComp
-			o.QuantObservations = min64(cal.CompScans, cal.QuantScans)
+			o.QuantObservations = min(cal.CompScans, cal.QuantScans)
 		}
 	}
 	return o
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Search plans and executes in one step using the given selection
-// policy ("rule", "cost", or a planner.Profile name).
+// Search plans (Plan: policy must be "") and executes in one step.
 func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options, policy string) ([]topk.Result, planner.Plan, error) {
 	// One compile serves planning (the selectivity sample) and execution.
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, planner.Plan{}, err
 	}
-	plan, err := e.plan(k, preds, cp, policy, opts.Span)
+	plan, err := e.plan(k, cp, policy, opts.Span)
 	if err != nil {
 		return nil, planner.Plan{}, err
 	}

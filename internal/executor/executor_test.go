@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/index/hnsw"
+	"vdbms/internal/obs"
 	"vdbms/internal/planner"
+	"vdbms/internal/stats"
 	"vdbms/internal/vec"
 )
 
@@ -159,17 +162,113 @@ func TestExecuteValidation(t *testing.T) {
 func TestSearchPolicies(t *testing.T) {
 	env, ds := buildEnv(t, 1500)
 	q := ds.Queries(1, 0.05, 6)[0]
-	for _, policy := range []string{"", "cost", "rule", "vearch", "weaviate", "qdrant", "analyticdb-v"} {
-		res, plan, err := env.Search(q, 5, catLt(50), Options{Ef: 100}, policy)
-		if err != nil {
-			t.Fatalf("policy %q: %v", policy, err)
+	if res, plan, err := env.Search(q, 5, catLt(50), Options{Ef: 100}, ""); err != nil || len(res) == 0 {
+		t.Fatalf("optimizer (plan %v): %d hits, err %v", plan.Kind, len(res), err)
+	}
+	// A forced plan is parsed by the caller and run with Execute; the
+	// executor's own planning takes no policy but "".
+	for _, policy := range []string{"plan:brute_force", "plan:pre_filter", "plan:post_filter", "plan:single_stage"} {
+		plan, forced, err := planner.ParsePolicy(policy, 0)
+		if err != nil || !forced || plan.Kind.String() != strings.TrimPrefix(policy, "plan:") {
+			t.Fatalf("ParsePolicy(%q) = %v, %v, %v", policy, plan, forced, err)
 		}
-		if len(res) == 0 {
-			t.Fatalf("policy %q (plan %v) returned nothing", policy, plan.Kind)
+		res, err := env.Execute(plan, q, 5, catLt(50), Options{Ef: 100})
+		if err != nil || len(res) == 0 {
+			t.Fatalf("policy %q: %d hits, err %v", policy, len(res), err)
+		}
+		if _, _, err := env.Search(q, 5, nil, Options{}, policy); !errors.Is(err, planner.ErrPolicy) {
+			t.Fatalf("Search with policy %q: err = %v, want planner.ErrPolicy", policy, err)
 		}
 	}
-	if _, _, err := env.Search(q, 5, nil, Options{}, "bogus"); err == nil {
-		t.Fatal("want unknown-policy error")
+	for _, policy := range []string{"bogus", "cost", "rule", "adaptive", "vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant", "plan:", "plan:bogus"} {
+		if _, _, err := planner.ParsePolicy(policy, 0); !errors.Is(err, planner.ErrPolicy) {
+			t.Fatalf("ParsePolicy(%q): err = %v, want planner.ErrPolicy", policy, err)
+		}
+		if _, _, err := env.Search(q, 5, nil, Options{}, policy); !errors.Is(err, planner.ErrPolicy) {
+			t.Fatalf("Search with policy %q: err = %v, want planner.ErrPolicy", policy, err)
+		}
+	}
+}
+
+// TestStandaloneEnvMeasuresItself: an Env with no Stats attached keeps
+// a tracker of its own, so the queries it serves warm its optimizer
+// exactly as a collection's tracker warms the collection's: the same
+// executions over the same index measure the same probe cost, and the
+// plan span's inputs turn from default to measured.
+func TestStandaloneEnvMeasuresItself(t *testing.T) {
+	standalone, ds := buildEnv(t, 1500)
+	owned, err := NewEnv(ds.Data, ds.Count, ds.Dim, nil, standalone.ANN, standalone.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned.Stats = stats.New("owned")
+	planTags := func() map[string]string {
+		t.Helper()
+		tr := obs.NewTrace("plan")
+		if _, err := standalone.Plan(5, catLt(10), "", tr.Root()); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Finish().Children[0].Tags
+	}
+	if tags := planTags(); tags["index_comps_source"] != "default" || tags["attr_cost_source"] != "default" {
+		t.Fatalf("cold plan inputs: %v", tags)
+	}
+	for _, q := range ds.Queries(20, 0.05, 9) {
+		for _, env := range []*Env{standalone, owned} {
+			for _, kind := range []planner.Kind{planner.SingleStage, planner.BruteForce} {
+				if _, err := env.Execute(planner.Plan{Kind: kind}, q, 5, catLt(10), Options{Ef: 32}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	got, want := standalone.observed(), owned.observed()
+	if got.ProbeCount != want.ProbeCount || got.MeanProbeComps != want.MeanProbeComps || got.AttrObservations != want.AttrObservations {
+		t.Fatalf("standalone measured %+v, owned %+v", got, want)
+	}
+	if tags := planTags(); tags["index_comps_source"] != "measured" || tags["attr_cost_source"] != "measured" {
+		t.Fatalf("warm plan inputs: %v", tags)
+	}
+}
+
+// TestUnfilteredSearchKeepsEf: with no predicate the optimizer's
+// post-filter asks the index for k, not alpha*k, so it probes at the
+// query's own ef — the same comps as forcing single_stage.
+func TestUnfilteredSearchKeepsEf(t *testing.T) {
+	env, ds := buildEnv(t, 2000)
+	qs := ds.Queries(50, 0.05, 8)
+	// comps runs every query under forced (the optimizer when nil) and
+	// returns the mean probe comps and the last plan run.
+	comps := func(forced *planner.Plan) (float64, planner.Kind) {
+		env.Stats = stats.New("ef")
+		var kind planner.Kind
+		for _, q := range qs {
+			var err error
+			if forced != nil {
+				kind = forced.Kind
+				_, err = env.Execute(*forced, q, 10, nil, Options{Ef: 16})
+			} else {
+				var p planner.Plan
+				_, p, err = env.Search(q, 10, nil, Options{Ef: 16}, "")
+				kind = p.Kind
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		mean, n := env.Stats.MeanProbeComps()
+		if n != int64(len(qs)) {
+			t.Fatalf("plan %v: %d probes recorded, want %d", kind, n, len(qs))
+		}
+		return mean, kind
+	}
+	got, kind := comps(nil)
+	want, _ := comps(&planner.Plan{Kind: planner.SingleStage})
+	if kind != planner.PostFilter {
+		t.Fatalf("unfiltered plan = %v, want post_filter", kind)
+	}
+	if got != want {
+		t.Fatalf("unfiltered search at ef=16: %.1f comps/query, plan:single_stage %.1f", got, want)
 	}
 }
 

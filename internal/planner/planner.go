@@ -11,13 +11,21 @@
 //	PlanSingleStage (D) visit-first index traversal with the predicate
 //	                    checked on visited nodes.
 //
-// Selection is rule-based (selectivity thresholds, the Qdrant/Vespa
-// recipe) or cost-based (a linear I/O+CPU model per operator, the
-// Milvus/AnalyticDB-V recipe). Profiles reproduce the predefined-plan
-// behavior of commercial systems surveyed in Section 2.4.
+// There is one selection policy: CostBased, a linear CPU model per
+// operator (the Milvus/AnalyticDB-V recipe), over inputs measured on the
+// served workload once enough observations back them (AdaptiveEnv) and
+// static defaults until then. A request may instead force one plan
+// (ParsePolicy); that is how the predefined-plan systems of Section 2.4
+// (Vearch post-filter, Weaviate pre-filter, Euclid single-stage) are
+// reproduced.
 package planner
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Kind identifies a hybrid query plan.
 type Kind int
@@ -58,6 +66,36 @@ type Plan struct {
 	Alpha int
 }
 
+// ErrPolicy reports a plan policy other than "" or "plan:<kind>".
+var ErrPolicy = errors.New("planner: unknown policy")
+
+// ParsePolicy reads a request's plan policy. "" leaves the plan to the
+// optimizer (forced is false); "plan:<kind>", kind one of brute_force,
+// pre_filter, post_filter and single_stage, forces that plan, alpha
+// being a forced post-filter's over-fetch (≤ 0 means 4). Any other
+// value is an ErrPolicy.
+func ParsePolicy(policy string, alpha int) (p Plan, forced bool, err error) {
+	if policy == "" {
+		return Plan{}, false, nil
+	}
+	if name, ok := strings.CutPrefix(policy, "plan:"); ok {
+		for k := BruteForce; k <= SingleStage; k++ {
+			if name != k.String() {
+				continue
+			}
+			p = Plan{Kind: k}
+			if k == PostFilter {
+				p.Alpha = alpha
+				if p.Alpha <= 0 {
+					p.Alpha = 4
+				}
+			}
+			return p, true, nil
+		}
+	}
+	return Plan{}, false, fmt.Errorf("%w %q: want \"\" or plan:<brute_force|pre_filter|post_filter|single_stage>", ErrPolicy, policy)
+}
+
 // Enumerate returns every plan applicable to the current environment —
 // the "automatic enumeration" mode. Plans requiring an ANN index are
 // omitted when none exists.
@@ -84,7 +122,7 @@ type Env struct {
 	HasIndex    bool
 	// IndexComps estimates full-vector distance computations for one
 	// unfiltered ANN search (e.g. ef * avg degree for graphs, nprobe *
-	// n/nlist for IVF). Zero falls back to a sqrt(N) heuristic.
+	// n/nlist for IVF). Zero falls back to 16*ceil(sqrt(N)).
 	IndexComps float64
 	// AttrCostRatio is the cost of one attribute predicate check
 	// relative to one distance computation; default defaultAttrCostRatio.
@@ -98,20 +136,11 @@ type Env struct {
 	// what the executor sets statically: since the float32 scan runs
 	// on the AVX kernel the sq8 LUT scan costs 2.2x a float32
 	// comparison, not 0.35x (BenchmarkQuantScan; the 4-bit PQ fast
-	// scan is at 0.2x). The "adaptive" policy replaces a non-zero
-	// value with the measured ratio once calibration has observed
-	// enough scans and that ratio is below 1. The exact re-rank stage
-	// is already counted inside IndexComps by the indexes' own
-	// accounting.
+	// scan is at 0.2x). AdaptiveEnv replaces a non-zero value with the
+	// measured ratio once calibration has observed enough scans and
+	// that ratio is below 1. The exact re-rank stage is already counted
+	// inside IndexComps by the indexes' own accounting.
 	QuantRatio float64
-	// ShortfallSelectivity is the pessimistic selectivity the
-	// post-filter shortfall gate judges with. Cost ranking may use a
-	// blended or calibrated Selectivity, but admitting a post-filter
-	// plan is a correctness decision (a (c,k)-search must return k
-	// results when they exist), so the gate must never get more
-	// optimistic than the rawest estimate available. Zero means "use
-	// Selectivity".
-	ShortfallSelectivity float64
 }
 
 // defaultAttrCostRatio is measured by E12b (EXPERIMENTS.md): the
@@ -121,11 +150,14 @@ type Env struct {
 // at d=32, where the ratio is 0.12; on the portable kernel 63 ns and
 // 0.008). The per-id matcher traversals use is ~4x dearer per check,
 // but it only scales the visit term, where a visit already costs a
-// full distance computation. The "adaptive" policy replaces this
-// constant with the ratio it measures online.
+// full distance computation. AdaptiveEnv replaces this constant with
+// the ratio measured online.
 const defaultAttrCostRatio = 0.02
 
-func (e Env) normalized() Env {
+// Normalized returns e with every unset input at its static default
+// and the selectivity clamped to [0,1]: the inputs Cost and CostBased
+// plan with.
+func (e Env) Normalized() Env {
 	if e.Alpha <= 0 {
 		e.Alpha = 4
 	}
@@ -133,57 +165,20 @@ func (e Env) normalized() Env {
 		e.AttrCostRatio = defaultAttrCostRatio
 	}
 	if e.IndexComps <= 0 {
-		c := 1.0
-		for c*c < float64(e.N) {
-			c++
-		}
-		e.IndexComps = 16 * c
+		e.IndexComps = 16 * max(1, math.Ceil(math.Sqrt(float64(e.N))))
 	}
 	if e.QuantRatio > 0 && e.QuantRatio < 1 {
 		e.IndexComps *= e.QuantRatio
 	}
-	if e.Selectivity < 0 {
-		e.Selectivity = 0
-	}
-	if e.Selectivity > 1 {
-		e.Selectivity = 1
-	}
-	if e.ShortfallSelectivity <= 0 || e.ShortfallSelectivity > 1 {
-		e.ShortfallSelectivity = e.Selectivity
-	}
+	e.Selectivity = min(max(e.Selectivity, 0), 1)
 	return e
-}
-
-// RuleBased selects a plan with the selectivity heuristic the paper
-// attributes to Qdrant and Vespa:
-//
-//   - very selective predicate (few survivors): scanning the survivors
-//     exhaustively is cheapest -> brute force over the filtered set
-//     (plan A, or B when survivors still warrant the index);
-//   - mildly selective: post-filtering wastes little -> plan C;
-//   - in between: visit-first single-stage traversal -> plan D.
-func RuleBased(e Env) Plan {
-	e = e.normalized()
-	if !e.HasIndex {
-		return Plan{Kind: BruteForce}
-	}
-	survivors := e.Selectivity * float64(e.N)
-	switch {
-	case survivors <= 4*float64(e.K) || survivors <= e.IndexComps:
-		// So few survivors that exact scan over them beats any index.
-		return Plan{Kind: PreFilter}
-	case e.Selectivity >= 0.5:
-		return Plan{Kind: PostFilter, Alpha: e.Alpha}
-	default:
-		return Plan{Kind: SingleStage}
-	}
 }
 
 // Cost estimates the latency of a plan in distance-computation units
 // using the linear model of Section 2.3(2): total cost = CPU cost of
 // distance comparisons + attribute evaluations, each weighted.
 func Cost(p Plan, e Env) float64 {
-	e = e.normalized()
+	e = e.Normalized()
 	n := float64(e.N)
 	sel := e.Selectivity
 	attr := e.AttrCostRatio
@@ -194,19 +189,14 @@ func Cost(p Plan, e Env) float64 {
 	case PreFilter:
 		// Bitmap build (attr on every row) + exact scan over survivors
 		// when few, or blocked index scan otherwise.
-		survivors := sel * n
-		scan := survivors
-		if blocked := e.IndexComps / maxf(sel, 1e-6); blocked < scan {
-			scan = blocked
-		}
-		return n*attr + scan
+		return n*attr + min(sel*n, e.IndexComps/max(sel, 1e-6))
 	case PostFilter:
 		alpha := float64(p.Alpha)
 		if alpha <= 0 {
 			alpha = 4
 		}
 		// One ANN search sized for alpha*k results + attr checks on
-		// the candidates. Shortfall risk is handled by Penalty.
+		// the candidates. Shortfall risk is handled by CostBased.
 		return e.IndexComps*alpha/4 + alpha*float64(e.K)*attr
 	case SingleStage:
 		// Traversal must explore beyond the unfiltered beam to fill k
@@ -215,10 +205,7 @@ func Cost(p Plan, e Env) float64 {
 		// because blocked nodes still guide the walk (they are
 		// traversed, just not returned). Estimating this precisely is
 		// open problem 3 of the paper.
-		visits := e.IndexComps / maxf(sqrt(sel), 1e-3)
-		if visits > n {
-			visits = n
-		}
+		visits := min(e.IndexComps/max(math.Sqrt(sel), 1e-3), n)
 		return visits * (1 + attr)
 	default:
 		return n
@@ -239,13 +226,16 @@ func ShortfallRisk(alpha, k int, sel float64) float64 {
 
 // CostBased picks the plan with minimum estimated cost, excluding
 // post-filter plans whose shortfall risk exceeds 10% (a (c,k)-search
-// must return k results when they exist).
+// must return k results when they exist). The gate judges the query's
+// own selectivity estimate, which no measured input changes, so
+// calibration can reorder plans by cost but never admit a
+// shortfall-prone post-filter.
 func CostBased(e Env) Plan {
-	e = e.normalized()
+	e = e.Normalized()
 	best := Plan{Kind: BruteForce}
 	bestCost := Cost(best, e)
 	for _, p := range Enumerate(e.HasIndex, e.Alpha)[1:] {
-		if p.Kind == PostFilter && ShortfallRisk(p.Alpha, e.K, e.ShortfallSelectivity) > 0.1 {
+		if p.Kind == PostFilter && ShortfallRisk(p.Alpha, e.K, e.Selectivity) > 0.1 {
 			continue
 		}
 		if c := Cost(p, e); c < bestCost {
@@ -256,11 +246,9 @@ func CostBased(e Env) Plan {
 }
 
 // Observed carries statistics measured online by the stats layer
-// (internal/stats): the real probe cost and predicate selectivities
-// of the workload actually being served, as opposed to the static
-// heuristics Env falls back to. It is the planner-side half of the
-// ROADMAP's adaptive query optimization: the "adaptive" policy
-// refines its cost model with these before selecting a plan.
+// (internal/stats) on the workload actually being served, as opposed
+// to the static defaults Env falls back to: the real probe cost and
+// the timing-calibrated cost ratios.
 type Observed struct {
 	// MeanProbeComps is the mean full-vector distance computations per
 	// ANN index probe, measured across served queries. Zero means "no
@@ -268,13 +256,6 @@ type Observed struct {
 	MeanProbeComps float64
 	// ProbeCount is how many probes the mean is over.
 	ProbeCount int64
-	// MeanSelectivity is the mean observed selectivity for the query's
-	// predicate columns (a coarse per-column prior). Valid only when
-	// SelObservations > 0.
-	MeanSelectivity float64
-	// SelObservations is the smallest per-column observation count
-	// backing MeanSelectivity.
-	SelObservations int64
 	// AttrCostRatio is the measured cost of one attribute predicate
 	// evaluation relative to one full-precision distance computation
 	// (ns per eval / ns per comp), replacing the static default once
@@ -290,11 +271,10 @@ type Observed struct {
 }
 
 // Minimum observation counts before AdaptiveEnv trusts a measured
-// statistic over the static heuristic. Below these the sample is too
+// statistic over the static default. Below these the sample is too
 // noisy to beat a defensible default.
 const (
 	MinProbeObservations = 16
-	MinSelObservations   = 32
 	// MinCostObservations gates the timing-derived ratios
 	// (AttrCostRatio, QuantRatio): each observation is already an
 	// average over a whole scan, so fewer are needed.
@@ -302,34 +282,15 @@ const (
 )
 
 // AdaptiveEnv refines e with measured statistics: the observed probe
-// cost replaces the sqrt(N) IndexComps heuristic once enough probes
-// back it, the observed selectivity prior is blended 50/50 with the
-// per-query sampled estimate once enough observations back it (the
-// sampled estimate stays in the mix because the prior conflates
-// different predicate values on the same column), and the timing-
-// calibrated cost ratios (attribute eval vs distance comp, quantized
-// vs full-precision comp) replace their static defaults. Cost-based
-// selection over the refined env is the "adaptive" policy.
-//
-// Calibration is deliberately barred from the post-filter shortfall
-// gate: ShortfallSelectivity is pinned to the most pessimistic (lowest)
-// selectivity estimate in hand, so refinement can reorder plans by
-// cost but can never talk CostBased into a shortfall-prone post-filter
-// that the uncalibrated model would have rejected.
+// cost replaces the sqrt(N) IndexComps default once enough probes back
+// it, and the timing-calibrated cost ratios (attribute eval vs distance
+// comp, quantized vs full-precision comp) replace their static
+// defaults. An input AdaptiveEnv leaves unset is at its default when
+// CostBased plans with it, so IndexComps > 0 or AttrCostRatio > 0 on
+// the result says that input was measured.
 func AdaptiveEnv(e Env, o Observed) Env {
 	if o.ProbeCount >= MinProbeObservations && o.MeanProbeComps > 0 {
 		e.IndexComps = o.MeanProbeComps
-	}
-	if o.SelObservations >= MinSelObservations {
-		prior := clamp01(o.MeanSelectivity)
-		pessimistic := e.Selectivity
-		if prior < pessimistic {
-			pessimistic = prior
-		}
-		e.Selectivity = (e.Selectivity + prior) / 2
-		if e.ShortfallSelectivity <= 0 || pessimistic < e.ShortfallSelectivity {
-			e.ShortfallSelectivity = pessimistic
-		}
 	}
 	if o.AttrObservations >= MinCostObservations && o.AttrCostRatio > 0 {
 		e.AttrCostRatio = o.AttrCostRatio
@@ -342,76 +303,4 @@ func AdaptiveEnv(e Env, o Observed) Env {
 		}
 	}
 	return e
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 24; i++ {
-		z = 0.5 * (z + x/z)
-	}
-	return z
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Profile reproduces the predefined-plan policy of a surveyed system
-// (Section 2.4): given the environment it returns that system's plan
-// without inspecting costs.
-type Profile string
-
-// Profiles of surveyed systems.
-const (
-	// ProfileVearch always post-filters (acceptable for e-commerce
-	// where fewer than k results are tolerated).
-	ProfileVearch Profile = "vearch"
-	// ProfileWeaviate always pre-filters.
-	ProfileWeaviate Profile = "weaviate"
-	// ProfileEuclid always uses its single index, unpredicated plans
-	// only (single-stage when predicated).
-	ProfileEuclid Profile = "euclid"
-	// ProfileADBV runs the AnalyticDB-V cost-based optimizer over all
-	// four plans.
-	ProfileADBV Profile = "analyticdb-v"
-	// ProfileMilvus models Milvus: cost-based across partition-based
-	// pre-filter and post-filter.
-	ProfileMilvus Profile = "milvus"
-	// ProfileQdrant models Qdrant/Vespa rule-based selection.
-	ProfileQdrant Profile = "qdrant"
-)
-
-// Select returns the profile's plan for the environment.
-func (pr Profile) Select(e Env) (Plan, error) {
-	e = e.normalized()
-	switch pr {
-	case ProfileVearch:
-		return Plan{Kind: PostFilter, Alpha: e.Alpha}, nil
-	case ProfileWeaviate:
-		return Plan{Kind: PreFilter}, nil
-	case ProfileEuclid:
-		return Plan{Kind: SingleStage}, nil
-	case ProfileADBV, ProfileMilvus:
-		return CostBased(e), nil
-	case ProfileQdrant:
-		return RuleBased(e), nil
-	default:
-		return Plan{}, fmt.Errorf("planner: unknown profile %q", string(pr))
-	}
 }

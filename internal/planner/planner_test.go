@@ -1,7 +1,8 @@
 package planner
 
 import (
-	"math"
+	"errors"
+	"slices"
 	"testing"
 )
 
@@ -28,31 +29,6 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Fatalf("%v != %s", k, want)
 		}
-	}
-}
-
-func TestRuleBasedRegimes(t *testing.T) {
-	base := Env{N: 100000, K: 10, HasIndex: true, IndexComps: 2000}
-	// Very selective: pre-filter.
-	e := base
-	e.Selectivity = 0.0001 // 10 survivors
-	if p := RuleBased(e); p.Kind != PreFilter {
-		t.Fatalf("selective -> %v", p.Kind)
-	}
-	// Permissive: post-filter.
-	e.Selectivity = 0.9
-	if p := RuleBased(e); p.Kind != PostFilter {
-		t.Fatalf("permissive -> %v", p.Kind)
-	}
-	// Middle: single-stage.
-	e.Selectivity = 0.2
-	if p := RuleBased(e); p.Kind != SingleStage {
-		t.Fatalf("middle -> %v", p.Kind)
-	}
-	// No index: brute force regardless.
-	e.HasIndex = false
-	if p := RuleBased(e); p.Kind != BruteForce {
-		t.Fatalf("no index -> %v", p.Kind)
 	}
 }
 
@@ -109,40 +85,23 @@ func TestCostBasedAvoidsShortfall(t *testing.T) {
 }
 
 func TestEnvNormalization(t *testing.T) {
-	e := Env{N: 10000, K: 5, Selectivity: 2}.normalized()
+	e := Env{N: 10000, K: 5, Selectivity: 2}.Normalized()
 	if e.Selectivity != 1 || e.Alpha != 4 || e.IndexComps <= 0 || e.AttrCostRatio <= 0 {
 		t.Fatalf("normalized = %+v", e)
 	}
-	e = Env{N: 10000, K: 5, Selectivity: -1}.normalized()
+	e = Env{N: 10000, K: 5, Selectivity: -1}.Normalized()
 	if e.Selectivity != 0 {
 		t.Fatal("negative selectivity should clamp")
 	}
-}
-
-func TestProfiles(t *testing.T) {
-	e := Env{N: 50000, K: 10, HasIndex: true, Selectivity: 0.5}
-	cases := map[Profile]Kind{
-		ProfileVearch:   PostFilter,
-		ProfileWeaviate: PreFilter,
-		ProfileEuclid:   SingleStage,
-	}
-	for prof, want := range cases {
-		p, err := prof.Select(e)
-		if err != nil {
-			t.Fatal(err)
+	// The cold IndexComps default is 16*ceil(sqrt(N)), and 16 at N <= 1.
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 99, 100, 101, 20000, 999_999, 1_000_000, 1_000_001, 1<<31 - 1} {
+		c := 1.0
+		for c*c < float64(n) {
+			c++
 		}
-		if p.Kind != want {
-			t.Fatalf("%s -> %v, want %v", prof, p.Kind, want)
+		if got := (Env{N: n}).Normalized().IndexComps; got != 16*c {
+			t.Fatalf("N=%d: IndexComps default %v, want %v", n, got, 16*c)
 		}
-	}
-	// Optimizer-backed profiles must return a valid plan.
-	for _, prof := range []Profile{ProfileADBV, ProfileMilvus, ProfileQdrant} {
-		if _, err := prof.Select(e); err != nil {
-			t.Fatalf("%s: %v", prof, err)
-		}
-	}
-	if _, err := Profile("bogus").Select(e); err == nil {
-		t.Fatal("want unknown-profile error")
 	}
 }
 
@@ -150,42 +109,26 @@ func TestAdaptiveEnv(t *testing.T) {
 	base := Env{N: 100000, K: 10, HasIndex: true, Selectivity: 0.4, IndexComps: 5000}
 
 	// Too few observations: the env is untouched.
-	e := AdaptiveEnv(base, Observed{
-		MeanProbeComps: 900, ProbeCount: MinProbeObservations - 1,
-		MeanSelectivity: 0.9, SelObservations: MinSelObservations - 1,
-	})
+	e := AdaptiveEnv(base, Observed{MeanProbeComps: 900, ProbeCount: MinProbeObservations - 1})
 	if e != base {
 		t.Fatalf("under-observed env changed: %+v", e)
 	}
 
-	// Enough probes: the measured cost replaces the heuristic. Enough
-	// selectivity observations: the prior blends 50/50 with the sample.
-	e = AdaptiveEnv(base, Observed{
-		MeanProbeComps: 900, ProbeCount: MinProbeObservations,
-		MeanSelectivity: 0.8, SelObservations: MinSelObservations,
-	})
-	if e.IndexComps != 900 {
-		t.Fatalf("IndexComps = %v, want 900", e.IndexComps)
-	}
-	if want := (0.4 + 0.8) / 2; math.Abs(e.Selectivity-want) > 1e-12 {
-		t.Fatalf("Selectivity = %v, want %v", e.Selectivity, want)
+	// Enough probes: the measured cost replaces the default, and the
+	// query's own selectivity estimate is left alone.
+	e = AdaptiveEnv(base, Observed{MeanProbeComps: 900, ProbeCount: MinProbeObservations})
+	if e.IndexComps != 900 || e.Selectivity != base.Selectivity {
+		t.Fatalf("IndexComps = %v, Selectivity = %v, want 900 and %v", e.IndexComps, e.Selectivity, base.Selectivity)
 	}
 
-	// An out-of-range observed selectivity clamps before blending, and
-	// a zero mean probe cost never wipes the heuristic.
-	e = AdaptiveEnv(base, Observed{
-		MeanProbeComps: 0, ProbeCount: 1000,
-		MeanSelectivity: 3, SelObservations: MinSelObservations,
-	})
+	// A zero mean probe cost never wipes the default.
+	e = AdaptiveEnv(base, Observed{MeanProbeComps: 0, ProbeCount: 1000})
 	if e.IndexComps != base.IndexComps {
 		t.Fatalf("zero probe cost overwrote IndexComps: %v", e.IndexComps)
 	}
-	if want := (0.4 + 1.0) / 2; e.Selectivity != want {
-		t.Fatalf("clamped blend = %v, want %v", e.Selectivity, want)
-	}
 }
 
-// ProfileADBV crossover sweep: with selectivity rising from needle to
+// AnalyticDB-V crossover sweep: with selectivity rising from needle to
 // permissive at fixed size, the cost-based optimizer must walk the
 // paper's regimes — pre-filter while survivors are few, never a
 // shortfall-prone post-filter, post-filter once the predicate passes
@@ -196,13 +139,10 @@ func TestProfileADBVSelectivitySweep(t *testing.T) {
 	for _, sel := range []float64{0.0005, 0.005, 0.05, 0.3, 0.6, 0.95} {
 		e := base
 		e.Selectivity = sel
-		p, err := ProfileADBV.Select(e)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := CostBased(e)
 		wins[sel] = p.Kind
 		if p.Kind == PostFilter && ShortfallRisk(p.Alpha, e.K, sel) > 0.1 {
-			t.Fatalf("sel=%v: adbv picked shortfall-prone post-filter", sel)
+			t.Fatalf("sel=%v: picked shortfall-prone post-filter", sel)
 		}
 	}
 	// At needle selectivity both scan plans cost n*attr + survivors;
@@ -215,9 +155,9 @@ func TestProfileADBVSelectivitySweep(t *testing.T) {
 	}
 }
 
-// ProfileMilvus size sweep at fixed selectivity: tiny collections are
-// cheapest brute-forced / pre-filtered (the index costs more than the
-// scan), large ones must use the index.
+// Milvus size sweep at fixed selectivity: tiny collections are cheapest
+// brute-forced / pre-filtered (the index costs more than the scan),
+// large ones must use the index.
 func TestProfileMilvusSizeSweep(t *testing.T) {
 	for _, tc := range []struct {
 		n        int
@@ -228,10 +168,7 @@ func TestProfileMilvusSizeSweep(t *testing.T) {
 		{n: 1000000, comps: 4000, wantScan: false},
 	} {
 		e := Env{N: tc.n, K: 10, HasIndex: true, Selectivity: 0.5, IndexComps: tc.comps, Alpha: 4}
-		p, err := ProfileMilvus.Select(e)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := CostBased(e)
 		isScan := p.Kind == BruteForce || p.Kind == PreFilter
 		if isScan != tc.wantScan {
 			t.Fatalf("n=%d -> %v (scan=%v), want scan=%v", tc.n, p.Kind, isScan, tc.wantScan)
@@ -239,29 +176,50 @@ func TestProfileMilvusSizeSweep(t *testing.T) {
 	}
 }
 
+// TestCostBasedSweep walks the optimizer across the filtered_search
+// benchmark's three selectivity buckets, at the probe cost its HNSW
+// measures and at the cold default, one input set per row. No row may
+// pick a shortfall-prone post-filter.
+func TestCostBasedSweep(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		comps float64 // 0: the cold default
+		sel   float64
+		want  []Kind // any of these
+	}{
+		{20000, 380, 0.01, []Kind{BruteForce}},
+		{20000, 380, 0.1, []Kind{SingleStage}},
+		{20000, 380, 0.5, []Kind{PostFilter}},
+		{20000, 0, 0.1, []Kind{BruteForce}},
+	} {
+		e := Env{N: tc.n, K: 10, HasIndex: true, Selectivity: tc.sel, IndexComps: tc.comps}
+		p := CostBased(e)
+		if p.Kind == PostFilter && ShortfallRisk(p.Alpha, e.K, tc.sel) > 0.1 {
+			t.Fatalf("n=%d sel=%v: shortfall-prone post-filter", tc.n, tc.sel)
+		}
+		if tc.want != nil && !slices.Contains(tc.want, p.Kind) {
+			t.Fatalf("n=%d comps=%v sel=%v -> %v, want one of %v", tc.n, tc.comps, tc.sel, p.Kind, tc.want)
+		}
+	}
+}
+
 // Regression: no calibration input — however flattering to the index
 // path — may make CostBased pick a post-filter whose shortfall risk
-// the uncalibrated model rejects. The gate judges on the pessimistic
-// raw selectivity, not the calibrated blend.
+// the uncalibrated model rejects. The gate judges the query's own
+// selectivity estimate, which calibration never touches.
 func TestCalibrationNeverAdmitsShortfallPostFilter(t *testing.T) {
 	base := Env{N: 100000, K: 10, HasIndex: true, Selectivity: 0.001, IndexComps: 2000, Alpha: 4}
 	// Adversarial calibration: dirt-cheap index probes, near-free
-	// attribute checks, a selectivity prior that claims the predicate
-	// passes everything.
+	// attribute checks and quantized comparisons.
 	obs := Observed{
 		MeanProbeComps: 10, ProbeCount: 1 << 20,
-		MeanSelectivity: 1.0, SelObservations: 1 << 20,
 		AttrCostRatio: 1e-6, AttrObservations: 1 << 20,
 		QuantRatio: 0.01, QuantObservations: 1 << 20,
 	}
-	e := AdaptiveEnv(base, obs)
-	if risk := ShortfallRisk(4, e.K, base.Selectivity); risk <= 0.1 {
+	if risk := ShortfallRisk(4, base.K, base.Selectivity); risk <= 0.1 {
 		t.Fatalf("test premise broken: raw risk = %v", risk)
 	}
-	if p := CostBased(e); p.Kind == PostFilter {
-		t.Fatal("calibrated env admitted a shortfall-prone post-filter")
-	}
-	// Same sweep across every raw selectivity in the risky band.
+	// Every raw selectivity in the risky band.
 	for _, sel := range []float64{0.0001, 0.001, 0.01, 0.02} {
 		b := base
 		b.Selectivity = sel
@@ -270,6 +228,31 @@ func TestCalibrationNeverAdmitsShortfallPostFilter(t *testing.T) {
 		}
 		if p := CostBased(AdaptiveEnv(b, obs)); p.Kind == PostFilter {
 			t.Fatalf("sel=%v: calibration admitted shortfall-prone post-filter", sel)
+		}
+	}
+}
+
+// TestParsePolicy: "" is the optimizer, the four plan:<kind> forms force
+// their plan, and nothing else is a policy.
+func TestParsePolicy(t *testing.T) {
+	if p, forced, err := ParsePolicy("", 0); err != nil || forced || p != (Plan{}) {
+		t.Fatalf(`"" -> %+v forced=%v err=%v`, p, forced, err)
+	}
+	for _, k := range []Kind{BruteForce, PreFilter, PostFilter, SingleStage} {
+		p, forced, err := ParsePolicy("plan:"+k.String(), 0)
+		if err != nil || !forced || p.Kind != k {
+			t.Fatalf("plan:%v -> %+v forced=%v err=%v", k, p, forced, err)
+		}
+		if (k == PostFilter) != (p.Alpha == 4) {
+			t.Fatalf("plan:%v alpha = %d", k, p.Alpha)
+		}
+	}
+	if p, _, _ := ParsePolicy("plan:post_filter", 9); p.Alpha != 9 {
+		t.Fatalf("forced post-filter alpha = %d, want 9", p.Alpha)
+	}
+	for _, bad := range []string{"cost", "rule", "adaptive", "vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant", "plan:", "plan:zz", "PLAN:brute_force", "plan:brute_force "} {
+		if _, forced, err := ParsePolicy(bad, 0); !errors.Is(err, ErrPolicy) || forced {
+			t.Fatalf("%q: forced=%v err=%v, want ErrPolicy", bad, forced, err)
 		}
 	}
 }

@@ -271,6 +271,18 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("missing collection: %d", rec.Code)
 	}
+	// A policy is "" or plan:<kind>; anything else is a client error on
+	// both routes.
+	for _, policy := range []string{"cost", "rule", "adaptive", "vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant", "plan:bogus"} {
+		rec, _ = doJSON(t, srv, "POST", "/collections/docs/search", SearchBody{Vector: ds.Row(0), K: 2, Policy: policy})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("search policy %q: %d, want 400", policy, rec.Code)
+		}
+		rec, _ = doJSON(t, srv, "POST", "/collections/docs/batch", SearchBody{Vectors: [][]float32{ds.Row(0)}, K: 2, Policy: policy})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("batch policy %q: %d, want 400", policy, rec.Code)
+		}
+	}
 
 	// Collection info now reports background build state.
 	rec, out = doJSON(t, srv, "GET", "/collections/docs", nil)

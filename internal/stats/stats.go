@@ -6,10 +6,10 @@
 // sampled estimate), and observed ANN probe cost. It is the
 // measurement substrate of the survey's §2.4 argument that plan
 // enumeration is only as good as the statistics behind it: the
-// adaptive planner (planner.AdaptiveEnv, the "adaptive" policy)
-// consumes these observations in place of static heuristics, and the
-// recall auditor (internal/core) replays the query reservoir
-// (reservoir.go) to measure recall actually served.
+// optimizer (planner.AdaptiveEnv) plans with the observed probe cost
+// and timing calibration in place of static defaults, and the recall
+// auditor (internal/core) replays the query reservoir (reservoir.go)
+// to measure recall actually served.
 //
 // Hot-path constraint: recording an observation is a handful of atomic
 // adds, mirroring internal/obs — a query must never take a contended
@@ -332,8 +332,8 @@ func (c *Collection) RecordQuery(k, ef, nprobe int, hasFilter bool) {
 
 // RecordProbe records one ANN index probe's distance-computation
 // count. Exact (flat) scans are excluded by the caller: the statistic
-// estimates the cost of an index probe, which is what the adaptive
-// cost model needs.
+// estimates the cost of an index probe, which is what the cost model
+// needs.
 func (c *Collection) RecordProbe(comps int64) {
 	if !c.enabled.Load() {
 		return
@@ -419,8 +419,9 @@ func (c *Collection) Calibration() Calibration {
 // RecordSelectivity records one measured selectivity for column col
 // (a survivor fraction observed during execution, not an estimate).
 // Multi-predicate conjunctions record the conjunction's selectivity
-// under each referenced column — a per-column prior, deliberately
-// coarse (DESIGN.md §11).
+// under each referenced column — a per-column view for /debug/stats,
+// deliberately coarse (DESIGN.md §11). The planner does not read it:
+// it plans with each query's own sampled estimate.
 func (c *Collection) RecordSelectivity(col string, sel float64) {
 	if !c.enabled.Load() {
 		return
@@ -437,35 +438,6 @@ func (c *Collection) RecordSelectivity(col string, sel float64) {
 		c.selMu.Unlock()
 	}
 	h.Observe(sel)
-}
-
-// SelectivityPrior returns the mean observed selectivity across the
-// given columns (the coarse per-column prior) and the smallest
-// per-column observation count. ok is false when any column has no
-// observations.
-func (c *Collection) SelectivityPrior(cols []string) (mean float64, minObs int64, ok bool) {
-	if len(cols) == 0 {
-		return 0, 0, false
-	}
-	var sum float64
-	minObs = -1
-	c.selMu.RLock()
-	defer c.selMu.RUnlock()
-	for _, col := range cols {
-		h := c.sel[col]
-		if h == nil {
-			return 0, 0, false
-		}
-		m, n := h.Mean()
-		if n == 0 {
-			return 0, 0, false
-		}
-		sum += m
-		if minObs < 0 || n < minObs {
-			minObs = n
-		}
-	}
-	return sum / float64(len(cols)), minObs, true
 }
 
 // Snapshot is the JSON-friendly view of a collection's statistics,

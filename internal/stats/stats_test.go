@@ -107,25 +107,24 @@ func TestRecordQueryGating(t *testing.T) {
 	}
 }
 
-func TestSelectivityPrior(t *testing.T) {
+// TestSelectivityPerColumn: each column keeps its own histogram in the
+// snapshot, and a column never observed has none.
+func TestSelectivityPerColumn(t *testing.T) {
 	c := New("c")
 	for i := 0; i < 4; i++ {
 		c.RecordSelectivity("a", 0.2)
 	}
 	c.RecordSelectivity("b", 0.6)
 
-	if _, _, ok := c.SelectivityPrior([]string{"a", "missing"}); ok {
-		t.Fatal("prior over an unobserved column reported ok")
+	s := c.Snapshot(10, 10, 8)
+	if _, ok := s.Selectivity["missing"]; ok {
+		t.Fatal("an unobserved column has a histogram")
 	}
-	mean, minObs, ok := c.SelectivityPrior([]string{"a", "b"})
-	if !ok {
-		t.Fatal("prior not ok")
-	}
-	if want := (0.2 + 0.6) / 2; mean < want-1e-9 || mean > want+1e-9 {
-		t.Fatalf("prior mean = %v, want %v", mean, want)
-	}
-	if minObs != 1 {
-		t.Fatalf("minObs = %d, want 1 (column b)", minObs)
+	for col, want := range map[string]SelSnapshot{"a": {Count: 4, Mean: 0.2}, "b": {Count: 1, Mean: 0.6}} {
+		got := s.Selectivity[col]
+		if got.Count != want.Count || got.Mean < want.Mean-1e-9 || got.Mean > want.Mean+1e-9 {
+			t.Fatalf("column %s: count=%d mean=%v, want %d/%v", col, got.Count, got.Mean, want.Count, want.Mean)
+		}
 	}
 }
 
@@ -162,7 +161,6 @@ func TestConcurrentRecording(t *testing.T) {
 				c.RecordInsert(1)
 				if i%50 == 0 {
 					_ = c.Snapshot(100, 90, 8)
-					_, _, _ = c.SelectivityPrior([]string{"col"})
 				}
 			}
 		}(g)

@@ -6,11 +6,13 @@
 //	SELECT 10 FROM products
 //	  WHERE price < 20 AND brand = 'acme'
 //	  NEAR [0.12, 0.9, ...]
-//	  WITH ef = 100, policy = 'cost'
+//	  WITH ef = 100, policy = 'plan:single_stage'
 //
 // Clauses: SELECT <k>, FROM <collection>, optional WHERE with AND-ed
 // comparisons (=, !=, <, <=, >, >=, IN (...)), NEAR <vector literal>,
-// optional WITH for knobs (ef, nprobe, alpha, policy).
+// optional WITH for knobs (ef, nprobe, alpha, policy). policy is
+// SearchRequest.Policy: omit it for the cost-based optimizer, or force
+// a plan with 'plan:<kind>'.
 package vql
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseFull(t *testing.T) {
-	q, err := Parse("SELECT 10 FROM products WHERE price < 20.5 AND brand = 'acme' AND cat IN (1, 2, 3) NEAR [0.1, -2, 3e1] WITH ef = 100, policy = 'rule'")
+	q, err := Parse("SELECT 10 FROM products WHERE price < 20.5 AND brand = 'acme' AND cat IN (1, 2, 3) NEAR [0.1, -2, 3e1] WITH ef = 100, policy = 'plan:single_stage'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestParseFull(t *testing.T) {
 	if len(q.Vector) != 3 || q.Vector[0] != 0.1 || q.Vector[1] != -2 || q.Vector[2] != 30 {
 		t.Fatalf("vector = %v", q.Vector)
 	}
-	if q.Ef != 100 || q.Policy != "rule" {
+	if q.Ef != 100 || q.Policy != "plan:single_stage" {
 		t.Fatalf("options: %+v", q)
 	}
 }

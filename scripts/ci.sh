@@ -73,9 +73,13 @@ go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDri
 # writer that reallocates the columns under them — the read path takes
 # no lock per row, so -race is the only thing standing between a
 # missed happens-before edge and production. The deadlock regression
-# holds a tune pass in flight across an EnableTune.
+# holds a tune pass in flight across an EnableTune. Plan selection: the
+# default policy, warmed on a 1/10/50 % mix, must plan the three buckets
+# brute_force / single_stage / post_filter on its measured inputs, and
+# an unfiltered search must probe at the query's own ef.
 go test -race -count=1 -timeout 3m ./internal/filter/
-go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestMixedSelectivityKeepsPostFilter|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestUnfilteredSearchKeepsEf' ./internal/executor/
 go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # Graph traversal gates. The candidate pool against the map-based
 # oracle (hits and per-query counts, every predicate shape) on tie-heavy

@@ -138,8 +138,7 @@ func TestIndexedSearchAndPlans(t *testing.T) {
 		t.Fatalf("IndexInfo = %s %d %d", kind, covered, dirty)
 	}
 	q := ds.Queries(1, 0.05, 2)[0]
-	for _, policy := range []string{"", "rule", "qdrant", "weaviate", "vearch",
-		"plan:pre_filter", "plan:post_filter", "plan:single_stage", "plan:brute_force"} {
+	for _, policy := range []string{"", "plan:pre_filter", "plan:post_filter", "plan:single_stage", "plan:brute_force"} {
 		res, err := col.Search(SearchRequest{
 			Vector:  q,
 			K:       10,
@@ -159,11 +158,16 @@ func TestIndexedSearchAndPlans(t *testing.T) {
 			}
 		}
 	}
-	if _, err := col.Search(SearchRequest{Vector: q, K: 5, Policy: "plan:bogus"}); err == nil {
-		t.Fatal("want unknown-plan error")
-	}
-	if _, err := col.Search(SearchRequest{Vector: q, K: 5, Policy: "bogus"}); err == nil {
-		t.Fatal("want unknown-policy error")
+	// The optimizer is "" and forcing is plan:<kind>; the retired policy
+	// and profile names are errors like any other unknown value.
+	for _, policy := range []string{"plan:bogus", "bogus", "cost", "rule", "adaptive",
+		"vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant"} {
+		if _, err := col.Search(SearchRequest{Vector: q, K: 5, Policy: policy}); err == nil {
+			t.Fatalf("policy %q: want an unknown-policy error", policy)
+		}
+		if _, err := col.SearchBatch([][]float32{q}, SearchRequest{K: 5, Policy: policy}); err == nil {
+			t.Fatalf("batch policy %q: want an unknown-policy error", policy)
+		}
 	}
 }
 
