@@ -1,18 +1,18 @@
 // Benchmarks: one testing.B target per experiment in DESIGN.md's
-// index (E1–E12). cmd/vdbms-bench prints the full parameter-sweep
-// tables; these benchmarks pin the hot path of each experiment so
+// index (E1–E13; E11 is in dist_bench_test.go, an external test
+// package, because internal/dist imports this package).
+// cmd/vdbms-bench prints the full parameter-sweep tables; these
+// benchmarks pin the hot path of each experiment so
 // `go test -bench=. -benchmem` tracks regressions.
 package vdbms
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"vdbms/internal/dataset"
-	"vdbms/internal/dist"
 	"vdbms/internal/executor"
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
@@ -270,26 +270,6 @@ func BenchmarkE10Batch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.SearchBatch(plan, qs, 10, nil, executor.Options{Ef: 64}) //nolint:errcheck
-	}
-}
-
-// BenchmarkE11Dist measures scatter-gather over 4 local shards (E11).
-func BenchmarkE11Dist(b *testing.B) {
-	ds, qs := setupBench(b)
-	p := dist.PartitionRandom(ds.Count, 4, 7)
-	partData, partIDs := dist.SplitRows(ds.Data, ds.Count, ds.Dim, p)
-	shards := make([]dist.Shard, p.Parts)
-	for i := range shards {
-		idx, err := hnsw.Build(partData[i], len(partIDs[i]), ds.Dim, hnsw.Config{M: 8, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		shards[i] = dist.NewLocalShard(idx, partIDs[i])
-	}
-	router := dist.NewRouter(shards, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		router.Search(context.Background(), qs[i%len(qs)], 10, 64) //nolint:errcheck
 	}
 }
 

@@ -3,15 +3,20 @@
 // paper). A router process (see examples/distributed) dials any number
 // of shards and merges their top-k results.
 //
-// The shard either loads vectors from a file written by
-// storage.WriteDiskStore (-data) or generates a seeded synthetic
-// partition (-n/-dim/-seed), builds an HNSW index, and serves.
+// A shard hosts one ordinary collection, so every request a router
+// sends — filters, metric, plan forcing, knobs, deadline — runs on the
+// same engine a single node would. The collection either comes from a
+// durable database directory holding exactly one collection (-dir,
+// opened with vdbms.Open; its recorded index is rebuilt on recovery)
+// or is generated: a seeded synthetic partition (-n/-dim/-seed)
+// inserted into an in-memory collection and indexed with HNSW (-m).
 //
 //	vdbms-shard -addr 127.0.0.1:9001 -n 10000 -dim 64 -seed 1 -offset 0
-//	vdbms-shard -addr 127.0.0.1:9002 -data part2.vdb -offset 10000
+//	vdbms-shard -addr 127.0.0.1:9002 -dir /var/lib/vdbms/part2 -offset 10000
 //
-// -offset sets the first global id of this partition so results from
-// different shards never collide.
+// -offset sets the first global id of this partition (global id =
+// offset + collection id) so results from different shards never
+// collide.
 //
 // Chaos mode injects faults for failover drills against a live
 // router: -chaos-error-rate fails searches, -chaos-hang-rate makes
@@ -42,23 +47,20 @@ import (
 	"syscall"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/dist"
-	"vdbms/internal/fault"
-	"vdbms/internal/index/hnsw"
 	"vdbms/internal/obs"
-	"vdbms/internal/storage"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9001", "listen address")
-	dataPath := flag.String("data", "", "vector file written by storage.WriteDiskStore")
-	n := flag.Int("n", 10000, "synthetic vector count (when -data is unset)")
+	dir := flag.String("dir", "", "durable database directory holding the shard's one collection")
+	n := flag.Int("n", 10000, "synthetic vector count (when -dir is unset)")
 	dim := flag.Int("dim", 64, "synthetic dimensionality")
 	seed := flag.Int64("seed", 1, "synthetic data seed")
 	offset := flag.Int64("offset", 0, "first global id of this partition")
 	m := flag.Int("m", 16, "HNSW M parameter")
-	parallelism := flag.Int("parallelism", 0, "intra-query workers for partitioned scans (0 = GOMAXPROCS, 1 = serial)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight queries on shutdown")
 	chaosErr := flag.Float64("chaos-error-rate", 0, "chaos: probability a search fails")
 	chaosHang := flag.Float64("chaos-hang-rate", 0, "chaos: probability a search hangs until its deadline")
@@ -89,36 +91,24 @@ func main() {
 		}()
 	}
 
-	var flat []float32
-	var count, d int
-	if *dataPath != "" {
-		ds, err := storage.OpenDiskStore(*dataPath, 0)
-		if err != nil {
-			log.Fatalf("open %s: %v", *dataPath, err)
-		}
-		d = ds.Dim()
-		count = ds.Count()
-		flat = ds.ReadBlock(0, count, nil)
-		ds.Close()
-	} else {
-		syn := dataset.Clustered(*n, *dim, 16, 0.4, *seed)
-		flat, count, d = syn.Data, syn.Count, syn.Dim
-	}
-	log.Printf("shard: %d vectors of dim %d, building hnsw(m=%d)", count, d, *m)
-	idx, err := hnsw.Build(flat, count, d, hnsw.Config{M: *m, Seed: 1})
+	db, col, err := openCollection(*dir, *n, *dim, *seed, *m)
 	if err != nil {
-		log.Fatalf("index build: %v", err)
+		log.Fatal(err)
 	}
-	ids := make([]int64, count)
-	for i := range ids {
-		ids[i] = *offset + int64(i)
+	count := col.Stats().Rows
+	kind, _, _ := col.IndexInfo()
+	log.Printf("shard: %d vectors of dim %d, index %q", count, col.Dim(), kind)
+	var ids []int64
+	if *offset != 0 {
+		ids = make([]int64, count)
+		for i := range ids {
+			ids[i] = *offset + int64(i)
+		}
 	}
 
-	local := dist.NewLocalShard(idx, ids)
-	local.Parallelism = *parallelism
-	var shard dist.Shard = local
+	var shard dist.Shard = dist.NewLocalShard(col, ids)
 	if *chaosErr > 0 || *chaosHang > 0 || *chaosLatency > 0 || *chaosJitter > 0 {
-		shard = fault.NewChaosShard(shard, fault.ChaosConfig{
+		shard = dist.NewChaosShard(shard, dist.ChaosConfig{
 			ErrorRate:     *chaosErr,
 			HangRate:      *chaosHang,
 			Latency:       *chaosLatency,
@@ -138,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv.Serve(l)
-	log.Printf("shard serving on %s (ids %d..%d)", *addr, *offset, *offset+int64(count)-1)
+	log.Printf("shard serving on %s (ids %d..%d)", l.Addr(), *offset, *offset+int64(count)-1)
 
 	// Graceful shutdown: stop accepting, drain in-flight queries with
 	// a bounded context, exit 0.
@@ -151,5 +141,43 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete: %v (closing anyway)", err)
 	}
+	if err := db.Close(); err != nil {
+		log.Printf("close: %v", err)
+	}
 	log.Print("shard stopped")
+}
+
+// openCollection returns the collection the shard serves: the single
+// collection of the durable database at dir, or — when dir is empty —
+// a synthetic in-memory one of n seeded vectors with an HNSW index.
+func openCollection(dir string, n, dim int, seed int64, m int) (*vdbms.DB, *vdbms.Collection, error) {
+	if dir != "" {
+		db, err := vdbms.Open(dir, vdbms.Durability{})
+		if err != nil {
+			return nil, nil, fmt.Errorf("open %s: %w", dir, err)
+		}
+		names := db.Collections()
+		if len(names) != 1 {
+			db.Close()
+			return nil, nil, fmt.Errorf("%s holds %d collections, want exactly 1", dir, len(names))
+		}
+		col, err := db.Collection(names[0])
+		return db, col, err
+	}
+	db := vdbms.New()
+	col, err := db.CreateCollection("shard", vdbms.Schema{Dim: dim})
+	if err != nil {
+		return nil, nil, err
+	}
+	syn := dataset.Clustered(n, dim, 16, 0.4, seed)
+	for i := 0; i < syn.Count; i++ {
+		if _, err := col.Insert(syn.Row(i), nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	log.Printf("shard: building hnsw(m=%d) over %d synthetic vectors", m, n)
+	if err := col.CreateIndex("hnsw", map[string]int{"m": m}); err != nil {
+		return nil, nil, fmt.Errorf("index build: %w", err)
+	}
+	return db, col, nil
 }

@@ -263,26 +263,7 @@ type SearchRequest struct {
 // TraceSpan is one timed stage of a query's execution. Children are
 // sub-stages; Annotations carry integer counters (distance
 // computations, nodes visited, survivors of a filter, ...).
-type TraceSpan struct {
-	Stage         string            `json:"stage"`
-	DurationNanos int64             `json:"duration_ns"`
-	Annotations   map[string]int64  `json:"annotations,omitempty"`
-	Tags          map[string]string `json:"tags,omitempty"`
-	Children      []TraceSpan       `json:"children,omitempty"`
-}
-
-func convertSpan(r obs.SpanReport) TraceSpan {
-	out := TraceSpan{
-		Stage:         r.Stage,
-		DurationNanos: r.DurationNanos,
-		Annotations:   r.Annotations,
-		Tags:          r.Tags,
-	}
-	for _, c := range r.Children {
-		out.Children = append(out.Children, convertSpan(c))
-	}
-	return out
-}
+type TraceSpan = obs.SpanReport
 
 // SearchResult is the response to Search.
 type SearchResult struct {
@@ -369,10 +350,7 @@ func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (Sear
 		NProbe:      dec.NProbe,
 		ParamSource: dec.ParamSource,
 	}
-	if rep := tr.Finish(); rep != nil {
-		span := convertSpan(*rep)
-		out.Trace = &span
-	}
+	out.Trace = tr.Finish()
 	return out, nil
 }
 

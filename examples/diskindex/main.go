@@ -68,7 +68,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sp.Close()
-	fmt.Printf("\nSPANN posting lists (replication factor %.2f):\n", sp.ReplicationFactor())
+	rf, err := sp.ReplicationFactor()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nSPANN posting lists (replication factor %.2f):\n", rf)
 	for _, nprobe := range []int{1, 2, 4, 8} {
 		sp.ResetStats()
 		got := make([][]topk.Result, len(qs))

@@ -71,7 +71,12 @@ func runE7(w io.Writer, scale int) {
 			fmt.Fprintf(w, "E7b: %v\n", err)
 			return
 		}
-		rf := sp.ReplicationFactor()
+		rf, err := sp.ReplicationFactor()
+		if err != nil {
+			fmt.Fprintf(w, "E7b: %v\n", err)
+			sp.Close()
+			return
+		}
 		for _, np := range []int{1, 2, 4, 8} {
 			sp.ResetStats()
 			got := make([][]topk.Result, len(qs))

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/dist"
 	"vdbms/internal/executor"
@@ -135,31 +136,32 @@ func runE11(w io.Writer, scale int) {
 	qs := ds.Queries(20, 0.05, 2)
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 
-	build := func(p dist.Partition) *dist.Router {
-		partData, partIDs := dist.SplitRows(ds.Data, ds.Count, ds.Dim, p)
-		shards := make([]dist.Shard, p.Parts)
-		for i := range shards {
-			var idx index.Index
-			if len(partIDs[i]) == 0 {
-				idx, _ = index.NewFlat(nil, 0, ds.Dim, nil)
-			} else {
-				idx, _ = hnsw.Build(partData[i], len(partIDs[i]), ds.Dim, hnsw.Config{M: 8, Seed: 1})
-			}
-			shards[i] = dist.NewLocalShard(idx, partIDs[i])
+	build := func(p dist.Partition) (*dist.Router, error) {
+		shards, err := dist.BuildShards(vdbms.Schema{Dim: ds.Dim}, ds.Data, nil, p, "hnsw", map[string]int{"m": 8})
+		if err != nil {
+			return nil, err
 		}
-		return dist.NewRouter(shards, p.Centroids)
+		return dist.NewRouter(shards, p.Centroids), nil
+	}
+	search := func(router *dist.Router, probes int) ([][]topk.Result, time.Duration) {
+		got := make([][]topk.Result, len(qs))
+		mean := Timed(1, func() {
+			for i, q := range qs {
+				got[i], _, _ = router.Search(context.Background(), vdbms.SearchRequest{Vector: q, K: 10, Ef: 64}, probes)
+			}
+		}) / time.Duration(len(qs))
+		return got, mean
 	}
 
 	t := NewTable(fmt.Sprintf("E11 distributed search (n=%d, d=32, k=10, ef=64)", n),
 		"partitioning", "shards", "probes", "recall@10", "mean.latency")
 	for _, parts := range []int{1, 2, 4, 8} {
-		router := build(dist.PartitionRandom(ds.Count, parts, 7))
-		got := make([][]topk.Result, len(qs))
-		mean := Timed(1, func() {
-			for i, q := range qs {
-				got[i], _, _ = router.Search(context.Background(), q, 10, 64)
-			}
-		}) / time.Duration(len(qs))
+		router, err := build(dist.PartitionRandom(ds.Count, parts, 7))
+		if err != nil {
+			fmt.Fprintf(w, "E11: %v\n", err)
+			return
+		}
+		got, mean := search(router, 0)
 		t.AddRow("random", parts, parts, sharedRecall(got, truth), mean)
 	}
 	p, err := dist.PartitionClustered(ds.Data, ds.Count, ds.Dim, 8, 5)
@@ -167,14 +169,13 @@ func runE11(w io.Writer, scale int) {
 		fmt.Fprintf(w, "E11: %v\n", err)
 		return
 	}
-	router := build(p)
+	router, err := build(p)
+	if err != nil {
+		fmt.Fprintf(w, "E11: %v\n", err)
+		return
+	}
 	for _, probes := range []int{1, 2, 4, 8} {
-		got := make([][]topk.Result, len(qs))
-		mean := Timed(1, func() {
-			for i, q := range qs {
-				got[i], _, _ = router.RoutedSearch(context.Background(), q, 10, 64, probes)
-			}
-		}) / time.Duration(len(qs))
+		got, mean := search(router, probes)
 		t.AddRow("cluster-guided", 8, probes, sharedRecall(got, truth), mean)
 	}
 	t.Print(w)

@@ -55,26 +55,21 @@ type fileSnapshot struct {
 	IndexKind  string
 	IndexOpts  map[string]int
 	// Quantization/RerankK mirror the schema's compressed-scan
-	// defaults (gob decodes them as zero values from older snapshots,
-	// i.e. disabled).
+	// defaults.
 	Quantization string
 	RerankK      int
-	// AppliedLSN is the WAL position this snapshot covers (version ≥ 2;
-	// 0 for plain Save files and pre-WAL snapshots).
+	// AppliedLSN is the WAL position this snapshot covers (0 for plain
+	// Save files).
 	AppliedLSN uint64
 }
 
-// Snapshot container formats:
-//
-//	v1/v2  one gob value holding everything, Data inline.
-//	v3     a 16-byte preamble (magic, column offset), the gob metadata
-//	       with Data omitted, zero padding to a page boundary, then the
-//	       float column as a storage column-file image. The column
-//	       lands page-aligned, so a checkpoint doubles as an mmap
-//	       source: recovery maps it in place instead of materializing
-//	       the vectors on the heap (storage.OpenColumnSection).
-//
-// Readers accept all three; writers emit v3.
+// Snapshot container format (v3, the only one read or written): a
+// 16-byte preamble (magic, column offset), the gob metadata with Data
+// omitted, zero padding to a page boundary, then the float column as a
+// storage column-file image. The column lands page-aligned, so a
+// checkpoint doubles as an mmap source: recovery maps it in place
+// instead of materializing the vectors on the heap
+// (storage.OpenColumnSection).
 const (
 	snapshotVersion = 3
 	snapshotMagic   = uint32(0x56534e33) // "3NSV"
@@ -217,7 +212,11 @@ func Load(path string) (*Collection, error) {
 		return nil, err
 	}
 	defer f.Close()
-	c, err := loadFrom(f)
+	snap, err := decodeSnapshot(f)
+	if err != nil {
+		return nil, err
+	}
+	c, err := collectionFromSnapshot(snap, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,30 +226,31 @@ func Load(path string) (*Collection, error) {
 	return c, nil
 }
 
-func loadFrom(r io.Reader) (*Collection, error) {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return collectionFromSnapshot(snap, nil)
-}
-
-// decodeSnapshot reads and version-checks one serialized snapshot from
-// a stream, materializing the v3 column section on the heap. Legacy
-// v1/v2 files (a bare gob value) are detected by the missing magic.
-func decodeSnapshot(r io.Reader) (*fileSnapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil || binary.LittleEndian.Uint32(head) != snapshotMagic {
-		return decodeLegacySnapshot(br)
-	}
+// readPreamble reads the v3 preamble and returns the column offset. A
+// file without the v3 magic (including the bare-gob v1/v2 containers,
+// which are no longer read) is refused.
+func readPreamble(r io.Reader) (int64, error) {
 	var pre [preambleSize]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return nil, fmt.Errorf("core: snapshot preamble: %w", err)
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return 0, fmt.Errorf("core: snapshot preamble: %w", err)
+	}
+	if binary.LittleEndian.Uint32(pre[0:]) != snapshotMagic {
+		return 0, fmt.Errorf("core: not a v%d snapshot (bad magic; v1/v2 files are no longer readable)", snapshotVersion)
 	}
 	columnOff := int64(binary.LittleEndian.Uint64(pre[8:]))
 	if columnOff < preambleSize {
-		return nil, fmt.Errorf("core: snapshot column offset %d corrupt", columnOff)
+		return 0, fmt.Errorf("core: snapshot column offset %d corrupt", columnOff)
+	}
+	return columnOff, nil
+}
+
+// decodeSnapshot reads and version-checks one serialized snapshot from
+// a stream, materializing the column section on the heap.
+func decodeSnapshot(r io.Reader) (*fileSnapshot, error) {
+	br := bufio.NewReader(r)
+	columnOff, err := readPreamble(br)
+	if err != nil {
+		return nil, err
 	}
 	snap, consumed, err := decodeSnapshotMeta(br)
 	if err != nil {
@@ -270,19 +270,6 @@ func decodeSnapshot(r io.Reader) (*fileSnapshot, error) {
 	}
 	snap.Data = flat
 	return snap, nil
-}
-
-// decodeLegacySnapshot decodes a v1/v2 file: one gob value, Data
-// inline.
-func decodeLegacySnapshot(r io.Reader) (*fileSnapshot, error) {
-	var snap fileSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	if snap.FormatVersion < 1 || snap.FormatVersion > snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, supported ≤ %d", snap.FormatVersion, snapshotVersion)
-	}
-	return &snap, nil
 }
 
 // countingReader counts consumed bytes and exposes ReadByte so gob
@@ -315,32 +302,30 @@ func decodeSnapshotMeta(br *bufio.Reader) (*fileSnapshot, int64, error) {
 	if err := gob.NewDecoder(cr).Decode(&snap); err != nil {
 		return nil, 0, fmt.Errorf("core: decoding snapshot metadata: %w", err)
 	}
-	if snap.FormatVersion < 3 || snap.FormatVersion > snapshotVersion {
-		return nil, 0, fmt.Errorf("core: snapshot version %d in v3 container, supported ≤ %d", snap.FormatVersion, snapshotVersion)
+	if snap.FormatVersion != snapshotVersion {
+		return nil, 0, fmt.Errorf("core: snapshot version %d, only v%d is supported", snap.FormatVersion, snapshotVersion)
 	}
 	return &snap, cr.n, nil
 }
 
-// openSnapshotFile loads one checkpoint or Save file from disk. For a
-// v3 file on an mmap-capable platform it returns the metadata plus a
-// live mapping of the column section (snap.Data stays nil); otherwise
-// the column is materialized on the heap and the mapping is nil.
+// openSnapshotFile loads one checkpoint or Save file from disk. On an
+// mmap-capable platform it returns the metadata plus a live mapping of
+// the column section (snap.Data stays nil); otherwise the column is
+// materialized on the heap and the mapping is nil.
 func openSnapshotFile(path string) (*fileSnapshot, *storage.MmapStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	var pre [preambleSize]byte
-	if _, err := io.ReadFull(f, pre[:]); err != nil || binary.LittleEndian.Uint32(pre[0:]) != snapshotMagic || !storage.MmapSupported() {
-		// Legacy container, tiny file, or no mmap: stream the whole file.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, err
-		}
+	if !storage.MmapSupported() {
 		snap, err := decodeSnapshot(f)
 		return snap, nil, err
 	}
-	columnOff := int64(binary.LittleEndian.Uint64(pre[8:]))
+	columnOff, err := readPreamble(f)
+	if err != nil {
+		return nil, nil, err
+	}
 	snap, _, err := decodeSnapshotMeta(bufio.NewReader(io.NewSectionReader(f, preambleSize, columnOff-preambleSize)))
 	if err != nil {
 		return nil, nil, err

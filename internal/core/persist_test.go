@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vdbms/internal/filter"
@@ -56,19 +58,46 @@ func TestSaveLoadRoundTripCore(t *testing.T) {
 	}
 }
 
-func TestLoadVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&fileSnapshot{FormatVersion: 99}); err != nil {
+// loadBad writes snap as a v3 file and loads it back, returning the
+// load error.
+func loadBad(t *testing.T, snap fileSnapshot) error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := writeSnapshotFile(path, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadFrom(&buf); err == nil {
-		t.Fatal("want version error")
+	_, err := Load(path)
+	return err
+}
+
+func TestLoadVersionMismatch(t *testing.T) {
+	err := loadBad(t, fileSnapshot{FormatVersion: 99, Name: "x", Dim: 2, N: 1, Data: []float32{1, 2}})
+	if err == nil || !strings.Contains(err.Error(), "version 99") {
+		t.Fatalf("want version error, got %v", err)
+	}
+}
+
+// A file without the v3 magic — such as a bare-gob v1/v2 container —
+// is refused with an error that says so, on both read paths.
+func TestLoadRefusesPreV3Container(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&fileSnapshot{FormatVersion: 2, Name: "x", Dim: 2, N: 1, Data: []float32{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v2.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "not a v3 snapshot") {
+		t.Fatalf("Load: want not-v3 error, got %v", err)
+	}
+	if _, _, err := openSnapshotFile(path); err == nil || !strings.Contains(err.Error(), "not a v3 snapshot") {
+		t.Fatalf("openSnapshotFile: want not-v3 error, got %v", err)
 	}
 }
 
 func TestLoadCorruptTombstone(t *testing.T) {
-	var buf bytes.Buffer
-	snap := fileSnapshot{
+	err := loadBad(t, fileSnapshot{
 		FormatVersion: snapshotVersion,
 		Name:          "x",
 		Dim:           2,
@@ -76,18 +105,14 @@ func TestLoadCorruptTombstone(t *testing.T) {
 		Data:          []float32{1, 2},
 		Deleted:       []int64{7}, // out of range
 		AttrKinds:     map[string]int32{},
-	}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadFrom(&buf); err == nil {
-		t.Fatal("want tombstone error")
+	})
+	if err == nil || !strings.Contains(err.Error(), "tombstone") {
+		t.Fatalf("want tombstone error, got %v", err)
 	}
 }
 
 func TestLoadBadIndexKind(t *testing.T) {
-	var buf bytes.Buffer
-	snap := fileSnapshot{
+	err := loadBad(t, fileSnapshot{
 		FormatVersion: snapshotVersion,
 		Name:          "x",
 		Dim:           2,
@@ -95,12 +120,9 @@ func TestLoadBadIndexKind(t *testing.T) {
 		Data:          []float32{1, 2},
 		AttrKinds:     map[string]int32{},
 		IndexKind:     "bogus",
-	}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadFrom(&buf); err == nil {
-		t.Fatal("want index-kind error")
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown index") {
+		t.Fatalf("want index-kind error, got %v", err)
 	}
 }
 

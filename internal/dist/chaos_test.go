@@ -2,13 +2,17 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/fault"
+	"vdbms/internal/obs"
 	"vdbms/internal/topk"
 )
 
@@ -25,11 +29,11 @@ type countingShard struct {
 
 func (c *countingShard) Count() int { return c.inner.Count() }
 
-func (c *countingShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
+func (c *countingShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	c.mu.Lock()
 	c.calls++
 	c.mu.Unlock()
-	return c.inner.Search(ctx, q, k, ef)
+	return c.inner.Search(ctx, req)
 }
 
 func (c *countingShard) callCount() int {
@@ -67,18 +71,18 @@ func TestChaosPartialTopKUnderShardOutage(t *testing.T) {
 	const downShard = 2
 	wired := make([]Shard, 4)
 	copy(wired, good)
-	wired[downShard] = fault.NewChaosShard(good[downShard], fault.ChaosConfig{ErrorRate: 1, Seed: 11})
+	wired[downShard] = NewChaosShard(good[downShard], ChaosConfig{ErrorRate: 1, Seed: 11})
 	router := NewRouter(wired, nil)
 
 	// Reference: the merge over only the three healthy shards.
 	reference := NewRouter([]Shard{good[0], good[1], good[3]}, nil)
 
 	for qi, q := range ds.Queries(10, 0.05, 2) {
-		got, part, err := router.Search(context.Background(), q, 10, 100)
+		got, part, err := router.Search(context.Background(), knn(q, 10, 100), 0)
 		if err != nil {
 			t.Fatalf("query %d: partial degradation must not error: %v", qi, err)
 		}
-		want, refPart, err := reference.Search(context.Background(), q, 10, 100)
+		want, refPart, err := reference.Search(context.Background(), knn(q, 10, 100), 0)
 		if err != nil || !refPart.Complete() {
 			t.Fatalf("reference: %v %+v", err, refPart)
 		}
@@ -94,7 +98,7 @@ func TestChaosPartialTopKUnderShardOutage(t *testing.T) {
 		if !reflect.DeepEqual(part.FailedShards(), []int{downShard}) {
 			t.Fatalf("query %d: failed = %+v", qi, part.Failed)
 		}
-		if part.Failed[0].Err != fault.ErrInjected.Error() {
+		if part.Failed[0].Err != ErrInjected.Error() {
 			t.Fatalf("query %d: failure message = %q", qi, part.Failed[0].Err)
 		}
 	}
@@ -106,7 +110,7 @@ func TestChaosPartialTopKUnderShardOutage(t *testing.T) {
 func TestChaosBreakerLifecycleOnReplicaPrimary(t *testing.T) {
 	ds := dataset.Uniform(200, 8, 3)
 	backend := newLocal(t, ds)
-	primary := fault.NewChaosShard(backend, fault.ChaosConfig{ErrorRate: 1, Seed: 5})
+	primary := NewChaosShard(backend, ChaosConfig{ErrorRate: 1, Seed: 5})
 	secondary := &countingShard{inner: backend}
 	tertiary := &countingShard{inner: backend}
 
@@ -122,7 +126,7 @@ func TestChaosBreakerLifecycleOnReplicaPrimary(t *testing.T) {
 	}
 	search := func() {
 		t.Helper()
-		res, err := rs.Search(context.Background(), ds.Row(7), 1, 50)
+		res, err := rs.Search(context.Background(), knn(ds.Row(7), 1, 50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,13 +182,13 @@ func TestChaosDeadlineBoundsHungShard(t *testing.T) {
 	const hungShard = 1
 	wired := make([]Shard, 4)
 	copy(wired, good)
-	wired[hungShard] = fault.NewChaosShard(good[hungShard], fault.ChaosConfig{HangRate: 1, Seed: 2})
+	wired[hungShard] = NewChaosShard(good[hungShard], ChaosConfig{HangRate: 1, Seed: 2})
 	router := NewRouter(wired, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	got, part, err := router.Search(ctx, ds.Row(3), 5, 100)
+	got, part, err := router.Search(ctx, knn(ds.Row(3), 5, 100), 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("three healthy shards answered; want partial success, got %v", err)
@@ -206,12 +210,12 @@ func TestChaosDeadlineBoundsHungShard(t *testing.T) {
 	// blocking forever.
 	allHung := make([]Shard, 4)
 	for i := range allHung {
-		allHung[i] = fault.NewChaosShard(good[i], fault.ChaosConfig{HangRate: 1, Seed: int64(i + 1)})
+		allHung[i] = NewChaosShard(good[i], ChaosConfig{HangRate: 1, Seed: int64(i + 1)})
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel2()
 	start = time.Now()
-	_, part2, err := NewRouter(allHung, nil).Search(ctx2, ds.Row(3), 5, 100)
+	_, part2, err := NewRouter(allHung, nil).Search(ctx2, knn(ds.Row(3), 5, 100), 0)
 	if err == nil || time.Since(start) > 2*time.Second {
 		t.Fatalf("all-hung query: err=%v elapsed=%v", err, time.Since(start))
 	}
@@ -229,11 +233,11 @@ func TestShardTimeoutWithoutCallerDeadline(t *testing.T) {
 
 	wired := make([]Shard, 3)
 	copy(wired, good)
-	wired[2] = fault.NewChaosShard(good[2], fault.ChaosConfig{HangRate: 1, Seed: 4})
+	wired[2] = NewChaosShard(good[2], ChaosConfig{HangRate: 1, Seed: 4})
 	router := NewRouter(wired, nil, WithShardTimeout(50*time.Millisecond))
 
 	start := time.Now()
-	got, part, err := router.Search(context.Background(), ds.Row(0), 3, 100)
+	got, part, err := router.Search(context.Background(), knn(ds.Row(0), 3, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +258,11 @@ func TestRetrierMasksTransientShardFailure(t *testing.T) {
 
 	wired := make([]Shard, 3)
 	copy(wired, good)
-	wired[1] = fault.NewChaosShard(good[1], fault.ChaosConfig{FailFirst: 2, Seed: 6})
+	wired[1] = NewChaosShard(good[1], ChaosConfig{FailFirst: 2, Seed: 6})
 	rt := fault.NewRetrier(fault.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1})
 	router := NewRouter(wired, nil, WithRetrier(rt))
 
-	got, part, err := router.Search(context.Background(), ds.Row(0), 1, 100)
+	got, part, err := router.Search(context.Background(), knn(ds.Row(0), 1, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +283,269 @@ func TestMinAnsweredFloor(t *testing.T) {
 
 	wired := make([]Shard, 3)
 	copy(wired, good)
-	wired[0] = fault.NewChaosShard(good[0], fault.ChaosConfig{ErrorRate: 1, Seed: 8})
+	wired[0] = NewChaosShard(good[0], ChaosConfig{ErrorRate: 1, Seed: 8})
 	strict := NewRouter(wired, nil, WithMinAnswered(3))
-	if _, _, err := strict.Search(context.Background(), ds.Row(0), 1, 100); err == nil {
+	if _, _, err := strict.Search(context.Background(), knn(ds.Row(0), 1, 100), 0); err == nil {
 		t.Fatal("strict router must fail when a shard is down")
 	}
 	lenient := NewRouter(wired, nil)
-	if _, part, err := lenient.Search(context.Background(), ds.Row(0), 1, 100); err != nil || len(part.Answered) != 2 {
+	if _, part, err := lenient.Search(context.Background(), knn(ds.Row(0), 1, 100), 0); err != nil || len(part.Answered) != 2 {
 		t.Fatalf("lenient router: err=%v partial=%+v", err, part)
+	}
+}
+
+// okShard answers every query with one fixed hit.
+type okShard struct{ n int }
+
+func (s *okShard) Count() int { return s.n }
+func (s *okShard) Search(ctx context.Context, _ vdbms.SearchRequest) ([]topk.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return []topk.Result{{ID: 42, Dist: 0.5}}, nil
+}
+
+var oneHit = vdbms.SearchRequest{K: 1}
+
+func TestChaosShardDeterministicSchedule(t *testing.T) {
+	run := func() []bool {
+		cs := NewChaosShard(&okShard{n: 10}, ChaosConfig{ErrorRate: 0.5, Seed: 3})
+		outcomes := make([]bool, 40)
+		for i := range outcomes {
+			_, err := cs.Search(context.Background(), oneHit)
+			outcomes[i] = err == nil
+		}
+		return outcomes
+	}
+	a, b := run(), run()
+	okCount := 0
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("same seed must replay the same fault schedule")
+		}
+		if a[i] {
+			okCount++
+		}
+	}
+	if okCount == 0 || okCount == len(a) {
+		t.Fatalf("error rate 0.5 produced %d/%d successes", okCount, len(a))
+	}
+}
+
+func TestChaosShardFailFirstThenHeals(t *testing.T) {
+	cs := NewChaosShard(&okShard{n: 10}, ChaosConfig{FailFirst: 2, Seed: 1})
+	for i := 0; i < 2; i++ {
+		if _, err := cs.Search(context.Background(), oneHit); !errors.Is(err, ErrInjected) {
+			t.Fatalf("call %d: %v, want ErrInjected", i, err)
+		}
+	}
+	res, err := cs.Search(context.Background(), oneHit)
+	if err != nil || len(res) != 1 || res[0].ID != 42 {
+		t.Fatalf("after FailFirst drained: %v %v", res, err)
+	}
+	calls, faults := cs.Stats()
+	if calls != 3 || faults != 2 {
+		t.Fatalf("stats = %d calls, %d faults", calls, faults)
+	}
+}
+
+func TestChaosShardHangRespectsDeadline(t *testing.T) {
+	cs := NewChaosShard(&okShard{n: 1}, ChaosConfig{HangRate: 1, Seed: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := cs.Search(ctx, oneHit)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hang returned %v, want deadline exceeded", err)
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("hang outlived its deadline")
+	}
+}
+
+func TestChaosShardLatencyAndCount(t *testing.T) {
+	cs := NewChaosShard(&okShard{n: 7}, ChaosConfig{Latency: 5 * time.Millisecond, LatencyJitter: 5 * time.Millisecond, Seed: 2})
+	if cs.Count() != 7 {
+		t.Fatal("count must delegate")
+	}
+	start := time.Now()
+	if _, err := cs.Search(context.Background(), oneHit); err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) < 5*time.Millisecond {
+		t.Fatal("latency injection missing")
+	}
+	// A deadline shorter than the injected latency cuts the call off.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := cs.Search(ctx, oneHit); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("latency sleep ignored deadline: %v", err)
+	}
+}
+
+// Router-level breakers: shards that keep failing trip open, the
+// per-shard breaker-state gauge follows, and an all-failed query is an
+// error whose Partial report still names every casualty.
+func TestRouterBreakerStatesAndGauge(t *testing.T) {
+	ds := dataset.Uniform(200, 8, 17)
+	shards := buildShards(t, ds, PartitionRandom(ds.Count, 2, 7))
+	for i := range shards {
+		shards[i] = NewChaosShard(shards[i], ChaosConfig{ErrorRate: 1, Seed: int64(i + 1)})
+	}
+	router := NewRouter(shards, nil, WithShardBreakers(fault.BreakerConfig{
+		FailureThreshold: 1,
+		Cooldown:         time.Hour, // stays open for the whole test
+	}))
+	gauge := func(i int) float64 { return obs.ShardBreakerState.With(strconv.Itoa(i)).Value() }
+	for i, st := range router.ShardStates() {
+		if st != "closed" || gauge(i) != float64(fault.Closed) {
+			t.Fatalf("shard %d before failures: state %s gauge %v", i, st, gauge(i))
+		}
+	}
+
+	_, part, err := router.Search(context.Background(), knn(ds.Row(0), 3, 50), 0)
+	if err == nil {
+		t.Fatal("every shard failing must be an error")
+	}
+	if !reflect.DeepEqual(part.FailedShards(), []int{0, 1}) {
+		t.Fatalf("partial = %+v", part)
+	}
+	for i, st := range router.ShardStates() {
+		if st != "open" || gauge(i) != float64(fault.Open) {
+			t.Fatalf("shard %d after trip: state %s gauge %v", i, st, gauge(i))
+		}
+	}
+	// An open breaker rejects without calling the shard.
+	_, part, _ = router.Search(context.Background(), knn(ds.Row(0), 3, 50), 0)
+	if part.Failed[0].Err != fault.ErrOpen.Error() {
+		t.Fatalf("open breaker charged with %q", part.Failed[0].Err)
+	}
+}
+
+// A traced query under chaos: the partial counter moves, the fan-out
+// span counts targets, answers and failures, and each shard's child
+// span carries its status (and, for local shards, the plan it ran).
+func TestTraceUnderChaos(t *testing.T) {
+	ds := dataset.Uniform(400, 8, 19)
+	shards := buildShards(t, ds, PartitionRandom(ds.Count, 4, 7))
+	shards[2] = NewChaosShard(shards[2], ChaosConfig{ErrorRate: 1, Seed: 5})
+	router := NewRouter(shards, nil)
+	partialBefore := obs.DistPartial.Value()
+
+	tr := obs.NewTrace("dist_search")
+	if _, _, err := router.Search(obs.WithSpan(context.Background(), tr.Root()), knn(ds.Row(0), 5, 50), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.DistPartial.Value(); got != partialBefore+1 {
+		t.Fatalf("vdbms_dist_partial_total = %d, want %d", got, partialBefore+1)
+	}
+	root := tr.Finish()
+	var fanout *obs.SpanReport
+	for i := range root.Children {
+		if root.Children[i].Stage == "shard_fanout" {
+			fanout = &root.Children[i]
+		}
+	}
+	if fanout == nil {
+		t.Fatalf("no shard_fanout span: %+v", root)
+	}
+	if a := fanout.Annotations; a["targeted"] != 4 || a["answered"] != 3 || a["failed"] != 1 {
+		t.Fatalf("fanout annotations = %v", a)
+	}
+	if len(fanout.Children) != 4 {
+		t.Fatalf("shard spans = %+v, want 4", fanout.Children)
+	}
+	for _, c := range fanout.Children {
+		failed := c.Stage == "shard_2"
+		if st := c.Tags["status"]; (st == "error") != failed || (st == "ok") == failed {
+			t.Fatalf("%s status = %q", c.Stage, st)
+		}
+		if (c.Tags["plan"] == "") != failed {
+			t.Fatalf("%s plan tag = %q", c.Stage, c.Tags["plan"])
+		}
+	}
+}
+
+// exactShards hosts each of parts random partitions in an exact-scan
+// collection, so every answer is the true nearest neighbours.
+func exactShards(t *testing.T, ds *dataset.Dataset, parts int) []Shard {
+	t.Helper()
+	return localShards(t, ds, PartitionRandom(ds.Count, parts, 7), "")
+}
+
+// Every shard answering gives the exact top-k and a complete report.
+func TestRouterSearchComplete(t *testing.T) {
+	ds := dataset.Uniform(400, 8, 1)
+	router := NewRouter(exactShards(t, ds, 4), nil)
+	if router.NumShards() != 4 {
+		t.Fatalf("shards = %d", router.NumShards())
+	}
+	got, part, err := router.Search(context.Background(), knn(ds.Row(17), 3, 50), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !part.Complete() || part.Targeted != 4 || len(part.Answered) != 4 {
+		t.Fatalf("partial = %+v on a complete answer", part)
+	}
+	if len(got) != 3 || got[0].ID != 17 {
+		t.Fatalf("hits = %v", got)
+	}
+}
+
+// One shard always failing still answers k hits, with a report that
+// names only that shard.
+func TestRouterPartialDegradation(t *testing.T) {
+	ds := dataset.Uniform(400, 8, 3)
+	shards := exactShards(t, ds, 4)
+	shards[2] = NewChaosShard(shards[2], ChaosConfig{ErrorRate: 1, Seed: 5})
+	got, part, err := NewRouter(shards, nil).Search(context.Background(), knn(ds.Row(0), 5, 50), 0)
+	if err != nil {
+		t.Fatalf("partial loss must not error: %v", err)
+	}
+	if part.Complete() || !reflect.DeepEqual(part.FailedShards(), []int{2}) {
+		t.Fatalf("partial report = %+v", part)
+	}
+	if len(got) != 5 {
+		t.Fatalf("hits = %v", got)
+	}
+}
+
+// Every shard failing is an error, and the report names them all.
+func TestRouterAllShardsDown(t *testing.T) {
+	ds := dataset.Uniform(100, 8, 5)
+	shards := exactShards(t, ds, 2)
+	for i := range shards {
+		shards[i] = NewChaosShard(shards[i], ChaosConfig{ErrorRate: 1, Seed: int64(i + 1)})
+	}
+	_, part, err := NewRouter(shards, nil).Search(context.Background(), knn(ds.Row(0), 5, 50), 0)
+	if err == nil {
+		t.Fatal("total loss must be an error")
+	}
+	if len(part.Failed) != 2 {
+		t.Fatalf("partial = %+v", part)
+	}
+}
+
+// A caller deadline tighter than the router's per-shard timeout bounds
+// a hung shard: the query returns at the caller's budget, not the
+// router's.
+func TestRouterCallerDeadlineBeatsShardTimeout(t *testing.T) {
+	ds := dataset.Uniform(400, 8, 7)
+	shards := exactShards(t, ds, 4)
+	shards[1] = NewChaosShard(shards[1], ChaosConfig{HangRate: 1, Seed: 9})
+	router := NewRouter(shards, nil, WithShardTimeout(10*time.Second))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	got, part, err := router.Search(ctx, knn(ds.Row(0), 5, 50), 0)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("hung shard stalled the query for %v past a 100ms budget", elapsed)
+	}
+	if err != nil || len(got) != 5 {
+		t.Fatalf("hung-shard search: %v, %d hits", err, len(got))
+	}
+	if !reflect.DeepEqual(part.FailedShards(), []int{1}) {
+		t.Fatalf("partial = %+v", part)
 	}
 }

@@ -1,11 +1,14 @@
 // Package dist implements distributed search (Section 2.3(2)): the
-// collection is partitioned into shards, each with its own ANN index,
-// and queries are answered by scatter-gather with a top-k merge.
-// Partitioning is either random (uniform load) or index-guided
-// (k-means cluster per shard), and index-guided routing lets a query
-// probe only the shards whose centroids are closest, shrinking
-// fan-out. A net/rpc transport (rpc.go) runs shards as separate
-// processes.
+// collection is partitioned across shards, each shard hosts an
+// ordinary vdbms.Collection over its rows, and queries are answered by
+// scatter-gather with a top-k merge. Because a shard is the same
+// collection engine a single node runs, everything a request carries
+// — filters, metric, plan forcing, knobs, target recall, per-block
+// cancellation — reaches every shard unchanged. Partitioning is either
+// random (uniform load) or index-guided (k-means cluster per shard),
+// and index-guided routing lets a query probe only the shards whose
+// centroids are closest, shrinking fan-out. A net/rpc transport
+// (rpc.go) runs shards as separate processes.
 //
 // The read path is fault-tolerant: every search carries a
 // context.Context deadline, each shard call can get a sub-deadline
@@ -23,8 +26,8 @@ import (
 	"strconv"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/fault"
-	"vdbms/internal/index"
 	"vdbms/internal/kmeans"
 	"vdbms/internal/obs"
 	"vdbms/internal/topk"
@@ -41,64 +44,66 @@ var (
 // vector ids. Implementations must honor ctx cancellation: a shard
 // that cannot answer before the deadline returns ctx.Err().
 type Shard interface {
-	Search(ctx context.Context, q []float32, k int, ef int) ([]topk.Result, error)
+	Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error)
 	Count() int
 }
 
-// LocalShard wraps an index plus the local-to-global id mapping.
+// LocalShard serves one partition from an in-process collection plus
+// its local-to-global id mapping.
 type LocalShard struct {
-	idx index.Index
-	ids []int64 // local row -> global id
-	// Parallelism is the intra-query worker count handed to the
-	// wrapped index for partitioned scans (0 = GOMAXPROCS, 1 =
-	// serial). Set it before serving; it is read concurrently.
-	Parallelism int
+	col *vdbms.Collection
+	ids []int64 // local id -> global id; nil when they coincide
 }
 
-// NewLocalShard builds a shard from pre-partitioned rows.
-func NewLocalShard(idx index.Index, globalIDs []int64) *LocalShard {
-	return &LocalShard{idx: idx, ids: globalIDs}
+// NewLocalShard wraps col; globalIDs[i] is the global id of the
+// collection's row i (nil keeps the collection's own ids).
+func NewLocalShard(col *vdbms.Collection, globalIDs []int64) *LocalShard {
+	return &LocalShard{col: col, ids: globalIDs}
 }
 
-// Count implements Shard.
-func (s *LocalShard) Count() int { return len(s.ids) }
+// Count implements Shard: the live rows of the partition.
+func (s *LocalShard) Count() int { return s.col.Len() }
 
-// Search implements Shard. The index probe itself is CPU-bound and
-// uninterruptible, so cancellation is checked at entry and before the
-// results are returned. Probe work feeds the per-index obs counters
-// (so a vdbms-shard process exposes them on its /metrics) and, when
-// the context carries a trace span, annotates it.
-func (s *LocalShard) Search(ctx context.Context, q []float32, k int, ef int) ([]topk.Result, error) {
+// Search implements Shard by running the request on the hosted
+// collection under ctx, then mapping hit ids to global ids. An empty
+// partition answers with no hits. When ctx carries a trace span it is
+// tagged with the executed plan.
+func (s *LocalShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
+	if err := checkSingleVector(req); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var st index.SearchStats
-	res, err := s.idx.Search(q, k, index.Params{Ef: ef, NProbe: ef, Parallelism: s.Parallelism, Stats: &st})
-	name := s.idx.Name()
-	obs.IndexProbes.With(name).Inc()
-	obs.IndexDistanceComps.With(name).Add(st.DistanceComps)
-	obs.IndexNodesVisited.With(name).Add(st.NodesVisited)
-	obs.IndexBucketsProbed.With(name).Add(st.BucketsProbed)
-	obs.IndexIOReads.With(name).Add(st.IOReads)
-	obs.IndexPartitions.With(name).Add(st.Partitions)
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		sp.Tag("index", name)
-		sp.Annotate("distance_comps", st.DistanceComps)
-		if st.NodesVisited > 0 {
-			sp.Annotate("nodes_visited", st.NodesVisited)
-		}
+	if s.col.Len() == 0 {
+		return nil, nil
 	}
+	res, err := s.col.SearchContext(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	obs.SpanFrom(ctx).Tag("plan", res.Plan)
+	if s.ids == nil {
+		return res.Hits, nil
 	}
-	out := make([]topk.Result, len(res))
-	for i, r := range res {
-		out[i] = topk.Result{ID: s.ids[r.ID], Dist: r.Dist}
+	out := make([]topk.Result, len(res.Hits))
+	for i, h := range res.Hits {
+		if h.ID < 0 || h.ID >= int64(len(s.ids)) {
+			return nil, fmt.Errorf("dist: shard hit id %d outside its %d rows", h.ID, len(s.ids))
+		}
+		out[i] = topk.Result{ID: s.ids[h.ID], Dist: h.Dist}
 	}
 	return out, nil
+}
+
+// checkSingleVector rejects multi-vector requests: their hits are
+// entity ids aggregated over the rows one shard holds, and merging
+// per-shard partial aggregates as complete scores would be wrong.
+func checkSingleVector(req vdbms.SearchRequest) error {
+	if len(req.Vectors) > 0 || req.EntityColumn != "" {
+		return fmt.Errorf("dist: multi-vector search is not supported across shards")
+	}
+	return nil
 }
 
 // Partition assigns each of n rows to one of p parts.
@@ -133,16 +138,45 @@ func PartitionClustered(data []float32, n, d, parts int, seed int64) (Partition,
 	return Partition{Assign: a, Parts: res.K, Centroids: res}, nil
 }
 
-// SplitRows materializes per-part row data and global id lists.
-func SplitRows(data []float32, n, d int, p Partition) (partData [][]float32, partIDs [][]int64) {
-	partData = make([][]float32, p.Parts)
-	partIDs = make([][]int64, p.Parts)
-	for row := 0; row < n; row++ {
-		part := p.Assign[row]
-		partData[part] = append(partData[part], data[row*d:(row+1)*d]...)
-		partIDs[part] = append(partIDs[part], int64(row))
+// BuildShards materializes partition p of n rows as one in-memory
+// collection per part. Row i's vector is data[i*schema.Dim:] and its
+// attributes attrs[i] (attrs may be nil when the schema has none); it
+// keeps its row number as global id. Every non-empty part is indexed
+// with CreateIndex(kind, opts) unless kind is empty; an empty part
+// stays an empty shard that answers with no hits.
+func BuildShards(schema vdbms.Schema, data []float32, attrs []map[string]any, p Partition, kind string, opts map[string]int) ([]Shard, error) {
+	d := schema.Dim
+	local := make([]*LocalShard, p.Parts)
+	db := vdbms.New()
+	for i := range local {
+		col, err := db.CreateCollection("part"+strconv.Itoa(i), schema)
+		if err != nil {
+			return nil, err
+		}
+		local[i] = NewLocalShard(col, []int64{})
 	}
-	return partData, partIDs
+	for row, part := range p.Assign {
+		var a map[string]any
+		if attrs != nil {
+			a = attrs[row]
+		}
+		sh := local[part]
+		if _, err := sh.col.Insert(data[row*d:(row+1)*d], a); err != nil {
+			return nil, fmt.Errorf("dist: row %d: %w", row, err)
+		}
+		sh.ids = append(sh.ids, int64(row))
+	}
+	shards := make([]Shard, len(local))
+	for i, sh := range local {
+		shards[i] = sh
+		if kind == "" || sh.col.Len() == 0 {
+			continue
+		}
+		if err := sh.col.CreateIndex(kind, opts); err != nil {
+			return nil, fmt.Errorf("dist: shard %d: %w", i, err)
+		}
+	}
+	return shards, nil
 }
 
 // ShardError records one shard that failed to answer a scatter-gather
@@ -294,31 +328,36 @@ func (r *Router) ShardStates() []string {
 	return out
 }
 
-// Search fans the query out to every shard and merges the top-k. When
-// some shards fail or time out it degrades gracefully: the merged
-// top-k over the shards that answered is returned together with a
-// Partial report naming the failures. An error is returned only when
-// fewer than the configured minimum of shards answered.
-func (r *Router) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, Partial, error) {
-	return r.searchShards(ctx, q, k, ef, nil)
-}
-
-// RoutedSearch probes only the `probes` shards whose centroids are
-// closest to the query; requires index-guided partitioning. probes <=
-// 0 or missing centroids degrade to full fan-out. Partial-result
-// semantics match Search.
-func (r *Router) RoutedSearch(ctx context.Context, q []float32, k, ef, probes int) ([]topk.Result, Partial, error) {
-	if r.centroids == nil || probes <= 0 || probes >= len(r.shards) {
-		return r.Search(ctx, q, k, ef)
+// Search fans req out and merges the top-k. probes > 0 routes it to
+// the probes shards whose centroids are nearest req.Vector (only with
+// index-guided partitioning; otherwise, or with probes <= 0, every
+// shard is targeted). When some shards fail or time out it degrades
+// gracefully: the merged top-k over the shards that answered is
+// returned together with a Partial report naming the failures. An
+// error is returned only when fewer than the configured minimum of
+// shards answered. Multi-vector requests are rejected.
+func (r *Router) Search(ctx context.Context, req vdbms.SearchRequest, probes int) ([]topk.Result, Partial, error) {
+	if req.K <= 0 {
+		return nil, Partial{}, fmt.Errorf("dist: k must be positive, got %d", req.K)
 	}
-	return r.searchShards(ctx, q, k, ef, r.centroids.NearestN(q, probes))
+	if err := checkSingleVector(req); err != nil {
+		return nil, Partial{}, err
+	}
+	var subset []int
+	if r.centroids != nil && probes > 0 && probes < len(r.shards) {
+		if len(req.Vector) != r.centroids.Dim {
+			return nil, Partial{}, fmt.Errorf("dist: routed query has dim %d, centroids have %d", len(req.Vector), r.centroids.Dim)
+		}
+		subset = r.centroids.NearestN(req.Vector, probes)
+	}
+	return r.searchShards(ctx, req, subset)
 }
 
 // searchOne runs a single shard call under the per-shard sub-deadline,
 // retry policy, and (when configured) circuit breaker. The full call
 // — retries included — is timed into the per-shard latency histogram;
 // retry attempts beyond the first feed the retry counter.
-func (r *Router) searchOne(ctx context.Context, si int, q []float32, k, ef int) ([]topk.Result, error) {
+func (r *Router) searchOne(ctx context.Context, si int, req vdbms.SearchRequest) ([]topk.Result, error) {
 	var b *fault.Breaker
 	if r.breakers != nil {
 		b = r.breakers[si]
@@ -327,7 +366,7 @@ func (r *Router) searchOne(ctx context.Context, si int, q []float32, k, ef int) 
 		}
 	}
 	start := time.Now()
-	res, err := r.searchOneInner(ctx, si, q, k, ef)
+	res, err := r.searchOneInner(ctx, si, req)
 	obs.DistShardLatency.With(strconv.Itoa(si)).Observe(time.Since(start).Seconds())
 	if b != nil {
 		switch {
@@ -343,20 +382,20 @@ func (r *Router) searchOne(ctx context.Context, si int, q []float32, k, ef int) 
 	return res, err
 }
 
-func (r *Router) searchOneInner(ctx context.Context, si int, q []float32, k, ef int) ([]topk.Result, error) {
+func (r *Router) searchOneInner(ctx context.Context, si int, req vdbms.SearchRequest) ([]topk.Result, error) {
 	if r.shardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.shardTimeout)
 		defer cancel()
 	}
 	if r.retrier == nil {
-		return r.shards[si].Search(ctx, q, k, ef)
+		return r.shards[si].Search(ctx, req)
 	}
 	var res []topk.Result
 	attempts := 0
 	err := r.retrier.Do(ctx, func(c context.Context) error {
 		attempts++
-		rr, e := r.shards[si].Search(c, q, k, ef)
+		rr, e := r.shards[si].Search(c, req)
 		if e == nil {
 			res = rr
 		}
@@ -369,7 +408,7 @@ func (r *Router) searchOneInner(ctx context.Context, si int, q []float32, k, ef 
 	return res, err
 }
 
-func (r *Router) searchShards(ctx context.Context, q []float32, k, ef int, subset []int) ([]topk.Result, Partial, error) {
+func (r *Router) searchShards(ctx context.Context, req vdbms.SearchRequest, subset []int) ([]topk.Result, Partial, error) {
 	obs.DistSearches.Inc()
 	targets := subset
 	if targets == nil {
@@ -396,7 +435,7 @@ func (r *Router) searchShards(ctx context.Context, q []float32, k, ef int, subse
 	for i, si := range targets {
 		spans[i] = fsp.Start("shard_" + strconv.Itoa(si))
 		go func(pos, si int, sp *obs.Span) {
-			res, err := r.searchOne(obs.WithSpan(ctx, sp), si, q, k, ef)
+			res, err := r.searchOne(obs.WithSpan(ctx, sp), si, req)
 			sp.End()
 			if err != nil {
 				sp.Tag("status", "error")
@@ -408,7 +447,7 @@ func (r *Router) searchShards(ctx context.Context, q []float32, k, ef int, subse
 		}(i, si, spans[i])
 	}
 
-	c := topk.NewCollector(k)
+	c := topk.NewCollector(req.K)
 	p := Partial{Targeted: len(targets)}
 	pending := make(map[int]bool, len(targets))
 	for i := range targets {

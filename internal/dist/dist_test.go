@@ -5,32 +5,36 @@ import (
 	"net"
 	"testing"
 
+	"vdbms"
 	"vdbms/internal/dataset"
-	"vdbms/internal/index"
-	"vdbms/internal/index/hnsw"
+	"vdbms/internal/kmeans"
 	"vdbms/internal/vec"
 )
+
+// knn is an unfiltered top-k request with an Ef/NProbe budget.
+func knn(q []float32, k, ef int) vdbms.SearchRequest {
+	return vdbms.SearchRequest{Vector: q, K: k, Ef: ef, NProbe: ef}
+}
+
+// localShards hosts each part of p in its own collection, indexed with
+// kind ("" = exact scan).
+func localShards(t *testing.T, ds *dataset.Dataset, p Partition, kind string) []Shard {
+	t.Helper()
+	var opts map[string]int
+	if kind == "hnsw" {
+		opts = map[string]int{"m": 8}
+	}
+	shards, err := BuildShards(vdbms.Schema{Dim: ds.Dim}, ds.Data, nil, p, kind, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards
+}
 
 // buildShards partitions a dataset and builds one HNSW per shard.
 func buildShards(t *testing.T, ds *dataset.Dataset, p Partition) []Shard {
 	t.Helper()
-	partData, partIDs := SplitRows(ds.Data, ds.Count, ds.Dim, p)
-	shards := make([]Shard, p.Parts)
-	for i := range shards {
-		n := len(partIDs[i])
-		var idx index.Index
-		var err error
-		if n == 0 {
-			idx, err = index.NewFlat(nil, 0, ds.Dim, nil)
-		} else {
-			idx, err = hnsw.Build(partData[i], n, ds.Dim, hnsw.Config{M: 8, Seed: 1})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = NewLocalShard(idx, partIDs[i])
-	}
-	return shards
+	return localShards(t, ds, p, "hnsw")
 }
 
 func TestScatterGatherMatchesSingleIndex(t *testing.T) {
@@ -44,7 +48,7 @@ func TestScatterGatherMatchesSingleIndex(t *testing.T) {
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 	var rec float64
 	for i, q := range qs {
-		got, _, err := router.Search(context.Background(), q, 10, 100)
+		got, _, err := router.Search(context.Background(), knn(q, 10, 100), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,9 +86,12 @@ func TestIndexGuidedRoutingReducesFanOut(t *testing.T) {
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 	var routedRec float64
 	for i, q := range qs {
-		got, _, err := router.RoutedSearch(context.Background(), q, 10, 100, 2)
+		got, part, err := router.Search(context.Background(), knn(q, 10, 100), 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if part.Targeted != 2 {
+			t.Fatalf("routed query targeted %d shards, want 2", part.Targeted)
 		}
 		routedRec += dataset.Recall(got, truth[i])
 	}
@@ -94,17 +101,20 @@ func TestIndexGuidedRoutingReducesFanOut(t *testing.T) {
 	}
 }
 
-func TestRoutedSearchFallsBackWithoutCentroids(t *testing.T) {
+func TestRoutingFallsBackWithoutCentroids(t *testing.T) {
 	ds := dataset.Uniform(300, 8, 7)
 	p := PartitionRandom(ds.Count, 3, 9)
 	router := NewRouter(buildShards(t, ds, p), nil)
-	full, _, err := router.Search(context.Background(), ds.Row(0), 5, 100)
+	full, _, err := router.Search(context.Background(), knn(ds.Row(0), 5, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, _, err := router.RoutedSearch(context.Background(), ds.Row(0), 5, 100, 1)
+	routed, part, err := router.Search(context.Background(), knn(ds.Row(0), 5, 100), 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if part.Targeted != 3 {
+		t.Fatalf("without centroids a routed query must fan out to all 3 shards, got %d", part.Targeted)
 	}
 	if len(full) != len(routed) {
 		t.Fatal("fallback should equal full fan-out")
@@ -121,12 +131,73 @@ func TestGlobalIDsPreserved(t *testing.T) {
 	p := PartitionRandom(ds.Count, 4, 13)
 	router := NewRouter(buildShards(t, ds, p), nil)
 	// Query exactly at row 123: top-1 must be global id 123.
-	got, _, err := router.Search(context.Background(), ds.Row(123), 1, 100)
+	got, _, err := router.Search(context.Background(), knn(ds.Row(123), 1, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].ID != 123 {
 		t.Fatalf("got %v, want id 123", got)
+	}
+}
+
+func TestRouterRejectsNonPositiveK(t *testing.T) {
+	ds := dataset.Uniform(50, 4, 3)
+	router := NewRouter(buildShards(t, ds, PartitionRandom(ds.Count, 2, 1)), nil)
+	if _, _, err := router.Search(context.Background(), knn(ds.Row(0), 0, 10), 0); err == nil {
+		t.Fatal("k=0 must be rejected")
+	}
+}
+
+// Multi-vector hits are entity ids, not shard rows: the router and
+// each shard refuse them with an error instead of mapping (or
+// indexing past) the shard's id slice.
+func TestMultiVectorRejected(t *testing.T) {
+	ds := dataset.Uniform(40, 4, 3)
+	attrs := make([]map[string]any, ds.Count)
+	for i := range attrs {
+		attrs[i] = map[string]any{"ent": i % 5}
+	}
+	schema := vdbms.Schema{Dim: ds.Dim, Attributes: map[string]string{"ent": "int"}}
+	shards, err := BuildShards(schema, ds.Data, attrs, PartitionRandom(ds.Count, 2, 1), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := vdbms.SearchRequest{Vectors: [][]float32{ds.Row(0), ds.Row(1)}, EntityColumn: "ent", K: 3}
+	if _, _, err := NewRouter(shards, nil).Search(context.Background(), req, 0); err == nil {
+		t.Fatal("router accepted a multi-vector request")
+	}
+	for i, s := range shards {
+		if _, err := s.Search(context.Background(), req); err == nil {
+			t.Fatalf("shard %d accepted a multi-vector request", i)
+		}
+	}
+}
+
+// An empty partition is a shard with no hits, not a failed shard —
+// also when routing sends a query to it alone.
+func TestEmptyShardAnswers(t *testing.T) {
+	ds := dataset.Uniform(60, 4, 3)
+	p := Partition{Assign: make([]int, ds.Count), Parts: 2} // part 1 empty
+	shards := localShards(t, ds, p, "hnsw")
+	cents := &kmeans.Result{K: 2, Dim: ds.Dim, Centroids: make([]float32, 2*ds.Dim)}
+	for j := range ds.Dim {
+		cents.Centroids[j] = 100
+	}
+	router := NewRouter(shards, cents)
+	q := ds.Row(7)
+	got, part, err := router.Search(context.Background(), knn(q, 3, 50), 0)
+	if err != nil || !part.Complete() || len(part.Answered) != 2 {
+		t.Fatalf("full fan-out: %v %+v", err, part)
+	}
+	if len(got) != 3 || got[0].ID != 7 {
+		t.Fatalf("full fan-out hits = %v", got)
+	}
+	got, part, err = router.Search(context.Background(), knn(q, 3, 50), 1)
+	if err != nil || !part.Complete() || len(part.Answered) != 1 || part.Answered[0] != 1 {
+		t.Fatalf("routed to the empty shard: %v %+v", err, part)
+	}
+	if len(got) != 0 {
+		t.Fatalf("empty shard returned %v", got)
 	}
 }
 
@@ -160,7 +231,7 @@ func TestRPCShardEndToEnd(t *testing.T) {
 		t.Fatal("remote counts wrong")
 	}
 	router := NewRouter(remote, nil)
-	got, part, err := router.Search(context.Background(), ds.Row(42), 1, 100)
+	got, part, err := router.Search(context.Background(), knn(ds.Row(42), 1, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

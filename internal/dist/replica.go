@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vdbms"
 	"vdbms/internal/fault"
 	"vdbms/internal/obs"
 	"vdbms/internal/topk"
@@ -137,7 +138,7 @@ func (r *ReplicaSet) MarkHealthy(i int) {
 // its breaker and the next takes over. Only when every replica fails
 // or is circuit-open does the set return an error. Caller
 // cancellation aborts immediately and is never charged to a replica.
-func (r *ReplicaSet) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
+func (r *ReplicaSet) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	var lastErr error
 	tried := 0
 	for i := range r.replicas {
@@ -152,7 +153,7 @@ func (r *ReplicaSet) Search(ctx context.Context, q []float32, k, ef int) ([]topk
 			continue
 		}
 		tried++
-		res, err := r.replicas[i].Search(ctx, q, k, ef)
+		res, err := r.replicas[i].Search(ctx, req)
 		if err == nil {
 			b.OnSuccess()
 			if tried > 1 {

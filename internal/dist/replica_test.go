@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/fault"
-	"vdbms/internal/index"
 	"vdbms/internal/topk"
 )
 
@@ -24,7 +24,7 @@ type flakyShard struct {
 
 func (f *flakyShard) Count() int { return f.inner.Count() }
 
-func (f *flakyShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
+func (f *flakyShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	f.mu.Lock()
 	f.calls++
 	fail := f.calls <= f.failN
@@ -32,7 +32,7 @@ func (f *flakyShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk
 	if fail {
 		return nil, errors.New("replica down")
 	}
-	return f.inner.Search(ctx, q, k, ef)
+	return f.inner.Search(ctx, req)
 }
 
 func (f *flakyShard) callCount() int {
@@ -41,17 +41,10 @@ func (f *flakyShard) callCount() int {
 	return f.calls
 }
 
-func newLocal(t *testing.T, ds *dataset.Dataset) *LocalShard {
+// newLocal hosts all of ds, unindexed, in one shard.
+func newLocal(t *testing.T, ds *dataset.Dataset) Shard {
 	t.Helper()
-	idx, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]int64, ds.Count)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	return NewLocalShard(idx, ids)
+	return localShards(t, ds, PartitionRandom(ds.Count, 1, 1), "")[0]
 }
 
 func TestReplicaSetFailover(t *testing.T) {
@@ -62,7 +55,7 @@ func TestReplicaSetFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rs.Search(context.Background(), ds.Row(5), 1, 100)
+	res, err := rs.Search(context.Background(), knn(ds.Row(5), 1, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +73,7 @@ func TestReplicaSetFailover(t *testing.T) {
 	}
 	// The default policy probes the dead primary again (zero
 	// cooldown) but still serves from the secondary.
-	if _, err := rs.Search(context.Background(), ds.Row(6), 1, 100); err != nil {
+	if _, err := rs.Search(context.Background(), knn(ds.Row(6), 1, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +89,7 @@ func TestReplicaSetCountLastKnownWhenAllTripped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Search(context.Background(), ds.Row(0), 1, 10); err == nil {
+	if _, err := rs.Search(context.Background(), knn(ds.Row(0), 1, 10)); err == nil {
 		t.Fatal("want error while replica is down")
 	}
 	if rs.Healthy() != 0 {
@@ -115,7 +108,7 @@ func TestReplicaSetBreakerHealsAutomatically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Search(context.Background(), ds.Row(0), 1, 10); err == nil {
+	if _, err := rs.Search(context.Background(), knn(ds.Row(0), 1, 10)); err == nil {
 		t.Fatal("want error while replica is down")
 	}
 	if rs.State(0) != fault.Open {
@@ -123,7 +116,7 @@ func TestReplicaSetBreakerHealsAutomatically(t *testing.T) {
 	}
 	// Zero cooldown: the next search admits a half-open probe, which
 	// succeeds and closes the breaker — no MarkHealthy needed.
-	res, err := rs.Search(context.Background(), ds.Row(0), 1, 10)
+	res, err := rs.Search(context.Background(), knn(ds.Row(0), 1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +132,13 @@ func TestReplicaSetAllOpenReturnsErrOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Search(context.Background(), ds.Row(0), 1, 10); err == nil {
+	if _, err := rs.Search(context.Background(), knn(ds.Row(0), 1, 10)); err == nil {
 		t.Fatal("want failure")
 	}
 	// Breaker open, cooldown far away: the set rejects without
 	// touching the replica.
 	before := dead.callCount()
-	_, err = rs.Search(context.Background(), ds.Row(0), 1, 10)
+	_, err = rs.Search(context.Background(), knn(ds.Row(0), 1, 10))
 	if !errors.Is(err, fault.ErrOpen) {
 		t.Fatalf("err = %v, want ErrOpen", err)
 	}
@@ -162,7 +155,7 @@ func TestReplicaSetHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rs.Search(ctx, ds.Row(0), 1, 10); !errors.Is(err, context.Canceled) {
+	if _, err := rs.Search(ctx, knn(ds.Row(0), 1, 10)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
 	if rs.State(0) != fault.Closed {
@@ -177,14 +170,8 @@ func TestReplicaSetValidationAndRouterIntegration(t *testing.T) {
 	// A router over replica sets behaves like a router over shards.
 	ds := dataset.Clustered(400, 8, 4, 0.4, 5)
 	p := PartitionRandom(ds.Count, 2, 7)
-	partData, partIDs := SplitRows(ds.Data, ds.Count, ds.Dim, p)
 	shards := make([]Shard, 2)
-	for i := range shards {
-		idx, err := index.NewFlat(partData[i], len(partIDs[i]), ds.Dim, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		primary := NewLocalShard(idx, partIDs[i])
+	for i, primary := range localShards(t, ds, p, "") {
 		rs, err := NewReplicaSet(&flakyShard{inner: primary, failN: 1 << 30}, primary)
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +179,7 @@ func TestReplicaSetValidationAndRouterIntegration(t *testing.T) {
 		shards[i] = rs
 	}
 	router := NewRouter(shards, nil)
-	res, part, err := router.Search(context.Background(), ds.Row(42), 1, 100)
+	res, part, err := router.Search(context.Background(), knn(ds.Row(42), 1, 100), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/topk"
 )
 
@@ -18,22 +19,23 @@ import (
 // vdbms-shard binary) can run shards as separate processes, the
 // disaggregated deployment of Section 2.3(2).
 //
-// Deadlines propagate end to end: the client encodes its context's
-// remaining budget into the request, the server re-derives a context
-// from it, and the client additionally abandons the in-flight call
-// the moment its own context is done (net/rpc multiplexes calls by
+// The request on the wire is the collection's own SearchRequest, so a
+// remote shard runs exactly what a local one would. Deadlines
+// propagate end to end: the client encodes its context's remaining
+// budget into the request in nanoseconds (a sub-millisecond budget
+// still reaches the shard), the server re-derives a context from it,
+// and the client additionally abandons the in-flight call the moment
+// its own context is done (net/rpc multiplexes calls by
 // sequence number, so an abandoned call does not poison the
 // connection).
 
 // SearchArgs is the RPC request.
 type SearchArgs struct {
-	Query []float32
-	K     int
-	Ef    int
-	// TimeoutMillis carries the caller's remaining deadline budget so
+	Req vdbms.SearchRequest
+	// TimeoutNanos carries the caller's remaining deadline budget so
 	// the server can stop working on a query nobody is waiting for.
 	// 0 means no deadline.
-	TimeoutMillis int64
+	TimeoutNanos int64
 }
 
 // SearchReply is the RPC response.
@@ -88,12 +90,12 @@ func (s *ShardService) waitDrained() {
 // Search implements the RPC method.
 func (s *ShardService) Search(args *SearchArgs, reply *SearchReply) error {
 	ctx := context.Background()
-	if args.TimeoutMillis > 0 {
+	if args.TimeoutNanos > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(args.TimeoutMillis)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(args.TimeoutNanos))
 		defer cancel()
 	}
-	res, err := s.shard.Search(ctx, args.Query, args.K, args.Ef)
+	res, err := s.shard.Search(ctx, args.Req)
 	if err != nil {
 		return err
 	}
@@ -307,14 +309,14 @@ func (s *RPCShard) Count() int { return s.n }
 // shipped to the server, and the call is abandoned client-side the
 // moment ctx is done — a hung or slow shard cannot hold the caller
 // past its deadline.
-func (s *RPCShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
-	args := &SearchArgs{Query: q, K: k, Ef: ef}
+func (s *RPCShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
+	args := &SearchArgs{Req: req}
 	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms <= 0 {
+		left := time.Until(dl)
+		if left <= 0 {
 			return nil, context.DeadlineExceeded
 		}
-		args.TimeoutMillis = ms
+		args.TimeoutNanos = int64(left)
 	}
 	var reply SearchReply
 	call := s.client.Go("Shard.Search", args, &reply, make(chan *rpc.Call, 1))

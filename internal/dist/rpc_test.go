@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/topk"
 )
@@ -38,7 +39,7 @@ func serveOn(t *testing.T, shard Shard) (*RPCShard, *ShardServer) {
 type errShard struct{ n int }
 
 func (e *errShard) Count() int { return e.n }
-func (e *errShard) Search(context.Context, []float32, int, int) ([]topk.Result, error) {
+func (e *errShard) Search(context.Context, vdbms.SearchRequest) ([]topk.Result, error) {
 	return nil, errors.New("shard exploded")
 }
 
@@ -50,9 +51,9 @@ type slowShard struct {
 }
 
 func (s *slowShard) Count() int { return s.inner.Count() }
-func (s *slowShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
+func (s *slowShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	time.Sleep(s.delay)
-	return s.inner.Search(ctx, q, k, ef)
+	return s.inner.Search(ctx, req)
 }
 
 // deadlineCheckShard asserts the server re-derived a context deadline
@@ -60,11 +61,11 @@ func (s *slowShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.
 type deadlineCheckShard struct{ inner Shard }
 
 func (d *deadlineCheckShard) Count() int { return d.inner.Count() }
-func (d *deadlineCheckShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
+func (d *deadlineCheckShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		return nil, errors.New("server context has no deadline")
 	}
-	return d.inner.Search(ctx, q, k, ef)
+	return d.inner.Search(ctx, req)
 }
 
 func TestRPCRoundTripWithDeadline(t *testing.T) {
@@ -75,7 +76,7 @@ func TestRPCRoundTripWithDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := client.Search(ctx, ds.Row(9), 1, 50)
+	res, err := client.Search(ctx, knn(ds.Row(9), 1, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRPCRoundTripWithDeadline(t *testing.T) {
 
 func TestRPCServerErrorPropagates(t *testing.T) {
 	client, _ := serveOn(t, &errShard{n: 5})
-	_, err := client.Search(context.Background(), []float32{1}, 1, 10)
+	_, err := client.Search(context.Background(), knn([]float32{1}, 1, 10))
 	if err == nil || !strings.Contains(err.Error(), "shard exploded") {
 		t.Fatalf("err = %v, want server error message", err)
 	}
@@ -102,7 +103,7 @@ func TestRPCClientDeadlineExpiry(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := client.Search(ctx, ds.Row(0), 1, 50)
+	_, err := client.Search(ctx, knn(ds.Row(0), 1, 50))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -112,11 +113,11 @@ func TestRPCClientDeadlineExpiry(t *testing.T) {
 	// An expired deadline short-circuits without a round trip.
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := client.Search(ctx2, ds.Row(0), 1, 50); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := client.Search(ctx2, knn(ds.Row(0), 1, 50)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: %v", err)
 	}
 	// The multiplexed connection is still usable after abandonment.
-	if res, err := client.Search(context.Background(), ds.Row(3), 1, 50); err != nil || res[0].ID != 3 {
+	if res, err := client.Search(context.Background(), knn(ds.Row(3), 1, 50)); err != nil || res[0].ID != 3 {
 		t.Fatalf("connection poisoned after abandoned call: %v %v", res, err)
 	}
 }
@@ -131,7 +132,7 @@ func TestShardServerShutdownDrains(t *testing.T) {
 	}
 	inFlight := make(chan out, 1)
 	go func() {
-		res, err := client.Search(context.Background(), ds.Row(4), 1, 50)
+		res, err := client.Search(context.Background(), knn(ds.Row(4), 1, 50))
 		inFlight <- out{res, err}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the call reach the server
@@ -150,12 +151,47 @@ func TestShardServerShutdownDrains(t *testing.T) {
 func TestShardServerShutdownTimesOutOnStuckCall(t *testing.T) {
 	ds := dataset.Uniform(20, 4, 27)
 	client, srv := serveOn(t, &slowShard{inner: newLocal(t, ds), delay: 2 * time.Second})
-	go client.Search(context.Background(), ds.Row(0), 1, 10) //nolint:errcheck
+	go client.Search(context.Background(), knn(ds.Row(0), 1, 10)) //nolint:errcheck
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("shutdown with stuck call = %v, want deadline exceeded", err)
+	}
+}
+
+// budgetShard reports the remaining deadline budget each call arrives
+// with (-1 when the call carries no deadline).
+type budgetShard struct{ seen chan time.Duration }
+
+func (b *budgetShard) Count() int { return 1 }
+func (b *budgetShard) Search(ctx context.Context, _ vdbms.SearchRequest) ([]topk.Result, error) {
+	left := time.Duration(-1)
+	if dl, ok := ctx.Deadline(); ok {
+		left = time.Until(dl)
+	}
+	b.seen <- left
+	return nil, nil
+}
+
+// A deadline less than a millisecond away is still shipped to the
+// shard (as nanoseconds) instead of being refused client-side or
+// truncated to zero server-side.
+func TestRPCSubMillisecondDeadlineReachesShard(t *testing.T) {
+	shard := &budgetShard{seen: make(chan time.Duration, 1)}
+	client, _ := serveOn(t, shard)
+	ctx, cancel := context.WithTimeout(context.Background(), 900*time.Microsecond)
+	defer cancel()
+	if _, err := client.Search(ctx, vdbms.SearchRequest{K: 1}); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("search: %v", err)
+	}
+	select {
+	case left := <-shard.seen:
+		if left == -1 || left > 900*time.Microsecond {
+			t.Fatalf("shard saw budget %v, want a deadline at most 900µs away", left)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 900µs deadline never reached the shard")
 	}
 }

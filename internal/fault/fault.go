@@ -1,37 +1,20 @@
 // Package fault is the fault-tolerance toolkit behind the distributed
 // read path (Section 2.3(2)): circuit breakers that let failed
 // replicas heal automatically, capped-exponential-backoff retries with
-// deterministic jitter, deadline helpers, and a chaos-injection shard
-// wrapper used by the failover tests and the vdbms-shard chaos mode.
-//
-// The package deliberately depends only on topk so that both
-// internal/dist and the command binaries can build on it without
-// cycles: fault.Shard is structurally identical to dist.Shard, so a
-// ChaosShard wrapping any dist.Shard is itself a dist.Shard.
+// deterministic jitter, deadline helpers, and a torn writer for crash
+// tests. It depends on no other package of the module, so the engine's
+// own tests (internal/core, internal/wal) can use it.
 package fault
 
 import (
 	"context"
 	"errors"
 	"time"
-
-	"vdbms/internal/topk"
 )
-
-// Shard is the minimal search surface the fault layer wraps. It is
-// structurally identical to dist.Shard.
-type Shard interface {
-	Search(ctx context.Context, q []float32, k int, ef int) ([]topk.Result, error)
-	Count() int
-}
 
 // ErrOpen is returned when a circuit breaker rejects a call without
 // attempting it.
 var ErrOpen = errors.New("fault: circuit open")
-
-// ErrInjected is the error a ChaosShard returns on an injected
-// failure.
-var ErrInjected = errors.New("fault: injected error")
 
 // Sleep blocks for d or until ctx is done, returning ctx.Err() in the
 // latter case. A non-positive d returns immediately.

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"vdbms/internal/topk"
 )
 
 // fakeClock is a manually advanced clock for breaker cooldown tests.
@@ -14,17 +12,6 @@ type fakeClock struct{ t time.Time }
 
 func (f *fakeClock) now() time.Time          { return f.t }
 func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
-
-// okShard answers every query with one fixed hit.
-type okShard struct{ n int }
-
-func (s *okShard) Count() int { return s.n }
-func (s *okShard) Search(ctx context.Context, q []float32, k, ef int) ([]topk.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return []topk.Result{{ID: 42, Dist: 0.5}}, nil
-}
 
 func TestBreakerLifecycle(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
@@ -192,82 +179,6 @@ func TestRetrierDoExhaustsAndStopsOnCancel(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatal("pre-cancelled ctx must not invoke fn")
-	}
-}
-
-func TestChaosShardDeterministicSchedule(t *testing.T) {
-	run := func() []bool {
-		cs := NewChaosShard(&okShard{n: 10}, ChaosConfig{ErrorRate: 0.5, Seed: 3})
-		outcomes := make([]bool, 40)
-		for i := range outcomes {
-			_, err := cs.Search(context.Background(), nil, 1, 0)
-			outcomes[i] = err == nil
-		}
-		return outcomes
-	}
-	a, b := run(), run()
-	okCount := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed must replay the same fault schedule")
-		}
-		if a[i] {
-			okCount++
-		}
-	}
-	if okCount == 0 || okCount == len(a) {
-		t.Fatalf("error rate 0.5 produced %d/%d successes", okCount, len(a))
-	}
-}
-
-func TestChaosShardFailFirstThenHeals(t *testing.T) {
-	cs := NewChaosShard(&okShard{n: 10}, ChaosConfig{FailFirst: 2, Seed: 1})
-	for i := 0; i < 2; i++ {
-		if _, err := cs.Search(context.Background(), nil, 1, 0); !errors.Is(err, ErrInjected) {
-			t.Fatalf("call %d: %v, want ErrInjected", i, err)
-		}
-	}
-	res, err := cs.Search(context.Background(), nil, 1, 0)
-	if err != nil || len(res) != 1 || res[0].ID != 42 {
-		t.Fatalf("after FailFirst drained: %v %v", res, err)
-	}
-	calls, faults := cs.Stats()
-	if calls != 3 || faults != 2 {
-		t.Fatalf("stats = %d calls, %d faults", calls, faults)
-	}
-}
-
-func TestChaosShardHangRespectsDeadline(t *testing.T) {
-	cs := NewChaosShard(&okShard{n: 1}, ChaosConfig{HangRate: 1, Seed: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := cs.Search(ctx, nil, 1, 0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("hang returned %v, want deadline exceeded", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("hang outlived its deadline")
-	}
-}
-
-func TestChaosShardLatencyAndCount(t *testing.T) {
-	cs := NewChaosShard(&okShard{n: 7}, ChaosConfig{Latency: 5 * time.Millisecond, LatencyJitter: 5 * time.Millisecond, Seed: 2})
-	if cs.Count() != 7 {
-		t.Fatal("count must delegate")
-	}
-	start := time.Now()
-	if _, err := cs.Search(context.Background(), nil, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("latency injection missing")
-	}
-	// A deadline shorter than the injected latency cuts the call off.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := cs.Search(ctx, nil, 1, 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("latency sleep ignored deadline: %v", err)
 	}
 }
 

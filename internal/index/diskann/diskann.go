@@ -258,19 +258,20 @@ func (da *DiskANN) DistanceComps() int64 { return da.comps.Load() }
 func (da *DiskANN) ResetStats() { da.ios.Store(0); da.hits.Store(0); da.comps.Store(0) }
 
 // readRecord fetches node id's vector and neighbors (one I/O on cache
-// miss).
-func (da *DiskANN) readRecord(id int32) ([]float32, []int32) {
+// miss). A failed read (a truncated or unreadable file) is returned,
+// never panicked on.
+func (da *DiskANN) readRecord(id int32) ([]float32, []int32, error) {
 	da.mu.Lock()
 	defer da.mu.Unlock()
 	if da.cache != nil {
 		if r, ok := da.cache.get(id); ok {
 			da.hits.Add(1)
-			return r.vec, r.nbrs
+			return r.vec, r.nbrs, nil
 		}
 	}
 	buf := make([]byte, da.recSize)
 	if _, err := da.f.ReadAt(buf, da.dataOff+int64(id)*int64(da.recSize)); err != nil {
-		panic(fmt.Sprintf("diskann: record %d: %v", id, err))
+		return nil, nil, fmt.Errorf("diskann: record %d: %w", id, err)
 	}
 	da.ios.Add(1)
 	v := make([]float32, da.dim)
@@ -288,7 +289,7 @@ func (da *DiskANN) readRecord(id int32) ([]float32, []int32) {
 	if da.cache != nil {
 		da.cache.put(id, record{v, nbrs})
 	}
-	return v, nbrs
+	return v, nbrs, nil
 }
 
 // Search implements index.Index with DiskANN beam search: the frontier
@@ -312,18 +313,21 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 	// Exact re-ranking scores streamed record vectors through the
 	// query-bound kernel (bit-identical to the scalar L2).
 	kern := vec.BindQuery(vec.L2, q)
-	var approx func(id int32) float32
+	var approx func(id int32) (float32, error)
 	if da.cfg.NoPQ {
 		// Ablation: approximate distance requires reading the record.
-		approx = func(id int32) float32 {
-			v, _ := da.readRecord(id)
+		approx = func(id int32) (float32, error) {
+			v, _, err := da.readRecord(id)
+			if err != nil {
+				return 0, err
+			}
 			da.comps.Add(1)
-			return kern.Score(v)
+			return kern.Score(v), nil
 		}
 	} else {
 		tab := da.pq.ADC(q)
-		approx = func(id int32) float32 {
-			return tab.Distance(da.codes[int(id)*da.pq.M : (int(id)+1)*da.pq.M])
+		approx = func(id int32) (float32, error) {
+			return tab.Distance(da.codes[int(id)*da.pq.M : (int(id)+1)*da.pq.M]), nil
 		}
 	}
 	// Per-query stats: comps are counted locally; IO/cache deltas come
@@ -333,7 +337,11 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 	compsBefore := da.comps.Load()
 	visited := map[int32]struct{}{da.medoid: {}}
 	var frontier topk.MinQueue
-	frontier.Push(int64(da.medoid), approx(da.medoid))
+	d0, err := approx(da.medoid)
+	if err != nil {
+		return nil, err
+	}
+	frontier.Push(int64(da.medoid), d0)
 	exact := topk.NewCollector(ef)
 	// beamBound tracks the ef best APPROXIMATE distances of expanded
 	// nodes. Pruning must compare like with like: mixing PQ-space and
@@ -350,7 +358,10 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 				continue
 			}
 			stop = false
-			v, nbrs := da.readRecord(int32(cand.ID))
+			v, nbrs, err := da.readRecord(int32(cand.ID))
+			if err != nil {
+				return nil, err
+			}
 			d := kern.Score(v)
 			da.comps.Add(1)
 			beamBound.Push(cand.ID, cand.Dist)
@@ -362,7 +373,11 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 					continue
 				}
 				visited[nb] = struct{}{}
-				frontier.Push(int64(nb), approx(nb))
+				dn, err := approx(nb)
+				if err != nil {
+					return nil, err
+				}
+				frontier.Push(int64(nb), dn)
 			}
 			expanded++
 		}

@@ -1,6 +1,7 @@
 package diskann
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -135,5 +136,20 @@ func TestValidationAndReopen(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(dir, "missing"), Config{}); err == nil {
 		t.Fatal("want error for missing file")
+	}
+}
+
+// A file truncated after Build makes record reads fail; Search must
+// return that error instead of panicking, for both the PQ-guided and
+// the NoPQ read paths.
+func TestTruncatedFileSearchErrors(t *testing.T) {
+	for _, noPQ := range []bool{false, true} {
+		da, ds := buildSmall(t, Config{R: 16, Beam: 4, Seed: 1, NoPQ: noPQ})
+		if err := os.Truncate(da.f.Name(), da.dataOff); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := da.Search(ds.Row(0), 5, index.Params{Ef: 40}); err == nil {
+			t.Fatalf("NoPQ=%v: search over a truncated file returned no error", noPQ)
+		}
 	}
 }

@@ -211,18 +211,23 @@ func (sp *SPANN) DistanceComps() int64 { return sp.comps.Load() }
 // ResetStats zeroes counters.
 func (sp *SPANN) ResetStats() { sp.ios.Store(0); sp.comps.Store(0) }
 
-// ReplicationFactor reports posting entries per distinct vector id.
-func (sp *SPANN) ReplicationFactor() float64 {
+// ReplicationFactor reports posting entries per distinct vector id. It
+// reads every posting list, so a failed read is returned.
+func (sp *SPANN) ReplicationFactor() (float64, error) {
 	seen := map[int32]struct{}{}
 	for li := range sp.starts {
-		for _, e := range sp.readList(li) {
+		es, err := sp.readList(li)
+		if err != nil {
+			return 0, err
+		}
+		for _, e := range es {
 			seen[e.id] = struct{}{}
 		}
 	}
 	if len(seen) == 0 {
-		return 0
+		return 0, nil
 	}
-	return float64(sp.n) / float64(len(seen))
+	return float64(sp.n) / float64(len(seen)), nil
 }
 
 type entry struct {
@@ -231,17 +236,19 @@ type entry struct {
 }
 
 // readList reads one posting list, counting ceil(bytes/PageSize) I/Os.
-func (sp *SPANN) readList(li int) []entry {
+// A failed read (a truncated or unreadable file) is returned, never
+// panicked on.
+func (sp *SPANN) readList(li int) ([]entry, error) {
 	cnt := int(sp.counts[li])
 	if cnt == 0 {
-		return nil
+		return nil, nil
 	}
 	es := entrySize(sp.dim)
 	buf := make([]byte, cnt*es)
 	sp.mu.Lock()
 	if _, err := sp.f.ReadAt(buf, sp.starts[li]); err != nil {
 		sp.mu.Unlock()
-		panic(fmt.Sprintf("spann: list %d: %v", li, err))
+		return nil, fmt.Errorf("spann: list %d: %w", li, err)
 	}
 	pages := (len(buf) + sp.cfg.PageSize - 1) / sp.cfg.PageSize
 	sp.ios.Add(int64(pages))
@@ -255,7 +262,7 @@ func (sp *SPANN) readList(li int) []entry {
 		}
 		out[i] = entry{id: int32(binary.LittleEndian.Uint32(rec)), vec: v}
 	}
-	return out
+	return out, nil
 }
 
 // Search implements index.Index: probe the p.NProbe nearest centroids
@@ -282,7 +289,11 @@ func (sp *SPANN) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 	// query-bound kernel (bit-identical to the scalar L2).
 	kern := vec.BindQuery(vec.L2, q)
 	for _, li := range sp.cents.NearestN(q, nprobe) {
-		for _, e := range sp.readList(li) {
+		es, err := sp.readList(li)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range es {
 			if _, dup := seen[e.id]; dup {
 				continue
 			}

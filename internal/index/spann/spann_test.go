@@ -1,6 +1,7 @@
 package spann
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -63,10 +64,10 @@ func TestClosureImprovesRecallAtSameProbes(t *testing.T) {
 	if rc < rp-0.02 {
 		t.Fatalf("closure recall %v should not trail plain %v", rc, rp)
 	}
-	if f := closure.ReplicationFactor(); f <= 1 {
+	if f, err := closure.ReplicationFactor(); err != nil || f <= 1 {
 		t.Fatalf("closure replication factor = %v, want > 1", f)
 	}
-	if f := plain.ReplicationFactor(); f != 1 {
+	if f, err := plain.ReplicationFactor(); err != nil || f != 1 {
 		t.Fatalf("plain replication factor = %v, want 1", f)
 	}
 }
@@ -136,5 +137,20 @@ func TestValidationAndReopen(t *testing.T) {
 	}
 	if re.Name() != "spann" {
 		t.Fatal("name wrong")
+	}
+}
+
+// A file truncated after Build makes posting-list reads fail; Search
+// and ReplicationFactor must return that error instead of panicking.
+func TestTruncatedFileErrors(t *testing.T) {
+	sp, ds := buildSmall(t, Config{NList: 16, Seed: 1})
+	if err := os.Truncate(sp.f.Name(), sp.starts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Search(ds.Row(0), 5, index.Params{NProbe: 16}); err == nil {
+		t.Fatal("search over a truncated file returned no error")
+	}
+	if _, err := sp.ReplicationFactor(); err == nil {
+		t.Fatal("ReplicationFactor over a truncated file returned no error")
 	}
 }

@@ -50,7 +50,7 @@ var (
 	PoolInline       = Default().NewCounter("vdbms_pool_inline_total", "Pool tasks run inline on the caller because all workers were busy.")
 	ParallelSearches = Default().NewCounterVec("vdbms_parallel_search_total", "Searches that partitioned work across >1 worker, by site.", "site")
 
-	// Index probes (internal/executor and dist.LocalShard).
+	// Index probes (internal/executor).
 	IndexProbes        = Default().NewCounterVec("vdbms_index_probe_total", "Index probe calls by index family.", "index")
 	IndexDistanceComps = Default().NewCounterVec("vdbms_index_distance_comps_total", "Full-vector distance computations by index family.", "index")
 	IndexNodesVisited  = Default().NewCounterVec("vdbms_index_nodes_visited_total", "Graph nodes visited during probes by index family.", "index")
@@ -137,7 +137,7 @@ var (
 	// HTTP layer (internal/server).
 	HTTPRequests     = Default().NewCounterVec("vdbms_http_requests_total", "HTTP requests by endpoint.", "path")
 	HTTPEncodeErrors = Default().NewCounter("vdbms_http_encode_errors_total", "Response bodies that failed to JSON-encode mid-write.")
-	PartialResponses = Default().NewCounter("vdbms_http_partial_responses_total", "HTTP search responses served with partial shard coverage.")
+	PartialResponses = Default().NewCounter("vdbms_http_partial_responses_total", "HTTP batch search responses served with some queries failed.")
 	SlowQueries      = Default().NewCounter("vdbms_slow_query_total", "Queries exceeding the slow-query log threshold.")
 )
 

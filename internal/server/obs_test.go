@@ -14,8 +14,6 @@ import (
 
 	"vdbms"
 	"vdbms/internal/dataset"
-	"vdbms/internal/dist"
-	"vdbms/internal/fault"
 	"vdbms/internal/obs"
 )
 
@@ -246,104 +244,5 @@ func TestSlowQueryLog(t *testing.T) {
 	// The forced trace is server-side only: the client did not ask.
 	if _, present := out["Trace"]; present {
 		t.Fatal("slow-query tracing leaked into the response")
-	}
-}
-
-func TestDistHealthzBreakerStates(t *testing.T) {
-	ds := dataset.Uniform(200, 8, 17)
-	shards := buildShards(t, ds, 2)
-	for i := range shards {
-		shards[i] = fault.NewChaosShard(shards[i], fault.ChaosConfig{ErrorRate: 1, Seed: int64(i + 1)})
-	}
-	router := dist.NewRouter(shards, nil, dist.WithShardBreakers(fault.BreakerConfig{
-		FailureThreshold: 1,
-		Cooldown:         time.Hour, // stays open for the whole test
-	}))
-	srv := NewDist(router)
-
-	// Healthy at first: every breaker closed.
-	rec, out := doJSON(t, srv, "GET", "/healthz", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthz before failures: %d", rec.Code)
-	}
-	for _, b := range out["breakers"].([]any) {
-		if b.(string) != "closed" {
-			t.Fatalf("initial breakers = %v", out["breakers"])
-		}
-	}
-
-	// One failing search trips both breakers open.
-	if rec, _ = doJSON(t, srv, "POST", "/search", DistSearchRequest{Vector: ds.Row(0), K: 3}); rec.Code != http.StatusBadGateway {
-		t.Fatalf("all-shards-failing search: %d, want 502", rec.Code)
-	}
-	rec, out = doJSON(t, srv, "GET", "/healthz", nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with all breakers open: %d, want 503", rec.Code)
-	}
-	if out["healthy"].(bool) {
-		t.Fatal("healthy=true with every breaker open")
-	}
-	for _, b := range out["breakers"].([]any) {
-		if b.(string) != "open" {
-			t.Fatalf("breakers after trip = %v", out["breakers"])
-		}
-	}
-}
-
-func TestDistTraceUnderChaos(t *testing.T) {
-	ds := dataset.Uniform(400, 8, 19)
-	shards := buildShards(t, ds, 4)
-	shards[2] = fault.NewChaosShard(shards[2], fault.ChaosConfig{ErrorRate: 1, Seed: 5})
-	srv := NewDist(dist.NewRouter(shards, nil))
-	partialBefore := obs.DistPartial.Value()
-
-	rec, out := traceSearch(t, srv, "/search", DistSearchRequest{Vector: ds.Row(0), K: 5})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("chaos search: %d %s", rec.Code, rec.Body)
-	}
-	if rec.Header().Get(PartialHeader) != "true" {
-		t.Fatal("partial header not set under chaos")
-	}
-	if got := obs.DistPartial.Value(); got != partialBefore+1 {
-		t.Fatalf("vdbms_dist_partial_total = %d, want %d", got, partialBefore+1)
-	}
-
-	root, ok := out["trace"].(map[string]any)
-	if !ok {
-		t.Fatalf("no trace in traced dist response: %v", out)
-	}
-	if root["stage"].(string) != "dist_search" {
-		t.Fatalf("root stage = %v", root["stage"])
-	}
-	var fanout map[string]any
-	for _, c := range root["children"].([]any) {
-		if m := c.(map[string]any); m["stage"].(string) == "shard_fanout" {
-			fanout = m
-		}
-	}
-	if fanout == nil {
-		t.Fatalf("no shard_fanout span: %v", root)
-	}
-	if got := fanout["annotations"].(map[string]any); got["targeted"].(float64) != 4 ||
-		got["answered"].(float64) != 3 || got["failed"].(float64) != 1 {
-		t.Fatalf("fanout annotations = %v", got)
-	}
-	// Each targeted shard has its own child span, with the chaos shard
-	// tagged as the failure.
-	statuses := map[string]string{}
-	for _, c := range fanout["children"].([]any) {
-		m := c.(map[string]any)
-		statuses[m["stage"].(string)] = m["tags"].(map[string]any)["status"].(string)
-	}
-	if len(statuses) != 4 {
-		t.Fatalf("shard spans = %v, want 4", statuses)
-	}
-	if statuses["shard_2"] != "error" {
-		t.Fatalf("chaos shard status = %q, want error (%v)", statuses["shard_2"], statuses)
-	}
-	for _, si := range []string{"shard_0", "shard_1", "shard_3"} {
-		if statuses[si] != "ok" {
-			t.Fatalf("healthy shard %s status = %q (%v)", si, statuses[si], statuses)
-		}
 	}
 }

@@ -40,9 +40,9 @@ type Dist struct {
 // distributions, covering the practical k/ef/nprobe range.
 var ShapeBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// NewDist creates a distribution with the given inclusive upper
+// NewBucketDist creates a distribution with the given inclusive upper
 // edges (ShapeBounds when nil). Edges must be ascending.
-func NewDist(bounds []int64) *Dist {
+func NewBucketDist(bounds []int64) *Dist {
 	if bounds == nil {
 		bounds = ShapeBounds
 	}
@@ -279,9 +279,9 @@ func New(name string) *Collection {
 		updateRate: NewRate(),
 		deleteRate: NewRate(),
 		queryRate:  NewRate(),
-		kDist:      NewDist(nil),
-		efDist:     NewDist(nil),
-		nprobe:     NewDist(nil),
+		kDist:      NewBucketDist(nil),
+		efDist:     NewBucketDist(nil),
+		nprobe:     NewBucketDist(nil),
 		sel:        map[string]*SelHist{},
 	}
 	c.enabled.Store(true)

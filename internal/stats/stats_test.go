@@ -7,7 +7,7 @@ import (
 )
 
 func TestDistBucketsAndMean(t *testing.T) {
-	d := NewDist(nil)
+	d := NewBucketDist(nil)
 	for _, v := range []int64{1, 2, 3, 10, 2000} {
 		d.Observe(v)
 	}

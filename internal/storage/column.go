@@ -1,18 +1,18 @@
-// Memory-tiered column storage: a page-aligned float32 column file
+// Package storage implements the Vector Storage box of Figure 1 for the
+// memory-tiered serving path: a page-aligned float32 column file
 // served through mmap. The mapping is PROT_READ, so the kernel page
 // cache owns residency — a collection evicted to the mmap tier costs
 // ~0 heap, faults pages in on first touch, and can be reclaimed by the
 // kernel under global memory pressure without the process noticing.
-// Raw()/RowView return zero-copy views with the exact same layout as
-// MemStore, so vec.Scorer and vec.QuantScorer bind to a mapped column
-// unchanged and scores are bit-identical to the heap tier.
+// Raw() returns a zero-copy view with the exact same row-major layout
+// as a heap column, so vec.Scorer and vec.QuantScorer bind to a mapped
+// column unchanged and scores are bit-identical to the heap tier.
 //
 // Column files are NATIVE-ENDIAN (the float payload is written by
 // reinterpreting the []float32 — that is what makes the read side
 // zero-copy). A sentinel in the header rejects files written on a
-// foreign-endian machine. The paged little-endian DiskStore remains
-// the portable interchange format; column files are a serving-tier
-// cache plus the checkpoint column section.
+// foreign-endian machine. Column files are a serving-tier cache plus
+// the checkpoint column section, not an interchange format.
 package storage
 
 import (
@@ -129,17 +129,15 @@ func WriteColumnFile(path string, flat []float32, n, dim int) error {
 	return f.Sync()
 }
 
-// MmapStore serves a float32 column from a read-only file mapping.
-// It implements VectorStore and mirrors MemStore's zero-copy surface
-// (Raw, RowView). The mapping must stay alive for as long as any
-// published snapshot references Raw() — owners call Close only when
+// MmapStore serves a float32 column from a read-only file mapping
+// through the zero-copy Raw view. The mapping must stay alive for as
+// long as any published snapshot references Raw() — owners call Close only when
 // the collection itself is torn down, never on eviction/promotion.
 type MmapStore struct {
 	raw  []byte    // whole mapping (page-aligned base)
 	data []float32 // column view into raw
 	dim  int
 	n    int
-	path string
 }
 
 // OpenColumn maps a file written by WriteColumnFile.
@@ -202,23 +200,15 @@ func OpenColumnAt(path string, offset int64, n, dim int) (*MmapStore, error) {
 		data: bytesF32(raw[offset:need]),
 		dim:  dim,
 		n:    n,
-		path: path,
 	}
 	return m, nil
 }
 
-// Dim implements VectorStore.
+// Dim returns the vector dimensionality.
 func (m *MmapStore) Dim() int { return m.dim }
 
-// Count implements VectorStore.
+// Count returns the number of rows.
 func (m *MmapStore) Count() int { return m.n }
-
-// Path returns the backing file path.
-func (m *MmapStore) Path() string { return m.path }
-
-// Mapped reports whether the store is a real file mapping (Linux) as
-// opposed to the portable heap-buffer fallback.
-func (m *MmapStore) Mapped() bool { return mmapSupported }
 
 // MmapSupported reports whether this platform serves column files
 // through real memory mappings. When false, OpenColumn materializes
@@ -230,28 +220,10 @@ func MmapSupported() bool { return mmapSupported }
 // heap when a column is evicted to this tier.
 func (m *MmapStore) SizeBytes() int { return len(m.raw) }
 
-// Vector implements VectorStore, copying row id into dst.
-func (m *MmapStore) Vector(id int, dst []float32) []float32 {
-	if id < 0 || id >= m.n {
-		panic(fmt.Sprintf("storage: id %d out of range [0,%d)", id, m.n))
-	}
-	if cap(dst) < m.dim {
-		dst = make([]float32, m.dim)
-	}
-	dst = dst[:m.dim]
-	copy(dst, m.data[id*m.dim:(id+1)*m.dim])
-	return dst
-}
-
-// Raw returns the whole column as a zero-copy view — the same
-// contract as MemStore.Raw, so scorers bind to it directly. Callers
-// must not mutate it (the mapping is read-only; writes fault).
+// Raw returns the whole column as a zero-copy row-major view, so
+// scorers bind to it directly. Callers must not mutate it (the mapping
+// is read-only; writes fault).
 func (m *MmapStore) Raw() []float32 { return m.data[:m.n*m.dim] }
-
-// RowView returns a zero-copy view of one row.
-func (m *MmapStore) RowView(id int) []float32 {
-	return m.data[id*m.dim : (id+1)*m.dim]
-}
 
 // columnRegion returns the page-aligned slice of the mapping covering
 // the float column, which is what madvise needs.

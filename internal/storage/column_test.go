@@ -41,21 +41,6 @@ func TestColumnFileRoundTrip(t *testing.T) {
 			t.Fatalf("Raw[%d] = %v, want %v", i, raw[i], flat[i])
 		}
 	}
-	// RowView aliases the same backing region.
-	row := m.RowView(17)
-	for j := 0; j < d; j++ {
-		if row[j] != flat[17*d+j] {
-			t.Fatalf("RowView(17)[%d] = %v, want %v", j, row[j], flat[17*d+j])
-		}
-	}
-	// Vector copies into dst without aliasing.
-	dst := make([]float32, d)
-	got := m.Vector(3, dst)
-	for j := 0; j < d; j++ {
-		if got[j] != flat[3*d+j] {
-			t.Fatalf("Vector(3)[%d] = %v, want %v", j, got[j], flat[3*d+j])
-		}
-	}
 }
 
 func TestColumnSectionRoundTrip(t *testing.T) {

@@ -42,6 +42,15 @@ GOMAXPROCS=1 go test -timeout 3m ./...
 # tiers and under -race.
 go test -tags purego -count=1 -timeout 5m ./internal/vec/ ./internal/index/... ./internal/kmeans/ ./internal/quant/
 go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathConsistency' ./internal/vec/
+# Distributed read path = single-node engine + merge: four loopback
+# net/rpc shards hosting collections must return the exact hits (ids
+# and distance bits) of one collection for filtered forced-exact
+# queries under l2 and cosine, and keep recall@10 >= 0.95 on their
+# HNSW default plan; the vdbms-shard binary serves a -dir database,
+# answers one filtered search and exits 0 on SIGTERM. Shard fan-out,
+# RPC and drain are concurrent, so both run under -race.
+go test -race -count=1 -timeout 3m -run 'TestDistributedEqualsSingleNode' ./internal/dist/
+go test -race -count=1 -timeout 3m -run 'TestShardBinaryDirSmoke' ./cmd/vdbms-shard/
 # Crash-recovery smoke under the race detector: the kill -9 harness
 # (subprocess inserting with fsync=always, SIGKILLed mid-stream, then
 # recovered) plus the torn-tail and checkpoint/recover equivalence
