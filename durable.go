@@ -95,7 +95,7 @@ func Open(dir string, d Durability) (*DB, error) {
 			db.Close()
 			return nil, fmt.Errorf("vdbms: recovering %s: %w", sub, err)
 		}
-		col := wrapCollection(inner)
+		col := &Collection{inner: inner}
 		if dup := db.collections[col.Name()]; dup != nil {
 			inner.Close()
 			db.Close()

@@ -28,26 +28,28 @@ import (
 	"vdbms/internal/stats"
 )
 
-// AuditConfig configures a collection's recall auditor.
+// AuditConfig configures a collection's recall auditor (the public
+// API's AuditOptions).
 type AuditConfig struct {
-	// Interval is the cadence of background audit passes; zero or
-	// negative runs no background loop (AuditNow still works).
+	// Interval is the cadence of background audit passes. Zero runs no
+	// background loop — sampling still starts, and AuditNow runs passes
+	// on demand.
 	Interval time.Duration
-	// ReservoirSize caps the query reservoir; 0 keeps the current size
-	// (default 256).
+	// ReservoirSize caps how many live queries are retained for replay;
+	// 0 keeps the current size (default 256).
 	ReservoirSize int
-	// RecallFloor, when positive, marks a pass whose observed recall
-	// falls below it as a regression and logs it.
+	// RecallFloor, when positive, logs a regression and counts it in
+	// vdbms_recall_audit_total{outcome="regression"} whenever a pass
+	// observes recall below it.
 	RecallFloor float64
 	// MinSamples is the minimum replayable samples for a pass to
-	// produce a recall figure; below it the pass is recorded as
-	// "empty". Default 8.
+	// report a recall figure; below it the pass is recorded as "empty".
+	// Default 8.
 	MinSamples int
-	// Logf receives regression log lines; log.Printf when nil.
-	Logf func(format string, args ...any)
 }
 
-// AuditReport is the result of one audit pass.
+// AuditReport is the result of one audit pass (the public API's
+// RecallAudit).
 type AuditReport struct {
 	Collection string        `json:"collection"`
 	Outcome    string        `json:"outcome"` // ok, regression, empty, error
@@ -118,11 +120,7 @@ func (c *Collection) auditLoop(cfg AuditConfig, stop, done chan struct{}) {
 			// log the cause so a persistently failing auditor leaves an
 			// operational trail. The next tick retries.
 			if _, err := c.audit(cfg); err != nil {
-				logf := cfg.Logf
-				if logf == nil {
-					logf = log.Printf
-				}
-				logf("vdbms: recall audit on %q failed: %v", c.name, err)
+				log.Printf("vdbms: recall audit on %q failed: %v", c.name, err)
 			}
 		case <-stop:
 			return
@@ -223,11 +221,7 @@ func (c *Collection) audit(cfg AuditConfig) (AuditReport, error) {
 	if cfg.RecallFloor > 0 && rep.Recall < cfg.RecallFloor {
 		rep.Outcome = "regression"
 		obs.RecallAudits.With("regression").Inc()
-		logf := cfg.Logf
-		if logf == nil {
-			logf = log.Printf
-		}
-		logf("vdbms: recall regression on %q: observed recall@k %.4f below floor %.4f (%d samples)",
+		log.Printf("vdbms: recall regression on %q: observed recall@k %.4f below floor %.4f (%d samples)",
 			c.name, rep.Recall, cfg.RecallFloor, rep.Samples)
 		return rep, nil
 	}

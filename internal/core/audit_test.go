@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"log"
 	"math"
 	"strings"
 	"sync"
@@ -53,19 +53,19 @@ func TestAuditObservedRecallMatchesTruth(t *testing.T) {
 	truth := dataset.GroundTruth(vec.Distance(vec.L2), ds, queries, k)
 	var trueSum float64
 	for i, q := range queries {
-		res, _, err := c.Search(Request{Vector: q, K: k, NProbe: 1, Policy: "plan:single_stage"})
+		res, err := c.Search(bg, SearchRequest{Vector: q, K: k, NProbe: 1, Policy: "plan:single_stage"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != k {
-			t.Fatalf("query %d returned %d hits, want %d", i, len(res), k)
+		if len(res.Hits) != k {
+			t.Fatalf("query %d returned %d hits, want %d", i, len(res.Hits), k)
 		}
 		inTruth := map[int64]bool{}
 		for _, r := range truth[i] {
 			inTruth[r.ID] = true
 		}
 		hits := 0
-		for _, r := range res {
+		for _, r := range res.Hits {
 			if inTruth[r.ID] {
 				hits++
 			}
@@ -117,17 +117,14 @@ func TestAuditRegressionAndEmptyOutcomes(t *testing.T) {
 		t.Fatalf("pre-sampling audit = %+v, want empty/0", rep)
 	}
 
-	var logged []string
+	logged := captureLog(t, `recall regression on "reg"`)
 	c.EnableAudit(AuditConfig{
 		RecallFloor: 1.1, // every pass regresses: recall can never exceed 1
 		MinSamples:  4,
-		Logf: func(format string, args ...any) {
-			logged = append(logged, format)
-		},
 	})
 	defer c.DisableAudit()
 	for i := 0; i < 16; i++ {
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,8 +135,8 @@ func TestAuditRegressionAndEmptyOutcomes(t *testing.T) {
 	if rep.Outcome != "regression" {
 		t.Fatalf("outcome = %q, want regression (recall=%.4f)", rep.Outcome, rep.Recall)
 	}
-	if len(logged) != 1 {
-		t.Fatalf("regression log lines = %d, want 1", len(logged))
+	if n := len(logged()); n != 1 {
+		t.Fatalf("regression log lines = %d, want 1", n)
 	}
 	// Exact serving (no index) replayed exactly must audit at recall 1.
 	if rep.Recall != 1 {
@@ -162,11 +159,11 @@ func TestAuditSkipsStaleSamples(t *testing.T) {
 	}
 	c.EnableAudit(AuditConfig{MinSamples: 1})
 	defer c.DisableAudit()
-	res, _, err := c.Search(Request{Vector: ds.Row(0), K: 3})
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(res[0].ID); err != nil {
+	if err := c.Delete(res.Hits[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := c.AuditNow()
@@ -197,7 +194,7 @@ func TestAuditSkipsUpdatedSamples(t *testing.T) {
 	}
 	c.EnableAudit(AuditConfig{MinSamples: 1})
 	defer c.DisableAudit()
-	if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 3}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite a row the sample may not even contain: any in-place
@@ -213,7 +210,7 @@ func TestAuditSkipsUpdatedSamples(t *testing.T) {
 		t.Fatalf("post-update audit = %+v, want stale=1 samples=0 empty", rep)
 	}
 	// A query served after the update carries the new epoch and replays.
-	if _, _, err := c.Search(Request{Vector: ds.Row(1), K: 3}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(1), K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = c.AuditNow()
@@ -259,30 +256,15 @@ func TestAuditErrorOutcome(t *testing.T) {
 	}
 
 	// The background loop logs failed passes rather than dropping them.
-	var mu sync.Mutex
-	var lines []string
-	c.EnableAudit(AuditConfig{
-		Interval: time.Millisecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	})
+	logged := captureLog(t, `recall audit on "err"`)
+	c.EnableAudit(AuditConfig{Interval: time.Millisecond})
 	defer c.DisableAudit()
 	c.sampler.Store(r) // EnableAudit keeps the injected reservoir; re-store for clarity
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(lines)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
+	for time.Now().Before(deadline) && len(logged()) == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	lines := logged()
 	if len(lines) == 0 {
 		t.Fatal("background loop never logged the failing pass")
 	}
@@ -290,6 +272,36 @@ func TestAuditErrorOutcome(t *testing.T) {
 		t.Fatalf("log line %q does not mention the failure", lines[0])
 	}
 }
+
+// captureLog sends the standard logger, which the audit and tune loops
+// write to, into a buffer until the test ends, and returns a function
+// listing the lines logged so far that contain match.
+func captureLog(t *testing.T, match string) func() []string {
+	var mu sync.Mutex
+	var buf strings.Builder
+	prev := log.Writer()
+	log.SetOutput(writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
+	}))
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, match) {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestAuditDisableNeverDeadlocks: DisableAudit (and reconfiguring
 // EnableAudit) must not deadlock against a background pass in flight.
@@ -311,7 +323,7 @@ func TestAuditDisableNeverDeadlocks(t *testing.T) {
 		defer close(done)
 		c.EnableAudit(AuditConfig{Interval: time.Millisecond, MinSamples: 1})
 		for i := 0; i < 8; i++ {
-			if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 2}); err != nil {
+			if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 2}); err != nil {
 				return
 			}
 		}
@@ -345,7 +357,7 @@ func TestAuditBackgroundLoop(t *testing.T) {
 	}
 	c.EnableAudit(AuditConfig{Interval: time.Millisecond, MinSamples: 1})
 	for i := 0; i < 8; i++ {
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 2}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +379,7 @@ func TestAuditBackgroundLoop(t *testing.T) {
 	}
 	// Disabled sampling: new queries are not offered.
 	seen := c.sampler.Load().Seen()
-	if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 2}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.sampler.Load().Seen(); got != seen {
@@ -387,7 +399,7 @@ func TestSamplerSwappable(t *testing.T) {
 	r := stats.NewReservoirRand(4, func(n int64) int64 { return 0 })
 	c.sampler.Store(r)
 	c.sampling.Store(true)
-	if _, _, err := c.Search(Request{Vector: []float32{1, 2}, K: 1}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: []float32{1, 2}, K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"vdbms/internal/dataset"
@@ -32,10 +33,11 @@ func TestCancelledSearchIsNotObserved(t *testing.T) {
 	c.sampler.Store(r)
 	c.sampling.Store(true)
 
-	ctx, cancel := context.WithCancel(context.Background())
+	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, policy := range []string{"", "plan:brute_force", "plan:single_stage", "plan:post_filter"} {
-		if _, _, err := c.Search(Request{Vector: ds.Row(1), K: 5, Policy: policy, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		ctx := &lateCtx{Context: dead}
+		if _, err := c.Search(ctx, SearchRequest{Vector: ds.Row(1), K: 5, Policy: policy}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("policy %q: err %v, want context.Canceled", policy, err)
 		}
 	}
@@ -43,10 +45,25 @@ func TestCancelledSearchIsNotObserved(t *testing.T) {
 		t.Fatalf("cancelled searches observed: %d probes, %d samples offered, %d queries", n, r.Seen(), c.Stats().Queries)
 	}
 
-	if _, _, err := c.Search(Request{Vector: ds.Row(1), K: 5, Ctx: context.Background()}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(1), K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if _, n := c.stats.MeanProbeComps(); n != 1 || r.Seen() != 1 || c.Stats().Queries != 1 {
 		t.Fatalf("completed search: %d probes, %d samples offered, %d queries; want 1 each", n, r.Seen(), c.Stats().Queries)
 	}
+}
+
+// lateCtx is a cancelled context whose first Err call reports it live,
+// so a search passes its entry check and meets the cancellation inside
+// the executor, where a probe is cut short.
+type lateCtx struct {
+	context.Context
+	checked atomic.Bool
+}
+
+func (c *lateCtx) Err() error {
+	if !c.checked.Swap(true) {
+		return nil
+	}
+	return c.Context.Err()
 }

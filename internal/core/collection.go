@@ -777,52 +777,12 @@ func (c *Collection) IndexInfo() (kind string, covered, dirty int) {
 	return c.annKind, c.annN, c.dirty
 }
 
-// Request is a search request against the collection.
-type Request struct {
-	Vector  []float32
-	Vectors [][]float32 // multi-vector query (with EntityColumn)
-	K       int
-	Preds   []filter.Predicate
-	// Policy is "" to let the cost-based optimizer choose the plan, or
-	// "plan:<brute_force|pre_filter|post_filter|single_stage>" to force
-	// one (planner.ParsePolicy); any other value is an error.
-	Policy string
-	Ef     int
-	NProbe int
-	Alpha  int
-	// TargetRecall, in (0,1], asks the auto-tuner to resolve Ef/NProbe
-	// to the cheapest values whose observed recall meets it (tune.go).
-	// Zero falls back to the collection's default target (if any).
-	// Explicit Ef/NProbe win over any target.
-	TargetRecall float64
-	// RerankK overrides the exact re-rank width for quantized index
-	// scans on this query; 0 uses the index/schema default.
-	RerankK int
-	// Parallelism is the intra-query worker count for partitioned
-	// scans; 0 uses every CPU, 1 scans serially. Results are identical
-	// at every setting.
-	Parallelism int
-	// EntityColumn names an Int64 attribute grouping rows into
-	// entities for multi-vector queries.
-	EntityColumn string
-	Aggregator   vec.Aggregator
-	Weights      []float32
-	// Trace, when non-nil, receives the query's span tree: the caller
-	// allocates it with obs.NewTrace, passes it here, and reads the
-	// report with Trace.Finish() after Search returns.
-	Trace *obs.Trace
-	// Ctx, when non-nil, cancels the search on the caller's goroutine:
-	// it is polled per scan block, beam expansion and inverted list, and
-	// a cancelled search returns Ctx.Err() (executor.Options.Ctx).
-	Ctx context.Context
-}
-
 // Result is one hit: the index's own type, handed up without a copy.
 type Result = topk.Result
 
 // Parameter-source labels: where a query's resolved Ef/NProbe came
-// from, in resolution priority order. Exported per query in Decision,
-// the root trace span, and vdbms_plan_param_source_total.
+// from, in resolution priority order. Exported per query in
+// SearchResult, the root trace span, and vdbms_plan_param_source_total.
 const (
 	// SourceExplicit: the request carried Ef or NProbe itself.
 	SourceExplicit = "explicit"
@@ -841,61 +801,80 @@ const (
 	SourceIndexDefault = "index_default"
 )
 
-// Decision describes how one search was resolved: the chosen plan,
-// the index search parameters actually used (zero means "the index's
-// built-in default"), and which layer supplied them.
-type Decision struct {
-	Plan        planner.Plan
-	Ef          int
-	NProbe      int
-	ParamSource string
-}
-
-// Search executes the request and reports the planning decision. The
-// whole query runs against one snapshot loaded at entry — it never
-// blocks on writers or index builds. Every call is counted and timed
-// in the obs registry; when req.Trace is set the pipeline stages
-// (plan, filter, index_probe, ...) additionally record spans under its
-// root, and the root span carries the resolved plan and parameters.
-func (c *Collection) Search(req Request) ([]Result, Decision, error) {
+// Search executes the request under ctx, on the caller's goroutine.
+// The whole query runs against one snapshot loaded at entry — it never
+// blocks on writers or index builds. A query whose context is
+// cancelled or past its deadline stops: the exhaustive scan and the
+// allowlist build check ctx once per block, the graph indexes (hnsw,
+// nsw, nsg, knng) once per expanded node, the IVF family once per
+// inverted list, and every other family before its probe starts. The
+// search then returns ctx's error — no work continues in the
+// background — and the truncated probe is kept out of the collection's
+// statistics, the recall auditor and the tuner. An uncancellable ctx
+// (context.Background) costs one nil check per block.
+//
+// Every call is counted and timed in the obs registry; with req.Trace
+// the pipeline stages (plan, filter, index_probe, ...) record spans,
+// returned in SearchResult.Trace under a root that carries the resolved
+// plan and parameters.
+func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return SearchResult{}, err
+	}
+	preds, err := c.convertFilters(req.Filters)
+	if err != nil {
+		return SearchResult{}, err
+	}
+	agg := vec.AggMin
+	if req.Aggregator != "" {
+		if agg, err = vec.ParseAggregator(req.Aggregator); err != nil {
+			return SearchResult{}, err
+		}
+	}
+	var tr *obs.Trace
+	if req.Trace {
+		tr = obs.NewTrace("search")
+	}
 	start := time.Now()
 	// Captured before the query runs: an update racing the search gets
 	// a higher epoch, so the sample reads as stale — the conservative
 	// direction for the recall auditor.
 	epoch := c.updateEpoch.Load()
 	c.beginRead()
-	res, dec, err := c.search(req)
+	res, err := c.search(ctx, &req, preds, agg, tr.Root())
 	c.endRead()
 	c.touchAccount()
 	obs.SearchTotal.Inc()
 	c.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		obs.SearchErrors.Inc()
-		return res, dec, err
+		return SearchResult{}, err
 	}
-	obs.SearchPlans.With(dec.Plan.Kind.String()).Inc()
-	obs.PlanParamSource.With(dec.ParamSource).Inc()
-	c.stats.RecordQuery(req.K, req.Ef, req.NProbe, len(req.Preds) > 0)
+	obs.SearchPlans.With(res.Plan).Inc()
+	obs.PlanParamSource.With(res.ParamSource).Inc()
+	c.stats.RecordQuery(req.K, req.Ef, req.NProbe, len(preds) > 0)
 	if len(req.Vectors) == 0 && len(req.Vector) > 0 && c.sampling.Load() {
 		// Offer the served query to the audit reservoir. The sample copy
 		// (vector, predicates, result ids) is built only on admission,
 		// which Algorithm R makes vanishingly rare at volume.
-		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(req, res, epoch) })
+		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(&req, preds, res.Hits, epoch) })
 	}
-	return res, dec, err
+	if res.Hits == nil {
+		res.Hits = []Result{} // an empty answer encodes as [], not null
+	}
+	res.Trace = tr.Finish()
+	return res, nil
 }
 
 // makeSample deep-copies the parts of a served query the recall
 // auditor needs to replay it: the vector, predicates, k, and the ids
 // the serving path returned, stamped with the update epoch current
 // when the query started.
-func makeSample(req Request, res []Result, epoch uint64) stats.Sample {
+func makeSample(req *SearchRequest, preds []filter.Predicate, res []Result, epoch uint64) stats.Sample {
 	v := make([]float32, len(req.Vector))
 	copy(v, req.Vector)
-	var preds []filter.Predicate
-	if len(req.Preds) > 0 {
-		preds = make([]filter.Predicate, len(req.Preds))
-		copy(preds, req.Preds)
+	if len(preds) > 0 {
+		preds = append([]filter.Predicate(nil), preds...)
 	}
 	served := make([]int64, len(res))
 	for i, r := range res {
@@ -911,7 +890,7 @@ func makeSample(req Request, res []Result, epoch uint64) stats.Sample {
 // beat the index's built-in defaults (zeros pass through untouched).
 // An explicit Ef or NProbe pins BOTH values: mixing an explicit knob
 // with tuned values would silently retune the knob the caller set.
-func (c *Collection) resolveKnobs(req Request, s *snapshot) (ef, nprobe int, source string) {
+func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe int, source string) {
 	if req.Ef > 0 || req.NProbe > 0 {
 		return req.Ef, req.NProbe, SourceExplicit
 	}
@@ -945,64 +924,65 @@ func (c *Collection) resolveKnobs(req Request, s *snapshot) (ef, nprobe int, sou
 	return 0, 0, SourceIndexDefault
 }
 
-func (c *Collection) search(req Request) ([]Result, Decision, error) {
-	root := req.Trace.Root()
+// search plans and runs one query on the current snapshot; preds and
+// agg are req's filters and aggregator, already checked.
+func (c *Collection) search(ctx context.Context, req *SearchRequest, preds []filter.Predicate, agg vec.Aggregator, root *obs.Span) (SearchResult, error) {
 	s := c.snap.Load()
 	if s.rows == 0 {
-		return nil, Decision{ParamSource: SourceIndexDefault}, fmt.Errorf("core: collection %q is empty", c.name)
+		return SearchResult{}, fmt.Errorf("core: collection %q is empty", c.name)
 	}
 	env := s.env
-	ef, nprobe, source := c.resolveKnobs(req, s)
-	dec := Decision{Ef: ef, NProbe: nprobe, ParamSource: source}
+	var res SearchResult
+	res.Ef, res.NProbe, res.ParamSource = c.resolveKnobs(req, s)
 	plan, forced, err := planner.ParsePolicy(req.Policy, req.Alpha)
 	if err != nil {
-		return nil, dec, err
+		return SearchResult{}, err
 	}
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root, Ctx: req.Ctx}
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root, Ctx: ctx}
 
-	if len(req.Vectors) > 0 {
+	switch {
+	case len(req.Vectors) > 0:
 		if req.EntityColumn == "" {
-			return nil, dec, fmt.Errorf("core: multi-vector query needs EntityColumn")
+			return SearchResult{}, fmt.Errorf("core: multi-vector query needs EntityColumn")
+		}
+		if agg == vec.AggWeightedSum && len(req.Weights) != len(req.Vectors) {
+			return SearchResult{}, fmt.Errorf("core: weighted_sum needs one weight per query vector, got %d weights for %d vectors",
+				len(req.Weights), len(req.Vectors))
 		}
 		msp := root.Start("multi_vector")
 		msp.Annotate("query_vectors", int64(len(req.Vectors)))
 		mvOpts := opts
 		mvOpts.Span = msp
-		res, err := c.multiVector(s, req, mvOpts)
+		res.Hits, err = c.multiVector(s, req, agg, mvOpts)
 		msp.End()
-		dec.Plan = planner.Plan{Kind: planner.SingleStage}
-		c.tagDecision(root, dec)
-		return res, dec, err
-	}
-
-	var res []Result
-	if forced {
-		dec.Plan = plan
-		res, err = env.Execute(plan, req.Vector, req.K, req.Preds, opts)
-	} else {
-		res, dec.Plan, err = env.Search(req.Vector, req.K, req.Preds, opts, "")
+		plan = planner.Plan{Kind: planner.SingleStage}
+	case forced:
+		res.Hits, err = env.Execute(plan, req.Vector, req.K, preds, opts)
+	default:
+		res.Hits, plan, err = env.Search(req.Vector, req.K, preds, opts, "")
 	}
 	if err != nil {
-		return nil, dec, err
+		return SearchResult{}, err
 	}
-	c.tagDecision(root, dec)
-	return res, dec, nil
+	res.Plan = plan.Kind.String()
+	tagDecision(root, &res)
+	return res, nil
 }
 
 // tagDecision records the resolved plan and parameters on the query's
 // root span, so a mis-planned query is debuggable straight from the
 // slowlog.
-func (c *Collection) tagDecision(root *obs.Span, dec Decision) {
+func tagDecision(root *obs.Span, res *SearchResult) {
 	if root == nil {
 		return
 	}
-	root.Tag("plan", dec.Plan.Kind.String())
-	root.Tag("param_source", dec.ParamSource)
-	if dec.Ef > 0 {
-		root.Annotate("ef", int64(dec.Ef))
+	root.Tag("plan", res.Plan)
+	root.Tag("param_source", res.ParamSource)
+	if res.Ef > 0 {
+		root.Annotate("ef", int64(res.Ef))
 	}
-	if dec.NProbe > 0 {
-		root.Annotate("nprobe", int64(dec.NProbe))
+	if res.NProbe > 0 {
+		root.Annotate("nprobe", int64(res.NProbe))
 	}
 }
 
@@ -1038,7 +1018,7 @@ func (c *Collection) entityMap(s *snapshot, name string, col *filter.Column) *ex
 	return m
 }
 
-func (c *Collection) multiVector(s *snapshot, req Request, opts executor.Options) ([]Result, error) {
+func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggregator, opts executor.Options) ([]Result, error) {
 	env := s.env
 	col, ok := env.Attrs.Column(req.EntityColumn)
 	if !ok {
@@ -1049,20 +1029,25 @@ func (c *Collection) multiVector(s *snapshot, req Request, opts executor.Options
 	}
 	m := c.entityMap(s, req.EntityColumn, col)
 	if env.ANN != nil {
-		return env.MultiVectorANN(m, req.Aggregator, req.Vectors, req.Weights, req.K, 0, opts)
+		return env.MultiVectorANN(m, agg, req.Vectors, req.Weights, req.K, 0, opts)
 	}
-	return env.MultiVectorExact(m, req.Aggregator, req.Vectors, req.Weights, req.K)
+	return env.MultiVectorExact(m, agg, req.Vectors, req.Weights, req.K)
 }
 
 // SearchRange returns all live rows within the squared-distance
-// radius, subject to predicates. Like Search it runs lock-free on one
+// radius, subject to filters. Like Search it runs lock-free on one
 // snapshot and is counted and timed in the obs registry; the deletion
 // mask is pushed into the scan as an exclusion filter, so dead rows
 // are skipped before scoring instead of being filtered afterwards.
-func (c *Collection) SearchRange(q []float32, radius float32, preds []filter.Predicate) ([]Result, error) {
+func (c *Collection) SearchRange(q []float32, radius float32, fs []Filter) ([]Result, error) {
+	preds, err := c.convertFilters(fs)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	c.beginRead()
-	res, err := c.searchRange(q, radius, preds)
+	s := c.snap.Load()
+	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
 	c.endRead()
 	c.touchAccount()
 	obs.SearchTotal.Inc()
@@ -1073,20 +1058,23 @@ func (c *Collection) SearchRange(q []float32, radius float32, preds []filter.Pre
 	return res, err
 }
 
-func (c *Collection) searchRange(q []float32, radius float32, preds []filter.Predicate) ([]Result, error) {
-	s := c.snap.Load()
-	return s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
-}
-
-// SearchBatch answers many queries under one shared plan. The request
-// supplies the same execution knobs as Search — Policy (including
-// "plan:<kind>" forcing), K, Preds, Ef, NProbe, Alpha, Parallelism —
-// but the plan is chosen once and reused for the whole batch, so the
-// per-query fields (Vector, Vectors, EntityColumn, Trace) are ignored.
-// Per-query failures are partial, not fatal: successful slots are
-// returned alongside an error naming each failing query's index (a
-// failed slot is nil).
-func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error) {
+// SearchBatch answers many queries under one shared plan, against one
+// snapshot. The request supplies the same execution knobs as Search —
+// Policy (including "plan:<kind>" forcing), K, Filters, Ef, NProbe,
+// Alpha, Parallelism — but the plan is chosen once and reused for the
+// whole batch, so the per-query fields (Vector, Vectors, EntityColumn,
+// Trace) are ignored. ctx stops the batch as it stops a Search: every
+// query still running returns ctx's error. Per-query failures are
+// partial, not fatal: successful slots are returned alongside an error
+// naming each failing query's index (a failed slot is nil).
+func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req SearchRequest) ([][]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	preds, err := c.convertFilters(req.Filters)
+	if err != nil {
+		return nil, err
+	}
 	c.beginRead()
 	defer c.endRead()
 	defer c.touchAccount()
@@ -1094,7 +1082,7 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 	env := s.env
 	plan, forced, err := planner.ParsePolicy(req.Policy, req.Alpha)
 	if err == nil && !forced {
-		plan, err = env.Plan(req.K, req.Preds, "", nil)
+		plan, err = env.Plan(req.K, preds, "", nil)
 	}
 	if err != nil {
 		return nil, err
@@ -1102,9 +1090,9 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 	// Knob resolution is shared with Search: a batch without explicit
 	// Ef/NProbe resolves through the recall target and collection
 	// defaults exactly once for the whole batch.
-	ef, nprobe, _ := c.resolveKnobs(req, s)
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted()}
-	return env.SearchBatch(plan, qs, req.K, req.Preds, opts)
+	ef, nprobe, _ := c.resolveKnobs(&req, s)
+	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Ctx: ctx}
+	return env.SearchBatch(plan, qs, req.K, preds, opts)
 }
 
 // OpenIterator starts incremental paging over the collection. The
@@ -1113,7 +1101,11 @@ func (c *Collection) SearchBatch(qs [][]float32, req Request) ([][]Result, error
 // The pin also counts as an active reader until the iterator is
 // garbage-collected, so in-place update patching is suppressed (every
 // update copies) while pages may still be fetched.
-func (c *Collection) OpenIterator(q []float32, preds []filter.Predicate, ef int) (*executor.Iterator, error) {
+func (c *Collection) OpenIterator(q []float32, fs []Filter, ef int) (*executor.Iterator, error) {
+	preds, err := c.convertFilters(fs)
+	if err != nil {
+		return nil, err
+	}
 	c.beginRead()
 	s := c.snap.Load()
 	it, err := s.env.NewIterator(q, preds, executor.Options{Ef: ef, Deleted: s.deleted()})
@@ -1139,9 +1131,9 @@ func (c *Collection) Stats() stats.Snapshot {
 // governed separately by EnableAudit.
 func (c *Collection) SetStatsEnabled(on bool) { c.stats.SetEnabled(on) }
 
-// AttributeKinds exposes the attribute schema (used by the public API
-// when wrapping a restored collection). The column set is fixed at
-// creation, so no snapshot is needed.
+// AttributeKinds exposes the attribute schema (the public API's Get
+// and AttributeTypes read it). The column set is fixed at creation, so
+// no snapshot is needed.
 func (c *Collection) AttributeKinds() map[string]filter.Kind {
 	out := map[string]filter.Kind{}
 	for _, name := range c.attrs.Columns() {

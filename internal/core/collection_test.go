@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,6 +10,9 @@ import (
 	"vdbms/internal/planner"
 	"vdbms/internal/vec"
 )
+
+// bg is the context of the test searches nothing cancels.
+var bg = context.Background()
 
 func newCol(t *testing.T, n int) (*Collection, *dataset.Dataset) {
 	t.Helper()
@@ -102,7 +106,7 @@ func TestCreateIndexEmptyCollection(t *testing.T) {
 	if err := c.CreateIndex("hnsw", nil); err == nil {
 		t.Fatal("want empty-collection error")
 	}
-	if _, _, err := c.Search(Request{Vector: make([]float32, 4), K: 1}); err == nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: make([]float32, 4), K: 1}); err == nil {
 		t.Fatal("want empty-collection search error")
 	}
 }
@@ -112,29 +116,29 @@ func TestSearchPlansAndPolicy(t *testing.T) {
 	if err := c.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
 		t.Fatal(err)
 	}
-	preds := []filter.Predicate{{Column: "g", Op: filter.Lt, Value: filter.IntV(5)}}
+	filters := []Filter{{Column: "g", Op: "<", Value: 5}}
 	for _, policy := range []string{"", "plan:pre_filter", "plan:post_filter", "plan:single_stage", "plan:brute_force"} {
-		res, plan, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: policy, Ef: 100})
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Filters: filters, Policy: policy, Ef: 100})
 		if err != nil {
 			t.Fatalf("%q: %v", policy, err)
 		}
-		if len(res) == 0 {
-			t.Fatalf("%q (plan %v): empty", policy, plan.Plan.Kind)
+		if len(res.Hits) == 0 {
+			t.Fatalf("%q (plan %v): empty", policy, res.Plan)
 		}
-		for _, r := range res {
+		for _, r := range res.Hits {
 			if r.ID%10 >= 5 {
 				t.Fatalf("%q violated predicate", policy)
 			}
 		}
 	}
-	if _, dec, _ := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: "plan:post_filter"}); dec.Plan.Alpha != 4 {
-		t.Fatalf("forced post_filter alpha = %d, want 4", dec.Plan.Alpha)
+	if plan, _, _ := planner.ParsePolicy("plan:post_filter", 0); plan.Alpha != 4 {
+		t.Fatalf("forced post_filter alpha = %d, want 4", plan.Alpha)
 	}
 	for _, policy := range []string{"zz", "plan:zz", "cost", "rule", "adaptive", "vearch", "weaviate", "euclid", "analyticdb-v", "milvus", "qdrant"} {
-		if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Filters: filters, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
 			t.Fatalf("Search policy %q: err = %v, want planner.ErrPolicy", policy, err)
 		}
-		if _, err := c.SearchBatch([][]float32{ds.Row(0)}, Request{K: 5, Preds: preds, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
+		if _, err := c.SearchBatch(bg, [][]float32{ds.Row(0)}, SearchRequest{K: 5, Filters: filters, Policy: policy}); !errors.Is(err, planner.ErrPolicy) {
 			t.Fatalf("SearchBatch policy %q: err = %v, want planner.ErrPolicy", policy, err)
 		}
 	}
@@ -160,7 +164,7 @@ func TestRebuildPolicy(t *testing.T) {
 	for i := 10; i < 25; i++ {
 		c.UpdateVector(int64(i), make([]float32, 8)) //nolint:errcheck
 	}
-	if _, _, err := c.Search(Request{Vector: make([]float32, 8), K: 1}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: make([]float32, 8), K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitForIndex()
@@ -183,17 +187,17 @@ func TestRebuildPolicy(t *testing.T) {
 func TestMultiVectorEntityColumnValidation(t *testing.T) {
 	c, ds := newCol(t, 60)
 	// Missing entity column name.
-	if _, _, err := c.Search(Request{Vectors: [][]float32{ds.Row(0)}, K: 2}); err == nil {
+	if _, err := c.Search(bg, SearchRequest{Vectors: [][]float32{ds.Row(0)}, K: 2}); err == nil {
 		t.Fatal("want entity-column error")
 	}
 	// Unknown column.
-	if _, _, err := c.Search(Request{Vectors: [][]float32{ds.Row(0)}, K: 2, EntityColumn: "zz"}); err == nil {
+	if _, err := c.Search(bg, SearchRequest{Vectors: [][]float32{ds.Row(0)}, K: 2, EntityColumn: "zz"}); err == nil {
 		t.Fatal("want unknown-column error")
 	}
 	// Works with the int column.
-	res, _, err := c.Search(Request{Vectors: [][]float32{ds.Row(0)}, K: 2, EntityColumn: "g", Aggregator: vec.AggMin})
-	if err != nil || len(res) != 2 {
-		t.Fatalf("multi-vector: %v %v", res, err)
+	res, err := c.Search(bg, SearchRequest{Vectors: [][]float32{ds.Row(0)}, K: 2, EntityColumn: "g", Aggregator: "min"})
+	if err != nil || len(res.Hits) != 2 {
+		t.Fatalf("multi-vector: %v %v", res.Hits, err)
 	}
 	// Non-int entity column rejected.
 	c2, err := NewCollection("s", Schema{Dim: 4, Attributes: map[string]filter.Kind{"name": filter.String}})
@@ -201,7 +205,7 @@ func TestMultiVectorEntityColumnValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.Insert(make([]float32, 4), map[string]filter.Value{"name": filter.StringV("x")}) //nolint:errcheck
-	if _, _, err := c2.Search(Request{Vectors: [][]float32{make([]float32, 4)}, K: 1, EntityColumn: "name"}); err == nil {
+	if _, err := c2.Search(bg, SearchRequest{Vectors: [][]float32{make([]float32, 4)}, K: 1, EntityColumn: "name"}); err == nil {
 		t.Fatal("want type error")
 	}
 }
@@ -226,7 +230,7 @@ func TestBatchAndIterator(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := ds.Queries(3, 0.05, 5)
-	batch, err := c.SearchBatch(qs, Request{K: 4, Ef: 64})
+	batch, err := c.SearchBatch(bg, qs, SearchRequest{K: 4, Ef: 64})
 	if err != nil || len(batch) != 3 || len(batch[0]) != 4 {
 		t.Fatalf("batch: %v %v", batch, err)
 	}
@@ -245,11 +249,11 @@ func TestPlanForcedBruteForceMatchesExact(t *testing.T) {
 	if err := c.CreateIndex("ivfflat", map[string]int{"nlist": 8}); err != nil {
 		t.Fatal(err)
 	}
-	res, plan, err := c.Search(Request{Vector: ds.Row(42), K: 1, Policy: "plan:brute_force"})
-	if err != nil || plan.Plan.Kind != planner.BruteForce {
-		t.Fatalf("%v %v", plan, err)
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(42), K: 1, Policy: "plan:brute_force"})
+	if err != nil || res.Plan != planner.BruteForce.String() {
+		t.Fatalf("%v %v", res.Plan, err)
 	}
-	if res[0].ID != 42 || res[0].Dist != 0 {
-		t.Fatalf("res = %v", res)
+	if res.Hits[0].ID != 42 || res.Hits[0].Dist != 0 {
+		t.Fatalf("res = %v", res.Hits)
 	}
 }

@@ -42,11 +42,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				case 1:
 					c.UpdateVector(int64(i%100), ds.Row(i%400)) //nolint:errcheck
 				case 2:
-					c.Search(Request{Vector: ds.Row(i % 400), K: 3, Ef: 32}) //nolint:errcheck
+					c.Search(bg, SearchRequest{Vector: ds.Row(i % 400), K: 3, Ef: 32}) //nolint:errcheck
 				case 3:
-					c.Search(Request{
+					c.Search(bg, SearchRequest{
 						Vector: ds.Row(i % 400), K: 3, Ef: 32,
-						Preds: []filter.Predicate{{Column: "g", Op: filter.Lt, Value: filter.IntV(5)}},
+						Filters: []Filter{{Column: "g", Op: "<", Value: 5}},
 					}) //nolint:errcheck
 				}
 			}
@@ -54,12 +54,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 	wg.Wait()
 	// Collection remains consistent and searchable.
-	res, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Ef: 64})
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Ef: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("post-stress search returned %d", len(res))
+	if len(res.Hits) != 5 {
+		t.Fatalf("post-stress search returned %d", len(res.Hits))
 	}
 	if c.Rows() != 200+workers*50/4 {
 		// workers*50/4 inserts were issued per the modulo schedule

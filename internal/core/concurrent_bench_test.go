@@ -69,7 +69,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, _, err := c.Search(Request{Vector: qs[i%len(qs)], K: 10, Ef: 64}); err != nil {
+			if _, err := c.Search(bg, SearchRequest{Vector: qs[i%len(qs)], K: 10, Ef: 64}); err != nil {
 				b.Fatal(err)
 			}
 			i++

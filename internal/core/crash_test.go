@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"vdbms/internal/filter"
 )
 
 // Crash harness: the real thing, not a simulation. The test re-execs
@@ -156,15 +154,16 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 	for qi := 0; qi < 5; qi++ {
 		q := crashVec(qi * 17)
-		preds := []filter.Predicate{{Column: "g", Op: filter.Eq, Value: filter.IntV(int64(qi % 10))}}
-		w, _, err := control.Search(Request{Vector: q, K: 10, Preds: preds, Policy: "plan:brute_force"})
+		filters := []Filter{{Column: "g", Op: "=", Value: qi % 10}}
+		wr, err := control.Search(bg, SearchRequest{Vector: q, K: 10, Filters: filters, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := re.Search(Request{Vector: q, K: 10, Preds: preds, Policy: "plan:brute_force"})
+		gr, err := re.Search(bg, SearchRequest{Vector: q, K: 10, Filters: filters, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		w, g := wr.Hits, gr.Hits
 		if len(w) != len(g) {
 			t.Fatalf("query %d: control %d hits, recovered %d", qi, len(w), len(g))
 		}

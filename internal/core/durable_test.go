@@ -82,14 +82,15 @@ func requireSameAnswers(t *testing.T, want, got *Collection, ds *dataset.Dataset
 	}
 	for qi := 0; qi < queries; qi++ {
 		q := ds.Row(qi * 7 % ds.Count)
-		w, _, err := want.Search(Request{Vector: q, K: 10, Policy: "plan:brute_force"})
+		wr, err := want.Search(bg, SearchRequest{Vector: q, K: 10, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := got.Search(Request{Vector: q, K: 10, Policy: "plan:brute_force"})
+		gr, err := got.Search(bg, SearchRequest{Vector: q, K: 10, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		w, g := wr.Hits, gr.Hits
 		if len(w) != len(g) {
 			t.Fatalf("query %d: %d vs %d hits", qi, len(w), len(g))
 		}

@@ -54,7 +54,7 @@ func BenchmarkMemTierSearch(b *testing.B) {
 				runtime.GC()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := c.Search(Request{Vector: ds.Row(n + i%16), K: k}); err != nil {
+					if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(n + i%16), K: k}); err != nil {
 						b.Fatal(err)
 					}
 				}

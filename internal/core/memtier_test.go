@@ -79,7 +79,7 @@ func TestEvictByteEquivalence(t *testing.T) {
 				c.WaitForIndex()
 				attachTestManager(t, c)
 
-				preds := []filter.Predicate{{Column: "g", Op: filter.Lt, Value: filter.IntV(3)}}
+				filters := []Filter{{Column: "g", Op: "<", Value: 3}}
 				queries := [][]float32{ds.Row(n), ds.Row(n + 1), ds.Row(n + 2)}
 				type answers struct {
 					plain, filtered []Result
@@ -88,17 +88,19 @@ func TestEvictByteEquivalence(t *testing.T) {
 				}
 				collect := func() answers {
 					var a answers
-					var err error
-					if a.plain, _, err = c.Search(Request{Vector: queries[0], K: k, Ef: 64}); err != nil {
+					plain, err := c.Search(bg, SearchRequest{Vector: queries[0], K: k, Ef: 64})
+					if err != nil {
 						t.Fatal(err)
 					}
-					if a.filtered, _, err = c.Search(Request{Vector: queries[1], K: k, Ef: 64, Preds: preds}); err != nil {
+					filtered, err := c.Search(bg, SearchRequest{Vector: queries[1], K: k, Ef: 64, Filters: filters})
+					if err != nil {
 						t.Fatal(err)
 					}
+					a.plain, a.filtered = plain.Hits, filtered.Hits
 					if a.rng, err = c.SearchRange(queries[2], 8.5, nil); err != nil {
 						t.Fatal(err)
 					}
-					if a.batch, err = c.SearchBatch(queries, Request{K: k, Ef: 64}); err != nil {
+					if a.batch, err = c.SearchBatch(bg, queries, SearchRequest{K: k, Ef: 64}); err != nil {
 						t.Fatal(err)
 					}
 					return a
@@ -258,11 +260,11 @@ func TestWritePathPromotion(t *testing.T) {
 		if tier := c.Tier(); tier != "mmap" {
 			t.Fatalf("tier after delete %q, want mmap", tier)
 		}
-		res, _, err := c.Search(Request{Vector: ds.Row(5), K: 3})
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(5), K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range res {
+		for _, r := range res.Hits {
 			if r.ID == 5 {
 				t.Fatal("deleted row served from mmap tier")
 			}
@@ -362,7 +364,7 @@ func TestRecoverMapsCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, _, err := c.Search(Request{Vector: ds.Row(n), K: k})
+	want, err := c.Search(bg, SearchRequest{Vector: ds.Row(n), K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +379,11 @@ func TestRecoverMapsCheckpoint(t *testing.T) {
 	if tier := r.Tier(); tier != "mmap" {
 		t.Fatalf("recovered tier %q, want mmap (checkpoint-backed column)", tier)
 	}
-	got, _, err := r.Search(Request{Vector: ds.Row(n), K: k})
+	got, err := r.Search(bg, SearchRequest{Vector: ds.Row(n), K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, want, got, "recovered")
+	sameResults(t, want.Hits, got.Hits, "recovered")
 
 	// Recovered-mapped collections report their tier to the manager.
 	m := memory.New(0)
@@ -492,16 +494,16 @@ func TestEvictConcurrentWithQueriesAndWrites(t *testing.T) {
 		}
 		switch i % 3 {
 		case 0:
-			c.Search(Request{Vector: ds.Row(i % 256), K: 3}) //nolint:errcheck
+			c.Search(bg, SearchRequest{Vector: ds.Row(i % 256), K: 3}) //nolint:errcheck
 		case 1:
 			c.UpdateVector(int64(i%64), ds.Row((i+1)%256)) //nolint:errcheck
 		case 2:
 			c.Insert(ds.Row(i%256), nil) //nolint:errcheck
 		}
 	}
-	res, _, err := c.Search(Request{Vector: ds.Row(0), K: 5})
-	if err != nil || len(res) == 0 {
-		t.Fatalf("post-race search: %v (%d results)", err, len(res))
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5})
+	if err != nil || len(res.Hits) == 0 {
+		t.Fatalf("post-race search: %v (%d results)", err, len(res.Hits))
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func BenchmarkSearchObs(b *testing.B) {
 		qs := ds.Queries(64, 0.1, 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Search(Request{Vector: qs[i%len(qs)], K: 10, Ef: 64}); err != nil {
+			if _, err := c.Search(bg, SearchRequest{Vector: qs[i%len(qs)], K: 10, Ef: 64}); err != nil {
 				b.Fatal(err)
 			}
 		}

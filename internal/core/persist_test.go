@@ -40,20 +40,20 @@ func TestSaveLoadRoundTripCore(t *testing.T) {
 	}
 	// Same search results pre/post.
 	q := ds.Row(10)
-	before, _, err := c.Search(Request{Vector: q, K: 5, NProbe: 4, Ef: 64})
+	before, err := c.Search(bg, SearchRequest{Vector: q, K: 5, NProbe: 4, Ef: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := re.Search(Request{Vector: q, K: 5, NProbe: 4, Ef: 64})
+	after, err := re.Search(bg, SearchRequest{Vector: q, K: 5, NProbe: 4, Ef: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before) != len(after) {
-		t.Fatalf("result sizes differ: %d vs %d", len(before), len(after))
+	if len(before.Hits) != len(after.Hits) {
+		t.Fatalf("result sizes differ: %d vs %d", len(before.Hits), len(after.Hits))
 	}
-	for i := range before {
-		if before[i].ID != after[i].ID {
-			t.Fatalf("result %d differs: %v vs %v", i, before[i], after[i])
+	for i := range before.Hits {
+		if before.Hits[i].ID != after.Hits[i].ID {
+			t.Fatalf("result %d differs: %v vs %v", i, before.Hits[i], after.Hits[i])
 		}
 	}
 }

@@ -47,7 +47,7 @@ func BenchmarkPlanTuned(b *testing.B) {
 		queries := ds.Queries(nq, 0.1, 13)
 		c.EnableTune(TuneConfig{TargetRecall: target, ReservoirSize: nq, PassSamples: nq})
 		for _, q := range queries {
-			if _, _, err := c.Search(Request{Vector: q, K: k}); err != nil {
+			if _, err := c.Search(bg, SearchRequest{Vector: q, K: k}); err != nil {
 				panic(err)
 			}
 		}
@@ -63,11 +63,11 @@ func BenchmarkPlanTuned(b *testing.B) {
 		b.Fatalf("tuner did not converge: %+v", planBenchReport)
 	}
 
-	meanRecall := func(req Request) float64 {
+	meanRecall := func(req SearchRequest) float64 {
 		var sum float64
 		for i, q := range queries {
 			req.Vector, req.K = q, k
-			res, _, err := c.Search(req)
+			res, err := c.Search(bg, req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func BenchmarkPlanTuned(b *testing.B) {
 				inTruth[r.ID] = true
 			}
 			hits := 0
-			for _, r := range res {
+			for _, r := range res.Hits {
 				if inTruth[r.ID] {
 					hits++
 				}
@@ -85,12 +85,12 @@ func BenchmarkPlanTuned(b *testing.B) {
 		}
 		return sum / float64(len(queries))
 	}
-	run := func(b *testing.B, req Request) {
+	run := func(b *testing.B, req SearchRequest) {
 		recall := meanRecall(req)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req.Vector, req.K = queries[i%len(queries)], k
-			if _, _, err := c.Search(req); err != nil {
+			if _, err := c.Search(bg, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,10 +101,10 @@ func BenchmarkPlanTuned(b *testing.B) {
 
 	maxNProbe := tuner.NProbeLadder[len(tuner.NProbeLadder)-1]
 	b.Run("static_worst", func(b *testing.B) {
-		run(b, Request{NProbe: maxNProbe})
+		run(b, SearchRequest{NProbe: maxNProbe})
 	})
 	b.Run("tuned", func(b *testing.B) {
-		run(b, Request{}) // collection target resolves via the frontier
+		run(b, SearchRequest{}) // collection target resolves via the frontier
 	})
 }
 

@@ -40,12 +40,19 @@ func corpusAttrs(id int64) map[string]filter.Value {
 	return map[string]filter.Value{"g": filter.IntV(id * 7 % 100), "tag": filter.StringV(fmt.Sprintf("t%d", id%3))}
 }
 
-// corpusPreds is g < 30 AND tag IN (t0, t2); corpusMatch is the same
-// predicate decided from the row id.
-var corpusPreds = []filter.Predicate{
-	{Column: "g", Op: filter.Lt, Value: filter.IntV(30)},
-	{Column: "tag", Op: filter.In, Set: []filter.Value{filter.StringV("t0"), filter.StringV("t2")}},
-}
+// corpusFilters is g < 30 AND tag IN (t0, t2), corpusPreds the same
+// conjunction as the engine compiles it; corpusMatch is the predicate
+// decided from the row id.
+var (
+	corpusFilters = []Filter{
+		{Column: "g", Op: "<", Value: 30},
+		{Column: "tag", Op: "in", Set: []any{"t0", "t2"}},
+	}
+	corpusPreds = []filter.Predicate{
+		{Column: "g", Op: filter.Lt, Value: filter.IntV(30)},
+		{Column: "tag", Op: filter.In, Set: []filter.Value{filter.StringV("t0"), filter.StringV("t2")}},
+	}
+)
 
 func corpusMatch(id int64) bool { return id*7%100 < 30 && id%3 != 1 }
 
@@ -116,12 +123,12 @@ func TestForcedPlansMatchReference(t *testing.T) {
 						want = post
 					}
 					for _, par := range []int{1, 2, 8} {
-						got, _, err := c.Search(Request{Vector: q, K: k, Preds: corpusPreds, Policy: "plan:" + plan,
+						res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: corpusFilters, Policy: "plan:" + plan,
 							Alpha: alpha, NProbe: ix.nprobe, Parallelism: par})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if fmt.Sprint(got) != fmt.Sprint(want) {
+						if got := res.Hits; fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("index %q deletes=%v query %d plan %s parallelism %d:\n got %v\nwant %v",
 								ix.kind, withDeletes, qi, plan, par, got, want)
 						}
@@ -157,18 +164,17 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 	}
 	stage := obs.SearchStageSeconds.With("filter")
 	recorded := c.Stats().Selectivity["g"].Count
-	check := func(name string, run func(tr *obs.Trace) error) {
+	check := func(name string, run func() (*obs.SpanReport, error)) {
 		t.Helper()
 		before := stage.Count()
-		tr := obs.NewTrace("search")
-		if err := run(tr); err != nil {
+		report, err := run()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := stage.Count() - before; got != 1 {
 			t.Fatalf("%s: %d filter-stage observations, want 1", name, got)
 		}
 		var filterSpan *obs.SpanReport
-		report := tr.Finish()
 		for i, ch := range report.Children {
 			if ch.Stage == "filter" {
 				filterSpan = &report.Children[i]
@@ -191,15 +197,16 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 		}
 	}
 	for _, plan := range []string{"brute_force", "pre_filter"} {
-		check(plan, func(tr *obs.Trace) error {
-			_, _, err := c.Search(Request{Vector: ds.Row(3), K: 5, Preds: corpusPreds, Policy: "plan:" + plan, Trace: tr})
-			return err
+		check(plan, func() (*obs.SpanReport, error) {
+			res, err := c.Search(bg, SearchRequest{Vector: ds.Row(3), K: 5, Filters: corpusFilters, Policy: "plan:" + plan, Trace: true})
+			return res.Trace, err
 		})
 	}
-	check("range", func(tr *obs.Trace) error {
+	check("range", func() (*obs.SpanReport, error) {
 		s := c.snap.Load()
+		tr := obs.NewTrace("search")
 		_, err := s.env.SearchRange(ds.Row(3), 4, corpusPreds, executor.Options{Deleted: s.deleted(), Span: tr.Root()})
-		return err
+		return tr.Finish(), err
 	})
 }
 
@@ -279,15 +286,15 @@ func TestPredicateReadPathRace(t *testing.T) {
 			for i := 0; i < 20 || !writerDone.Load(); i++ {
 				q := ds.Row((i*7 + r) % preload)
 				nd := delDone.Load()
-				res, _, err := c.Search(Request{Vector: q, K: k, Preds: corpusPreds, Policy: policies[i%len(policies)]})
+				res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: corpusFilters, Policy: policies[i%len(policies)]})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				check("search", ids(res), nd)
+				check("search", ids(res.Hits), nd)
 
 				nd = delDone.Load()
-				rng, err := c.SearchRange(q, 1.5, corpusPreds)
+				rng, err := c.SearchRange(q, 1.5, corpusFilters)
 				if err != nil {
 					t.Error(err)
 					return
@@ -295,7 +302,7 @@ func TestPredicateReadPathRace(t *testing.T) {
 				check("range", ids(rng), nd)
 
 				nd = delDone.Load()
-				it, err := c.OpenIterator(q, corpusPreds, 32)
+				it, err := c.OpenIterator(q, corpusFilters, 32)
 				if err != nil {
 					t.Error(err)
 					return

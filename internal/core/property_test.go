@@ -152,14 +152,15 @@ func requireEquivalent(t *testing.T, seed int64, want, got *Collection, qs [][]f
 		}
 	}
 	for qi, q := range qs {
-		w, _, err := want.Search(Request{Vector: q, K: 10, Policy: "plan:brute_force"})
+		wr, err := want.Search(bg, SearchRequest{Vector: q, K: 10, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := got.Search(Request{Vector: q, K: 10, Policy: "plan:brute_force"})
+		gr, err := got.Search(bg, SearchRequest{Vector: q, K: 10, Policy: "plan:brute_force"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		w, g := wr.Hits, gr.Hits
 		if len(w) != len(g) {
 			t.Fatalf("seed %d query %d: %d vs %d hits", seed, qi, len(w), len(g))
 		}

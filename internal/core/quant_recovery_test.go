@@ -66,14 +66,15 @@ func TestQuantizedRecipeSurvivesRecovery(t *testing.T) {
 		// The recovered collection answers queries with exact re-ranked
 		// distances, same as the original.
 		q := ds.Row(3)
-		want, _, err := c.Search(Request{Vector: q, K: 5, Ef: 64})
+		wr, err := c.Search(bg, SearchRequest{Vector: q, K: 5, Ef: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := re.Search(Request{Vector: q, K: 5, Ef: 64})
+		gr, err := re.Search(bg, SearchRequest{Vector: q, K: 5, Ef: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, got := wr.Hits, gr.Hits
 		if len(want) != len(got) {
 			t.Fatalf("checkpoint=%v: %d vs %d hits", checkpoint, len(want), len(got))
 		}

@@ -129,15 +129,16 @@ func TestSnapshotIsolationStress(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
 				pre := copyDead()
-				req := Request{Vector: ds.Row((seed*31 + i) % preload), K: 5, Ef: 48, Parallelism: 1 + i%3}
+				req := SearchRequest{Vector: ds.Row((seed*31 + i) % preload), K: 5, Ef: 48, Parallelism: 1 + i%3}
 				if i%4 == 3 {
 					req.Policy = "plan:brute_force"
 				}
-				res, _, err := c.Search(req)
+				out, err := c.Search(bg, req)
 				if err != nil {
 					record(fmt.Errorf("search %d/%d: %w", seed, i, err))
 					return
 				}
+				res := out.Hits
 				seen := map[int64]struct{}{}
 				for j, r := range res {
 					if r.ID < 0 || r.ID >= int64(c.Rows()) {
@@ -264,9 +265,9 @@ func TestSearchDuringBackgroundBuild(t *testing.T) {
 	// index still covers every row (updates do not change the row
 	// count), so these go through the index path, not just exact scan.
 	for i := 0; i < 25; i++ {
-		res, _, err := c.Search(Request{Vector: ds.Row(i), K: 3, Ef: 32})
-		if err != nil || len(res) != 3 {
-			t.Fatalf("search during build: %v %v", res, err)
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 3, Ef: 32})
+		if err != nil || len(res.Hits) != 3 {
+			t.Fatalf("search during build: %v %v", res.Hits, err)
 		}
 	}
 	// Writes must not block on the build either.
@@ -320,10 +321,11 @@ func TestFrozenSnapshotDeterminism(t *testing.T) {
 	for _, policy := range []string{"", "plan:brute_force"} {
 		var want []Result
 		for _, par := range []int{1, 2, 7} {
-			res, _, err := c.Search(Request{Vector: ds.Row(5), K: 10, Ef: 64, Parallelism: par, Policy: policy})
+			out, err := c.Search(bg, SearchRequest{Vector: ds.Row(5), K: 10, Ef: 64, Parallelism: par, Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := out.Hits
 			if want == nil {
 				want = res
 				continue
@@ -338,7 +340,7 @@ func TestFrozenSnapshotDeterminism(t *testing.T) {
 			}
 		}
 		// The batch path shares the same snapshot discipline.
-		batch, err := c.SearchBatch([][]float32{ds.Row(5)}, Request{K: 10, Ef: 64, Policy: policy})
+		batch, err := c.SearchBatch(bg, [][]float32{ds.Row(5)}, SearchRequest{K: 10, Ef: 64, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}

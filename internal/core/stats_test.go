@@ -36,13 +36,13 @@ func TestCollectionStatsWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	preds := []filter.Predicate{{Column: "cat", Op: filter.Eq, Value: filter.IntV(3)}}
+	filters := []Filter{{Column: "cat", Op: "=", Value: 3}}
 	for i := 0; i < 4; i++ {
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5, NProbe: 4}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 5, NProbe: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Filters: filters}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,8 +62,8 @@ func TestCollectionStatsWiring(t *testing.T) {
 	if s.K.Count != 5 || s.K.Mean != 5 {
 		t.Fatalf("k distribution = %+v", s.K)
 	}
-	if s.ProbeCount == 0 || s.MeanProbeComps <= 0 {
-		t.Fatalf("probe stats = %d probes, %.1f comps", s.ProbeCount, s.MeanProbeComps)
+	if s.ANNProbes == 0 || s.ANNProbeMeanComps <= 0 {
+		t.Fatalf("probe stats = %d probes, %.1f comps", s.ANNProbes, s.ANNProbeMeanComps)
 	}
 	sel, ok := s.Selectivity["cat"]
 	if !ok || sel.Count == 0 {
@@ -94,12 +94,13 @@ func TestMeasuredSelectivityRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	filters := []Filter{{Column: "cat", Op: "=", Value: 3}}
 	preds := []filter.Predicate{{Column: "cat", Op: filter.Eq, Value: filter.IntV(3)}}
 	const trueSel = 0.1 // cat=3 admits exactly 200 of 2000 rows
 
 	// Pre-filter materializes the bitmap: its cardinality over N is the
 	// exact selectivity and must be recorded as such.
-	if _, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Policy: "plan:pre_filter"}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Filters: filters, Policy: "plan:pre_filter"}); err != nil {
 		t.Fatal(err)
 	}
 	sel := c.Stats().Selectivity["cat"]
@@ -109,7 +110,7 @@ func TestMeasuredSelectivityRecording(t *testing.T) {
 
 	// Brute force evaluates the predicate on every live row: the
 	// counted pass rate is exact too.
-	if _, _, err := c.Search(Request{Vector: ds.Row(1), K: 5, Preds: preds, Policy: "plan:brute_force"}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(1), K: 5, Filters: filters, Policy: "plan:brute_force"}); err != nil {
 		t.Fatal(err)
 	}
 	sel = c.Stats().Selectivity["cat"]
@@ -119,7 +120,7 @@ func TestMeasuredSelectivityRecording(t *testing.T) {
 
 	// Post-filter with a small over-fetch examines too few rows to be a
 	// useful sample and must record nothing.
-	if _, _, err := c.Search(Request{Vector: ds.Row(2), K: 5, Preds: preds, Policy: "plan:post_filter", Alpha: 2}); err != nil {
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(2), K: 5, Filters: filters, Policy: "plan:post_filter", Alpha: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Selectivity["cat"].Count; got != 2 {
@@ -157,24 +158,23 @@ func TestAdaptivePolicy(t *testing.T) {
 	if err := c.CreateIndex("ivfflat", map[string]int{"nlist": 16}); err != nil {
 		t.Fatal(err)
 	}
-	preds := []filter.Predicate{{Column: "cat", Op: filter.Eq, Value: filter.IntV(1)}}
+	filters := []Filter{{Column: "cat", Op: "=", Value: 1}}
 	// planSpan runs one default-policy search and returns its plan span.
 	planSpan := func() obs.SpanReport {
 		t.Helper()
-		tr := obs.NewTrace("search")
-		res, _, err := c.Search(Request{Vector: ds.Row(0), K: 5, Preds: preds, Trace: tr})
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Filters: filters, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != 5 {
-			t.Fatalf("search returned %d hits, want 5", len(res))
+		if len(res.Hits) != 5 {
+			t.Fatalf("search returned %d hits, want 5", len(res.Hits))
 		}
-		for _, r := range res {
+		for _, r := range res.Hits {
 			if r.ID%4 != 1 {
 				t.Fatalf("hit %d violates cat=1", r.ID)
 			}
 		}
-		for _, sp := range tr.Finish().Children {
+		for _, sp := range res.Trace.Children {
 			if sp.Stage == "plan" {
 				return sp
 			}
@@ -195,22 +195,22 @@ func TestAdaptivePolicy(t *testing.T) {
 	// probes for the probe cost, exhaustive scans (a bitmap build beside
 	// a flat probe) for the attribute-cost ratio.
 	for i := 0; i < 20; i++ {
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5, Preds: preds, NProbe: 4, Policy: "plan:single_stage"}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 5, Filters: filters, NProbe: 4, Policy: "plan:single_stage"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Search(Request{Vector: ds.Row(i), K: 5, Preds: preds, Policy: "plan:brute_force"}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 5, Filters: filters, Policy: "plan:brute_force"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := c.Stats()
-	if s.ProbeCount < planner.MinProbeObservations || s.Calibration.AttrScans < planner.MinCostObservations {
-		t.Fatalf("warm-up insufficient: probes=%d attr scans=%d", s.ProbeCount, s.Calibration.AttrScans)
+	if s.ANNProbes < planner.MinProbeObservations || s.Calibration.AttrScans < planner.MinCostObservations {
+		t.Fatalf("warm-up insufficient: probes=%d attr scans=%d", s.ANNProbes, s.Calibration.AttrScans)
 	}
 	warm := planSpan()
 	if warm.Tags["index_comps_source"] != "measured" || warm.Tags["attr_cost_source"] != "measured" {
 		t.Fatalf("warm plan inputs: %v", warm.Tags)
 	}
-	if got, want := warm.Annotations["index_comps"], int64(s.MeanProbeComps); got != want {
+	if got, want := warm.Annotations["index_comps"], int64(s.ANNProbeMeanComps); got != want {
 		t.Fatalf("warm index_comps = %d, want the measured mean %d", got, want)
 	}
 }
@@ -241,33 +241,32 @@ func TestMixedSelectivityKeepsPostFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	thresholds := []int64{1, 10, 50}
-	search := func(q []float32, thresh int64) planner.Kind {
+	search := func(q []float32, thresh int64) string {
 		t.Helper()
-		preds := []filter.Predicate{{Column: "cat", Op: filter.Lt, Value: filter.IntV(thresh)}}
-		res, dec, err := c.Search(Request{Vector: q, K: 10, Ef: 16, Preds: preds})
+		res, err := c.Search(bg, SearchRequest{Vector: q, K: 10, Ef: 16, Filters: []Filter{{Column: "cat", Op: "<", Value: thresh}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range res {
+		for _, r := range res.Hits {
 			if r.ID*7919%100 >= thresh {
 				t.Fatalf("hit %d violates cat < %d", r.ID, thresh)
 			}
 		}
-		return dec.Plan.Kind
+		return res.Plan
 	}
 	qs := ds.Queries(150, 0.05, 5)
 	for i, q := range qs {
 		search(q, thresholds[i%3])
 	}
-	if s := c.Stats(); s.ProbeCount < planner.MinProbeObservations || s.Calibration.AttrScans < planner.MinCostObservations {
-		t.Fatalf("warm-up insufficient: probes=%d attr scans=%d", s.ProbeCount, s.Calibration.AttrScans)
+	if s := c.Stats(); s.ANNProbes < planner.MinProbeObservations || s.Calibration.AttrScans < planner.MinCostObservations {
+		t.Fatalf("warm-up insufficient: probes=%d attr scans=%d", s.ANNProbes, s.Calibration.AttrScans)
 	}
 	want := []planner.Kind{planner.BruteForce, planner.SingleStage, planner.PostFilter}
 	for i, q := range qs[:30] {
-		if got := search(q, thresholds[i%3]); got != want[i%3] {
+		if got := search(q, thresholds[i%3]); got != want[i%3].String() {
 			s := c.Stats()
 			t.Fatalf("%d %% bucket ran %v, want %v (probe comps %.0f, attr ns %.2f / comp ns %.2f)",
-				thresholds[i%3], got, want[i%3], s.MeanProbeComps, s.Calibration.NsPerAttrEval, s.Calibration.NsPerComp)
+				thresholds[i%3], got, want[i%3], s.ANNProbeMeanComps, s.Calibration.NsPerAttrEval, s.Calibration.NsPerComp)
 		}
 	}
 	// The picks must not hinge on the timing-calibrated ratio, which
@@ -278,13 +277,12 @@ func TestMixedSelectivityKeepsPostFilter(t *testing.T) {
 	// between. The measured probe cost and the query's own selectivity
 	// sample are what set the plans.
 	for b, thresh := range thresholds {
-		tr := obs.NewTrace("search")
-		preds := []filter.Predicate{{Column: "cat", Op: filter.Lt, Value: filter.IntV(thresh)}}
-		if _, _, err := c.Search(Request{Vector: qs[0], K: 10, Ef: 16, Preds: preds, Trace: tr}); err != nil {
+		res, err := c.Search(bg, SearchRequest{Vector: qs[0], K: 10, Ef: 16, Filters: []Filter{{Column: "cat", Op: "<", Value: thresh}}, Trace: true})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var in obs.SpanReport
-		for _, sp := range tr.Finish().Children {
+		for _, sp := range res.Trace.Children {
 			if sp.Stage == "plan" {
 				in = sp
 			}

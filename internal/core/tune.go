@@ -43,35 +43,40 @@ import (
 	"vdbms/internal/tuner"
 )
 
-// TuneConfig configures a collection's recall-SLO auto-tuner.
+// TuneConfig configures a collection's recall-SLO auto-tuner (the
+// public API's TuneOptions).
 type TuneConfig struct {
-	// Interval is the cadence of background tuning passes; zero or
-	// negative runs no background loop (TuneNow still works).
+	// Interval is the cadence of background tuning passes. Zero runs
+	// no background loop — sampling still starts, and TuneNow runs
+	// passes on demand.
 	Interval time.Duration
 	// TargetRecall, in (0,1], becomes the collection's default recall
-	// target: queries without an explicit target or explicit Ef/NProbe
-	// resolve against it. Zero leaves the collection default unset
-	// (per-query targets still work).
+	// target (same effect as SetTargetRecall): queries without an
+	// explicit target or explicit Ef/NProbe resolve against the tuned
+	// frontier. Zero leaves the collection default unset.
 	TargetRecall float64
-	// ReservoirSize caps the query reservoir; 0 keeps the current
-	// size. The reservoir is shared with the recall auditor.
+	// ReservoirSize caps how many live queries are retained for replay;
+	// 0 keeps the current size (default 256). The reservoir is shared
+	// with the recall auditor.
 	ReservoirSize int
-	// PassSamples caps how many reservoir samples one pass replays
-	// (each sample costs one exact scan plus one ANN probe per ladder
-	// rung). Default 16.
+	// PassSamples caps the sampled queries one pass replays; each costs
+	// one exact scan plus one index probe per ladder rung (default 16).
 	PassSamples int
-	// MinSamples is the per-rung replay count before the frontier
-	// trusts a rung (tuner.Config.MinSamples). Default 8.
+	// MinSamples is the per-rung replay count before the tuner trusts
+	// a measurement (tuner.Config.MinSamples; default 8).
 	MinSamples int
-	// Margin is the recall headroom required to move to a cheaper rung
-	// (tuner.Config.Margin). Default 0.01.
+	// Margin is the recall headroom required before the tuner moves to
+	// a cheaper rung — hysteresis against oscillation
+	// (tuner.Config.Margin; default 0.01).
 	Margin float64
-	// Reselect allows drift-triggered index re-selection: when on, a
-	// pass may hand the background builder a new index recipe. Off by
-	// default — parameter tuning alone never rebuilds anything.
+	// Reselect lets the tuner rebuild the index when it detects drift
+	// no parameter can fix: an unindexed collection grown past the
+	// scan/graph crossover, a recall target the whole frontier cannot
+	// reach, or a heavily-filtered highly-selective workload on a
+	// graph index. Rebuilds run on the background builder and install
+	// atomically; queries never block on them. Off by default —
+	// parameter tuning alone never rebuilds anything.
 	Reselect bool
-	// Logf receives tuner log lines; log.Printf when nil.
-	Logf func(format string, args ...any)
 }
 
 func (cfg TuneConfig) normalized() TuneConfig {
@@ -210,11 +215,7 @@ func (c *Collection) tuneLoop(cfg TuneConfig, stop, done chan struct{}) {
 		select {
 		case <-tick.C:
 			if _, err := c.tunePass(cfg); err != nil {
-				logf := cfg.Logf
-				if logf == nil {
-					logf = log.Printf
-				}
-				logf("vdbms: tune pass on %q failed: %v", c.name, err)
+				log.Printf("vdbms: tune pass on %q failed: %v", c.name, err)
 			}
 		case <-stop:
 			return
@@ -571,7 +572,7 @@ func (c *Collection) maybeReselect(cfg TuneConfig, rep *TuneReport, s *snapshot,
 	c.driftCooldown = driftCooldownPasses
 	c.tuneMu.Unlock()
 
-	if c.requestReselect(decision, kind, opts, cfg.Logf) {
+	if c.requestReselect(decision, kind, opts) {
 		rep.DriftFired = true
 	}
 }
@@ -581,7 +582,7 @@ func (c *Collection) maybeReselect(cfg TuneConfig, rep *TuneReport, s *snapshot,
 // CreateIndex, minus the synchronous wait. Returns false when the
 // build could not start (builder busy, recipe unchanged, empty or
 // closed collection).
-func (c *Collection) requestReselect(decision, kind string, opts map[string]int, logf func(string, ...any)) bool {
+func (c *Collection) requestReselect(decision, kind string, opts map[string]int) bool {
 	opts, err := index.MergeQuantDefaults(kind, opts, c.schema.Quantization, c.schema.RerankK)
 	if err != nil {
 		return false
@@ -610,10 +611,7 @@ func (c *Collection) requestReselect(decision, kind string, opts map[string]int,
 	c.mu.Unlock()
 
 	obs.PlanReselects.With(decision).Inc()
-	if logf == nil {
-		logf = log.Printf
-	}
-	logf("vdbms: index re-selection on %q: %s -> %s %v (was %s)", c.name, decision, kind, opts, prevKind)
+	log.Printf("vdbms: index re-selection on %q: %s -> %s %v (was %s)", c.name, decision, kind, opts, prevKind)
 	go c.runReselect(epoch, kind, opts, prevKind, prevOpts, data, n, dirty)
 	return true
 }

@@ -8,7 +8,6 @@ import (
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
-	"vdbms/internal/obs"
 	"vdbms/internal/topk"
 	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
@@ -37,10 +36,10 @@ func TestKnobResolutionPrecedence(t *testing.T) {
 	}
 	q := ds.Row(0)
 
-	search := func(req Request) Decision {
+	search := func(req SearchRequest) SearchResult {
 		t.Helper()
 		req.Vector, req.K = q, 5
-		_, dec, err := c.Search(req)
+		dec, err := c.Search(bg, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,44 +47,44 @@ func TestKnobResolutionPrecedence(t *testing.T) {
 	}
 
 	// Explicit Ef wins over everything, including a target.
-	dec := search(Request{Ef: 77, TargetRecall: 0.95})
+	dec := search(SearchRequest{Ef: 77, TargetRecall: 0.95})
 	if dec.Ef != 77 || dec.ParamSource != SourceExplicit {
 		t.Fatalf("explicit ef: got %+v", dec)
 	}
 	// An explicit NProbe alone also pins the pair: Ef stays unset (0)
 	// rather than being filled from another layer.
-	dec = search(Request{NProbe: 3})
+	dec = search(SearchRequest{NProbe: 3})
 	if dec.NProbe != 3 || dec.Ef != 0 || dec.ParamSource != SourceExplicit {
 		t.Fatalf("explicit nprobe: got %+v", dec)
 	}
 	// A per-query target with a cold frontier resolves to the safe
 	// default: the ladder maximum for the index's knob (ef for hnsw).
 	maxEf := tuner.EfLadder[len(tuner.EfLadder)-1]
-	dec = search(Request{TargetRecall: 0.9})
+	dec = search(SearchRequest{TargetRecall: 0.9})
 	if dec.Ef != maxEf || dec.ParamSource != SourceSafeDefault {
 		t.Fatalf("cold target: got %+v, want ef=%d source=%s", dec, maxEf, SourceSafeDefault)
 	}
 	// The collection-level target behaves identically.
 	c.SetTargetRecall(0.9)
-	dec = search(Request{})
+	dec = search(SearchRequest{})
 	if dec.Ef != maxEf || dec.ParamSource != SourceSafeDefault {
 		t.Fatalf("collection target: got %+v", dec)
 	}
 	c.SetTargetRecall(0)
 	// Collection defaults apply when no target is in play.
 	c.SetSearchDefaults(40, 0)
-	dec = search(Request{})
+	dec = search(SearchRequest{})
 	if dec.Ef != 40 || dec.ParamSource != SourceCollectionDefault {
 		t.Fatalf("collection default: got %+v", dec)
 	}
 	// ...but a target still outranks them.
-	dec = search(Request{TargetRecall: 0.9})
+	dec = search(SearchRequest{TargetRecall: 0.9})
 	if dec.Ef != maxEf || dec.ParamSource != SourceSafeDefault {
 		t.Fatalf("target over defaults: got %+v", dec)
 	}
 	c.SetSearchDefaults(0, 0)
 	// Nothing set anywhere: zeros pass through to the index defaults.
-	dec = search(Request{})
+	dec = search(SearchRequest{})
 	if dec.Ef != 0 || dec.NProbe != 0 || dec.ParamSource != SourceIndexDefault {
 		t.Fatalf("index default: got %+v", dec)
 	}
@@ -146,14 +145,13 @@ func TestTunerConvergesDegradedIndex(t *testing.T) {
 	// fills the reservoir with the live workload.
 	maxNProbe := tuner.NProbeLadder[len(tuner.NProbeLadder)-1]
 	for i, q := range queries {
-		res, dec, err := c.Search(Request{Vector: q, K: k})
+		dec, err := c.Search(bg, SearchRequest{Vector: q, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dec.ParamSource != SourceSafeDefault || dec.NProbe != maxNProbe {
 			t.Fatalf("cold query %d: got %+v, want safe default nprobe=%d", i, dec, maxNProbe)
 		}
-		_ = res
 	}
 
 	rep, err := c.TuneNow()
@@ -180,7 +178,7 @@ func TestTunerConvergesDegradedIndex(t *testing.T) {
 	// and still meet the target against ground truth.
 	var sum float64
 	for i, q := range queries {
-		res, dec, err := c.Search(Request{Vector: q, K: k})
+		dec, err := c.Search(bg, SearchRequest{Vector: q, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +188,7 @@ func TestTunerConvergesDegradedIndex(t *testing.T) {
 		if dec.NProbe != rep.Resolved {
 			t.Fatalf("warm query %d ran nprobe=%d, tuner resolved %d", i, dec.NProbe, rep.Resolved)
 		}
-		sum += recallOf(i, res)
+		sum += recallOf(i, dec.Hits)
 	}
 	if got := sum / nq; got < target-0.01 {
 		t.Fatalf("tuned serving recall@10 = %.4f, want >= %.2f", got, target)
@@ -222,7 +220,7 @@ func TestTuneHysteresisAcrossPasses(t *testing.T) {
 	c.EnableTune(TuneConfig{TargetRecall: 0.9, ReservoirSize: nq, PassSamples: nq})
 	defer c.DisableTune()
 	for _, q := range ds.Queries(nq, 0.1, 43) {
-		if _, _, err := c.Search(Request{Vector: q, K: k}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: q, K: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +261,7 @@ func TestDriftBuildGraphReselect(t *testing.T) {
 	c.EnableTune(TuneConfig{Reselect: true, PassSamples: 4})
 	defer c.DisableTune()
 	for _, q := range ds.Queries(8, 0.1, 59) {
-		if _, _, err := c.Search(Request{Vector: q, K: k}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: q, K: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +282,7 @@ func TestDriftBuildGraphReselect(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := c.Search(Request{Vector: qs[i%len(qs)], K: k}); err != nil {
+				if _, err := c.Search(bg, SearchRequest{Vector: qs[i%len(qs)], K: k}); err != nil {
 					errc <- err
 					return
 				}
@@ -321,11 +319,10 @@ func TestDriftBuildGraphReselect(t *testing.T) {
 		t.Fatalf("after re-selection: kind=%q covered=%d, want hnsw over %d rows", kind, covered, n)
 	}
 	// The swapped-in index must actually serve.
-	res, dec, err := c.Search(Request{Vector: ds.Row(0), K: k})
-	if err != nil || len(res) != k {
-		t.Fatalf("post-swap search: %v (%d hits)", err, len(res))
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: k})
+	if err != nil || len(res.Hits) != k {
+		t.Fatalf("post-swap search: %v (%d hits)", err, len(res.Hits))
 	}
-	_ = dec
 }
 
 // TestDriftDebounceAndCooldown pins the oscillation guards: one
@@ -451,7 +448,7 @@ func TestTuneLoopLifecycle(t *testing.T) {
 	}
 	c.EnableTune(TuneConfig{Interval: time.Millisecond, TargetRecall: 0.9, PassSamples: 4})
 	for _, q := range ds.Queries(8, 0.1, 71) {
-		if _, _, err := c.Search(Request{Vector: q, K: 5}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: q, K: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +509,7 @@ func TestAdaptivePlanningOverhead(t *testing.T) {
 	defer c.DisableTune()
 	queries := ds.Queries(nq, 0.1, 79)
 	for _, q := range queries {
-		if _, _, err := c.Search(Request{Vector: q, K: k}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: q, K: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,11 +522,11 @@ func TestAdaptivePlanningOverhead(t *testing.T) {
 	}
 	staticEf := rep.Resolved // identical search work on both sides
 
-	measure := func(req Request) time.Duration {
+	measure := func(req SearchRequest) time.Duration {
 		start := time.Now()
 		for _, q := range queries {
 			req.Vector, req.K = q, k
-			if _, _, err := c.Search(req); err != nil {
+			if _, err := c.Search(bg, req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -551,8 +548,8 @@ func TestAdaptivePlanningOverhead(t *testing.T) {
 	for a := 0; a < attempts; a++ {
 		var sTimes, aTimes []time.Duration
 		for r := 0; r < 5; r++ {
-			sTimes = append(sTimes, measure(Request{Ef: staticEf}))
-			aTimes = append(aTimes, measure(Request{})) // resolves via frontier
+			sTimes = append(sTimes, measure(SearchRequest{Ef: staticEf}))
+			aTimes = append(aTimes, measure(SearchRequest{})) // resolves via frontier
 		}
 		s, ad := median(sTimes), median(aTimes)
 		lastRatio = float64(ad) / float64(s)
@@ -582,17 +579,16 @@ func TestRootSpanCarriesDecision(t *testing.T) {
 	if err := c.CreateIndex("hnsw", nil); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace("search")
-	_, dec, err := c.Search(Request{Vector: ds.Row(0), K: 5, Ef: 48, Trace: tr})
+	dec, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, Ef: 48, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := tr.Finish()
+	rep := dec.Trace
 	if rep == nil {
 		t.Fatal("no trace")
 	}
-	if rep.Tags["plan"] != dec.Plan.Kind.String() {
-		t.Fatalf("root span plan tag %q, want %q", rep.Tags["plan"], dec.Plan.Kind.String())
+	if rep.Tags["plan"] != dec.Plan {
+		t.Fatalf("root span plan tag %q, want %q", rep.Tags["plan"], dec.Plan)
 	}
 	if rep.Tags["param_source"] != SourceExplicit {
 		t.Fatalf("root span param_source %q, want %q", rep.Tags["param_source"], SourceExplicit)
@@ -668,7 +664,7 @@ func TestTuneReconfigureDuringPass(t *testing.T) {
 	cfg := TuneConfig{Interval: time.Millisecond, TargetRecall: 0.9, PassSamples: 4, Reselect: true}
 	c.EnableTune(cfg)
 	for _, q := range ds.Queries(8, 0.1, 89) {
-		if _, _, err := c.Search(Request{Vector: q, K: 5}); err != nil {
+		if _, err := c.Search(bg, SearchRequest{Vector: q, K: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}

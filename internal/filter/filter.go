@@ -24,6 +24,28 @@ const (
 	String
 )
 
+// kindNames is the one table between column kinds and the names a
+// schema spells them with.
+var kindNames = [...]string{Int64: "int", Float64: "float", String: "string"}
+
+// String returns the kind's schema name: "int", "float" or "string".
+func (k Kind) String() string {
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// ParseKind returns the kind a schema name stands for.
+func ParseKind(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
 // Value is a dynamically typed attribute value. Exactly one field is
 // meaningful per column Kind.
 type Value struct {
@@ -36,6 +58,19 @@ type Value struct {
 func IntV(i int64) Value     { return Value{I: i} }
 func FloatV(f float64) Value { return Value{F: f} }
 func StringV(s string) Value { return Value{S: s} }
+
+// Any returns v as a column of kind k holds it: an int64, a float64 or
+// a string.
+func (v Value) Any(k Kind) any {
+	switch k {
+	case Int64:
+		return v.I
+	case Float64:
+		return v.F
+	default:
+		return v.S
+	}
+}
 
 // Column is an append-only typed attribute column aligned with vector
 // row ids.

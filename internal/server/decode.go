@@ -120,7 +120,8 @@ func (rb *reqBuf) read(r io.Reader) error {
 }
 
 // decodeSearch reads a search or batch body from r into req (the
-// handlers pass &rb.search).
+// handlers pass &rb.search). Trace is not in the body (its JSON tag is
+// "-"): it stays false.
 func (rb *reqBuf) decodeSearch(r io.Reader, req *SearchBody) error {
 	if err := rb.read(r); err != nil {
 		return err
@@ -169,7 +170,7 @@ func (rb *reqBuf) slice(s span) []float32 {
 // field constants below.
 var searchFields = [...]string{
 	"vector", "vectors", "k", "filters", "policy", "ef", "nprobe",
-	"target_recall", "alpha", "rerank_k", "parallelism", "entity_column", "aggregator",
+	"target_recall", "alpha", "rerank_k", "parallelism", "entity_column", "aggregator", "weights",
 }
 
 const (
@@ -186,13 +187,14 @@ const (
 	fParallelism
 	fEntityColumn
 	fAggregator
+	fWeights
 )
 
 // searchBody is the single pass over a SearchBody.
 func (rb *reqBuf) searchBody(req *SearchBody) bool {
 	d := decoder{b: rb.body}
 	rb.floats, rb.spans = rb.floats[:0], rb.spans[:0]
-	var vector, vectors span
+	var vector, vectors, weights span
 	var seen [len(searchFields)]bool
 	ok := d.object(func(key []byte) bool {
 		f, ok := field(key, searchFields[:], seen[:])
@@ -227,13 +229,16 @@ func (rb *reqBuf) searchBody(req *SearchBody) bool {
 			return d.string(&req.EntityColumn)
 		case fAggregator:
 			return d.string(&req.Aggregator)
+		case fWeights:
+			weights, ok = d.floats(&rb.floats)
+			return ok
 		}
 		return d.skip(0)
 	})
 	if !ok {
 		return false
 	}
-	req.Vector = rb.slice(vector)
+	req.Vector, req.Weights = rb.slice(vector), rb.slice(weights)
 	if vectors.set {
 		req.Vectors = make([][]float32, len(rb.spans))
 		for i, s := range rb.spans {

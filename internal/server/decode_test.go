@@ -66,6 +66,9 @@ var decodeSeeds = []string{
 	`{"vector":[1,2],"attrs":{"cat":7.0,"name":"x","ok":true,"none":null}}`, `{"attrs":{}}`, `{"attrs":null}`,
 	`{"attrs":{"a":1},"attrs":{"b":2}}`, `{"attrs":{"a":1,"a":2}}`, `{"attrs":{"ключ":1}}`, `{"Attrs":{"a":[1]}}`,
 	`{"attrs":{"a":{"b":1}}}`, `{"attrs":[1]}`, `{"attrs":{"ab":1}}`, "{\"attrs\":{\"\xff\":1}}",
+	// weighted_sum weights; Trace is never read from a body.
+	`{"vectors":[[1,2],[3,4]],"k":2,"entity_column":"e","aggregator":"weighted_sum","weights":[0.25,0.75]}`,
+	`{"weights":null}`, `{"weights":[]}`, `{"weights":[1],"Weights":[2]}`, `{"Weights":[1e39]}`, `{"trace":true,"Trace":1,"-":2}`,
 }
 
 func addSeeds(f *testing.F) {

@@ -157,27 +157,36 @@ func TestPooledVectorsAreNotRetained(t *testing.T) {
 	}
 }
 
-// TestStoppedSearchStatus: a search the server's deadline stops is a
-// 504, one whose client has gone is a 499 — neither is the 400 of a
-// malformed request.
+// TestStoppedSearchStatus: a search or batch the server's deadline
+// stops is a 504, one whose client has gone is a 499 — neither is the
+// 400 of a malformed request, nor a 200 carrying a per-query error.
 func TestStoppedSearchStatus(t *testing.T) {
 	srv, _, _, ds := ownershipServer(t)
-	body, err := json.Marshal(SearchBody{Vector: ds.Row(0), K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/collections/s/search", bytes.NewReader(body)).WithContext(ctx))
-	if rec.Code != statusClientClosedRequest {
-		t.Fatalf("client gone: %d %s, want 499", rec.Code, rec.Body)
-	}
 	timed := New(srv.db, WithQueryTimeout(time.Nanosecond))
-	rec = httptest.NewRecorder()
-	timed.ServeHTTP(rec, httptest.NewRequest("POST", "/collections/s/search", bytes.NewReader(body)))
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("deadline: %d %s, want 504", rec.Code, rec.Body)
+	for _, c := range []struct {
+		route string
+		body  SearchBody
+	}{
+		{"search", SearchBody{Vector: ds.Row(0), K: 5}},
+		{"batch", SearchBody{Vectors: [][]float32{ds.Row(0), ds.Row(1)}, K: 5}},
+	} {
+		body, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "/collections/s/" + c.route
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)).WithContext(ctx))
+		if rec.Code != statusClientClosedRequest {
+			t.Fatalf("%s, client gone: %d %s, want 499", c.route, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		timed.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s, deadline: %d %s, want 504", c.route, rec.Code, rec.Body)
+		}
 	}
 }
 

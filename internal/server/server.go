@@ -253,22 +253,9 @@ type IndexRequest struct {
 	Opts map[string]int `json:"opts"`
 }
 
-// SearchBody mirrors vdbms.SearchRequest for JSON transport.
-type SearchBody struct {
-	Vector       []float32      `json:"vector"`
-	Vectors      [][]float32    `json:"vectors,omitempty"`
-	K            int            `json:"k"`
-	Filters      []vdbms.Filter `json:"filters,omitempty"`
-	Policy       string         `json:"policy,omitempty"`
-	Ef           int            `json:"ef,omitempty"`
-	NProbe       int            `json:"nprobe,omitempty"`
-	TargetRecall float64        `json:"target_recall,omitempty"`
-	Alpha        int            `json:"alpha,omitempty"`
-	RerankK      int            `json:"rerank_k,omitempty"`
-	Parallelism  int            `json:"parallelism,omitempty"`
-	EntityColumn string         `json:"entity_column,omitempty"`
-	Aggregator   string         `json:"aggregator,omitempty"`
-}
+// SearchBody is the body of POST /collections/{name}/search and
+// /batch: the engine's own request, whose JSON tags are the wire format.
+type SearchBody = vdbms.SearchRequest
 
 func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/collections/")
@@ -379,20 +366,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms
 	// Tracing is on when the client asks (X-Vdbms-Trace: 1) or the
 	// slow-query log needs span trees to be useful.
 	wantTrace := r.Header.Get(TraceHeader) == "1"
-	par := req.Parallelism
-	if par == 0 {
-		par = s.parallelism
+	req.Trace = wantTrace || s.slowQuery > 0
+	if req.Parallelism == 0 {
+		req.Parallelism = s.parallelism
 	}
 	start := time.Now()
-	res, err := col.SearchContext(ctx, vdbms.SearchRequest{
-		Vector: req.Vector, Vectors: req.Vectors, K: req.K,
-		Filters: req.Filters, Policy: req.Policy, Ef: req.Ef,
-		NProbe: req.NProbe, TargetRecall: req.TargetRecall,
-		Alpha: req.Alpha, RerankK: req.RerankK,
-		Parallelism:  par,
-		EntityColumn: req.EntityColumn, Aggregator: req.Aggregator,
-		Trace: wantTrace || s.slowQuery > 0,
-	})
+	res, err := col.SearchContext(ctx, *req)
 	elapsed := time.Since(start)
 	if err != nil {
 		writeErr(w, searchErrStatus(err), err)
@@ -427,7 +406,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms
 // fields are the shared execution knobs (k, filters, policy, ef,
 // nprobe, alpha, parallelism). Partial failures follow the library
 // contract: failed slots are null and "error" names each failing
-// query, alongside HTTP 200 for the successes.
+// query, alongside HTTP 200 for the successes. The batch runs under the
+// same context as a search and is answered 499 or 504 when it is
+// stopped.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, col *vdbms.Collection) {
 	rb := getReqBuf()
 	defer rb.release()
@@ -440,17 +421,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, col *vdbms.
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch search needs vectors"))
 		return
 	}
-	par := req.Parallelism
-	if par == 0 {
-		par = s.parallelism
+	ctx, cancel := s.searchCtx(r)
+	defer cancel()
+	if req.Parallelism == 0 {
+		req.Parallelism = s.parallelism
 	}
-	hits, err := col.SearchBatch(req.Vectors, vdbms.SearchRequest{
-		K: req.K, Filters: req.Filters, Policy: req.Policy,
-		Ef: req.Ef, NProbe: req.NProbe, TargetRecall: req.TargetRecall,
-		Alpha: req.Alpha, RerankK: req.RerankK, Parallelism: par,
-	})
-	if err != nil && hits == nil {
-		writeErr(w, http.StatusBadRequest, err)
+	hits, err := col.SearchBatchContext(ctx, req.Vectors, *req)
+	if err != nil && (hits == nil || ctx.Err() != nil) {
+		writeErr(w, searchErrStatus(err), err)
 		return
 	}
 	body := map[string]any{"results": hits}

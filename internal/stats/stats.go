@@ -440,10 +440,13 @@ func (c *Collection) RecordSelectivity(col string, sel float64) {
 	h.Observe(sel)
 }
 
-// Snapshot is the JSON-friendly view of a collection's statistics,
-// rendered into /debug/stats, collection info, and the public
-// Collection.Stats API. Rows/live/dim are supplied by the caller
-// (they live in the collection's epoch snapshot, not here).
+// Snapshot is a point-in-time view of a collection's statistics: row
+// counts and churn rates, query-shape distributions, ANN probe cost,
+// the planner's timing calibration, and per-column filter selectivity.
+// It is what /debug/stats, collection info and the public
+// Collection.Stats API (as CollectionStats) all render. Rows/live/dim
+// are supplied by the caller (they live in the collection's epoch
+// snapshot, not here).
 type Snapshot struct {
 	Rows    int `json:"rows"`
 	Live    int `json:"live"`
@@ -465,8 +468,8 @@ type Snapshot struct {
 	Ef               DistSnapshot `json:"ef"`
 	NProbe           DistSnapshot `json:"nprobe"`
 
-	ProbeCount     int64   `json:"ann_probes"`
-	MeanProbeComps float64 `json:"ann_probe_mean_comps"`
+	ANNProbes         int64   `json:"ann_probes"`
+	ANNProbeMeanComps float64 `json:"ann_probe_mean_comps"`
 
 	Calibration Calibration `json:"calibration"`
 
@@ -491,7 +494,7 @@ func (c *Collection) Snapshot(rows, live, dim int) Snapshot {
 	if s.Queries > 0 {
 		s.FilteredFraction = float64(c.filtered.Load()) / float64(s.Queries)
 	}
-	s.MeanProbeComps, s.ProbeCount = c.MeanProbeComps()
+	s.ANNProbeMeanComps, s.ANNProbes = c.MeanProbeComps()
 	s.Calibration = c.Calibration()
 	c.selMu.RLock()
 	if len(c.sel) > 0 {

@@ -170,8 +170,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if s.Queries != 4000 || s.Inserts != 4000 {
 		t.Fatalf("queries=%d inserts=%d, want 4000/4000", s.Queries, s.Inserts)
 	}
-	if s.ProbeCount != 4000 || s.MeanProbeComps != 100 {
-		t.Fatalf("probes=%d mean=%v, want 4000/100", s.ProbeCount, s.MeanProbeComps)
+	if s.ANNProbes != 4000 || s.ANNProbeMeanComps != 100 {
+		t.Fatalf("probes=%d mean=%v, want 4000/100", s.ANNProbes, s.ANNProbeMeanComps)
 	}
 	if got := s.Selectivity["col"].Count; got != 4000 {
 		t.Fatalf("selectivity observations = %d, want 4000", got)

@@ -17,8 +17,7 @@ import (
 //	DELETE FROM docs ID 42
 //	SELECT 10 FROM docs WHERE price < 20 NEAR [...] WITH ef = 100
 //
-// Run parses and executes any statement; Execute remains the
-// SELECT-only fast path.
+// Run parses and executes any statement; Parse compiles a SELECT alone.
 
 // Result is the outcome of Run: exactly one field is meaningful per
 // statement kind.
@@ -47,18 +46,15 @@ func Run(db *vdbms.DB, input string) (Result, error) {
 	head, _ := p.peek()
 	switch strings.ToUpper(head.text) {
 	case "SELECT":
-		q, err := p.query()
+		name, req, err := p.query()
 		if err != nil {
 			return Result{}, fmt.Errorf("vql: %w", err)
 		}
-		col, err := db.Collection(q.Collection)
+		col, err := db.Collection(name)
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := col.Search(vdbms.SearchRequest{
-			Vector: q.Vector, K: q.K, Filters: q.Filters,
-			Policy: q.Policy, Ef: q.Ef, NProbe: q.NProbe, Alpha: q.Alpha,
-		})
+		res, err := col.Search(req)
 		if err != nil {
 			return Result{}, err
 		}

@@ -93,21 +93,3 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSelectMatchesExecute(t *testing.T) {
-	db := vdbms.New()
-	Run(db, "CREATE COLLECTION c DIM 2")   //nolint:errcheck
-	Run(db, "INSERT INTO c VECTOR [0, 0]") //nolint:errcheck
-	Run(db, "INSERT INTO c VECTOR [5, 5]") //nolint:errcheck
-	res, err := Run(db, "SELECT 1 FROM c NEAR [1, 1]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Execute(db, "SELECT 1 FROM c NEAR [1, 1]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Search.Hits[0].ID != old.Hits[0].ID || res.Search.Hits[0].ID != 0 {
-		t.Fatalf("Run %v vs Execute %v", res.Search.Hits, old.Hits)
-	}
-}

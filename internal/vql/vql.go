@@ -24,51 +24,19 @@ import (
 	"vdbms"
 )
 
-// Query is a parsed statement.
-type Query struct {
-	K          int
-	Collection string
-	Filters    []vdbms.Filter
-	Vector     []float32
-	Ef         int
-	NProbe     int
-	Alpha      int
-	Policy     string
-}
-
-// Parse compiles one statement.
-func Parse(input string) (*Query, error) {
+// Parse compiles one SELECT statement into the collection it reads and
+// the search request it runs there.
+func Parse(input string) (string, vdbms.SearchRequest, error) {
 	toks, err := lex(input)
 	if err != nil {
-		return nil, err
+		return "", vdbms.SearchRequest{}, err
 	}
 	p := &parser{toks: toks}
-	q, err := p.query()
+	name, req, err := p.query()
 	if err != nil {
-		return nil, fmt.Errorf("vql: %w", err)
+		return "", vdbms.SearchRequest{}, fmt.Errorf("vql: %w", err)
 	}
-	return q, nil
-}
-
-// Execute parses and runs a statement against the database.
-func Execute(db *vdbms.DB, input string) (vdbms.SearchResult, error) {
-	q, err := Parse(input)
-	if err != nil {
-		return vdbms.SearchResult{}, err
-	}
-	col, err := db.Collection(q.Collection)
-	if err != nil {
-		return vdbms.SearchResult{}, err
-	}
-	return col.Search(vdbms.SearchRequest{
-		Vector:  q.Vector,
-		K:       q.K,
-		Filters: q.Filters,
-		Policy:  q.Policy,
-		Ef:      q.Ef,
-		NProbe:  q.NProbe,
-		Alpha:   q.Alpha,
-	})
+	return name, req, nil
 }
 
 type tokKind int
@@ -186,34 +154,35 @@ func (p *parser) expectSymbol(sym string) error {
 	return nil
 }
 
-func (p *parser) query() (*Query, error) {
-	q := &Query{}
+// query parses a SELECT statement: the collection it names and the
+// request it asks for.
+func (p *parser) query() (string, vdbms.SearchRequest, error) {
+	var req vdbms.SearchRequest
 	if err := p.expectWord("SELECT"); err != nil {
-		return nil, err
+		return "", req, err
 	}
 	kt, err := p.next()
 	if err != nil {
-		return nil, err
+		return "", req, err
 	}
 	if kt.kind != tokNumber {
-		return nil, fmt.Errorf("SELECT needs a result count, got %q", kt.text)
+		return "", req, fmt.Errorf("SELECT needs a result count, got %q", kt.text)
 	}
 	k, err := strconv.Atoi(kt.text)
 	if err != nil || k <= 0 {
-		return nil, fmt.Errorf("bad k %q", kt.text)
+		return "", req, fmt.Errorf("bad k %q", kt.text)
 	}
-	q.K = k
+	req.K = k
 	if err := p.expectWord("FROM"); err != nil {
-		return nil, err
+		return "", req, err
 	}
 	ct, err := p.next()
 	if err != nil {
-		return nil, err
+		return "", req, err
 	}
 	if ct.kind != tokWord {
-		return nil, fmt.Errorf("FROM needs a collection name, got %q", ct.text)
+		return "", req, fmt.Errorf("FROM needs a collection name, got %q", ct.text)
 	}
-	q.Collection = ct.text
 
 	for {
 		t, ok := p.peek()
@@ -221,43 +190,43 @@ func (p *parser) query() (*Query, error) {
 			break
 		}
 		if t.kind != tokWord {
-			return nil, fmt.Errorf("expected clause keyword, got %q", t.text)
+			return "", req, fmt.Errorf("expected clause keyword, got %q", t.text)
 		}
 		switch strings.ToUpper(t.text) {
 		case "WHERE":
 			p.pos++
-			if err := p.where(q); err != nil {
-				return nil, err
+			if err := p.where(&req); err != nil {
+				return "", req, err
 			}
 		case "NEAR":
 			p.pos++
 			v, err := p.vector()
 			if err != nil {
-				return nil, err
+				return "", req, err
 			}
-			q.Vector = v
+			req.Vector = v
 		case "WITH":
 			p.pos++
-			if err := p.with(q); err != nil {
-				return nil, err
+			if err := p.with(&req); err != nil {
+				return "", req, err
 			}
 		default:
-			return nil, fmt.Errorf("unknown clause %q", t.text)
+			return "", req, fmt.Errorf("unknown clause %q", t.text)
 		}
 	}
-	if q.Vector == nil {
-		return nil, fmt.Errorf("missing NEAR clause")
+	if req.Vector == nil {
+		return "", req, fmt.Errorf("missing NEAR clause")
 	}
-	return q, nil
+	return ct.text, req, nil
 }
 
-func (p *parser) where(q *Query) error {
+func (p *parser) where(req *vdbms.SearchRequest) error {
 	for {
 		f, err := p.condition()
 		if err != nil {
 			return err
 		}
-		q.Filters = append(q.Filters, f)
+		req.Filters = append(req.Filters, f)
 		t, ok := p.peek()
 		if !ok || t.kind != tokWord || !strings.EqualFold(t.text, "AND") {
 			return nil
@@ -372,7 +341,7 @@ func (p *parser) vector() ([]float32, error) {
 	return out, nil
 }
 
-func (p *parser) with(q *Query) error {
+func (p *parser) with(req *vdbms.SearchRequest) error {
 	for {
 		key, err := p.next()
 		if err != nil {
@@ -394,25 +363,25 @@ func (p *parser) with(q *Query) error {
 			if !ok {
 				return fmt.Errorf("ef must be an integer")
 			}
-			q.Ef = i
+			req.Ef = i
 		case "nprobe":
 			i, ok := val.(int)
 			if !ok {
 				return fmt.Errorf("nprobe must be an integer")
 			}
-			q.NProbe = i
+			req.NProbe = i
 		case "alpha":
 			i, ok := val.(int)
 			if !ok {
 				return fmt.Errorf("alpha must be an integer")
 			}
-			q.Alpha = i
+			req.Alpha = i
 		case "policy":
 			s, ok := val.(string)
 			if !ok {
 				return fmt.Errorf("policy must be a string")
 			}
-			q.Policy = s
+			req.Policy = s
 		default:
 			return fmt.Errorf("unknown option %q", key.text)
 		}

@@ -9,12 +9,12 @@ import (
 )
 
 func TestParseFull(t *testing.T) {
-	q, err := Parse("SELECT 10 FROM products WHERE price < 20.5 AND brand = 'acme' AND cat IN (1, 2, 3) NEAR [0.1, -2, 3e1] WITH ef = 100, policy = 'plan:single_stage'")
+	name, q, err := Parse("SELECT 10 FROM products WHERE price < 20.5 AND brand = 'acme' AND cat IN (1, 2, 3) NEAR [0.1, -2, 3e1] WITH ef = 100, policy = 'plan:single_stage'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.K != 10 || q.Collection != "products" {
-		t.Fatalf("header: %+v", q)
+	if q.K != 10 || name != "products" {
+		t.Fatalf("header: %q %+v", name, q)
 	}
 	if len(q.Filters) != 3 {
 		t.Fatalf("filters: %+v", q.Filters)
@@ -37,18 +37,18 @@ func TestParseFull(t *testing.T) {
 }
 
 func TestParseMinimal(t *testing.T) {
-	q, err := Parse("select 5 from c near [1,2]")
+	name, q, err := Parse("select 5 from c near [1,2]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.K != 5 || q.Collection != "c" || len(q.Vector) != 2 || len(q.Filters) != 0 {
-		t.Fatalf("%+v", q)
+	if q.K != 5 || name != "c" || len(q.Vector) != 2 || len(q.Filters) != 0 {
+		t.Fatalf("%q %+v", name, q)
 	}
 }
 
 func TestParseOperators(t *testing.T) {
 	for _, op := range []string{"=", "==", "!=", "<", "<=", ">", ">="} {
-		q, err := Parse("SELECT 1 FROM c WHERE x " + op + " 5 NEAR [1]")
+		_, q, err := Parse("SELECT 1 FROM c WHERE x " + op + " 5 NEAR [1]")
 		if err != nil {
 			t.Fatalf("op %s: %v", op, err)
 		}
@@ -84,7 +84,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT 5 FROM 42 NEAR [1]",
 	}
 	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
+		if _, _, err := Parse(src); err == nil {
 			t.Fatalf("no error for %q", src)
 		}
 	}
@@ -112,7 +112,7 @@ func TestLexStringsAndNumbers(t *testing.T) {
 	}
 }
 
-func TestExecuteEndToEnd(t *testing.T) {
+func TestRunSelectEndToEnd(t *testing.T) {
 	db := vdbms.New()
 	col, err := db.CreateCollection("items", vdbms.Schema{
 		Dim:        4,
@@ -137,19 +137,19 @@ func TestExecuteEndToEnd(t *testing.T) {
 		sb.WriteString(trimFloat(x))
 	}
 	sb.WriteString("]")
-	res, err := Execute(db, sb.String())
+	res, err := Run(db, sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits) != 3 || res.Hits[0].ID != 7 {
-		t.Fatalf("hits = %v", res.Hits)
+	if res.Kind != "select" || len(res.Search.Hits) != 3 || res.Search.Hits[0].ID != 7 {
+		t.Fatalf("select: %+v", res)
 	}
 	// Unknown collection.
-	if _, err := Execute(db, "SELECT 1 FROM nope NEAR [1,2,3,4]"); err == nil {
+	if _, err := Run(db, "SELECT 1 FROM nope NEAR [1,2,3,4]"); err == nil {
 		t.Fatal("want unknown-collection error")
 	}
 	// Parse error propagates.
-	if _, err := Execute(db, "SELECT"); err == nil {
+	if _, err := Run(db, "SELECT"); err == nil {
 		t.Fatal("want parse error")
 	}
 }

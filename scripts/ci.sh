@@ -116,6 +116,14 @@ go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
+# One request type from the wire to the engine: the bodies the benchmark
+# sends, a search result and the stats document keep their exact JSON;
+# weighted_sum weights reach the engine over HTTP and a query without
+# one weight per vector is an error (400), not a panic; a stopped
+# /batch answers 499/504 like a stopped search (TestStoppedSearchStatus
+# above covers both routes).
+go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOverHTTP|TestStatsShowCalibration' ./internal/server/
+go test -race -count=1 -timeout 3m -run 'TestWeightedSumNeedsOneWeightPerVector' .
 # Request path smoke: the decoder against encoding/json on the
 # ann_search body, and one loopback round trip.
 go test -run '^$' -bench 'BenchmarkDecodeSearchBody|BenchmarkServeSearch' -benchtime 1x ./internal/server/

@@ -8,91 +8,28 @@ package vdbms
 // §11 describes the machinery.
 
 import (
-	"time"
-
 	"vdbms/internal/core"
 	"vdbms/internal/stats"
 )
 
+// CollectionStats is a point-in-time snapshot of a collection's online
+// statistics: row counts and churn rates, query-shape distributions,
+// ANN probe cost, the planner's timing calibration, and per-column
+// filter selectivity.
+type CollectionStats = stats.Snapshot
+
 // StatsDistribution summarizes observed integer query knobs (k, ef,
 // nprobe). Buckets maps inclusive upper bucket edges to counts; the
 // -1 key is the overflow bucket.
-type StatsDistribution struct {
-	Count   int64           `json:"count"`
-	Mean    float64         `json:"mean"`
-	Buckets map[int64]int64 `json:"buckets,omitempty"`
-}
+type StatsDistribution = stats.DistSnapshot
 
 // StatsSelectivity is the observed-selectivity histogram for one
 // attribute column: Buckets[i] counts observations in [i/20, (i+1)/20).
-type StatsSelectivity struct {
-	Count   int64   `json:"count"`
-	Mean    float64 `json:"mean"`
-	Buckets []int64 `json:"buckets"`
-}
-
-// CollectionStats is a point-in-time snapshot of a collection's online
-// statistics: row counts and churn rates, query-shape distributions,
-// ANN probe cost, and per-column filter selectivity.
-type CollectionStats struct {
-	Rows    int `json:"rows"`
-	Live    int `json:"live"`
-	Deleted int `json:"deleted"`
-	Dim     int `json:"dim"`
-
-	Inserts int64 `json:"inserts"`
-	Updates int64 `json:"updates"`
-	Deletes int64 `json:"deletes"`
-	Queries int64 `json:"queries"`
-
-	InsertsPerSec float64 `json:"inserts_per_sec"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	DeletesPerSec float64 `json:"deletes_per_sec"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-
-	FilteredFraction float64           `json:"filtered_fraction"`
-	K                StatsDistribution `json:"k"`
-	Ef               StatsDistribution `json:"ef"`
-	NProbe           StatsDistribution `json:"nprobe"`
-
-	ANNProbes         int64   `json:"ann_probes"`
-	ANNProbeMeanComps float64 `json:"ann_probe_mean_comps"`
-
-	Selectivity map[string]StatsSelectivity `json:"selectivity,omitempty"`
-}
-
-func convertStats(s stats.Snapshot) CollectionStats {
-	out := CollectionStats{
-		Rows: s.Rows, Live: s.Live, Deleted: s.Deleted, Dim: s.Dim,
-		Inserts: s.Inserts, Updates: s.Updates, Deletes: s.Deletes,
-		Queries:       s.Queries,
-		InsertsPerSec: s.InsertsPerSec, UpdatesPerSec: s.UpdatesPerSec,
-		DeletesPerSec: s.DeletesPerSec, QueriesPerSec: s.QueriesPerSec,
-		FilteredFraction:  s.FilteredFraction,
-		K:                 convertDist(s.K),
-		Ef:                convertDist(s.Ef),
-		NProbe:            convertDist(s.NProbe),
-		ANNProbes:         s.ProbeCount,
-		ANNProbeMeanComps: s.MeanProbeComps,
-	}
-	if len(s.Selectivity) > 0 {
-		out.Selectivity = make(map[string]StatsSelectivity, len(s.Selectivity))
-		for col, h := range s.Selectivity {
-			out.Selectivity[col] = StatsSelectivity{Count: h.Count, Mean: h.Mean, Buckets: h.Buckets}
-		}
-	}
-	return out
-}
-
-func convertDist(d stats.DistSnapshot) StatsDistribution {
-	return StatsDistribution{Count: d.Count, Mean: d.Mean, Buckets: d.Buckets}
-}
+type StatsSelectivity = stats.SelSnapshot
 
 // Stats returns the collection's online statistics. Lock-free: reading
 // it never contends with searches or writers.
-func (c *Collection) Stats() CollectionStats {
-	return convertStats(c.inner.Stats())
-}
+func (c *Collection) Stats() CollectionStats { return c.inner.Stats() }
 
 // SetStatsEnabled toggles query observation (query-shape recording,
 // selectivity and probe-cost sampling). On by default; mutation and
@@ -100,42 +37,11 @@ func (c *Collection) Stats() CollectionStats {
 func (c *Collection) SetStatsEnabled(on bool) { c.inner.SetStatsEnabled(on) }
 
 // AuditOptions configures online recall auditing.
-type AuditOptions struct {
-	// Interval is the cadence of background audit passes. Zero runs no
-	// background loop — sampling still starts, and AuditRecall runs
-	// passes on demand.
-	Interval time.Duration
-	// ReservoirSize caps how many live queries are retained for replay
-	// (default 256).
-	ReservoirSize int
-	// RecallFloor, when positive, logs a regression and counts it in
-	// vdbms_recall_audit_total{outcome="regression"} whenever a pass
-	// observes recall below it.
-	RecallFloor float64
-	// MinSamples is the minimum sampled queries for a pass to report a
-	// recall figure (default 8).
-	MinSamples int
-}
+type AuditOptions = core.AuditConfig
 
-// RecallAudit reports one audit pass.
-type RecallAudit struct {
-	Collection string        `json:"collection"`
-	Outcome    string        `json:"outcome"` // "ok", "regression", "empty", or "error"
-	Samples    int           `json:"samples"`
-	Stale      int           `json:"stale"`
-	Recall     float64       `json:"recall"`
-	Floor      float64       `json:"floor"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-}
-
-func auditConfig(opts AuditOptions) core.AuditConfig {
-	return core.AuditConfig{
-		Interval:      opts.Interval,
-		ReservoirSize: opts.ReservoirSize,
-		RecallFloor:   opts.RecallFloor,
-		MinSamples:    opts.MinSamples,
-	}
-}
+// RecallAudit reports one audit pass; Outcome is "ok", "regression",
+// "empty", or "error".
+type RecallAudit = core.AuditReport
 
 // EnableRecallAudit starts sampling this collection's live queries and
 // (when opts.Interval > 0) auditing them in the background: each pass
@@ -143,7 +49,7 @@ func auditConfig(opts AuditOptions) core.AuditConfig {
 // snapshot — never blocking serving — and exports the observed
 // recall@k as vdbms_recall_observed{collection="..."}.
 func (c *Collection) EnableRecallAudit(opts AuditOptions) {
-	c.inner.EnableAudit(auditConfig(opts))
+	c.inner.EnableAudit(opts)
 }
 
 // DisableRecallAudit stops background auditing and query sampling.
@@ -153,18 +59,7 @@ func (c *Collection) DisableRecallAudit() { c.inner.DisableAudit() }
 // report. EnableRecallAudit (even with Interval 0) must have run first
 // so there are sampled queries to replay; before that, or before
 // MinSamples queries have been sampled, the outcome is "empty".
-func (c *Collection) AuditRecall() (RecallAudit, error) {
-	rep, err := c.inner.AuditNow()
-	return RecallAudit{
-		Collection: rep.Collection,
-		Outcome:    rep.Outcome,
-		Samples:    rep.Samples,
-		Stale:      rep.Stale,
-		Recall:     rep.Recall,
-		Floor:      rep.Floor,
-		Elapsed:    rep.Elapsed,
-	}, err
-}
+func (c *Collection) AuditRecall() (RecallAudit, error) { return c.inner.AuditNow() }
 
 // EnableRecallAudit turns on recall auditing for every current
 // collection and every collection created or restored later.

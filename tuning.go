@@ -13,101 +13,17 @@ package vdbms
 // can fix and hands a new index recipe to the background builder for
 // a non-blocking swap.
 
-import (
-	"time"
-
-	"vdbms/internal/core"
-)
+import "vdbms/internal/core"
 
 // TuneOptions configures the recall-SLO auto-tuner.
-type TuneOptions struct {
-	// Interval is the cadence of background tuning passes. Zero runs
-	// no background loop — sampling still starts, and TuneNow runs
-	// passes on demand.
-	Interval time.Duration
-	// TargetRecall, in (0,1], becomes the collection's default recall
-	// target (same effect as SetTargetRecall): queries without
-	// explicit Ef/NProbe resolve against the tuned frontier. Zero
-	// leaves the collection default unset.
-	TargetRecall float64
-	// ReservoirSize caps how many live queries are retained for
-	// replay (default 256; shared with the recall auditor).
-	ReservoirSize int
-	// PassSamples caps the sampled queries one pass replays; each
-	// costs one exact scan plus one index probe per ladder rung
-	// (default 16).
-	PassSamples int
-	// MinSamples is the per-parameter replay count before the tuner
-	// trusts a measurement (default 8).
-	MinSamples int
-	// Margin is the recall headroom required before the tuner moves
-	// to a cheaper parameter — hysteresis against oscillation
-	// (default 0.01).
-	Margin float64
-	// Reselect lets the tuner rebuild the index when it detects drift
-	// no parameter can fix: an unindexed collection grown past the
-	// scan/graph crossover, a recall target the whole frontier cannot
-	// reach, or a heavily-filtered highly-selective workload on a
-	// graph index. Rebuilds run on the background builder and install
-	// atomically; queries never block on them. Off by default.
-	Reselect bool
-}
+type TuneOptions = core.TuneConfig
 
-// TuneReport reports one tuning pass.
-type TuneReport struct {
-	Collection string  `json:"collection"`
-	Outcome    string  `json:"outcome"` // "ok", "empty", "no_index", or "error"
-	Samples    int     `json:"samples"`
-	Stale      int     `json:"stale"`
-	Kind       string  `json:"kind"`   // index kind tuned
-	Knob       string  `json:"knob"`   // "ef" or "nprobe"
-	Target     float64 `json:"target"` // effective recall target (0 = none)
-	// Resolved is the parameter the frontier currently resolves for
-	// the target at the pass's dominant k; Trusted says whether it
-	// came from measured data (false = safe default).
-	Resolved int  `json:"resolved"`
-	Trusted  bool `json:"trusted"`
-	// BestRecall is the highest trusted recall on the frontier — when
-	// it sits below Target, no parameter can meet the SLO and only a
-	// stronger index can.
-	BestRecall float64 `json:"best_recall"`
-	// Drift is the index re-selection decision this pass proposed
-	// ("build_graph", "strengthen", "partition", or empty), and
-	// DriftFired whether a rebuild was actually started.
-	Drift      string        `json:"drift,omitempty"`
-	DriftFired bool          `json:"drift_fired,omitempty"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-}
-
-func tuneConfig(opts TuneOptions) core.TuneConfig {
-	return core.TuneConfig{
-		Interval:      opts.Interval,
-		TargetRecall:  opts.TargetRecall,
-		ReservoirSize: opts.ReservoirSize,
-		PassSamples:   opts.PassSamples,
-		MinSamples:    opts.MinSamples,
-		Margin:        opts.Margin,
-		Reselect:      opts.Reselect,
-	}
-}
-
-func convertTuneReport(rep core.TuneReport) TuneReport {
-	return TuneReport{
-		Collection: rep.Collection,
-		Outcome:    rep.Outcome,
-		Samples:    rep.Samples,
-		Stale:      rep.Stale,
-		Kind:       rep.Kind,
-		Knob:       rep.Knob,
-		Target:     rep.Target,
-		Resolved:   rep.Resolved,
-		Trusted:    rep.Trusted,
-		BestRecall: rep.BestRecall,
-		Drift:      rep.Drift,
-		DriftFired: rep.DriftFired,
-		Elapsed:    rep.Elapsed,
-	}
-}
+// TuneReport reports one tuning pass. Resolved is the parameter the
+// frontier currently resolves for the target at the pass's dominant k
+// (Trusted: from measured data, not the safe default); a BestRecall
+// below Target means no parameter can meet the SLO and only a stronger
+// index can.
+type TuneReport = core.TuneReport
 
 // EnableAutoTune starts sampling this collection's live queries and
 // (when opts.Interval > 0) tuning them in the background. Each pass
@@ -116,7 +32,7 @@ func convertTuneReport(rep core.TuneReport) TuneReport {
 // recall-vs-cost frontier that answers SearchRequest.TargetRecall.
 // Tuning runs entirely off the query path.
 func (c *Collection) EnableAutoTune(opts TuneOptions) {
-	c.inner.EnableTune(tuneConfig(opts))
+	c.inner.EnableTune(opts)
 }
 
 // DisableAutoTune stops background tuning. The learned frontier is
@@ -127,10 +43,7 @@ func (c *Collection) DisableAutoTune() { c.inner.DisableTune() }
 // TuneNow runs one tuning pass synchronously and returns its report.
 // EnableAutoTune (even with Interval 0) must have run first so there
 // are sampled queries to replay; before that the outcome is "empty".
-func (c *Collection) TuneNow() (TuneReport, error) {
-	rep, err := c.inner.TuneNow()
-	return convertTuneReport(rep), err
-}
+func (c *Collection) TuneNow() (TuneReport, error) { return c.inner.TuneNow() }
 
 // SetTargetRecall sets (or clears, with 0) the collection's default
 // recall target. Queries without explicit Ef/NProbe or a per-query

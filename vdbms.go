@@ -2,10 +2,10 @@
 // reproducing the architecture surveyed in "Vector Database Management
 // Techniques and Systems" (Pan, Wang, Li — SIGMOD 2024): a query
 // processor (similarity scores, k-NN / range / hybrid / batched /
-// multi-vector queries, rule- and cost-based plan selection, hybrid
-// scan operators) over a storage manager (ten ANN index families,
-// quantization, disk-resident indexes, out-of-place updates, and
-// distributed scatter-gather).
+// multi-vector queries, cost-based plan selection on measured inputs,
+// hybrid scan operators) over a storage manager (the table, tree and
+// graph ANN index families IndexKinds lists, quantization, an mmap
+// tier, out-of-place updates, and distributed scatter-gather).
 //
 // The entry point is a DB holding named collections:
 //
@@ -99,19 +99,16 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 	db.mu.Unlock()
 
 	var col *Collection
-	var err error
-	if db.dir == "" {
-		col, err = newCollection(name, schema)
-	} else {
-		cs, types, perr := parseSchema(schema)
-		if perr != nil {
-			err = perr
+	cs, err := parseSchema(schema)
+	if err == nil {
+		var inner *core.Collection
+		if db.dir == "" {
+			inner, err = core.NewCollection(name, cs)
 		} else {
-			var inner *core.Collection
 			inner, err = core.CreateDurable(filepath.Join(db.dir, name), name, cs, db.dur)
-			if err == nil {
-				col = &Collection{inner: inner, dim: schema.Dim, attrs: types}
-			}
+		}
+		if err == nil {
+			col = &Collection{inner: inner}
 		}
 	}
 

@@ -408,6 +408,43 @@ func TestMultiVectorSearch(t *testing.T) {
 	}
 }
 
+// TestWeightedSumNeedsOneWeightPerVector: a weighted_sum query with
+// missing or short weights is an error, with or without an index,
+// instead of a panic in the aggregation; with one weight per query
+// vector it answers.
+func TestWeightedSumNeedsOneWeightPerVector(t *testing.T) {
+	db := New()
+	col, err := db.CreateCollection("faces", Schema{Dim: 8, Attributes: map[string]string{"person": "int"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Clustered(300, 8, 6, 0.3, 5)
+	for i := 0; i < 300; i++ {
+		if _, err := col.Insert(ds.Row(i), map[string]any{"person": i / 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := SearchRequest{Vectors: [][]float32{ds.Row(30), ds.Row(31)}, K: 3, EntityColumn: "person", Aggregator: "weighted_sum"}
+	for _, kind := range []string{"", "hnsw"} {
+		if kind != "" {
+			if err := col.CreateIndex(kind, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, weights := range [][]float32{nil, {1}, {1, 2, 3}} {
+			req.Weights = weights
+			if _, err := col.Search(req); err == nil || !strings.Contains(err.Error(), "one weight per query vector") {
+				t.Fatalf("index %q, weights %v: error %v, want one weight per query vector", kind, weights, err)
+			}
+		}
+		req.Weights = []float32{0.5, 0.5}
+		res, err := col.Search(req)
+		if err != nil || len(res.Hits) != 3 || res.Hits[0].ID != 10 {
+			t.Fatalf("index %q: weighted_sum hits %v, %v", kind, res.Hits, err)
+		}
+	}
+}
+
 func TestSearchRangeAndBatchAndIterator(t *testing.T) {
 	col, ds := productCollection(t, 400)
 	hits, err := col.SearchRange(ds.Row(0), 0.25, nil)
