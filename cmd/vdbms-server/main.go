@@ -29,20 +29,19 @@
 // disables) and a timed-out query returns 504. Sending a search with
 // the "X-Vdbms-Trace: 1" header returns the query's span tree;
 // -slow-query logs the span tree of any slower search server-side.
-// -audit-interval enables online recall auditing on every collection:
-// a reservoir of live queries is replayed against an exact scan each
-// interval and the observed recall@k exported as vdbms_recall_observed
-// (with -recall-floor, passes below the floor are logged as
-// regressions).
-// -tune-interval enables recall-SLO auto-tuning on every collection:
-// each pass replays sampled queries across a ladder of Ef/NProbe
-// values to learn the recall-vs-cost frontier, and queries carrying a
-// recall target (-target-recall sets the default; "target_recall" in
-// the search body overrides per query) run with the cheapest
-// parameters the frontier proves meet it. -tune-reselect additionally
-// lets the tuner rebuild an index the workload has drifted away from;
-// rebuilds run in the background and install atomically. Every search
-// response reports the executed plan and resolved parameters in the
+// -recall-interval runs the recall loop on every collection: each
+// interval a reservoir of live queries is replayed against an exact
+// scan, the observed recall@k of the served answers is exported as
+// vdbms_recall_observed (with -recall-floor, passes below the floor
+// are logged as regressions), and some of the samples are replayed
+// across a ladder of Ef/NProbe values to learn the recall-vs-cost
+// frontier. Queries carrying a recall target (-target-recall sets the
+// default, which also turns sampling on; "target_recall" in the search
+// body overrides per query) run with the cheapest parameters the
+// frontier proves meet it. -tune-reselect additionally lets the loop
+// rebuild an index the workload has drifted away from; rebuilds run
+// in the background and install atomically. Every search response
+// reports the executed plan and resolved parameters in the
 // X-Vdbms-Plan header.
 // -mem-budget bounds the process's accounted memory (0 inherits
 // GOMEMLIMIT, -1 disables management): over the budget the server
@@ -85,11 +84,10 @@ func main() {
 	dataDir := flag.String("data-dir", "", "data directory for the durable write path (empty = in-memory, nothing survives restart)")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always (acked writes survive power loss), interval, or never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint period (0 = only checkpoint on shutdown)")
-	auditInterval := flag.Duration("audit-interval", 0, "online recall audit period for every collection (0 = off)")
-	recallFloor := flag.Float64("recall-floor", 0, "log a regression when an audit observes recall below this (0 = never)")
-	tuneInterval := flag.Duration("tune-interval", 0, "recall-SLO auto-tuning period for every collection (0 = off)")
+	recallInterval := flag.Duration("recall-interval", 0, "recall loop period (audit + tuning) for every collection (0 = off)")
+	recallFloor := flag.Float64("recall-floor", 0, "log a regression when a recall pass observes recall below this (0 = never)")
 	targetRecall := flag.Float64("target-recall", 0, "default recall target queries are tuned to meet (0 = none; per-query target_recall overrides)")
-	tuneReselect := flag.Bool("tune-reselect", false, "allow the auto-tuner to rebuild an index the workload has drifted away from (background, non-blocking)")
+	tuneReselect := flag.Bool("tune-reselect", false, "allow the recall loop to rebuild an index the workload has drifted away from (background, non-blocking)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget in bytes; over it the server drops caches, evicts cold collections to mmap, then sheds with 503 (0 = inherit GOMEMLIMIT; -1 = off)")
 	spillDir := flag.String("spill-dir", "", "directory for mmap-tier spill files (default: <data-dir>/.spill, or the OS temp dir when in-memory)")
 	flag.Parse()
@@ -121,21 +119,15 @@ func main() {
 		log.Printf("recovered %d collection(s) from %s in %v (fsync=%s)",
 			len(db.Collections()), *dataDir, time.Since(start).Round(time.Millisecond), *fsync)
 	}
-	if *auditInterval > 0 {
-		db.EnableRecallAudit(vdbms.AuditOptions{
-			Interval:    *auditInterval,
-			RecallFloor: *recallFloor,
-		})
-		log.Printf("recall auditing every %v (floor %.3f)", *auditInterval, *recallFloor)
-	}
-	if *tuneInterval > 0 || *targetRecall > 0 {
-		db.EnableAutoTune(vdbms.TuneOptions{
-			Interval:     *tuneInterval,
+	if *recallInterval > 0 || *targetRecall > 0 {
+		db.EnableRecall(vdbms.RecallOptions{
+			Interval:     *recallInterval,
+			RecallFloor:  *recallFloor,
 			TargetRecall: *targetRecall,
 			Reselect:     *tuneReselect,
 		})
-		log.Printf("auto-tuning every %v (target recall %.3f, reselect %v)",
-			*tuneInterval, *targetRecall, *tuneReselect)
+		log.Printf("recall loop every %v (floor %.3f, target recall %.3f, reselect %v)",
+			*recallInterval, *recallFloor, *targetRecall, *tuneReselect)
 	}
 	opts := []server.Option{
 		server.WithQueryTimeout(*queryTimeout),

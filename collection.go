@@ -282,13 +282,10 @@ func (db *DB) RestoreCollection(path string) (*Collection, error) {
 		return nil, fmt.Errorf("vdbms: collection %q already exists", col.Name())
 	}
 	db.collections[col.Name()] = col
-	audit, tune := db.audit, db.tune
+	recall := db.recall
 	db.mu.Unlock()
-	if audit != nil {
-		col.EnableRecallAudit(*audit)
-	}
-	if tune != nil {
-		col.EnableAutoTune(*tune)
+	if recall != nil {
+		col.EnableRecall(*recall)
 	}
 	return col, nil
 }

@@ -6,6 +6,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/obs"
 	"vdbms/internal/vec"
+	"vdbms/internal/wal"
 )
 
 // Background index maintenance. The engine used to rebuild a stale
@@ -21,7 +22,9 @@ import (
 // their staleness, so the builder immediately re-evaluates the
 // threshold and chains a catch-up build when needed. Nothing on the
 // query path ever waits: a search that arrives mid-build simply uses
-// the snapshot's previous index (or an exact scan).
+// the snapshot's previous index (or an exact scan). The recall loop's
+// drift re-selection runs on the same goroutine body with a new recipe
+// (swapIndex).
 
 // buildTimed runs one index build with duration metrics.
 func buildTimed(kind string, data []float32, n, dim int, metric vec.Metric, opts map[string]int) (index.Index, error) {
@@ -48,22 +51,34 @@ func (c *Collection) maybeTriggerBuildLocked() {
 	if float64(c.dirty+grown) <= c.schema.RebuildFraction*float64(c.annN) {
 		return
 	}
+	c.startBuildLocked(c.annKind, c.annOpts)
+}
+
+// startBuildLocked starts the builder goroutine on the recorded recipe
+// (annKind/annOpts) over the current data prefix. prevKind/prevOpts
+// name the recipe the build replaces: the same one for a staleness
+// rebuild, the swapped-out one for a drift re-selection. Caller holds
+// mu and has checked that no build is in flight.
+func (c *Collection) startBuildLocked(prevKind string, prevOpts map[string]int) {
 	c.building = true
 	c.buildDone = make(chan struct{})
 	obs.IndexBuildState.With(c.name).Set(1)
-	go c.runBuild(c.buildEpoch, c.annKind, c.annOpts, c.data[:c.n*c.schema.Dim], c.n, c.dirty)
+	go c.runBuild(c.buildEpoch, c.annKind, c.annOpts, prevKind, prevOpts, c.data[:c.n*c.schema.Dim], c.n, c.dirty)
 }
 
 // runBuild is the builder goroutine body. Its inputs were pinned under
-// mu by maybeTriggerBuildLocked; the data prefix stays immutable while
-// the build runs because inserts only append past it and updates fall
+// mu by startBuildLocked; the data prefix stays immutable while the
+// build runs because inserts only append past it and updates fall
 // back to copy-on-write whenever a build is in flight (tryPatchLocked
-// refuses to patch while c.building is set).
-func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, data []float32, n, dirty int) {
+// refuses to patch while c.building is set). A build that changes the
+// recipe is a CreateIndex in all but its caller: it logs the recipe to
+// the WAL on install (so recovery rebuilds it) and reverts it on
+// failure (so the next staleness rebuild targets what is installed).
+func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, prevKind string, prevOpts map[string]int, data []float32, n, dirty int) {
 	idx, err := buildTimed(kind, data, n, c.schema.Dim, c.schema.Metric, opts)
+	swap := kind != prevKind || !sameOpts(opts, prevOpts)
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.building = false
 	close(c.buildDone)
 	obs.IndexBuildState.With(c.name).Set(0)
@@ -73,20 +88,51 @@ func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, da
 		// here — a deterministic failure would spin hot; the next write
 		// re-evaluates the threshold and retries instead.
 		obs.IndexBuildsTotal.With("failed").Inc()
+		if swap && c.buildEpoch == epoch {
+			c.annKind, c.annOpts = prevKind, prevOpts
+		}
+		c.mu.Unlock()
+		return
 	case epoch != c.buildEpoch:
 		// CreateIndex/DropIndex changed the recipe mid-build; discard
 		// the result but re-check staleness against the new recipe.
 		obs.IndexBuildsTotal.With("stale").Inc()
 		c.maybeTriggerBuildLocked()
-	default:
-		c.installLocked(idx, n, dirty)
-		obs.IndexBuildsTotal.With("installed").Inc()
-		c.publishLocked()
-		// Writes that landed during the build may already exceed the
-		// threshold again; chain the next build without waiting for
-		// another write.
-		c.maybeTriggerBuildLocked()
+		c.mu.Unlock()
+		return
 	}
+	c.installLocked(idx, n, dirty)
+	obs.IndexBuildsTotal.With("installed").Inc()
+	var commit wal.Commit
+	if swap {
+		commit, _ = c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
+	}
+	c.publishLocked()
+	// Writes that landed during the build may already exceed the
+	// threshold again; chain the next build without waiting for
+	// another write.
+	c.maybeTriggerBuildLocked()
+	c.mu.Unlock()
+	if swap {
+		// The old kind's frontier no longer describes the serving index.
+		c.resetFrontier(prevKind)
+		c.resetFrontier(kind)
+		// A commit failure surfaces on the next mutation (sticky WAL
+		// error); the swap itself stands.
+		commit.Wait()
+	}
+}
+
+func sameOpts(a, b map[string]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
 }
 
 // WaitForIndex blocks until no background index build is in flight,

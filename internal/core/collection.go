@@ -145,8 +145,8 @@ type Collection struct {
 
 	// stats is the collection's online statistics tracker (row churn,
 	// query shapes, selectivity histograms, probe cost); sampler is
-	// the query reservoir the recall auditor replays (an atomic pointer
-	// so EnableAudit can resize it while searches run). Both are
+	// the query reservoir the recall loop replays (an atomic pointer
+	// so EnableRecall can resize it while searches run). Both are
 	// concurrency-safe and shared across epochs. latency is the
 	// per-collection handle into vdbms_search_latency_seconds, bound
 	// once so the hot path never does a labeled lookup.
@@ -155,48 +155,40 @@ type Collection struct {
 	latency *obs.Histogram
 
 	// sampling gates reservoir admission: queries are offered to the
-	// sampler only while a recall auditor or the auto-tuner wants
-	// them, so collections without either never pay the sample-copy
-	// cost. samplingAudit/samplingTune record who wants samples;
-	// sampling is their OR, the single hot-path gate.
-	sampling      atomic.Bool
-	samplingAudit atomic.Bool
-	samplingTune  atomic.Bool
+	// sampler only while the recall loop is enabled, so collections
+	// without it never pay the sample-copy cost.
+	sampling atomic.Bool
 
-	// updateEpoch counts in-place vector updates. Audit samples are
-	// stamped with it at serve time so the auditor can skip samples
-	// served against vector data that has since been overwritten
-	// (audit.go's staleness rule for updates, mirroring the deletion
-	// check).
+	// updateEpoch counts in-place vector updates. Samples are stamped
+	// with it at serve time so the recall loop can skip samples served
+	// against vector data that has since been overwritten (recall.go's
+	// staleness rule for updates, mirroring the deletion check).
 	updateEpoch atomic.Uint64
 
-	// Recall auditor state (audit.go), guarded by auditMu.
-	auditMu   sync.Mutex
-	auditStop chan struct{}
-	auditDone chan struct{}
-	auditCfg  AuditConfig
+	// Recall loop lifecycle (recall.go): recallLife guards the loop's
+	// channels and config. EnableRecall/DisableRecall hold it while they
+	// wait for the old loop to exit, and the loop, which takes tuneMu
+	// inside a pass, never takes recallLife.
+	recallLife sync.Mutex
+	recallStop chan struct{}
+	recallDone chan struct{}
+	recallCfg  RecallConfig
 
-	// Auto-tuner state (tune.go), guarded by tuneMu. frontiers holds
-	// one recall-vs-cost frontier per index kind ever tuned on this
+	// Tuner state (recall.go), guarded by tuneMu. frontiers holds one
+	// recall-vs-cost frontier per index kind ever tuned on this
 	// collection; curFrontier publishes the frontier for the currently
 	// installed kind so knob resolution on the query path is one
 	// atomic load (resolution re-validates the kind against the
 	// snapshot before trusting it). targetRecall is the collection
 	// default recall SLO (float64 bits; 0 = none); defEf/defNProbe are
 	// the collection-level search-parameter defaults (SetSearchDefaults).
-	// The loop's lifecycle (tuneStop/tuneDone) belongs to tuneLife, not
-	// tuneMu: EnableTune/DisableTune hold tuneLife while they wait for
-	// the old loop to exit, and the loop, which takes tuneMu inside a
-	// pass, never takes tuneLife.
-	tuneLife  sync.Mutex
-	tuneStop  chan struct{}
-	tuneDone  chan struct{}
-	tuneMu    sync.Mutex
-	tuneCfg   TuneConfig
-	frontiers map[string]*tuner.Frontier
-	// reselect decision debouncing (tune.go): a drift decision must
-	// repeat on consecutive passes before it fires, and passes after a
-	// fire are cooled down. Guarded by tuneMu.
+	// ladderCursor is where the next pass's ladder subset starts in the
+	// reservoir. A drift decision must repeat on consecutive passes
+	// before it fires (lastDrift/driftStreak), and passes after a fire
+	// are cooled down (driftCooldown).
+	tuneMu        sync.Mutex
+	frontiers     map[string]*tuner.Frontier
+	ladderCursor  int
 	lastDrift     string
 	driftStreak   int
 	driftCooldown int
@@ -841,7 +833,8 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 	// direction for the recall auditor.
 	epoch := c.updateEpoch.Load()
 	c.beginRead()
-	res, err := c.search(ctx, &req, preds, agg, tr.Root())
+	s := c.snap.Load()
+	res, err := c.search(ctx, s, &req, preds, agg, tr.Root())
 	c.endRead()
 	c.touchAccount()
 	obs.SearchTotal.Inc()
@@ -854,10 +847,10 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 	obs.PlanParamSource.With(res.ParamSource).Inc()
 	c.stats.RecordQuery(req.K, req.Ef, req.NProbe, len(preds) > 0)
 	if len(req.Vectors) == 0 && len(req.Vector) > 0 && c.sampling.Load() {
-		// Offer the served query to the audit reservoir. The sample copy
+		// Offer the served query to the recall reservoir. The sample copy
 		// (vector, predicates, result ids) is built only on admission,
 		// which Algorithm R makes vanishingly rare at volume.
-		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(&req, preds, res.Hits, epoch) })
+		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(&req, preds, res.Hits, epoch, s.rows) })
 	}
 	if res.Hits == nil {
 		res.Hits = []Result{} // an empty answer encodes as [], not null
@@ -866,11 +859,11 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 	return res, nil
 }
 
-// makeSample deep-copies the parts of a served query the recall
-// auditor needs to replay it: the vector, predicates, k, and the ids
-// the serving path returned, stamped with the update epoch current
-// when the query started.
-func makeSample(req *SearchRequest, preds []filter.Predicate, res []Result, epoch uint64) stats.Sample {
+// makeSample deep-copies the parts of a served query the recall loop
+// needs to replay it: the vector, predicates, k, and the ids the
+// serving path returned, stamped with the update epoch current when
+// the query started and the row count of the snapshot that served it.
+func makeSample(req *SearchRequest, preds []filter.Predicate, res []Result, epoch uint64, rows int) stats.Sample {
 	v := make([]float32, len(req.Vector))
 	copy(v, req.Vector)
 	if len(preds) > 0 {
@@ -880,7 +873,7 @@ func makeSample(req *SearchRequest, preds []filter.Predicate, res []Result, epoc
 	for i, r := range res {
 		served[i] = r.ID
 	}
-	return stats.Sample{Vector: v, K: req.K, Preds: preds, Served: served, Epoch: epoch}
+	return stats.Sample{Vector: v, K: req.K, Preds: preds, Served: served, Epoch: epoch, Rows: rows}
 }
 
 // resolveKnobs resolves the search parameters for one query against
@@ -924,10 +917,9 @@ func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe i
 	return 0, 0, SourceIndexDefault
 }
 
-// search plans and runs one query on the current snapshot; preds and
-// agg are req's filters and aggregator, already checked.
-func (c *Collection) search(ctx context.Context, req *SearchRequest, preds []filter.Predicate, agg vec.Aggregator, root *obs.Span) (SearchResult, error) {
-	s := c.snap.Load()
+// search plans and runs one query on snapshot s; preds and agg are
+// req's filters and aggregator, already checked.
+func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest, preds []filter.Predicate, agg vec.Aggregator, root *obs.Span) (SearchResult, error) {
 	if s.rows == 0 {
 		return SearchResult{}, fmt.Errorf("core: collection %q is empty", c.name)
 	}
@@ -1128,7 +1120,7 @@ func (c *Collection) Stats() stats.Snapshot {
 // SetStatsEnabled toggles query-shape observation and selectivity/
 // probe recording (the switch the observability overhead benchmark
 // flips). Mutation counters stay on regardless; reservoir sampling is
-// governed separately by EnableAudit.
+// governed separately by EnableRecall.
 func (c *Collection) SetStatsEnabled(on bool) { c.stats.SetEnabled(on) }
 
 // AttributeKinds exposes the attribute schema (the public API's Get

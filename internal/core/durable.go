@@ -438,10 +438,9 @@ func (c *Collection) startCheckpointer() {
 // collection only releases its mappings. After Close the collection
 // must not be used — retired snapshots may reference unmapped memory.
 func (c *Collection) Close() error {
-	// In-memory collections need these too; both are idempotent. A
+	// In-memory collections need this too, and it is idempotent. A
 	// background pass left running would scan columns Close unmaps.
-	c.DisableAudit()
-	c.DisableTune()
+	c.DisableRecall()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -10,9 +10,9 @@ import (
 
 // BenchmarkSearchObs measures the observability tax on the search
 // path: the same single-threaded query loop with the statistics
-// tracker and recall auditor fully on versus fully off. The auditor
+// tracker and recall loop fully on versus fully off. The loop
 // replays samples on its own goroutine off the query path, and its
-// CPU is bounded by the audit interval (production cadence is
+// CPU is bounded by the pass interval (production cadence is
 // minutes; 1s here is already aggressive), so the per-query cost
 // this benchmark isolates is shape/selectivity recording, the
 // reservoir admission check, and the occasional sample copy. The two
@@ -63,11 +63,11 @@ func BenchmarkSearchObs(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		c := build(b)
 		c.SetStatsEnabled(true)
-		c.EnableAudit(AuditConfig{
+		c.EnableRecall(RecallConfig{
 			Interval:      time.Second,
 			ReservoirSize: 64,
 		})
-		defer c.DisableAudit()
+		defer c.DisableRecall()
 		run(b, c)
 	})
 }

@@ -45,13 +45,13 @@ func BenchmarkPlanTuned(b *testing.B) {
 			panic(err)
 		}
 		queries := ds.Queries(nq, 0.1, 13)
-		c.EnableTune(TuneConfig{TargetRecall: target, ReservoirSize: nq, PassSamples: nq})
+		c.EnableRecall(RecallConfig{TargetRecall: target, ReservoirSize: nq, PassSamples: nq})
 		for _, q := range queries {
 			if _, err := c.Search(bg, SearchRequest{Vector: q, K: k}); err != nil {
 				panic(err)
 			}
 		}
-		rep, err := c.TuneNow()
+		rep, err := c.RecallNow()
 		if err != nil {
 			panic(err)
 		}
@@ -113,5 +113,5 @@ var (
 	planBenchCol     *Collection
 	planBenchQueries [][]float32
 	planBenchTruth   [][]topk.Result
-	planBenchReport  TuneReport
+	planBenchReport  RecallReport
 )

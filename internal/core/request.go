@@ -46,7 +46,7 @@ type SearchRequest struct {
 	Ef int `json:"ef,omitempty"`
 	// NProbe is the bucket probe count for IVF/LSH-style indexes.
 	NProbe int `json:"nprobe,omitempty"`
-	// TargetRecall, in (0,1], asks the auto-tuner (EnableAutoTune) to
+	// TargetRecall, in (0,1], asks the recall loop (EnableRecall) to
 	// pick the cheapest Ef/NProbe its measured frontier proves meets
 	// this recall for the query's k. Explicit Ef/NProbe win over it;
 	// while the frontier is cold the safe default (ladder maximum) is

@@ -21,15 +21,16 @@ var (
 	// wal_commit_wait.
 	SearchStageSeconds = Default().NewHistogramVec("vdbms_search_stage_seconds", "Query latency decomposed by pipeline stage.", "stage", nil)
 
-	// Online recall auditing (internal/core + internal/stats): a
+	// The recall loop (internal/core recall.go + internal/stats): a
 	// reservoir of live queries is periodically replayed against an
 	// exact scan on a pinned snapshot; the gauge is the latest audited
 	// recall@k per collection, the operational answer to "what recall
-	// are we actually serving".
-	RecallObserved     = Default().NewGaugeVec("vdbms_recall_observed", "Observed recall@k from the most recent audit, by collection.", "collection")
-	RecallAudits       = Default().NewCounterVec("vdbms_recall_audit_total", "Recall audit passes by outcome (ok, regression, empty, error).", "outcome")
-	RecallAuditSamples = Default().NewCounter("vdbms_recall_audit_samples_total", "Reservoir samples replayed by recall audits.")
-	RecallAuditSeconds = Default().NewHistogram("vdbms_recall_audit_seconds", "Wall-clock duration of recall audit passes.", BuildBuckets)
+	// are we actually serving". The counters and the histogram count
+	// the loop's passes, which also tune (the tuner gauges below).
+	RecallObserved     = Default().NewGaugeVec("vdbms_recall_observed", "Observed recall@k from the most recent recall pass, by collection.", "collection")
+	RecallAudits       = Default().NewCounterVec("vdbms_recall_audit_total", "Recall passes by outcome (ok, regression, empty, error).", "outcome")
+	RecallAuditSamples = Default().NewCounter("vdbms_recall_audit_samples_total", "Reservoir samples scored against exact ground truth by recall passes.")
+	RecallAuditSeconds = Default().NewHistogram("vdbms_recall_audit_seconds", "Wall-clock duration of recall passes.", BuildBuckets)
 
 	// Background index builds (internal/core). The state gauge is 1
 	// while a collection's builder goroutine is running, 0 otherwise;
@@ -110,7 +111,7 @@ var (
 	MemRSSBytes      = Default().NewGauge("vdbms_mem_rss_bytes", "Process resident set size sampled from /proc/self/statm.")
 	MemMajorFaults   = Default().NewGauge("vdbms_mem_major_faults_total", "Cumulative process major page faults sampled from /proc/self/stat.")
 
-	// Adaptive query optimization (internal/core tune.go + planner).
+	// Adaptive query optimization (internal/core recall.go + planner).
 	// The param-source counter decomposes every search by where its
 	// Ef/NProbe came from (explicit, tuned, safe_default,
 	// collection_default, index_default) — the observability spine of
@@ -121,16 +122,13 @@ var (
 	PlanParamSource = Default().NewCounterVec("vdbms_plan_param_source_total", "Searches by the layer that resolved their Ef/NProbe search parameters.", "source")
 	PlanReselects   = Default().NewCounterVec("vdbms_plan_reselect_total", "Drift-triggered index re-selection decisions by kind (build_graph, strengthen, partition).", "decision")
 
-	// Recall-SLO tuner passes (internal/core tune.go): each pass
-	// replays reservoir samples at every candidate parameter value
-	// against exact ground truth and refreshes the recall-vs-cost
-	// frontier. The gauges track, per collection, the parameter the
-	// dominant k-bucket currently resolves to and the best trusted
-	// recall on its frontier (sagging below the target while tuning is
-	// exhausted is the drift detector's rebuild signal).
-	TunePasses         = Default().NewCounterVec("vdbms_tune_passes_total", "Auto-tune passes by outcome (ok, empty, no_index, error).", "outcome")
-	TuneSamples        = Default().NewCounter("vdbms_tune_samples_total", "Reservoir samples replayed by auto-tune passes.")
-	TuneSeconds        = Default().NewHistogram("vdbms_tune_pass_seconds", "Wall-clock duration of auto-tune passes.", BuildBuckets)
+	// Recall-SLO tuning (internal/core recall.go): each recall pass
+	// replays some of its samples at every candidate parameter value
+	// against the same exact ground truth and refreshes the
+	// recall-vs-cost frontier. The gauges track, per collection, the
+	// parameter the dominant k-bucket currently resolves to and the best
+	// trusted recall on its frontier (sagging below the target while
+	// tuning is exhausted is the drift detector's rebuild signal).
 	TuneResolvedParam  = Default().NewGaugeVec("vdbms_tune_resolved_param", "Search parameter (ef or nprobe) the tuner currently resolves for the collection's dominant k.", "collection")
 	TuneFrontierRecall = Default().NewGaugeVec("vdbms_tune_frontier_recall", "Best trusted recall on the collection's recall-vs-cost frontier at the dominant k.", "collection")
 
@@ -162,8 +160,5 @@ func init() {
 	}
 	for _, d := range []string{"build_graph", "strengthen", "partition"} {
 		PlanReselects.With(d)
-	}
-	for _, outcome := range []string{"ok", "empty", "no_index", "error"} {
-		TunePasses.With(outcome)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"vdbms/internal/filter"
 )
 
-// Sample is one captured live query: everything the recall auditor
-// needs to replay it exactly — the query vector, the requested k, the
+// Sample is one captured live query: everything the recall loop needs
+// to replay it exactly — the query vector, the requested k, the
 // predicate set, and the result ids the serving path actually
 // returned. The vector and slices are owned by the sample (callers
 // copy before offering) and never mutated afterwards, so snapshots
@@ -20,10 +20,14 @@ type Sample struct {
 	Preds  []filter.Predicate
 	Served []int64
 	// Epoch is an opaque staleness stamp supplied by the owner (core
-	// stamps its in-place-update epoch): the auditor skips samples
+	// stamps its in-place-update epoch): the recall loop skips samples
 	// whose stamp predates the collection's current epoch, because the
 	// vector data they were ranked against has been overwritten since.
 	Epoch uint64
+	// Rows is the row count of the snapshot that served the query: the
+	// replay ranks only ids below it, so rows appended since never count
+	// against the served answer. 0 means the whole replay snapshot.
+	Rows int
 }
 
 // Reservoir is a concurrency-safe uniform reservoir sampler

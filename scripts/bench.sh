@@ -17,7 +17,7 @@
 # acceptance record for the WAL: group commit must keep fsync=always
 # within roughly an order of magnitude of the in-memory path. Last it
 # runs the observability overhead benchmark (BenchmarkSearchObs —
-# the same search loop with the stats tracker and recall auditor on
+# the same search loop with the stats tracker and recall loop on
 # vs off) and emits {op, ns_per_op, queries_per_s} to BENCH_obs.json;
 # the acceptance bar is "on" within 5% of "off". The memory-tier
 # benchmark (BenchmarkMemTierSearch — the same brute-force search

@@ -27,7 +27,7 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 # Every suite step carries an explicit per-package -timeout: the race
 # detector does not find deadlocks, and without one a hung test (the
-# tuneMu deadlock sat in TestTuneLoopLifecycle for the 10-minute
+# tuneMu deadlock sat in the tune loop's lifecycle test for the 10-minute
 # package default) fails late. With it the run dies in minutes, with
 # a goroutine dump naming the two sides.
 go test -race -timeout 5m ./...
@@ -66,14 +66,16 @@ go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornT
 # way the kill -9 harness gates the WAL.
 go test -race -count=1 -timeout 3m -run 'TestBoundedMemoryLadderSmoke' .
 go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence' ./internal/server/ ./internal/core/
-# Adaptive query optimization gates. The tuner must converge on a
-# degraded index (coarse IVF, target_recall=0.95 -> a trusted frontier
-# resolving a parameter cheaper than the ladder maximum that still
-# meets the target), and drift re-selection must swap index recipes
-# through the background builder without blocking concurrent searches
-# — both pinned under -race because the tuner, builder, and readers
-# share the collection.
-go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence' ./internal/core/
+# Recall loop gates. The tuner must converge on a degraded index
+# (coarse IVF, target_recall=0.95 -> a trusted frontier resolving a
+# parameter cheaper than the ladder maximum that still meets the
+# target), and drift re-selection must swap index recipes through the
+# background builder without blocking concurrent searches. The loop
+# runs one goroutine (none after Disable or Close), one exact scan per
+# sample, a rotating ladder subset, and ignores rows inserted after a
+# sample was served. All pinned under -race because the loop, builder,
+# and readers share the collection.
+go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence|TestTuneLoopLifecycle|TestAuditBackgroundLoop|TestRecallCloseLeavesNoGoroutine|TestRecallPassOneExactScanPerSample|TestRecallLadderRotates|TestRecallIgnoresLaterInserts|TestFrontierIgnoresLaterInserts' ./internal/core/
 # Compiled-predicate gates. The differential tests hold the per-id
 # matcher and the column-at-a-time evaluator to a reference evaluator
 # over every Kind x Op, and every forced plan at parallelism 1/2/8,
@@ -82,12 +84,12 @@ go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDri
 # writer that reallocates the columns under them — the read path takes
 # no lock per row, so -race is the only thing standing between a
 # missed happens-before edge and production. The deadlock regression
-# holds a tune pass in flight across an EnableTune. Plan selection: the
+# holds a recall pass in flight across an EnableRecall. Plan selection: the
 # default policy, warmed on a 1/10/50 % mix, must plan the three buckets
 # brute_force / single_stage / post_filter on its measured inputs, and
 # an unfiltered search must probe at the query's own ef.
 go test -race -count=1 -timeout 3m ./internal/filter/
-go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestMixedSelectivityKeepsPostFilter|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestMixedSelectivityKeepsPostFilter|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass|TestAuditDisableNeverDeadlocks' ./internal/core/
 go test -race -count=1 -timeout 3m -run 'TestUnfilteredSearchKeepsEf' ./internal/executor/
 go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # Graph traversal gates. The candidate pool against the map-based

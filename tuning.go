@@ -1,49 +1,50 @@
 package vdbms
 
-// Public surface of adaptive query optimization: the recall-SLO
-// auto-tuner (EnableAutoTune / TuneNow), per-query and per-collection
-// recall targets (SearchRequest.TargetRecall / SetTargetRecall), and
-// collection-level search-parameter defaults (SetSearchDefaults).
-// DESIGN.md §14 describes the machinery: a background pass replays
-// sampled live queries against exact ground truth and against the
-// index at every rung of an Ef/NProbe ladder, maintains a
-// recall-vs-cost frontier per (index kind, k), and resolves a target
-// recall to the cheapest parameter the frontier proves meets it.
-// With Reselect enabled, the same pass watches for drift no parameter
-// can fix and hands a new index recipe to the background builder for
-// a non-blocking swap.
+// Public surface of the recall loop: one background pass per
+// collection (EnableRecall / RecallNow) that replays sampled live
+// queries against exact ground truth, both to audit the recall being
+// served and to tune the knobs that serve it; per-query and
+// per-collection recall targets (SearchRequest.TargetRecall /
+// SetTargetRecall); and collection-level search-parameter defaults
+// (SetSearchDefaults). DESIGN.md §14 describes the machinery: the
+// served ids are scored against the truth and exported as
+// vdbms_recall_observed, and some of the samples are replayed against
+// the index at every rung of an Ef/NProbe ladder, maintaining a
+// recall-vs-cost frontier per (index kind, k) that resolves a target
+// recall to the cheapest parameter proven to meet it. With Reselect
+// enabled, the same pass watches for drift no parameter can fix and
+// hands a new index recipe to the background builder for a
+// non-blocking swap.
 
 import "vdbms/internal/core"
 
-// TuneOptions configures the recall-SLO auto-tuner.
-type TuneOptions = core.TuneConfig
+// RecallOptions configures the recall loop.
+type RecallOptions = core.RecallConfig
 
-// TuneReport reports one tuning pass. Resolved is the parameter the
-// frontier currently resolves for the target at the pass's dominant k
-// (Trusted: from measured data, not the safe default); a BestRecall
-// below Target means no parameter can meet the SLO and only a stronger
-// index can.
-type TuneReport = core.TuneReport
+// RecallReport reports one recall pass. Outcome is "ok", "regression",
+// "empty" or "error"; Recall is the observed recall@k of the served
+// answers. Resolved is the parameter the frontier currently resolves
+// for the target at the pass's dominant k (Trusted: from measured
+// data, not the safe default); a BestRecall below Target means no
+// parameter can meet the SLO and only a stronger index can.
+type RecallReport = core.RecallReport
 
-// EnableAutoTune starts sampling this collection's live queries and
-// (when opts.Interval > 0) tuning them in the background. Each pass
-// replays sampled queries against exact ground truth and against the
-// index across a ladder of Ef/NProbe values, building the
-// recall-vs-cost frontier that answers SearchRequest.TargetRecall.
-// Tuning runs entirely off the query path.
-func (c *Collection) EnableAutoTune(opts TuneOptions) {
-	c.inner.EnableTune(opts)
-}
+// EnableRecall starts sampling this collection's live queries and
+// (when opts.Interval > 0) replaying them in the background. Each pass
+// runs on a pinned snapshot, never blocking serving or writes.
+// Calling it again reconfigures the loop.
+func (c *Collection) EnableRecall(opts RecallOptions) { c.inner.EnableRecall(opts) }
 
-// DisableAutoTune stops background tuning. The learned frontier is
-// kept: queries with a recall target keep resolving against the last
-// measured state.
-func (c *Collection) DisableAutoTune() { c.inner.DisableTune() }
+// DisableRecall stops the background loop and query sampling. The
+// learned frontier is kept: queries with a recall target keep
+// resolving against the last measured state.
+func (c *Collection) DisableRecall() { c.inner.DisableRecall() }
 
-// TuneNow runs one tuning pass synchronously and returns its report.
-// EnableAutoTune (even with Interval 0) must have run first so there
-// are sampled queries to replay; before that the outcome is "empty".
-func (c *Collection) TuneNow() (TuneReport, error) { return c.inner.TuneNow() }
+// RecallNow runs one recall pass synchronously and returns its report.
+// EnableRecall (even with Interval 0) must have run first so there are
+// sampled queries to replay; before that, or before MinSamples queries
+// have been sampled, the outcome is "empty".
+func (c *Collection) RecallNow() (RecallReport, error) { return c.inner.RecallNow() }
 
 // SetTargetRecall sets (or clears, with 0) the collection's default
 // recall target. Queries without explicit Ef/NProbe or a per-query
@@ -69,18 +70,18 @@ func (c *Collection) SearchDefaults() (ef, nprobe int) {
 	return c.inner.SearchDefaults()
 }
 
-// EnableAutoTune turns on auto-tuning for every current collection
+// EnableRecall turns on the recall loop for every current collection
 // and every collection created or restored later.
-func (db *DB) EnableAutoTune(opts TuneOptions) {
+func (db *DB) EnableRecall(opts RecallOptions) {
 	db.mu.Lock()
 	o := opts
-	db.tune = &o
+	db.recall = &o
 	cols := make([]*Collection, 0, len(db.collections))
 	for _, c := range db.collections {
 		cols = append(cols, c)
 	}
 	db.mu.Unlock()
 	for _, c := range cols {
-		c.EnableAutoTune(opts)
+		c.EnableRecall(opts)
 	}
 }

@@ -54,11 +54,9 @@ type DB struct {
 	dir string
 	dur core.DurabilityOptions
 
-	// audit, when set by DB.EnableRecallAudit, is applied to every
-	// collection created or restored afterwards; tune likewise for
-	// DB.EnableAutoTune.
-	audit *AuditOptions
-	tune  *TuneOptions
+	// recall, when set by DB.EnableRecall, is applied to every
+	// collection created or restored afterwards.
+	recall *RecallOptions
 
 	// mem/memSpill, when set by DB.EnableMemoryBudget, put every current
 	// and future collection under the process memory budget.
@@ -114,17 +112,14 @@ func (db *DB) CreateCollection(name string, schema Schema) (*Collection, error) 
 
 	db.mu.Lock()
 	delete(db.creating, name)
-	audit, tune := db.audit, db.tune
+	recall := db.recall
 	mem, memSpill := db.mem, db.memSpill
 	if err == nil {
 		db.collections[name] = col
 	}
 	db.mu.Unlock()
-	if err == nil && audit != nil {
-		col.EnableRecallAudit(*audit)
-	}
-	if err == nil && tune != nil {
-		col.EnableAutoTune(*tune)
+	if err == nil && recall != nil {
+		col.EnableRecall(*recall)
 	}
 	if err == nil && mem != nil {
 		if aerr := col.inner.AttachMemory(mem, memSpill); aerr != nil {
