@@ -127,13 +127,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.Serve(l)
-	log.Printf("shard serving on %s (ids %d..%d)", l.Addr(), *offset, *offset+int64(count)-1)
-
 	// Graceful shutdown: stop accepting, drain in-flight queries with
-	// a bounded context, exit 0.
+	// a bounded context, exit 0. The handler is installed before the
+	// shard serves, so a SIGTERM sent once it answers always drains.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	srv.Serve(l)
+	log.Printf("shard serving on %s (ids %d..%d)", l.Addr(), *offset, *offset+int64(count)-1)
 	s := <-sig
 	log.Printf("received %v, draining (up to %v)", s, *drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

@@ -802,13 +802,14 @@ const (
 // inverted list, and every other family before its probe starts. The
 // search then returns ctx's error — no work continues in the
 // background — and the truncated probe is kept out of the collection's
-// statistics, the recall auditor and the tuner. An uncancellable ctx
+// statistics and the recall loop. An uncancellable ctx
 // (context.Background) costs one nil check per block.
 //
-// Every call is counted and timed in the obs registry; with req.Trace
-// the pipeline stages (plan, filter, index_probe, ...) record spans,
-// returned in SearchResult.Trace under a root that carries the resolved
-// plan and parameters.
+// The query fills one executor.Record: the executor publishes its
+// stages and probes, and observe counts and times the request from it.
+// With req.Trace the record is also returned as SearchResult.Trace: the
+// pipeline stages (plan, filter, index_probe, ...) under a root that
+// carries the resolved plan and parameters.
 func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SearchResult{}, err
@@ -823,25 +824,42 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 			return SearchResult{}, err
 		}
 	}
-	var tr *obs.Trace
-	if req.Trace {
-		tr = obs.NewTrace("search")
-	}
 	start := time.Now()
 	// Captured before the query runs: an update racing the search gets
 	// a higher epoch, so the sample reads as stale — the conservative
-	// direction for the recall auditor.
+	// direction for the recall loop.
 	epoch := c.updateEpoch.Load()
+	var rec executor.Record
 	c.beginRead()
 	s := c.snap.Load()
-	res, err := c.search(ctx, s, &req, preds, agg, tr.Root())
+	res, err := c.search(ctx, s, &req, preds, agg, &rec)
 	c.endRead()
 	c.touchAccount()
-	obs.SearchTotal.Inc()
-	c.latency.Observe(time.Since(start).Seconds())
+	rec.Err = err
+	c.observe(&req, preds, s, epoch, start, &rec, &res)
 	if err != nil {
-		obs.SearchErrors.Inc()
 		return SearchResult{}, err
+	}
+	if res.Hits == nil {
+		res.Hits = []Result{} // an empty answer encodes as [], not null
+	}
+	return res, nil
+}
+
+// observe publishes one query's request-level facts from its record —
+// the search and error counters, the latency since start, the executed
+// plan and parameter source, the query shape, and (while the recall
+// loop samples) the reservoir offer — the executor having published
+// its stages and probes. epoch and s are the update epoch and snapshot
+// the query was served at. With req.Trace it renders res.Trace from the
+// record.
+func (c *Collection) observe(req *SearchRequest, preds []filter.Predicate, s *snapshot, epoch uint64, start time.Time, rec *executor.Record, res *SearchResult) {
+	elapsed := time.Since(start)
+	obs.SearchTotal.Inc()
+	c.latency.Observe(elapsed.Seconds())
+	if rec.Err != nil {
+		obs.SearchErrors.Inc()
+		return
 	}
 	obs.SearchPlans.With(res.Plan).Inc()
 	obs.PlanParamSource.With(res.ParamSource).Inc()
@@ -850,13 +868,25 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 		// Offer the served query to the recall reservoir. The sample copy
 		// (vector, predicates, result ids) is built only on admission,
 		// which Algorithm R makes vanishingly rare at volume.
-		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(&req, preds, res.Hits, epoch, s.rows) })
+		hits := res.Hits
+		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(req, preds, hits, epoch, s.rows) })
 	}
-	if res.Hits == nil {
-		res.Hits = []Result{} // an empty answer encodes as [], not null
+	if req.Trace {
+		// The root carries the decision, so a mis-planned query is
+		// debuggable straight from the slowlog.
+		t := rec.Trace("search", elapsed)
+		t.Tags = map[string]string{"plan": res.Plan, "param_source": res.ParamSource}
+		if res.Ef > 0 || res.NProbe > 0 {
+			t.Annotations = map[string]int64{}
+			if res.Ef > 0 {
+				t.Annotations["ef"] = int64(res.Ef)
+			}
+			if res.NProbe > 0 {
+				t.Annotations["nprobe"] = int64(res.NProbe)
+			}
+		}
+		res.Trace = t
 	}
-	res.Trace = tr.Finish()
-	return res, nil
 }
 
 // makeSample deep-copies the parts of a served query the recall loop
@@ -917,9 +947,9 @@ func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe i
 	return 0, 0, SourceIndexDefault
 }
 
-// search plans and runs one query on snapshot s; preds and agg are
-// req's filters and aggregator, already checked.
-func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest, preds []filter.Predicate, agg vec.Aggregator, root *obs.Span) (SearchResult, error) {
+// search plans and runs one query on snapshot s into rec; preds and agg
+// are req's filters and aggregator, already checked.
+func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest, preds []filter.Predicate, agg vec.Aggregator, rec *executor.Record) (SearchResult, error) {
 	if s.rows == 0 {
 		return SearchResult{}, fmt.Errorf("core: collection %q is empty", c.name)
 	}
@@ -930,7 +960,7 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 	if err != nil {
 		return SearchResult{}, err
 	}
-	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Span: root, Ctx: ctx}
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Record: rec, Ctx: ctx}
 
 	switch {
 	case len(req.Vectors) > 0:
@@ -941,41 +971,18 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 			return SearchResult{}, fmt.Errorf("core: weighted_sum needs one weight per query vector, got %d weights for %d vectors",
 				len(req.Weights), len(req.Vectors))
 		}
-		msp := root.Start("multi_vector")
-		msp.Annotate("query_vectors", int64(len(req.Vectors)))
-		mvOpts := opts
-		mvOpts.Span = msp
-		res.Hits, err = c.multiVector(s, req, agg, mvOpts)
-		msp.End()
-		plan = planner.Plan{Kind: planner.SingleStage}
+		rec.Plan = planner.Plan{Kind: planner.SingleStage}
+		res.Hits, err = c.multiVector(s, req, agg, opts)
 	case forced:
 		res.Hits, err = env.Execute(plan, req.Vector, req.K, preds, opts)
 	default:
-		res.Hits, plan, err = env.Search(req.Vector, req.K, preds, opts, "")
+		res.Hits, _, err = env.Search(req.Vector, req.K, preds, opts, "")
 	}
 	if err != nil {
 		return SearchResult{}, err
 	}
-	res.Plan = plan.Kind.String()
-	tagDecision(root, &res)
+	res.Plan = rec.Plan.Kind.String()
 	return res, nil
-}
-
-// tagDecision records the resolved plan and parameters on the query's
-// root span, so a mis-planned query is debuggable straight from the
-// slowlog.
-func tagDecision(root *obs.Span, res *SearchResult) {
-	if root == nil {
-		return
-	}
-	root.Tag("plan", res.Plan)
-	root.Tag("param_source", res.ParamSource)
-	if res.Ef > 0 {
-		root.Annotate("ef", int64(res.Ef))
-	}
-	if res.NProbe > 0 {
-		root.Annotate("nprobe", int64(res.NProbe))
-	}
 }
 
 // entityEntry is one cached row→entity grouping.
@@ -1058,7 +1065,9 @@ func (c *Collection) SearchRange(q []float32, radius float32, fs []Filter) ([]Re
 // Trace) are ignored. ctx stops the batch as it stops a Search: every
 // query still running returns ctx's error. Per-query failures are
 // partial, not fatal: successful slots are returned alongside an error
-// naming each failing query's index (a failed slot is nil).
+// naming each failing query's index (a failed slot is nil). Each query
+// is observed as the search it answers, with the batch's latency — what
+// its caller waited for it.
 func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req SearchRequest) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1067,6 +1076,8 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	epoch := c.updateEpoch.Load()
 	c.beginRead()
 	defer c.endRead()
 	defer c.touchAccount()
@@ -1082,9 +1093,17 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 	// Knob resolution is shared with Search: a batch without explicit
 	// Ef/NProbe resolves through the recall target and collection
 	// defaults exactly once for the whole batch.
-	ef, nprobe, _ := c.resolveKnobs(&req, s)
-	opts := executor.Options{Ef: ef, NProbe: nprobe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Ctx: ctx}
-	return env.SearchBatch(plan, qs, req.K, preds, opts)
+	res := SearchResult{Plan: plan.Kind.String()}
+	res.Ef, res.NProbe, res.ParamSource = c.resolveKnobs(&req, s)
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Ctx: ctx}
+	out, recs, err := env.SearchBatch(plan, qs, req.K, preds, opts)
+	one := req
+	one.Vectors, one.Trace = nil, false
+	for i := range recs {
+		one.Vector, res.Hits = qs[i], out[i]
+		c.observe(&one, preds, s, epoch, start, &recs[i], &res)
+	}
+	return out, err
 }
 
 // OpenIterator starts incremental paging over the collection. The
@@ -1116,12 +1135,6 @@ func (c *Collection) Stats() stats.Snapshot {
 	s := c.snap.Load()
 	return c.stats.Snapshot(s.rows, s.rows-s.nDel, c.schema.Dim)
 }
-
-// SetStatsEnabled toggles query-shape observation and selectivity/
-// probe recording (the switch the observability overhead benchmark
-// flips). Mutation counters stay on regardless; reservoir sampling is
-// governed separately by EnableRecall.
-func (c *Collection) SetStatsEnabled(on bool) { c.stats.SetEnabled(on) }
 
 // AttributeKinds exposes the attribute schema (the public API's Get
 // and AttributeTypes read it). The column set is fixed at creation, so

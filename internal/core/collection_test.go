@@ -7,6 +7,7 @@ import (
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/filter"
+	"vdbms/internal/obs"
 	"vdbms/internal/planner"
 	"vdbms/internal/vec"
 )
@@ -255,5 +256,51 @@ func TestPlanForcedBruteForceMatchesExact(t *testing.T) {
 	}
 	if res.Hits[0].ID != 42 || res.Hits[0].Dist != 0 {
 		t.Fatalf("res = %v", res.Hits)
+	}
+}
+
+// TestBatchQueriesAreCounted: each query of a batch is the search it
+// answers — the search, plan, parameter-source and latency counters and
+// the collection's query count move by as much for a batch of 8 as for
+// 8 single searches.
+func TestBatchQueriesAreCounted(t *testing.T) {
+	c, ds := newCol(t, 400)
+	if err := c.CreateIndex("hnsw", nil); err != nil {
+		t.Fatal(err)
+	}
+	qs := ds.Queries(8, 0.05, 6)
+	req := SearchRequest{K: 5, Ef: 32, Filters: []Filter{{Column: "g", Op: "<", Value: 5}}, Policy: "plan:single_stage"}
+	counters := func() [6]int64 {
+		return [6]int64{
+			obs.SearchTotal.Value(), obs.SearchErrors.Value(),
+			obs.SearchPlans.With("single_stage").Value(), obs.PlanParamSource.With(SourceExplicit).Value(),
+			obs.SearchLatency.With(c.Name()).Count(), c.Stats().Queries,
+		}
+	}
+	delta := func(run func()) (d [6]int64) {
+		before := counters()
+		run()
+		after := counters()
+		for i := range d {
+			d[i] = after[i] - before[i]
+		}
+		return d
+	}
+	singles := delta(func() {
+		for _, q := range qs {
+			one := req
+			one.Vector = q
+			if _, err := c.Search(bg, one); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	batch := delta(func() {
+		if _, err := c.SearchBatch(bg, qs, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if singles != [6]int64{8, 0, 8, 8, 8, 8} || batch != singles {
+		t.Fatalf("search, errors, plan, param source, latency, queries: 8 singles moved %v, a batch of 8 %v", singles, batch)
 	}
 }

@@ -15,9 +15,8 @@ import (
 // cycles updates, inserts, and deletes fast enough to keep crossing
 // the index staleness threshold, so the benchmark also pays for every
 // triggered ANN rebuild. The reported queries/s is the acceptance
-// metric in BENCH_concurrent.json: under the seed lock-per-operation
-// engine each rebuild stalls every reader; under snapshot isolation
-// readers never wait on a build.
+// metric: under the seed lock-per-operation engine each rebuild stalls
+// every reader; under snapshot isolation readers never wait on a build.
 func BenchmarkMixedReadWrite(b *testing.B) {
 	const (
 		rows = 8192

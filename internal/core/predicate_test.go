@@ -204,9 +204,9 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 	}
 	check("range", func() (*obs.SpanReport, error) {
 		s := c.snap.Load()
-		tr := obs.NewTrace("search")
-		_, err := s.env.SearchRange(ds.Row(3), 4, corpusPreds, executor.Options{Deleted: s.deleted(), Span: tr.Root()})
-		return tr.Finish(), err
+		var rec executor.Record
+		_, err := s.env.SearchRange(ds.Row(3), 4, corpusPreds, executor.Options{Deleted: s.deleted(), Record: &rec})
+		return rec.Trace("search", 0), err
 	})
 }
 

@@ -422,9 +422,7 @@ func TestRouterBreakerStatesAndGauge(t *testing.T) {
 	}
 }
 
-// A traced query under chaos: the partial counter moves, the fan-out
-// span counts targets, answers and failures, and each shard's child
-// span carries its status (and, for local shards, the plan it ran).
+// A query under chaos moves the partial counter.
 func TestTraceUnderChaos(t *testing.T) {
 	ds := dataset.Uniform(400, 8, 19)
 	shards := buildShards(t, ds, PartitionRandom(ds.Count, 4, 7))
@@ -432,37 +430,11 @@ func TestTraceUnderChaos(t *testing.T) {
 	router := NewRouter(shards, nil)
 	partialBefore := obs.DistPartial.Value()
 
-	tr := obs.NewTrace("dist_search")
-	if _, _, err := router.Search(obs.WithSpan(context.Background(), tr.Root()), knn(ds.Row(0), 5, 50), 0); err != nil {
+	if _, _, err := router.Search(context.Background(), knn(ds.Row(0), 5, 50), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.DistPartial.Value(); got != partialBefore+1 {
 		t.Fatalf("vdbms_dist_partial_total = %d, want %d", got, partialBefore+1)
-	}
-	root := tr.Finish()
-	var fanout *obs.SpanReport
-	for i := range root.Children {
-		if root.Children[i].Stage == "shard_fanout" {
-			fanout = &root.Children[i]
-		}
-	}
-	if fanout == nil {
-		t.Fatalf("no shard_fanout span: %+v", root)
-	}
-	if a := fanout.Annotations; a["targeted"] != 4 || a["answered"] != 3 || a["failed"] != 1 {
-		t.Fatalf("fanout annotations = %v", a)
-	}
-	if len(fanout.Children) != 4 {
-		t.Fatalf("shard spans = %+v, want 4", fanout.Children)
-	}
-	for _, c := range fanout.Children {
-		failed := c.Stage == "shard_2"
-		if st := c.Tags["status"]; (st == "error") != failed || (st == "ok") == failed {
-			t.Fatalf("%s status = %q", c.Stage, st)
-		}
-		if (c.Tags["plan"] == "") != failed {
-			t.Fatalf("%s plan tag = %q", c.Stage, c.Tags["plan"])
-		}
 	}
 }
 

@@ -66,8 +66,7 @@ func (s *LocalShard) Count() int { return s.col.Len() }
 
 // Search implements Shard by running the request on the hosted
 // collection under ctx, then mapping hit ids to global ids. An empty
-// partition answers with no hits. When ctx carries a trace span it is
-// tagged with the executed plan.
+// partition answers with no hits.
 func (s *LocalShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
 	if err := checkSingleVector(req); err != nil {
 		return nil, err
@@ -82,7 +81,6 @@ func (s *LocalShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]top
 	if err != nil {
 		return nil, err
 	}
-	obs.SpanFrom(ctx).Tag("plan", res.Plan)
 	if s.ids == nil {
 		return res.Hits, nil
 	}
@@ -403,7 +401,6 @@ func (r *Router) searchOneInner(ctx context.Context, si int, req vdbms.SearchReq
 	})
 	if attempts > 1 {
 		obs.DistRetries.Add(int64(attempts - 1))
-		obs.SpanFrom(ctx).Annotate("retries", int64(attempts-1))
 	}
 	return res, err
 }
@@ -417,15 +414,7 @@ func (r *Router) searchShards(ctx context.Context, req vdbms.SearchRequest, subs
 			targets[i] = i
 		}
 	}
-	// When the context carries a trace span, each shard call gets its
-	// own child span (the Span type is concurrency-safe, so parallel
-	// fan-out can append children); the goroutine re-wraps its ctx so
-	// shard-side annotations land on the right child.
-	parent := obs.SpanFrom(ctx)
-	fsp := parent.Start("shard_fanout")
 	fanoutStart := time.Now()
-	fsp.Annotate("targeted", int64(len(targets)))
-	spans := make([]*obs.Span, len(targets))
 	type shardOut struct {
 		pos int
 		res []topk.Result
@@ -433,18 +422,10 @@ func (r *Router) searchShards(ctx context.Context, req vdbms.SearchRequest, subs
 	}
 	ch := make(chan shardOut, len(targets))
 	for i, si := range targets {
-		spans[i] = fsp.Start("shard_" + strconv.Itoa(si))
-		go func(pos, si int, sp *obs.Span) {
-			res, err := r.searchOne(obs.WithSpan(ctx, sp), si, req)
-			sp.End()
-			if err != nil {
-				sp.Tag("status", "error")
-			} else {
-				sp.Tag("status", "ok")
-				sp.Annotate("results", int64(len(res)))
-			}
+		go func(pos, si int) {
+			res, err := r.searchOne(ctx, si, req)
 			ch <- shardOut{pos, res, err}
-		}(i, si, spans[i])
+		}(i, si)
 	}
 
 	c := topk.NewCollector(req.K)
@@ -475,34 +456,24 @@ func (r *Router) searchShards(ctx context.Context, req vdbms.SearchRequest, subs
 			lastErr = ctx.Err()
 			for pos := range pending {
 				obs.DistShardFailures.With(strconv.Itoa(targets[pos])).Inc()
-				spans[pos].Tag("status", "deadline")
 				p.Failed = append(p.Failed, ShardError{Shard: targets[pos], Err: ctx.Err().Error()})
 			}
 			pending = nil
 		}
 	}
-	fsp.Annotate("answered", int64(len(p.Answered)))
-	fsp.Annotate("failed", int64(len(p.Failed)))
-	fsp.End()
 	stageFanout.Observe(time.Since(fanoutStart).Seconds())
-	msp := parent.Start("topk_merge")
 	mergeStart := time.Now()
 	defer func() { stageMerge.Observe(time.Since(mergeStart).Seconds()) }()
-	msp.Annotate("candidates", int64(c.Pushes()))
 	sort.Ints(p.Answered)
 	sort.Slice(p.Failed, func(i, j int) bool { return p.Failed[i].Shard < p.Failed[j].Shard })
 	if !p.Complete() {
 		obs.DistPartial.Inc()
 	}
 	if len(p.Answered) < r.minAnswered {
-		msp.End()
 		return nil, p, fmt.Errorf("dist: %d/%d shards answered (need %d): %w",
 			len(p.Answered), p.Targeted, r.minAnswered, lastErr)
 	}
-	res := c.Results()
-	msp.Annotate("merged", int64(len(res)))
-	msp.End()
-	return res, p, nil
+	return c.Results(), p, nil
 }
 
 // FanOut reports how many shards a routed query touches (experiment

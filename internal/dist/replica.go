@@ -160,7 +160,6 @@ func (r *ReplicaSet) Search(ctx context.Context, req vdbms.SearchRequest) ([]top
 				// The primary (or an earlier replica) failed and a later
 				// one answered: count the failover.
 				obs.ReplicaFailovers.Add(int64(tried - 1))
-				obs.SpanFrom(ctx).Annotate("replica_failovers", int64(tried-1))
 			}
 			return res, nil
 		}

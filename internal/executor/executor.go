@@ -17,24 +17,11 @@ import (
 	"vdbms/internal/bitset"
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
-	"vdbms/internal/obs"
 	"vdbms/internal/planner"
 	"vdbms/internal/pool"
 	"vdbms/internal/stats"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
-)
-
-// Stage-latency handles, bound once so the hot path pays two
-// time.Now calls and one histogram observe per stage — never a map
-// lookup. Together these decompose vdbms_search_latency_seconds into
-// where the time actually goes.
-var (
-	stagePlan       = obs.SearchStageSeconds.With("plan")
-	stageFilter     = obs.SearchStageSeconds.With("filter")
-	stageProbe      = obs.SearchStageSeconds.With("index_probe")
-	stagePostFilter = obs.SearchStageSeconds.With("post_filter")
-	stageRange      = obs.SearchStageSeconds.With("range_scan")
 )
 
 // Env is the execution environment for one collection snapshot. An
@@ -149,12 +136,11 @@ type Options struct {
 	// scans for this query (0 keeps the index's configured default;
 	// ignored by full-precision indexes).
 	RerankK int
-	// Span, when non-nil, is the parent under which execution stages
-	// (filter, index_probe, post_filter) record trace spans. Nil costs
-	// only a pointer check per stage. SearchBatch shares one Options
-	// across goroutines, so batch callers should leave Span nil and
-	// trace the batch as a whole.
-	Span *obs.Span
+	// Record, when non-nil, is the caller's record of the query: the
+	// operators fill it, the Env publishes it, and the caller reads it
+	// afterwards (its trace, its plan). Nil means the Env fills a local
+	// record. SearchBatch ignores it and returns one record per query.
+	Record *Record
 	// Ctx, when non-nil, cancels the query: the allowlist build polls it
 	// every bitmapBlock rows and the index probe carries it in
 	// index.Params, so a cancelled query stops within one block or
@@ -213,95 +199,60 @@ func releaseBitmap(bm *bitset.Bitset) {
 // costs.
 const bitmapBlock = 8192
 
-// allowBitmap builds the block-first allowlist of an exhaustive
-// operator over all N rows: the predicate's match bits from the
-// column-at-a-time evaluator, then the deletion mask cleared out of
-// them word-wise. survivors is the predicate's exact match count,
-// taken before deletions are folded in. It returns nil when nothing
-// constrains the scan; otherwise the caller owes a releaseBitmap. The
-// evaluation polls done before every bitmapBlock rows and gives up,
-// returning stopped and no bitmap, once it has closed.
-func (e *Env) allowBitmap(cp *filter.Compiled, del *bitset.Bitset, done <-chan struct{}) (bm *bitset.Bitset, survivors int, stopped bool) {
+// allowlist builds the block-first allowlist of an exhaustive operator
+// over all N rows: the predicate's match bits from the column-at-a-time
+// evaluator, then the deletion mask cleared out of them word-wise. It
+// returns nil when nothing constrains the scan; otherwise the caller
+// owes a releaseBitmap. With a predicate the build is the query's
+// "filter" stage: timed into rec with the predicate's exact match count
+// (taken before deletions are folded in) as its survivors. The
+// evaluation polls the query's context before every bitmapBlock rows
+// and gives up with its error once it has ended.
+func (e *Env) allowlist(cp *filter.Compiled, params *index.Params, del *bitset.Bitset, rec *Record) (*bitset.Bitset, error) {
 	if cp == nil && del == nil {
-		return nil, e.N, false
+		return nil, nil
 	}
-	bm = bitmapPool.Get().(*bitset.Bitset)
+	start := time.Now()
+	bm := bitmapPool.Get().(*bitset.Bitset)
 	bm.Reset(e.N)
 	if cp == nil {
 		bm.SetAll()
-		survivors = e.N
 	} else {
+		done := params.Done()
 		for lo := 0; lo < e.N; lo += bitmapBlock {
 			if index.Stopped(done) {
 				releaseBitmap(bm)
-				return nil, 0, true
+				rec.stage(stageFilter, time.Since(start))
+				return nil, params.Err()
 			}
 			cp.EvalRange(bm, lo, min(lo+bitmapBlock, e.N))
 		}
-		survivors = bm.Count()
+		rec.Survivors = int64(bm.Count())
 	}
 	if del != nil {
 		bm.AndNot(del)
 	}
-	return bm, survivors, false
+	if cp != nil {
+		rec.stage(stageFilter, time.Since(start))
+	}
+	return bm, nil
 }
 
-// filterStage is allowBitmap on the serving path: with a predicate the
-// build is the query's "filter" stage — timed into the stage histogram,
-// spanned with its survivor count, and fed to the collection's
-// statistics (a bitmap build evaluates the predicate on every row, so
-// it is both the exact selectivity of the predicate and the cleanest
-// per-evaluation timing for the calibrated attribute-cost ratio). A
-// build the query's context cut short returns its error and records
-// nothing.
-func (e *Env) filterStage(preds []filter.Predicate, cp *filter.Compiled, opts Options) (bm *bitset.Bitset, survivors int, err error) {
-	if cp == nil {
-		bm, survivors, _ = e.allowBitmap(nil, opts.Deleted, nil)
-		return bm, survivors, nil
-	}
-	params := opts.params()
-	fsp := opts.Span.Start("filter")
-	start := time.Now()
-	bm, survivors, stopped := e.allowBitmap(cp, opts.Deleted, params.Done())
-	elapsed := time.Since(start)
-	stageFilter.Observe(elapsed.Seconds())
-	fsp.Annotate("survivors", int64(survivors))
-	fsp.End()
-	if stopped {
-		return nil, 0, params.Err()
-	}
-	e.tracker().RecordAttrCost(elapsed.Nanoseconds(), int64(e.N))
-	e.recordMeasuredSel(preds, int64(survivors), int64(e.N))
-	return bm, survivors, nil
-}
-
-// minSelEvals is the minimum per-row predicate evaluations before a
-// traversal's measured pass rate is recorded into the selectivity
-// histograms — below it one scan is too small a sample to be a
-// useful observation. It is deliberately low enough that a typical
-// post-filter over-fetch (alpha*k) still records: per-scan noise
-// averages out across the histogram's many observations. Exact
-// measurements (bitmap cardinalities of exhaustive plans) are
-// recorded regardless.
-const minSelEvals = 16
-
-// selCount tallies the predicate evaluations of one serial traversal so
-// its pass rate (admitted / evaluated over the live rows it visited) can
-// feed the selectivity histograms afterwards — a query-local sample.
-// The counters are plain words owned by the query: they are attached
-// only to probes that call the filter from a single goroutine (see
+// countingFilter is visitFilter for a serial traversal: it also tallies
+// the predicate checks it makes on live rows, and how many pass, into
+// rec.Evaluated and rec.Admitted — a query-local selectivity sample. The
+// counters are plain words of the query's record: the filter is attached
+// only to probes that call it from a single goroutine (see
 // filtersSerially), so no cache line is shared between cores.
-type selCount struct{ evaluated, admitted int64 }
-
-func (sc *selCount) wrap(cp *filter.Compiled, del *bitset.Bitset) func(id int64) bool {
+func countingFilter(cp *filter.Compiled, del *bitset.Bitset, rec *Record) func(id int64) bool {
 	match := cp.Matcher()
 	return func(id int64) bool {
 		if del != nil && del.Test(int(id)) {
 			return false
 		}
-		sc.evaluated++
+		rec.Evaluated++
 		if match(id) {
-			sc.admitted++
+			rec.Admitted++
 			return true
 		}
 		return false
@@ -316,31 +267,23 @@ func filtersSerially(idx index.Index, params index.Params) bool {
 	return !ok || !cf.FiltersConcurrently(params)
 }
 
-// recordMeasuredSel feeds one measured selectivity observation
-// (admitted survivors / rows examined) into the per-column histograms.
-func (e *Env) recordMeasuredSel(preds []filter.Predicate, admitted, evaluated int64) {
-	if evaluated <= 0 {
-		return
-	}
-	sel := float64(admitted) / float64(evaluated)
-	st := e.tracker()
-	for _, p := range preds {
-		st.RecordSelectivity(p.Column, sel)
-	}
-}
-
 // Execute runs a (possibly predicated) top-k query under the given
 // plan. preds may be empty, in which case every plan degenerates to a
 // plain index or flat scan.
-func (e *Env) Execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
-	if err := e.checkQuery(q, k); err != nil {
+func (e *Env) Execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, opts Options) (res []topk.Result, err error) {
+	rec := opts.Record
+	if rec == nil {
+		rec = new(Record)
+	}
+	defer func() { e.publish(rec, err) }()
+	if err = e.checkQuery(q, k); err != nil {
 		return nil, err
 	}
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, err
 	}
-	return e.execute(p, q, k, preds, cp, opts)
+	return e.execute(p, q, k, preds, cp, opts, rec)
 }
 
 func (e *Env) checkQuery(q []float32, k int) error {
@@ -353,109 +296,58 @@ func (e *Env) checkQuery(q []float32, k int) error {
 	return nil
 }
 
-// execute dispatches a checked query to its plan's operator. cp is
-// preds compiled against this Env (nil when preds is empty); preds
-// itself travels along only to name the columns a measured selectivity
-// is recorded under.
-func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+// execute dispatches a checked query to its plan's operator, recording
+// into rec. cp is preds compiled against this Env (nil when preds is
+// empty); preds itself travels along only to name the columns a
+// measured selectivity is recorded under.
+func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options, rec *Record) ([]topk.Result, error) {
+	rec.Plan, rec.preds = p, preds
 	switch p.Kind {
 	case planner.BruteForce:
 		e.advise(AdviseSequential)
-		return e.bruteForce(q, k, preds, cp, opts)
+		return e.bruteForce(q, k, cp, opts, rec)
 	case planner.PreFilter:
 		e.advise(AdviseSequential)
-		return e.preFilter(q, k, preds, cp, opts)
+		return e.preFilter(q, k, cp, opts, rec)
 	case planner.PostFilter:
 		e.advise(AdviseRandom)
-		return e.postFilter(q, k, preds, cp, p.Alpha, opts)
+		return e.postFilter(q, k, cp, p.Alpha, opts, rec)
 	case planner.SingleStage:
 		e.advise(AdviseRandom)
-		return e.singleStage(q, k, preds, cp, opts)
+		return e.singleStage(q, k, cp, opts, rec)
 	default:
 		return nil, fmt.Errorf("executor: unknown plan %v", p.Kind)
 	}
 }
 
-// probe runs one index scan with per-query stats collection: the
-// backend fills an index.SearchStats, which feeds both the per-index
-// obs counters (always on) and the query's trace span (when opts.Span
-// is set). Every plan funnels its index/flat scans through here so
-// /metrics attributes work to the index family that actually served
-// the query. A query whose context has ended is refused here — the one
-// check families that do not poll params.Ctx themselves get — and a
-// probe that fails, cancelled ones included, feeds nothing to the cost
-// model: its truncated comps would bias the observed probe cost.
-func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, span *obs.Span) ([]topk.Result, error) {
+// probe runs one index scan, recording its time as the index_probe
+// stage and its SearchStats against the index family that served it.
+// Every plan funnels its index/flat scans through here. A query whose
+// context has ended is refused here — the one check families that do
+// not poll params.Ctx themselves get — and records nothing.
+func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, rec *Record) ([]topk.Result, error) {
 	if err := params.Err(); err != nil {
 		return nil, err
 	}
-	var st index.SearchStats
-	params.Stats = &st
-	sp := span.Start("index_probe")
+	params.Stats = &rec.Probe
 	start := time.Now()
 	res, err := idx.Search(q, k, params)
-	elapsed := time.Since(start)
-	stageProbe.Observe(elapsed.Seconds())
-	sp.End()
-	name := idx.Name()
-	if err == nil {
-		tr := e.tracker()
-		if idx == e.ANN {
-			// Observed probe cost feeds the cost model; exact scans
-			// are excluded — their cost is already exactly N.
-			tr.RecordProbe(st.DistanceComps)
-			quant := false
-			if qi, ok := idx.(index.Quantized); ok && qi.QuantizedScan() {
-				quant = true
-			}
-			tr.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, quant)
-		} else {
-			// Flat probes are the full-precision ns-per-comp baseline
-			// the calibrated cost ratios are measured against.
-			tr.RecordCompCost(elapsed.Nanoseconds(), st.DistanceComps, false)
-		}
-	}
-	sp.Tag("index", name)
-	sp.Annotate("k", int64(k))
-	sp.Annotate("distance_comps", st.DistanceComps)
-	if st.NodesVisited > 0 {
-		sp.Annotate("nodes_visited", st.NodesVisited)
-	}
-	if st.GreedyHops > 0 {
-		sp.Annotate("greedy_hops", st.GreedyHops)
-	}
-	if st.BucketsProbed > 0 {
-		sp.Annotate("buckets_probed", st.BucketsProbed)
-	}
-	if st.IOReads > 0 {
-		sp.Annotate("io_reads", st.IOReads)
-	}
-	if st.CacheHits > 0 {
-		sp.Annotate("cache_hits", st.CacheHits)
-	}
-	if st.Partitions > 0 {
-		sp.Annotate("partitions", st.Partitions)
-	}
-	obs.IndexProbes.With(name).Inc()
-	obs.IndexDistanceComps.With(name).Add(st.DistanceComps)
-	obs.IndexNodesVisited.With(name).Add(st.NodesVisited)
-	obs.IndexBucketsProbed.With(name).Add(st.BucketsProbed)
-	obs.IndexIOReads.With(name).Add(st.IOReads)
-	obs.IndexPartitions.With(name).Add(st.Partitions)
+	rec.stage(stageProbe, time.Since(start))
+	e.probed(rec, idx, k)
 	return res, err
 }
 
 // bruteForce is the exhaustive scan (plan A): the predicate is
 // evaluated column-at-a-time into an allowlist — an exact selectivity
-// measurement, recorded under the filter stage — and the flat index
+// measurement, recorded as the filter stage — and the flat index
 // scores exactly the surviving live rows.
-func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+func (e *Env) bruteForce(q []float32, k int, cp *filter.Compiled, opts Options, rec *Record) ([]topk.Result, error) {
 	params := opts.params()
 	var err error
-	if params.Allow, _, err = e.filterStage(preds, cp, opts); err != nil {
+	if params.Allow, err = e.allowlist(cp, &params, opts.Deleted, rec); err != nil {
 		return nil, err
 	}
-	res, err := e.probe(e.Flat, q, k, params, opts.Span)
+	res, err := e.probe(e.Flat, q, k, params, rec)
 	releaseBitmap(params.Allow)
 	return res, err
 }
@@ -464,14 +356,13 @@ func (e *Env) bruteForce(q []float32, k int, preds []filter.Predicate, cp *filte
 // block-first allowlist (plan B). When the survivor set is tiny the
 // index scan is skipped for an exact scan over survivors, matching the
 // behavior AnalyticDB-V's optimizer picks in that regime.
-func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+func (e *Env) preFilter(q []float32, k int, cp *filter.Compiled, opts Options, rec *Record) ([]topk.Result, error) {
 	if cp == nil {
-		return e.indexOrFlat(q, k, opts)
+		return e.indexOrFlat(q, k, opts, rec)
 	}
 	params := opts.params()
-	var survivors int
 	var err error
-	if params.Allow, survivors, err = e.filterStage(preds, cp, opts); err != nil {
+	if params.Allow, err = e.allowlist(cp, &params, opts.Deleted, rec); err != nil {
 		return nil, err
 	}
 	// Small survivor sets are scanned exactly: cheaper than a blocked
@@ -482,10 +373,10 @@ func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter
 		exactCutoff = 256
 	}
 	idx := index.Index(e.Flat)
-	if e.ANN != nil && survivors > exactCutoff {
+	if e.ANN != nil && rec.Survivors > int64(exactCutoff) {
 		idx = e.ANN
 	}
-	res, err := e.probe(idx, q, k, params, opts.Span)
+	res, err := e.probe(idx, q, k, params, rec)
 	releaseBitmap(params.Allow)
 	return res, err
 }
@@ -495,25 +386,25 @@ func (e *Env) preFilter(q []float32, k int, preds []filter.Predicate, cp *filter
 // results — the documented trade-off of this plan. With no predicate
 // there is nothing to over-fetch for: it asks the index for k, so the
 // probe runs at the ef the query resolved rather than max(ef, alpha*k).
-func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, alpha int, opts Options) ([]topk.Result, error) {
+func (e *Env) postFilter(q []float32, k int, cp *filter.Compiled, alpha int, opts Options, rec *Record) ([]topk.Result, error) {
 	if cp == nil {
-		return e.indexOrFlat(q, k, opts)
+		return e.indexOrFlat(q, k, opts, rec)
 	}
 	if alpha <= 0 {
 		alpha = 4
 	}
-	cands, err := e.indexOrFlat(q, min(alpha*k, e.N), opts)
+	cands, err := e.indexOrFlat(q, min(alpha*k, e.N), opts, rec)
 	if err != nil {
 		return nil, err
 	}
-	psp := opts.Span.Start("post_filter")
-	pstart := time.Now()
-	psp.Annotate("fetched", int64(len(cands)))
+	start := time.Now()
 	// Every fetched candidate is evaluated (the cost model already
 	// charges alpha*k attribute checks); only the first k admitted are
 	// kept. Checking the tail keeps the measured pass rate below a
 	// deterministic sample size instead of stopping wherever the k-th
-	// admission happened to land.
+	// admission happened to land. The candidate set is distance-biased,
+	// but its pass rate is still a real observation of the predicate on
+	// live rows.
 	out := make([]topk.Result, 0, k)
 	var admitted int64
 	for _, r := range cands {
@@ -524,16 +415,9 @@ func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, cp *filte
 			}
 		}
 	}
-	psp.Annotate("kept", int64(len(out)))
-	stagePostFilter.Observe(time.Since(pstart).Seconds())
-	psp.End()
-	// The candidate set is distance-biased, but its measured pass rate
-	// is still a real observation of the predicate on live rows; the
-	// minimum-evaluations bar keeps degenerate over-fetches from
-	// quantizing the histograms to 0-or-1 observations.
-	if evaluated := int64(len(cands)); evaluated >= minSelEvals {
-		e.recordMeasuredSel(preds, admitted, evaluated)
-	}
+	rec.stage(stagePostFilter, time.Since(start))
+	rec.Fetched, rec.Kept = int64(len(cands)), int64(len(out))
+	rec.Evaluated, rec.Admitted = int64(len(cands)), admitted
 	return out, nil
 }
 
@@ -542,34 +426,28 @@ func (e *Env) postFilter(q []float32, k int, preds []filter.Predicate, cp *filte
 // visits. On a serial traversal the pass rate over visited live rows
 // is recorded as a query-local selectivity sample. Without an ANN
 // index the plan is the exhaustive scan.
-func (e *Env) singleStage(q []float32, k int, preds []filter.Predicate, cp *filter.Compiled, opts Options) ([]topk.Result, error) {
+func (e *Env) singleStage(q []float32, k int, cp *filter.Compiled, opts Options, rec *Record) ([]topk.Result, error) {
 	if e.ANN == nil {
-		return e.bruteForce(q, k, preds, cp, opts)
+		return e.bruteForce(q, k, cp, opts, rec)
 	}
 	params := opts.params()
-	var sc *selCount
-	if cp != nil && e.tracker().Enabled() && filtersSerially(e.ANN, params) {
-		sc = &selCount{}
-		params.Filter = sc.wrap(cp, opts.Deleted)
+	if cp != nil && filtersSerially(e.ANN, params) {
+		params.Filter = countingFilter(cp, opts.Deleted, rec)
 	} else {
 		params.Filter = visitFilter(cp, opts.Deleted)
 	}
-	res, err := e.probe(e.ANN, q, k, params, opts.Span)
-	if err == nil && sc != nil && sc.evaluated >= minSelEvals {
-		e.recordMeasuredSel(preds, sc.admitted, sc.evaluated)
-	}
-	return res, err
+	return e.probe(e.ANN, q, k, params, rec)
 }
 
 // indexOrFlat answers an unpredicated top-k over the live rows: the
 // ANN index when there is one, the exhaustive scan otherwise.
-func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, error) {
+func (e *Env) indexOrFlat(q []float32, k int, opts Options, rec *Record) ([]topk.Result, error) {
 	if e.ANN == nil {
-		return e.bruteForce(q, k, nil, nil, opts)
+		return e.bruteForce(q, k, nil, opts, rec)
 	}
 	params := opts.params()
 	params.Filter = visitFilter(nil, opts.Deleted)
-	return e.probe(e.ANN, q, k, params, opts.Span)
+	return e.probe(e.ANN, q, k, params, rec)
 }
 
 // Plan chooses an execution plan for a (k, preds) query shape without
@@ -577,8 +455,9 @@ func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, erro
 // policy here, and any other value is a planner.ErrPolicy — a caller
 // forcing a plan (planner.ParsePolicy) runs it with Execute. Search
 // composes Plan and Execute; batch callers plan once here and reuse the
-// plan for every query in the batch. span, when non-nil, receives the
-// "plan" stage span.
+// plan for every query in the batch. rec, when non-nil, receives the
+// plan stage (nil plans into a local record); either way it is
+// published.
 //
 // The optimizer is planner.CostBased over the query's sampled
 // selectivity and, once the Env's statistics (Stats, or its own
@@ -587,32 +466,33 @@ func (e *Env) indexOrFlat(q []float32, k int, opts Options) ([]topk.Result, erro
 // defaults. The sampled estimate is used for plan choice only; the
 // selectivity histograms are fed measured survivor fractions by the
 // execution paths (bitmap cardinalities, per-row filter pass rates).
-func (e *Env) Plan(k int, preds []filter.Predicate, policy string, span *obs.Span) (planner.Plan, error) {
+func (e *Env) Plan(k int, preds []filter.Predicate, policy string, rec *Record) (p planner.Plan, err error) {
+	if rec == nil {
+		rec = new(Record)
+	}
+	defer func() { e.publish(rec, err) }()
 	var cp *filter.Compiled
 	if len(preds) > 0 && e.Attrs != nil {
-		var err error
 		if cp, err = e.Attrs.Compile(preds); err != nil {
 			return planner.Plan{}, err
 		}
 	}
-	return e.plan(k, cp, policy, span)
+	rec.preds = preds
+	err = e.plan(k, cp, policy, rec)
+	return rec.Plan, err
 }
 
 // plan selects the plan for a query whose predicates are already
-// compiled (cp nil plans as unfiltered). When traced, the "plan" span
-// carries the optimizer's inputs — index_comps and attr_cost_ppm, each
-// tagged "measured" or "default" — so a plan that depends on served
+// compiled (cp nil plans as unfiltered), recording the plan stage and
+// the optimizer's inputs into rec — so a plan that depends on served
 // history can be explained from the trace.
-func (e *Env) plan(k int, cp *filter.Compiled, policy string, span *obs.Span) (planner.Plan, error) {
+func (e *Env) plan(k int, cp *filter.Compiled, policy string, rec *Record) error {
 	if policy != "" {
-		return planner.Plan{}, fmt.Errorf("%w %q: the executor plans with the optimizer only; run a forced plan with Execute", planner.ErrPolicy, policy)
+		return fmt.Errorf("%w %q: the executor plans with the optimizer only; run a forced plan with Execute", planner.ErrPolicy, policy)
 	}
-	psp := span.Start("plan")
 	start := time.Now()
-	env := planner.Env{
-		N: e.N, K: k, HasIndex: e.ANN != nil, Selectivity: 1,
-	}
-	if qi, ok := e.ANN.(index.Quantized); ok && qi.QuantizedScan() {
+	env := planner.Env{N: e.N, K: k, HasIndex: e.ANN != nil, Selectivity: 1}
+	if quantized(e.ANN) {
 		// Mark the index as quantized without a static discount: the
 		// sq8 LUT scan is no cheaper per comparison than the float32
 		// kernel (planner.Env.QuantRatio). Only a measured ratio below
@@ -620,32 +500,12 @@ func (e *Env) plan(k int, cp *filter.Compiled, policy string, span *obs.Span) (p
 		env.QuantRatio = 1
 	}
 	if cp != nil {
-		sel := cp.EstimateSelectivity(256)
-		env.Selectivity = sel
-		psp.Annotate("selectivity_ppm", int64(sel*1e6))
+		env.Selectivity = cp.EstimateSelectivity(256)
 	}
-	env = planner.AdaptiveEnv(env, e.observed())
-	plan := planner.CostBased(env)
-	if psp != nil {
-		in := env.Normalized()
-		psp.Annotate("index_comps", int64(in.IndexComps))
-		psp.Tag("index_comps_source", inputSource(env.IndexComps))
-		psp.Annotate("attr_cost_ppm", int64(in.AttrCostRatio*1e6))
-		psp.Tag("attr_cost_source", inputSource(env.AttrCostRatio))
-	}
-	psp.Tag("plan", plan.Kind.String())
-	stagePlan.Observe(time.Since(start).Seconds())
-	psp.End()
-	return plan, nil
-}
-
-// inputSource names where an optimizer input came from: AdaptiveEnv
-// sets only the inputs it measured, the rest plan at their defaults.
-func inputSource(v float64) string {
-	if v > 0 {
-		return "measured"
-	}
-	return "default"
+	rec.Inputs = planner.AdaptiveEnv(env, e.observed())
+	rec.Plan = planner.CostBased(rec.Inputs)
+	rec.stage(stagePlan, time.Since(start))
+	return nil
 }
 
 // observed assembles the planner's measured statistics from the Env's
@@ -672,131 +532,135 @@ func (e *Env) observed() planner.Observed {
 }
 
 // Search plans (Plan: policy must be "") and executes in one step.
-func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options, policy string) ([]topk.Result, planner.Plan, error) {
+func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options, policy string) (res []topk.Result, p planner.Plan, err error) {
+	rec := opts.Record
+	if rec == nil {
+		rec = new(Record)
+	}
+	defer func() { e.publish(rec, err) }()
 	// One compile serves planning (the selectivity sample) and execution.
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, planner.Plan{}, err
 	}
-	plan, err := e.plan(k, cp, policy, opts.Span)
-	if err != nil {
+	if err = e.plan(k, cp, policy, rec); err != nil {
 		return nil, planner.Plan{}, err
 	}
-	if err := e.checkQuery(q, k); err != nil {
-		return nil, plan, err
+	if err = e.checkQuery(q, k); err != nil {
+		return nil, rec.Plan, err
 	}
-	res, err := e.execute(plan, q, k, preds, cp, opts)
-	return res, plan, err
+	res, err = e.execute(rec.Plan, q, k, preds, cp, opts, rec)
+	return res, rec.Plan, err
 }
 
 // SearchBatch answers a batch of queries (Section 2.1(3), batched
 // queries), fanning out over the shared worker pool — the same pool
 // intra-query partitioned scans draw from, so batch × intra-query
-// nesting cannot oversubscribe the machine. Results align with the
-// input order.
+// nesting cannot oversubscribe the machine. Results and records (one
+// per query, each published) align with the input order.
 //
-// A failing query does not discard the others: its slot is nil and the
-// returned error (joined across failures) wraps each failing query's
-// index, mirroring the partial-results philosophy of the distributed
-// read path. Callers that need all-or-nothing can treat any non-nil
-// error as fatal.
-func (e *Env) SearchBatch(p planner.Plan, qs [][]float32, k int, preds []filter.Predicate, opts Options) ([][]topk.Result, error) {
-	// One compile serves the whole batch: a Compiled is immutable.
-	cp, err := e.compile(preds)
-	if err != nil {
-		return make([][]topk.Result, len(qs)), err
-	}
+// A failing query does not discard the others: its slot is nil, its
+// record carries its error, and the returned error (joined across
+// failures) wraps each failing query's index, mirroring the
+// partial-results philosophy of the distributed read path. Callers that
+// need all-or-nothing can treat any non-nil error as fatal.
+func (e *Env) SearchBatch(p planner.Plan, qs [][]float32, k int, preds []filter.Predicate, opts Options) ([][]topk.Result, []Record, error) {
 	out := make([][]topk.Result, len(qs))
-	errs := make([]error, len(qs))
+	recs := make([]Record, len(qs))
+	// One compile serves the whole batch: a Compiled is immutable.
+	cp, cerr := e.compile(preds)
 	pool.Default().Run(len(qs), func(i int) {
-		if errs[i] = e.checkQuery(qs[i], k); errs[i] == nil {
-			out[i], errs[i] = e.execute(p, qs[i], k, preds, cp, opts)
+		err := cerr
+		if err == nil {
+			err = e.checkQuery(qs[i], k)
 		}
+		if err == nil {
+			out[i], err = e.execute(p, qs[i], k, preds, cp, opts, &recs[i])
+		}
+		e.publish(&recs[i], err)
 	})
+	if cerr != nil {
+		return out, recs, cerr
+	}
 	var failed []error
-	for i, err := range errs {
-		if err != nil {
+	for i := range recs {
+		if err := recs[i].Err; err != nil {
 			out[i] = nil
 			failed = append(failed, fmt.Errorf("query %d: %w", i, err))
 		}
 	}
-	return out, errors.Join(failed...)
+	return out, recs, errors.Join(failed...)
 }
 
 // SearchRange answers a range query: all (admitted) vectors within the
 // given distance threshold. It is an exhaustive operator: predicates
 // and the deletion mask in opts become one allowlist (the "filter"
-// stage, as in Execute), and the scan over it records a "range_scan"
-// span under opts.Span and counts against the flat index family.
-func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
+// stage, as in Execute), and the scan over it is the "range_scan" stage,
+// counted against the flat index family.
+func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate, opts Options) (res []topk.Result, err error) {
+	rec := opts.Record
+	if rec == nil {
+		rec = new(Record)
+	}
+	defer func() { e.publish(rec, err) }()
 	e.advise(AdviseSequential)
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, err
 	}
+	rec.preds = preds
 	params := opts.params()
-	if params.Allow, _, err = e.filterStage(preds, cp, opts); err != nil {
+	if params.Allow, err = e.allowlist(cp, &params, opts.Deleted, rec); err != nil {
 		return nil, err
 	}
-	var st index.SearchStats
-	params.Stats = &st
-	sp := opts.Span.Start("range_scan")
+	params.Stats = &rec.Probe
 	start := time.Now()
-	res, err := e.Flat.SearchRange(q, radius, params)
-	stageRange.Observe(time.Since(start).Seconds())
+	res, err = e.Flat.SearchRange(q, radius, params)
+	rec.stage(stageRange, time.Since(start))
 	releaseBitmap(params.Allow)
-	sp.Annotate("distance_comps", st.DistanceComps)
-	sp.Annotate("hits", int64(len(res)))
-	sp.End()
-	obs.IndexProbes.With("flat").Inc()
-	obs.IndexDistanceComps.With("flat").Add(st.DistanceComps)
+	e.probed(rec, e.Flat, 0)
+	rec.Hits = int64(len(res))
 	return res, err
 }
 
-// ReplayANN answers a (k, preds) query with one ANN index probe at
-// explicitly pinned search parameters (ef for graph/tree families,
-// nprobe for partition families), bypassing plan selection AND the
-// serving-path metrics — no probe counters, no stage histograms, no
-// stats observations. The recall tuner uses it to replay sampled
-// queries at every candidate parameter value against the exact ground
-// truth on a pinned snapshot: the returned SearchStats carries the
-// probe's distance-computation cost, which together with the recall
-// against ExactGroundTruth forms one point on the recall-vs-cost
-// frontier. Predicates are pushed down as a traversal filter (the
-// visit-first shape), so the replay measures the index's filtered
-// behavior without depending on the plan the serving path happened to
-// pick. deleted mirrors Options.Deleted (deletion mask).
+// ReplayANN answers a (k, preds) query with one single-stage ANN probe
+// at explicitly pinned search parameters (ef for graph/tree families,
+// nprobe for partition families), bypassing plan selection, and
+// publishes nothing: no probe counters, no stage histograms, no stats
+// observations. The recall loop uses it to replay sampled queries at
+// every candidate parameter value against the exact ground truth on a
+// pinned snapshot: the returned SearchStats carries the probe's
+// distance-computation cost, which together with the recall against
+// ExactGroundTruth forms one point on the recall-vs-cost frontier.
+// Predicates are pushed down as a traversal filter (the visit-first
+// shape), so the replay measures the index's filtered behavior without
+// depending on the plan the serving path happened to pick. deleted
+// mirrors Options.Deleted (deletion mask).
 func (e *Env) ReplayANN(q []float32, k, ef, nprobe int, preds []filter.Predicate, deleted *bitset.Bitset) ([]topk.Result, index.SearchStats, error) {
-	var st index.SearchStats
 	if e.ANN == nil {
-		return nil, st, fmt.Errorf("executor: replay requires an ANN index")
+		return nil, index.SearchStats{}, fmt.Errorf("executor: replay requires an ANN index")
 	}
 	cp, err := e.compile(preds)
 	if err != nil {
-		return nil, st, err
+		return nil, index.SearchStats{}, err
 	}
-	params := Options{Ef: ef, NProbe: nprobe}.params()
-	params.Filter = visitFilter(cp, deleted)
-	params.Stats = &st
-	res, err := e.ANN.Search(q, k, params)
-	return res, st, err
+	var rec Record
+	res, err := e.singleStage(q, k, cp, Options{Ef: ef, NProbe: nprobe, Deleted: deleted}, &rec)
+	return res, rec.Probe, err
 }
 
-// ExactGroundTruth answers a (k, preds) query with the exhaustive
-// exact scan, bypassing plan selection AND the serving-path metrics:
-// no probe counters, no stage histograms, no stats observations. The
-// recall auditor uses it to compute ground truth on a pinned snapshot
-// without the audit inflating the very serving statistics it is
-// meant to validate. deleted mirrors Options.Deleted (deletion mask).
+// ExactGroundTruth answers a (k, preds) query with the exhaustive exact
+// scan, bypassing plan selection, and publishes nothing: no probe
+// counters, no stage histograms, no stats observations. The recall loop
+// uses it to compute ground truth on a pinned snapshot without the pass
+// inflating the very serving statistics it is meant to validate.
+// deleted mirrors Options.Deleted (deletion mask).
 func (e *Env) ExactGroundTruth(q []float32, k int, preds []filter.Predicate, deleted *bitset.Bitset) ([]topk.Result, error) {
 	e.advise(AdviseSequential)
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, err
 	}
-	var params index.Params
-	params.Allow, _, _ = e.allowBitmap(cp, deleted, nil)
-	res, err := e.Flat.Search(q, k, params)
-	releaseBitmap(params.Allow)
-	return res, err
+	var rec Record
+	return e.bruteForce(q, k, cp, Options{Deleted: deleted}, &rec)
 }

@@ -9,7 +9,6 @@ import (
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/index/hnsw"
-	"vdbms/internal/obs"
 	"vdbms/internal/planner"
 	"vdbms/internal/stats"
 	"vdbms/internal/vec"
@@ -204,11 +203,11 @@ func TestStandaloneEnvMeasuresItself(t *testing.T) {
 	owned.Stats = stats.New("owned")
 	planTags := func() map[string]string {
 		t.Helper()
-		tr := obs.NewTrace("plan")
-		if _, err := standalone.Plan(5, catLt(10), "", tr.Root()); err != nil {
+		var rec Record
+		if _, err := standalone.Plan(5, catLt(10), "", &rec); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Finish().Children[0].Tags
+		return rec.Trace("plan", 0).Children[0].Tags
 	}
 	if tags := planTags(); tags["index_comps_source"] != "default" || tags["attr_cost_source"] != "default" {
 		t.Fatalf("cold plan inputs: %v", tags)
@@ -276,7 +275,7 @@ func TestSearchBatchMatchesSingles(t *testing.T) {
 	env, ds := buildEnv(t, 1000)
 	qs := ds.Queries(16, 0.05, 7)
 	plan := planner.Plan{Kind: planner.SingleStage}
-	batch, err := env.SearchBatch(plan, qs, 5, nil, Options{Ef: 100})
+	batch, _, err := env.SearchBatch(plan, qs, 5, nil, Options{Ef: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestSearchBatchMatchesSingles(t *testing.T) {
 
 func TestSearchBatchPropagatesErrors(t *testing.T) {
 	env, _ := buildEnv(t, 100)
-	if _, err := env.SearchBatch(planner.Plan{}, [][]float32{{1}}, 5, nil, Options{}); err == nil {
+	if _, _, err := env.SearchBatch(planner.Plan{}, [][]float32{{1}}, 5, nil, Options{}); err == nil {
 		t.Fatal("want dim error from batch")
 	}
 }
@@ -529,7 +528,7 @@ func TestSearchBatchPartialResults(t *testing.T) {
 	qs := ds.Queries(4, 0.05, 3)
 	qs[2] = []float32{1} // wrong dimensionality
 	plan := planner.Plan{Kind: planner.SingleStage}
-	batch, err := env.SearchBatch(plan, qs, 5, nil, Options{Ef: 100})
+	batch, _, err := env.SearchBatch(plan, qs, 5, nil, Options{Ef: 100})
 	if err == nil {
 		t.Fatal("want an error for the bad query")
 	}

@@ -75,8 +75,14 @@ func (e *Env) MultiVectorExact(m *EntityMap, agg vec.Aggregator, queries [][]flo
 // MultiVectorANN generates candidate entities by running one ANN
 // search of width fanout per query vector, then aggregate-scores only
 // the union — trading a small recall loss for large speedups when
-// entities are many.
-func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k, fanout int, opts Options) ([]topk.Result, error) {
+// entities are many. The probes fold into one index_probe stage of the
+// query's record.
+func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k, fanout int, opts Options) (_ []topk.Result, err error) {
+	rec := opts.Record
+	if rec == nil {
+		rec = new(Record)
+	}
+	defer func() { e.publish(rec, err) }()
 	if k <= 0 {
 		return nil, fmt.Errorf("executor: k must be positive")
 	}
@@ -85,7 +91,7 @@ func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float
 	}
 	cands := map[int64]struct{}{}
 	for _, q := range queries {
-		res, err := e.indexOrFlat(q, fanout, opts)
+		res, err := e.indexOrFlat(q, fanout, opts, rec)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,219 @@
+package executor
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"vdbms/internal/bitset"
+	"vdbms/internal/filter"
+	"vdbms/internal/obs"
+	"vdbms/internal/planner"
+	"vdbms/internal/stats"
+	"vdbms/internal/vec"
+)
+
+// published reads every process-wide view a query's record feeds: the
+// stage histograms' sums and counts, the per-index counters of the two
+// families an Env probes, and the Env's tracker.
+type published struct {
+	stageSum   float64
+	stageCount int64
+	probes     int64
+	comps      int64
+	ann        stats.Snapshot
+}
+
+func readPublished(env *Env) published {
+	var p published
+	for _, h := range stageSeconds {
+		p.stageSum += h.Sum()
+		p.stageCount += h.Count()
+	}
+	for _, name := range []string{env.ANN.Name(), env.Flat.Name()} {
+		p.probes += obs.IndexProbes.With(name).Value()
+		p.comps += obs.IndexDistanceComps.With(name).Value()
+	}
+	p.ann = env.tracker().Snapshot(0, 0, 0)
+	return p
+}
+
+// trackerComps is the tracker's total ANN probe comps.
+func trackerComps(s stats.Snapshot) int64 {
+	return int64(math.Round(s.ANNProbeMeanComps * float64(s.ANNProbes)))
+}
+
+// TestRecordReconciles: the trace and the process-wide views are read
+// from the same record, so they agree exactly. Over 100 queries per
+// forced plan, 100 planned ones, a batch, multi-vector and range
+// queries, the traces' stage durations sum to what the stage histograms
+// gained (to float rounding), their distance_comps to what the per-index
+// counters gained, and their ANN probes' comps to what the tracker's
+// probe cost gained.
+func TestRecordReconciles(t *testing.T) {
+	env, ds := buildEnv(t, 4000)
+	env.Stats = stats.New("reconcile")
+	qs := ds.Queries(100, 0.05, 3)
+	var traceNanos, traceComps, annComps int64
+	add := func(rec *Record) {
+		t.Helper()
+		if rec.Err != nil {
+			t.Fatal(rec.Err)
+		}
+		for _, sp := range rec.Trace("search", 0).Children {
+			traceNanos += sp.DurationNanos
+			traceComps += sp.Annotations["distance_comps"]
+			if sp.Stage == "index_probe" && sp.Tags["index"] == env.ANN.Name() {
+				annComps += sp.Annotations["distance_comps"]
+			}
+		}
+	}
+	preds := func(i int) []filter.Predicate {
+		if i%2 == 0 {
+			return nil
+		}
+		return catLt(int64(1 + i%60))
+	}
+	before := readPublished(env)
+	for _, p := range planner.Enumerate(true, 4) {
+		for i, q := range qs {
+			var rec Record
+			env.Execute(p, q, 10, preds(i), Options{Ef: 32, Record: &rec}) //nolint:errcheck
+			add(&rec)
+		}
+	}
+	for i, q := range qs {
+		var rec Record
+		env.Search(q, 10, preds(i), Options{Ef: 32, Record: &rec}, "") //nolint:errcheck
+		add(&rec)
+	}
+	_, recs, err := env.SearchBatch(planner.Plan{Kind: planner.PreFilter}, qs[:20], 10, catLt(30), Options{Ef: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		add(&recs[i])
+	}
+	owner := make([]int64, ds.Count)
+	for i := range owner {
+		owner[i] = int64(i / 4)
+	}
+	m := NewEntityMap(owner)
+	for i := 0; i+3 <= 30; i += 3 {
+		var rec Record
+		env.MultiVectorANN(m, vec.AggMin, qs[i:i+3], nil, 5, 0, Options{Ef: 32, Record: &rec}) //nolint:errcheck
+		if rec.Probes != 3 || len(rec.Trace("search", 0).Children) != 1 {
+			t.Fatalf("multi-vector record: %d probes, trace %+v; want 3 probes folded into one index_probe", rec.Probes, rec.Trace("search", 0))
+		}
+		add(&rec)
+	}
+	for i, q := range qs[:20] {
+		var rec Record
+		env.SearchRange(q, 0.5, preds(i), Options{Record: &rec}) //nolint:errcheck
+		add(&rec)
+	}
+	after := readPublished(env)
+
+	if diff := math.Abs(after.stageSum - before.stageSum - float64(traceNanos)/1e9); diff > 1e-6 {
+		t.Fatalf("stage histograms gained %.9fs, traces sum to %.9fs: off by %.3gs", after.stageSum-before.stageSum, float64(traceNanos)/1e9, diff)
+	}
+	if got := after.comps - before.comps; got != traceComps {
+		t.Fatalf("vdbms_index_distance_comps_total gained %d, traces sum to %d", got, traceComps)
+	}
+	if got := trackerComps(after.ann) - trackerComps(before.ann); got != annComps || annComps == 0 {
+		t.Fatalf("tracker probe comps gained %d, traces' %s probes sum to %d", got, env.ANN.Name(), annComps)
+	}
+}
+
+// TestReplayPublishesNothing: the recall loop's exact scan and ANN
+// replay run the serving operators but publish nothing — no stage
+// histogram, per-index counter or tracker observation moves — while
+// answering what the serving path answers.
+func TestReplayPublishesNothing(t *testing.T) {
+	env, ds := buildEnv(t, 2000)
+	env.Stats = stats.New("replay")
+	q := ds.Queries(1, 0.05, 4)[0]
+	del := bitset.New(ds.Count)
+	del.Set(7)
+	// Warm the tracker so a stray observation would show.
+	if _, err := env.Execute(planner.Plan{Kind: planner.SingleStage}, q, 10, catLt(50), Options{Ef: 32}); err != nil {
+		t.Fatal(err)
+	}
+	before := readPublished(env)
+	truth, err := env.ExactGroundTruth(q, 10, catLt(50), del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, st, err := env.ReplayANN(q, 10, 32, 0, catLt(50), del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := readPublished(env)
+	if after.stageCount != before.stageCount || after.stageSum != before.stageSum || after.probes != before.probes || after.comps != before.comps {
+		t.Fatalf("replay published: before %+v, after %+v", before, after)
+	}
+	if after.ann.ANNProbes != before.ann.ANNProbes || after.ann.Calibration != before.ann.Calibration || after.ann.Selectivity["cat"].Count != before.ann.Selectivity["cat"].Count {
+		t.Fatalf("replay fed the tracker: before %+v, after %+v", before.ann, after.ann)
+	}
+	if st.DistanceComps == 0 || len(res) == 0 {
+		t.Fatalf("replay returned %d hits at %d comps", len(res), st.DistanceComps)
+	}
+	want, err := env.Execute(planner.Plan{Kind: planner.BruteForce}, q, 10, catLt(50), Options{Deleted: del})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if truth[i] != want[i] {
+			t.Fatalf("ground truth %v, serving brute force %v", truth, want)
+		}
+	}
+}
+
+// TestRecordTrace: the trace lists the stages that ran in execution
+// order with their counters — the plan's inputs and sources, the
+// filter's survivors, the probe's index and work, the post-filter's
+// fetched and kept — each lasting what the record measured.
+func TestRecordTrace(t *testing.T) {
+	env, ds := buildEnv(t, 2000)
+	q := ds.Queries(1, 0.05, 5)[0]
+	var rec Record
+	if _, err := env.Execute(planner.Plan{Kind: planner.BruteForce}, q, 5, catLt(10), Options{Record: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	rep := rec.Trace("search", time.Second)
+	if rep.Stage != "search" || rep.DurationNanos != int64(time.Second) || len(rep.Children) != 2 {
+		t.Fatalf("brute-force trace %+v, want search root over filter and index_probe", rep)
+	}
+	f, p := rep.Children[0], rep.Children[1]
+	if f.Stage != "filter" || f.Annotations["survivors"] != 200 || f.DurationNanos <= 0 {
+		t.Fatalf("filter stage %+v, want 200 survivors", f)
+	}
+	if p.Stage != "index_probe" || p.Tags["index"] != "flat" || p.Annotations["k"] != 5 || p.Annotations["distance_comps"] != 200 {
+		t.Fatalf("probe stage %+v, want flat k=5 over the 200 survivors", p)
+	}
+
+	rec = Record{}
+	if _, err := env.Execute(planner.Plan{Kind: planner.PostFilter, Alpha: 4}, q, 5, catLt(50), Options{Ef: 64, Record: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	rep = rec.Trace("search", 0)
+	if len(rep.Children) != 2 || rep.Children[0].Stage != "index_probe" || rep.Children[1].Stage != "post_filter" {
+		t.Fatalf("post-filter trace %+v, want index_probe then post_filter", rep)
+	}
+	if a := rep.Children[1].Annotations; a["fetched"] != 20 || a["kept"] != 5 {
+		t.Fatalf("post_filter annotations %v, want 20 fetched, 5 kept", a)
+	}
+
+	rec = Record{}
+	_, plan, err := env.Search(q, 5, catLt(10), Options{Ef: 64, Record: &rec}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := rec.Trace("search", 0).Children[0]
+	if ps.Stage != "plan" || ps.Tags["plan"] != plan.Kind.String() || ps.Tags["index_comps_source"] != "default" || ps.Tags["attr_cost_source"] != "default" {
+		t.Fatalf("plan stage %+v, want plan %v from default inputs", ps, plan.Kind)
+	}
+	if a := ps.Annotations; a["selectivity_ppm"] <= 0 || a["index_comps"] <= 0 || a["attr_cost_ppm"] <= 0 {
+		t.Fatalf("plan annotations %v", a)
+	}
+}

@@ -56,7 +56,6 @@ var (
 	IndexDistanceComps = Default().NewCounterVec("vdbms_index_distance_comps_total", "Full-vector distance computations by index family.", "index")
 	IndexNodesVisited  = Default().NewCounterVec("vdbms_index_nodes_visited_total", "Graph nodes visited during probes by index family.", "index")
 	IndexBucketsProbed = Default().NewCounterVec("vdbms_index_buckets_probed_total", "IVF/LSH buckets scanned by index family.", "index")
-	IndexIOReads       = Default().NewCounterVec("vdbms_index_io_reads_total", "Disk record reads by index family.", "index")
 	IndexPartitions    = Default().NewCounterVec("vdbms_index_partitions_total", "Parallel scan partitions executed by index family.", "index")
 
 	// Distributed read path (internal/dist).

@@ -1,185 +1,13 @@
 package obs
 
-import (
-	"context"
-	"sync"
-	"time"
-)
-
-// Trace is a per-query span tree: each pipeline stage (plan, filter,
-// index probe, top-k merge, shard fan-out, ...) opens a child span
-// under the root and records its duration plus integer annotations
-// (probe counts, visited nodes, retries). All methods are safe on a
-// nil receiver and no-op, so instrumented code paths pay only a nil
-// check when tracing is off.
-type Trace struct {
-	root *Span
-}
-
-// NewTrace starts a trace whose root span is named stage.
-func NewTrace(stage string) *Trace {
-	return &Trace{root: newSpan(stage)}
-}
-
-// Root returns the root span (nil on a nil trace).
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
-
-// Finish ends the root span and returns the report (nil on a nil
-// trace).
-func (t *Trace) Finish() *SpanReport {
-	if t == nil {
-		return nil
-	}
-	t.root.End()
-	r := t.root.Report()
-	return &r
-}
-
-// Span is one timed stage. Child spans record sub-stages; Annotate
-// and Tag attach counters and strings. Spans are safe for concurrent
-// use (the distributed fan-out opens per-shard children from separate
-// goroutines).
-type Span struct {
-	mu       sync.Mutex
-	stage    string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	annots   map[string]int64
-	tags     map[string]string
-	children []*Span
-}
-
-func newSpan(stage string) *Span {
-	return &Span{stage: stage, start: time.Now()}
-}
-
-// Start opens a child span. Safe (and free) on a nil receiver.
-func (s *Span) Start(stage string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := newSpan(stage)
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
-// End records the span's duration. Later calls are ignored.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.dur = time.Since(s.start)
-		s.ended = true
-	}
-	s.mu.Unlock()
-}
-
-// Annotate adds v to the integer annotation key.
-func (s *Span) Annotate(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.annots == nil {
-		s.annots = map[string]int64{}
-	}
-	s.annots[key] += v
-	s.mu.Unlock()
-}
-
-// Tag sets a string attribute.
-func (s *Span) Tag(key, value string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.tags == nil {
-		s.tags = map[string]string{}
-	}
-	s.tags[key] = value
-	s.mu.Unlock()
-}
-
-// Duration returns the recorded duration (elapsed-so-far when the
-// span has not ended).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}
-
-// SpanReport is the JSON-serializable form of a span tree.
+// SpanReport is the JSON form of a query's span tree: a root stage, its
+// duration, integer annotations (probe counts, visited nodes, ...),
+// string tags, and the child stages in execution order. The executor
+// renders it from a query's record (executor.Record.Trace).
 type SpanReport struct {
 	Stage         string            `json:"stage"`
 	DurationNanos int64             `json:"duration_ns"`
 	Annotations   map[string]int64  `json:"annotations,omitempty"`
 	Tags          map[string]string `json:"tags,omitempty"`
 	Children      []SpanReport      `json:"children,omitempty"`
-}
-
-// Report materializes the span tree. Unended spans report elapsed
-// time so far.
-func (s *Span) Report() SpanReport {
-	if s == nil {
-		return SpanReport{}
-	}
-	s.mu.Lock()
-	dur := s.dur
-	if !s.ended {
-		dur = time.Since(s.start)
-	}
-	r := SpanReport{Stage: s.stage, DurationNanos: int64(dur)}
-	if len(s.annots) > 0 {
-		r.Annotations = make(map[string]int64, len(s.annots))
-		for k, v := range s.annots {
-			r.Annotations[k] = v
-		}
-	}
-	if len(s.tags) > 0 {
-		r.Tags = make(map[string]string, len(s.tags))
-		for k, v := range s.tags {
-			r.Tags[k] = v
-		}
-	}
-	children := make([]*Span, len(s.children))
-	copy(children, s.children)
-	s.mu.Unlock()
-	for _, c := range children {
-		r.Children = append(r.Children, c.Report())
-	}
-	return r
-}
-
-type spanCtxKey struct{}
-
-// WithSpan attaches a span to ctx for layers whose signatures cannot
-// carry one (the distributed router). A nil span returns ctx
-// unchanged.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFrom returns the span attached to ctx, or nil.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	return s
 }

@@ -226,13 +226,9 @@ func (r *Rate) PerSecond() float64 {
 
 // Collection tracks online statistics for one collection. All record
 // methods are safe for concurrent use; the query-side ones are a few
-// atomic adds. Enabled gates query-shape recording and reservoir
-// sampling (the toggle the observability overhead benchmark flips);
-// the mutation counters stay on regardless because they cost nothing
-// and recovery/tests rely on them.
+// atomic adds.
 type Collection struct {
-	name    string
-	enabled atomic.Bool
+	name string
 
 	inserts, updates, deletes atomic.Int64
 	insertRate, updateRate    *Rate
@@ -271,7 +267,7 @@ type Collection struct {
 	sel   map[string]*SelHist
 }
 
-// New creates an enabled stats tracker for the named collection.
+// New creates a stats tracker for the named collection.
 func New(name string) *Collection {
 	c := &Collection{
 		name:       name,
@@ -284,15 +280,8 @@ func New(name string) *Collection {
 		nprobe:     NewBucketDist(nil),
 		sel:        map[string]*SelHist{},
 	}
-	c.enabled.Store(true)
 	return c
 }
-
-// SetEnabled toggles query-shape recording and reservoir sampling.
-func (c *Collection) SetEnabled(on bool) { c.enabled.Store(on) }
-
-// Enabled reports whether query observation is on.
-func (c *Collection) Enabled() bool { return c.enabled.Load() }
 
 // RecordInsert counts n inserted rows.
 func (c *Collection) RecordInsert(n int64) {
@@ -319,9 +308,6 @@ func (c *Collection) RecordDelete() {
 func (c *Collection) RecordQuery(k, ef, nprobe int, hasFilter bool) {
 	c.queries.Add(1)
 	c.queryRate.Mark(1)
-	if !c.enabled.Load() {
-		return
-	}
 	if hasFilter {
 		c.filtered.Add(1)
 	}
@@ -330,15 +316,12 @@ func (c *Collection) RecordQuery(k, ef, nprobe int, hasFilter bool) {
 	c.nprobe.Observe(int64(nprobe))
 }
 
-// RecordProbe records one ANN index probe's distance-computation
-// count. Exact (flat) scans are excluded by the caller: the statistic
-// estimates the cost of an index probe, which is what the cost model
-// needs.
-func (c *Collection) RecordProbe(comps int64) {
-	if !c.enabled.Load() {
-		return
-	}
-	c.probeCount.Add(1)
+// RecordProbe records n ANN index probes that made comps distance
+// computations between them. Exact (flat) scans are excluded by the
+// caller: the statistic estimates the cost of an index probe, which is
+// what the cost model needs.
+func (c *Collection) RecordProbe(n, comps int64) {
+	c.probeCount.Add(n)
 	c.probeComps.Add(comps)
 }
 
@@ -359,7 +342,7 @@ func (c *Collection) MeanProbeComps() (float64, int64) {
 // exact-scan timer (flat probes, the cleanest full-precision
 // baseline).
 func (c *Collection) RecordCompCost(nanos, comps int64, quantized bool) {
-	if !c.enabled.Load() || nanos <= 0 || comps <= 0 {
+	if nanos <= 0 || comps <= 0 {
 		return
 	}
 	if quantized {
@@ -377,7 +360,7 @@ func (c *Collection) RecordCompCost(nanos, comps int64, quantized bool) {
 // predicate work: nanos spent performing evals predicate evaluations
 // (a bitmap build evaluates every live row once).
 func (c *Collection) RecordAttrCost(nanos, evals int64) {
-	if !c.enabled.Load() || nanos <= 0 || evals <= 0 {
+	if nanos <= 0 || evals <= 0 {
 		return
 	}
 	c.attrNanos.Add(nanos)
@@ -423,9 +406,6 @@ func (c *Collection) Calibration() Calibration {
 // deliberately coarse (DESIGN.md §11). The planner does not read it:
 // it plans with each query's own sampled estimate.
 func (c *Collection) RecordSelectivity(col string, sel float64) {
-	if !c.enabled.Load() {
-		return
-	}
 	c.selMu.RLock()
 	h := c.sel[col]
 	c.selMu.RUnlock()

@@ -86,24 +86,22 @@ func TestRateWindow(t *testing.T) {
 	}
 }
 
-func TestRecordQueryGating(t *testing.T) {
+// TestRecordQueryShape: every query lands in the counters and the shape
+// distributions, and probes are counted with the comps they made.
+func TestRecordQueryShape(t *testing.T) {
 	c := New("c")
 	c.RecordQuery(10, 64, 0, true)
-	c.SetEnabled(false)
 	c.RecordQuery(20, 0, 0, false)
 	s := c.Snapshot(0, 0, 0)
-	if s.Queries != 2 {
-		t.Fatalf("queries = %d, want 2 (raw counter stays on)", s.Queries)
-	}
-	if s.K.Count != 1 {
-		t.Fatalf("k observations = %d, want 1 (shape recording gated off)", s.K.Count)
+	if s.Queries != 2 || s.K.Count != 2 || s.K.Mean != 15 {
+		t.Fatalf("queries = %d, k = %+v, want 2 queries of mean k 15", s.Queries, s.K)
 	}
 	if s.FilteredFraction != 0.5 {
 		t.Fatalf("filtered fraction = %v, want 0.5", s.FilteredFraction)
 	}
-	c.RecordProbe(100)
-	if _, n := c.MeanProbeComps(); n != 0 {
-		t.Fatalf("probe recorded while disabled: n=%d", n)
+	c.RecordProbe(3, 300)
+	if mean, n := c.MeanProbeComps(); n != 3 || mean != 100 {
+		t.Fatalf("probes = %d of mean %v comps, want 3 of 100", n, mean)
 	}
 }
 
@@ -156,7 +154,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				c.RecordQuery(10, 64, 4, i%2 == 0)
-				c.RecordProbe(100)
+				c.RecordProbe(1, 100)
 				c.RecordSelectivity("col", 0.3)
 				c.RecordInsert(1)
 				if i%50 == 0 {
@@ -208,15 +206,7 @@ func TestCalibration(t *testing.T) {
 	if got := c.Calibration(); got != cal {
 		t.Fatalf("garbage observation changed calibration: %+v", got)
 	}
-	// Disabled tracker records nothing.
-	c.SetEnabled(false)
-	c.RecordCompCost(100_000, 1000, false)
-	c.RecordAttrCost(100_000, 1000)
-	if got := c.Calibration(); got != cal {
-		t.Fatalf("disabled tracker recorded calibration: %+v", got)
-	}
 	// Snapshot carries the calibration through.
-	c.SetEnabled(true)
 	if s := c.Snapshot(0, 0, 0); s.Calibration != cal {
 		t.Fatalf("snapshot calibration = %+v, want %+v", s.Calibration, cal)
 	}

@@ -24,8 +24,3 @@ type StatsSelectivity = stats.SelSnapshot
 // Stats returns the collection's online statistics. Lock-free: reading
 // it never contends with searches or writers.
 func (c *Collection) Stats() CollectionStats { return c.inner.Stats() }
-
-// SetStatsEnabled toggles query observation (query-shape recording,
-// selectivity and probe-cost sampling). On by default; mutation and
-// query counters stay on regardless.
-func (c *Collection) SetStatsEnabled(on bool) { c.inner.SetStatsEnabled(on) }
