@@ -19,10 +19,10 @@ import (
 	"vdbms/internal/index/diskann"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/index/ivf"
-	"vdbms/internal/index/kdtree"
 	"vdbms/internal/index/lsh"
 	"vdbms/internal/index/nsg"
 	"vdbms/internal/index/nsw"
+	"vdbms/internal/index/tree"
 	"vdbms/internal/lsm"
 	"vdbms/internal/planner"
 	"vdbms/internal/quant"
@@ -139,7 +139,7 @@ func BenchmarkE4Quant(b *testing.B) {
 // BenchmarkE5Trees measures randomized-tree forest search (E5).
 func BenchmarkE5Trees(b *testing.B) {
 	ds, qs := setupBench(b)
-	tr, err := kdtree.Build(ds.Data, ds.Count, ds.Dim, kdtree.Config{Mode: kdtree.RandomDim, Trees: 8, Seed: 1})
+	tr, err := tree.Build(ds.Data, ds.Count, ds.Dim, tree.Config{Rule: tree.RandomTop5, Trees: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

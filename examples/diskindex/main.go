@@ -50,13 +50,13 @@ func main() {
 	}
 	fmt.Println("\nDiskANN beam search:")
 	for _, ef := range []int{20, 40, 80} {
-		da.ResetStats()
+		var st index.SearchStats
 		got := make([][]topk.Result, len(qs))
 		for i, q := range qs {
-			got[i], _ = da.Search(q, 10, index.Params{Ef: ef})
+			got[i], _ = da.Search(q, 10, index.Params{Ef: ef, Stats: &st})
 		}
 		fmt.Printf("  ef=%-3d recall@10=%.3f  record reads/query=%.1f\n",
-			ef, dataset.MeanRecall(got, truth), float64(da.IOReads())/float64(len(qs)))
+			ef, dataset.MeanRecall(got, truth), float64(st.IOReads)/float64(len(qs)))
 	}
 
 	// SPANN: centroids in RAM, closure-replicated posting lists on disk.
@@ -74,13 +74,13 @@ func main() {
 	}
 	fmt.Printf("\nSPANN posting lists (replication factor %.2f):\n", rf)
 	for _, nprobe := range []int{1, 2, 4, 8} {
-		sp.ResetStats()
+		var st index.SearchStats
 		got := make([][]topk.Result, len(qs))
 		for i, q := range qs {
-			got[i], _ = sp.Search(q, 10, index.Params{NProbe: nprobe})
+			got[i], _ = sp.Search(q, 10, index.Params{NProbe: nprobe, Stats: &st})
 		}
 		fmt.Printf("  nprobe=%-2d recall@10=%.3f  pages read/query=%.1f\n",
-			nprobe, dataset.MeanRecall(got, truth), float64(sp.IOReads())/float64(len(qs)))
+			nprobe, dataset.MeanRecall(got, truth), float64(st.IOReads)/float64(len(qs)))
 	}
 	fmt.Println("\nboth indexes answer from disk with a handful of I/Os per query,")
 	fmt.Println("the property that lets a single node serve collections larger than RAM.")

@@ -44,15 +44,15 @@ func runE7(w io.Writer, scale int) {
 		}
 		defer da.Close()
 		for _, ef := range efs {
-			da.ResetStats()
+			var st index.SearchStats
 			got := make([][]topk.Result, len(qs))
 			for i, q := range qs {
-				got[i], _ = da.Search(q, 10, index.Params{Ef: ef})
+				got[i], _ = da.Search(q, 10, index.Params{Ef: ef, Stats: &st})
 			}
 			t.AddRow(name, ef,
 				sharedRecall(got, truth),
-				float64(da.IOReads())/float64(len(qs)),
-				float64(da.CacheHits())/float64(len(qs)))
+				float64(st.IOReads)/float64(len(qs)),
+				float64(st.CacheHits)/float64(len(qs)))
 		}
 	}
 	run("pq-guided", diskann.Config{R: 16, Beam: 4, Seed: 1}, []int{20, 40, 80})
@@ -78,12 +78,12 @@ func runE7(w io.Writer, scale int) {
 			return
 		}
 		for _, np := range []int{1, 2, 4, 8} {
-			sp.ResetStats()
+			var st index.SearchStats
 			got := make([][]topk.Result, len(qs))
 			for i, q := range qs {
-				got[i], _ = sp.Search(q, 10, index.Params{NProbe: np})
+				got[i], _ = sp.Search(q, 10, index.Params{NProbe: np, Stats: &st})
 			}
-			t2.AddRow(eps, rf, np, sharedRecall(got, truth), float64(sp.IOReads())/float64(len(qs)))
+			t2.AddRow(eps, rf, np, sharedRecall(got, truth), float64(st.IOReads)/float64(len(qs)))
 		}
 		sp.Close()
 	}

@@ -10,13 +10,12 @@ import (
 	"vdbms/internal/index/graph"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/index/ivf"
-	"vdbms/internal/index/kdtree"
 	"vdbms/internal/index/knng"
 	"vdbms/internal/index/lsh"
 	"vdbms/internal/index/nsg"
 	"vdbms/internal/index/nsw"
-	"vdbms/internal/index/rptree"
 	"vdbms/internal/index/spectral"
+	"vdbms/internal/index/tree"
 	"vdbms/internal/quant"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
@@ -241,15 +240,15 @@ func runE5(w io.Writer, scale int) {
 			rec, qps := recallQPS(idx, qs, truth, 10, index.Params{Ef: budget})
 			t.AddRow(d, name, trees, rec, qps)
 		}
-		kd, _ := kdtree.Build(ds.Data, n, d, kdtree.Config{Mode: kdtree.Median, Seed: 1})
+		kd, _ := tree.Build(ds.Data, n, d, tree.Config{Rule: tree.Widest, Seed: 1})
 		add("kdtree", kd, 1)
-		pca, _ := kdtree.Build(ds.Data, n, d, kdtree.Config{Mode: kdtree.PCA, Seed: 1})
+		pca, _ := tree.Build(ds.Data, n, d, tree.Config{Rule: tree.NodePCA, Seed: 1})
 		add("pcatree", pca, 1)
 		for _, trees := range []int{1, 8, 32} {
-			rp, _ := rptree.Build(ds.Data, n, d, rptree.Config{Mode: rptree.RP, Trees: trees, Seed: 1})
+			rp, _ := tree.Build(ds.Data, n, d, tree.Config{Rule: tree.RP, Trees: trees, Seed: 1})
 			add("rptree", rp, trees)
 		}
-		an, _ := rptree.Build(ds.Data, n, d, rptree.Config{Mode: rptree.Annoy, Trees: 8, Seed: 1})
+		an, _ := tree.Build(ds.Data, n, d, tree.Config{Rule: tree.Annoy, Trees: 8, Seed: 1})
 		add("annoy", an, 8)
 	}
 	t.Print(w)

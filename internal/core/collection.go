@@ -39,13 +39,12 @@ import (
 	// Register every index family with the registry.
 	_ "vdbms/internal/index/hnsw"
 	_ "vdbms/internal/index/ivf"
-	_ "vdbms/internal/index/kdtree"
 	_ "vdbms/internal/index/knng"
 	_ "vdbms/internal/index/lsh"
 	_ "vdbms/internal/index/nsg"
 	_ "vdbms/internal/index/nsw"
-	_ "vdbms/internal/index/rptree"
 	_ "vdbms/internal/index/spectral"
+	_ "vdbms/internal/index/tree"
 )
 
 // Schema describes a collection at creation time.

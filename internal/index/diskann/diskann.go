@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/nsg"
@@ -54,9 +53,6 @@ type DiskANN struct {
 	codes   []byte // n * M, in RAM
 	mu      sync.Mutex
 	cache   *recordCache
-	ios     atomic.Int64
-	hits    atomic.Int64
-	comps   atomic.Int64
 }
 
 // Build constructs the Vamana graph in memory, trains the PQ codes,
@@ -244,28 +240,16 @@ func (da *DiskANN) Name() string { return "diskann" }
 // Size implements index.Index.
 func (da *DiskANN) Size() int { return da.n }
 
-// IOReads returns record reads that went to disk.
-func (da *DiskANN) IOReads() int64 { return da.ios.Load() }
-
-// CacheHits returns record reads served by the cache.
-func (da *DiskANN) CacheHits() int64 { return da.hits.Load() }
-
-// DistanceComps implements index.Stats (exact re-ranking distances
-// only; PQ table lookups are counted separately by profiling).
-func (da *DiskANN) DistanceComps() int64 { return da.comps.Load() }
-
-// ResetStats zeroes all counters.
-func (da *DiskANN) ResetStats() { da.ios.Store(0); da.hits.Store(0); da.comps.Store(0) }
-
 // readRecord fetches node id's vector and neighbors (one I/O on cache
-// miss). A failed read (a truncated or unreadable file) is returned,
-// never panicked on.
-func (da *DiskANN) readRecord(id int32) ([]float32, []int32, error) {
+// miss), counting the read into st as an IOReads or a CacheHits. A
+// failed read (a truncated or unreadable file) is returned, never
+// panicked on.
+func (da *DiskANN) readRecord(id int32, st *index.SearchStats) ([]float32, []int32, error) {
 	da.mu.Lock()
 	defer da.mu.Unlock()
 	if da.cache != nil {
 		if r, ok := da.cache.get(id); ok {
-			da.hits.Add(1)
+			st.CacheHits++
 			return r.vec, r.nbrs, nil
 		}
 	}
@@ -273,7 +257,7 @@ func (da *DiskANN) readRecord(id int32) ([]float32, []int32, error) {
 	if _, err := da.f.ReadAt(buf, da.dataOff+int64(id)*int64(da.recSize)); err != nil {
 		return nil, nil, fmt.Errorf("diskann: record %d: %w", id, err)
 	}
-	da.ios.Add(1)
+	st.IOReads++
 	v := make([]float32, da.dim)
 	for j := range v {
 		v[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
@@ -295,7 +279,9 @@ func (da *DiskANN) readRecord(id int32) ([]float32, []int32, error) {
 // Search implements index.Index with DiskANN beam search: the frontier
 // is ordered by PQ approximate distance; each hop expands up to Beam
 // best unvisited candidates with one record read each, re-ranking them
-// exactly from the on-disk vector.
+// exactly from the on-disk vector. p.Stats receives the exact
+// distances (PQ table lookups are not counted), the nodes reached, and
+// the record reads split into disk reads and cache hits.
 func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, index.ErrBadK
@@ -310,19 +296,20 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 			ef = 32
 		}
 	}
-	// Exact re-ranking scores streamed record vectors through the
-	// query-bound kernel (bit-identical to the scalar L2).
-	kern := vec.BindQuery(vec.L2, q)
+	st := p.Stats
+	if st == nil {
+		st = new(index.SearchStats)
+	}
 	var approx func(id int32) (float32, error)
 	if da.cfg.NoPQ {
 		// Ablation: approximate distance requires reading the record.
 		approx = func(id int32) (float32, error) {
-			v, _, err := da.readRecord(id)
+			v, _, err := da.readRecord(id, st)
 			if err != nil {
 				return 0, err
 			}
-			da.comps.Add(1)
-			return kern.Score(v), nil
+			st.DistanceComps++
+			return vec.SquaredL2(q, v), nil
 		}
 	} else {
 		tab := da.pq.ADC(q)
@@ -330,11 +317,6 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 			return tab.Distance(da.codes[int(id)*da.pq.M : (int(id)+1)*da.pq.M]), nil
 		}
 	}
-	// Per-query stats: comps are counted locally; IO/cache deltas come
-	// from the cumulative counters, so they are approximate when
-	// searches run concurrently.
-	iosBefore, hitsBefore := da.ios.Load(), da.hits.Load()
-	compsBefore := da.comps.Load()
 	visited := map[int32]struct{}{da.medoid: {}}
 	var frontier topk.MinQueue
 	d0, err := approx(da.medoid)
@@ -358,12 +340,12 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 				continue
 			}
 			stop = false
-			v, nbrs, err := da.readRecord(int32(cand.ID))
+			v, nbrs, err := da.readRecord(int32(cand.ID), st)
 			if err != nil {
 				return nil, err
 			}
-			d := kern.Score(v)
-			da.comps.Add(1)
+			d := vec.SquaredL2(q, v)
+			st.DistanceComps++
 			beamBound.Push(cand.ID, cand.Dist)
 			if p.Admits(cand.ID) {
 				exact.Push(cand.ID, d)
@@ -385,12 +367,7 @@ func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, er
 			break
 		}
 	}
-	if p.Stats != nil {
-		p.Stats.NodesVisited += int64(len(visited))
-		p.Stats.DistanceComps += da.comps.Load() - compsBefore
-		p.Stats.IOReads += da.ios.Load() - iosBefore
-		p.Stats.CacheHits += da.hits.Load() - hitsBefore
-	}
+	st.NodesVisited += int64(len(visited))
 	res := exact.Results()
 	if len(res) > k {
 		res = res[:k]

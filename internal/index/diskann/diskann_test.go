@@ -27,8 +27,9 @@ func TestDiskANNRecall(t *testing.T) {
 	qs := ds.Queries(15, 0.05, 2)
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 	var s float64
+	var st index.SearchStats
 	for i, q := range qs {
-		got, err := da.Search(q, 10, index.Params{Ef: 60})
+		got, err := da.Search(q, 10, index.Params{Ef: 60, Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,19 +38,19 @@ func TestDiskANNRecall(t *testing.T) {
 	if mean := s / 15; mean < 0.8 {
 		t.Fatalf("diskann recall = %v", mean)
 	}
-	if da.IOReads() == 0 {
-		t.Fatal("no I/O counted")
+	if st.IOReads == 0 || st.DistanceComps == 0 || st.NodesVisited == 0 {
+		t.Fatalf("work not counted: %+v", st)
 	}
 }
 
 func TestIOsPerQueryBounded(t *testing.T) {
 	da, ds := buildSmall(t, Config{R: 16, Beam: 4, Seed: 1})
-	da.ResetStats()
 	q := ds.Queries(1, 0.05, 3)[0]
-	if _, err := da.Search(q, 10, index.Params{Ef: 40}); err != nil {
+	var st index.SearchStats
+	if _, err := da.Search(q, 10, index.Params{Ef: 40, Stats: &st}); err != nil {
 		t.Fatal(err)
 	}
-	ios := da.IOReads()
+	ios := st.IOReads
 	// PQ-guided beam search reads roughly the expanded nodes, far
 	// fewer than the collection size.
 	if ios <= 0 || ios > 400 {
@@ -61,32 +62,29 @@ func TestNoPQAblationCostsMoreIO(t *testing.T) {
 	guided, ds := buildSmall(t, Config{R: 16, Beam: 4, Seed: 1})
 	naive, _ := buildSmall(t, Config{R: 16, Beam: 4, Seed: 1, NoPQ: true})
 	q := ds.Queries(1, 0.05, 5)[0]
-	guided.ResetStats()
-	naive.ResetStats()
-	if _, err := guided.Search(q, 10, index.Params{Ef: 40}); err != nil {
+	var g, n index.SearchStats
+	if _, err := guided.Search(q, 10, index.Params{Ef: 40, Stats: &g}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := naive.Search(q, 10, index.Params{Ef: 40}); err != nil {
+	if _, err := naive.Search(q, 10, index.Params{Ef: 40, Stats: &n}); err != nil {
 		t.Fatal(err)
 	}
-	if naive.IOReads() <= guided.IOReads() {
-		t.Fatalf("NoPQ should cost more I/O: %d vs %d", naive.IOReads(), guided.IOReads())
+	if n.IOReads <= g.IOReads {
+		t.Fatalf("NoPQ should cost more I/O: %d vs %d", n.IOReads, g.IOReads)
 	}
 }
 
 func TestCacheReducesIOs(t *testing.T) {
 	da, ds := buildSmall(t, Config{R: 16, Beam: 4, Seed: 1, CachePages: 4096})
 	q := ds.Queries(1, 0.05, 7)[0]
-	da.ResetStats()
-	da.Search(q, 10, index.Params{Ef: 40})
-	first := da.IOReads()
-	da.Search(q, 10, index.Params{Ef: 40})
-	second := da.IOReads() - first
-	if second >= first {
-		t.Fatalf("warm cache should cut I/Os: cold=%d warm=%d", first, second)
+	var cold, warm index.SearchStats
+	da.Search(q, 10, index.Params{Ef: 40, Stats: &cold})
+	da.Search(q, 10, index.Params{Ef: 40, Stats: &warm})
+	if warm.IOReads >= cold.IOReads {
+		t.Fatalf("warm cache should cut I/Os: cold=%d warm=%d", cold.IOReads, warm.IOReads)
 	}
-	if da.CacheHits() == 0 {
-		t.Fatal("no cache hits recorded")
+	if warm.CacheHits == 0 || warm.IOReads+warm.CacheHits != cold.IOReads+cold.CacheHits {
+		t.Fatalf("the same search must read the same records, cold %+v warm %+v", cold, warm)
 	}
 }
 

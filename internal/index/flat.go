@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"vdbms/internal/obs"
 	"vdbms/internal/pool"
@@ -23,10 +22,9 @@ import (
 // cached at construction and the inner loop is one block kernel call
 // instead of scanBlock indirect function calls.
 type Flat struct {
-	dim   int
-	n     int
-	sc    *vec.Scorer
-	comps atomic.Int64
+	dim int
+	n   int
+	sc  *vec.Scorer
 	// qsc, when non-nil, is the compressed-scan kernel: Search scans
 	// codes instead of floats, keeps the top rerank_k approximate
 	// candidates, and re-scores them exactly with sc before the final
@@ -131,12 +129,6 @@ func (f *Flat) Name() string { return "flat" }
 // Size implements Index.
 func (f *Flat) Size() int { return f.n }
 
-// DistanceComps implements Stats.
-func (f *Flat) DistanceComps() int64 { return f.comps.Load() }
-
-// ResetStats implements Stats.
-func (f *Flat) ResetStats() { f.comps.Store(0) }
-
 // minRowsPerPartition keeps tiny scans serial: below this many rows
 // per worker the goroutine hand-off costs more than the scan itself.
 const minRowsPerPartition = 1024
@@ -223,7 +215,6 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 			res = RerankExact(f.sc, q, res, k)
 		}
 	}
-	f.comps.Add(comps)
 	if p.Stats != nil {
 		p.Stats.DistanceComps += comps
 		if w < 1 {
@@ -365,7 +356,6 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 	w := f.workers(&p)
 	if w <= 1 {
 		out, comps := f.rangeScan(q, radius, 0, f.n, &p)
-		f.comps.Add(comps)
 		if p.Stats != nil {
 			p.Stats.DistanceComps += comps
 			p.Stats.Partitions++
@@ -385,7 +375,6 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 		out = append(out, hitsBy[i]...)
 		comps += compsBy[i]
 	}
-	f.comps.Add(comps)
 	if p.Stats != nil {
 		p.Stats.DistanceComps += comps
 		p.Stats.Partitions += int64(w)

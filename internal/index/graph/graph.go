@@ -7,7 +7,6 @@ package graph
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/topk"
@@ -42,10 +41,6 @@ type Searcher struct {
 	// Traversals bind the query once per search, so the query-side state
 	// is also resolved once instead of per edge.
 	Scorer *vec.Scorer
-	// Comps counts distance computations (incremented by searches and
-	// build helpers; the caller owns reset). Atomic because concurrent
-	// searches share one Searcher per index.
-	Comps atomic.Int64
 	// Quant, when set, scores traversal candidates on quantized codes
 	// instead of float32 rows: Bind returns a Query backed by the
 	// compressed kernel, so neighbor expansion touches BytesPerRow()
@@ -75,14 +70,13 @@ func (s *Searcher) Row(id int32) []float32 {
 // state on both sides (edge pruning compares node pairs, so cosine
 // norms would otherwise be recomputed per edge).
 func (s *Searcher) DistRows(i, j int32) float32 {
-	s.Comps.Add(1)
 	return s.Scorer.ScoreRows(int(i), int(j))
 }
 
 // Query is a query bound to a Searcher: per-query scoring state is
-// resolved once and every Dist is one kernel call. It does not count
-// into Comps; a caller adds what it computed, once. It is a value;
-// copying is cheap.
+// resolved once and every Dist is one kernel call. It counts nothing;
+// a caller adds what it computed to its query's stats, once. It is a
+// value; copying is cheap.
 type Query struct {
 	b  vec.Bound
 	qb vec.QuantBound // set when the Searcher scans quantized codes
@@ -160,10 +154,8 @@ func (s *Searcher) Begin(q []float32) *Traversal {
 }
 
 // End publishes the traversal's distance computations — one per node
-// visited — to the Searcher's counter and to stats, when non-nil, and
-// returns the scratch to the pool.
+// visited — to stats, when non-nil, and returns the scratch to the pool.
 func (t *Traversal) End(stats *index.SearchStats) {
-	t.s.Comps.Add(t.comps)
 	if stats != nil {
 		stats.NodesVisited += t.comps
 		stats.DistanceComps += t.comps

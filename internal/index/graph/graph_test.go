@@ -186,9 +186,6 @@ func TestBeamSearchMatchesReference(t *testing.T) {
 				t.Fatalf("graph %d search %d (n=%d k=%d ef=%d entries=%v allow=%v filter=%v):\n got %v %+v\nwant %v %+v",
 					g, i, n, c.k, c.ef, c.entries, c.p.Allow != nil, c.p.Filter != nil, res, got, ref, want)
 			}
-			if comps := s.Comps.Swap(0); comps != want.DistanceComps {
-				t.Fatalf("graph %d search %d: Comps grew by %d, stats say %d", g, i, comps, want.DistanceComps)
-			}
 		}
 	}
 }

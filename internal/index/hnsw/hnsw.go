@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
@@ -51,7 +50,6 @@ type HNSW struct {
 	entry  int32
 	maxLv  int
 	ml     float64
-	comps  atomic.Int64
 }
 
 // Build inserts all vectors.
@@ -198,12 +196,6 @@ func (h *HNSW) Name() string { return "hnsw" }
 // Size implements index.Index.
 func (h *HNSW) Size() int { return h.n }
 
-// DistanceComps implements index.Stats.
-func (h *HNSW) DistanceComps() int64 { return h.comps.Load() + h.s.Comps.Load() }
-
-// ResetStats implements index.Stats.
-func (h *HNSW) ResetStats() { h.comps.Store(0); h.s.Comps.Store(0) }
-
 // MaxLayer returns the top layer index.
 func (h *HNSW) MaxLayer() int { return h.maxLv }
 
@@ -279,7 +271,7 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 		}
 	}
 	// The descent and the base-layer search share one scratch, so the
-	// per-query stats and the cumulative count see the same comparisons.
+	// query's stats count the descent's comparisons too.
 	t := h.s.Begin(q)
 	ep := t.Score([]int32{h.entry})[0]
 	for l := h.maxLv; l >= 1; l-- {
@@ -294,7 +286,6 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 		return nil, err
 	}
 	if h.s.Quant != nil {
-		h.s.Comps.Add(int64(len(res)))
 		if p.Stats != nil {
 			p.Stats.DistanceComps += int64(len(res))
 		}

@@ -153,9 +153,9 @@ func TestValidationAndStats(t *testing.T) {
 	if _, err := h.Search([]float32{1}, 1, index.Params{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	h.ResetStats()
-	h.Search(ds.Row(0), 3, index.Params{})
-	if h.DistanceComps() == 0 || h.Size() != 60 || h.Name() != "hnsw" {
+	var st index.SearchStats
+	h.Search(ds.Row(0), 3, index.Params{Stats: &st})
+	if st.DistanceComps == 0 || h.Size() != 60 || h.Name() != "hnsw" {
 		t.Fatal("metadata wrong")
 	}
 }

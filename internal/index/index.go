@@ -34,11 +34,10 @@ type Params struct {
 	// Filter, when non-nil, restricts results to ids it accepts
 	// (visit-first semantics; evaluated during traversal).
 	Filter func(id int64) bool
-	// Stats, when non-nil, receives per-query work counters from the
-	// backend. Unlike the cumulative Stats interface this attributes
-	// work to one query, so the executor can annotate trace spans and
-	// per-index metrics without cross-query races. Each query must
-	// pass its own struct.
+	// Stats, when non-nil, receives the work counters of this one query
+	// from the backend — the only work accounting an index keeps, so
+	// the executor can attribute it per query without cross-query
+	// races. Each query must pass its own struct.
 	Stats *SearchStats
 	// Parallelism is the intra-query worker count for indexes that
 	// partition their scan (flat ranges, IVF inverted lists). 0 selects
@@ -92,9 +91,10 @@ func (p *Params) Err() error {
 	return p.Ctx.Err()
 }
 
-// SearchStats collects the work one Search call performed. Backends
-// fill only the fields that apply to them (e.g. BucketsProbed for
-// IVF/LSH, NodesVisited for graphs, IOReads for disk indexes).
+// SearchStats collects the work one Search call performed. Every
+// family fills DistanceComps; the other fields only where they apply
+// (e.g. BucketsProbed for IVF/LSH/spectral, NodesVisited for graphs,
+// IOReads for disk indexes).
 type SearchStats struct {
 	// DistanceComps counts full-vector (or ADC-table) distance
 	// computations.
@@ -105,7 +105,8 @@ type SearchStats struct {
 	GreedyHops int64
 	// BucketsProbed counts inverted lists / hash buckets scanned.
 	BucketsProbed int64
-	// IOReads counts disk record reads (DiskANN).
+	// IOReads counts disk reads: DiskANN records, SPANN posting-list
+	// pages.
 	IOReads int64
 	// CacheHits counts record reads served from cache (DiskANN).
 	CacheHits int64
@@ -170,16 +171,6 @@ type Remappable interface {
 // while float columns move to the mmap tier).
 type MemoryFootprint interface {
 	MemoryBytes() (structure, codes int64)
-}
-
-// Stats is implemented by indexes that track per-search work counters
-// used by the cost model and the experiments.
-type Stats interface {
-	// DistanceComps returns the cumulative number of full-vector
-	// distance computations performed by Search calls.
-	DistanceComps() int64
-	// ResetStats zeroes the counters.
-	ResetStats()
 }
 
 // ErrBadK is returned when a non-positive k is requested.

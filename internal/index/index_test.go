@@ -79,13 +79,10 @@ func TestFlatVisitFilter(t *testing.T) {
 func TestFlatStats(t *testing.T) {
 	ds := dataset.Uniform(20, 4, 9)
 	f, _ := NewFlat(ds.Data, 20, 4, nil)
-	f.Search(ds.Row(0), 3, Params{})
-	if f.DistanceComps() != 20 {
-		t.Fatalf("comps = %d, want 20", f.DistanceComps())
-	}
-	f.ResetStats()
-	if f.DistanceComps() != 0 {
-		t.Fatal("ResetStats failed")
+	var st SearchStats
+	f.Search(ds.Row(0), 3, Params{Stats: &st})
+	if st.DistanceComps != 20 || st.Partitions != 1 {
+		t.Fatalf("stats = %+v, want 20 comps in 1 partition", st)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // batch is inverted into bucket -> interested-queries lists so each
 // bucket's vectors stream through the cache once while every query
 // that probes the bucket consumes them. Results are identical to
-// issuing the queries one at a time with the same nprobe.
+// issuing the queries one at a time with the same nprobe, under the
+// index's metric, and p.Stats receives the sum of their work.
 //
 // Only the Flat variant is supported (the quantized variants need a
 // per-query ADC table anyway, which removes the shared work).
@@ -36,14 +37,18 @@ func (iv *IVF) SearchBatch(qs [][]float32, k int, p index.Params) ([][]topk.Resu
 	}
 	// Invert: bucket -> queries probing it.
 	interested := make([][]int32, iv.cents.K)
+	probes := int64(0)
 	for qi, q := range qs {
 		for _, list := range iv.cents.NearestN(q, nprobe) {
 			interested[list] = append(interested[list], int32(qi))
+			probes++
 		}
 	}
 	collectors := make([]*topk.Collector, len(qs))
-	for i := range collectors {
+	bound := make([]vec.Bound, len(qs))
+	for i, q := range qs {
 		collectors[i] = topk.NewCollector(k)
+		bound[i] = iv.sc.Bind(q)
 	}
 	comps := int64(0)
 	// Scan buckets in order; each member vector is read once per
@@ -56,15 +61,16 @@ func (iv *IVF) SearchBatch(qs [][]float32, k int, p index.Params) ([][]topk.Resu
 			if !p.Admits(int64(id)) {
 				continue
 			}
-			row := iv.data[int(id)*iv.dim : (int(id)+1)*iv.dim]
 			for _, qi := range queries {
-				d := vec.SquaredL2(qs[qi], row)
-				comps++
-				collectors[qi].Push(int64(id), d)
+				collectors[qi].Push(int64(id), bound[qi].ScoreAt(int(id)))
 			}
+			comps += int64(len(queries))
 		}
 	}
-	iv.comps.Add(comps)
+	if p.Stats != nil {
+		p.Stats.DistanceComps += comps
+		p.Stats.BucketsProbed += probes
+	}
 	out := make([][]topk.Result, len(qs))
 	for i, c := range collectors {
 		out[i] = c.Results()

@@ -12,7 +12,6 @@ package ivf
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/kmeans"
@@ -64,8 +63,7 @@ type IVF struct {
 	cfg     Config
 	dim     int
 	n       int
-	data    []float32   // raw vectors, retained for Flat scan and re-ranking
-	sc      *vec.Scorer // block-scores the raw vectors (Flat variant scan)
+	sc      *vec.Scorer // scores the raw vectors: Flat scan and re-ranking
 	cents   *kmeans.Result
 	lists   [][]int32 // bucket -> member ids
 	sq      *quant.SQ
@@ -73,7 +71,6 @@ type IVF struct {
 	sqk     vec.QuantScorer // decode-free LUT kernel over sqCodes
 	pq      *quant.PQ
 	pqCodes []byte // n * M, ADC variant
-	comps   atomic.Int64
 }
 
 // Build trains the coarse quantizer and populates buckets.
@@ -102,7 +99,7 @@ func Build(data []float32, n, d int, cfg Config) (*IVF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ivf: %w", err)
 	}
-	iv := &IVF{cfg: cfg, dim: d, n: n, data: data, sc: sc, cents: cents, lists: make([][]int32, cents.K)}
+	iv := &IVF{cfg: cfg, dim: d, n: n, sc: sc, cents: cents, lists: make([][]int32, cents.K)}
 	for id, c := range cents.Assign {
 		iv.lists[c] = append(iv.lists[c], int32(id))
 	}
@@ -197,12 +194,6 @@ func (iv *IVF) NList() int { return iv.cents.K }
 // (Section 2.3(2)) and offline-blocking experiments.
 func (iv *IVF) ListMembers(list int) []int32 { return iv.lists[list] }
 
-// DistanceComps implements index.Stats.
-func (iv *IVF) DistanceComps() int64 { return iv.comps.Load() }
-
-// ResetStats implements index.Stats.
-func (iv *IVF) ResetStats() { iv.comps.Store(0) }
-
 // ScannedFraction returns the fraction of the collection scanned for
 // a given nprobe, the cost proxy E3 reports.
 func (iv *IVF) ScannedFraction(q []float32, nprobe int) float64 {
@@ -291,7 +282,6 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 			res = index.RerankExact(iv.sc, q, res, k)
 		}
 	}
-	iv.comps.Add(comps)
 	if p.Stats != nil {
 		p.Stats.DistanceComps += comps
 		p.Stats.BucketsProbed += int64(len(lists))

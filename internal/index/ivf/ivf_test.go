@@ -141,10 +141,10 @@ func TestIVFValidation(t *testing.T) {
 
 func TestIVFStatsAndMembers(t *testing.T) {
 	iv, ds := buildClustered(t, Flat, false)
-	iv.ResetStats()
-	iv.Search(ds.Row(0), 5, index.Params{NProbe: 2})
-	if iv.DistanceComps() == 0 {
-		t.Fatal("comps not counted")
+	var st index.SearchStats
+	iv.Search(ds.Row(0), 5, index.Params{NProbe: 2, Stats: &st})
+	if st.DistanceComps == 0 || st.BucketsProbed != 2 {
+		t.Fatalf("stats not counted: %+v", st)
 	}
 	total := 0
 	for l := 0; l < iv.NList(); l++ {
@@ -185,29 +185,43 @@ func TestIVFRegistry(t *testing.T) {
 	}
 }
 
+// TestSearchBatchMatchesSingles holds the batched scan to the single
+// searches under every metric the Flat variant serves: the same hits,
+// distance bits included, and the sum of their work in one Stats. The
+// batch used to rank by squared L2 whatever the index's metric.
 func TestSearchBatchMatchesSingles(t *testing.T) {
-	iv, ds := buildClustered(t, Flat, false)
+	ds := dataset.Clustered(2000, 16, 16, 0.3, 1)
 	qs := ds.Queries(12, 0.05, 21)
-	batch, err := iv.SearchBatch(qs, 10, index.Params{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		single, err := iv.Search(q, 10, index.Params{NProbe: 4})
+	for _, m := range []vec.Metric{vec.L2, vec.Cosine, vec.InnerProduct} {
+		iv, err := Build(ds.Data, ds.Count, ds.Dim, Config{NList: 16, Seed: 3, Metric: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(single) != len(batch[i]) {
-			t.Fatalf("query %d: %d vs %d results", i, len(batch[i]), len(single))
+		var got, want index.SearchStats
+		batch, err := iv.SearchBatch(qs, 10, index.Params{NProbe: 4, Stats: &got})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range single {
-			if single[j].ID != batch[i][j].ID || single[j].Dist != batch[i][j].Dist {
-				t.Fatalf("query %d result %d differs: %v vs %v", i, j, batch[i][j], single[j])
+		for i, q := range qs {
+			single, err := iv.Search(q, 10, index.Params{NProbe: 4, Stats: &want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(single) != len(batch[i]) {
+				t.Fatalf("%s query %d: %d vs %d results", m, i, len(batch[i]), len(single))
+			}
+			for j := range single {
+				if single[j] != batch[i][j] {
+					t.Fatalf("%s query %d result %d differs: %v vs %v", m, i, j, batch[i][j], single[j])
+				}
 			}
 		}
-	}
-	if iv.BucketOverlap(qs, 4) < 1 {
-		t.Fatal("overlap must be >= 1")
+		if got.DistanceComps != want.DistanceComps || got.BucketsProbed != want.BucketsProbed {
+			t.Fatalf("%s: batch stats %+v, singles sum to %+v", m, got, want)
+		}
+		if iv.BucketOverlap(qs, 4) < 1 {
+			t.Fatal("overlap must be >= 1")
+		}
 	}
 }
 

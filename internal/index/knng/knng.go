@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
-	"vdbms/internal/index/kdtree"
+	"vdbms/internal/index/tree"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
@@ -47,12 +46,11 @@ type Config struct {
 
 // Graph is the built index.
 type Graph struct {
-	cfg   Config
-	dim   int
-	n     int
-	s     *graph.Searcher
-	adj   graph.Adjacency
-	comps atomic.Int64
+	cfg Config
+	dim int
+	n   int
+	s   *graph.Searcher
+	adj graph.Adjacency
 	// Iters is how many NN-Descent rounds ran (0 for Exact).
 	Iters int
 }
@@ -151,8 +149,8 @@ func (g *Graph) buildDescent() {
 	// Initialization.
 	switch g.cfg.Init {
 	case TreeInit:
-		forest, err := kdtree.Build(g.s.Data, n, g.dim, kdtree.Config{
-			Mode: kdtree.RandomDim, Trees: 4, LeafSize: 16, Seed: g.cfg.Seed,
+		forest, err := tree.Build(g.s.Data, n, g.dim, tree.Config{
+			Rule: tree.RandomTop5, Trees: 4, LeafSize: 16, Seed: g.cfg.Seed,
 		})
 		if err == nil {
 			for v := 0; v < n; v++ {
@@ -265,12 +263,6 @@ func (g *Graph) Name() string { return "knng" }
 
 // Size implements index.Index.
 func (g *Graph) Size() int { return g.n }
-
-// DistanceComps implements index.Stats.
-func (g *Graph) DistanceComps() int64 { return g.comps.Load() + g.s.Comps.Load() }
-
-// ResetStats implements index.Stats.
-func (g *Graph) ResetStats() { g.comps.Store(0); g.s.Comps.Store(0) }
 
 // Search implements index.Index via beam search from NumEntry random
 // (but deterministic) entry points; a KNNG has no navigating node, so

@@ -108,9 +108,9 @@ func TestValidationAndKClamp(t *testing.T) {
 	if _, err := g.Search([]float32{1}, 1, index.Params{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	g.ResetStats()
-	g.Search(ds.Row(0), 2, index.Params{})
-	if g.DistanceComps() == 0 || g.Size() != 5 || g.Name() != "knng" {
+	var st index.SearchStats
+	g.Search(ds.Row(0), 2, index.Params{Stats: &st})
+	if st.DistanceComps == 0 || g.Size() != 5 || g.Name() != "knng" {
 		t.Fatal("metadata wrong")
 	}
 }

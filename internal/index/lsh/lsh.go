@@ -16,7 +16,6 @@ package lsh
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/topk"
@@ -55,7 +54,6 @@ type LSH struct {
 	// p-stable).
 	proj    [][]float32 // [L][K*dim]
 	offsets [][]float32 // [L][K], p-stable only
-	comps   atomic.Int64
 }
 
 // Build constructs the index over n row-major vectors.
@@ -154,12 +152,6 @@ func (l *LSH) Name() string { return "lsh" }
 // Size implements index.Index.
 func (l *LSH) Size() int { return l.n }
 
-// DistanceComps implements index.Stats.
-func (l *LSH) DistanceComps() int64 { return l.comps.Load() }
-
-// ResetStats implements index.Stats.
-func (l *LSH) ResetStats() { l.comps.Store(0) }
-
 // CandidateCount returns how many distinct candidates the query would
 // collide with; E2 reports it as the probe cost.
 func (l *LSH) CandidateCount(q []float32, tables int) int {
@@ -207,7 +199,6 @@ func (l *LSH) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 			c.Push(int64(id), d)
 		}
 	}
-	l.comps.Add(comps)
 	if p.Stats != nil {
 		p.Stats.DistanceComps += comps
 		p.Stats.BucketsProbed += int64(tables)

@@ -24,8 +24,9 @@ func TestPStableRecallBeatsRandom(t *testing.T) {
 	qs := ds.Queries(20, 0.05, 2)
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 	var rsum float64
+	var st index.SearchStats
 	for i, q := range qs {
-		got, err := l.Search(q, 10, index.Params{})
+		got, err := l.Search(q, 10, index.Params{Stats: &st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func TestPStableRecallBeatsRandom(t *testing.T) {
 	if mean := rsum / 20; mean < 0.5 {
 		t.Fatalf("p-stable recall = %v, want >= 0.5", mean)
 	}
-	if l.DistanceComps() == 0 {
+	if st.DistanceComps == 0 {
 		t.Fatal("stats not counted")
 	}
 }
@@ -132,13 +133,13 @@ func TestSearchValidationAndPredicates(t *testing.T) {
 			t.Fatalf("blocked id %d returned", r.ID)
 		}
 	}
-	got, _ = l.Search(ds.Row(0), 5, index.Params{Filter: func(id int64) bool { return false }})
+	var st index.SearchStats
+	got, _ = l.Search(ds.Row(0), 5, index.Params{Filter: func(id int64) bool { return false }, Stats: &st})
 	if len(got) != 0 {
 		t.Fatal("filter rejecting everything must yield no results")
 	}
-	l.ResetStats()
-	if l.DistanceComps() != 0 {
-		t.Fatal("ResetStats failed")
+	if st.DistanceComps != 0 {
+		t.Fatalf("%d blocked rows scored", st.DistanceComps)
 	}
 }
 

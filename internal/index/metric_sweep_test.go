@@ -19,13 +19,12 @@ import (
 
 	_ "vdbms/internal/index/hnsw"
 	_ "vdbms/internal/index/ivf"
-	_ "vdbms/internal/index/kdtree"
 	_ "vdbms/internal/index/knng"
 	_ "vdbms/internal/index/lsh"
 	_ "vdbms/internal/index/nsg"
 	_ "vdbms/internal/index/nsw"
-	_ "vdbms/internal/index/rptree"
 	_ "vdbms/internal/index/spectral"
+	_ "vdbms/internal/index/tree"
 )
 
 // sweepCase describes one family's contract with the sweep.
@@ -102,21 +101,27 @@ func bruteTopK(m vec.Metric, ds *dataset.Dataset, q []float32, k int) []topk.Res
 	return c.Results()
 }
 
+// recallOf counts each true neighbour once, however often got repeats
+// it.
 func recallOf(got, truth []topk.Result) float64 {
-	want := map[int64]struct{}{}
+	want := map[int64]bool{}
 	for _, r := range truth {
-		want[r.ID] = struct{}{}
+		want[r.ID] = true
 	}
 	hit := 0
 	for _, r := range got {
-		if _, ok := want[r.ID]; ok {
+		if want[r.ID] {
 			hit++
+			want[r.ID] = false
 		}
 	}
 	return float64(hit) / float64(len(truth))
 }
 
-// TestMetricSweepAllFamilies is the family x metric matrix.
+// TestMetricSweepAllFamilies is the family x metric matrix. Every
+// family must also return distinct ids — kdforest once returned a
+// point for every tree that held it — and report its work in the
+// query's SearchStats.
 func TestMetricSweepAllFamilies(t *testing.T) {
 	const (
 		n, dim = 200, 8
@@ -154,9 +159,22 @@ func TestMetricSweepAllFamilies(t *testing.T) {
 				}
 				fn := vec.Distance(m)
 				for qi, q := range qs {
-					got, err := idx.Search(q, k, tc.params(n, k))
+					p := tc.params(n, k)
+					var st index.SearchStats
+					p.Stats = &st
+					got, err := idx.Search(q, k, p)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if st.DistanceComps <= 0 {
+						t.Fatalf("query %d: no distance computations reported: %+v", qi, st)
+					}
+					seen := map[int64]bool{}
+					for _, r := range got {
+						if seen[r.ID] {
+							t.Fatalf("query %d: id %d returned twice", qi, r.ID)
+						}
+						seen[r.ID] = true
 					}
 					truth := bruteTopK(m, ds, q, k)
 					// Every reported distance must be the configured

@@ -10,7 +10,6 @@ package nsg
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
@@ -68,7 +67,6 @@ type Graph struct {
 	// so per-node slice headers stop dominating GC work at scale.
 	frozen graph.Neighborhoods
 	medoid int32
-	comps  atomic.Int64
 }
 
 // Build constructs the graph.
@@ -174,7 +172,6 @@ func (g *Graph) findMedoid() int32 {
 		cent[j] *= inv
 	}
 	bq := g.s.Bind(cent)
-	g.s.Comps.Add(int64(g.n))
 	best, bestD := int32(0), float32(0)
 	for i := 0; i < g.n; i++ {
 		dd := bq.Dist(int32(i))
@@ -386,12 +383,6 @@ func (g *Graph) QuantizedScan() bool { return g.s.Quant != nil }
 // keeps hot (codes when quantized, float32 rows otherwise).
 func (g *Graph) ScoringBytes() int { return g.s.ScoringBytes(g.n) }
 
-// DistanceComps implements index.Stats.
-func (g *Graph) DistanceComps() int64 { return g.comps.Load() + g.s.Comps.Load() }
-
-// ResetStats implements index.Stats.
-func (g *Graph) ResetStats() { g.comps.Store(0); g.s.Comps.Store(0) }
-
 // Search implements index.Index: beam search from the medoid.
 func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
@@ -419,7 +410,6 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 		return nil, err
 	}
 	if g.s.Quant != nil {
-		g.s.Comps.Add(int64(len(res)))
 		if p.Stats != nil {
 			p.Stats.DistanceComps += int64(len(res))
 		}

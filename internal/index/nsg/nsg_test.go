@@ -116,9 +116,9 @@ func TestValidationAndStats(t *testing.T) {
 	if _, err := g.Search([]float32{1}, 1, index.Params{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	g.ResetStats()
-	g.Search(ds.Row(0), 3, index.Params{})
-	if g.DistanceComps() == 0 || g.Size() != 80 {
+	var st index.SearchStats
+	g.Search(ds.Row(0), 3, index.Params{Stats: &st})
+	if st.DistanceComps == 0 || g.Size() != 80 {
 		t.Fatal("stats wrong")
 	}
 }

@@ -7,7 +7,6 @@ package nsw
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
@@ -33,7 +32,6 @@ type NSW struct {
 	adj graph.Adjacency // construction-time mutable adjacency
 	// frozen is the serving adjacency, slab-packed after construction.
 	frozen graph.Neighborhoods
-	comps  atomic.Int64
 }
 
 // Build inserts all vectors in order.
@@ -74,12 +72,6 @@ func (g *NSW) Name() string { return "nsw" }
 
 // Size implements index.Index.
 func (g *NSW) Size() int { return g.n }
-
-// DistanceComps implements index.Stats.
-func (g *NSW) DistanceComps() int64 { return g.comps.Load() + g.s.Comps.Load() }
-
-// ResetStats implements index.Stats.
-func (g *NSW) ResetStats() { g.comps.Store(0); g.s.Comps.Store(0) }
 
 // AvgDegree reports mean degree (flat NSW exhibits the degree
 // explosion HNSW's layering avoids; E6 reports it).

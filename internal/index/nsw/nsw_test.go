@@ -78,9 +78,9 @@ func TestValidationAndStats(t *testing.T) {
 	if _, err := g.Search([]float32{1}, 1, index.Params{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	g.ResetStats()
-	g.Search(ds.Row(0), 3, index.Params{})
-	if g.DistanceComps() == 0 || g.Size() != 60 || g.Name() != "nsw" {
+	var st index.SearchStats
+	g.Search(ds.Row(0), 3, index.Params{Stats: &st})
+	if st.DistanceComps == 0 || g.Size() != 60 || g.Name() != "nsw" {
 		t.Fatal("metadata wrong")
 	}
 }

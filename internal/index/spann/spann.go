@@ -17,7 +17,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/kmeans"
@@ -50,8 +49,6 @@ type SPANN struct {
 	starts []int64 // byte offset of each posting list
 	counts []int32 // entries per posting list
 	mu     sync.Mutex
-	ios    atomic.Int64
-	comps  atomic.Int64
 }
 
 // Build clusters the data, writes posting lists to path, and opens the
@@ -202,21 +199,12 @@ func (sp *SPANN) Name() string { return "spann" }
 // Size implements index.Index (posting entries incl. replicas).
 func (sp *SPANN) Size() int { return sp.n }
 
-// IOReads returns page-granular reads so far.
-func (sp *SPANN) IOReads() int64 { return sp.ios.Load() }
-
-// DistanceComps implements index.Stats.
-func (sp *SPANN) DistanceComps() int64 { return sp.comps.Load() }
-
-// ResetStats zeroes counters.
-func (sp *SPANN) ResetStats() { sp.ios.Store(0); sp.comps.Store(0) }
-
 // ReplicationFactor reports posting entries per distinct vector id. It
 // reads every posting list, so a failed read is returned.
 func (sp *SPANN) ReplicationFactor() (float64, error) {
 	seen := map[int32]struct{}{}
 	for li := range sp.starts {
-		es, err := sp.readList(li)
+		es, _, err := sp.readList(li)
 		if err != nil {
 			return 0, err
 		}
@@ -235,24 +223,23 @@ type entry struct {
 	vec []float32
 }
 
-// readList reads one posting list, counting ceil(bytes/PageSize) I/Os.
-// A failed read (a truncated or unreadable file) is returned, never
-// panicked on.
-func (sp *SPANN) readList(li int) ([]entry, error) {
+// readList reads one posting list and reports the ceil(bytes/PageSize)
+// page I/Os it cost. A failed read (a truncated or unreadable file) is
+// returned, never panicked on.
+func (sp *SPANN) readList(li int) ([]entry, int64, error) {
 	cnt := int(sp.counts[li])
 	if cnt == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	es := entrySize(sp.dim)
 	buf := make([]byte, cnt*es)
 	sp.mu.Lock()
 	if _, err := sp.f.ReadAt(buf, sp.starts[li]); err != nil {
 		sp.mu.Unlock()
-		return nil, fmt.Errorf("spann: list %d: %w", li, err)
+		return nil, 0, fmt.Errorf("spann: list %d: %w", li, err)
 	}
-	pages := (len(buf) + sp.cfg.PageSize - 1) / sp.cfg.PageSize
-	sp.ios.Add(int64(pages))
 	sp.mu.Unlock()
+	pages := (len(buf) + sp.cfg.PageSize - 1) / sp.cfg.PageSize
 	out := make([]entry, cnt)
 	for i := 0; i < cnt; i++ {
 		rec := buf[i*es : (i+1)*es]
@@ -262,12 +249,13 @@ func (sp *SPANN) readList(li int) ([]entry, error) {
 		}
 		out[i] = entry{id: int32(binary.LittleEndian.Uint32(rec)), vec: v}
 	}
-	return out, nil
+	return out, int64(pages), nil
 }
 
 // Search implements index.Index: probe the p.NProbe nearest centroids
 // (default 4), read their posting lists, re-rank exactly, dedupe
-// replicas.
+// replicas. p.Stats receives the distances, the lists probed and the
+// pages read.
 func (sp *SPANN) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, index.ErrBadK
@@ -282,14 +270,16 @@ func (sp *SPANN) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 	if nprobe <= 0 {
 		nprobe = 4
 	}
+	st := p.Stats
+	if st == nil {
+		st = new(index.SearchStats)
+	}
 	c := topk.NewCollector(k)
 	seen := map[int32]struct{}{}
-	comps := int64(0)
-	// Posting entries stream from disk, so they are scored through the
-	// query-bound kernel (bit-identical to the scalar L2).
-	kern := vec.BindQuery(vec.L2, q)
 	for _, li := range sp.cents.NearestN(q, nprobe) {
-		es, err := sp.readList(li)
+		es, pages, err := sp.readList(li)
+		st.BucketsProbed++
+		st.IOReads += pages
 		if err != nil {
 			return nil, err
 		}
@@ -301,10 +291,9 @@ func (sp *SPANN) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 			if !p.Admits(int64(e.id)) {
 				continue
 			}
-			comps++
-			c.Push(int64(e.id), kern.Score(e.vec))
+			st.DistanceComps++
+			c.Push(int64(e.id), vec.SquaredL2(q, e.vec))
 		}
 	}
-	sp.comps.Add(comps)
 	return c.Results(), nil
 }

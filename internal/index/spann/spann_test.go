@@ -42,17 +42,15 @@ func TestSPANNRecallAndIO(t *testing.T) {
 	if r := meanRecall(t, sp, ds, 8); r < 0.8 {
 		t.Fatalf("spann recall = %v", r)
 	}
-	sp.ResetStats()
 	q := ds.Queries(1, 0.05, 3)[0]
-	sp.Search(q, 10, index.Params{NProbe: 4})
-	if sp.IOReads() == 0 {
-		t.Fatal("no I/O counted")
+	var at4, at16 index.SearchStats
+	sp.Search(q, 10, index.Params{NProbe: 4, Stats: &at4})
+	if at4.IOReads == 0 || at4.DistanceComps == 0 || at4.BucketsProbed != 4 {
+		t.Fatalf("work not counted: %+v", at4)
 	}
-	ioAt4 := sp.IOReads()
-	sp.ResetStats()
-	sp.Search(q, 10, index.Params{NProbe: 16})
-	if sp.IOReads() <= ioAt4 {
-		t.Fatalf("more probes should read more pages: %d vs %d", sp.IOReads(), ioAt4)
+	sp.Search(q, 10, index.Params{NProbe: 16, Stats: &at16})
+	if at16.IOReads <= at4.IOReads {
+		t.Fatalf("more probes should read more pages: %d vs %d", at16.IOReads, at4.IOReads)
 	}
 }
 

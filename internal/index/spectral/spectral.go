@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"vdbms/internal/index"
 	"vdbms/internal/matrix"
@@ -35,7 +34,7 @@ type Index struct {
 	cfg    Config
 	dim    int
 	n      int
-	data   []float32
+	sc     *vec.Scorer   // re-ranks bucket members by squared L2
 	axes   *matrix.Dense // PCADims x dim principal axes
 	mean   []float64
 	mins   []float64 // per-axis projection min
@@ -44,7 +43,6 @@ type Index struct {
 	// per bit, ordered by analytic eigenvalue.
 	funcs []eigenFn
 	table map[uint32][]int32
-	comps atomic.Int64
 }
 
 type eigenFn struct {
@@ -69,7 +67,11 @@ func Build(data []float32, n, d int, cfg Config) (*Index, error) {
 	if cfg.PCADims > cfg.Bits {
 		cfg.PCADims = cfg.Bits
 	}
-	s := &Index{cfg: cfg, dim: d, n: n, data: data}
+	sc, err := vec.NewScorer(vec.L2, data, n, d)
+	if err != nil {
+		return nil, fmt.Errorf("spectral: %w", err)
+	}
+	s := &Index{cfg: cfg, dim: d, n: n, sc: sc}
 	s.axes, s.mean = matrix.PCA(data, n, d, cfg.PCADims)
 
 	// Project all points to find per-axis extents.
@@ -161,18 +163,13 @@ func (s *Index) Name() string { return "spectral" }
 // Size implements index.Index.
 func (s *Index) Size() int { return s.n }
 
-// DistanceComps implements index.Stats.
-func (s *Index) DistanceComps() int64 { return s.comps.Load() }
-
-// ResetStats implements index.Stats.
-func (s *Index) ResetStats() { s.comps.Store(0) }
-
 // Buckets returns the number of non-empty buckets (diagnostic).
 func (s *Index) Buckets() int { return len(s.table) }
 
 // Search implements index.Index with multi-probe lookup: buckets are
 // visited in increasing Hamming distance from the query's hash until
-// at least p.Ef candidates (default 8k, floor 64) are re-ranked.
+// at least p.Ef candidates (default 8k, floor 64) are re-ranked, each
+// bucket's admitted members in one kernel call.
 func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, index.ErrBadK
@@ -182,25 +179,28 @@ func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 	}
 	budget := p.Ef
 	if budget <= 0 {
-		budget = 8 * k
-		if budget < 64 {
-			budget = 64
-		}
+		budget = max(64, 8*k)
 	}
 	key := s.hash(q)
+	b := s.sc.Bind(q)
 	c := topk.NewCollector(k)
-	examined := 0
-	comps := int64(0)
+	var ids []int32
+	var dist []float32
+	examined, probed := 0, 0
 	scan := func(bucket uint32) {
+		probed++
+		ids = ids[:0]
 		for _, id := range s.table[bucket] {
-			if !p.Admits(int64(id)) {
-				continue
+			if p.Admits(int64(id)) {
+				ids = append(ids, id)
 			}
-			d := vec.SquaredL2(q, s.data[int(id)*s.dim:(int(id)+1)*s.dim])
-			comps++
-			examined++
-			c.Push(int64(id), d)
 		}
+		if cap(dist) < len(ids) {
+			dist = make([]float32, 2*len(ids))
+		}
+		b.ScoreIDs(ids, dist[:len(ids)])
+		c.PushIDs(ids, dist[:len(ids)])
+		examined += len(ids)
 	}
 	// Radius 0, then 1, then 2 (pairs of flipped bits).
 	scan(key)
@@ -217,7 +217,10 @@ func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 			}
 		}
 	}
-	s.comps.Add(comps)
+	if p.Stats != nil {
+		p.Stats.DistanceComps += int64(examined)
+		p.Stats.BucketsProbed += int64(probed)
+	}
 	return c.Results(), nil
 }
 

@@ -103,10 +103,10 @@ func TestValidationAndRegistry(t *testing.T) {
 	if _, err := s.Search([]float32{1}, 1, index.Params{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	s.ResetStats()
-	s.Search(ds.Row(0), 3, index.Params{})
-	if s.DistanceComps() == 0 || s.Size() != 100 || s.Name() != "spectral" {
-		t.Fatal("metadata wrong")
+	var st index.SearchStats
+	s.Search(ds.Row(0), 3, index.Params{Stats: &st})
+	if st.DistanceComps == 0 || st.BucketsProbed == 0 || s.Size() != 100 || s.Name() != "spectral" {
+		t.Fatalf("metadata wrong: %+v", st)
 	}
 	idx, err := index.Build("spectral", ds.Data, 100, 4, vec.L2, map[string]int{"bits": 8, "pcadims": 4})
 	if err != nil || idx.Name() != "spectral" {

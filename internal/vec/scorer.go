@@ -12,7 +12,7 @@ package vec
 //
 // Numeric contract. Every path returns the same bits for the same
 // (query, row): SquaredL2/Dot, ScoreAt, ScoreBlock at any block split,
-// ScoreIDs, ScoreRows and QueryKernel all reach the same kernel, which
+// ScoreIDs and ScoreRows all reach the same kernel, which
 // has exactly one per-row accumulation order — so a result does not
 // depend on block size, worker count, or whether the rows live on the
 // heap or in a mapping. The two kernels (assembly and portable) share
@@ -452,49 +452,4 @@ func cholUpper(m [][]float32, d int) []float32 {
 		}
 	}
 	return t
-}
-
-// QueryKernel scores streamed vectors (disk records, posting entries)
-// against a fixed query with the query-side state resolved once. It is
-// the Bound analog for paths whose vectors are not resident rows.
-type QueryKernel struct {
-	m    Metric
-	q    []float32
-	qInv float32
-}
-
-// BindQuery prepares a kernel for a basic metric. Like Distance it
-// panics for Mahalanobis, which carries matrix state.
-func BindQuery(m Metric, q []float32) QueryKernel {
-	k := QueryKernel{m: m, q: q}
-	switch m {
-	case Cosine:
-		k.qInv = invNormOf(q)
-	case Mahalanobis:
-		panic("vec: Mahalanobis requires a Scorer")
-	}
-	return k
-}
-
-// Score returns the distance from the bound query to v. L2, inner
-// product, L1, Linf, and Hamming are bit-identical to the scalar
-// functions; cosine reuses the cached query norm (the row norm is
-// still computed per call — streamed vectors have no cache to hit).
-func (k QueryKernel) Score(v []float32) float32 {
-	switch k.m {
-	case L2:
-		return SquaredL2(k.q, v)
-	case InnerProduct:
-		return -Dot(k.q, v)
-	case Cosine:
-		return cosineOf(Dot(k.q, v), invNormOf(v), k.qInv)
-	case L1:
-		return ManhattanDistance(k.q, v)
-	case Linf:
-		return ChebyshevDistance(k.q, v)
-	case Hamming:
-		return HammingDistance(k.q, v)
-	default:
-		panic("vec: unknown metric " + k.m.String())
-	}
 }

@@ -186,10 +186,6 @@ func TestCosineZeroVectors(t *testing.T) {
 			t.Fatalf("ScoreRows(%d,%d) = %v, want 1", pair[0], pair[1], got)
 		}
 	}
-	k := BindQuery(Cosine, zero)
-	if got := k.Score(one); got != 1 {
-		t.Fatalf("QueryKernel zero query = %v, want 1", got)
-	}
 }
 
 // TestMahalanobisScorer checks the Cholesky pre-transform path against
@@ -362,27 +358,6 @@ func TestFuncScorer(t *testing.T) {
 	if fast := ScorerFor(CosineDistance, data, n, d); fast.Metric() != Cosine {
 		t.Fatalf("ScorerFor(CosineDistance) metric = %v", fast.Metric())
 	}
-}
-
-// TestQueryKernel checks the streamed-vector kernel against the scalar
-// functions for every basic metric.
-func TestQueryKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	d := 12
-	q := randData(rng, 1, d)
-	v := randData(rng, 1, d)
-	for _, m := range []Metric{L2, InnerProduct, Cosine, L1, Linf, Hamming} {
-		k := BindQuery(m, q)
-		want := Distance(m)(q, v)
-		got := k.Score(v)
-		checkScore(t, m, got, want, "QueryKernel")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BindQuery(Mahalanobis) should panic")
-		}
-	}()
-	BindQuery(Mahalanobis, q)
 }
 
 // TestScorerErrors covers constructor validation.

@@ -108,11 +108,13 @@ go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # with a panicking filter thrown in, 100 000 searches on one scratch;
 # then the families on top of it: graphs built edge for edge as the
 # pre-PR 16 traversal built them (TestBuildIdentity), and per-query
-# comps summing to DistanceComps(). The first line runs the whole graph
-# package, the sweep included. The scratch pool is the only state
+# stats with at least one comp per node visited (TestGraphStatsAgree);
+# the tree forest's hits pinned to the hashes of the kdtree and rptree
+# packages it replaced (TestHitIdentity). The first line runs the whole
+# graph package, the sweep included. The scratch pool is the only state
 # searches share, so -race.
 go test -race -count=1 -timeout 5m ./internal/index/graph/
-go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/
+go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|TestHitIdentity' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/ ./internal/index/tree/
 # Request path gates. Search, batch and insert bodies are decoded by a
 # hand-written pass that must agree with encoding/json on every input —
 # fuzzed differentially, seeded with the benchmark's bodies. Pooled
