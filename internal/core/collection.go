@@ -97,6 +97,9 @@ type snapshot struct {
 	del  *bitset.Bitset // nil until the first delete
 	ann  index.Index    // installed index; may trail rows
 	annN int            // rows covered by ann
+	// annKnob is the search parameter ann's family declares, resolved
+	// once at install so knob resolution takes no registry lock.
+	annKnob tuner.Knob
 	// annKind/annOpts record the index recipe at this epoch so saves
 	// and checkpoints can serialize it from the pinned snapshot alone.
 	annKind string
@@ -179,12 +182,11 @@ type Collection struct {
 	// installed kind so knob resolution on the query path is one
 	// atomic load (resolution re-validates the kind against the
 	// snapshot before trusting it). targetRecall is the collection
-	// default recall SLO (float64 bits; 0 = none); defEf/defNProbe are
-	// the collection-level search-parameter defaults (SetSearchDefaults).
-	// ladderCursor is where the next pass's ladder subset starts in the
-	// reservoir. A drift decision must repeat on consecutive passes
-	// before it fires (lastDrift/driftStreak), and passes after a fire
-	// are cooled down (driftCooldown).
+	// default recall SLO (float64 bits; 0 = none). ladderCursor is
+	// where the next pass's ladder subset starts in the reservoir. A
+	// drift decision must repeat on consecutive passes before it fires
+	// (lastDrift/driftStreak), and passes after a fire are cooled down
+	// (driftCooldown).
 	tuneMu        sync.Mutex
 	frontiers     map[string]*tuner.Frontier
 	ladderCursor  int
@@ -194,8 +196,6 @@ type Collection struct {
 
 	curFrontier  atomic.Pointer[tuner.Frontier]
 	targetRecall atomic.Uint64
-	defEf        atomic.Int64
-	defNProbe    atomic.Int64
 
 	// snap is the published epoch every query reads.
 	snap atomic.Pointer[snapshot]
@@ -217,8 +217,9 @@ type Collection struct {
 	annKind string
 	annOpts map[string]int
 	ann     index.Index
-	annN    int // rows covered by the current index build
-	dirty   int // in-place mutations since that build
+	annN    int        // rows covered by the current index build
+	annKnob tuner.Knob // the search parameter ann's family declares
+	dirty   int        // in-place mutations since that build
 
 	// Background builder state (builder.go). buildEpoch invalidates
 	// in-flight builds when CreateIndex/DropIndex changes the recipe.
@@ -378,6 +379,7 @@ func (c *Collection) publishLocked() {
 		del:     c.del,
 		ann:     c.ann,
 		annN:    c.annN,
+		annKnob: c.annKnob,
 		annKind: c.annKind,
 		annOpts: c.annOpts,
 		lsn:     c.walLSN,
@@ -737,7 +739,10 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 // counter captured when the build's input was pinned: mutations that
 // landed during the build stay counted against the new index.
 func (c *Collection) installLocked(idx index.Index, covered, dirtyAtStart int) {
-	c.ann, c.annN = idx, covered
+	// idx was built from the current recipe (callers check the build
+	// epoch), so c.annKind is registered.
+	fam, _ := index.Lookup(c.annKind)
+	c.ann, c.annN, c.annKnob = idx, covered, fam.Knob
 	c.dirty -= dirtyAtStart
 	if c.dirty < 0 {
 		c.dirty = 0
@@ -784,10 +789,7 @@ const (
 	// frontier is cold/stale/under-observed — the ladder maximum is
 	// used so the SLO is not missed while the tuner warms up.
 	SourceSafeDefault = "safe_default"
-	// SourceCollectionDefault: no target; the collection-level
-	// defaults (SetSearchDefaults) applied.
-	SourceCollectionDefault = "collection_default"
-	// SourceIndexDefault: nothing set anywhere; the index's own
+	// SourceIndexDefault: neither knobs nor a target; the index's own
 	// built-in default applies (zeros pass through).
 	SourceIndexDefault = "index_default"
 )
@@ -908,8 +910,8 @@ func makeSample(req *SearchRequest, preds []filter.Predicate, res []Result, epoc
 // resolveKnobs resolves the search parameters for one query against
 // the layered precedence: explicit per-query knobs beat a recall
 // target (per-query, else collection default) resolved through the
-// tuner's frontier, which beats the collection-level defaults, which
-// beat the index's built-in defaults (zeros pass through untouched).
+// tuner's frontier onto the knob the index's family declares, which
+// beats the index's built-in defaults (zeros pass through untouched).
 // An explicit Ef or NProbe pins BOTH values: mixing an explicit knob
 // with tuned values would silently retune the knob the caller set.
 func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe int, source string) {
@@ -921,7 +923,7 @@ func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe i
 		target = math.Float64frombits(c.targetRecall.Load())
 	}
 	if target > 0 && s.ann != nil {
-		knob := tuner.KnobFor(s.annKind)
+		knob := s.annKnob
 		param, src := 0, SourceSafeDefault
 		if fr := c.curFrontier.Load(); fr != nil && fr.Kind() == s.annKind {
 			p, trusted := fr.Resolve(target, req.K)
@@ -939,9 +941,6 @@ func (c *Collection) resolveKnobs(req *SearchRequest, s *snapshot) (ef, nprobe i
 			return 0, param, src
 		}
 		return param, 0, src
-	}
-	if de, dn := c.defEf.Load(), c.defNProbe.Load(); de > 0 || dn > 0 {
-		return int(de), int(dn), SourceCollectionDefault
 	}
 	return 0, 0, SourceIndexDefault
 }

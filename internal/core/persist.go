@@ -405,7 +405,7 @@ func collectionFromSnapshot(snap *fileSnapshot, m *storage.MmapStore) (*Collecti
 		}
 		c.del = del
 	}
-	if snap.IndexKind != "" && !index.Registered(snap.IndexKind) {
+	if _, ok := index.Lookup(snap.IndexKind); snap.IndexKind != "" && !ok {
 		return nil, fmt.Errorf("core: snapshot records unknown index %q (known: %v)", snap.IndexKind, index.Names())
 	}
 	c.annKind, c.annOpts = snap.IndexKind, snap.IndexOpts

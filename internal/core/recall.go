@@ -144,25 +144,6 @@ func (c *Collection) TargetRecall() float64 {
 	return math.Float64frombits(c.targetRecall.Load())
 }
 
-// SetSearchDefaults sets the collection-level Ef/NProbe defaults used
-// when a query carries neither explicit knobs nor a recall target.
-// Zeros clear them (the index's built-in defaults then apply).
-func (c *Collection) SetSearchDefaults(ef, nprobe int) {
-	if ef < 0 {
-		ef = 0
-	}
-	if nprobe < 0 {
-		nprobe = 0
-	}
-	c.defEf.Store(int64(ef))
-	c.defNProbe.Store(int64(nprobe))
-}
-
-// SearchDefaults reports the collection-level Ef/NProbe defaults.
-func (c *Collection) SearchDefaults() (ef, nprobe int) {
-	return int(c.defEf.Load()), int(c.defNProbe.Load())
-}
-
 // EnableRecall turns on query sampling and (when cfg.Interval > 0) the
 // background recall loop. Calling it again reconfigures: the old loop
 // is stopped before the new one starts. Safe while searches run.
@@ -240,8 +221,9 @@ func (c *Collection) RecallNow() (RecallReport, error) {
 }
 
 // frontierFor returns (creating if needed) the frontier for an index
-// kind and publishes it as the current one for lock-free resolution.
-func (c *Collection) frontierFor(kind string, minSamples int) *tuner.Frontier {
+// kind tuning knob and publishes it as the current one for lock-free
+// resolution.
+func (c *Collection) frontierFor(kind string, knob tuner.Knob, minSamples int) *tuner.Frontier {
 	c.tuneMu.Lock()
 	defer c.tuneMu.Unlock()
 	if c.frontiers == nil {
@@ -249,7 +231,7 @@ func (c *Collection) frontierFor(kind string, minSamples int) *tuner.Frontier {
 	}
 	fr := c.frontiers[kind]
 	if fr == nil {
-		fr = tuner.New(kind, tuner.Config{MinSamples: minSamples})
+		fr = tuner.New(kind, knob, tuner.Config{MinSamples: minSamples})
 		c.frontiers[kind] = fr
 	}
 	c.curFrontier.Store(fr)
@@ -343,7 +325,7 @@ func (c *Collection) recallPass(cfg RecallConfig) (RecallReport, error) {
 	var ladder []int
 	var knob tuner.Knob
 	if s.env.ANN != nil {
-		fr = c.frontierFor(s.annKind, cfg.MinSamples)
+		fr = c.frontierFor(s.annKind, s.annKnob, cfg.MinSamples)
 		knob = fr.Knob()
 		ladder = tuner.Ladder(knob)
 		rep.Kind, rep.Knob = s.annKind, knob.String()
@@ -541,7 +523,7 @@ func (c *Collection) driftDecision(s *snapshot, fr *tuner.Frontier, domK int, ta
 	// are highly selective — the regime where partition-first indexes
 	// (bitmap-driven IVF probes) beat graph traversal, which degrades
 	// under heavy blocking (Section 2.3(1)).
-	if tuner.KnobFor(s.annKind) == tuner.KnobEf && live >= graphCrossover {
+	if s.annKnob == tuner.KnobEf && live >= graphCrossover {
 		st := c.stats.Snapshot(s.rows, live, c.schema.Dim)
 		if st.FilteredFraction >= 0.75 && st.Queries >= 64 {
 			var selSum float64

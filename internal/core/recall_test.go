@@ -419,9 +419,8 @@ func TestSamplerSwappable(t *testing.T) {
 // TestKnobResolutionPrecedence pins the layered parameter-resolution
 // contract end to end on a real collection: explicit knobs beat a
 // recall target, a target resolves through the frontier (safe default
-// while cold), collection defaults come next, and the index's
-// built-in defaults last — with zeros passing through unset at every
-// layer, never silently dropped.
+// while cold), and the index's built-in defaults come last — with
+// zeros passing through unset at every layer, never silently dropped.
 func TestKnobResolutionPrecedence(t *testing.T) {
 	const n = 1000
 	ds := dataset.Uniform(n, 8, 7)
@@ -474,22 +473,42 @@ func TestKnobResolutionPrecedence(t *testing.T) {
 		t.Fatalf("collection target: got %+v", dec)
 	}
 	c.SetTargetRecall(0)
-	// Collection defaults apply when no target is in play.
-	c.SetSearchDefaults(40, 0)
-	dec = search(SearchRequest{})
-	if dec.Ef != 40 || dec.ParamSource != SourceCollectionDefault {
-		t.Fatalf("collection default: got %+v", dec)
-	}
-	// ...but a target still outranks them.
-	dec = search(SearchRequest{TargetRecall: 0.9})
-	if dec.Ef != maxEf || dec.ParamSource != SourceSafeDefault {
-		t.Fatalf("target over defaults: got %+v", dec)
-	}
-	c.SetSearchDefaults(0, 0)
 	// Nothing set anywhere: zeros pass through to the index defaults.
 	dec = search(SearchRequest{})
 	if dec.Ef != 0 || dec.NProbe != 0 || dec.ParamSource != SourceIndexDefault {
 		t.Fatalf("index default: got %+v", dec)
+	}
+}
+
+// TestTargetRecallTunesDeclaredKnob: a recall target resolves onto the
+// knob the index's family declares. ivfsq and ivfadc read only NProbe;
+// resolving their target to Ef would leave the work, and the recall,
+// where it was at every rung.
+func TestTargetRecallTunesDeclaredKnob(t *testing.T) {
+	const n = 2000
+	ds := dataset.Clustered(n, 16, 8, 0.3, 5)
+	maxNProbe := tuner.NProbeLadder[len(tuner.NProbeLadder)-1]
+	for _, kind := range []string{"ivfsq", "ivfadc"} {
+		c, err := NewCollection(kind, Schema{Dim: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := c.Insert(ds.Row(i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CreateIndex(kind, map[string]int{"nlist": 16}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(3), K: 10, TargetRecall: 0.95})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NProbe != maxNProbe || res.Ef != 0 || res.ParamSource != SourceSafeDefault {
+			t.Errorf("%s: target resolved to ef=%d nprobe=%d (%s), want ef=0 nprobe=%d (%s)",
+				kind, res.Ef, res.NProbe, res.ParamSource, maxNProbe, SourceSafeDefault)
+		}
 	}
 }
 
@@ -1210,11 +1229,11 @@ var (
 
 func registerGatedIndex() {
 	gatedOnce.Do(func() {
-		index.Register("testgated", func(data []float32, n, d int, _ vec.Metric, _ map[string]int) (index.Index, error) {
+		index.Register(index.Family{Name: "testgated", Metrics: index.AnyMetric, Build: func(data []float32, n, d int, _ vec.Metric, _ map[string]int) (index.Index, error) {
 			fl, err := index.NewFlat(data, n, d, nil)
 			gatedLast = &gatedIndex{Index: fl}
 			return gatedLast, err
-		})
+		}})
 	})
 }
 

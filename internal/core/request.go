@@ -93,8 +93,7 @@ type SearchResult struct {
 	Ef     int
 	NProbe int
 	// ParamSource says where those parameters came from: "explicit",
-	// "tuned", "safe_default", "collection_default", or
-	// "index_default".
+	// "tuned", "safe_default", or "index_default".
 	ParamSource string
 	// Trace is the span tree of this query, present only when
 	// SearchRequest.Trace was set.

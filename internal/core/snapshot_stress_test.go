@@ -205,7 +205,7 @@ var (
 
 func registerHoldIndex() {
 	holdOnce.Do(func() {
-		index.Register("testhold", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		index.Register(index.Family{Name: "testhold", Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 			holdMu.Lock()
 			ch, started := holdCh, holdStarted
 			holdMu.Unlock()
@@ -219,7 +219,7 @@ func registerHoldIndex() {
 				<-ch
 			}
 			return index.NewFlat(data, n, d, nil)
-		})
+		}})
 	})
 }
 

@@ -1,0 +1,120 @@
+package index_test
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"vdbms/internal/dataset"
+	"vdbms/internal/index"
+	"vdbms/internal/tuner"
+	"vdbms/internal/vec"
+)
+
+// TestDeclaredKnobMovesWork holds every family's declared knob to the
+// work it buys: over the same queries, the bottom rung of the knob's
+// ladder must do fewer distance computations than the top rung. A
+// family declared on a knob its Search never reads does the same work
+// at both, and the recall loop would tune a rung that changes nothing.
+// An exhaustive family (flat) scores every row at both rungs and has
+// no work to trade.
+func TestDeclaredKnobMovesWork(t *testing.T) {
+	const (
+		n, dim = 2000, 16
+		k, nq  = 10, 5
+	)
+	ds := dataset.Clustered(n, dim, 8, 0.3, 5)
+	qs := ds.Queries(nq, 0.05, 9)
+	for _, name := range index.Names() {
+		fam, _ := index.Lookup(name)
+		idx, err := index.Build(name, ds.Data, n, dim, vec.L2, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		comps := func(param int) int64 {
+			p := index.Params{Ef: param}
+			if fam.Knob == tuner.KnobNProbe {
+				p = index.Params{NProbe: param}
+			}
+			var st index.SearchStats
+			p.Stats = &st
+			for _, q := range qs {
+				if _, err := idx.Search(q, k, p); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			return st.DistanceComps
+		}
+		ladder := tuner.Ladder(fam.Knob)
+		lo, hi := comps(ladder[0]), comps(ladder[len(ladder)-1])
+		t.Logf("%s: %v %d..%d: %d..%d distance comps", name, fam.Knob, ladder[0], ladder[len(ladder)-1], lo, hi)
+		if lo == n*nq && hi == n*nq {
+			continue
+		}
+		if lo >= hi {
+			t.Errorf("%s: %v=%d does %d distance comps, %v=%d does %d: the declared knob does not move the work",
+				name, fam.Knob, ladder[0], lo, fam.Knob, ladder[len(ladder)-1], hi)
+		}
+	}
+}
+
+// metricsCell renders a family's declared metrics as the README
+// capability matrix prints them.
+func metricsCell(ms []vec.Metric) string {
+	if fmt.Sprint(ms) == fmt.Sprint(index.AnyMetric) {
+		return "any"
+	}
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.String()
+	}
+	return strings.Join(names, ", ")
+}
+
+// quantCell renders a family's declared quantization support.
+var quantCell = map[index.QuantSupport]string{index.NoQuant: "none", index.RerankOnly: "rerank", index.FullQuant: "sq8/pq/opq"}
+
+// TestReadmeCapabilityMatrix renders the knob, metrics and quant
+// columns of the README "Index families" table from the registry and
+// compares them with the table's rows: one row per registered family,
+// and no row for a name the registry does not know.
+func TestReadmeCapabilityMatrix(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	start := strings.Index(text, "### Index families")
+	if start < 0 {
+		t.Fatal(`README has no "### Index families" section`)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(text[start:], "\n")[1:] {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 7 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		rows[name] = strings.Join([]string{strings.TrimSpace(cells[3]), strings.TrimSpace(cells[4]), strings.TrimSpace(cells[5])}, " | ")
+	}
+	for _, name := range index.Names() {
+		fam, _ := index.Lookup(name)
+		want := strings.Join([]string{fam.Knob.String(), metricsCell(fam.Metrics), quantCell[fam.Quant]}, " | ")
+		got, ok := rows[name]
+		if !ok {
+			t.Errorf("README index families table has no row for %q; want knob | metrics | quant = %s", name, want)
+			continue
+		}
+		if got != want {
+			t.Errorf("README row %q reads %q; the registry declares %q", name, got, want)
+		}
+		delete(rows, name)
+	}
+	for name := range rows {
+		t.Errorf("README index families table lists %q, which is not registered", name)
+	}
+}

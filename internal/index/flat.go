@@ -8,6 +8,7 @@ import (
 	"vdbms/internal/obs"
 	"vdbms/internal/pool"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -86,7 +87,9 @@ func NewFlatQuant(data []float32, n, d int, metric vec.Metric, spec QuantSpec) (
 func (f *Flat) QuantizedScan() bool { return f.qsc != nil }
 
 func init() {
-	Register("flat", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error) {
+	// Flat scores every row whatever the knob: Ef is declared because
+	// the recall loop needs one, and no rung changes the work.
+	Register(Family{Name: "flat", Knob: tuner.KnobEf, Metrics: AnyMetric, Quant: FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error) {
 		var spec QuantSpec
 		for key, v := range opts {
 			ok, err := spec.ParseOpt(key, v)
@@ -98,8 +101,7 @@ func init() {
 			}
 		}
 		return NewFlatQuant(data, n, d, metric, spec)
-	})
-	MarkQuantCapable("flat")
+	}})
 }
 
 // RerankExact re-scores approximate candidates with a full-precision

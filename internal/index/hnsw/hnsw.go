@@ -15,6 +15,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -295,7 +296,7 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 }
 
 func init() {
-	index.Register("hnsw", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+	index.Register(index.Family{Name: "hnsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Quant: index.FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 		cfg := Config{Metric: metric}
 		for k, v := range opts {
 			if used, err := cfg.Quant.ParseOpt(k, v); err != nil {
@@ -317,6 +318,5 @@ func init() {
 			}
 		}
 		return Build(data, n, d, cfg)
-	})
-	index.MarkQuantCapable("hnsw")
+	}})
 }

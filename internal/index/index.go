@@ -8,11 +8,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -181,50 +183,86 @@ var ErrBadK = errors.New("index: k must be positive")
 var ErrDim = errors.New("index: query dimension mismatch")
 
 // BuildFunc constructs an index over n row-major vectors of dimension
-// d. metric is the collection's distance metric: families that can
-// honor it must score candidates with it, and families whose
-// structure is inherently tied to one metric must return an error for
-// any other — silently falling back to L2 is the bug class this
-// parameter exists to kill (every registry-built index used to be
-// L2-ranked regardless of the collection metric). opts carries
-// index-specific knobs (parsed from the CLI or query language);
-// unknown keys are an error.
+// d, scoring candidates with metric. Build calls it only with a metric
+// the family declares, so a family never sees one it cannot honor.
+// opts carries index-specific knobs (parsed from the CLI or query
+// language); unknown keys are an error.
 type BuildFunc func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error)
+
+// QuantSupport says which quantization opts a family accepts.
+type QuantSupport int
+
+const (
+	// NoQuant families scan full-precision rows only.
+	NoQuant QuantSupport = iota
+	// RerankOnly families scan codes by construction (ivfsq, ivfadc)
+	// and accept only "rerank_k".
+	RerankOnly
+	// FullQuant families accept the whole codec set: "quant",
+	// "rerank_k", "pqm" and "pqks".
+	FullQuant
+)
+
+// Family is the one declaration of an index family: how to build it
+// and what it can do. Build's metric check, the recall loop's tuned
+// knob and the schema's quantization default all read it.
+type Family struct {
+	Name  string
+	Build BuildFunc
+	// Knob is the Params field the family's Search reads to trade work
+	// for recall: the recall loop tunes it and a recall target resolves
+	// to it.
+	Knob tuner.Knob
+	// Metrics lists the metrics the family honors. Build refuses any
+	// other with ErrMetric rather than rank under the wrong distance.
+	Metrics []vec.Metric
+	// Quant is the quantization the family accepts.
+	Quant QuantSupport
+}
+
+// AnyMetric is the Metrics of a family whose structure holds under
+// every metric a collection serves (all that vec.NewScorer takes): it
+// scores candidates with the collection's own scorer.
+var AnyMetric = []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine, vec.L1, vec.Linf, vec.Hamming}
+
+// ErrMetric is wrapped by the error Build returns for a metric the
+// family does not declare.
+var ErrMetric = errors.New("index: metric not supported by family")
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]BuildFunc{}
+	registry = map[string]Family{}
 )
 
 // Register adds an index family to the registry. It panics on
 // duplicate names (registration happens in package init only).
-func Register(name string, fn BuildFunc) {
+func Register(f Family) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("index: duplicate registration of " + name)
+	if _, dup := registry[f.Name]; dup {
+		panic("index: duplicate registration of " + f.Name)
 	}
-	registry[name] = fn
+	registry[f.Name] = f
+}
+
+// Lookup returns the declaration of a registered family.
+func Lookup(name string) (Family, bool) {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	f, ok := registry[name]
+	return f, ok
 }
 
 // Build constructs a registered index by name, scoring with metric.
 func Build(name string, data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error) {
-	regMu.RLock()
-	fn, ok := registry[name]
-	regMu.RUnlock()
+	f, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("index: unknown index %q (known: %v)", name, Names())
 	}
-	return fn(data, n, d, metric, opts)
-}
-
-// Registered reports whether an index family is known, letting
-// restore paths reject a recorded recipe before paying for anything.
-func Registered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
+	if !slices.Contains(f.Metrics, metric) {
+		return nil, fmt.Errorf("%w: %s honors %v, not %v", ErrMetric, name, f.Metrics, metric)
+	}
+	return f.Build(data, n, d, metric, opts)
 }
 
 // Names lists registered families in sorted order.

@@ -134,7 +134,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	Register("flat", nil)
+	Register(Family{Name: "flat"})
 }
 
 func TestParamsAdmits(t *testing.T) {

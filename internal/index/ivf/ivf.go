@@ -19,6 +19,7 @@ import (
 	"vdbms/internal/pool"
 	"vdbms/internal/quant"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -417,11 +418,10 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 }
 
 func init() {
-	index.Register("ivfflat", buildFunc(Flat))
-	index.Register("ivfsq", buildFunc(SQ))
-	index.Register("ivfadc", buildFunc(ADC))
-	index.MarkRerankCapable("ivfsq")
-	index.MarkRerankCapable("ivfadc")
+	l2 := []vec.Metric{vec.L2}
+	index.Register(index.Family{Name: "ivfflat", Build: buildFunc(Flat), Knob: tuner.KnobNProbe, Metrics: index.AnyMetric})
+	index.Register(index.Family{Name: "ivfsq", Build: buildFunc(SQ), Knob: tuner.KnobNProbe, Metrics: l2, Quant: index.RerankOnly})
+	index.Register(index.Family{Name: "ivfadc", Build: buildFunc(ADC), Knob: tuner.KnobNProbe, Metrics: l2, Quant: index.RerankOnly})
 }
 
 func buildFunc(v Variant) index.BuildFunc {

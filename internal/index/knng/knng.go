@@ -15,6 +15,7 @@ import (
 	"vdbms/internal/index/graph"
 	"vdbms/internal/index/tree"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -293,7 +294,7 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 }
 
 func init() {
-	index.Register("knng", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+	index.Register(index.Family{Name: "knng", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 		cfg := Config{Metric: metric}
 		for k, v := range opts {
 			switch k {
@@ -316,5 +317,5 @@ func init() {
 			}
 		}
 		return Build(data, n, d, cfg)
-	})
+	}})
 }

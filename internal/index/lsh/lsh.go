@@ -19,6 +19,7 @@ import (
 
 	"vdbms/internal/index"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -168,8 +169,9 @@ func (l *LSH) CandidateCount(q []float32, tables int) int {
 }
 
 // Search implements index.Index: hash the query into each table, take
-// colliding vectors as candidates, then re-rank exactly. p.NProbe caps
-// the number of tables consulted (defaults to all L).
+// colliding vectors as candidates, then re-rank exactly, one kernel
+// call per table over the ids it adds. p.NProbe caps the number of
+// tables consulted (defaults to all L).
 func (l *LSH) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, index.ErrBadK
@@ -185,19 +187,25 @@ func (l *LSH) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 	seen := make(map[int32]struct{}, 64)
 	comps := int64(0)
 	b := l.sc.Bind(q)
+	var ids []int32
+	var dist []float32
 	for t := 0; t < tables; t++ {
+		ids = ids[:0]
 		for _, id := range l.tables[t][l.hash(t, q)] {
 			if _, dup := seen[id]; dup {
 				continue
 			}
 			seen[id] = struct{}{}
-			if !p.Admits(int64(id)) {
-				continue
+			if p.Admits(int64(id)) {
+				ids = append(ids, id)
 			}
-			d := b.ScoreAt(int(id))
-			comps++
-			c.Push(int64(id), d)
 		}
+		if cap(dist) < len(ids) {
+			dist = make([]float32, 2*len(ids))
+		}
+		b.ScoreIDs(ids, dist[:len(ids)])
+		c.PushIDs(ids, dist[:len(ids)])
+		comps += int64(len(ids))
 	}
 	if p.Stats != nil {
 		p.Stats.DistanceComps += comps
@@ -207,16 +215,10 @@ func (l *LSH) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 }
 
 func init() {
-	index.Register("lsh", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		switch metric {
-		case vec.L2, vec.Cosine:
-		default:
-			// Hyperplane LSH hashes angles and p-stable LSH hashes L2
-			// offsets; candidates re-ranked under any other metric would
-			// be drawn from the wrong buckets, so refuse instead of
-			// returning plausible-but-wrong rankings.
-			return nil, fmt.Errorf("lsh: metric %v not supported (want l2 or cosine)", metric)
-		}
+	// Hyperplane LSH hashes angles and p-stable LSH hashes L2 offsets:
+	// under any other metric candidates would come from the wrong
+	// buckets. NProbe caps the tables consulted.
+	index.Register(index.Family{Name: "lsh", Knob: tuner.KnobNProbe, Metrics: []vec.Metric{vec.L2, vec.Cosine}, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 		cfg := Config{Metric: metric}
 		if metric == vec.L2 {
 			// Direct Build callers who pick Hyperplane under L2 get the
@@ -244,5 +246,5 @@ func init() {
 			}
 		}
 		return Build(data, n, d, cfg)
-	})
+	}})
 }

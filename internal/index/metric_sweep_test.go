@@ -1,20 +1,24 @@
 // Metric-correctness sweep: every registered index family is built
 // under every practical metric and either (a) returns rankings
-// consistent with a brute-force scan under that same metric, or (b)
-// refuses to build. Option (c) — building happily and ranking under
+// consistent with a brute-force scan under that same metric, when its
+// registry declaration lists the metric, or (b) refuses to build with
+// ErrMetric. Option (c) — building happily and ranking under
 // L2 regardless — is the bug this file exists to keep dead: the ivf
 // segment builder shipped that way, and any family whose registry
 // drops the metric parameter would regress the same way.
 package index_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 
 	_ "vdbms/internal/index/hnsw"
@@ -27,66 +31,63 @@ import (
 	_ "vdbms/internal/index/tree"
 )
 
-// sweepCase describes one family's contract with the sweep.
+// sweepCase is what the sweep needs beyond a family's declaration.
 type sweepCase struct {
 	opts map[string]int
-	// supports lists the metrics the family must honor; every other
-	// swept metric must fail at build time.
-	supports []vec.Metric
-	// params returns search knobs generous enough that the family's
-	// approximation error vanishes (or nearly so) on a small dataset.
-	params func(n, k int) index.Params
 	// recallFloor is the minimum top-k recall against brute force
 	// under exhaustive params; 1.0 unless the family is inherently
 	// probabilistic even at full budget.
 	recallFloor float64
 }
 
-func exhaustiveGraph(n, k int) index.Params  { return index.Params{Ef: n} }
-func exhaustiveBucket(n, k int) index.Params { return index.Params{NProbe: 64, RerankK: n} }
+// exhaustive returns search params generous enough that a family's
+// approximation error vanishes (or nearly so) on a small dataset: the
+// declared knob at n, and a re-rank over the whole collection. The
+// other knob sits at its floor, so a family declared on a knob its
+// Search does not read probes almost nothing and misses the recall
+// floor.
+func exhaustive(fam index.Family, n int) index.Params {
+	if fam.Knob == tuner.KnobNProbe {
+		return index.Params{NProbe: n, Ef: 1, RerankK: n}
+	}
+	return index.Params{Ef: n, NProbe: 1, RerankK: n}
+}
 
 func sweepCases() map[string]sweepCase {
-	anyMetric := []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine}
-	l2Only := []vec.Metric{vec.L2}
-	graph := func(opts map[string]int, floor float64) sweepCase {
-		return sweepCase{opts: opts, supports: anyMetric, params: exhaustiveGraph, recallFloor: floor}
-	}
-	tree := func(opts map[string]int) sweepCase {
-		return sweepCase{opts: opts, supports: l2Only, params: exhaustiveGraph, recallFloor: 1.0}
-	}
+	exact := sweepCase{recallFloor: 1.0}
 	return map[string]sweepCase{
-		"flat": {opts: nil, supports: anyMetric, params: exhaustiveGraph, recallFloor: 1.0},
+		"flat": exact,
 		// Graph families: ef = n visits the whole connected component,
 		// and construction connects orphans, so recall is exact. KNNG
 		// has no navigating entry point, so it keeps a small slack.
-		"hnsw":   graph(map[string]int{"m": 8}, 1.0),
-		"nsw":    graph(map[string]int{"m": 8}, 1.0),
-		"nsg":    graph(map[string]int{"r": 8, "l": 16}, 1.0),
-		"vamana": graph(map[string]int{"r": 8, "l": 16}, 1.0),
-		"fanng":  graph(map[string]int{"r": 8, "trials": 8}, 1.0),
-		"knng":   graph(map[string]int{"k": 12, "iters": 10}, 0.9),
+		"hnsw":   {map[string]int{"m": 8}, 1.0},
+		"nsw":    {map[string]int{"m": 8}, 1.0},
+		"nsg":    {map[string]int{"r": 8, "l": 16}, 1.0},
+		"vamana": {map[string]int{"r": 8, "l": 16}, 1.0},
+		"fanng":  {map[string]int{"r": 8, "trials": 8}, 1.0},
+		"knng":   {map[string]int{"k": 12, "iters": 10}, 0.9},
 		// IVF-Flat scans whole lists under the configured metric —
 		// nprobe >= nlist is a partitioned exact scan. The compressed
-		// variants are L2-only and recover exactness through the
-		// full-precision re-rank once rerank_k covers the collection.
-		"ivfflat": {opts: map[string]int{"nlist": 4}, supports: anyMetric, params: exhaustiveBucket, recallFloor: 1.0},
-		"ivfsq":   {opts: map[string]int{"nlist": 4}, supports: l2Only, params: exhaustiveBucket, recallFloor: 1.0},
-		"ivfadc":  {opts: map[string]int{"nlist": 4, "m": 2, "ks": 16}, supports: l2Only, params: exhaustiveBucket, recallFloor: 1.0},
-		// Tree families bound subtrees by squared L2; with a leaf
-		// budget of n the best-first descent is exact.
-		"kdtree":   tree(nil),
-		"kdforest": tree(map[string]int{"trees": 2}),
-		"pkdtree":  tree(nil),
-		"pcatree":  tree(nil),
-		"rptree":   tree(map[string]int{"trees": 2}),
-		"annoy":    tree(map[string]int{"trees": 2}),
+		// variants recover exactness through the full-precision
+		// re-rank once rerank_k covers the collection. 16 lists are
+		// finer than the data's 4 clusters, so one list is not enough.
+		"ivfflat": {map[string]int{"nlist": 16}, 1.0},
+		"ivfsq":   {map[string]int{"nlist": 16}, 1.0},
+		"ivfadc":  {map[string]int{"nlist": 16, "m": 2, "ks": 16}, 1.0},
+		// Tree families: with a leaf budget of n the best-first descent
+		// is exact.
+		"kdtree":   exact,
+		"kdforest": {map[string]int{"trees": 2}, 1.0},
+		"pkdtree":  exact,
+		"pcatree":  exact,
+		"rptree":   {map[string]int{"trees": 2}, 1.0},
+		"annoy":    {map[string]int{"trees": 2}, 1.0},
 		// Spectral hashing with 2 bits: radius-2 multi-probe reaches
 		// every bucket, so the candidate set is the whole collection.
-		"spectral": {opts: map[string]int{"bits": 2, "pcadims": 4}, supports: l2Only, params: exhaustiveGraph, recallFloor: 1.0},
+		"spectral": {map[string]int{"bits": 2, "pcadims": 4}, 1.0},
 		// LSH buckets lose candidates even at full width; the sweep
 		// pins metric-correct distances and a loose floor.
-		"lsh": {opts: map[string]int{"l": 8, "k": 2}, supports: []vec.Metric{vec.L2, vec.Cosine},
-			params: exhaustiveGraph, recallFloor: 0.3},
+		"lsh": {map[string]int{"l": 8, "k": 2}, 0.3},
 	}
 }
 
@@ -134,6 +135,7 @@ func TestMetricSweepAllFamilies(t *testing.T) {
 		if name == "testhold" {
 			continue // registered by another package's test binary
 		}
+		fam, _ := index.Lookup(name)
 		tc, ok := cases[name]
 		if !ok {
 			t.Errorf("family %q is registered but missing from the metric sweep — add it", name)
@@ -141,16 +143,10 @@ func TestMetricSweepAllFamilies(t *testing.T) {
 		}
 		for _, m := range []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine} {
 			t.Run(fmt.Sprintf("%s/%s", name, m), func(t *testing.T) {
-				supported := false
-				for _, s := range tc.supports {
-					if s == m {
-						supported = true
-					}
-				}
 				idx, err := index.Build(name, ds.Data, n, dim, m, tc.opts)
-				if !supported {
-					if err == nil {
-						t.Fatalf("%s built under %s; must refuse rather than rank under the wrong metric", name, m)
+				if !slices.Contains(fam.Metrics, m) {
+					if !errors.Is(err, index.ErrMetric) {
+						t.Fatalf("%s built under %s (err %v); must refuse with ErrMetric rather than rank under the wrong metric", name, m, err)
 					}
 					return
 				}
@@ -159,7 +155,7 @@ func TestMetricSweepAllFamilies(t *testing.T) {
 				}
 				fn := vec.Distance(m)
 				for qi, q := range qs {
-					p := tc.params(n, k)
+					p := exhaustive(fam, n)
 					var st index.SearchStats
 					p.Stats = &st
 					got, err := idx.Search(q, k, p)

@@ -15,6 +15,7 @@ import (
 	"vdbms/internal/index/graph"
 	"vdbms/internal/index/knng"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -421,7 +422,7 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 func init() {
 	for name, v := range map[string]Variant{"nsg": NSG, "vamana": Vamana, "fanng": FANNG} {
 		variant := v
-		index.Register(name, func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: index.AnyMetric, Quant: index.FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 			cfg := Config{Variant: variant, Metric: metric}
 			for k, val := range opts {
 				if used, err := cfg.Quant.ParseOpt(k, val); err != nil {
@@ -445,7 +446,6 @@ func init() {
 				}
 			}
 			return Build(data, n, d, cfg)
-		})
-		index.MarkQuantCapable(name)
+		}})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -118,7 +119,7 @@ func (g *NSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 }
 
 func init() {
-	index.Register("nsw", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+	index.Register(index.Family{Name: "nsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 		cfg := Config{Metric: metric}
 		for k, v := range opts {
 			switch k {
@@ -133,5 +134,5 @@ func init() {
 			}
 		}
 		return Build(data, n, d, cfg)
-	})
+	}})
 }

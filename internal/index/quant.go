@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sync"
 
 	"vdbms/internal/quant"
 	"vdbms/internal/vec"
@@ -186,55 +185,28 @@ type Quantized interface {
 	QuantizedScan() bool
 }
 
-var (
-	quantCapMu sync.RWMutex
-	// quantCapable families accept the full quant opt set; rerankCapable
-	// families accept only rerank_k (their codes are built-in, e.g.
-	// ivfsq/ivfadc).
-	quantCapable  = map[string]bool{}
-	rerankCapable = map[string]bool{}
-)
-
-// MarkQuantCapable registers (in family init) that kind accepts the
-// "quant"/"rerank_k"/"pqm"/"pqks" opts.
-func MarkQuantCapable(kind string) {
-	quantCapMu.Lock()
-	defer quantCapMu.Unlock()
-	quantCapable[kind] = true
-}
-
-// MarkRerankCapable registers that kind accepts "rerank_k" (it scans
-// codes by construction) but not the codec-selection opts.
-func MarkRerankCapable(kind string) {
-	quantCapMu.Lock()
-	defer quantCapMu.Unlock()
-	rerankCapable[kind] = true
-}
-
 // MergeQuantDefaults folds a collection-level quantization default
 // ("none"|"sq8"|"pq"|"opq" + rerank width) into an explicit opts map
 // for one CreateIndex call, returning the map that should be built
 // from AND recorded in the WAL/checkpoint recipe (so the materialized
 // recipe survives recovery even if the schema default changes).
-// Explicit opts win over schema defaults. Families that cannot scan
-// the requested codec are left untouched — a schema-wide default must
-// not break CreateIndex for, say, a kd-tree.
+// Explicit opts win over schema defaults. Families whose declared
+// Quant cannot scan the requested codec are left untouched — a
+// schema-wide default must not break CreateIndex for, say, a kd-tree.
 func MergeQuantDefaults(kind string, opts map[string]int, quantization string, rerankK int) (map[string]int, error) {
 	qk, err := ParseQuantKind(quantization)
 	if err != nil {
 		return nil, err
 	}
-	quantCapMu.RLock()
-	qCap, rCap := quantCapable[kind], rerankCapable[kind]
-	quantCapMu.RUnlock()
-	if (!qCap && !rCap) || (qk == QuantNone && rerankK == 0) {
+	f, _ := Lookup(kind)
+	if f.Quant == NoQuant || (qk == QuantNone && rerankK == 0) {
 		return opts, nil
 	}
 	merged := make(map[string]int, len(opts)+2)
 	for k, v := range opts {
 		merged[k] = v
 	}
-	if qCap && qk != QuantNone {
+	if f.Quant == FullQuant && qk != QuantNone {
 		if _, explicit := merged["quant"]; !explicit {
 			merged["quant"] = int(qk)
 		}

@@ -16,6 +16,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/matrix"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -225,11 +226,9 @@ func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 }
 
 func init() {
-	index.Register("spectral", func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		if metric != vec.L2 {
-			// PCA-threshold buckets and the re-rank scan assume squared L2.
-			return nil, fmt.Errorf("spectral: metric %v not supported (l2 only)", metric)
-		}
+	// PCA-threshold buckets and the re-rank scan assume squared L2; Ef
+	// is the re-rank budget.
+	index.Register(index.Family{Name: "spectral", Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
 		cfg := Config{}
 		for k, v := range opts {
 			switch k {
@@ -242,5 +241,5 @@ func init() {
 			}
 		}
 		return Build(data, n, d, cfg)
-	})
+	}})
 }

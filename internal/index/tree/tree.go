@@ -30,6 +30,7 @@ import (
 	"vdbms/internal/index"
 	"vdbms/internal/matrix"
 	"vdbms/internal/topk"
+	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
 )
 
@@ -406,12 +407,8 @@ func (f *Forest) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 
 func init() {
 	for r, name := range names {
-		index.Register(name, func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-			if metric != vec.L2 {
-				// Axis and hyperplane margins bound squared L2 only; any
-				// other metric would silently rank by the wrong distance.
-				return nil, fmt.Errorf("%s: metric %v not supported (l2 only)", name, metric)
-			}
+		// Axis and hyperplane margins bound squared L2 only.
+		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
 			cfg := Config{Rule: Rule(r)}
 			for k, v := range opts {
 				switch k {
@@ -426,6 +423,6 @@ func init() {
 				}
 			}
 			return Build(data, n, d, cfg)
-		})
+		}})
 	}
 }

@@ -113,7 +113,7 @@ var (
 	// Adaptive query optimization (internal/core recall.go + planner).
 	// The param-source counter decomposes every search by where its
 	// Ef/NProbe came from (explicit, tuned, safe_default,
-	// collection_default, index_default) — the observability spine of
+	// index_default) — the observability spine of
 	// the feedback loop: "tuned" rising and "safe_default" falling is
 	// the tuner converging. Reselect counts drift-triggered index
 	// re-selection decisions handed to the background builder (the
@@ -154,7 +154,7 @@ func init() {
 	for _, cat := range []string{"vectors", "index", "quant_codes", "wal_buffers", "page_cache"} {
 		MemCategoryBytes.With(cat)
 	}
-	for _, src := range []string{"explicit", "tuned", "safe_default", "collection_default", "index_default"} {
+	for _, src := range []string{"explicit", "tuned", "safe_default", "index_default"} {
 		PlanParamSource.With(src)
 	}
 	for _, d := range []string{"build_graph", "strengthen", "partition"} {

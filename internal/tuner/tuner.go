@@ -51,18 +51,6 @@ func (k Knob) String() string {
 	return "ef"
 }
 
-// KnobFor maps a registered index kind to the knob its search path
-// actually consumes. Partition and hash indexes read Params.NProbe;
-// everything else (graph and tree families, flat fallbacks) reads
-// Params.Ef.
-func KnobFor(kind string) Knob {
-	switch kind {
-	case "ivfflat", "ivfpq", "ivfsq8", "lsh", "spann":
-		return KnobNProbe
-	}
-	return KnobEf
-}
-
 // EfLadder and NProbeLadder are the candidate values a frontier
 // explores. Geometric spacing keeps replay cost bounded while covering
 // the useful range: below the bottom rung recall collapses, above the
@@ -169,10 +157,10 @@ type Frontier struct {
 	last [maxBuckets]atomic.Int32 // hysteresis: last resolved rung+1 (0 = none)
 }
 
-// New returns an empty frontier for an index kind. The knob is derived
-// from the kind via KnobFor.
-func New(kind string, cfg Config) *Frontier {
-	f := &Frontier{kind: kind, knob: KnobFor(kind), cfg: cfg.normalized()}
+// New returns an empty frontier for an index kind, tuning knob — the
+// search parameter the kind's registry declaration names.
+func New(kind string, knob Knob, cfg Config) *Frontier {
+	f := &Frontier{kind: kind, knob: knob, cfg: cfg.normalized()}
 	f.tab.Store(&table{})
 	return f
 }

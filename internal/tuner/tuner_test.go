@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestKnobFor(t *testing.T) {
-	cases := map[string]Knob{
-		"hnsw": KnobEf, "nsw": KnobEf, "vamana": KnobEf, "annoy": KnobEf,
-		"flat": KnobEf, "": KnobEf,
-		"ivfflat": KnobNProbe, "ivfpq": KnobNProbe, "ivfsq8": KnobNProbe,
-		"lsh": KnobNProbe, "spann": KnobNProbe,
-	}
-	for kind, want := range cases {
-		if got := KnobFor(kind); got != want {
-			t.Errorf("KnobFor(%q) = %v, want %v", kind, got, want)
-		}
-	}
-}
-
 func TestBucketOf(t *testing.T) {
 	// k within (2^(b-1), 2^b] shares a bucket; 10 and 100 must not.
 	if bucketOf(10) != bucketOf(12) {
@@ -38,7 +24,7 @@ func TestBucketOf(t *testing.T) {
 // A cold frontier must resolve to the ladder maximum (safe default),
 // and stay there until some rung accumulates MinSamples.
 func TestResolveSafeDefaultWhenCold(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 8})
+	f := New("hnsw", KnobEf, Config{MinSamples: 8})
 	p, trusted := f.Resolve(0.95, 10)
 	if trusted || p != f.MaxParam() {
 		t.Fatalf("cold Resolve = (%d, %v), want (%d, false)", p, trusted, f.MaxParam())
@@ -59,7 +45,7 @@ func TestResolveSafeDefaultWhenCold(t *testing.T) {
 // Resolve must return the cheapest trusted rung that meets the target,
 // not just any rung that does.
 func TestResolveCheapestMeetingTarget(t *testing.T) {
-	f := New("ivfflat", Config{MinSamples: 4})
+	f := New("ivfflat", KnobNProbe, Config{MinSamples: 4})
 	if f.Knob() != KnobNProbe {
 		t.Fatalf("ivfflat knob = %v, want nprobe", f.Knob())
 	}
@@ -83,7 +69,7 @@ func TestResolveCheapestMeetingTarget(t *testing.T) {
 
 // Buckets are independent: observations at k=10 say nothing about k=100.
 func TestBucketIsolation(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 4})
+	f := New("hnsw", KnobEf, Config{MinSamples: 4})
 	f.Observe(10, []Observation{{Param: 64, Recall: 0.97, Comps: 500, Samples: 8}})
 	if p, ok := f.Resolve(0.95, 10); !ok || p != 64 {
 		t.Fatalf("k=10 Resolve = (%d, %v), want (64, true)", p, ok)
@@ -97,7 +83,7 @@ func TestBucketIsolation(t *testing.T) {
 // only barely grazes the target must not steal the resolution; it
 // needs Margin headroom. Upward moves apply immediately.
 func TestResolveHysteresis(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 4, Margin: 0.02})
+	f := New("hnsw", KnobEf, Config{MinSamples: 4, Margin: 0.02})
 	f.Observe(10, []Observation{
 		{Param: 32, Recall: 0.92, Comps: 300, Samples: 8},
 		{Param: 64, Recall: 0.97, Comps: 600, Samples: 8},
@@ -125,7 +111,7 @@ func TestResolveHysteresis(t *testing.T) {
 }
 
 func TestBestRecall(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 4})
+	f := New("hnsw", KnobEf, Config{MinSamples: 4})
 	if _, ok := f.BestRecall(10); ok {
 		t.Fatal("cold BestRecall should be untrusted")
 	}
@@ -142,7 +128,7 @@ func TestBestRecall(t *testing.T) {
 // EWMA: repeated observations converge the estimate toward the new
 // steady state rather than averaging over all history forever.
 func TestObserveEWMAConverges(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 1, Decay: 0.5})
+	f := New("hnsw", KnobEf, Config{MinSamples: 1, Decay: 0.5})
 	f.Observe(10, []Observation{{Param: 64, Recall: 0.50, Comps: 500, Samples: 8}})
 	for i := 0; i < 8; i++ {
 		f.Observe(10, []Observation{{Param: 64, Recall: 0.98, Comps: 500, Samples: 8}})
@@ -156,7 +142,7 @@ func TestObserveEWMAConverges(t *testing.T) {
 
 // Concurrent Resolve against Observe must be race-free (run under -race).
 func TestConcurrentResolveObserve(t *testing.T) {
-	f := New("hnsw", Config{MinSamples: 2})
+	f := New("hnsw", KnobEf, Config{MinSamples: 2})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {

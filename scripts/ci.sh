@@ -74,8 +74,12 @@ go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquiva
 # runs one goroutine (none after Disable or Close), one exact scan per
 # sample, a rotating ladder subset, and ignores rows inserted after a
 # sample was served. All pinned under -race because the loop, builder,
-# and readers share the collection.
-go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence|TestTuneLoopLifecycle|TestAuditBackgroundLoop|TestRecallCloseLeavesNoGoroutine|TestRecallPassOneExactScanPerSample|TestRecallLadderRotates|TestRecallIgnoresLaterInserts|TestFrontierIgnoresLaterInserts' ./internal/core/
+# and readers share the collection. The knob a target resolves to is
+# the one the index family's registry entry declares: a target on
+# ivfsq/ivfadc resolves nprobe, every family's declared knob moves its
+# distance comps from the bottom to the top of the ladder, and the
+# README capability matrix is rendered from the same declarations.
+go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence|TestTargetRecallTunesDeclaredKnob|TestDeclaredKnobMovesWork|TestReadmeCapabilityMatrix|TestTuneLoopLifecycle|TestAuditBackgroundLoop|TestRecallCloseLeavesNoGoroutine|TestRecallPassOneExactScanPerSample|TestRecallLadderRotates|TestRecallIgnoresLaterInserts|TestFrontierIgnoresLaterInserts' ./internal/core/ ./internal/index/
 # Compiled-predicate gates. The differential tests hold the per-id
 # matcher and the column-at-a-time evaluator to a reference evaluator
 # over every Kind x Op, and every forced plan at parallelism 1/2/8,

@@ -3,10 +3,9 @@ package vdbms
 // Public surface of the recall loop: one background pass per
 // collection (EnableRecall / RecallNow) that replays sampled live
 // queries against exact ground truth, both to audit the recall being
-// served and to tune the knobs that serve it; per-query and
+// served and to tune the knobs that serve it; and per-query and
 // per-collection recall targets (SearchRequest.TargetRecall /
-// SetTargetRecall); and collection-level search-parameter defaults
-// (SetSearchDefaults). DESIGN.md §14 describes the machinery: the
+// SetTargetRecall). DESIGN.md §14 describes the machinery: the
 // served ids are scored against the truth and exported as
 // vdbms_recall_observed, and some of the samples are replayed against
 // the index at every rung of an Ef/NProbe ladder, maintaining a
@@ -56,19 +55,6 @@ func (c *Collection) SetTargetRecall(target float64) {
 // TargetRecall reports the collection's default recall target (0 =
 // none).
 func (c *Collection) TargetRecall() float64 { return c.inner.TargetRecall() }
-
-// SetSearchDefaults sets collection-level default search parameters,
-// used when a query carries neither explicit knobs nor a recall
-// target. Zeros clear them (the index's built-in defaults apply).
-func (c *Collection) SetSearchDefaults(ef, nprobe int) {
-	c.inner.SetSearchDefaults(ef, nprobe)
-}
-
-// SearchDefaults reports the collection-level default search
-// parameters set by SetSearchDefaults.
-func (c *Collection) SearchDefaults() (ef, nprobe int) {
-	return c.inner.SearchDefaults()
-}
 
 // EnableRecall turns on the recall loop for every current collection
 // and every collection created or restored later.
