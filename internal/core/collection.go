@@ -115,6 +115,18 @@ type snapshot struct {
 // once at init, not per write.
 var stageWALWait = obs.SearchStageSeconds.With("wal_commit_wait")
 
+// clampK caps a request's k at the epoch's rows. A larger k asks for
+// every row, which is what k = rows returns, so the hits are the same;
+// left as sent, it would size the top-k collectors — and with them a
+// batch's len(queries)·k, a post-filter's alpha·k and a re-rank width —
+// by the request instead of by the data.
+func (s *snapshot) clampK(k int) int {
+	if s.rows > 0 && k > s.rows {
+		return s.rows
+	}
+	return k
+}
+
 // deleted is the epoch's deletion mask as the executor takes it: nil
 // while nothing is deleted. The mask is frozen at the row count of the
 // delete that produced it and may be shorter than the epoch; the
@@ -951,6 +963,7 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 	if s.rows == 0 {
 		return SearchResult{}, fmt.Errorf("core: collection %q is empty", c.name)
 	}
+	req.K = s.clampK(req.K)
 	env := s.env
 	var res SearchResult
 	res.Ef, res.NProbe, res.ParamSource = c.resolveKnobs(req, s)
@@ -1081,6 +1094,7 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 	defer c.touchAccount()
 	s := c.snap.Load()
 	env := s.env
+	req.K = s.clampK(req.K)
 	plan, forced, err := planner.ParsePolicy(req.Policy, req.Alpha)
 	if err == nil && !forced {
 		plan, err = env.Plan(req.K, preds, "", nil)

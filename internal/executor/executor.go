@@ -393,7 +393,9 @@ func (e *Env) postFilter(q []float32, k int, cp *filter.Compiled, alpha int, opt
 	if alpha <= 0 {
 		alpha = 4
 	}
-	cands, err := e.indexOrFlat(q, min(alpha*k, e.N), opts, rec)
+	// alpha*k capped at N; alpha is capped first so the product cannot
+	// overflow.
+	cands, err := e.indexOrFlat(q, min(min(alpha, e.N)*k, e.N), opts, rec)
 	if err != nil {
 		return nil, err
 	}

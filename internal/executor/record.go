@@ -215,6 +215,7 @@ func (r *Record) Trace(root string, total time.Duration) *obs.SpanReport {
 				{"nodes_visited", r.Probe.NodesVisited}, {"greedy_hops", r.Probe.GreedyHops},
 				{"buckets_probed", r.Probe.BucketsProbed}, {"io_reads", r.Probe.IOReads},
 				{"cache_hits", r.Probe.CacheHits}, {"partitions", r.Probe.Partitions},
+				{"abandoned", r.Probe.Abandoned},
 			} {
 				if c.v > 0 {
 					a[c.key] = c.v
@@ -224,6 +225,9 @@ func (r *Record) Trace(root string, total time.Duration) *obs.SpanReport {
 			a["fetched"], a["kept"] = r.Fetched, r.Kept
 		case stageRange:
 			a["distance_comps"], a["hits"] = r.Probe.DistanceComps, r.Hits
+			if r.Probe.Abandoned > 0 {
+				a["abandoned"] = r.Probe.Abandoned
+			}
 		}
 		rep.Children = append(rep.Children, sp)
 	}

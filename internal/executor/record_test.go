@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vdbms/internal/bitset"
+	"vdbms/internal/dataset"
 	"vdbms/internal/filter"
 	"vdbms/internal/obs"
 	"vdbms/internal/planner"
@@ -171,8 +172,9 @@ func TestReplayPublishesNothing(t *testing.T) {
 
 // TestRecordTrace: the trace lists the stages that ran in execution
 // order with their counters — the plan's inputs and sources, the
-// filter's survivors, the probe's index and work, the post-filter's
-// fetched and kept — each lasting what the record measured.
+// filter's survivors, the probe's index and work (the rows a bounded
+// scan cut short included), the post-filter's fetched and kept — each
+// lasting what the record measured.
 func TestRecordTrace(t *testing.T) {
 	env, ds := buildEnv(t, 2000)
 	q := ds.Queries(1, 0.05, 5)[0]
@@ -215,5 +217,22 @@ func TestRecordTrace(t *testing.T) {
 	}
 	if a := ps.Annotations; a["selectivity_ppm"] <= 0 || a["index_comps"] <= 0 || a["attr_cost_ppm"] <= 0 {
 		t.Fatalf("plan annotations %v", a)
+	}
+
+	// An exact L2 scan of rows longer than the kernel's cut stride cuts
+	// most of them short: the probe span carries that count beside the
+	// rows it touched.
+	wide := dataset.Clustered(2000, 64, 8, 0.4, 1)
+	wenv, err := NewEnv(wide.Data, wide.Count, wide.Dim, nil, nil, filter.NewTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = Record{}
+	if _, err := wenv.Execute(planner.Plan{Kind: planner.BruteForce}, wide.Queries(1, 0.05, 5)[0], 5, nil, Options{Record: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	p = rec.Trace("search", 0).Children[0]
+	if a := p.Annotations; p.Stage != "index_probe" || a["distance_comps"] != 2000 || a["abandoned"] <= 0 || a["abandoned"] >= 2000 || a["abandoned"] != rec.Probe.Abandoned {
+		t.Fatalf("probe stage %+v, want 2000 comps, some of them abandoned (%d)", p, rec.Probe.Abandoned)
 	}
 }

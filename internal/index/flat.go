@@ -185,25 +185,25 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	}
 	w := f.workers(&p)
 	var merged *topk.Collector
-	var comps int64
+	var work ScanWork
 	if w <= 1 {
 		merged = topk.NewCollector(kk)
-		comps = f.scanRange(q, merged, 0, f.n, &p)
+		work = f.scanRange(q, merged, 0, f.n, &p)
 	} else {
 		obs.ParallelSearches.With("flat").Inc()
 		offs := pool.Split(f.n, w)
 		collectors := make([]*topk.Collector, w)
-		compsBy := make([]int64, w)
+		workBy := make([]ScanWork, w)
 		pool.Default().Run(w, func(i int) {
 			c := topk.NewCollector(kk)
-			compsBy[i] = f.scanRange(q, c, offs[i], offs[i+1], &p)
+			workBy[i] = f.scanRange(q, c, offs[i], offs[i+1], &p)
 			collectors[i] = c
 		})
 		merged = collectors[0]
-		comps = compsBy[0]
+		work = workBy[0]
 		for i := 1; i < w; i++ {
 			merged.Merge(collectors[i])
-			comps += compsBy[i]
+			work.Add(workBy[i])
 		}
 	}
 	// A partition that stopped early left done closed for good, so this
@@ -213,12 +213,12 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	if !stopped {
 		res = merged.Results()
 		if f.qsc != nil {
-			comps += int64(len(res))
+			work.Comps += int64(len(res))
 			res = RerankExact(f.sc, q, res, k)
 		}
 	}
 	if p.Stats != nil {
-		p.Stats.DistanceComps += comps
+		work.Record(p.Stats)
 		if w < 1 {
 			w = 1
 		}
@@ -230,46 +230,48 @@ func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	return res, nil
 }
 
-// scanRange scores rows [lo, hi) into c and returns the distance
-// computations performed. It reads only shared immutable state, so
-// disjoint ranges run concurrently. Unconstrained scans score whole
-// contiguous blocks; predicated scans gather admitted ids (forAdmitted)
-// and score them through the same kernels, so only admitted rows are
-// scored (and counted). Either way it stops after the block during
-// which p.Ctx ended.
-func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) int64 {
+// scanRange scores rows [lo, hi) into c and returns the rows it scored
+// and how many of them the bound cut short. It reads only shared
+// immutable state, so disjoint ranges run concurrently. Unconstrained
+// scans score whole contiguous blocks; predicated scans gather admitted
+// ids (forAdmitted) and score them through the same kernels, so only
+// admitted rows are scored (and counted). Every block is scored within
+// c's k-th distance as it stood before the block: c keeps nothing above
+// it, so a row the kernel cuts there could never have entered
+// (vec.Bound.ScoreBlockWithin). Either way it stops after the block
+// during which p.Ctx ended.
+func (f *Flat) scanRange(q []float32, c *topk.Collector, lo, hi int, p *Params) (work ScanWork) {
 	// blockScorer is the slice of the Bind contract both the float and
 	// the quantized kernels share; picking the binding here is what
 	// lets every call site below switch by configuration, not code.
 	type blockScorer interface {
-		ScoreBlock(lo, hi int, out []float32)
-		ScoreIDs(ids []int32, out []float32)
+		ScoreBlockWithin(lo, hi int, out []float32, bound float32) int
+		ScoreIDsWithin(ids []int32, out []float32, bound float32) int
 	}
 	var b blockScorer
 	if f.qsc != nil {
-		b = f.qsc.Bind(q)
+		b = vec.Uncut{QuantBound: f.qsc.Bind(q)}
 	} else {
 		b = f.sc.Bind(q)
 	}
-	comps := int64(0)
 	done := p.Done()
 	if !p.Constrained() {
 		buf := getGatherBuf()
 		defer gatherPool.Put(buf)
 		for blo := lo; blo < hi && !Stopped(done); blo += scanBlock {
 			dist := buf.dist[:min(scanBlock, hi-blo)]
-			b.ScoreBlock(blo, blo+len(dist), dist)
+			work.Cut += int64(b.ScoreBlockWithin(blo, blo+len(dist), dist, c.Worst()))
 			c.PushBlock(int64(blo), dist)
-			comps += int64(len(dist))
+			work.Comps += int64(len(dist))
 		}
-		return comps
+		return work
 	}
 	forAdmitted(p, lo, hi, done, func(ids []int32, dist []float32) {
-		b.ScoreIDs(ids, dist)
+		work.Cut += int64(b.ScoreIDsWithin(ids, dist, c.Worst()))
 		c.PushIDs(ids, dist)
-		comps += int64(len(ids))
+		work.Comps += int64(len(ids))
 	})
-	return comps
+	return work
 }
 
 // gatherBuf is the scratch of one scan partition: the distances the
@@ -357,9 +359,9 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 	}
 	w := f.workers(&p)
 	if w <= 1 {
-		out, comps := f.rangeScan(q, radius, 0, f.n, &p)
+		out, work := f.rangeScan(q, radius, 0, f.n, &p)
 		if p.Stats != nil {
-			p.Stats.DistanceComps += comps
+			work.Record(p.Stats)
 			p.Stats.Partitions++
 		}
 		return out, nil
@@ -367,52 +369,52 @@ func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result
 	obs.ParallelSearches.With("flat").Inc()
 	offs := pool.Split(f.n, w)
 	hitsBy := make([][]topk.Result, w)
-	compsBy := make([]int64, w)
+	workBy := make([]ScanWork, w)
 	pool.Default().Run(w, func(i int) {
-		hitsBy[i], compsBy[i] = f.rangeScan(q, radius, offs[i], offs[i+1], &p)
+		hitsBy[i], workBy[i] = f.rangeScan(q, radius, offs[i], offs[i+1], &p)
 	})
 	var out []topk.Result
-	comps := int64(0)
+	var work ScanWork
 	for i := 0; i < w; i++ {
 		out = append(out, hitsBy[i]...)
-		comps += compsBy[i]
+		work.Add(workBy[i])
 	}
 	if p.Stats != nil {
-		p.Stats.DistanceComps += comps
+		work.Record(p.Stats)
 		p.Stats.Partitions += int64(w)
 	}
 	return out, nil
 }
 
 // rangeScan is the per-partition body of SearchRange: block-score
-// [lo, hi) and keep rows within the radius, in ascending id order.
-func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) ([]topk.Result, int64) {
+// [lo, hi) within the radius and keep rows within it, in ascending id
+// order. It also returns the rows it scored and how many of them the
+// radius cut short.
+func (f *Flat) rangeScan(q []float32, radius float32, lo, hi int, p *Params) (out []topk.Result, work ScanWork) {
 	b := f.sc.Bind(q)
-	var out []topk.Result
-	comps := int64(0)
 	if !p.Constrained() {
 		buf := getGatherBuf()
 		defer gatherPool.Put(buf)
 		for blo := lo; blo < hi; blo += scanBlock {
 			dist := buf.dist[:min(scanBlock, hi-blo)]
-			b.ScoreBlock(blo, blo+len(dist), dist)
+			work.Cut += int64(b.ScoreBlockWithin(blo, blo+len(dist), dist, radius))
 			for i, d := range dist {
 				if d <= radius {
 					out = append(out, topk.Result{ID: int64(blo + i), Dist: d})
 				}
 			}
-			comps += int64(len(dist))
+			work.Comps += int64(len(dist))
 		}
-		return out, comps
+		return out, work
 	}
 	forAdmitted(p, lo, hi, nil, func(ids []int32, dist []float32) {
-		b.ScoreIDs(ids, dist)
+		work.Cut += int64(b.ScoreIDsWithin(ids, dist, radius))
 		for o, id := range ids {
 			if d := dist[o]; d <= radius {
 				out = append(out, topk.Result{ID: int64(id), Dist: d})
 			}
 		}
-		comps += int64(len(ids))
+		work.Comps += int64(len(ids))
 	})
-	return out, comps
+	return out, work
 }

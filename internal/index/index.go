@@ -99,8 +99,13 @@ func (p *Params) Err() error {
 // IOReads for disk indexes).
 type SearchStats struct {
 	// DistanceComps counts full-vector (or ADC-table) distance
-	// computations.
+	// computations: the rows a scan touched, cut short or not.
 	DistanceComps int64
+	// Abandoned counts the rows of DistanceComps an exact L2 scan cut
+	// short: their partial distance already passed the collector's k-th
+	// distance (or the range radius), so the rest of the row was never
+	// read (vec.Bound.ScoreBlockWithin).
+	Abandoned int64
 	// NodesVisited counts graph nodes expanded or visited.
 	NodesVisited int64
 	// GreedyHops counts upper-layer greedy descents (HNSW).
@@ -115,6 +120,23 @@ type SearchStats struct {
 	// Partitions counts the parallel scan partitions this query was
 	// split into (1 for a serial scan).
 	Partitions int64
+}
+
+// ScanWork is what one partition of a parallel scan did: the rows it
+// scored and how many of them the scan's bound cut short. Partitions
+// return one each; the search adds them up and records the sum once.
+type ScanWork struct{ Comps, Cut int64 }
+
+// Add folds another partition's work into w.
+func (w *ScanWork) Add(o ScanWork) {
+	w.Comps += o.Comps
+	w.Cut += o.Cut
+}
+
+// Record adds w to the query's counters.
+func (w ScanWork) Record(st *SearchStats) {
+	st.DistanceComps += w.Comps
+	st.Abandoned += w.Cut
 }
 
 // Admits reports whether id passes both predicate mechanisms.

@@ -251,25 +251,25 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 	lists := iv.cents.NearestN(q, nprobe)
 	w := pool.Default().Effective(p.Parallelism, len(lists))
 	var merged *topk.Collector
-	var comps int64
+	var work index.ScanWork
 	if w <= 1 {
 		merged = topk.NewCollector(kk)
-		comps = iv.scanLists(q, merged, lists, &p, sharedADC)
+		work = iv.scanLists(q, merged, lists, &p, sharedADC)
 	} else {
 		obs.ParallelSearches.With(iv.Name()).Inc()
 		offs := pool.Split(len(lists), w)
 		collectors := make([]*topk.Collector, w)
-		compsBy := make([]int64, w)
+		workBy := make([]index.ScanWork, w)
 		pool.Default().Run(w, func(i int) {
 			c := topk.NewCollector(kk)
-			compsBy[i] = iv.scanLists(q, c, lists[offs[i]:offs[i+1]], &p, sharedADC)
+			workBy[i] = iv.scanLists(q, c, lists[offs[i]:offs[i+1]], &p, sharedADC)
 			collectors[i] = c
 		})
 		merged = collectors[0]
-		comps = compsBy[0]
+		work = workBy[0]
 		for i := 1; i < w; i++ {
 			merged.Merge(collectors[i])
-			comps += compsBy[i]
+			work.Add(workBy[i])
 		}
 	}
 	// A worker that stopped early left done closed for good, so this one
@@ -279,12 +279,12 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 	if !stopped {
 		res = merged.Results()
 		if iv.cfg.Variant != Flat {
-			comps += int64(len(res))
+			work.Comps += int64(len(res))
 			res = index.RerankExact(iv.sc, q, res, k)
 		}
 	}
 	if p.Stats != nil {
-		p.Stats.DistanceComps += comps
+		work.Record(p.Stats)
 		p.Stats.BucketsProbed += int64(len(lists))
 		if w < 1 {
 			w = 1
@@ -304,12 +304,12 @@ func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 var listScanBlock = 256
 
 // scanLists scores every admitted member of the given inverted lists
-// into c and returns the distance computations performed, polling p.Ctx
-// before each list and stopping once it has ended. sharedADC is
-// the query-relative table for the non-residual ADC variant (nil
-// otherwise); the residual variant builds a per-list table locally so
-// concurrent workers never share mutable state.
-func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.Params, sharedADC *quant.ADCTable) int64 {
+// into c and returns the rows it scored and how many of them the bound
+// cut short, polling p.Ctx before each list and stopping once it has
+// ended. sharedADC is the query-relative table for the non-residual ADC
+// variant (nil otherwise); the residual variant builds a per-list table
+// locally so concurrent workers never share mutable state.
+func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.Params, sharedADC *quant.ADCTable) (work index.ScanWork) {
 	switch iv.cfg.Variant {
 	case Flat:
 		return iv.scanListsBlocked(iv.sc.Bind(q), c, lists, p)
@@ -317,9 +317,8 @@ func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.P
 		// The decode-free LUT kernel shares the gather-block shape of
 		// the Flat scan: build the d×256 table once per worker, then
 		// every admitted member costs d byte-indexed lookups.
-		return iv.scanListsBlocked(iv.sqk.Bind(q), c, lists, p)
+		return iv.scanListsBlocked(vec.Uncut{QuantBound: iv.sqk.Bind(q)}, c, lists, p)
 	}
-	comps := int64(0)
 	adc := sharedADC
 	var resid []float32
 	if iv.cfg.Residual {
@@ -342,18 +341,18 @@ func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.P
 				continue
 			}
 			d := adc.Distance(iv.pqCodes[int(id)*iv.pq.M : (int(id)+1)*iv.pq.M])
-			comps++
+			work.Comps++
 			c.Push(int64(id), d)
 		}
 	}
-	return comps
+	return work
 }
 
 // blockScorer is the shared slice of the Bind contract (float Bound
-// and vec.QuantBound both satisfy it), so the gather-block list scan
-// below serves the Flat and SQ variants with the same code.
+// and vec.Uncut both satisfy it), so the gather-block list scan below
+// serves the Flat and SQ variants with the same code.
 type blockScorer interface {
-	ScoreIDs(ids []int32, out []float32)
+	ScoreIDsWithin(ids []int32, out []float32, bound float32) int
 }
 
 // listBuf is the scratch of one list-scanning worker — the ids gathered
@@ -367,28 +366,28 @@ type listBuf struct {
 var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
 
 // scanListsBlocked scores the admitted members of the lists in blocks
-// through b. Without a predicate every member is admitted, so each list
-// goes to the kernel as it is stored, block by block; under one, the
-// admitted ids are gathered across lists into a block first. Only
-// admitted rows are scored (and counted), exactly like the per-row path.
-func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p *index.Params) int64 {
+// through b, each block within c's k-th distance as Flat's scan does.
+// Without a predicate every member is admitted, so each list goes to
+// the kernel as it is stored, block by block; under one, the admitted
+// ids are gathered across lists into a block first. Only admitted rows
+// are scored (and counted), exactly like the per-row path.
+func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p *index.Params) (work index.ScanWork) {
 	buf := listBufs.Get().(*listBuf)
 	defer listBufs.Put(buf)
 	if cap(buf.ids) < listScanBlock {
 		buf.ids, buf.dist = make([]int32, 0, listScanBlock), make([]float32, listScanBlock)
 	}
 	ids, dist := buf.ids[:0], buf.dist[:listScanBlock]
-	comps := int64(0)
 	score := func(ids []int32) {
-		b.ScoreIDs(ids, dist[:len(ids)])
+		work.Cut += int64(b.ScoreIDsWithin(ids, dist[:len(ids)], c.Worst()))
 		c.PushIDs(ids, dist)
-		comps += int64(len(ids))
+		work.Comps += int64(len(ids))
 	}
 	done := p.Done()
 	if !p.Constrained() {
 		for _, list := range lists {
 			if index.Stopped(done) {
-				return comps
+				return work
 			}
 			for members := iv.lists[list]; len(members) > 0; {
 				n := min(len(members), listScanBlock)
@@ -396,11 +395,11 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 				members = members[n:]
 			}
 		}
-		return comps
+		return work
 	}
 	for _, list := range lists {
 		if index.Stopped(done) {
-			return comps
+			return work
 		}
 		for _, id := range iv.lists[list] {
 			if !p.Admits(int64(id)) {
@@ -414,7 +413,7 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 		}
 	}
 	score(ids)
-	return comps
+	return work
 }
 
 func init() {

@@ -31,10 +31,18 @@ const TraceHeader = "X-Vdbms-Trace"
 // "what did the planner do" without asking for a full trace.
 const PlanHeader = "X-Vdbms-Plan"
 
+// MaxBodyBytes is the largest request body the server reads. Every
+// request reaches its handler through http.MaxBytesHandler at this
+// limit, and a body that runs past it is answered 413 (Request Entity
+// Too Large) instead of being read into memory. At 64 MiB it holds a
+// /batch of tens of thousands of 128-float vectors.
+const MaxBodyBytes = 64 << 20
+
 // Server wraps a DB with HTTP handlers.
 type Server struct {
 	db           *vdbms.DB
 	mux          *http.ServeMux
+	limited      http.Handler // mux behind the MaxBodyBytes limit
 	queryTimeout time.Duration
 	slowQuery    time.Duration
 	parallelism  int
@@ -106,6 +114,7 @@ func New(db *vdbms.DB, opts ...Option) *Server {
 		{"/debug/slowlog", obs.SlowLogHandler(obs.DefaultSlowLog())},
 		{"/healthz", http.HandlerFunc(s.handleHealthz)},
 	}
+	s.limited = http.MaxBytesHandler(s.mux, MaxBodyBytes)
 	s.requests = make(map[string]*obs.Counter, len(routes))
 	for _, rt := range routes {
 		s.mux.Handle(rt.pattern, rt.h)
@@ -174,7 +183,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c = obs.HTTPRequests.With(label) // a path no route serves
 	}
 	c.Inc()
-	s.mux.ServeHTTP(w, r)
+	s.limited.ServeHTTP(w, r)
+}
+
+// writeDecodeErr answers a request whose body could not be decoded:
+// 413 when the body ran past MaxBodyBytes, 400 when it was malformed.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over the %d-byte limit", tooLarge.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, err)
 }
 
 // routeLabel collapses request paths onto their route pattern so the
@@ -228,7 +247,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req CreateCollectionRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeDecodeErr(w, err)
 			return
 		}
 		if _, err := s.db.CreateCollection(req.Name, req.Schema); err != nil {
@@ -314,7 +333,7 @@ func (s *Server) handleCollection(w http.ResponseWriter, r *http.Request) {
 	case "index":
 		var req IndexRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeDecodeErr(w, err)
 			return
 		}
 		if err := col.CreateIndex(req.Kind, req.Opts); err != nil {
@@ -339,7 +358,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *vdbms
 	defer rb.release()
 	req := &rb.insert
 	if err := rb.decodeInsert(r.Body, req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeDecodeErr(w, err)
 		return
 	}
 	id, err := col.Insert(req.Vector, req.Attrs)
@@ -358,7 +377,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms
 	defer rb.release()
 	req := &rb.search
 	if err := rb.decodeSearch(r.Body, req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeDecodeErr(w, err)
 		return
 	}
 	ctx, cancel := s.searchCtx(r)
@@ -414,7 +433,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, col *vdbms.
 	defer rb.release()
 	req := &rb.search
 	if err := rb.decodeSearch(r.Body, req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeDecodeErr(w, err)
 		return
 	}
 	if len(req.Vectors) == 0 {
@@ -454,7 +473,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeDecodeErr(w, err)
 		return
 	}
 	res, err := vql.Run(s.db, req.Query)

@@ -2,7 +2,10 @@
 
 package vec
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // Prefetch asks the core to start loading the cache line holding p into
 // every cache level (PREFETCHT0) and returns at once. It is a hint: it
@@ -34,27 +37,36 @@ func xgetbv() (eax, edx uint32)
 // l2RowsAVX and dotRowsAVX score the n contiguous rows of d floats at
 // rows against the d floats at q into the n floats at out. They read
 // exactly d floats of q and n*d of rows and write n of out; the
-// wrappers below are what makes those extents hold.
+// wrappers below are what makes those extents hold. l2RowsCutAVX is
+// l2RowsAVX with a bound: it cuts a row whose partial sum passes bound
+// (kernel.go) and returns how many rows it cut.
 //
 //go:noescape
 func l2RowsAVX(q, rows *float32, d, n int, out *float32)
 
 //go:noescape
+func l2RowsCutAVX(q, rows *float32, d, n int, out *float32, bound float32) int
+
+//go:noescape
 func dotRowsAVX(q, rows *float32, d, n int, out *float32)
 
-// l2Rows scores the len(out) contiguous rows of len(q) floats in rows:
-// out[i] = SquaredL2(q, row i).
-func l2Rows(q, rows, out []float32) {
+// l2Rows scores the len(out) contiguous rows of len(q) floats in rows,
+// out[i] = SquaredL2(q, row i) unless the row is cut above bound, and
+// returns how many rows it cut.
+func l2Rows(q, rows, out []float32, bound float32) int {
 	if !useAVX {
-		l2RowsGeneric(q, rows, out)
-		return
+		return l2RowsGeneric(q, rows, out, bound)
 	}
 	rows = head(rows, len(out)*len(q))
 	if len(rows) == 0 {
 		clear(out)
-		return
+		return 0
 	}
-	l2RowsAVX(&q[0], &rows[0], len(q), len(out), &out[0])
+	if math.IsInf(float64(bound), 1) {
+		l2RowsAVX(&q[0], &rows[0], len(q), len(out), &out[0])
+		return 0
+	}
+	return l2RowsCutAVX(&q[0], &rows[0], len(q), len(out), &out[0], bound)
 }
 
 // dotRows is l2Rows for the dot product.
@@ -75,9 +87,14 @@ func dotRows(q, rows, out []float32) {
 // ids name in data, row ids[i] starting d*ids[i] floats in. They read
 // d floats of q, n ids and d floats of each named row, and write n of
 // out; gatherRows is what makes every named row lie inside data.
+// l2GatherCutAVX is l2GatherAVX with a bound, as l2RowsCutAVX is
+// l2RowsAVX with one.
 //
 //go:noescape
 func l2GatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
+
+//go:noescape
+func l2GatherCutAVX(q, data *float32, ids *int32, d, n int, out *float32, bound float32) int
 
 //go:noescape
 func dotGatherAVX(q, data *float32, ids *int32, d, n int, out *float32)
@@ -98,17 +115,22 @@ func gatherRows(data []float32, ids []int32, d int, out []float32) bool {
 	return len(ids) > 0
 }
 
-// l2Gather scores the rows ids name in the row-major data:
-// out[i] = SquaredL2(q, row ids[i]).
-func l2Gather(q, data []float32, ids []int32, out []float32) {
+// l2Gather scores the rows ids name in the row-major data,
+// out[i] = SquaredL2(q, row ids[i]) unless the row is cut above bound,
+// and returns how many rows it cut.
+func l2Gather(q, data []float32, ids []int32, out []float32, bound float32) int {
 	if !useAVX {
-		l2GatherGeneric(q, data, ids, out)
-		return
+		return l2GatherGeneric(q, data, ids, out, bound)
 	}
 	out = out[:len(ids)]
-	if gatherRows(data, ids, len(q), out) {
-		l2GatherAVX(&q[0], &data[0], &ids[0], len(q), len(ids), &out[0])
+	if !gatherRows(data, ids, len(q), out) {
+		return 0
 	}
+	if math.IsInf(float64(bound), 1) {
+		l2GatherAVX(&q[0], &data[0], &ids[0], len(q), len(ids), &out[0])
+		return 0
+	}
+	return l2GatherCutAVX(&q[0], &data[0], &ids[0], len(q), len(ids), &out[0], bound)
 }
 
 // dotGather is l2Gather for the dot product.

@@ -3,6 +3,7 @@
 package vec
 
 import (
+	"math"
 	"runtime/debug"
 	"syscall"
 	"testing"
@@ -55,6 +56,9 @@ func guardedIDs(t *testing.T, ids ...int32) []int32 {
 // pair kernel of PR 4 did — faults here, which SetPanicOnFault turns
 // into a test failure instead of a crash.
 //
+// The L2 kernels run under bounds that cut rows at every cut point, at
+// some and at none: a cut row reads less of itself, never more.
+//
 // The gather kernels get the same operands plus an id list that is
 // itself flush against an unreadable page, of every length up to twice
 // the kernel's prefetch distance and naming the first and the last row
@@ -89,6 +93,9 @@ func TestKernelStaysInBounds(t *testing.T) {
 			heap[i] = float32(i%3) - 1
 		}
 		out := make([]float32, rowsPerBlock)
+		// The L2 kernels run unbounded, cutting every row they can, with
+		// a bound some rows pass and some do not, and under NaN.
+		bounds := []float32{inf, 0, float32(d), float32(math.NaN())}
 		for off := 0; off < 8; off++ {
 			free := heap[off : off+d]
 			freeBlock := heap[off : off+rowsPerBlock*d]
@@ -96,17 +103,21 @@ func TestKernelStaysInBounds(t *testing.T) {
 			_ = SquaredL2(free, vecG) + SquaredL2(vecG, free) + SquaredL2(vecG, vecG)
 			_ = Dot(free, vecG) + Dot(vecG, free) + Dot(vecG, vecG)
 			// Block form: guarded rows, then a guarded query.
-			l2Rows(free, blockG, out)
 			dotRows(free, blockG, out)
-			l2Rows(vecG, freeBlock, out)
 			dotRows(vecG, freeBlock, out)
+			for _, bound := range bounds {
+				l2Rows(free, blockG, out, bound)
+				l2Rows(vecG, freeBlock, out, bound)
+			}
 		}
 		gout := make([]float32, 5)
 		for _, ids := range idLists {
-			l2Gather(heap[:d], blockG, ids, gout)
 			dotGather(heap[:d], blockG, ids, gout)
-			l2Gather(vecG, heap[:rowsPerBlock*d], ids, gout)
 			dotGather(vecG, heap[:rowsPerBlock*d], ids, gout)
+			for _, bound := range bounds {
+				l2Gather(heap[:d], blockG, ids, gout, bound)
+				l2Gather(vecG, heap[:rowsPerBlock*d], ids, gout, bound)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -18,23 +20,29 @@ func sameScore(a, b float32) bool {
 
 // checkKernels holds the process's kernels to the portable ones on one
 // (q, rows) input: the single-row entry points per row, and the block
-// entry points over all rows at once.
+// and gather entry points over all rows at once. The L2 block and
+// gather kernels run under every bound of cutBounds and must store the
+// portable kernel's bits for every row, partial sums of cut rows
+// included, and cut as many rows; a row whose full score is within the
+// bound is never cut, a cut row stores a value above the bound, and an
+// uncut row its full score. (A row whose score is NaN may be cut: the
+// NaN can come after a cut point. Nothing that drops scores above a
+// finite bound keeps a NaN either.)
 func checkKernels(t *testing.T, what string, q, rows []float32, n int) {
 	t.Helper()
 	d := len(q)
-	l2 := make([]float32, n)
+	full := make([]float32, n)
 	dp := make([]float32, n)
-	l2Rows(q, rows, l2)
 	dotRows(q, rows, dp)
 	for i := 0; i < n; i++ {
 		row := rows[i*d : (i+1)*d]
-		wantL2, wantDot := squaredL2Generic(q, row), dotGeneric(q, row)
+		full[i], _ = squaredL2Generic(q, row, inf)
+		wantDot := dotGeneric(q, row)
 		for _, c := range []struct {
 			name      string
 			got, want float32
 		}{
-			{"SquaredL2", SquaredL2(q, row), wantL2},
-			{"l2Rows", l2[i], wantL2},
+			{"SquaredL2", SquaredL2(q, row), full[i]},
 			{"Dot", Dot(q, row), wantDot},
 			{"dotRows", dp[i], wantDot},
 		} {
@@ -44,6 +52,54 @@ func checkKernels(t *testing.T, what string, q, rows []float32, n int) {
 			}
 		}
 	}
+	// The gather list names the rows last to first.
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(n - 1 - i)
+	}
+	l2, gat := make([]float32, n), make([]float32, n)
+	for _, bound := range cutBounds(full) {
+		cut := l2Rows(q, rows, l2, bound)
+		gcut := l2Gather(q, rows, ids, gat, bound)
+		wantCut := 0
+		for i := 0; i < n; i++ {
+			want, c := squaredL2Generic(q, rows[i*d:(i+1)*d], bound)
+			if c {
+				wantCut++
+			}
+			switch {
+			case !sameScore(l2[i], want):
+				t.Fatalf("%s d=%d bound %v row %d: l2Rows = %v (bits %x), portable %v (bits %x)", what, d, bound, i,
+					l2[i], math.Float32bits(l2[i]), want, math.Float32bits(want))
+			case !sameScore(gat[n-1-i], want):
+				t.Fatalf("%s d=%d bound %v row %d: l2Gather = %v (bits %x), portable %v (bits %x)", what, d, bound, i,
+					gat[n-1-i], math.Float32bits(gat[n-1-i]), want, math.Float32bits(want))
+			case full[i] <= bound && c:
+				t.Fatalf("%s d=%d bound %v row %d: score %v within the bound cut at %v", what, d, bound, i, full[i], want)
+			case c && !(want > bound):
+				t.Fatalf("%s d=%d bound %v row %d: cut at %v, not above the bound", what, d, bound, i, want)
+			case !c && !sameScore(want, full[i]):
+				t.Fatalf("%s d=%d bound %v row %d: uncut score %v stored as %v", what, d, bound, i, full[i], want)
+			}
+		}
+		if cut != wantCut || gcut != wantCut {
+			t.Fatalf("%s d=%d bound %v: l2Rows cut %d rows, l2Gather %d, portable %d", what, d, bound, cut, gcut, wantCut)
+		}
+	}
+}
+
+// cutBounds are the bounds the L2 kernels are checked under: none, one
+// every row with floats past the first cut point is cut at, the median
+// of the rows' full scores (some rows cut, some not) and NaN (no
+// comparison with it holds, so nothing is cut).
+func cutBounds(full []float32) []float32 {
+	mid := float32(0)
+	if len(full) > 0 {
+		sorted := slices.Clone(full)
+		slices.Sort(sorted)
+		mid = sorted[len(sorted)/2]
+	}
+	return []float32{inf, 0, mid, float32(math.NaN())}
 }
 
 // TestKernelMatchesPortable pins the bound between the two tiers at
@@ -117,10 +173,11 @@ func TestKernelShortOperand(t *testing.T) {
 		t.Fatalf("Dot read past len(a): %v want %v", got, want)
 	}
 	for name, fn := range map[string]func(){
-		"SquaredL2": func() { SquaredL2(a, a[:8]) },
-		"Dot":       func() { Dot(a, a[:8]) },
-		"l2Rows":    func() { l2Rows(a, make([]float32, 2*len(a)-1), make([]float32, 2)) },
-		"dotRows":   func() { dotRows(a, make([]float32, 2*len(a)-1), make([]float32, 2)) },
+		"SquaredL2":  func() { SquaredL2(a, a[:8]) },
+		"Dot":        func() { Dot(a, a[:8]) },
+		"l2Rows":     func() { l2Rows(a, make([]float32, 2*len(a)-1), make([]float32, 2), inf) },
+		"l2Rows cut": func() { l2Rows(a, make([]float32, 2*len(a)-1), make([]float32, 2), 0) },
+		"dotRows":    func() { dotRows(a, make([]float32, 2*len(a)-1), make([]float32, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -156,7 +213,9 @@ func spdMatrix(rng *rand.Rand, d int) [][]float32 {
 // TestScorerPathConsistency is the numeric contract of scorer.go: for
 // the four metrics served by the kernels, ScoreAt, ScoreBlock at every
 // split of a 300-row range, ScoreIDs, ScoreRows and (where the metric
-// has one) the exported scalar function return the same bits.
+// has one) the exported scalar function return the same bits; and the
+// bounded paths, for a stored row and a NaN query, return those bits
+// for every row they do not cut.
 func TestScorerPathConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n = 300
@@ -220,6 +279,72 @@ func TestScorerPathConsistency(t *testing.T) {
 					}
 				}
 			}
+			checkWithin(t, fmt.Sprintf("%v d=%d", m, d), b, ref, ids)
+			// A NaN in the query makes every full score NaN; a row is cut
+			// only where its partial sum passes the bound before the NaN
+			// enters it.
+			nq := slices.Clone(q)
+			nq[d/2] = float32(math.NaN())
+			nb := sc.Bind(nq)
+			nref := make([]float32, n)
+			for i := range nref {
+				nref[i] = nb.ScoreAt(i)
+			}
+			checkWithin(t, fmt.Sprintf("%v d=%d NaN query", m, d), nb, nref, ids)
+		}
+	}
+}
+
+// checkWithin holds the bounded scorer paths to ScoreAt (ref) under
+// every bound of cutBounds: ScoreBlockWithin at every split of the
+// rows and ScoreIDsWithin over ids store ScoreAt's bits for every row
+// within the bound, a value above the bound for every row they cut,
+// and cut the same rows. Only L2 and factored Mahalanobis may cut.
+func checkWithin(t *testing.T, what string, b Bound, ref []float32, ids []int32) {
+	t.Helper()
+	n := len(ref)
+	out, gat := make([]float32, n), make([]float32, n)
+	mayCut := b.s.metric == L2 || b.s.metric == Mahalanobis
+	for _, bound := range cutBounds(ref) {
+		// check compares one stored score with ScoreAt's and reports
+		// whether the row was cut.
+		check := func(path string, i int, got float32) bool {
+			t.Helper()
+			switch {
+			case sameBits(got, ref[i]) || got != got && ref[i] != ref[i]:
+				return false
+			case !mayCut || ref[i] <= bound || !(got > bound):
+				t.Fatalf("%s bound %v row %d: %s %v, ScoreAt %v", what, bound, i, path, got, ref[i])
+			}
+			return true
+		}
+		want := -1
+		for split := 0; split <= n; split += 7 {
+			cut := b.ScoreBlockWithin(0, split, out, bound) + b.ScoreBlockWithin(split, n, out[split:], bound)
+			seen := 0
+			for i := range out {
+				if check("ScoreBlockWithin", i, out[i]) {
+					seen++
+				}
+			}
+			if want < 0 {
+				want = seen
+			}
+			if cut != seen || seen != want {
+				t.Fatalf("%s bound %v split %d: %d rows cut, %d scores differ from ScoreAt, %d at split 0", what, bound, split, cut, seen, want)
+			}
+		}
+		if mayCut && bound == 0 && b.s.dim > cutEvery && !math.IsNaN(float64(ref[0])) && want == 0 {
+			t.Fatalf("%s: bound 0 cut no row", what)
+		}
+		cut, seen := b.ScoreIDsWithin(ids, gat, bound), 0
+		for o, id := range ids {
+			if check("ScoreIDsWithin", int(id), gat[o]) {
+				seen++
+			}
+		}
+		if cut != seen {
+			t.Fatalf("%s bound %v: ScoreIDsWithin cut %d rows, %d scores differ from ScoreAt", what, bound, cut, seen)
 		}
 	}
 }

@@ -42,6 +42,24 @@ type QuantBound interface {
 	ScoreIDs(ids []int32, out []float32)
 }
 
+// Uncut gives a QuantBound the bounded entry points of Bound, so a scan
+// that serves float and quantized kernels alike passes its bound
+// through one shape. It scores every row in full and cuts none: a
+// cut bound is only sound for exact scores.
+type Uncut struct{ QuantBound }
+
+// ScoreBlockWithin is ScoreBlock; the bound is ignored.
+func (u Uncut) ScoreBlockWithin(lo, hi int, out []float32, _ float32) int {
+	u.ScoreBlock(lo, hi, out)
+	return 0
+}
+
+// ScoreIDsWithin is ScoreIDs; the bound is ignored.
+func (u Uncut) ScoreIDsWithin(ids []int32, out []float32, _ float32) int {
+	u.ScoreIDs(ids, out)
+	return 0
+}
+
 // SQ8Scorer is the int8 scalar-quantization kernel: rows are stored
 // as one byte per dimension (code c in dimension j reconstructs to
 // min[j] + c*step[j]) and each query binds a d×256 LUT holding that

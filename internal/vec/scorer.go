@@ -349,13 +349,24 @@ func (b Bound) ScoreAt(id int) float32 {
 // ScoreBlock scores the contiguous rows [lo, hi) into out[:hi-lo], bit
 // for bit what ScoreAt returns for each row, so results are independent
 // of how a scan is chunked into blocks.
-func (b Bound) ScoreBlock(lo, hi int, out []float32) {
+func (b Bound) ScoreBlock(lo, hi int, out []float32) { b.ScoreBlockWithin(lo, hi, out, inf) }
+
+// ScoreBlockWithin is ScoreBlock for a caller that drops every score
+// above bound — a top-k scan at its collector's k-th distance, a range
+// scan at its radius. Under L2 and the factored Mahalanobis form, whose
+// scores are sums of squares, a row whose partial sum passes bound is
+// cut (kernel.go): out holds that partial sum, some value above bound,
+// and the row is counted in the returned cut. Every other row gets
+// ScoreAt's bits. The other metrics score every row in full and cut
+// nothing: an inner-product or cosine term has no sign, and L1, Linf
+// and Hamming have no kernel. An infinite bound is ScoreBlock.
+func (b Bound) ScoreBlockWithin(lo, hi int, out []float32, bound float32) (cut int) {
 	s := b.s
 	d := s.dim
 	out = out[:hi-lo]
 	switch {
 	case s.metric == L2:
-		l2Rows(b.q, s.data[lo*d:hi*d], out)
+		return l2Rows(b.q, s.data[lo*d:hi*d], out, bound)
 	case s.metric == InnerProduct:
 		dotRows(b.q, s.data[lo*d:hi*d], out)
 		for i, dp := range out {
@@ -368,7 +379,7 @@ func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 			out[i] = cosineOf(dp, inv[i], b.qInv)
 		}
 	case s.metric == Mahalanobis && s.chol != nil:
-		l2Rows(b.tq, s.trows[lo*d:hi*d], out)
+		return l2Rows(b.tq, s.trows[lo*d:hi*d], out, bound)
 	default:
 		// L1/Linf/Hamming, the exact Mahalanobis form and opaque funcs
 		// (metric -1) have no kernel; the block still amortizes dispatch
@@ -377,6 +388,7 @@ func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 			out[i] = b.ScoreAt(lo + i)
 		}
 	}
+	return 0
 }
 
 // ScoreIDs scores a gather list: out[i] = dist(q, row ids[i]), bit for
@@ -384,12 +396,16 @@ func (b Bound) ScoreBlock(lo, hi int, out []float32) {
 // are not contiguous (a graph node's neighbour list, inverted lists,
 // filtered scans, memtable rows surviving generation checks); the rows
 // are scattered, so the kernel prefetches ahead along ids.
-func (b Bound) ScoreIDs(ids []int32, out []float32) {
+func (b Bound) ScoreIDs(ids []int32, out []float32) { b.ScoreIDsWithin(ids, out, inf) }
+
+// ScoreIDsWithin is ScoreIDs under a bound, as ScoreBlockWithin is
+// ScoreBlock under one.
+func (b Bound) ScoreIDsWithin(ids []int32, out []float32, bound float32) (cut int) {
 	s := b.s
 	out = out[:len(ids)]
 	switch {
 	case s.metric == L2:
-		l2Gather(b.q, s.data, ids, out)
+		return l2Gather(b.q, s.data, ids, out, bound)
 	case s.metric == InnerProduct:
 		dotGather(b.q, s.data, ids, out)
 		for i, dp := range out {
@@ -401,13 +417,17 @@ func (b Bound) ScoreIDs(ids []int32, out []float32) {
 			out[i] = cosineOf(dp, s.invNorm[ids[i]], b.qInv)
 		}
 	case s.metric == Mahalanobis && s.chol != nil:
-		l2Gather(b.tq, s.trows, ids, out)
+		return l2Gather(b.tq, s.trows, ids, out, bound)
 	default:
 		for i, id := range ids {
 			out[i] = b.ScoreAt(int(id))
 		}
 	}
+	return 0
 }
+
+// inf is the bound that cuts nothing.
+var inf = float32(math.Inf(1))
 
 // transform computes dst = Lᵀ·v (the Cholesky pre-transform), with
 // float64 accumulation so transformed-space distances stay within

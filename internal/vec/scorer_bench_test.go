@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,9 +21,13 @@ import (
 //	         row a cache miss, as in a graph traversal or an inverted list
 //	scoreat  the same shuffled rows, one Bound.ScoreAt call each — gather
 //	         without the batch and its prefetch
+//	cut      Bound.ScoreBlockWithin at the 10th-smallest score of all
+//	         rows, the bound a top-10 scan reaches once it has seen
+//	         them all: the rows it cuts short (L2 only)
 //
 // block vs generic is the assembly's speed-up, gather vs scoreat the
-// prefetch's, gather vs block what scattered rows still cost;
+// prefetch's, gather vs block what scattered rows still cost, cut vs
+// block what a bounded scan saves at its tightest;
 // EXPERIMENTS.md E9 quotes them.
 func BenchmarkScoreBlock(b *testing.B) {
 	const floats, block = 1 << 23, 256
@@ -53,7 +58,7 @@ func BenchmarkScoreBlock(b *testing.B) {
 			rows := data[lo*d : hi*d]
 			switch m {
 			case L2:
-				l2RowsGeneric(q, rows, out)
+				l2RowsGeneric(q, rows, out, inf)
 			case InnerProduct:
 				dotRowsGeneric(q, rows, out)
 				for i, dp := range out {
@@ -66,6 +71,10 @@ func BenchmarkScoreBlock(b *testing.B) {
 				}
 			}
 		}
+		all := make([]float32, n)
+		bound.ScoreBlock(0, n, all)
+		slices.Sort(all)
+		kth := all[9]
 		name := m.String()
 		if d != 128 {
 			name = fmt.Sprintf("%s/d=%d", name, d)
@@ -87,7 +96,11 @@ func BenchmarkScoreBlock(b *testing.B) {
 					out[i] = bound.ScoreAt(int(id))
 				}
 			}},
+			{"cut", func(lo, hi int, out []float32) { bound.ScoreBlockWithin(lo, hi, out, kth) }},
 		} {
+			if v.name == "cut" && m != L2 {
+				continue
+			}
 			b.Run(name+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(floats * 4)
 				out := make([]float32, block)

@@ -123,7 +123,7 @@ func Distance(m Metric) DistanceFunc {
 // order and return the same bits.
 func SquaredL2(a, b []float32) float32 {
 	var out [1]float32
-	l2Rows(a, b, out[:])
+	l2Rows(a, b, out[:], inf)
 	return out[0]
 }
 

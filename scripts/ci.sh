@@ -22,7 +22,10 @@ go vet ./...
 go build ./...
 # Cross-build: the kernel files are split by build tag (amd64 && !purego
 # / the complement); every platform must end up with exactly one
-# implementation of l2Rows/dotRows, l2Gather/dotGather and Prefetch.
+# implementation of l2Rows/dotRows, l2Gather/dotGather and Prefetch —
+# the bounded L2 entry points included: l2Rows and l2Gather take the
+# cut bound on both tiers, and on amd64 an infinite bound branches to
+# the unbounded assembly loop inside them, not to a second entry point.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 # Every suite step carries an explicit per-package -timeout: the race
@@ -42,6 +45,15 @@ GOMAXPROCS=1 go test -timeout 3m ./...
 # tiers and under -race.
 go test -tags purego -count=1 -timeout 5m ./internal/vec/ ./internal/index/... ./internal/kmeans/ ./internal/quant/
 go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathConsistency' ./internal/vec/
+# Bounded scans are exact: Flat.Search, SearchRange and the ivfflat list
+# scan, whose kernels stop reading a row once its partial L2 sum passes
+# the collector's k-th distance (or the radius), return the ids and
+# distance bits of a collector fed ScoreAt — on tie-heavy data with
+# duplicated rows, under L2 and Mahalanobis, at parallelism 1/2/8, with
+# and without an allowlist and a deletion mask — on both tiers and
+# under -race.
+go test -race -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference' ./internal/index/
+go test -race -tags purego -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference' ./internal/index/
 # Distributed read path = single-node engine + merge: four loopback
 # net/rpc shards hosting collections must return the exact hits (ids
 # and distance bits) of one collection for filtered forced-exact
@@ -139,6 +151,11 @@ go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchSto
 # /batch answers 499/504 like a stopped search (TestStoppedSearchStatus
 # above covers both routes).
 go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOverHTTP|TestStatsShowCalibration' ./internal/server/
+# Nothing a request says sizes an allocation past the data: a k of 2^33
+# over HTTP on a 200-row collection returns its 200 rows (search, forced
+# exact scan, post-filter, /batch), and a body past the server's limit
+# is a 413 on every route that reads one.
+go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestWeightedSumNeedsOneWeightPerVector' .
 # Request path smoke: the decoder against encoding/json on the
 # ann_search body, and one loopback round trip.
