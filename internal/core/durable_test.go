@@ -12,6 +12,7 @@ import (
 	"vdbms/internal/dataset"
 	"vdbms/internal/fault"
 	"vdbms/internal/filter"
+	"vdbms/internal/obs"
 	"vdbms/internal/vec"
 	"vdbms/internal/wal"
 )
@@ -467,5 +468,77 @@ func TestRecoverTwiceAfterTearBelowCheckpoint(t *testing.T) {
 	// The twice-recovered collection still takes durable writes.
 	if _, err := re2.Insert(ds.Row(0), durableRowAttrs(0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRefusedRecipeUnindexed: a recorded index recipe that the
+// family's option table refuses — logged before the table bounded it —
+// brings the collection back unindexed, serving exact scans, with the
+// refusal counted as a failed build, from the log alone and from a
+// checkpoint. A recipe that fails for any other reason still fails
+// Recover.
+func TestRecoverRefusedRecipeUnindexed(t *testing.T) {
+	const n = 200
+	ds := dataset.Clustered(n, 8, 4, 0.3, 11)
+	write := func(t *testing.T, checkpoint bool, kind string, opts map[string]int) string {
+		dir := t.TempDir()
+		c, err := CreateDurable(dir, "t", Schema{Dim: 8}, DurabilityOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := c.Insert(ds.Row(i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
+			t.Fatal(err)
+		}
+		c.WaitForIndex()
+		c.mu.Lock()
+		commit, err := c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
+		c.annKind, c.annOpts = kind, opts
+		c.publishLocked()
+		c.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := commit.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Crash, not Close: recovery rebuilds from the recorded recipe.
+		if err := c.wal.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, checkpoint := range []bool{false, true} {
+		failed := obs.IndexBuildsTotal.With("failed").Value()
+		re, err := Recover(write(t, checkpoint, "hnsw", map[string]int{"m": -5}), DurabilityOptions{})
+		if err != nil {
+			t.Fatalf("checkpoint=%v: %v", checkpoint, err)
+		}
+		if kind, covered, _ := re.IndexInfo(); kind != "" || covered != 0 {
+			t.Fatalf("checkpoint=%v: recovered with index %q covering %d, want none", checkpoint, kind, covered)
+		}
+		if got := obs.IndexBuildsTotal.With("failed").Value() - failed; got < 1 {
+			t.Fatalf("checkpoint=%v: %d failed builds counted, want the refusal", checkpoint, got)
+		}
+		res, err := re.Search(bg, SearchRequest{Vector: ds.Row(7), K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Hits) != 5 || res.Hits[0].ID != 7 || res.Hits[0].Dist != 0 {
+			t.Fatalf("checkpoint=%v: exact scan answered %v", checkpoint, res.Hits)
+		}
+		re.Close()
+	}
+	if _, err := Recover(write(t, false, "nope", nil), DurabilityOptions{}); err == nil {
+		t.Fatal("recovered a recipe naming no registered index; want the build error")
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 
@@ -416,7 +418,12 @@ func collectionFromSnapshot(snap *fileSnapshot, m *storage.MmapStore) (*Collecti
 
 // buildRecordedIndex builds and installs the index recipe recorded by
 // collectionFromSnapshot (a no-op without one). Split from restore so
-// recovery replays the whole log before paying for a single build.
+// recovery replays the whole log before paying for a single build. A
+// recipe the family's option table refuses (index.ErrOption; logged
+// before the table bounded its options) leaves the collection
+// unindexed, serving exact scans, instead of failing recovery:
+// CreateIndex has counted the failed build, and the next checkpoint
+// records no index.
 func (c *Collection) buildRecordedIndex() error {
 	c.mu.Lock()
 	kind, opts := c.annKind, c.annOpts
@@ -424,7 +431,16 @@ func (c *Collection) buildRecordedIndex() error {
 	if kind == "" {
 		return nil
 	}
-	if err := c.CreateIndex(kind, opts); err != nil {
+	err := c.CreateIndex(kind, opts)
+	if errors.Is(err, index.ErrOption) {
+		log.Printf("vdbms: %q recovers unindexed: recorded %s index %v refused: %v", c.name, kind, opts, err)
+		c.mu.Lock()
+		c.annKind, c.annOpts = "", nil
+		c.publishLocked()
+		c.mu.Unlock()
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("core: rebuilding %s index: %w", kind, err)
 	}
 	return nil

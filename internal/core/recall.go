@@ -48,6 +48,7 @@ import (
 	"vdbms/internal/bitset"
 	"vdbms/internal/executor"
 	"vdbms/internal/index"
+	"vdbms/internal/index/hnsw"
 	"vdbms/internal/obs"
 	"vdbms/internal/stats"
 	"vdbms/internal/tuner"
@@ -551,11 +552,12 @@ func strengthenRecipe(kind string, opts map[string]int) (string, map[string]int)
 	if kind != "hnsw" {
 		return "hnsw", nil
 	}
-	m, efc := 16, 200 // hnsw construction defaults
-	if v, ok := opts["m"]; ok && v > 0 {
+	m := hnsw.DefaultM
+	if v := opts["m"]; v > 0 {
 		m = v
 	}
-	if v, ok := opts["efc"]; ok && v > 0 {
+	efc := hnsw.DefaultEfConstruct(m)
+	if v := opts["efc"]; v > 0 {
 		efc = v
 	}
 	if m >= 64 && efc >= 1024 {

@@ -902,10 +902,11 @@ func TestStrengthenRecipe(t *testing.T) {
 	if kind != "hnsw" || opts["m"] != 8 || opts["efc"] != 32 {
 		t.Fatalf("got %s %v, want doubled hnsw", kind, opts)
 	}
-	// Defaults (absent opts) double from the family defaults.
+	// Defaults (absent opts) double from the family defaults: hnsw.Build's
+	// M = 12 and efc = 4·M.
 	kind, opts = strengthenRecipe("hnsw", nil)
-	if kind != "hnsw" || opts["m"] != 32 || opts["efc"] != 400 {
-		t.Fatalf("got %s %v, want m=32 efc=400", kind, opts)
+	if kind != "hnsw" || opts["m"] != 24 || opts["efc"] != 96 {
+		t.Fatalf("got %s %v, want m=24 efc=96", kind, opts)
 	}
 	// Capped: nothing stronger to propose.
 	if kind, _ = strengthenRecipe("hnsw", map[string]int{"m": 64, "efc": 1024}); kind != "" {

@@ -72,13 +72,43 @@ func metricsCell(ms []vec.Metric) string {
 	return strings.Join(names, ", ")
 }
 
-// quantCell renders a family's declared quantization support.
-var quantCell = map[index.QuantSupport]string{index.NoQuant: "none", index.RerankOnly: "rerank", index.FullQuant: "sq8/pq/opq"}
+// quantCell renders what a family's declared options let the schema's
+// quantization default fold in: the whole codec set, the re-rank width
+// alone, or nothing.
+func quantCell(f index.Family) string {
+	cell := "none"
+	for _, o := range f.Options {
+		switch {
+		case o.Name == "quant":
+			return "sq8/pq/opq"
+		case o.Name == "rerank_k":
+			cell = "rerank"
+		}
+	}
+	return cell
+}
 
-// TestReadmeCapabilityMatrix renders the knob, metrics and quant
-// columns of the README "Index families" table from the registry and
-// compares them with the table's rows: one row per registered family,
-// and no row for a name the registry does not know.
+// optionsCell renders a family's declared options: each key with its
+// upper bound (every lower bound is 0), a seed bare.
+func optionsCell(f index.Family) string {
+	cells := make([]string, len(f.Options))
+	for i, o := range f.Options {
+		switch {
+		case o == index.SeedOption:
+			cells[i] = "`seed`"
+		case o.Min != 0:
+			panic(fmt.Sprintf("%s option %q: the README renders lower bound 0 only", f.Name, o.Name))
+		default:
+			cells[i] = fmt.Sprintf("`%s` ≤ %d", o.Name, o.Max)
+		}
+	}
+	return strings.Join(cells, ", ")
+}
+
+// TestReadmeCapabilityMatrix renders the knob, metrics, quant and
+// options columns of the README "Index families" table from the
+// registry and compares them with the table's rows: one row per
+// registered family, and no row for a name the registry does not know.
 func TestReadmeCapabilityMatrix(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -95,18 +125,21 @@ func TestReadmeCapabilityMatrix(t *testing.T) {
 			break
 		}
 		cells := strings.Split(line, "|")
-		if len(cells) < 7 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+		if len(cells) < 8 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
 			continue
 		}
 		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
-		rows[name] = strings.Join([]string{strings.TrimSpace(cells[3]), strings.TrimSpace(cells[4]), strings.TrimSpace(cells[5])}, " | ")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows[name] = strings.Join(cells[3:7], " | ")
 	}
 	for _, name := range index.Names() {
 		fam, _ := index.Lookup(name)
-		want := strings.Join([]string{fam.Knob.String(), metricsCell(fam.Metrics), quantCell[fam.Quant]}, " | ")
+		want := strings.Join([]string{fam.Knob.String(), metricsCell(fam.Metrics), quantCell(fam), optionsCell(fam)}, " | ")
 		got, ok := rows[name]
 		if !ok {
-			t.Errorf("README index families table has no row for %q; want knob | metrics | quant = %s", name, want)
+			t.Errorf("README index families table has no row for %q; want knob | metrics | quant | options = %s", name, want)
 			continue
 		}
 		if got != want {

@@ -89,18 +89,8 @@ func (f *Flat) QuantizedScan() bool { return f.qsc != nil }
 func init() {
 	// Flat scores every row whatever the knob: Ef is declared because
 	// the recall loop needs one, and no rung changes the work.
-	Register(Family{Name: "flat", Knob: tuner.KnobEf, Metrics: AnyMetric, Quant: FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error) {
-		var spec QuantSpec
-		for key, v := range opts {
-			ok, err := spec.ParseOpt(key, v)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("index: flat does not take option %q", key)
-			}
-		}
-		return NewFlatQuant(data, n, d, metric, spec)
+	Register(Family{Name: "flat", Knob: tuner.KnobEf, Metrics: AnyMetric, Options: QuantOptions, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error) {
+		return NewFlatQuant(data, n, d, metric, QuantSpecOf(opts))
 	}})
 }
 

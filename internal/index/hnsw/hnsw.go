@@ -21,8 +21,8 @@ import (
 
 // Config controls construction.
 type Config struct {
-	M           int // max neighbors per node per layer; default 12
-	EfConstruct int // construction beam width; default 4*M
+	M           int // max neighbors per node per layer; default DefaultM
+	EfConstruct int // construction beam width; default DefaultEfConstruct(M)
 	// NaiveSelection replaces the pruning heuristic (RobustPrune α=1)
 	// with plain k-closest selection (E6 ablation).
 	NaiveSelection bool
@@ -53,16 +53,28 @@ type HNSW struct {
 	ml     float64
 }
 
+// DefaultM is the M Build uses when Config.M is 0.
+const DefaultM = 12
+
+// DefaultEfConstruct is the construction beam width Build uses for M
+// when Config.EfConstruct is 0.
+func DefaultEfConstruct(m int) int { return 4 * m }
+
 // Build inserts all vectors.
 func Build(data []float32, n, d int, cfg Config) (*HNSW, error) {
 	if d <= 0 || n <= 0 || len(data) < n*d {
 		return nil, fmt.Errorf("hnsw: bad data shape n=%d d=%d len=%d", n, d, len(data))
 	}
 	if cfg.M <= 0 {
-		cfg.M = 12
+		cfg.M = DefaultM
+	}
+	if cfg.M == 1 {
+		// The level multiplier 1/ln M needs M >= 2: at 1 every level
+		// draw overflowed and the graph came out with no layers.
+		cfg.M = 2
 	}
 	if cfg.EfConstruct <= 0 {
-		cfg.EfConstruct = 4 * cfg.M
+		cfg.EfConstruct = DefaultEfConstruct(cfg.M)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -296,27 +308,8 @@ func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error)
 }
 
 func init() {
-	index.Register(index.Family{Name: "hnsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Quant: index.FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{Metric: metric}
-		for k, v := range opts {
-			if used, err := cfg.Quant.ParseOpt(k, v); err != nil {
-				return nil, err
-			} else if used {
-				continue
-			}
-			switch k {
-			case "m":
-				cfg.M = v
-			case "efc":
-				cfg.EfConstruct = v
-			case "seed":
-				cfg.Seed = int64(v)
-			case "naive":
-				cfg.NaiveSelection = v != 0
-			default:
-				return nil, fmt.Errorf("hnsw: unknown option %q", k)
-			}
-		}
-		return Build(data, n, d, cfg)
+	options := append([]index.Option{{Name: "m", Max: 256}, {Name: "efc", Max: 4096}, {Name: "naive", Max: 1}, index.SeedOption}, index.QuantOptions...)
+	index.Register(index.Family{Name: "hnsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		return Build(data, n, d, Config{M: opts["m"], EfConstruct: opts["efc"], NaiveSelection: opts["naive"] != 0, Seed: int64(opts["seed"]), Metric: metric, Quant: index.QuantSpecOf(opts)})
 	}})
 }

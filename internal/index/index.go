@@ -8,11 +8,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync"
 
 	"vdbms/internal/bitset"
+	"vdbms/internal/quant"
 	"vdbms/internal/topk"
 	"vdbms/internal/tuner"
 	"vdbms/internal/vec"
@@ -206,28 +209,33 @@ var ErrDim = errors.New("index: query dimension mismatch")
 
 // BuildFunc constructs an index over n row-major vectors of dimension
 // d, scoring candidates with metric. Build calls it only with a metric
-// the family declares, so a family never sees one it cannot honor.
-// opts carries index-specific knobs (parsed from the CLI or query
-// language); unknown keys are an error.
+// the family declares and with opts whose every key the family
+// declares, inside its range, so a BuildFunc reads its keys straight
+// into its config: an absent key reads 0, which selects the default.
 type BuildFunc func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (Index, error)
 
-// QuantSupport says which quantization opts a family accepts.
-type QuantSupport int
+// Option declares one opts key a family reads and the closed range of
+// values Build lets through to it.
+//
+// Bounds follow one rule. A size or a flag has Min 0, which selects
+// the family's default; a flag's Max is 1; a seed takes any int
+// (SeedOption). A size's Max is at least four times the largest value
+// any caller passes — counting strengthenRecipe's hnsw cap of m = 64
+// and efc = 1 024 — and small enough that a build at Max on
+// 1 000 × 16 rows finishes in seconds, so no recipe runs a build out
+// of memory or time.
+type Option struct {
+	Name     string
+	Min, Max int
+}
 
-const (
-	// NoQuant families scan full-precision rows only.
-	NoQuant QuantSupport = iota
-	// RerankOnly families scan codes by construction (ivfsq, ivfadc)
-	// and accept only "rerank_k".
-	RerankOnly
-	// FullQuant families accept the whole codec set: "quant",
-	// "rerank_k", "pqm" and "pqks".
-	FullQuant
-)
+// SeedOption is the "seed" key of every family that draws random
+// numbers while it builds.
+var SeedOption = Option{Name: "seed", Min: math.MinInt, Max: math.MaxInt}
 
 // Family is the one declaration of an index family: how to build it
-// and what it can do. Build's metric check, the recall loop's tuned
-// knob and the schema's quantization default all read it.
+// and what it can do. Build's metric and option checks, the recall
+// loop's tuned knob and the schema's quantization default all read it.
 type Family struct {
 	Name  string
 	Build BuildFunc
@@ -238,8 +246,39 @@ type Family struct {
 	// Metrics lists the metrics the family honors. Build refuses any
 	// other with ErrMetric rather than rank under the wrong distance.
 	Metrics []vec.Metric
-	// Quant is the quantization the family accepts.
-	Quant QuantSupport
+	// Options lists every opts key the family reads. Build refuses any
+	// other key, and any value outside its range, with ErrOption.
+	Options []Option
+}
+
+// option returns the family's declaration of key.
+func (f Family) option(key string) (Option, bool) {
+	for _, o := range f.Options {
+		if o.Name == key {
+			return o, true
+		}
+	}
+	return Option{}, false
+}
+
+// checkOptions refuses an opts key f does not declare and a value
+// outside its declared range. Keys are checked in sorted order, so the
+// error names the same key on every call.
+func (f Family) checkOptions(opts map[string]int) error {
+	for _, key := range slices.Sorted(maps.Keys(opts)) {
+		o, ok := f.option(key)
+		if !ok {
+			names := make([]string, len(f.Options))
+			for i, o := range f.Options {
+				names[i] = o.Name
+			}
+			return fmt.Errorf("%w: %s takes no option %q (it takes %v)", ErrOption, f.Name, key, names)
+		}
+		if v := opts[key]; v < o.Min || v > o.Max {
+			return fmt.Errorf("%w: %s option %q = %d is outside [%d, %d]", ErrOption, f.Name, key, v, o.Min, o.Max)
+		}
+	}
+	return nil
 }
 
 // AnyMetric is the Metrics of a family whose structure holds under
@@ -250,6 +289,12 @@ var AnyMetric = []vec.Metric{vec.L2, vec.InnerProduct, vec.Cosine, vec.L1, vec.L
 // ErrMetric is wrapped by the error Build returns for a metric the
 // family does not declare.
 var ErrMetric = errors.New("index: metric not supported by family")
+
+// ErrOption is wrapped by the error Build returns for an option the
+// family does not declare, a value outside its declared range, or a
+// value the data cannot take (a product quantizer whose subquantizer
+// count does not divide the dimension).
+var ErrOption = errors.New("index: bad option")
 
 var (
 	regMu    sync.RWMutex
@@ -284,7 +329,14 @@ func Build(name string, data []float32, n, d int, metric vec.Metric, opts map[st
 	if !slices.Contains(f.Metrics, metric) {
 		return nil, fmt.Errorf("%w: %s honors %v, not %v", ErrMetric, name, f.Metrics, metric)
 	}
-	return f.Build(data, n, d, metric, opts)
+	if err := f.checkOptions(opts); err != nil {
+		return nil, err
+	}
+	idx, err := f.Build(data, n, d, metric, opts)
+	if errors.Is(err, quant.ErrConfig) {
+		return nil, fmt.Errorf("%w: %s: %w", ErrOption, name, err)
+	}
+	return idx, err
 }
 
 // Names lists registered families in sorted order.

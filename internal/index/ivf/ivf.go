@@ -417,33 +417,23 @@ func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p
 }
 
 func init() {
+	// Each variant declares only the keys its build reads: m, ks and
+	// residual shape ADC's product quantizer (at most 256 centroids per
+	// subquantizer, one-byte codes), and rerank_k the code scans'
+	// re-rank. K-means clamps nlist to the rows.
+	nlist := index.Option{Name: "nlist", Max: 1 << 16}
+	flat := []index.Option{nlist, index.SeedOption}
+	sq := []index.Option{nlist, index.SeedOption, index.RerankOption}
+	adc := []index.Option{nlist, index.SeedOption, index.RerankOption, {Name: "m", Max: 256}, {Name: "ks", Max: 256}, {Name: "residual", Max: 1}}
 	l2 := []vec.Metric{vec.L2}
-	index.Register(index.Family{Name: "ivfflat", Build: buildFunc(Flat), Knob: tuner.KnobNProbe, Metrics: index.AnyMetric})
-	index.Register(index.Family{Name: "ivfsq", Build: buildFunc(SQ), Knob: tuner.KnobNProbe, Metrics: l2, Quant: index.RerankOnly})
-	index.Register(index.Family{Name: "ivfadc", Build: buildFunc(ADC), Knob: tuner.KnobNProbe, Metrics: l2, Quant: index.RerankOnly})
+	index.Register(index.Family{Name: "ivfflat", Build: buildFunc(Flat), Knob: tuner.KnobNProbe, Metrics: index.AnyMetric, Options: flat})
+	index.Register(index.Family{Name: "ivfsq", Build: buildFunc(SQ), Knob: tuner.KnobNProbe, Metrics: l2, Options: sq})
+	index.Register(index.Family{Name: "ivfadc", Build: buildFunc(ADC), Knob: tuner.KnobNProbe, Metrics: l2, Options: adc})
 }
 
 func buildFunc(v Variant) index.BuildFunc {
 	return func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{Variant: v, Metric: metric}
-		for k, val := range opts {
-			switch k {
-			case "nlist":
-				cfg.NList = val
-			case "m":
-				cfg.PQM = val
-			case "ks":
-				cfg.PQKs = val
-			case "residual":
-				cfg.Residual = val != 0
-			case "seed":
-				cfg.Seed = int64(val)
-			case "rerank_k":
-				cfg.RerankK = val
-			default:
-				return nil, fmt.Errorf("ivf: unknown option %q", k)
-			}
-		}
-		return Build(data, n, d, cfg)
+		return Build(data, n, d, Config{Variant: v, NList: opts["nlist"], PQM: opts["m"], PQKs: opts["ks"], Residual: opts["residual"] != 0,
+			Seed: int64(opts["seed"]), RerankK: opts["rerank_k"], Metric: metric})
 	}
 }

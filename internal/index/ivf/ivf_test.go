@@ -1,6 +1,7 @@
 package ivf
 
 import (
+	"errors"
 	"testing"
 
 	"vdbms/internal/bitset"
@@ -166,10 +167,17 @@ func TestIVFDefaultNList(t *testing.T) {
 	}
 }
 
+// TestIVFRegistry builds each variant with the keys it declares, and
+// holds each to refusing the keys only a later variant reads: ivfflat
+// takes no rerank_k, ivfsq no product quantizer shape.
 func TestIVFRegistry(t *testing.T) {
 	ds := dataset.Uniform(64, 8, 7)
-	for _, name := range []string{"ivfflat", "ivfsq", "ivfadc"} {
-		idx, err := index.Build(name, ds.Data, 64, 8, vec.L2, map[string]int{"nlist": 4, "m": 2, "ks": 16})
+	for name, opts := range map[string]map[string]int{
+		"ivfflat": {"nlist": 4},
+		"ivfsq":   {"nlist": 4, "rerank_k": 8},
+		"ivfadc":  {"nlist": 4, "rerank_k": 8, "m": 2, "ks": 16, "residual": 1},
+	} {
+		idx, err := index.Build(name, ds.Data, 64, 8, vec.L2, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -180,8 +188,10 @@ func TestIVFRegistry(t *testing.T) {
 			t.Fatalf("%s search: %v", name, err)
 		}
 	}
-	if _, err := index.Build("ivfflat", ds.Data, 64, 8, vec.L2, map[string]int{"zz": 1}); err == nil {
-		t.Fatal("want unknown-option error")
+	for name, key := range map[string]string{"ivfflat": "rerank_k", "ivfsq": "m", "ivfadc": "zz"} {
+		if _, err := index.Build(name, ds.Data, 64, 8, vec.L2, map[string]int{key: 1}); !errors.Is(err, index.ErrOption) {
+			t.Fatalf("%s with %q: %v, want index.ErrOption", name, key, err)
+		}
 	}
 }
 

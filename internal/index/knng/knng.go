@@ -294,27 +294,14 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 }
 
 func init() {
-	index.Register(index.Family{Name: "knng", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{Metric: metric}
-		for k, v := range opts {
-			switch k {
-			case "k":
-				cfg.K = v
-			case "iters":
-				cfg.MaxIter = v
-			case "seed":
-				cfg.Seed = int64(v)
-			case "exact":
-				if v != 0 {
-					cfg.Init = Exact
-				}
-			case "treeinit":
-				if v != 0 {
-					cfg.Init = TreeInit
-				}
-			default:
-				return nil, fmt.Errorf("knng: unknown option %q", k)
-			}
+	options := []index.Option{{Name: "k", Max: 64}, {Name: "iters", Max: 64}, {Name: "exact", Max: 1}, {Name: "treeinit", Max: 1}, index.SeedOption}
+	index.Register(index.Family{Name: "knng", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		cfg := Config{K: opts["k"], MaxIter: opts["iters"], Seed: int64(opts["seed"]), Metric: metric}
+		switch {
+		case opts["exact"] != 0: // exact wins over treeinit
+			cfg.Init = Exact
+		case opts["treeinit"] != 0:
+			cfg.Init = TreeInit
 		}
 		return Build(data, n, d, cfg)
 	}})

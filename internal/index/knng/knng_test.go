@@ -1,10 +1,12 @@
 package knng
 
 import (
+	"fmt"
 	"testing"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -126,5 +128,42 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := index.Build("knng", ds.Data, 80, 4, vec.L2, map[string]int{"zz": 1}); err == nil {
 		t.Fatal("want unknown-option error")
+	}
+}
+
+// TestExactWinsOverTreeInit: a recipe that sets both init flags builds
+// the exact graph every time. The flags were read in map order, so one
+// recipe built an Exact graph on some runs and a TreeInit graph on
+// others, and a recovered collection could serve a different index
+// from the one it logged. One NN-Descent round and a beam of k keep
+// the two graphs' hits apart.
+func TestExactWinsOverTreeInit(t *testing.T) {
+	const n, dim, k = 1000, 32, 10
+	ds := dataset.Uniform(n, dim, 5)
+	qs := ds.Queries(20, 0.05, 9)
+	hits := func(idx index.Index) string {
+		var out []topk.Result
+		for _, q := range qs {
+			res, err := idx.Search(q, k, index.Params{Ef: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res...)
+		}
+		return fmt.Sprint(out)
+	}
+	exact, err := Build(ds.Data, n, dim, Config{K: 8, MaxIter: 1, Init: Exact, Metric: vec.L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hits(exact)
+	for i := 0; i < 20; i++ {
+		idx, err := index.Build("knng", ds.Data, n, dim, vec.L2, map[string]int{"k": 8, "iters": 1, "exact": 1, "treeinit": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hits(idx); got != want {
+			t.Fatalf("build %d: hits differ from the exact graph's:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }

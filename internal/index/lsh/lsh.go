@@ -218,32 +218,16 @@ func init() {
 	// Hyperplane LSH hashes angles and p-stable LSH hashes L2 offsets:
 	// under any other metric candidates would come from the wrong
 	// buckets. NProbe caps the tables consulted.
-	index.Register(index.Family{Name: "lsh", Knob: tuner.KnobNProbe, Metrics: []vec.Metric{vec.L2, vec.Cosine}, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{Metric: metric}
-		if metric == vec.L2 {
-			// Direct Build callers who pick Hyperplane under L2 get the
-			// historical cosine re-rank (metricOrL2); an index built from
-			// a collection recipe must honor the collection metric, so L2
-			// defaults to the p-stable family, which hashes L2 offsets.
+	// l tables of k concatenated hashes; w is the p-stable bucket width.
+	options := []index.Option{{Name: "l", Max: 256}, {Name: "k", Max: 64}, {Name: "w", Max: 1 << 16}, {Name: "pstable", Max: 1}, index.SeedOption}
+	index.Register(index.Family{Name: "lsh", Knob: tuner.KnobNProbe, Metrics: []vec.Metric{vec.L2, vec.Cosine}, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		cfg := Config{L: opts["l"], K: opts["k"], W: float32(opts["w"]), Seed: int64(opts["seed"]), Metric: metric}
+		// Direct Build callers who pick Hyperplane under L2 get the
+		// historical cosine re-rank (metricOrL2); an index built from a
+		// collection recipe must honor the collection metric, so L2
+		// defaults to the p-stable family, which hashes L2 offsets.
+		if metric == vec.L2 || opts["pstable"] != 0 {
 			cfg.Family = PStable
-		}
-		for k, v := range opts {
-			switch k {
-			case "l":
-				cfg.L = v
-			case "k":
-				cfg.K = v
-			case "seed":
-				cfg.Seed = int64(v)
-			case "pstable":
-				if v != 0 {
-					cfg.Family = PStable
-				}
-			case "w":
-				cfg.W = float32(v)
-			default:
-				return nil, fmt.Errorf("lsh: unknown option %q", k)
-			}
 		}
 		return Build(data, n, d, cfg)
 	}})

@@ -420,32 +420,12 @@ func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 }
 
 func init() {
-	for name, v := range map[string]Variant{"nsg": NSG, "vamana": Vamana, "fanng": FANNG} {
-		variant := v
-		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: index.AnyMetric, Quant: index.FullQuant, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-			cfg := Config{Variant: variant, Metric: metric}
-			for k, val := range opts {
-				if used, err := cfg.Quant.ParseOpt(k, val); err != nil {
-					return nil, err
-				} else if used {
-					continue
-				}
-				switch k {
-				case "r":
-					cfg.R = val
-				case "l":
-					cfg.L = val
-				case "seed":
-					cfg.Seed = int64(val)
-				case "alpha100":
-					cfg.Alpha = float32(val) / 100
-				case "trials":
-					cfg.Trials = val
-				default:
-					return nil, fmt.Errorf("nsg: unknown option %q", k)
-				}
-			}
-			return Build(data, n, d, cfg)
+	// alpha100 is Vamana's alpha in hundredths.
+	options := append([]index.Option{{Name: "r", Max: 64}, {Name: "l", Max: 1024}, {Name: "alpha100", Max: 1000}, {Name: "trials", Max: 64}, index.SeedOption}, index.QuantOptions...)
+	for name, variant := range map[string]Variant{"nsg": NSG, "vamana": Vamana, "fanng": FANNG} {
+		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+			return Build(data, n, d, Config{Variant: variant, R: opts["r"], L: opts["l"], Alpha: float32(opts["alpha100"]) / 100, Trials: opts["trials"],
+				Seed: int64(opts["seed"]), Metric: metric, Quant: index.QuantSpecOf(opts)})
 		}})
 	}
 }

@@ -119,20 +119,8 @@ func (g *NSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error) 
 }
 
 func init() {
-	index.Register(index.Family{Name: "nsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{Metric: metric}
-		for k, v := range opts {
-			switch k {
-			case "m":
-				cfg.M = v
-			case "efc":
-				cfg.EfConstruct = v
-			case "seed":
-				cfg.Seed = int64(v)
-			default:
-				return nil, fmt.Errorf("nsw: unknown option %q", k)
-			}
-		}
-		return Build(data, n, d, cfg)
+	options := []index.Option{{Name: "m", Max: 256}, {Name: "efc", Max: 4096}, index.SeedOption}
+	index.Register(index.Family{Name: "nsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+		return Build(data, n, d, Config{M: opts["m"], EfConstruct: opts["efc"], Seed: int64(opts["seed"]), Metric: metric})
 	}})
 }

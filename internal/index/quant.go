@@ -58,8 +58,7 @@ func ParseQuantKind(s string) (QuantKind, error) {
 
 // QuantSpec is the per-index quantization recipe carried through the
 // integer opts map (so it persists in WAL/checkpoint index records
-// exactly like every other build knob). Opt keys: "quant" (QuantKind),
-// "rerank_k", "pqm", "pqks".
+// exactly like every other build knob) under the QuantOptions keys.
 type QuantSpec struct {
 	Kind QuantKind
 	// RerankK is how many approximate candidates get exact
@@ -72,29 +71,20 @@ type QuantSpec struct {
 	PQM, PQKs int
 }
 
-// ParseOpt consumes one opts entry if it is a quantization knob,
-// reporting whether it did. Family opt parsers call this first so the
-// quant keys never collide with their own.
-func (s *QuantSpec) ParseOpt(key string, v int) (bool, error) {
-	switch key {
-	case "quant":
-		if v < int(QuantNone) || v > int(QuantOPQ) {
-			return true, fmt.Errorf("index: quant=%d out of range", v)
-		}
-		s.Kind = QuantKind(v)
-	case "rerank_k":
-		if v < 0 {
-			return true, fmt.Errorf("index: rerank_k=%d must be >= 0", v)
-		}
-		s.RerankK = v
-	case "pqm":
-		s.PQM = v
-	case "pqks":
-		s.PQKs = v
-	default:
-		return false, nil
-	}
-	return true, nil
+// RerankOption is the "rerank_k" key: the re-rank width of a family
+// that scans codes. Search clamps the width to the rows, so the bound
+// only keeps the recipe sane.
+var RerankOption = Option{Name: "rerank_k", Max: 1 << 16}
+
+// QuantOptions are the keys of a family that can scan quantized codes
+// beside its full-precision rows; QuantSpecOf reads them. A product
+// quantizer has at most 256 centroids per subquantizer (one-byte
+// codes) and at most one subquantizer per dimension.
+var QuantOptions = []Option{{Name: "quant", Max: int(QuantOPQ)}, RerankOption, {Name: "pqm", Max: 256}, {Name: "pqks", Max: 256}}
+
+// QuantSpecOf reads the QuantOptions keys of a checked opts map.
+func QuantSpecOf(opts map[string]int) QuantSpec {
+	return QuantSpec{Kind: QuantKind(opts["quant"]), RerankK: opts["rerank_k"], PQM: opts["pqm"], PQKs: opts["pqks"]}
 }
 
 // Enabled reports whether the spec selects any codec.
@@ -125,14 +115,17 @@ func (s QuantSpec) ResolveRerankK(p Params, k, n int) int {
 
 // BuildQuantKernel trains the codec named by spec on the n row-major
 // vectors and returns the decode-free scan kernel. SQ8 supports
-// l2/ip/cosine; PQ and OPQ decompose squared L2 only and reject other
-// metrics at build time rather than return plausible-but-wrong
-// rankings.
+// l2/ip/cosine; PQ and OPQ decompose squared L2 only. Any other metric
+// is refused at build time with ErrMetric rather than ranked
+// plausibly but wrongly.
 func BuildQuantKernel(spec QuantSpec, metric vec.Metric, data []float32, n, d int) (vec.QuantScorer, error) {
 	switch spec.Kind {
 	case QuantNone:
 		return nil, nil
 	case QuantSQ8:
+		if metric != vec.L2 && metric != vec.InnerProduct && metric != vec.Cosine {
+			return nil, fmt.Errorf("%w: sq8 quantization supports l2, ip and cosine, not %v", ErrMetric, metric)
+		}
 		sq, err := quant.TrainSQ(data, n, d)
 		if err != nil {
 			return nil, err
@@ -146,7 +139,7 @@ func BuildQuantKernel(spec QuantSpec, metric vec.Metric, data []float32, n, d in
 		return vec.NewSQ8Scorer(metric, sq.Min, sq.Step, codes, n, d)
 	case QuantPQ, QuantOPQ:
 		if metric != vec.L2 {
-			return nil, fmt.Errorf("index: %v quantization supports l2 only (ADC tables decompose squared L2), got %v", spec.Kind, metric)
+			return nil, fmt.Errorf("%w: %v quantization supports l2 only (ADC tables decompose squared L2), not %v", ErrMetric, spec.Kind, metric)
 		}
 		cfg := quant.PQConfig{M: spec.PQM, Ks: spec.PQKs, Seed: 1, MaxIter: 15}
 		if cfg.M == 0 {
@@ -190,31 +183,30 @@ type Quantized interface {
 // for one CreateIndex call, returning the map that should be built
 // from AND recorded in the WAL/checkpoint recipe (so the materialized
 // recipe survives recovery even if the schema default changes).
-// Explicit opts win over schema defaults. Families whose declared
-// Quant cannot scan the requested codec are left untouched — a
-// schema-wide default must not break CreateIndex for, say, a kd-tree.
+// Explicit opts win over schema defaults. A default lands only on a
+// family that declares its key ("quant", "rerank_k") — a schema-wide
+// default must not break CreateIndex for, say, a kd-tree.
 func MergeQuantDefaults(kind string, opts map[string]int, quantization string, rerankK int) (map[string]int, error) {
 	qk, err := ParseQuantKind(quantization)
 	if err != nil {
 		return nil, err
 	}
 	f, _ := Lookup(kind)
-	if f.Quant == NoQuant || (qk == QuantNone && rerankK == 0) {
+	_, takesQuant := f.option("quant")
+	_, takesRerank := f.option("rerank_k")
+	setQuant, setRerank := takesQuant && qk != QuantNone, takesRerank && rerankK > 0
+	if !setQuant && !setRerank {
 		return opts, nil
 	}
 	merged := make(map[string]int, len(opts)+2)
 	for k, v := range opts {
 		merged[k] = v
 	}
-	if f.Quant == FullQuant && qk != QuantNone {
-		if _, explicit := merged["quant"]; !explicit {
-			merged["quant"] = int(qk)
-		}
+	if _, explicit := merged["quant"]; setQuant && !explicit {
+		merged["quant"] = int(qk)
 	}
-	if rerankK > 0 {
-		if _, explicit := merged["rerank_k"]; !explicit {
-			merged["rerank_k"] = rerankK
-		}
+	if _, explicit := merged["rerank_k"]; setRerank && !explicit {
+		merged["rerank_k"] = rerankK
 	}
 	return merged, nil
 }

@@ -228,18 +228,9 @@ func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error
 func init() {
 	// PCA-threshold buckets and the re-rank scan assume squared L2; Ef
 	// is the re-rank budget.
-	index.Register(index.Family{Name: "spectral", Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
-		cfg := Config{}
-		for k, v := range opts {
-			switch k {
-			case "bits":
-				cfg.Bits = v
-			case "pcadims":
-				cfg.PCADims = v
-			default:
-				return nil, fmt.Errorf("spectral: unknown option %q", k)
-			}
-		}
-		return Build(data, n, d, cfg)
+	// Build caps bits at 30 and clamps pcadims to bits.
+	options := []index.Option{{Name: "bits", Max: 30}, {Name: "pcadims", Max: 30}}
+	index.Register(index.Family{Name: "spectral", Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Options: options, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
+		return Build(data, n, d, Config{Bits: opts["bits"], PCADims: opts["pcadims"]})
 	}})
 }

@@ -406,23 +406,11 @@ func (f *Forest) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 }
 
 func init() {
+	options := []index.Option{{Name: "trees", Max: 256}, {Name: "leaf", Max: 4096}, index.SeedOption}
 	for r, name := range names {
 		// Axis and hyperplane margins bound squared L2 only.
-		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
-			cfg := Config{Rule: Rule(r)}
-			for k, v := range opts {
-				switch k {
-				case "trees":
-					cfg.Trees = v
-				case "leaf":
-					cfg.LeafSize = v
-				case "seed":
-					cfg.Seed = int64(v)
-				default:
-					return nil, fmt.Errorf("%s: unknown option %q", name, k)
-				}
-			}
-			return Build(data, n, d, cfg)
+		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Options: options, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
+			return Build(data, n, d, Config{Rule: Rule(r), Trees: opts["trees"], LeafSize: opts["leaf"], Seed: int64(opts["seed"])})
 		}})
 	}
 }

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"fmt"
 
 	"vdbms/internal/kmeans"
@@ -20,6 +21,11 @@ type PQ struct {
 	Codebooks [][]float32
 }
 
+// ErrConfig is wrapped by the error TrainPQ returns for an M or Ks the
+// data cannot take: M must divide the dimension and Ks be a power of
+// two up to 256.
+var ErrConfig = errors.New("quant: bad product quantizer shape")
+
 // PQConfig controls TrainPQ.
 type PQConfig struct {
 	M       int   // subquantizers; must divide the dimension
@@ -34,10 +40,10 @@ func TrainPQ(data []float32, n, d int, cfg PQConfig) (*PQ, error) {
 		cfg.Ks = 256
 	}
 	if cfg.M <= 0 || d%cfg.M != 0 {
-		return nil, fmt.Errorf("quant: M=%d must divide dim %d", cfg.M, d)
+		return nil, fmt.Errorf("%w: M=%d must divide dim %d", ErrConfig, cfg.M, d)
 	}
 	if !isPow2(cfg.Ks) || cfg.Ks > 256 {
-		return nil, fmt.Errorf("quant: Ks=%d must be a power of two <= 256", cfg.Ks)
+		return nil, fmt.Errorf("%w: Ks=%d must be a power of two <= 256", ErrConfig, cfg.Ks)
 	}
 	if n == 0 || len(data) != n*d {
 		return nil, fmt.Errorf("quant: bad PQ training shape n=%d d=%d len=%d", n, d, len(data))

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"vdbms"
 	"vdbms/internal/dataset"
+	"vdbms/internal/index"
 )
 
 // TestHugeKReturnsEveryRow: a k far past the collection's rows asks for
@@ -83,6 +85,78 @@ func TestHugeKReturnsEveryRow(t *testing.T) {
 	for i, hits := range batch.Results {
 		if len(hits) != n {
 			t.Fatalf("batch query %d: %d hits, want %d", i, len(hits), n)
+		}
+	}
+}
+
+// TestIndexOptionsRefused: index options outside a family's declared
+// table are refused before a build starts. Each of these bodies, sent
+// to the index route of a 200-row collection, killed the process with
+// "runtime: out of memory" (hnsw m, vamana r, lsh l and k) or built for
+// longer than anyone waited (nsg r, knng k, kdforest trees). Each must
+// now get a 400 naming the key within a second, and the collection
+// must go on answering searches on the index it already had.
+func TestIndexOptionsRefused(t *testing.T) {
+	const n, dim = 200, 8
+	db := vdbms.New()
+	col, err := db.CreateCollection("c", vdbms.Schema{Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Clustered(n, dim, 4, 0.3, 3)
+	for i := 0; i < n; i++ {
+		if _, err := col.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(New(db))
+	defer hs.Close()
+	vector, _ := json.Marshal(ds.Row(5))
+	const huge = 8589934592
+	for _, tc := range []struct {
+		kind, key string
+		value     int
+	}{
+		{"hnsw", "m", huge},
+		{"vamana", "r", huge},
+		{"nsg", "r", huge},
+		{"lsh", "l", huge},
+		{"lsh", "k", huge},
+		{"knng", "k", huge},
+		{"kdforest", "trees", huge},
+		{"hnsw", "zz", 1},
+	} {
+		body := fmt.Sprintf(`{"kind":%q,"opts":{%q:%d}}`, tc.kind, tc.key, tc.value)
+		start := time.Now()
+		resp, err := hs.Client().Post(hs.URL+"/collections/c/index", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		decodeErr := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s: answered after %v, want within 1s", body, took)
+		}
+		if resp.StatusCode != http.StatusBadRequest || decodeErr != nil ||
+			!strings.Contains(out["error"], index.ErrOption.Error()) || !strings.Contains(out["error"], fmt.Sprintf("%q", tc.key)) {
+			t.Fatalf("%s: status %d %v, want 400 and an index.ErrOption error naming %q", body, resp.StatusCode, out, tc.key)
+		}
+		search, err := hs.Client().Post(hs.URL+"/collections/c/search", "application/json", strings.NewReader(fmt.Sprintf(`{"vector":%s,"k":5}`, vector)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hits struct{ Hits []struct{ ID int64 } }
+		decodeErr = json.NewDecoder(search.Body).Decode(&hits)
+		search.Body.Close()
+		if search.StatusCode != http.StatusOK || decodeErr != nil || len(hits.Hits) != 5 || hits.Hits[0].ID != 5 {
+			t.Fatalf("search after %s: status %d %v %v", body, search.StatusCode, hits.Hits, decodeErr)
+		}
+		if kind, _, _ := col.IndexInfo(); kind != "hnsw" {
+			t.Fatalf("after %s the collection serves %q, want its hnsw index", body, kind)
 		}
 	}
 }

@@ -139,8 +139,14 @@ go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|T
 # timed-out search must stop within one scan block, beam expansion or
 # inverted list on the caller's goroutine, leave no goroutine behind
 # and feed nothing to the statistics. All shared-state tests, so -race.
+# Index options are fuzzed through the engine: a registered family, one
+# of its declared keys or an arbitrary one, any value, any metric, built
+# on 200 x 8 rows — the build must fail with index.ErrOption or
+# index.ErrMetric, or return at most k distinct ids, within a deadline
+# (the seeds put every declared key at its bound and one past it).
 go test -run '^$' -fuzz '^FuzzDecodeSearchBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzIndexOptions$' -fuzztime 10s ./internal/index/
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
@@ -153,9 +159,11 @@ go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchSto
 go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOverHTTP|TestStatsShowCalibration' ./internal/server/
 # Nothing a request says sizes an allocation past the data: a k of 2^33
 # over HTTP on a 200-row collection returns its 200 rows (search, forced
-# exact scan, post-filter, /batch), and a body past the server's limit
-# is a 413 on every route that reads one.
-go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413' ./internal/server/
+# exact scan, post-filter, /batch), a body past the server's limit is a
+# 413 on every route that reads one, and an index option outside its
+# family's declared table (2^33 neighbours, tables or trees; an
+# undeclared key) is a 400 before any build starts.
+go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413|TestIndexOptionsRefused' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestWeightedSumNeedsOneWeightPerVector' .
 # Request path smoke: the decoder against encoding/json on the
 # ann_search body, and one loopback round trip.

@@ -177,7 +177,9 @@ func TestAllIndexKindsBuildAndSearch(t *testing.T) {
 	for _, kind := range IndexKinds() {
 		var opts map[string]int
 		switch kind {
-		case "ivfadc", "ivfsq":
+		case "ivfsq":
+			opts = map[string]int{"nlist": 8}
+		case "ivfadc":
 			opts = map[string]int{"nlist": 8, "m": 4, "ks": 16}
 		case "knng":
 			opts = map[string]int{"k": 8, "iters": 4}
