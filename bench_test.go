@@ -17,6 +17,7 @@ import (
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/index/diskann"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/index/ivf"
 	"vdbms/internal/index/lsh"
@@ -36,7 +37,7 @@ var benchData struct {
 	once sync.Once
 	ds   *dataset.Dataset
 	qs   [][]float32
-	hnsw *hnsw.HNSW
+	hnsw *graph.Index
 	ivf  *ivf.IVF
 }
 

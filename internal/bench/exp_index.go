@@ -267,65 +267,36 @@ func runE6(w io.Writer, scale int) {
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, 10)
 	t := NewTable(fmt.Sprintf("E6 graph indexes (n=%d, d=32, k=10)", n),
 		"index", "build", "avg.deg", "ef", "recall@10", "QPS")
-	type entry struct {
+	for _, e := range []struct {
 		name  string
-		idx   index.Index
-		build time.Duration
-		deg   float64
-	}
-	var entries []entry
-	{
+		build func() (*graph.Index, error)
+	}{
+		{"knng", func() (*graph.Index, error) {
+			return knng.Build(ds.Data, n, ds.Dim, knng.Config{K: 16, MaxIter: 8, Seed: 1, NumEntry: 32})
+		}},
+		{"nsw", func() (*graph.Index, error) { return nsw.Build(ds.Data, n, ds.Dim, nsw.Config{M: 8}) }},
+		{"hnsw", func() (*graph.Index, error) { return hnsw.Build(ds.Data, n, ds.Dim, hnsw.Config{M: 8, Seed: 1}) }},
+		{"hnsw-naive", func() (*graph.Index, error) {
+			return hnsw.Build(ds.Data, n, ds.Dim, hnsw.Config{M: 8, Seed: 1, NaiveSelection: true})
+		}},
+		{"nsg", func() (*graph.Index, error) {
+			return nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.NSG, R: 12, Seed: 1})
+		}},
+		{"vamana", func() (*graph.Index, error) {
+			return nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.Vamana, R: 12, Alpha: 1.2, Seed: 1})
+		}},
+		{"fanng", func() (*graph.Index, error) {
+			return nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.FANNG, R: 12, Trials: 8, Seed: 1})
+		}},
+	} {
 		start := time.Now()
-		kg, _ := knng.Build(ds.Data, n, ds.Dim, knng.Config{K: 16, MaxIter: 8, Seed: 1, NumEntry: 32})
-		entries = append(entries, entry{"knng", kg, time.Since(start), avgDeg(kg.Adjacency())})
-	}
-	{
-		start := time.Now()
-		g, _ := nsw.Build(ds.Data, n, ds.Dim, nsw.Config{M: 8})
-		entries = append(entries, entry{"nsw", g, time.Since(start), g.AvgDegree()})
-	}
-	{
-		start := time.Now()
-		h, _ := hnsw.Build(ds.Data, n, ds.Dim, hnsw.Config{M: 8, Seed: 1})
-		entries = append(entries, entry{"hnsw", h, time.Since(start), graph.AvgDegree(h.BaseLayer())})
-	}
-	{
-		start := time.Now()
-		h, _ := hnsw.Build(ds.Data, n, ds.Dim, hnsw.Config{M: 8, Seed: 1, NaiveSelection: true})
-		entries = append(entries, entry{"hnsw-naive", h, time.Since(start), graph.AvgDegree(h.BaseLayer())})
-	}
-	{
-		start := time.Now()
-		g, _ := nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.NSG, R: 12, Seed: 1})
-		entries = append(entries, entry{"nsg", g, time.Since(start), g.AvgDegree()})
-	}
-	{
-		start := time.Now()
-		g, _ := nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.Vamana, R: 12, Alpha: 1.2, Seed: 1})
-		entries = append(entries, entry{"vamana", g, time.Since(start), g.AvgDegree()})
-	}
-	{
-		start := time.Now()
-		g, _ := nsg.Build(ds.Data, n, ds.Dim, nsg.Config{Variant: nsg.FANNG, R: 12, Trials: 8, Seed: 1})
-		entries = append(entries, entry{"fanng", g, time.Since(start), g.AvgDegree()})
-	}
-	for _, e := range entries {
+		g, _ := e.build()
+		build := time.Since(start)
 		for _, ef := range []int{16, 64, 200} {
-			rec, qps := recallQPS(e.idx, qs, truth, 10, index.Params{Ef: ef})
-			t.AddRow(e.name, e.build, e.deg, ef, rec, qps)
+			rec, qps := recallQPS(g, qs, truth, 10, index.Params{Ef: ef})
+			t.AddRow(e.name, build, graph.AvgDegree(g.Layers()[0]), ef, rec, qps)
 		}
 	}
 	t.Print(w)
 	fmt.Fprintln(w, "expected shape: hnsw/nsg/vamana reach high recall at low ef; nsw needs larger ef; knng trails; pruned degree < nsw degree")
-}
-
-func avgDeg(adj [][]int32) float64 {
-	total := 0
-	for _, l := range adj {
-		total += len(l)
-	}
-	if len(adj) == 0 {
-		return 0
-	}
-	return float64(total) / float64(len(adj))
 }

@@ -517,26 +517,33 @@ func TestRecoverRefusedRecipeUnindexed(t *testing.T) {
 		}
 		return dir
 	}
-	for _, checkpoint := range []bool{false, true} {
-		failed := obs.IndexBuildsTotal.With("failed").Value()
-		re, err := Recover(write(t, checkpoint, "hnsw", map[string]int{"m": -5}), DurabilityOptions{})
-		if err != nil {
-			t.Fatalf("checkpoint=%v: %v", checkpoint, err)
+	// An out-of-range value, and keys that a family declared before its
+	// table narrowed to the keys its build reads.
+	for _, recipe := range []struct {
+		kind string
+		opts map[string]int
+	}{{"hnsw", map[string]int{"m": -5}}, {"kdtree", map[string]int{"trees": 2}}, {"nsg", map[string]int{"alpha100": 120}}} {
+		for _, checkpoint := range []bool{false, true} {
+			failed := obs.IndexBuildsTotal.With("failed").Value()
+			re, err := Recover(write(t, checkpoint, recipe.kind, recipe.opts), DurabilityOptions{})
+			if err != nil {
+				t.Fatalf("%s checkpoint=%v: %v", recipe.kind, checkpoint, err)
+			}
+			if kind, covered, _ := re.IndexInfo(); kind != "" || covered != 0 {
+				t.Fatalf("%s checkpoint=%v: recovered with index %q covering %d, want none", recipe.kind, checkpoint, kind, covered)
+			}
+			if got := obs.IndexBuildsTotal.With("failed").Value() - failed; got < 1 {
+				t.Fatalf("%s checkpoint=%v: %d failed builds counted, want the refusal", recipe.kind, checkpoint, got)
+			}
+			res, err := re.Search(bg, SearchRequest{Vector: ds.Row(7), K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Hits) != 5 || res.Hits[0].ID != 7 || res.Hits[0].Dist != 0 {
+				t.Fatalf("%s checkpoint=%v: exact scan answered %v", recipe.kind, checkpoint, res.Hits)
+			}
+			re.Close()
 		}
-		if kind, covered, _ := re.IndexInfo(); kind != "" || covered != 0 {
-			t.Fatalf("checkpoint=%v: recovered with index %q covering %d, want none", checkpoint, kind, covered)
-		}
-		if got := obs.IndexBuildsTotal.With("failed").Value() - failed; got < 1 {
-			t.Fatalf("checkpoint=%v: %d failed builds counted, want the refusal", checkpoint, got)
-		}
-		res, err := re.Search(bg, SearchRequest{Vector: ds.Row(7), K: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Hits) != 5 || res.Hits[0].ID != 7 || res.Hits[0].Dist != 0 {
-			t.Fatalf("checkpoint=%v: exact scan answered %v", checkpoint, res.Hits)
-		}
-		re.Close()
 	}
 	if _, err := Recover(write(t, false, "nope", nil), DurabilityOptions{}); err == nil {
 		t.Fatal("recovered a recipe naming no registered index; want the build error")

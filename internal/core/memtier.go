@@ -45,7 +45,6 @@ func (c *Collection) AttachMemory(m *memory.Manager, spillDir string) error {
 	a := m.Register(c.name)
 	a.OnDropCaches(c.dropCaches)
 	a.OnEvict(c.EvictToMmap)
-	a.OnPromote(c.PromoteToHeap)
 	c.mu.Lock()
 	c.spillDir = spillDir
 	c.acct.Store(a)

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"vdbms/internal/index"
+	"vdbms/internal/index/graph"
 	"vdbms/internal/index/nsg"
 	"vdbms/internal/quant"
 	"vdbms/internal/topk"
@@ -108,7 +109,7 @@ func pickPQM(d int) int {
 
 // writeLayout serializes header, PQ codebooks, PQ codes, and the
 // per-node records (vector + padded adjacency).
-func writeLayout(path string, data []float32, n, d, r int, g *nsg.Graph, pq *quant.PQ) error {
+func writeLayout(path string, data []float32, n, d, r int, g *graph.Index, pq *quant.PQ) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -122,7 +123,7 @@ func writeLayout(path string, data []float32, n, d, r int, g *nsg.Graph, pq *qua
 		_, err := f.Write(buf)
 		return err
 	}
-	if err := w(magic, uint32(n), uint32(d), uint32(r), uint32(g.Medoid()), uint32(pq.M), uint32(pq.Ks), uint32(pq.Dsub)); err != nil {
+	if err := w(magic, uint32(n), uint32(d), uint32(r), uint32(g.Entries()[0]), uint32(pq.M), uint32(pq.Ks), uint32(pq.Dsub)); err != nil {
 		return err
 	}
 	// Codebooks.
@@ -144,7 +145,7 @@ func writeLayout(path string, data []float32, n, d, r int, g *nsg.Graph, pq *qua
 		return err
 	}
 	// Records: vector (d float32) + degree (uint32) + R neighbor ids.
-	adj := g.Adjacency()
+	base := g.Layers()[0]
 	rec := make([]byte, recordSize(d, r))
 	for id := 0; id < n; id++ {
 		for i := range rec {
@@ -154,7 +155,7 @@ func writeLayout(path string, data []float32, n, d, r int, g *nsg.Graph, pq *qua
 		for j, x := range row {
 			binary.LittleEndian.PutUint32(rec[j*4:], math.Float32bits(x))
 		}
-		nbrs := adj[id]
+		nbrs := base.Neighbors(int32(id))
 		if len(nbrs) > r {
 			nbrs = nbrs[:r]
 		}

@@ -22,7 +22,7 @@ var benchSink []topk.Result
 // workloads of benchmark/ serve — 20 000 × 128-d rows in 64 clusters,
 // hnsw m=16 — with 1 000 queries jittered off stored rows and an
 // allowlist admitting a random 10 % of the rows.
-func benchGraph(tb testing.TB) (*hnsw.HNSW, *dataset.Dataset, [][]float32, *bitset.Bitset) {
+func benchGraph(tb testing.TB) (*graph.Index, *dataset.Dataset, [][]float32, *bitset.Bitset) {
 	const n, d = 20000, 128
 	ds := dataset.Clustered(n, d, 64, 1.0, 1)
 	h, err := hnsw.Build(ds.Data, n, d, hnsw.Config{M: 16})
@@ -54,7 +54,7 @@ func TestBeamSearchFloatSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &graph.Searcher{Data: ds.Data, Dim: ds.Dim, Scorer: sc}
-	base := h.BaseLayer()
+	base := h.Layers()[0]
 	for _, ef := range []int{16, 64, 256} {
 		for _, p := range []index.Params{{}, {Allow: allow}} {
 			for i, q := range qs {
@@ -71,7 +71,7 @@ func TestBeamSearchFloatSweep(t *testing.T) {
 	}
 }
 
-// BenchmarkBeamSearch probes benchGraph through HNSW.Search, which is
+// BenchmarkBeamSearch probes benchGraph through its Search, which is
 // the greedy descent plus one BeamSearch. The allow variant admits a
 // random 10 % of the rows, so the traversal runs its constrained branch
 // (blocked nodes still expanded, admitted ones collected apart).

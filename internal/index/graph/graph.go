@@ -5,6 +5,8 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -51,14 +53,18 @@ type Searcher struct {
 	Quant vec.QuantScorer
 }
 
-// ScoringBytes reports the resident bytes the traversal scoring path
-// touches per node times n — the numerator of the compression claim
-// (adjacency is identical either way and excluded).
-func (s *Searcher) ScoringBytes(n int) int {
-	if s.Quant != nil {
-		return n * s.Quant.BytesPerRow()
+// NewSearcher checks the shape of n row-major vectors of dimension d
+// and binds a scorer for metric to them: the first step of every graph
+// family's build. Its errors name the family.
+func NewSearcher(family string, metric vec.Metric, data []float32, n, d int) (*Searcher, error) {
+	if d <= 0 || n <= 0 || len(data) < n*d {
+		return nil, fmt.Errorf("%s: bad data shape n=%d d=%d len=%d", family, n, d, len(data))
 	}
-	return n * s.Dim * 4
+	sc, err := vec.NewScorer(metric, data, n, d)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", family, err)
+	}
+	return &Searcher{Data: data, Dim: d, Scorer: sc}, nil
 }
 
 // Row returns vector id.
@@ -386,6 +392,13 @@ func RobustPrune(s *Searcher, pid int32, cands []topk.Result, degree int, alpha 
 		}
 	}
 	return kept
+}
+
+// SortByDist orders construction candidates by ascending distance,
+// keeping tied ones in the order they came: the edges a build selects,
+// and so its hashes, depend on it.
+func SortByDist(rs []topk.Result) {
+	slices.SortStableFunc(rs, func(a, b topk.Result) int { return cmp.Compare(a.Dist, b.Dist) })
 }
 
 // TopKClosest selects the k nearest candidates without pruning — the

@@ -66,17 +66,6 @@ func (s *Slab) Edges() int { return len(s.flat) }
 // Bytes is the resident size of the slab (memory accounting).
 func (s *Slab) Bytes() int { return len(s.flat)*4 + len(s.off)*4 }
 
-// Unfreeze materializes a mutable Adjacency copy (export paths that
-// predate the slab, e.g. the DiskANN layout writer).
-func (s *Slab) Unfreeze() Adjacency {
-	adj := make(Adjacency, s.Len())
-	for i := range adj {
-		nbrs := s.Neighbors(int32(i))
-		adj[i] = append([]int32(nil), nbrs...)
-	}
-	return adj
-}
-
 // NeighborhoodBytes estimates the resident bytes of any Neighborhoods
 // implementation: exact for slabs, header+payload for slice-of-slice.
 func NeighborhoodBytes(nh Neighborhoods) int {

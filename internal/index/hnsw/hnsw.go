@@ -8,7 +8,6 @@
 package hnsw
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -35,19 +34,13 @@ type Config struct {
 	Quant index.QuantSpec
 }
 
-// HNSW is the built index.
-type HNSW struct {
+// builder is the state of one construction: the layers the inserts
+// grow, mutable until Build freezes them for serving.
+type builder struct {
 	cfg    Config
-	dim    int
 	n      int
 	s      *graph.Searcher
-	layers []graph.Adjacency // construction-time mutable adjacency
-	// frozen is the serving adjacency: after Build the per-node slices
-	// of every layer are packed into slabs (two pointerless allocations
-	// per layer), so a 10M-node graph stops carrying 10M slice headers
-	// the GC rescans every cycle.
-	frozen []graph.Neighborhoods
-	nodeLv []int8 // top layer of each node
+	layers []graph.Adjacency
 	entry  int32
 	maxLv  int
 	ml     float64
@@ -60,11 +53,9 @@ const DefaultM = 12
 // when Config.EfConstruct is 0.
 func DefaultEfConstruct(m int) int { return 4 * m }
 
-// Build inserts all vectors.
-func Build(data []float32, n, d int, cfg Config) (*HNSW, error) {
-	if d <= 0 || n <= 0 || len(data) < n*d {
-		return nil, fmt.Errorf("hnsw: bad data shape n=%d d=%d len=%d", n, d, len(data))
-	}
+// Build inserts all vectors, then serves the frozen layers from the
+// top layer's entry node.
+func Build(data []float32, n, d int, cfg Config) (*graph.Index, error) {
 	if cfg.M <= 0 {
 		cfg.M = DefaultM
 	}
@@ -79,39 +70,19 @@ func Build(data []float32, n, d int, cfg Config) (*HNSW, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	sc, err := vec.NewScorer(cfg.Metric, data, n, d)
+	s, err := graph.NewSearcher("hnsw", cfg.Metric, data, n, d)
 	if err != nil {
-		return nil, fmt.Errorf("hnsw: %w", err)
+		return nil, err
 	}
-	h := &HNSW{
-		cfg: cfg, dim: d, n: n,
-		s:      &graph.Searcher{Data: data, Dim: d, Scorer: sc},
-		nodeLv: make([]int8, n),
-		ml:     1 / math.Log(float64(cfg.M)),
-	}
+	h := &builder{cfg: cfg, n: n, s: s, ml: 1 / math.Log(float64(cfg.M))}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for id := 0; id < n; id++ {
 		h.insert(int32(id), rng)
 	}
-	h.frozen = make([]graph.Neighborhoods, len(h.layers))
-	for l, adj := range h.layers {
-		h.frozen[l] = graph.Freeze(adj)
-	}
-	h.layers = nil // construction slices die here; serving uses slabs
-	if cfg.Quant.Enabled() {
-		// Attach the quantized kernel only after construction: insertion
-		// quality depends on exact distances, and RobustPrune compares
-		// stored rows pairwise, which codes cannot serve.
-		qsc, err := index.BuildQuantKernel(cfg.Quant, cfg.Metric, data, n, d)
-		if err != nil {
-			return nil, fmt.Errorf("hnsw: %w", err)
-		}
-		h.s.Quant = qsc
-	}
-	return h, nil
+	return graph.NewIndex("hnsw", s, h.layers, []int32{h.entry}, cfg.Quant)
 }
 
-func (h *HNSW) randomLevel(rng *rand.Rand) int {
+func (h *builder) randomLevel(rng *rand.Rand) int {
 	lv := int(-math.Log(rng.Float64()+1e-12) * h.ml)
 	if lv > 30 {
 		lv = 30
@@ -119,15 +90,14 @@ func (h *HNSW) randomLevel(rng *rand.Rand) int {
 	return lv
 }
 
-func (h *HNSW) ensureLayers(lv int) {
+func (h *builder) ensureLayers(lv int) {
 	for len(h.layers) <= lv {
 		h.layers = append(h.layers, make(graph.Adjacency, h.n))
 	}
 }
 
-func (h *HNSW) insert(id int32, rng *rand.Rand) {
+func (h *builder) insert(id int32, rng *rand.Rand) {
 	lv := h.randomLevel(rng)
-	h.nodeLv[id] = int8(lv)
 	h.ensureLayers(lv)
 	if id == 0 {
 		h.entry = 0
@@ -181,130 +151,18 @@ func (h *HNSW) insert(id int32, rng *rand.Rand) {
 }
 
 // shrink re-selects neighbors for an over-full node.
-func (h *HNSW) shrink(l int, id int32, m int) {
+func (h *builder) shrink(l int, id int32, m int) {
 	nbrs := h.layers[l][id]
 	cands := make([]topk.Result, 0, len(nbrs))
 	for _, nb := range nbrs {
 		cands = append(cands, topk.Result{ID: int64(nb), Dist: h.s.DistRows(id, nb)})
 	}
-	sortResults(cands)
+	graph.SortByDist(cands)
 	if h.cfg.NaiveSelection {
 		h.layers[l][id] = graph.TopKClosest(cands, m, id)
 	} else {
 		h.layers[l][id] = graph.RobustPrune(h.s, id, cands, m, 1.0)
 	}
-}
-
-func sortResults(rs []topk.Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Dist < rs[j-1].Dist; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-// Name implements index.Index.
-func (h *HNSW) Name() string { return "hnsw" }
-
-// Size implements index.Index.
-func (h *HNSW) Size() int { return h.n }
-
-// MaxLayer returns the top layer index.
-func (h *HNSW) MaxLayer() int { return h.maxLv }
-
-// QuantizedScan implements index.Quantized.
-func (h *HNSW) QuantizedScan() bool { return h.s.Quant != nil }
-
-// ScoringBytes reports the resident bytes the traversal scoring path
-// keeps hot (codes when quantized, float32 rows otherwise).
-func (h *HNSW) ScoringBytes() int { return h.s.ScoringBytes(h.n) }
-
-// BaseLayer returns the bottom layer's adjacency, the graph the beam
-// search of every query runs on.
-func (h *HNSW) BaseLayer() graph.Neighborhoods { return h.frozen[0] }
-
-// MemoryBytes implements index.MemoryFootprint: the slab-packed layer
-// adjacency plus per-node levels, and the quantized code block.
-func (h *HNSW) MemoryBytes() (structure, codes int64) {
-	for _, l := range h.frozen {
-		structure += int64(graph.NeighborhoodBytes(l))
-	}
-	structure += int64(len(h.nodeLv))
-	if h.s.Quant != nil {
-		codes = int64(h.s.Quant.BytesPerRow()) * int64(h.n)
-	}
-	return structure, codes
-}
-
-// Remap implements index.Remappable: a shallow clone searching data
-// instead of the column the index was built over. The frozen layers,
-// node levels, and quantized codes are immutable and shared; only the
-// Searcher (and its scorer's data pointer) is fresh.
-func (h *HNSW) Remap(data []float32) (index.Index, bool) {
-	if len(data) < h.n*h.dim {
-		return nil, false
-	}
-	sc := h.s.Scorer.View()
-	sc.Extend(data, h.n)
-	h2 := &HNSW{
-		cfg: h.cfg, dim: h.dim, n: h.n,
-		s:      &graph.Searcher{Data: data, Dim: h.dim, Scorer: sc, Quant: h.s.Quant},
-		frozen: h.frozen,
-		nodeLv: h.nodeLv,
-		entry:  h.entry,
-		maxLv:  h.maxLv,
-		ml:     h.ml,
-	}
-	return h2, true
-}
-
-// Search implements index.Index: greedy descent through the upper
-// layers, then beam search with width p.Ef on layer 0.
-func (h *HNSW) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != h.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), h.dim)
-	}
-	ef := p.Ef
-	if ef <= 0 {
-		ef = 4 * k
-		if ef < 32 {
-			ef = 32
-		}
-	}
-	kk := k
-	if h.s.Quant != nil {
-		// Quantized traversal: widen the candidate set to rerank_k and
-		// re-score it exactly below.
-		kk = h.cfg.Quant.ResolveRerankK(p, k, h.n)
-		if ef < kk {
-			ef = kk
-		}
-	}
-	// The descent and the base-layer search share one scratch, so the
-	// query's stats count the descent's comparisons too.
-	t := h.s.Begin(q)
-	ep := t.Score([]int32{h.entry})[0]
-	for l := h.maxLv; l >= 1; l-- {
-		ep = t.GreedyWalk(h.frozen[l], ep)
-		if p.Stats != nil {
-			p.Stats.GreedyHops++
-		}
-	}
-	res, err := t.BeamSearch(h.frozen[0], []topk.Result{ep}, kk, ef, &p)
-	t.End(p.Stats)
-	if err != nil {
-		return nil, err
-	}
-	if h.s.Quant != nil {
-		if p.Stats != nil {
-			p.Stats.DistanceComps += int64(len(res))
-		}
-		res = index.RerankExact(h.s.Scorer, q, res, k)
-	}
-	return res, nil
 }
 
 func init() {

@@ -13,7 +13,7 @@ import (
 	"vdbms/internal/vec"
 )
 
-func meanRecall(t *testing.T, h *HNSW, ds *dataset.Dataset, ef, k, nq int, seed int64) float64 {
+func meanRecall(t *testing.T, h *graph.Index, ds *dataset.Dataset, ef, k, nq int, seed int64) float64 {
 	t.Helper()
 	qs := ds.Queries(nq, 0.05, seed)
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, k)
@@ -61,12 +61,12 @@ func TestHierarchyExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.MaxLayer() < 1 {
-		t.Fatalf("expected multiple layers, got max layer %d", h.MaxLayer())
+	if len(h.Layers()) < 2 {
+		t.Fatalf("expected multiple layers, got %d", len(h.Layers()))
 	}
 	// Degree cap: base layer average degree bounded by 2M (plus slack
 	// for re-pruning under-full nodes).
-	if d := graph.AvgDegree(h.BaseLayer()); d > float64(2*8)+1 {
+	if d := graph.AvgDegree(h.Layers()[0]); d > float64(2*8)+1 {
 		t.Fatalf("base degree %v exceeds 2M", d)
 	}
 }
@@ -219,7 +219,7 @@ func TestHNSWQuantRegistryOpts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.(*HNSW).QuantizedScan() {
+	if !idx.(index.Quantized).QuantizedScan() {
 		t.Fatal("quant opt ignored")
 	}
 	if _, err := index.Build("hnsw", ds.Data, 300, 8, vec.L2, map[string]int{"quant": 99}); err == nil {
@@ -253,7 +253,7 @@ func TestBuildIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	for _, nh := range h.frozen {
+	for _, nh := range h.Layers() {
 		got = append(got, slabHash(nh))
 	}
 	want := []uint64{0x465940e4aa6d1701, 0xb34639eaea95ea41, 0x26cb266661d7ddfd, 0x942a627105e6e1c9, 0x1dfeaf773f5ebca5}

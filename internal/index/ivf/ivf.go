@@ -66,10 +66,8 @@ type IVF struct {
 	n       int
 	sc      *vec.Scorer // scores the raw vectors: Flat scan and re-ranking
 	cents   *kmeans.Result
-	lists   [][]int32 // bucket -> member ids
-	sq      *quant.SQ
-	sqCodes []byte          // n * dim, SQ variant
-	sqk     vec.QuantScorer // decode-free LUT kernel over sqCodes
+	lists   [][]int32       // bucket -> member ids
+	sqk     vec.QuantScorer // SQ variant: decode-free LUT kernel over 8-bit codes
 	pq      *quant.PQ
 	pqCodes []byte // n * M, ADC variant
 }
@@ -107,18 +105,7 @@ func Build(data []float32, n, d int, cfg Config) (*IVF, error) {
 	switch cfg.Variant {
 	case Flat:
 	case SQ:
-		sq, err := quant.TrainSQ(data, n, d)
-		if err != nil {
-			return nil, err
-		}
-		iv.sq = sq
-		iv.sqCodes = make([]byte, n*d)
-		for id := 0; id < n; id++ {
-			if _, err := sq.Encode(data[id*d:(id+1)*d], iv.sqCodes[id*d:(id+1)*d]); err != nil {
-				return nil, err
-			}
-		}
-		if iv.sqk, err = vec.NewSQ8Scorer(vec.L2, sq.Min, sq.Step, iv.sqCodes, n, d); err != nil {
+		if iv.sqk, err = index.BuildQuantKernel(index.QuantSpec{Kind: index.QuantSQ8}, vec.L2, data, n, d); err != nil {
 			return nil, err
 		}
 	case ADC:

@@ -7,7 +7,6 @@
 package knng
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -45,10 +44,10 @@ type Config struct {
 	Metric vec.Metric
 }
 
-// Graph is the built index.
+// Graph is a k-NN graph as constructed: its neighbor lists before
+// Build freezes them for serving.
 type Graph struct {
 	cfg Config
-	dim int
 	n   int
 	s   *graph.Searcher
 	adj graph.Adjacency
@@ -62,11 +61,25 @@ type nbr struct {
 	nw   bool // "new" flag of NN-Descent incremental search
 }
 
-// Build constructs the graph.
-func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
-	if d <= 0 || n <= 0 || len(data) < n*d {
-		return nil, fmt.Errorf("knng: bad data shape n=%d d=%d len=%d", n, d, len(data))
+// Build constructs the graph and serves it from NumEntry strided entry
+// points: a KNNG has no navigating node, so several entries make up for
+// its weak long-range connectivity.
+func Build(data []float32, n, d int, cfg Config) (*graph.Index, error) {
+	g, err := Construct(data, n, d, cfg)
+	if err != nil {
+		return nil, err
 	}
+	entries := make([]int32, 0, g.cfg.NumEntry)
+	stride := max(n/g.cfg.NumEntry, 1)
+	for e := 0; e < n && len(entries) < g.cfg.NumEntry; e += stride {
+		entries = append(entries, int32(e))
+	}
+	return graph.NewIndex("knng", g.s, []graph.Adjacency{g.adj}, entries, index.QuantSpec{})
+}
+
+// Construct builds the graph without freezing it, for a caller that
+// goes on to change its edges (NSG starts from them).
+func Construct(data []float32, n, d int, cfg Config) (*Graph, error) {
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
@@ -88,12 +101,11 @@ func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
 	if cfg.NumEntry <= 0 {
 		cfg.NumEntry = 8
 	}
-	sc, err := vec.NewScorer(cfg.Metric, data, n, d)
+	s, err := graph.NewSearcher("knng", cfg.Metric, data, n, d)
 	if err != nil {
-		return nil, fmt.Errorf("knng: %w", err)
+		return nil, err
 	}
-	g := &Graph{cfg: cfg, dim: d, n: n,
-		s: &graph.Searcher{Data: data, Dim: d, Scorer: sc}}
+	g := &Graph{cfg: cfg, n: n, s: s}
 	switch cfg.Init {
 	case Exact:
 		g.buildExact()
@@ -150,7 +162,7 @@ func (g *Graph) buildDescent() {
 	// Initialization.
 	switch g.cfg.Init {
 	case TreeInit:
-		forest, err := tree.Build(g.s.Data, n, g.dim, tree.Config{
+		forest, err := tree.Build(g.s.Data, n, g.s.Dim, tree.Config{
 			Rule: tree.RandomTop5, Trees: 4, LeafSize: 16, Seed: g.cfg.Seed,
 		})
 		if err == nil {
@@ -258,40 +270,6 @@ func (g *Graph) Accuracy(exact *Graph) float64 {
 // Adjacency exposes the neighbor lists (NSG builds on an approximate
 // KNNG).
 func (g *Graph) Adjacency() graph.Adjacency { return g.adj }
-
-// Name implements index.Index.
-func (g *Graph) Name() string { return "knng" }
-
-// Size implements index.Index.
-func (g *Graph) Size() int { return g.n }
-
-// Search implements index.Index via beam search from NumEntry random
-// (but deterministic) entry points; a KNNG has no navigating node, so
-// multiple entries compensate for its weak long-range connectivity.
-func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != g.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), g.dim)
-	}
-	ef := p.Ef
-	if ef <= 0 {
-		ef = 4 * k
-		if ef < 32 {
-			ef = 32
-		}
-	}
-	entries := make([]int32, 0, g.cfg.NumEntry)
-	stride := g.n / g.cfg.NumEntry
-	if stride == 0 {
-		stride = 1
-	}
-	for e := 0; e < g.n && len(entries) < g.cfg.NumEntry; e += stride {
-		entries = append(entries, int32(e))
-	}
-	return graph.BeamSearch(g.s, g.adj, q, entries, k, ef, p)
-}
 
 func init() {
 	options := []index.Option{{Name: "k", Max: 64}, {Name: "iters", Max: 64}, {Name: "exact", Max: 1}, {Name: "treeinit", Max: 1}, index.SeedOption}

@@ -12,7 +12,7 @@ import (
 
 func TestExactGraphIsTrueKNN(t *testing.T) {
 	ds := dataset.Clustered(200, 8, 4, 0.5, 1)
-	g, err := Build(ds.Data, ds.Count, ds.Dim, Config{K: 5, Init: Exact})
+	g, err := Construct(ds.Data, ds.Count, ds.Dim, Config{K: 5, Init: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestExactGraphIsTrueKNN(t *testing.T) {
 
 func TestNNDescentConverges(t *testing.T) {
 	ds := dataset.Clustered(600, 16, 6, 0.4, 3)
-	exact, err := Build(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: Exact})
+	exact, err := Construct(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := Build(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: RandomInit, MaxIter: 12, Seed: 5})
+	approx, err := Construct(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: RandomInit, MaxIter: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestNNDescentConverges(t *testing.T) {
 
 func TestTreeInitAccuracy(t *testing.T) {
 	ds := dataset.Clustered(600, 16, 6, 0.4, 7)
-	exact, err := Build(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: Exact})
+	exact, err := Construct(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: TreeInit, MaxIter: 12, Seed: 5})
+	tree, err := Construct(ds.Data, ds.Count, ds.Dim, Config{K: 8, Init: TreeInit, MaxIter: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestValidationAndKClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Adjacency()[0]) != 4 {
-		t.Fatalf("K should clamp to n-1: %d", len(g.Adjacency()[0]))
+	if nbrs := g.Layers()[0].Neighbors(0); len(nbrs) != 4 {
+		t.Fatalf("K should clamp to n-1: %d", len(nbrs))
 	}
 	if _, err := g.Search(ds.Row(0), 0, index.Params{}); err != index.ErrBadK {
 		t.Fatal("want ErrBadK")

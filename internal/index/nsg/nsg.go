@@ -10,6 +10,7 @@ package nsg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/graph"
@@ -36,6 +37,18 @@ const (
 	FANNG
 )
 
+// String returns the family name the variant registers under.
+func (v Variant) String() string {
+	switch v {
+	case Vamana:
+		return "vamana"
+	case FANNG:
+		return "fanng"
+	default:
+		return "nsg"
+	}
+}
+
 // Config controls construction.
 type Config struct {
 	Variant Variant
@@ -57,24 +70,18 @@ type Config struct {
 	Quant index.QuantSpec
 }
 
-// Graph is the built index.
-type Graph struct {
-	cfg Config
-	dim int
-	n   int
-	s   *graph.Searcher
-	adj graph.Adjacency // construction-time mutable adjacency
-	// frozen is the serving adjacency, slab-packed after construction
-	// so per-node slice headers stop dominating GC work at scale.
-	frozen graph.Neighborhoods
+// builder is the state of one construction: the graph the passes
+// grow, mutable until Build freezes it for serving.
+type builder struct {
+	cfg    Config
+	n      int
+	s      *graph.Searcher
+	adj    graph.Adjacency
 	medoid int32
 }
 
-// Build constructs the graph.
-func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
-	if d <= 0 || n <= 0 || len(data) < n*d {
-		return nil, fmt.Errorf("nsg: bad data shape n=%d d=%d len=%d", n, d, len(data))
-	}
+// Build constructs the graph, then serves it from the medoid.
+func Build(data []float32, n, d int, cfg Config) (*graph.Index, error) {
 	if cfg.R <= 0 {
 		cfg.R = 16
 	}
@@ -93,21 +100,20 @@ func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 8
 	}
-	sc, err := vec.NewScorer(cfg.Metric, data, n, d)
+	s, err := graph.NewSearcher("nsg", cfg.Metric, data, n, d)
 	if err != nil {
-		return nil, fmt.Errorf("nsg: %w", err)
+		return nil, err
 	}
-	g := &Graph{cfg: cfg, dim: d, n: n,
-		s: &graph.Searcher{Data: data, Dim: d, Scorer: sc}}
+	g := &builder{cfg: cfg, n: n, s: s}
 	g.medoid = g.findMedoid()
 
 	switch cfg.Variant {
 	case NSG:
-		kg, err := knng.Build(data, n, d, knng.Config{K: cfg.KNNGK, Seed: cfg.Seed, MaxIter: 8, Metric: cfg.Metric})
+		kg, err := knng.Construct(data, n, d, knng.Config{K: cfg.KNNGK, Seed: cfg.Seed, MaxIter: 8, Metric: cfg.Metric})
 		if err != nil {
 			return nil, fmt.Errorf("nsg: knng init: %w", err)
 		}
-		g.adj = cloneAdj(kg.Adjacency())
+		g.adj = kg.Adjacency()
 		g.pass(1.0)
 	case Vamana:
 		g.adj = randomAdj(n, cfg.R, cfg.Seed)
@@ -120,24 +126,7 @@ func Build(data []float32, n, d int, cfg Config) (*Graph, error) {
 		return nil, fmt.Errorf("nsg: unknown variant %d", cfg.Variant)
 	}
 	g.connectOrphans()
-	g.frozen = graph.Freeze(g.adj)
-	g.adj = nil // construction slices die here; serving uses the slab
-	if cfg.Quant.Enabled() {
-		qsc, err := index.BuildQuantKernel(cfg.Quant, cfg.Metric, data, n, d)
-		if err != nil {
-			return nil, fmt.Errorf("nsg: %w", err)
-		}
-		g.s.Quant = qsc
-	}
-	return g, nil
-}
-
-func cloneAdj(a graph.Adjacency) graph.Adjacency {
-	out := make(graph.Adjacency, len(a))
-	for i, nbrs := range a {
-		out[i] = append([]int32(nil), nbrs...)
-	}
-	return out
+	return graph.NewIndex(cfg.Variant.String(), s, []graph.Adjacency{g.adj}, []int32{g.medoid}, cfg.Quant)
 }
 
 func randomAdj(n, r int, seed int64) graph.Adjacency {
@@ -159,8 +148,8 @@ func randomAdj(n, r int, seed int64) graph.Adjacency {
 
 // findMedoid returns the point closest to the dataset centroid — the
 // navigating node both NSG and Vamana route every trial through.
-func (g *Graph) findMedoid() int32 {
-	d := g.dim
+func (g *builder) findMedoid() int32 {
+	d := g.s.Dim
 	cent := make([]float32, d)
 	for i := 0; i < g.n; i++ {
 		row := g.s.Row(int32(i))
@@ -187,7 +176,7 @@ func (g *Graph) findMedoid() int32 {
 // from the medoid gathers candidates (the visited set approximates
 // nodes on the search path), then RobustPrune selects edges and
 // reverse edges are inserted with degree capping.
-func (g *Graph) pass(alpha float32) {
+func (g *builder) pass(alpha float32) {
 	for v := 0; v < g.n; v++ {
 		q := g.s.Row(int32(v))
 		visited, _ := graph.BeamSearch(g.s, g.adj, q, []int32{g.medoid}, g.cfg.L, g.cfg.L, index.Params{}) // no Ctx: cannot fail
@@ -196,7 +185,7 @@ func (g *Graph) pass(alpha float32) {
 		for _, nb := range g.adj[v] {
 			cands = append(cands, topk.Result{ID: int64(nb), Dist: g.s.DistRows(int32(v), nb)})
 		}
-		sortResults(cands)
+		graph.SortByDist(cands)
 		cands = dedupe(cands)
 		g.adj[v] = graph.RobustPrune(g.s, int32(v), cands, g.cfg.R, alpha)
 		for _, nb := range g.adj[v] {
@@ -207,7 +196,7 @@ func (g *Graph) pass(alpha float32) {
 
 // addReverse inserts edge nb -> v, re-pruning if the degree cap is
 // exceeded.
-func (g *Graph) addReverse(nb, v int32, alpha float32) {
+func (g *builder) addReverse(nb, v int32, alpha float32) {
 	for _, e := range g.adj[nb] {
 		if e == v {
 			return
@@ -221,7 +210,7 @@ func (g *Graph) addReverse(nb, v int32, alpha float32) {
 	for _, e := range g.adj[nb] {
 		cands = append(cands, topk.Result{ID: int64(e), Dist: g.s.DistRows(nb, e)})
 	}
-	sortResults(cands)
+	graph.SortByDist(cands)
 	g.adj[nb] = graph.RobustPrune(g.s, nb, cands, g.cfg.R, alpha)
 }
 
@@ -232,7 +221,7 @@ func (g *Graph) addReverse(nb, v int32, alpha float32) {
 // Early trials on an empty graph stall immediately at the source,
 // seeding first edges; later trials only patch genuine gaps, so the
 // update rate decays as the graph approaches monotonicity.
-func (g *Graph) buildFANNG() {
+func (g *builder) buildFANNG() {
 	rng := rand.New(rand.NewSource(g.cfg.Seed + 101))
 	trials := g.cfg.Trials * g.n
 	for trial := 0; trial < trials; trial++ {
@@ -254,7 +243,7 @@ func (g *Graph) buildFANNG() {
 // connectOrphans guarantees reachability from the medoid by attaching
 // any unreachable node to its nearest reachable neighbor — NSG's tree
 // spanning step, simplified.
-func (g *Graph) connectOrphans() {
+func (g *builder) connectOrphans() {
 	reach := make([]bool, g.n)
 	stack := []int32{g.medoid}
 	reach[g.medoid] = true
@@ -295,14 +284,6 @@ func (g *Graph) connectOrphans() {
 	}
 }
 
-func sortResults(rs []topk.Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Dist < rs[j-1].Dist; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
 func dedupe(rs []topk.Result) []topk.Result {
 	seen := make(map[int64]struct{}, len(rs))
 	out := rs[:0]
@@ -316,114 +297,13 @@ func dedupe(rs []topk.Result) []topk.Result {
 	return out
 }
 
-// Name implements index.Index.
-func (g *Graph) Name() string {
-	switch g.cfg.Variant {
-	case Vamana:
-		return "vamana"
-	case FANNG:
-		return "fanng"
-	default:
-		return "nsg"
-	}
-}
-
-// Size implements index.Index.
-func (g *Graph) Size() int { return g.n }
-
-// Medoid returns the navigating node.
-func (g *Graph) Medoid() int32 { return g.medoid }
-
-// Adjacency exposes the out-neighbor lists (the DiskANN layout writer
-// consumes them). After construction the graph lives in a slab, so
-// this materializes a mutable copy — export paths only.
-func (g *Graph) Adjacency() graph.Adjacency {
-	if g.adj != nil {
-		return g.adj
-	}
-	if s, ok := g.frozen.(*graph.Slab); ok {
-		return s.Unfreeze()
-	}
-	return g.frozen.(graph.Adjacency)
-}
-
-// AvgDegree reports the mean out-degree.
-func (g *Graph) AvgDegree() float64 { return graph.AvgDegree(g.frozen) }
-
-// MemoryBytes implements index.MemoryFootprint.
-func (g *Graph) MemoryBytes() (structure, codes int64) {
-	structure = int64(graph.NeighborhoodBytes(g.frozen))
-	if g.s.Quant != nil {
-		codes = int64(g.s.Quant.BytesPerRow()) * int64(g.n)
-	}
-	return structure, codes
-}
-
-// Remap implements index.Remappable: a shallow clone searching data
-// instead of the column the index was built over. The frozen graph
-// and quantized codes are shared; only the Searcher is fresh.
-func (g *Graph) Remap(data []float32) (index.Index, bool) {
-	if len(data) < g.n*g.dim {
-		return nil, false
-	}
-	sc := g.s.Scorer.View()
-	sc.Extend(data, g.n)
-	g2 := &Graph{
-		cfg: g.cfg, dim: g.dim, n: g.n,
-		s:      &graph.Searcher{Data: data, Dim: g.dim, Scorer: sc, Quant: g.s.Quant},
-		frozen: g.frozen,
-		medoid: g.medoid,
-	}
-	return g2, true
-}
-
-// QuantizedScan implements index.Quantized.
-func (g *Graph) QuantizedScan() bool { return g.s.Quant != nil }
-
-// ScoringBytes reports the resident bytes the traversal scoring path
-// keeps hot (codes when quantized, float32 rows otherwise).
-func (g *Graph) ScoringBytes() int { return g.s.ScoringBytes(g.n) }
-
-// Search implements index.Index: beam search from the medoid.
-func (g *Graph) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != g.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), g.dim)
-	}
-	ef := p.Ef
-	if ef <= 0 {
-		ef = 4 * k
-		if ef < 32 {
-			ef = 32
-		}
-	}
-	kk := k
-	if g.s.Quant != nil {
-		kk = g.cfg.Quant.ResolveRerankK(p, k, g.n)
-		if ef < kk {
-			ef = kk
-		}
-	}
-	res, err := graph.BeamSearch(g.s, g.frozen, q, []int32{g.medoid}, kk, ef, p)
-	if err != nil {
-		return nil, err
-	}
-	if g.s.Quant != nil {
-		if p.Stats != nil {
-			p.Stats.DistanceComps += int64(len(res))
-		}
-		res = index.RerankExact(g.s.Scorer, q, res, k)
-	}
-	return res, nil
-}
-
 func init() {
-	// alpha100 is Vamana's alpha in hundredths.
-	options := append([]index.Option{{Name: "r", Max: 64}, {Name: "l", Max: 1024}, {Name: "alpha100", Max: 1000}, {Name: "trials", Max: 64}, index.SeedOption}, index.QuantOptions...)
-	for name, variant := range map[string]Variant{"nsg": NSG, "vamana": Vamana, "fanng": FANNG} {
-		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+	// Each variant declares the keys its build reads: alpha100 (Vamana's
+	// alpha in hundredths) and trials (FANNG's) belong to one variant each.
+	degree := []index.Option{{Name: "r", Max: 64}, {Name: "l", Max: 1024}}
+	for variant, own := range map[Variant][]index.Option{NSG: nil, Vamana: {{Name: "alpha100", Max: 1000}}, FANNG: {{Name: "trials", Max: 64}}} {
+		options := slices.Concat(degree, own, []index.Option{index.SeedOption}, index.QuantOptions)
+		index.Register(index.Family{Name: variant.String(), Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
 			return Build(data, n, d, Config{Variant: variant, R: opts["r"], L: opts["l"], Alpha: float32(opts["alpha100"]) / 100, Trials: opts["trials"],
 				Seed: int64(opts["seed"]), Metric: metric, Quant: index.QuantSpecOf(opts)})
 		}})

@@ -2,6 +2,7 @@ package nsg
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"vdbms/internal/vec"
 )
 
-func meanRecall(t *testing.T, g *Graph, ds *dataset.Dataset, ef, k, nq int) float64 {
+func meanRecall(t *testing.T, g *graph.Index, ds *dataset.Dataset, ef, k, nq int) float64 {
 	t.Helper()
 	qs := ds.Queries(nq, 0.05, 2)
 	truth := dataset.GroundTruth(vec.SquaredL2, ds, qs, k)
@@ -35,7 +36,7 @@ func TestNSGRecallAndDegree(t *testing.T) {
 	if r := meanRecall(t, g, ds, 80, 10, 15); r < 0.85 {
 		t.Fatalf("nsg recall = %v", r)
 	}
-	if d := g.AvgDegree(); d > 12 {
+	if d := graph.AvgDegree(g.Layers()[0]); d > 12 {
 		t.Fatalf("avg degree %v exceeds R", d)
 	}
 	if g.Name() != "nsg" {
@@ -64,13 +65,13 @@ func TestAllNodesReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	reach := make([]bool, ds.Count)
-	stack := []int32{g.Medoid()}
-	reach[g.Medoid()] = true
+	stack := []int32{g.Entries()[0]}
+	reach[g.Entries()[0]] = true
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range g.Adjacency()[v] {
+		for _, nb := range g.Layers()[0].Neighbors(v) {
 			if !reach[nb] {
 				reach[nb] = true
 				count++
@@ -93,8 +94,8 @@ func TestAlphaAblationKeepsMoreEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loose.AvgDegree() < tight.AvgDegree() {
-		t.Fatalf("alpha=1.6 degree %v below alpha=1.0 degree %v", loose.AvgDegree(), tight.AvgDegree())
+	if graph.AvgDegree(loose.Layers()[0]) < graph.AvgDegree(tight.Layers()[0]) {
+		t.Fatalf("alpha=1.6 degree %v below alpha=1.0 degree %v", graph.AvgDegree(loose.Layers()[0]), graph.AvgDegree(tight.Layers()[0]))
 	}
 }
 
@@ -126,13 +127,19 @@ func TestValidationAndStats(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	ds := dataset.Uniform(60, 4, 13)
 	for _, name := range []string{"nsg", "vamana"} {
-		idx, err := index.Build(name, ds.Data, 60, 4, vec.L2, map[string]int{"r": 6, "l": 12, "alpha100": 120})
+		idx, err := index.Build(name, ds.Data, 60, 4, vec.L2, map[string]int{"r": 6, "l": 12})
 		if err != nil || idx.Name() != name {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	if _, err := index.Build("nsg", ds.Data, 60, 4, vec.L2, map[string]int{"zz": 1}); err == nil {
 		t.Fatal("want unknown-option error")
+	}
+	// Each variant takes only the keys its build reads.
+	for name, key := range map[string]string{"nsg": "alpha100", "vamana": "trials", "fanng": "alpha100"} {
+		if _, err := index.Build(name, ds.Data, 60, 4, vec.L2, map[string]int{key: 1}); !errors.Is(err, index.ErrOption) {
+			t.Fatalf("%s %s: %v, want ErrOption", name, key, err)
+		}
 	}
 }
 
@@ -148,7 +155,7 @@ func TestFANNGRecall(t *testing.T) {
 	if r := meanRecall(t, g, ds, 80, 10, 15); r < 0.8 {
 		t.Fatalf("fanng recall = %v", r)
 	}
-	if d := g.AvgDegree(); d > 12 {
+	if d := graph.AvgDegree(g.Layers()[0]); d > 12 {
 		t.Fatalf("avg degree %v exceeds R", d)
 	}
 }
@@ -187,7 +194,7 @@ func TestBuildIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := slabHash(g.frozen); got != tc.want {
+		if got := slabHash(g.Layers()[0]); got != tc.want {
 			t.Errorf("%s hashes to %#x, want %#x", g.Name(), got, tc.want)
 		}
 	}

@@ -61,7 +61,7 @@ func TestDegreeGrowsUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := g.AvgDegree(); d < 6 {
+	if d := graph.AvgDegree(g.Layers()[0]); d < 6 {
 		t.Fatalf("avg degree = %v, want >= M", d)
 	}
 }
@@ -127,7 +127,7 @@ func TestBuildIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := slabHash(g.frozen), uint64(0x5c5b10c81d11a00f); got != want {
+	if got, want := slabHash(g.Layers()[0]), uint64(0x5c5b10c81d11a00f); got != want {
 		t.Errorf("graph hashes to %#x, want %#x", got, want)
 	}
 }

@@ -22,9 +22,10 @@ const buildDeadline = 30 * time.Second
 // when key is past the declared ones, the arbitrary name. Under any
 // metric of index.AnyMetric the build must fail with ErrOption or
 // ErrMetric, or build an index whose search returns at most k distinct
-// ids — within buildDeadline. The seeds put every declared key of every
-// family at its Max and one past it, and one undeclared key on each
-// family.
+// ids — within buildDeadline; a key the family does not declare must
+// fail. The seeds put every declared key of every family at its Max and
+// one past it, one undeclared key on each family, and then each key
+// that some family declares on every family that does not, at its Max.
 func FuzzIndexOptions(f *testing.F) {
 	names := index.Names()
 	for fam, name := range names {
@@ -37,13 +38,33 @@ func FuzzIndexOptions(f *testing.F) {
 		}
 		f.Add(uint8(fam), uint8(0), uint8(len(family.Options)), "zz", int64(1))
 	}
+	for fam, name := range names {
+		family, _ := index.Lookup(name)
+		offered := map[string]bool{}
+		for _, o := range family.Options {
+			offered[o.Name] = true
+		}
+		for _, other := range names {
+			sibling, _ := index.Lookup(other)
+			for _, o := range sibling.Options {
+				if !offered[o.Name] {
+					offered[o.Name] = true
+					f.Add(uint8(fam), uint8(0), uint8(len(family.Options)), o.Name, int64(o.Max))
+				}
+			}
+		}
+	}
 	const n, dim, k = 200, 8, 10
 	ds := dataset.Clustered(n, dim, 4, 0.3, 7)
 	f.Fuzz(func(t *testing.T, fam, metric, key uint8, name string, value int64) {
 		family, _ := index.Lookup(names[int(fam)%len(names)])
 		m := index.AnyMetric[int(metric)%len(index.AnyMetric)]
-		if int(key) < len(family.Options) {
+		declared := int(key) < len(family.Options)
+		if declared {
 			name = family.Options[key].Name
+		}
+		for _, o := range family.Options {
+			declared = declared || o.Name == name
 		}
 		opts := map[string]int{name: int(value)}
 		type built struct {
@@ -75,6 +96,8 @@ func FuzzIndexOptions(f *testing.F) {
 			return
 		case b.err != nil:
 			t.Fatalf("%s %v %v: %v, want nil, ErrOption or ErrMetric", family.Name, m, opts, b.err)
+		case !declared:
+			t.Fatalf("%s %v %v: built with a key it does not declare", family.Name, m, opts)
 		}
 		if len(b.ids) > k {
 			t.Fatalf("%s %v %v: %d hits for k=%d", family.Name, m, opts, len(b.ids), k)

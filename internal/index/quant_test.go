@@ -163,7 +163,7 @@ func TestMergeQuantDefaults(t *testing.T) {
 	}
 	// Families that cannot scan codes are left untouched, so a
 	// schema-wide default cannot break CreateIndex("kdtree").
-	got, err = MergeQuantDefaults("kdtree", map[string]int{"trees": 2}, "sq8", 64)
+	got, err = MergeQuantDefaults("kdtree", map[string]int{"leaf": 8}, "sq8", 64)
 	if err != nil {
 		t.Fatal(err)
 	}

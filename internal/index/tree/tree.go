@@ -406,8 +406,15 @@ func (f *Forest) Search(q []float32, k int, p index.Params) ([]topk.Result, erro
 }
 
 func init() {
-	options := []index.Option{{Name: "trees", Max: 256}, {Name: "leaf", Max: 4096}, index.SeedOption}
+	// The deterministic rules never draw from their rng, so every seed
+	// builds the same tree and a forest of them repeats it: they take a
+	// leaf size only.
+	leaf := index.Option{Name: "leaf", Max: 4096}
 	for r, name := range names {
+		options := []index.Option{leaf}
+		if Rule(r) >= RandomTop5 {
+			options = []index.Option{{Name: "trees", Max: 256}, leaf, index.SeedOption}
+		}
 		// Axis and hyperplane margins bound squared L2 only.
 		index.Register(index.Family{Name: name, Knob: tuner.KnobEf, Metrics: []vec.Metric{vec.L2}, Options: options, Build: func(data []float32, n, d int, _ vec.Metric, opts map[string]int) (index.Index, error) {
 			return Build(data, n, d, Config{Rule: Rule(r), Trees: opts["trees"], LeafSize: opts["leaf"], Seed: int64(opts["seed"])})

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -163,13 +164,27 @@ func TestDuplicatePointsDegenerate(t *testing.T) {
 
 func TestRegistryNames(t *testing.T) {
 	ds := dataset.Uniform(60, 4, 17)
-	for _, name := range []string{"kdtree", "pcatree", "pkdtree", "kdforest"} {
-		idx, err := index.Build(name, ds.Data, 60, 4, vec.L2, map[string]int{"trees": 2, "leaf": 8})
+	for name, opts := range map[string]map[string]int{
+		"kdtree":   {"leaf": 8},
+		"pcatree":  {"leaf": 8},
+		"pkdtree":  {"leaf": 8},
+		"kdforest": {"trees": 2, "leaf": 8, "seed": 3},
+	} {
+		idx, err := index.Build(name, ds.Data, 60, 4, vec.L2, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if idx.Name() != name {
 			t.Fatalf("name = %s want %s", idx.Name(), name)
+		}
+	}
+	// The deterministic rules build one tree whatever the seed, so they
+	// take neither a forest size nor a seed.
+	for _, name := range []string{"kdtree", "pcatree", "pkdtree"} {
+		for _, key := range []string{"trees", "seed"} {
+			if _, err := index.Build(name, ds.Data, 60, 4, vec.L2, map[string]int{key: 2}); !errors.Is(err, index.ErrOption) {
+				t.Fatalf("%s %s: %v, want ErrOption", name, key, err)
+			}
 		}
 	}
 	if _, err := index.Build("kdtree", ds.Data, 60, 4, vec.L2, map[string]int{"zz": 1}); err == nil {

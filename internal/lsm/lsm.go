@@ -10,15 +10,12 @@ package lsm
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"vdbms/internal/index"
 	"vdbms/internal/index/hnsw"
 	"vdbms/internal/obs"
 	"vdbms/internal/pool"
-	"vdbms/internal/storage"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
@@ -40,16 +37,6 @@ type Config struct {
 	// (GOMAXPROCS), 1 forces the serial visit order. Results are
 	// identical at every setting.
 	Parallelism int
-	// SpillDir, when set on an mmap-capable platform, moves sealed
-	// segment columns out of the heap: each flush/compaction writes the
-	// segment's vectors to a column file there, maps it read-only, and
-	// unlinks it (the mapping keeps the inode alive, so a crash leaks no
-	// files). The memtable — the only mutable column — stays on heap;
-	// sealed vectors become kernel-reclaimable page cache, which is what
-	// keeps a write-heavy LSM collection inside a process memory budget.
-	// Spill failures fall back to heap segments silently: the tier is an
-	// optimization, never a correctness dependency.
-	SpillDir string
 }
 
 // row identifies one stored (id, generation) version of a vector.
@@ -60,14 +47,12 @@ type row struct {
 
 // segment is an immutable run of sealed rows. idx is nil between the
 // seal and the completion of its off-lock index build; searches serve
-// such segments by exact scan (seg.sc) until the index installs. When
-// m is non-nil, data aliases the mapping and the heap copy is garbage.
+// such segments by exact scan (seg.sc) until the index installs.
 type segment struct {
 	data []float32
 	rows []row
 	idx  index.Index
 	sc   *vec.Scorer // block-scores the sealed rows (exact scans)
-	m    *storage.MmapStore
 }
 
 // Collection is an updatable vector collection with LSM-style
@@ -105,10 +90,6 @@ type Collection struct {
 	flushes int
 	// compactions counts how many compaction runs completed.
 	compactions int
-	// spillSeq names spill files uniquely (guarded by maint — only
-	// flush/compaction spill). Reusing a path would truncate an inode an
-	// older mapping still reads.
-	spillSeq int
 }
 
 // New creates an empty collection.
@@ -133,11 +114,6 @@ func New(cfg Config) (*Collection, error) {
 	memSc, err := vec.NewScorer(cfg.Metric, nil, 0, cfg.Dim)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	if cfg.SpillDir != "" {
-		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
-			return nil, fmt.Errorf("lsm: spill dir: %w", err)
-		}
 	}
 	return &Collection{
 		cfg:    cfg,
@@ -277,20 +253,6 @@ func (c *Collection) flushMaint() error {
 	segCount := len(c.segments)
 	c.mu.Unlock()
 
-	// Spill the sealed column to the mmap tier (if configured) before
-	// the index build, so the index binds the mapped bytes and the heap
-	// copy becomes garbage as soon as the swap lands. The segment is
-	// immutable and maint is held, so no staleness re-check is needed —
-	// only readers see it, and they always go through mu.
-	if m := c.spillMaint(data, len(rows)); m != nil {
-		c.mu.Lock()
-		seg.data = m.Raw()
-		seg.sc.Extend(seg.data, len(rows)) // same row count: pointer swap
-		seg.m = m
-		c.mu.Unlock()
-		data = seg.data
-	}
-
 	// Build off-lock. On failure the segment stays exact-scan only:
 	// its rows remain fully searchable, just without index speedup.
 	idx, err := c.cfg.Builder(data, len(rows), c.cfg.Dim)
@@ -343,99 +305,23 @@ func (c *Collection) compactMaint() error {
 	c.mu.RUnlock()
 	if len(rows) == 0 {
 		c.mu.Lock()
-		retired := c.segments
 		c.segments = nil
 		c.compactions++
 		c.mu.Unlock()
-		closeSegmentMaps(retired)
 		return nil
-	}
-	var m *storage.MmapStore
-	if m = c.spillMaint(data, len(rows)); m != nil {
-		data = m.Raw() // the index build below binds the mapping
 	}
 	idx, err := c.cfg.Builder(data, len(rows), d)
 	if err != nil {
-		if m != nil {
-			m.Close() // never published
-		}
 		return fmt.Errorf("lsm: compaction index build: %w", err)
 	}
 	segSc, err := vec.NewScorer(c.cfg.Metric, data, len(rows), d)
 	if err != nil {
-		if m != nil {
-			m.Close()
-		}
 		return fmt.Errorf("lsm: compaction scorer: %w", err)
 	}
 	c.mu.Lock()
-	retired := c.segments
-	c.segments = []*segment{{data: data, rows: rows, idx: idx, sc: segSc, m: m}}
+	c.segments = []*segment{{data: data, rows: rows, idx: idx, sc: segSc}}
 	c.compactions++
 	c.mu.Unlock()
-	// mu.Lock drained every reader that could hold the old segments, and
-	// maint excludes concurrent maintenance, so the retired mappings have
-	// no remaining references.
-	closeSegmentMaps(retired)
-	return nil
-}
-
-// spillMaint writes one sealed column to the mmap tier and maps it,
-// returning nil (heap fallback) when spilling is off, unsupported, or
-// fails. Caller holds maint; the spill file is unlinked immediately —
-// the mapping keeps the inode alive and a crash leaks nothing.
-func (c *Collection) spillMaint(data []float32, n int) *storage.MmapStore {
-	if c.cfg.SpillDir == "" || n == 0 || !storage.MmapSupported() {
-		return nil
-	}
-	c.spillSeq++
-	path := filepath.Join(c.cfg.SpillDir, fmt.Sprintf("seg-%08d.col", c.spillSeq))
-	if err := storage.WriteColumnFile(path, data, n, c.cfg.Dim); err != nil {
-		os.Remove(path)
-		return nil
-	}
-	m, err := storage.OpenColumn(path)
-	os.Remove(path)
-	if err != nil {
-		return nil
-	}
-	m.AdviseRandom() // segment probes are point lookups
-	return m
-}
-
-// closeSegmentMaps unmaps the spill mappings of retired segments.
-func closeSegmentMaps(segs []*segment) {
-	for _, seg := range segs {
-		if seg.m != nil {
-			seg.m.Close()
-		}
-	}
-}
-
-// MappedSegments reports how many sealed segments currently serve from
-// the mmap tier.
-func (c *Collection) MappedSegments() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := 0
-	for _, seg := range c.segments {
-		if seg.m != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Close unmaps every spilled segment. The collection must not be used
-// afterwards — sealed rows are dropped along with their mappings.
-func (c *Collection) Close() error {
-	c.maint.Lock()
-	defer c.maint.Unlock()
-	c.mu.Lock()
-	retired := c.segments
-	c.segments = nil
-	c.mu.Unlock()
-	closeSegmentMaps(retired)
 	return nil
 }
 

@@ -244,6 +244,30 @@ func TestCompactEmptyAndAllDead(t *testing.T) {
 	}
 }
 
+// TestSpillAllDeadCompaction: compacting several sealed segments down to
+// zero live rows leaves no segment and Len 0.
+func TestSpillAllDeadCompaction(t *testing.T) {
+	c := newSmall(t, 10)
+	ds := dataset.Clustered(40, 8, 2, 0.4, 4)
+	for i := 0; i < 40; i++ {
+		if err := c.Upsert(int64(i), ds.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Segments() != 4 {
+		t.Fatalf("%d segments sealed, want 4", c.Segments())
+	}
+	for i := 0; i < 40; i++ {
+		c.Delete(int64(i))
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Segments() != 0 || c.Len() != 0 {
+		t.Fatalf("all-dead compaction: segs=%d live=%d", c.Segments(), c.Len())
+	}
+}
+
 func TestExtraPredicate(t *testing.T) {
 	c := newSmall(t, 16)
 	ds := dataset.Uniform(50, 8, 15)

@@ -42,7 +42,6 @@ const (
 	CatIndex                      // graph/tree/IVF structures
 	CatQuantCodes                 // quantized code blocks (never evicted)
 	CatWALBuffers                 // WAL write buffers
-	CatPageCache                  // disk-store page caches
 	numCategories
 )
 
@@ -57,8 +56,6 @@ func (c Category) String() string {
 		return "quant_codes"
 	case CatWALBuffers:
 		return "wal_buffers"
-	case CatPageCache:
-		return "page_cache"
 	}
 	return "unknown"
 }
@@ -109,10 +106,9 @@ type Account struct {
 	// evicted marks accounts currently serving from the mmap tier.
 	evicted atomic.Bool
 
-	hookMu    sync.Mutex
-	onDrop    func()       // release caches (DropCaches rung)
-	onEvict   func() error // move float column to mmap (Evict rung)
-	onPromote func() error // optional: restore column to heap
+	hookMu  sync.Mutex
+	onDrop  func()       // release caches (DropCaches rung)
+	onEvict func() error // move float column to mmap (Evict rung)
 }
 
 // Name returns the account's registered name.
@@ -178,13 +174,6 @@ func (a *Account) OnDropCaches(fn func()) {
 func (a *Account) OnEvict(fn func() error) {
 	a.hookMu.Lock()
 	a.onEvict = fn
-	a.hookMu.Unlock()
-}
-
-// OnPromote registers the optional mmap→heap promotion hook.
-func (a *Account) OnPromote(fn func() error) {
-	a.hookMu.Lock()
-	a.onPromote = fn
 	a.hookMu.Unlock()
 }
 
@@ -470,30 +459,6 @@ func (m *Manager) evictColdest() {
 		m.Evictions.Add(1)
 		obs.MemEvictions.Inc()
 	}
-}
-
-// Promote asks the named account's owner to restore its column to the
-// heap tier (used by write paths and by operators via the API).
-func (m *Manager) Promote(name string) error {
-	m.mu.Lock()
-	a := m.accounts[name]
-	m.mu.Unlock()
-	if a == nil || !a.Evicted() {
-		return nil
-	}
-	a.hookMu.Lock()
-	fn := a.onPromote
-	a.hookMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	if err := fn(); err != nil {
-		return err
-	}
-	// The hook clears the evicted bit under the owner's lock.
-	m.Promotions.Add(1)
-	obs.MemPromotions.Inc()
-	return nil
 }
 
 func (m *Manager) publishCategories() {

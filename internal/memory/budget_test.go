@@ -95,7 +95,7 @@ func TestStepDropCachesLatch(t *testing.T) {
 	a := m.Register("a")
 	var drops atomic.Int64
 	a.OnDropCaches(func() { drops.Add(1) })
-	a.Set(CatPageCache, 850)
+	a.Set(CatIndex, 850)
 	m.Step()
 	m.Step()
 	m.Step()
@@ -103,9 +103,9 @@ func TestStepDropCachesLatch(t *testing.T) {
 		t.Fatalf("drop hook ran %d times at a held rung, want 1 (latched)", got)
 	}
 	// Fall below the rung, then climb back: the latch re-arms.
-	a.Set(CatPageCache, 100)
+	a.Set(CatIndex, 100)
 	m.Step()
-	a.Set(CatPageCache, 850)
+	a.Set(CatIndex, 850)
 	m.Step()
 	if got := drops.Load(); got != 2 {
 		t.Fatalf("drop hook ran %d times after re-escalation, want 2", got)
@@ -174,31 +174,14 @@ func (e testErr) Error() string { return string(e) }
 
 const errTest = testErr("evict refused")
 
+// TestPromote: a promotion the owner performs on its own write path
+// is counted by the manager.
 func TestPromote(t *testing.T) {
 	m := stopped(1000)
 	a := m.Register("a")
-	promoted := false
-	a.OnPromote(func() error {
-		promoted = true
-		a.SetEvicted(false)
-		return nil
-	})
-	// Not evicted: promote is a no-op.
-	if err := m.Promote("a"); err != nil || promoted {
-		t.Fatalf("promote on heap-tier account: err=%v promoted=%v", err, promoted)
-	}
-	a.SetEvicted(true)
-	if err := m.Promote("a"); err != nil {
-		t.Fatal(err)
-	}
-	if !promoted || a.Evicted() {
-		t.Fatalf("promoted=%v evicted=%v after Promote", promoted, a.Evicted())
-	}
+	a.CountPromotion()
 	if got := m.Promotions.Load(); got != 1 {
 		t.Fatalf("promotion counter %d, want 1", got)
-	}
-	if err := m.Promote("missing"); err != nil {
-		t.Fatalf("promote on unknown account: %v", err)
 	}
 }
 

@@ -100,7 +100,7 @@ var (
 	// a page-fault-rate proxy for how hard the mmap tier is working.
 	MemBudgetBytes   = Default().NewGauge("vdbms_mem_budget_bytes", "Configured process memory budget in bytes (0 = unlimited).")
 	MemResidentBytes = Default().NewGauge("vdbms_mem_resident_bytes", "Accounted resident bytes across all collections.")
-	MemCategoryBytes = Default().NewGaugeVec("vdbms_mem_category_bytes", "Accounted resident bytes by category (vectors, index, quant_codes, wal_buffers, page_cache).", "category")
+	MemCategoryBytes = Default().NewGaugeVec("vdbms_mem_category_bytes", "Accounted resident bytes by category (vectors, index, quant_codes, wal_buffers).", "category")
 	MemStage         = Default().NewGauge("vdbms_mem_stage", "Degradation ladder position (0=normal 1=drop_caches 2=evict 3=shed).")
 	MemStageChanges  = Default().NewCounterVec("vdbms_mem_stage_transitions_total", "Degradation ladder transitions by destination stage.", "to")
 	MemEvictions     = Default().NewCounter("vdbms_mem_evictions_total", "Collection float columns evicted to the mmap tier.")
@@ -151,7 +151,7 @@ func init() {
 	for _, to := range []string{"normal", "drop_caches", "evict", "shed"} {
 		MemStageChanges.With(to)
 	}
-	for _, cat := range []string{"vectors", "index", "quant_codes", "wal_buffers", "page_cache"} {
+	for _, cat := range []string{"vectors", "index", "quant_codes", "wal_buffers"} {
 		MemCategoryBytes.With(cat)
 	}
 	for _, src := range []string{"explicit", "tuned", "safe_default", "index_default"} {

@@ -126,11 +126,14 @@ go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # pre-PR 16 traversal built them (TestBuildIdentity), and per-query
 # stats with at least one comp per node visited (TestGraphStatsAgree);
 # the tree forest's hits pinned to the hashes of the kdtree and rptree
-# packages it replaced (TestHitIdentity). The first line runs the whole
+# packages it replaced (TestHitIdentity); every graph family's hits
+# pinned to those of its own serving code before the six shared one
+# graph.Index (TestGraphHitIdentity), and unchanged after a Remap onto a
+# copied column (TestGraphRemapIdentity). The first line runs the whole
 # graph package, the sweep included. The scratch pool is the only state
 # searches share, so -race.
 go test -race -count=1 -timeout 5m ./internal/index/graph/
-go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|TestHitIdentity' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/ ./internal/index/tree/
+go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|TestHitIdentity|TestGraphHitIdentity|TestGraphRemapIdentity' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/ ./internal/index/knng/ ./internal/index/tree/
 # Request path gates. Search, batch and insert bodies are decoded by a
 # hand-written pass that must agree with encoding/json on every input —
 # fuzzed differentially, seeded with the benchmark's bodies. Pooled
