@@ -24,7 +24,6 @@ import (
 	"vdbms/internal/index/nsg"
 	"vdbms/internal/index/nsw"
 	"vdbms/internal/index/tree"
-	"vdbms/internal/lsm"
 	"vdbms/internal/planner"
 	"vdbms/internal/quant"
 	"vdbms/internal/secure"
@@ -272,35 +271,6 @@ func BenchmarkE10Batch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.SearchBatch(plan, qs, 10, nil, executor.Options{Ef: 64}) //nolint:errcheck
 	}
-}
-
-// BenchmarkE12LSM measures the write path (upsert incl. amortized
-// segment builds) and the merged search path of the LSM collection
-// (E12).
-func BenchmarkE12LSM(b *testing.B) {
-	ds, qs := setupBench(b)
-	b.Run("upsert", func(b *testing.B) {
-		col, err := lsm.New(lsm.Config{Dim: ds.Dim, MemtableSize: 512})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			col.Upsert(int64(i), ds.Row(i%ds.Count)) //nolint:errcheck
-		}
-	})
-	b.Run("search", func(b *testing.B) {
-		col, err := lsm.New(lsm.Config{Dim: ds.Dim, MemtableSize: 1000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 4000; i++ {
-			col.Upsert(int64(i), ds.Row(i)) //nolint:errcheck
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			col.Search(qs[i%len(qs)], 10, 64, nil) //nolint:errcheck
-		}
-	})
 }
 
 // BenchmarkE13Secure measures the encrypted-domain scan of the ASPE

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"vdbms/internal/core"
-	"vdbms/internal/executor"
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/obs"
@@ -105,6 +104,10 @@ func (c *Collection) UpdateVector(id int64, vector []float32) error {
 
 // Delete removes id from all future query results.
 func (c *Collection) Delete(id int64) error { return c.inner.Delete(id) }
+
+// Compact drops deleted rows from memory, scans and checkpoints; every
+// id keeps naming its vector. The index is rebuilt in the background.
+func (c *Collection) Compact() error { return c.inner.Compact() }
 
 // Get returns the vector and attributes stored at id.
 func (c *Collection) Get(id int64) ([]float32, map[string]any, error) {
@@ -240,23 +243,13 @@ func (c *Collection) SearchBatchContext(ctx context.Context, qs [][]float32, req
 	return c.inner.SearchBatch(ctx, qs, req)
 }
 
-// Iterator pages through results incrementally (Section 2.6(5)).
-type Iterator struct {
-	inner *executor.Iterator
-}
+// Iterator pages through results incrementally (Section 2.6(5)): Next
+// returns up to n further hits; empty means exhausted.
+type Iterator = core.Iterator
 
 // OpenIterator starts an incremental query; call Next for pages.
 func (c *Collection) OpenIterator(q []float32, filters []Filter, ef int) (*Iterator, error) {
-	it, err := c.inner.OpenIterator(q, filters, ef)
-	if err != nil {
-		return nil, err
-	}
-	return &Iterator{inner: it}, nil
-}
-
-// Next returns up to n further hits; empty means exhausted.
-func (it *Iterator) Next(n int) ([]Hit, error) {
-	return it.inner.Next(n)
+	return c.inner.OpenIterator(q, filters, ef)
 }
 
 // IndexKinds lists the registered ANN index families available to

@@ -59,17 +59,6 @@ func ExampleCollection_Search_hybrid() {
 	// 2
 }
 
-func ExampleOpenDynamic() {
-	dyn, _ := vdbms.OpenDynamic(vdbms.DynamicConfig{Dim: 2, MemtableSize: 4})
-	for i := 0; i < 8; i++ {
-		dyn.Upsert(int64(i), []float32{float32(i), 0})
-	}
-	dyn.Delete(3)
-	hits, _ := dyn.Search([]float32{3.1, 0}, 1, 16)
-	fmt.Println(hits[0].ID, dyn.Len())
-	// Output: 4 7
-}
-
 func ExampleCollection_OpenIterator() {
 	db := vdbms.New()
 	col, _ := db.CreateCollection("stream", vdbms.Schema{Dim: 1})

@@ -37,18 +37,25 @@ func buildTimed(kind string, data []float32, n, dim int, metric vec.Metric, opts
 }
 
 // maybeTriggerBuildLocked starts a background rebuild when the
-// mutation fraction exceeds the schema threshold. Called with mu held
-// from every write path and from build completion (catch-up).
+// mutation fraction exceeds the schema threshold, or when the recipe
+// has no index because a Compact dropped it. Called with mu held from
+// every write path, from Compact and from build completion (catch-up).
 // Single-flight: at most one builder goroutine per collection.
 func (c *Collection) maybeTriggerBuildLocked() {
 	// During WAL replay the index is built once at the end of
 	// recovery; kicking builders per replayed record would race the
 	// replay loop for no benefit.
-	if c.replaying || c.annKind == "" || c.annN == 0 || c.building {
+	if c.replaying || c.annKind == "" || c.building || c.n == 0 {
 		return
 	}
-	grown := c.n - c.annN
-	if float64(c.dirty+grown) <= c.schema.RebuildFraction*float64(c.annN) {
+	if c.ann == nil {
+		// CreateIndex is building the recipe's first index (it pins
+		// the column until it installs), or an eviction pins it and
+		// re-checks on release.
+		if c.dataPins > 0 {
+			return
+		}
+	} else if grown := c.n - c.annN; float64(c.dirty+grown) <= c.schema.RebuildFraction*float64(c.annN) {
 		return
 	}
 	c.startBuildLocked(c.annKind, c.annOpts)

@@ -16,8 +16,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,18 +87,25 @@ type Schema struct {
 //     append-only).
 //   - del is a copy-on-write deletion mask; Delete clones the bitset
 //     before setting a bit, so a reader's mask never changes mid-scan.
+//   - ids maps row → id. Until the first Compact it is nil and every id
+//     is its row; after it, it is ascending (compaction keeps row
+//     order), so id → row is a binary search and ties broken by row
+//     break the same way by id. Inserts append past the epoch's rows,
+//     which a reader never reads, and a compaction builds a new array.
 //   - ann/annN describe the installed ANN index and the rows it was
 //     built over. env.ANN is non-nil only when annN == rows: an index
 //     that misses recent inserts is bypassed for exact scans, while an
 //     index stale only through in-place updates stays live (DESIGN.md
 //     §9 spells out the visibility contract).
 type snapshot struct {
-	rows int // total rows in this epoch (live + deleted)
-	nDel int // deleted rows
-	env  *executor.Env
-	del  *bitset.Bitset // nil until the first delete
-	ann  index.Index    // installed index; may trail rows
-	annN int            // rows covered by ann
+	rows   int // rows in this epoch (live + deleted, not yet compacted)
+	nDel   int // deleted rows
+	env    *executor.Env
+	del    *bitset.Bitset // nil until the first delete
+	ids    []int64        // row → id; nil while ids are rows
+	nextID int64          // the next insert's id: the bound Rows reports
+	ann    index.Index    // installed index; may trail rows
+	annN   int            // rows covered by ann
 	// annKnob is the search parameter ann's family declares, resolved
 	// once at install so knob resolution takes no registry lock.
 	annKnob tuner.Knob
@@ -125,6 +134,35 @@ func (s *snapshot) clampK(k int) int {
 		return s.rows
 	}
 	return k
+}
+
+// liveRow resolves id to the row holding it in an epoch of n rows with
+// row → id map ids (nil: the id is the row) and deletion mask del: an
+// error when id was never issued, is deleted, or was compacted away
+// after its delete.
+func liveRow(ids []int64, n int, nextID int64, del *bitset.Bitset, id int64) (int, error) {
+	if id < 0 || id >= nextID {
+		return 0, fmt.Errorf("core: id %d out of range [0,%d)", id, nextID)
+	}
+	row, ok := int(id), true
+	if ids != nil {
+		row, ok = slices.BinarySearch(ids[:n], id)
+	}
+	if !ok || (del != nil && del.Test(row)) {
+		return 0, fmt.Errorf("core: id %d is deleted", id)
+	}
+	return row, nil
+}
+
+// toIDs rewrites the rows of hits as ids, in place. Queries run on rows
+// throughout and map once, on their way out of core.
+func (s *snapshot) toIDs(hits []Result) {
+	if s.ids == nil {
+		return
+	}
+	for i := range hits {
+		hits[i].ID = s.ids[hits[i].ID]
+	}
 }
 
 // deleted is the epoch's deletion mask as the executor takes it: nil
@@ -173,10 +211,11 @@ type Collection struct {
 	// without it never pay the sample-copy cost.
 	sampling atomic.Bool
 
-	// updateEpoch counts in-place vector updates. Samples are stamped
-	// with it at serve time so the recall loop can skip samples served
-	// against vector data that has since been overwritten (recall.go's
-	// staleness rule for updates, mirroring the deletion check).
+	// updateEpoch counts in-place vector updates and compactions.
+	// Samples are stamped with it at serve time so the recall loop can
+	// skip samples served against vector data that has since been
+	// overwritten or renumbered (recall.go's staleness rule for updates,
+	// mirroring the deletion check).
 	updateEpoch atomic.Uint64
 
 	// Recall loop lifecycle (recall.go): recallLife guards the loop's
@@ -225,6 +264,10 @@ type Collection struct {
 	del    *bitset.Bitset
 	nDel   int
 	attrs  *filter.Table
+	// ids/nextID are the snapshot's row → id map and next id; ids stays
+	// nil (and nextID == n) until the first Compact.
+	ids    []int64
+	nextID int64
 
 	annKind string
 	annOpts map[string]int
@@ -239,10 +282,10 @@ type Collection struct {
 	buildDone  chan struct{}
 	buildEpoch uint64
 
-	// Entity-map cache for multi-vector queries, keyed by column and
-	// validated against the snapshot row count (columns are append-only
-	// and rows never change owner, so the row count is the attribute
-	// version).
+	// Entity-map cache for multi-vector queries, keyed by column name
+	// and validated against the snapshot's column and row count (columns
+	// are append-only and rows never change owner, so the pair is the
+	// attribute version; a Compact replaces every column).
 	entMu    sync.Mutex
 	entCache map[string]entityEntry
 
@@ -260,6 +303,7 @@ type Collection struct {
 	// Checkpoint state (single-flight under ckptMu).
 	ckptMu   sync.Mutex
 	ckptLSN  uint64 // LSN covered by the latest checkpoint
+	ckptRows int    // rows it holds: a Compact since changes the count
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 
@@ -389,6 +433,8 @@ func (c *Collection) publishLocked() {
 		nDel:    c.nDel,
 		env:     env,
 		del:     c.del,
+		ids:     c.ids,
+		nextID:  c.nextID,
 		ann:     c.ann,
 		annN:    c.annN,
 		annKnob: c.annKnob,
@@ -427,8 +473,9 @@ func (c *Collection) Len() int {
 	return s.rows - s.nDel
 }
 
-// Rows returns the total rows ever inserted (live + deleted).
-func (c *Collection) Rows() int { return c.snap.Load().rows }
+// Rows returns the number of ids ever issued (live + deleted): every id
+// is below it, and a Compact leaves it unchanged.
+func (c *Collection) Rows() int { return int(c.snap.Load().nextID) }
 
 // Insert appends a vector with attribute values and returns its id.
 // On a durable collection the row is logged before it is applied and
@@ -499,7 +546,11 @@ func (c *Collection) applyInsertLocked(v []float32, attrs map[string]filter.Valu
 	if c.mapped != nil {
 		c.promotedLocked("insert")
 	}
-	id := int64(c.n)
+	id := c.nextID
+	c.nextID++
+	if c.ids != nil {
+		c.ids = append(c.ids, id)
+	}
 	c.n++
 	c.scorer.Extend(c.data, c.n)
 	// Growth is tracked as n - annN; dirty counts only in-place
@@ -520,7 +571,8 @@ func (c *Collection) UpdateVector(id int64, v []float32) error {
 		return fmt.Errorf("core: vector dim %d, collection dim %d", len(v), c.schema.Dim)
 	}
 	c.mu.Lock()
-	if err := c.validIDLocked(id); err != nil {
+	row, err := c.liveRowLocked(id)
+	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
@@ -529,7 +581,7 @@ func (c *Collection) UpdateVector(id int64, v []float32) error {
 		c.mu.Unlock()
 		return err
 	}
-	err = c.applyUpdateLocked(id, v)
+	err = c.applyUpdateLocked(row, v)
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -539,15 +591,15 @@ func (c *Collection) UpdateVector(id int64, v []float32) error {
 }
 
 // applyUpdateLocked is the memory-state half of UpdateVector, shared
-// with WAL replay. Caller holds mu and has validated id.
+// with WAL replay. Caller holds mu and has resolved the id to row.
 //
 // Fast path: when no reader is pinned (and nothing else aliases the
 // column), the row is patched in place — O(d) instead of the O(n·d)
 // full-column clone. Slow path: copy-on-write exactly as before, taken
 // whenever a concurrent query, a pinned index build, or the mmap tier
 // could observe the mutation. BenchmarkUpdateInPlace measures the gap.
-func (c *Collection) applyUpdateLocked(id int64, v []float32) error {
-	if !c.tryPatchLocked(id, v) {
+func (c *Collection) applyUpdateLocked(row int, v []float32) error {
+	if !c.tryPatchLocked(row, v) {
 		// Copy-on-write: a published snapshot is being read lock-free
 		// right now (or the column is pinned/mapped), so an in-place
 		// write could tear a concurrent scan. Copy the prefix, patch the
@@ -555,7 +607,7 @@ func (c *Collection) applyUpdateLocked(id int64, v []float32) error {
 		d := c.schema.Dim
 		data := make([]float32, c.n*d, c.n*d)
 		copy(data, c.data[:c.n*d])
-		copy(data[int(id)*d:(int(id)+1)*d], v)
+		copy(data[row*d:(row+1)*d], v)
 		sc, err := vec.NewScorer(c.schema.Metric, data, c.n, d)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -581,7 +633,7 @@ func (c *Collection) applyUpdateLocked(id int64, v []float32) error {
 // otherwise it raises the patching flag, re-checks for readers (the
 // store-load handshake with beginRead), writes the row, refreshes the
 // scorer's cached per-row state, and lowers the flag.
-func (c *Collection) tryPatchLocked(id int64, v []float32) bool {
+func (c *Collection) tryPatchLocked(row int, v []float32) bool {
 	if c.mapped != nil || c.building || c.dataPins != 0 {
 		return false
 	}
@@ -593,8 +645,8 @@ func (c *Collection) tryPatchLocked(id int64, v []float32) bool {
 	// No reader holds a pin, and any that arrives now spins on the
 	// patching flag until we lower it: the window is exclusively ours.
 	d := c.schema.Dim
-	copy(c.data[int(id)*d:(int(id)+1)*d], v)
-	c.scorer.Refresh(int(id))
+	copy(c.data[row*d:(row+1)*d], v)
+	c.scorer.Refresh(row)
 	c.patching.Store(0)
 	return true
 }
@@ -606,7 +658,8 @@ func (c *Collection) tryPatchLocked(id int64, v []float32) bool {
 // apply-before-ack note.
 func (c *Collection) Delete(id int64) error {
 	c.mu.Lock()
-	if err := c.validIDLocked(id); err != nil {
+	row, err := c.liveRowLocked(id)
+	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
@@ -615,15 +668,15 @@ func (c *Collection) Delete(id int64) error {
 		c.mu.Unlock()
 		return err
 	}
-	c.applyDeleteLocked(id)
+	c.applyDeleteLocked(row)
 	c.mu.Unlock()
 	c.stats.RecordDelete()
 	return c.waitCommit(commit)
 }
 
 // applyDeleteLocked is the memory-state half of Delete, shared with
-// WAL replay. Caller holds mu and has validated id.
-func (c *Collection) applyDeleteLocked(id int64) {
+// WAL replay. Caller holds mu and has resolved the id to row.
+func (c *Collection) applyDeleteLocked(row int) {
 	// Copy-on-write mask, regrown to the current row count so the new
 	// epoch's bitset covers every id it can be asked about.
 	del := bitset.New(c.n)
@@ -633,7 +686,7 @@ func (c *Collection) applyDeleteLocked(id int64) {
 			return true
 		})
 	}
-	del.Set(int(id))
+	del.Set(row)
 	c.del = del
 	c.nDel++
 	if c.ann != nil {
@@ -649,31 +702,24 @@ func (c *Collection) Get(id int64) ([]float32, map[string]filter.Value, error) {
 	c.beginRead()
 	defer c.endRead()
 	s := c.snap.Load()
-	if id < 0 || id >= int64(s.rows) {
-		return nil, nil, fmt.Errorf("core: id %d out of range [0,%d)", id, s.rows)
-	}
-	if s.del != nil && s.del.Test(int(id)) {
-		return nil, nil, fmt.Errorf("core: id %d is deleted", id)
+	row, err := liveRow(s.ids, s.rows, s.nextID, s.del, id)
+	if err != nil {
+		return nil, nil, err
 	}
 	d := c.schema.Dim
 	v := make([]float32, d)
-	copy(v, s.env.Data[int(id)*d:(int(id)+1)*d])
+	copy(v, s.env.Data[row*d:(row+1)*d])
 	out := map[string]filter.Value{}
 	for _, col := range s.env.Attrs.Columns() {
 		cc, _ := s.env.Attrs.Column(col)
-		out[col] = cc.Get(int(id))
+		out[col] = cc.Get(row)
 	}
 	return v, out, nil
 }
 
-func (c *Collection) validIDLocked(id int64) error {
-	if id < 0 || id >= int64(c.n) {
-		return fmt.Errorf("core: id %d out of range [0,%d)", id, c.n)
-	}
-	if c.del != nil && c.del.Test(int(id)) {
-		return fmt.Errorf("core: id %d is deleted", id)
-	}
-	return nil
+// liveRowLocked resolves id against the writer state (liveRow).
+func (c *Collection) liveRowLocked(id int64) (int, error) {
+	return liveRow(c.ids, c.n, c.nextID, c.del, id)
 }
 
 // CreateIndex builds (or replaces) the ANN index using a registered
@@ -722,20 +768,29 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 		c.mu.Unlock()
 		return err
 	}
-	if c.buildEpoch != epoch {
-		// A concurrent CreateIndex/DropIndex superseded this build.
+	stale := c.buildEpoch != epoch
+	if stale {
 		obs.IndexBuildsTotal.With("stale").Inc()
-		c.mu.Unlock()
-		return nil
+		if c.annKind != kind || !sameOpts(c.annOpts, opts) {
+			// A concurrent CreateIndex/DropIndex superseded this build.
+			c.mu.Unlock()
+			return nil
+		}
+		// A Compact renumbered the rows under this build; the recipe
+		// stands, and the builder builds it over the compacted rows.
+	} else {
+		c.installLocked(idx, n, dirty)
+		obs.IndexBuildsTotal.With("installed").Inc()
 	}
-	c.installLocked(idx, n, dirty)
-	obs.IndexBuildsTotal.With("installed").Inc()
 	// The recipe is logged only after the build succeeded, so replay
 	// never re-runs a build that failed the first time.
 	commit, lerr := c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
 	c.publishLocked()
 	c.maybeTriggerBuildLocked()
 	c.mu.Unlock()
+	if stale {
+		c.WaitForIndex()
+	}
 	// Recall measured against whatever previously answered under these
 	// kinds no longer describes the new index (mu released first:
 	// tuneMu and mu are never held together).
@@ -759,6 +814,59 @@ func (c *Collection) installLocked(idx index.Index, covered, dirtyAtStart int) {
 	if c.dirty < 0 {
 		c.dirty = 0
 	}
+}
+
+// Compact drops the deleted rows: the live rows, their attributes and
+// their ids move, in row order, into a fresh heap column (a mapped
+// column is promoted), so exact scans, memory and checkpoints stop
+// paying for dead rows while every id keeps naming its vector — Len and
+// Rows are unchanged. The installed index was built over the old rows:
+// it is dropped and the builder rebuilds the recorded recipe as a
+// staleness rebuild does, with searches scanning exactly until it
+// installs. In-flight builds are discarded, and recall samples served
+// before the compaction go stale. Compact is not logged: a checkpoint
+// from before it plus the log replays to the same ids (DESIGN.md §9).
+func (c *Collection) Compact() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return fmt.Errorf("core: collection %q is closed", c.name)
+	}
+	if c.nDel == 0 {
+		return nil
+	}
+	d, live := c.schema.Dim, c.n-c.nDel
+	keep := make([]int, 0, live)
+	for row := 0; row < c.n; row++ {
+		if !c.del.Test(row) {
+			keep = append(keep, row)
+		}
+	}
+	data := make([]float32, live*d)
+	ids := make([]int64, live)
+	for i, row := range keep {
+		copy(data[i*d:(i+1)*d], c.data[row*d:(row+1)*d])
+		ids[i] = int64(row)
+		if c.ids != nil {
+			ids[i] = c.ids[row]
+		}
+	}
+	sc, err := vec.NewScorer(c.schema.Metric, data, live, d)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	c.data, c.scorer, c.n, c.ids = data, sc, live, ids
+	c.attrs = c.attrs.Gather(keep)
+	c.del, c.nDel = nil, 0
+	c.ann, c.annN, c.dirty = nil, 0, 0
+	if c.mapped != nil {
+		c.promotedLocked("compact")
+	}
+	c.buildEpoch++
+	c.updateEpoch.Add(1)
+	c.publishLocked()
+	c.maybeTriggerBuildLocked()
+	return nil
 }
 
 // DropIndex removes the ANN index (queries fall back to exact scan).
@@ -986,8 +1094,10 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 		res.Hits, err = c.multiVector(s, req, agg, opts)
 	case forced:
 		res.Hits, err = env.Execute(plan, req.Vector, req.K, preds, opts)
+		s.toIDs(res.Hits)
 	default:
 		res.Hits, _, err = env.Search(req.Vector, req.K, preds, opts, "")
+		s.toIDs(res.Hits)
 	}
 	if err != nil {
 		return SearchResult{}, err
@@ -998,19 +1108,21 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 
 // entityEntry is one cached row→entity grouping.
 type entityEntry struct {
+	col  *filter.Column
 	rows int
 	m    *executor.EntityMap
 }
 
 // entityMap returns the entity grouping for the snapshot, cached per
 // column. Columns are append-only and rows never change owner, so a
-// map built at row count R is exact for every snapshot with R rows;
-// an entry is replaced only when the collection has grown past it.
-// Updates and deletes leave ownership intact and need no invalidation
-// (deleted rows are masked by the executor, not the map).
+// map built over column col at row count R is exact for every snapshot
+// with R rows of col; an entry is replaced when the collection has
+// grown past it or compacted into a new column. Updates and deletes
+// leave ownership intact and need no invalidation (deleted rows are
+// masked by the executor, not the map).
 func (c *Collection) entityMap(s *snapshot, name string, col *filter.Column) *executor.EntityMap {
 	c.entMu.Lock()
-	if e, ok := c.entCache[name]; ok && e.rows == s.rows {
+	if e, ok := c.entCache[name]; ok && e.col == col && e.rows == s.rows {
 		c.entMu.Unlock()
 		return e.m
 	}
@@ -1021,8 +1133,8 @@ func (c *Collection) entityMap(s *snapshot, name string, col *filter.Column) *ex
 	}
 	m := executor.NewEntityMap(owner)
 	c.entMu.Lock()
-	if e, ok := c.entCache[name]; !ok || e.rows < s.rows {
-		c.entCache[name] = entityEntry{rows: s.rows, m: m}
+	if e, ok := c.entCache[name]; !ok || e.col != col || e.rows < s.rows {
+		c.entCache[name] = entityEntry{col: col, rows: s.rows, m: m}
 	}
 	c.entMu.Unlock()
 	return m
@@ -1058,6 +1170,7 @@ func (c *Collection) SearchRange(q []float32, radius float32, fs []Filter) ([]Re
 	c.beginRead()
 	s := c.snap.Load()
 	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
+	s.toIDs(res)
 	c.endRead()
 	c.touchAccount()
 	obs.SearchTotal.Inc()
@@ -1112,19 +1225,34 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 	one := req
 	one.Vectors, one.Trace = nil, false
 	for i := range recs {
+		s.toIDs(out[i])
 		one.Vector, res.Hits = qs[i], out[i]
 		c.observe(&one, preds, s, epoch, start, &recs[i], &res)
 	}
 	return out, err
 }
 
+// Iterator pages through a ranked result stream in ids.
+type Iterator struct {
+	it *executor.Iterator
+	s  *snapshot
+}
+
+// Next returns up to n further hits in ascending distance order; an
+// empty page means the stream is exhausted.
+func (it *Iterator) Next(n int) ([]Result, error) {
+	res, err := it.it.Next(n)
+	it.s.toIDs(res)
+	return res, err
+}
+
 // OpenIterator starts incremental paging over the collection. The
 // iterator is pinned to the snapshot current at open time: rows
-// inserted, updated, or deleted afterwards do not affect its pages.
-// The pin also counts as an active reader until the iterator is
+// inserted, updated, deleted or compacted afterwards do not affect its
+// pages. The pin also counts as an active reader until the iterator is
 // garbage-collected, so in-place update patching is suppressed (every
 // update copies) while pages may still be fetched.
-func (c *Collection) OpenIterator(q []float32, fs []Filter, ef int) (*executor.Iterator, error) {
+func (c *Collection) OpenIterator(q []float32, fs []Filter, ef int) (*Iterator, error) {
 	preds, err := c.convertFilters(fs)
 	if err != nil {
 		return nil, err
@@ -1137,25 +1265,22 @@ func (c *Collection) OpenIterator(q []float32, fs []Filter, ef int) (*executor.I
 		return nil, err
 	}
 	// The iterator has no Close; release the reader pin when it dies.
-	runtime.SetFinalizer(it, func(*executor.Iterator) { c.endRead() })
-	return it, nil
+	out := &Iterator{it: it, s: s}
+	runtime.SetFinalizer(out, func(*Iterator) { c.endRead() })
+	return out, nil
 }
 
 // Stats returns a point-in-time snapshot of the collection's online
 // statistics joined with the current epoch's row counts.
 func (c *Collection) Stats() stats.Snapshot {
 	s := c.snap.Load()
-	return c.stats.Snapshot(s.rows, s.rows-s.nDel, c.schema.Dim)
+	return c.stats.Snapshot(int(s.nextID), s.rows-s.nDel, c.schema.Dim)
 }
 
 // AttributeKinds exposes the attribute schema (the public API's Get
-// and AttributeTypes read it). The column set is fixed at creation, so
-// no snapshot is needed.
+// and AttributeTypes read it). The column set is fixed at creation.
 func (c *Collection) AttributeKinds() map[string]filter.Kind {
-	out := map[string]filter.Kind{}
-	for _, name := range c.attrs.Columns() {
-		col, _ := c.attrs.Column(name)
-		out[name] = col.Kind()
-	}
+	out := make(map[string]filter.Kind, len(c.schema.Attributes))
+	maps.Copy(out, c.schema.Attributes)
 	return out
 }

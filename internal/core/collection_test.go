@@ -200,6 +200,26 @@ func TestMultiVectorEntityColumnValidation(t *testing.T) {
 	if err != nil || len(res.Hits) != 2 {
 		t.Fatalf("multi-vector: %v %v", res.Hits, err)
 	}
+	// Compacted back to the row count the entity map was cached at, the
+	// grouping follows the new column: the rows inserted after the
+	// Compact belong to entity 77.
+	for id := int64(0); id < 10; id++ {
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Insert(ds.Row(i), map[string]filter.Value{"g": filter.IntV(77)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = c.Search(bg, SearchRequest{Vectors: [][]float32{ds.Row(0)}, K: 1, EntityColumn: "g", Aggregator: "min"})
+	if err != nil || len(res.Hits) != 1 || res.Hits[0].ID != 77 || res.Hits[0].Dist != 0 {
+		t.Fatalf("multi-vector after compact: %v %v, want entity 77 at 0", res.Hits, err)
+	}
 	// Non-int entity column rejected.
 	c2, err := NewCollection("s", Schema{Dim: 4, Attributes: map[string]filter.Kind{"name": filter.String}})
 	if err != nil {

@@ -179,6 +179,7 @@ func recover1(dir string, opts DurabilityOptions) (*Collection, error) {
 		return nil, err
 	}
 	var c *Collection
+	ckptRows := 0
 	if ckptPath != "" {
 		// A v3 checkpoint doubles as an mmap source: the column section
 		// is mapped in place and the recovered collection starts in the
@@ -202,6 +203,7 @@ func recover1(dir string, opts DurabilityOptions) (*Collection, error) {
 			return nil, err
 		}
 		c.replaying = true
+		ckptRows = snap.N
 	}
 
 	from := ckptLSN
@@ -262,7 +264,7 @@ func recover1(dir string, opts DurabilityOptions) (*Collection, error) {
 	c.walLSN = last
 	c.publishLocked()
 	c.mu.Unlock()
-	c.ckptLSN = ckptLSN
+	c.ckptLSN, c.ckptRows = ckptLSN, ckptRows
 	c.startCheckpointer()
 	return c, nil
 }
@@ -289,15 +291,17 @@ func (c *Collection) applyWALRecord(rec walRecord) error {
 		if len(rec.vec) != c.schema.Dim {
 			return fmt.Errorf("core: logged vector dim %d, collection dim %d", len(rec.vec), c.schema.Dim)
 		}
-		if err := c.validIDLocked(rec.id); err != nil {
+		row, err := c.liveRowLocked(rec.id)
+		if err != nil {
 			return err
 		}
-		return c.applyUpdateLocked(rec.id, rec.vec)
+		return c.applyUpdateLocked(row, rec.vec)
 	case opDelete:
-		if err := c.validIDLocked(rec.id); err != nil {
+		row, err := c.liveRowLocked(rec.id)
+		if err != nil {
 			return err
 		}
-		c.applyDeleteLocked(rec.id)
+		c.applyDeleteLocked(row)
 		return nil
 	case opCreateIndex:
 		// Record the recipe only; recovery builds it once after replay.
@@ -348,7 +352,9 @@ func (c *Collection) Checkpoint() error {
 		return fmt.Errorf("core: checkpoint rotate: %w", err)
 	}
 	s := c.snap.Load()
-	if s.lsn <= c.ckptLSN {
+	// Nothing logged since the last checkpoint and no Compact either (it
+	// is not logged, but changes the rows the checkpoint holds).
+	if s.lsn <= c.ckptLSN && s.rows == c.ckptRows {
 		obs.CheckpointsTotal.With("skipped").Inc()
 		return nil
 	}
@@ -365,7 +371,7 @@ func (c *Collection) Checkpoint() error {
 	if info, err := os.Stat(path); err == nil {
 		obs.CheckpointBytes.Set(float64(info.Size()))
 	}
-	c.ckptLSN = s.lsn
+	c.ckptLSN, c.ckptRows = s.lsn, s.rows
 
 	// The new checkpoint supersedes everything before it: older
 	// checkpoints and every sealed segment wholly ≤ its LSN. Failures

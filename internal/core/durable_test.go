@@ -522,7 +522,7 @@ func TestRecoverRefusedRecipeUnindexed(t *testing.T) {
 	for _, recipe := range []struct {
 		kind string
 		opts map[string]int
-	}{{"hnsw", map[string]int{"m": -5}}, {"kdtree", map[string]int{"trees": 2}}, {"nsg", map[string]int{"alpha100": 120}}} {
+	}{{"hnsw", map[string]int{"m": -5}}, {"kdtree", map[string]int{"trees": 2}}, {"nsg", map[string]int{"alpha100": 120}}, {"nsw", map[string]int{"seed": 3}}} {
 		for _, checkpoint := range []bool{false, true} {
 			failed := obs.IndexBuildsTotal.With("failed").Value()
 			re, err := Recover(write(t, checkpoint, recipe.kind, recipe.opts), DurabilityOptions{})

@@ -58,15 +58,6 @@ func (c *Collection) AttachMemory(m *memory.Manager, spillDir string) error {
 	return nil
 }
 
-// DetachMemory unregisters the collection from its budget manager.
-// The column stays in whatever tier it currently occupies.
-func (c *Collection) DetachMemory(m *memory.Manager) {
-	c.mu.Lock()
-	c.acct.Store(nil)
-	c.mu.Unlock()
-	m.Unregister(c.name)
-}
-
 // touchAccount stamps the account's logical clock — the coldness
 // signal the eviction rung sorts by. Called from query paths, off-mu.
 func (c *Collection) touchAccount() {
@@ -221,6 +212,9 @@ func (c *Collection) EvictToMmap() error {
 	}()
 	c.mu.Lock()
 	c.dataPins--
+	// A Compact that landed meanwhile left its rebuild to this pin's
+	// release (maybeTriggerBuildLocked); the build then wins the race.
+	c.maybeTriggerBuildLocked()
 	if err != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("core: evicting %q: %w", c.name, err)

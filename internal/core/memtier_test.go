@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/filter"
 	"vdbms/internal/memory"
+	"vdbms/internal/obs"
 	"vdbms/internal/storage"
 	"vdbms/internal/vec"
 )
@@ -550,5 +552,109 @@ func BenchmarkUpdateCOW(b *testing.B) {
 		if err := c.UpdateVector(int64(i%n), v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCompactReclaimsDeadRows: deleting every other of 2 000 rows and
+// compacting leaves Len and Rows as they were, and the collection then
+// costs what a fresh 1 000-row one does — a forced exact scan scores
+// 1 000 rows and the accounted vector bytes are 1 000·dim·4, a mapped
+// column promoted back to heap — while every id issued before the
+// compaction still gets, updates and deletes its own vector.
+func TestCompactReclaimsDeadRows(t *testing.T) {
+	const n, dim = 2000, 8
+	ds := dataset.Clustered(n, dim, 4, 0.3, 5)
+	c, err := NewCollection("compact", Schema{Dim: dim, Attributes: map[string]filter.Kind{"g": filter.Int64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(ds.Row(i), map[string]filter.Value{"g": filter.IntV(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
+		t.Fatal(err)
+	}
+	a := attachTestManager(t, c).Accounts()[0]
+	for id := int64(0); id < n; id += 2 {
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.WaitForIndex() // the deletes started a staleness rebuild
+	if storage.MmapSupported() {
+		if err := c.EvictToMmap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c.WaitForIndex()
+	if c.Len() != n/2 || c.Rows() != n {
+		t.Fatalf("compacted: live=%d rows=%d, want %d and %d", c.Len(), c.Rows(), n/2, n)
+	}
+	if kind, covered, _ := c.IndexInfo(); kind != "hnsw" || covered != n/2 {
+		t.Fatalf("compacted: index %q covers %d rows, want hnsw over %d", kind, covered, n/2)
+	}
+	if c.Tier() != "heap" || a.Get(memory.CatVectors) != n/2*dim*4 {
+		t.Fatalf("compacted: %s tier, %d vector bytes accounted, want heap and %d", c.Tier(), a.Get(memory.CatVectors), n/2*dim*4)
+	}
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(1), K: 10, Policy: "plan:brute_force", Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var comps func(sp obs.SpanReport) int64
+	comps = func(sp obs.SpanReport) int64 {
+		sum := sp.Annotations["distance_comps"]
+		for _, ch := range sp.Children {
+			sum += comps(ch)
+		}
+		return sum
+	}
+	if got := comps(*res.Trace); got != n/2 || res.Hits[0].ID != 1 || res.Hits[0].Dist != 0 {
+		t.Fatalf("exact scan: %d distance comps, top hit %+v; want %d and id 1 at 0", got, res.Hits[0], n/2)
+	}
+	for id := int64(0); id < n; id++ {
+		v, attrs, err := c.Get(id)
+		if id%2 == 0 {
+			if err == nil {
+				t.Fatalf("deleted id %d answers Get", id)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(v, ds.Row(int(id))) || attrs["g"].I != id {
+			t.Fatalf("id %d = %v %v %v, want its own vector", id, v, attrs, err)
+		}
+	}
+	// Update and delete through pre-compaction ids: an update moves the
+	// vector its id names (an exact search for the new value finds that
+	// id at distance 0), a delete hides it.
+	for id := int64(1); id < n; id += 250 {
+		moved := ds.Row(int(id - 1))
+		if err := c.UpdateVector(id, moved); err != nil {
+			t.Fatal(err)
+		}
+		if v, _, err := c.Get(id); err != nil || !slices.Equal(v, moved) {
+			t.Fatalf("updated id %d = %v %v", id, v, err)
+		}
+		res, err := c.Search(bg, SearchRequest{Vector: moved, K: 1, Policy: "plan:brute_force"})
+		if err != nil || res.Hits[0].ID != id || res.Hits[0].Dist != 0 {
+			t.Fatalf("search for updated id %d: %v %v", id, res.Hits, err)
+		}
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Get(id); err == nil {
+			t.Fatalf("id %d answers Get after its delete", id)
+		}
+		if res, err := c.Search(bg, SearchRequest{Vector: moved, K: 1, Policy: "plan:brute_force"}); err != nil || res.Hits[0].ID == id {
+			t.Fatalf("search after deleting id %d: %v %v", id, res.Hits, err)
+		}
+	}
+	if id, err := c.Insert(ds.Row(0), map[string]filter.Value{"g": filter.IntV(0)}); err != nil || id != n {
+		t.Fatalf("insert after compact: id %d, %v; want %d", id, err, n)
 	}
 }

@@ -47,7 +47,13 @@ type fileSnapshot struct {
 	RebuildFrac   float64
 	N             int
 	Data          []float32
-	Deleted       []int64
+	// Deleted lists the deleted rows.
+	Deleted []int64
+	// IDs maps row → id and NextID is the next id to issue; both are
+	// absent until the first Compact, and absent means id = row and
+	// NextID = N.
+	IDs    []int64
+	NextID int64
 	// Attribute columns by name; exactly one slice per column is
 	// non-nil, matching Kind.
 	AttrKinds  map[string]int32
@@ -109,6 +115,9 @@ func (c *Collection) fileSnapshotAt(s *snapshot) *fileSnapshot {
 			snap.Deleted = append(snap.Deleted, int64(i))
 			return true
 		})
+	}
+	if s.ids != nil {
+		snap.IDs, snap.NextID = s.ids, s.nextID
 	}
 	for _, name := range s.env.Attrs.Columns() {
 		col, _ := s.env.Attrs.Column(name)
@@ -393,16 +402,34 @@ func collectionFromSnapshot(snap *fileSnapshot, m *storage.MmapStore) (*Collecti
 		c.mapped = m
 		c.maps = append(c.maps, m)
 	}
+	c.nextID = int64(snap.N)
+	if snap.NextID != 0 {
+		// Compacted: one id per row, ascending, below NextID.
+		if len(snap.IDs) != snap.N {
+			return nil, fmt.Errorf("core: snapshot has %d ids for %d rows", len(snap.IDs), snap.N)
+		}
+		prev := int64(-1)
+		for _, id := range snap.IDs {
+			if id <= prev || id >= snap.NextID {
+				return nil, fmt.Errorf("core: snapshot ids are not ascending in [0,%d)", snap.NextID)
+			}
+			prev = id
+		}
+		c.ids, c.nextID = snap.IDs, snap.NextID
+		if c.ids == nil {
+			c.ids = []int64{} // compacted to no rows; nil means ids are rows
+		}
+	}
 	if len(snap.Deleted) > 0 {
 		del := bitset.New(c.n)
-		for _, id := range snap.Deleted {
-			if id < 0 || id >= int64(c.n) {
-				return nil, fmt.Errorf("core: restoring tombstone %d: id out of range [0,%d)", id, c.n)
+		for _, row := range snap.Deleted {
+			if row < 0 || row >= int64(c.n) {
+				return nil, fmt.Errorf("core: restoring tombstone %d: row out of range [0,%d)", row, c.n)
 			}
-			if del.Test(int(id)) {
-				return nil, fmt.Errorf("core: restoring tombstone %d: duplicate", id)
+			if del.Test(int(row)) {
+				return nil, fmt.Errorf("core: restoring tombstone %d: duplicate", row)
 			}
-			del.Set(int(id))
+			del.Set(int(row))
 			c.nDel++
 		}
 		c.del = del
@@ -423,12 +450,13 @@ func collectionFromSnapshot(snap *fileSnapshot, m *storage.MmapStore) (*Collecti
 // before the table bounded its options) leaves the collection
 // unindexed, serving exact scans, instead of failing recovery:
 // CreateIndex has counted the failed build, and the next checkpoint
-// records no index.
+// records no index. A collection compacted down to no rows keeps its
+// recipe unbuilt; the builder builds it once rows arrive.
 func (c *Collection) buildRecordedIndex() error {
 	c.mu.Lock()
-	kind, opts := c.annKind, c.annOpts
+	kind, opts, n := c.annKind, c.annOpts, c.n
 	c.mu.Unlock()
-	if kind == "" {
+	if kind == "" || n == 0 {
 		return nil
 	}
 	err := c.CreateIndex(kind, opts)

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,6 +109,66 @@ func TestLoadCorruptTombstone(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "tombstone") {
 		t.Fatalf("want tombstone error, got %v", err)
+	}
+}
+
+// TestLoadUncompactedV3Snapshot: a v3 file as written before ids were
+// separated from rows — no IDs, no NextID — loads with every id its
+// row. testdata/uncompacted-v3.snap holds 20 rows of dim 4 (row i is
+// rowVec(i), attribute g = 3i), ids 3 and 7 deleted, and an hnsw
+// recipe. Each live id gets its vector before and after a Compact, and
+// the next insert gets id 20.
+func TestLoadUncompactedV3Snapshot(t *testing.T) {
+	rowVec := func(i int) []float32 { return []float32{float32(i), float32(i * i % 7), -float32(i), 0.5} }
+	c, err := Load(filepath.Join("testdata", "uncompacted-v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if c.Rows() != 20 || c.Len() != 18 {
+			t.Fatalf("%s: rows=%d live=%d, want 20 and 18", when, c.Rows(), c.Len())
+		}
+		for i := 0; i < 20; i++ {
+			v, a, err := c.Get(int64(i))
+			if i == 3 || i == 7 {
+				if err == nil {
+					t.Fatalf("%s: deleted id %d answers Get", when, i)
+				}
+				continue
+			}
+			if err != nil || !slices.Equal(v, rowVec(i)) || a["g"].I != int64(3*i) {
+				t.Fatalf("%s: id %d = %v %v %v, want %v g=%d", when, i, v, a, err, rowVec(i), 3*i)
+			}
+		}
+	}
+	check("loaded")
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c.WaitForIndex()
+	check("compacted")
+	if kind, covered, _ := c.IndexInfo(); kind != "hnsw" || covered != 18 {
+		t.Fatalf("compacted: index %q covers %d rows, want hnsw over 18", kind, covered)
+	}
+	if id, err := c.Insert(rowVec(20), map[string]filter.Value{"g": filter.IntV(60)}); err != nil || id != 20 {
+		t.Fatalf("insert after compact: id %d, %v; want 20", id, err)
+	}
+}
+
+func TestLoadCorruptIDs(t *testing.T) {
+	err := loadBad(t, fileSnapshot{
+		FormatVersion: snapshotVersion,
+		Name:          "x",
+		Dim:           1,
+		N:             2,
+		Data:          []float32{1, 2},
+		IDs:           []int64{4, 2}, // not ascending
+		NextID:        5,
+		AttrKinds:     map[string]int32{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("want ids error, got %v", err)
 	}
 }
 

@@ -79,12 +79,14 @@ func referenceTopK(ds *dataset.Dataset, n int, q []float32, k int, admit func(id
 }
 
 // TestForcedPlansMatchReference: under every forced plan, at
-// parallelism 1, 2 and 8, with and without a deletion mask, the hits
-// (ids, order, distances) are byte-identical to a reference that
-// filters and then brute-forces. The installed indexes are exact (a
-// flat index; ivfflat probing every list, which also runs the per-id
-// matcher on several workers at once), so every plan has an exact
-// reference: post_filter's is the unfiltered top alpha*k, filtered.
+// parallelism 1, 2 and 8, with and without a deletion mask, and after
+// a Compact dropped the deleted rows (ids no longer rows, the index
+// rebuilt over the survivors), the hits (ids, order, distances) are
+// byte-identical to a reference that filters and then brute-forces.
+// The installed indexes are exact (a flat index; ivfflat probing every
+// list, which also runs the per-id matcher on several workers at once),
+// so every plan has an exact reference: post_filter's is the
+// unfiltered top alpha*k, filtered.
 func TestForcedPlansMatchReference(t *testing.T) {
 	const n, dim, k, alpha = 3000, 16, 10, 8
 	for _, ix := range []struct {
@@ -99,13 +101,22 @@ func TestForcedPlansMatchReference(t *testing.T) {
 			}
 		}
 		dead := map[int64]bool{}
-		for _, withDeletes := range []bool{false, true} {
-			if withDeletes {
+		for _, phase := range []string{"intact", "deletes", "compacted"} {
+			switch phase {
+			case "deletes":
 				for id := int64(0); id < n; id += 5 {
 					if err := c.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 					dead[id] = true
+				}
+			case "compacted":
+				if err := c.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				c.WaitForIndex()
+				if kind, covered, _ := c.IndexInfo(); kind != ix.kind || (kind != "" && covered != n-len(dead)) {
+					t.Fatalf("compacted: index %q covers %d rows, want %q over %d", kind, covered, ix.kind, n-len(dead))
 				}
 			}
 			live := func(id int64) bool { return !dead[id] }
@@ -129,8 +140,8 @@ func TestForcedPlansMatchReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got := res.Hits; fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("index %q deletes=%v query %d plan %s parallelism %d:\n got %v\nwant %v",
-								ix.kind, withDeletes, qi, plan, par, got, want)
+							t.Fatalf("index %q %s query %d plan %s parallelism %d:\n got %v\nwant %v",
+								ix.kind, phase, qi, plan, par, got, want)
 						}
 					}
 				}
@@ -212,7 +223,8 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 
 // TestPredicateReadPathRace runs predicate searches, range queries and
 // iterators while a writer appends rows (reallocating every attribute
-// column many times over) and deletes. Run under -race: the readers
+// column many times over), deletes and compacts (replacing every column
+// and renumbering the rows under the ids). Run under -race: the readers
 // evaluate predicates on plain slices captured at compile time, with
 // no lock between them and the appending writer. Every hit must
 // satisfy its predicate, lie below the row count, and not have been
@@ -253,6 +265,12 @@ func TestPredicateReadPathRace(t *testing.T) {
 					return
 				}
 				delDone.Add(1)
+			}
+			if i%500 == 499 {
+				if err := c.Compact(); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()

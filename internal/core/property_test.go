@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vdbms/internal/filter"
@@ -12,14 +16,17 @@ import (
 
 // Property test for the two persistence paths: whatever random history
 // a collection lives through — any schema, any metric, inserts,
-// updates, deletes, index recipes — Save→Load and checkpoint→Recover
-// must both reproduce a collection that answers every query
-// identically to the original.
+// updates, deletes, compactions, index recipes — Save→Load and
+// checkpoint→Recover must both reproduce a collection that answers
+// every query identically to the original.
 
 type propState struct {
 	rng    *rand.Rand
 	dim    int
 	schema Schema
+	// noCompact skips the compactions the history draws (the draws
+	// still happen, so a twin without them stays on the same history).
+	noCompact bool
 }
 
 func randomSchema(rng *rand.Rand) (Schema, *propState) {
@@ -46,10 +53,12 @@ func (p *propState) vector() []float32 {
 	return v
 }
 
+// attrs draws one row's values, column by column in name order, so
+// two states on one seed draw the same rows.
 func (p *propState) attrs() map[string]filter.Value {
 	out := map[string]filter.Value{}
-	for name, kind := range p.schema.Attributes {
-		switch kind {
+	for _, name := range slices.Sorted(maps.Keys(p.schema.Attributes)) {
+		switch p.schema.Attributes[name] {
 		case filter.Int64:
 			out[name] = filter.IntV(int64(p.rng.Intn(50)))
 		case filter.Float64:
@@ -62,7 +71,8 @@ func (p *propState) attrs() map[string]filter.Value {
 }
 
 // mutate runs a random history against c, returning query vectors for
-// the equivalence check.
+// the equivalence check. Updates and deletes draw ids over every id c
+// has issued and skip the dead ones, so histories chain.
 func (p *propState) mutate(t *testing.T, c *Collection) [][]float32 {
 	t.Helper()
 	n := 30 + p.rng.Intn(80)
@@ -71,21 +81,25 @@ func (p *propState) mutate(t *testing.T, c *Collection) [][]float32 {
 			t.Fatal(err)
 		}
 	}
+	ids := c.Rows()
+	live := func(id int64) bool { _, _, err := c.Get(id); return err == nil }
 	for i, k := 0, p.rng.Intn(n/5+1); i < k; i++ {
-		if err := c.UpdateVector(int64(p.rng.Intn(n)), p.vector()); err != nil {
+		id, v := int64(p.rng.Intn(ids)), p.vector()
+		if !live(id) {
+			continue
+		}
+		if err := c.UpdateVector(id, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deleted := map[int]bool{}
 	for i, k := 0, p.rng.Intn(n/5+1); i < k; i++ {
-		id := p.rng.Intn(n)
-		if deleted[id] {
+		id := int64(p.rng.Intn(ids))
+		if !live(id) {
 			continue
 		}
-		if err := c.Delete(int64(id)); err != nil {
+		if err := c.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		deleted[id] = true
 	}
 	if p.rng.Intn(2) == 0 {
 		recipes := []struct {
@@ -108,6 +122,12 @@ func (p *propState) mutate(t *testing.T, c *Collection) [][]float32 {
 		}
 		if p.rng.Intn(4) == 0 {
 			c.DropIndex()
+		}
+	}
+	// A compaction drops the index the history may just have built.
+	if p.rng.Intn(3) == 0 && !p.noCompact {
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	c.WaitForIndex()
@@ -229,4 +249,121 @@ func TestPropertyCheckpointRecoverEquivalence(t *testing.T) {
 		requireEquivalent(t, seed, c, re, qs)
 		re.Close()
 	}
+}
+
+// TestCompactMatchesUncompactedTwin runs each seeded history on two
+// durable collections and compacts only one of them: at random points
+// of the history, once between two checkpoints at the same LSN, and
+// again in the history that follows (logged with ids, not rows). The
+// compacted collection must answer as its twin does as compacted,
+// after Save→Load, after Checkpoint→Recover, and when recovered from
+// the pre-compaction checkpoint plus the log — the disk a crash leaves
+// when it strikes before the post-compaction checkpoint lands.
+func TestCompactMatchesUncompactedTwin(t *testing.T) {
+	for seed := int64(201); seed <= 208; seed++ {
+		open := func(noCompact bool) (*Collection, *propState, string) {
+			schema, p := randomSchema(rand.New(rand.NewSource(seed)))
+			p.noCompact = noCompact
+			dir := t.TempDir()
+			c, err := CreateDurable(dir, "twin", schema, DurabilityOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, p, dir
+		}
+		c, p, dir := open(false)
+		twin, tp, _ := open(true)
+		qs := p.mutate(t, c)
+		tp.mutate(t, twin)
+		// One more delete, so the Compact below has a row to drop.
+		for id := int64(0); ; id++ {
+			if _, _, err := c.Get(id); err == nil {
+				if err := c.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, _, err := latestCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		// Compact logs nothing, yet the checkpoint at the same LSN must
+		// be rewritten with the compacted rows.
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if post, err := os.ReadFile(ckpt); err != nil || bytes.Equal(post, pre) {
+			t.Fatalf("seed %d: the checkpoint after Compact was not rewritten (%v)", seed, err)
+		}
+		qs = append(qs, p.mutate(t, c)...)
+		tp.mutate(t, twin)
+		crashed := copyDir(t, dir)
+		if err := os.WriteFile(filepath.Join(crashed, filepath.Base(ckpt)), pre, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		requireEquivalent(t, seed, twin, c, qs)
+
+		path := filepath.Join(t.TempDir(), "c.snap")
+		if err := c.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(path)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		loaded.WaitForIndex()
+		requireEquivalent(t, seed, twin, loaded, qs)
+
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// Crash, not Close: no final checkpoint.
+		if err := c.wal.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []string{dir, crashed} {
+			re, err := Recover(d, DurabilityOptions{})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			re.WaitForIndex()
+			requireEquivalent(t, seed, twin, re, qs)
+			re.Close()
+		}
+		twin.Close()
+	}
+}
+
+// copyDir copies the files of dir into a fresh directory.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

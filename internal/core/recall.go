@@ -21,10 +21,12 @@
 // Samples are replayed against the snapshot current at pass time, not
 // the one that served them, so three rules keep churn out of the
 // measurement: a sample whose served ids were since deleted, or that
-// was served before the last in-place vector update, is skipped as
-// stale; and the exact scan and the ladder replays see only the rows
-// the sample's snapshot held (ids < Sample.Rows), so rows inserted
-// since never count against the ids that were served.
+// was served before the last in-place vector update or Compact, is
+// skipped as stale; and the exact scan and the ladder replays see only
+// the rows the sample's snapshot held (rows < Sample.Rows), so rows
+// inserted since never count against the ids that were served. The
+// pass scores in rows: served ids map to rows once, and truth and
+// replays never leave them.
 //
 // The same pass watches for drift no parameter can fix: a collection
 // grown past the exact-scan/graph crossover with no index at all, a
@@ -352,11 +354,14 @@ func (c *Collection) recallPass(cfg RecallConfig) (RecallReport, error) {
 			continue
 		}
 		stale := false
-		for _, id := range sm.Served {
-			if id < 0 || id >= int64(rows) || (deleted != nil && deleted.Test(int(id))) {
+		served := make([]int64, len(sm.Served))
+		for i, id := range sm.Served {
+			row, err := liveRow(s.ids, s.rows, s.nextID, deleted, id)
+			if err != nil || row >= rows {
 				stale = true
 				break
 			}
+			served[i] = int64(row)
 		}
 		if stale {
 			rep.Stale++
@@ -376,8 +381,8 @@ func (c *Collection) recallPass(cfg RecallConfig) (RecallReport, error) {
 		}
 		denom := float64(min(sm.K, len(truth))) // fewer than k rows may satisfy the query
 		hits := 0
-		for _, id := range sm.Served {
-			if _, ok := truthSet[id]; ok {
+		for _, row := range served {
+			if _, ok := truthSet[row]; ok {
 				hits++
 			}
 		}

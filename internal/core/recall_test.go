@@ -272,8 +272,10 @@ func TestAuditSkipsStaleSamples(t *testing.T) {
 }
 
 // TestAuditSkipsUpdatedSamples: a sample served before an in-place
-// vector update is skipped as stale (the data it was ranked against
-// has changed), and samples served after the update replay normally.
+// vector update or a Compact is skipped as stale (the data it was
+// ranked against has changed, or been renumbered), and samples served
+// after either replay normally — after the Compact, with the ids it
+// served mapped to the rows that now hold them.
 func TestAuditSkipsUpdatedSamples(t *testing.T) {
 	ds := dataset.Uniform(400, 4, 43)
 	c, err := NewCollection("upd", Schema{Dim: 4})
@@ -312,6 +314,24 @@ func TestAuditSkipsUpdatedSamples(t *testing.T) {
 	}
 	if rep.Stale != 1 || rep.Samples != 1 || rep.Outcome != "ok" {
 		t.Fatalf("post-update pass #2 = %+v, want stale=1 samples=1 ok", rep)
+	}
+	for id := int64(0); id < 100; id++ {
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Search(bg, SearchRequest{Vector: ds.Row(300), K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = c.RecallNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stale != 2 || rep.Samples != 1 || rep.Recall != 1 {
+		t.Fatalf("post-compaction pass = %+v, want stale=2 samples=1 recall=1", rep)
 	}
 }
 

@@ -277,9 +277,23 @@ func TestSearchDuringBackgroundBuild(t *testing.T) {
 	if _, _, _, building := c.IndexStatus(); !building {
 		t.Fatal("build should still be parked after searches and writes")
 	}
+	// Nor does a Compact: it drops the index (searches scan exactly)
+	// and supersedes the parked build.
+	if err := c.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, covered, _, building := c.IndexStatus(); covered != 0 || !building {
+		t.Fatalf("after compact: covered=%d building=%v, want no index and the parked build", covered, building)
+	}
+	if res, err := c.Search(bg, SearchRequest{Vector: ds.Row(100), K: 1}); err != nil || res.Hits[0].ID != 100 || res.Plan != "brute_force" {
+		t.Fatalf("search after compact: %+v %v", res, err)
+	}
 
-	// Release the gate; the build installs (or chains a catch-up for
-	// the insert above, which also runs through the now-open gate).
+	// Release the gate; the parked build is discarded as stale and the
+	// builder rebuilds the recipe over the compacted rows.
 	holdMu.Lock()
 	ch := holdCh
 	holdCh, holdStarted = nil, nil
@@ -290,12 +304,63 @@ func TestSearchDuringBackgroundBuild(t *testing.T) {
 	if building || kind != "testhold" {
 		t.Fatalf("after wait: kind=%q building=%v", kind, building)
 	}
-	if covered != rows {
-		// The chained catch-up (if any) covers rows+1; either install
-		// is acceptable as long as coverage is not behind the trigger.
-		if covered != rows+1 {
-			t.Fatalf("covered = %d", covered)
+	if covered != rows { // one insert, one delete compacted away
+		t.Fatalf("covered = %d, want %d", covered, rows)
+	}
+}
+
+// TestCreateIndexSupersededByCompact: a Compact that lands while a
+// CreateIndex builds discards that build, but the recipe stands — the
+// builder builds it over the compacted rows, CreateIndex returns once
+// it has, and the recipe is logged, so recovery rebuilds it.
+func TestCreateIndexSupersededByCompact(t *testing.T) {
+	registerHoldIndex()
+	const rows = 100
+	dir := t.TempDir()
+	c, err := CreateDurable(dir, "t", Schema{Dim: 4}, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Clustered(rows, 4, 4, 0.3, 1)
+	for i := 0; i < rows; i++ {
+		if _, err := c.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
 		}
+	}
+	holdMu.Lock()
+	holdCh, holdStarted = make(chan struct{}), make(chan struct{}, 1)
+	ch := holdCh
+	holdMu.Unlock()
+	created := make(chan error)
+	go func() { created <- c.CreateIndex("testhold", nil) }()
+	<-holdStarted
+	if err := c.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	holdMu.Lock()
+	holdCh, holdStarted = nil, nil
+	holdMu.Unlock()
+	close(ch)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if kind, covered, _ := c.IndexInfo(); kind != "testhold" || covered != rows-1 {
+		t.Fatalf("after CreateIndex: index %q covers %d, want testhold over %d", kind, covered, rows-1)
+	}
+	// Crash, not Close: the recipe must come back from the log.
+	if err := c.wal.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Recover(dir, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if kind, covered, _ := re.IndexInfo(); kind != "testhold" || covered != rows {
+		t.Fatalf("recovered: index %q covers %d, want testhold over %d", kind, covered, rows)
 	}
 }
 

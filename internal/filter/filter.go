@@ -368,6 +368,36 @@ func (t *Table) BulkRestore(n int, ints map[string][]int64, flts map[string][]fl
 	return nil
 }
 
+// Gather returns a new table holding rows of t, in the order listed —
+// the attribute half of a compaction. t is left as it is, so views of
+// it stay valid.
+func (t *Table) Gather(rows []int) *Table {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := &Table{cols: make(map[string]*Column, len(t.cols)), n: len(rows)}
+	for name, c := range t.cols {
+		nc := NewColumn(name, c.kind)
+		c.mu.RLock()
+		nc.ints, nc.flts, nc.strs = gather(c.ints, rows), gather(c.flts, rows), gather(c.strs, rows)
+		c.mu.RUnlock()
+		out.cols[name] = nc
+	}
+	return out
+}
+
+// gather returns vals[rows[0]], vals[rows[1]], ...; nil for a column
+// of another kind.
+func gather[T any](vals []T, rows []int) []T {
+	if vals == nil {
+		return nil
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = vals[r]
+	}
+	return out
+}
+
 // Matches evaluates a conjunction of predicates against a row. It is a
 // convenience wrapper that compiles on every call; anything evaluating
 // more than a handful of rows should Compile once and use the result.

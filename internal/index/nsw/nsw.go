@@ -16,7 +16,6 @@ import (
 type Config struct {
 	M           int // edges added per insertion; default 12
 	EfConstruct int // beam width during insertion; default 4*M
-	Seed        int64
 	// Metric is the distance the graph is built and searched under.
 	Metric vec.Metric
 }
@@ -48,8 +47,8 @@ func Build(data []float32, n, d int, cfg Config) (*graph.Index, error) {
 }
 
 func init() {
-	options := []index.Option{{Name: "m", Max: 256}, {Name: "efc", Max: 4096}, index.SeedOption}
+	options := []index.Option{{Name: "m", Max: 256}, {Name: "efc", Max: 4096}}
 	index.Register(index.Family{Name: "nsw", Knob: tuner.KnobEf, Metrics: index.AnyMetric, Options: options, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-		return Build(data, n, d, Config{M: opts["m"], EfConstruct: opts["efc"], Seed: int64(opts["seed"]), Metric: metric})
+		return Build(data, n, d, Config{M: opts["m"], EfConstruct: opts["efc"], Metric: metric})
 	}})
 }

@@ -230,13 +230,6 @@ func Normalize(v []float32) []float32 {
 	return v
 }
 
-// Clone returns a copy of v.
-func Clone(v []float32) []float32 {
-	c := make([]float32, len(v))
-	copy(c, v)
-	return c
-}
-
 // CheckDims validates that a and b have equal length.
 func CheckDims(a, b []float32) error {
 	if len(a) != len(b) {

@@ -244,39 +244,11 @@ func TestCosineScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestMeanAndAXPY(t *testing.T) {
-	m := Mean([][]float32{{1, 3}, {3, 5}})
-	if m[0] != 2 || m[1] != 4 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if Mean(nil) != nil {
-		t.Fatal("Mean(nil) should be nil")
-	}
-	y := []float32{1, 1}
-	AXPY(2, []float32{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("AXPY = %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3.5 || y[1] != 4.5 {
-		t.Fatalf("Scale = %v", y)
-	}
-}
-
 func TestCheckDims(t *testing.T) {
 	if err := CheckDims([]float32{1}, []float32{1, 2}); err == nil {
 		t.Fatal("expected dimension mismatch")
 	}
 	if err := CheckDims([]float32{1, 2}, []float32{3, 4}); err != nil {
 		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-func TestClone(t *testing.T) {
-	v := []float32{1, 2, 3}
-	c := Clone(v)
-	c[0] = 9
-	if v[0] != 1 {
-		t.Fatal("Clone must not alias")
 	}
 }

@@ -66,10 +66,13 @@ go test -race -count=1 -timeout 3m -run 'TestShardBinaryDirSmoke' ./cmd/vdbms-sh
 # Crash-recovery smoke under the race detector: the kill -9 harness
 # (subprocess inserting with fsync=always, SIGKILLed mid-stream, then
 # recovered) plus the torn-tail and checkpoint/recover equivalence
-# tests — the durable write path's acceptance gate. These already ran
+# tests — the durable write path's acceptance gate — and the compaction
+# twin: every seeded history, compacted, answers as its uncompacted
+# twin does, also after Save→Load, Checkpoint→Recover and a crash
+# between the pre- and post-compaction checkpoints. These already ran
 # inside the full suite above; running them again under -race with a
 # dedicated -count=1 keeps the gate explicit and cache-proof.
-go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornTail|TestPropertyCheckpointRecoverEquivalence' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornTail|TestPropertyCheckpointRecoverEquivalence|TestCompactMatchesUncompactedTwin' ./internal/core/
 # Bounded-memory smoke under the race detector: a database held to a
 # budget far smaller than its data must walk the degradation ladder
 # (evict its float column to the mmap tier, keep answering correctly,
@@ -147,9 +150,13 @@ go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|T
 # on 200 x 8 rows — the build must fail with index.ErrOption or
 # index.ErrMetric, or return at most k distinct ids, within a deadline
 # (the seeds put every declared key at its bound and one past it).
+# Search bodies are fuzzed through the server: any body sent to a
+# 200-row hnsw collection answers 200 or 4xx within a second, and a 200
+# carries at most k distinct ids, each one the collection issued.
 go test -run '^$' -fuzz '^FuzzDecodeSearchBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzIndexOptions$' -fuzztime 10s ./internal/index/
+go test -run '^$' -fuzz '^FuzzSearchRequest$' -fuzztime 10s ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/

@@ -23,8 +23,9 @@
 //		Filters: []vdbms.Filter{{Column: "price", Op: "<", Value: 20.0}},
 //	})
 //
-// For high-write-rate workloads, OpenDynamic returns an LSM-backed
-// collection with out-of-place updates (Section 2.3(3) of the paper).
+// Writes are out of place (Section 2.3(3) of the paper): Delete hides a
+// row, and Collection.Compact drops the deleted rows while every id
+// keeps naming its vector.
 package vdbms
 
 import (

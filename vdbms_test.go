@@ -477,62 +477,6 @@ func TestSearchRangeAndBatchAndIterator(t *testing.T) {
 	}
 }
 
-func TestDynamicCollection(t *testing.T) {
-	dyn, err := OpenDynamic(DynamicConfig{Dim: 8, MemtableSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := dataset.Clustered(200, 8, 4, 0.4, 9)
-	for i := 0; i < 200; i++ {
-		if err := dyn.Upsert(int64(i), ds.Row(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dyn.Len() != 200 || dyn.Segments() == 0 {
-		t.Fatalf("len=%d segs=%d", dyn.Len(), dyn.Segments())
-	}
-	hits, err := dyn.Search(ds.Row(42), 1, 100)
-	if err != nil || len(hits) != 1 || hits[0].ID != 42 {
-		t.Fatalf("dynamic search: %v %v", hits, err)
-	}
-	if !dyn.Delete(42) {
-		t.Fatal("delete failed")
-	}
-	if _, ok := dyn.Get(42); ok {
-		t.Fatal("deleted id visible")
-	}
-	if err := dyn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dyn.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if dyn.Segments() != 1 {
-		t.Fatalf("segments after compact = %d", dyn.Segments())
-	}
-	// Config validation.
-	if _, err := OpenDynamic(DynamicConfig{Dim: 0}); err == nil {
-		t.Fatal("want dim error")
-	}
-	if _, err := OpenDynamic(DynamicConfig{Dim: 4, Metric: "zz"}); err == nil {
-		t.Fatal("want metric error")
-	}
-	if _, err := OpenDynamic(DynamicConfig{Dim: 4, SegmentIndex: "zz"}); err == nil {
-		t.Fatal("want segment-index error")
-	}
-	// ivfflat segments.
-	dyn2, err := OpenDynamic(DynamicConfig{Dim: 8, MemtableSize: 64, SegmentIndex: "ivfflat"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 128; i++ {
-		dyn2.Upsert(int64(i), ds.Row(i))
-	}
-	if hits, err := dyn2.Search(ds.Row(3), 1, 64); err != nil || hits[0].ID != 3 {
-		t.Fatalf("ivf dynamic search: %v %v", hits, err)
-	}
-}
-
 func TestSearchContext(t *testing.T) {
 	col, ds := productCollection(t, 200)
 	// A live context behaves exactly like Search.
