@@ -919,9 +919,9 @@ const (
 // blocks on writers or index builds. A query whose context is
 // cancelled or past its deadline stops: the exhaustive scan and the
 // allowlist build check ctx once per block, the graph indexes (hnsw,
-// nsw, nsg, knng) once per expanded node, the IVF family once per
-// inverted list, and every other family before its probe starts. The
-// search then returns ctx's error — no work continues in the
+// nsw, nsg, vamana, fanng, knng) once per expanded node, the IVF family
+// once per inverted list, LSH and spectral hashing once per bucket and
+// the trees once per leaf. The search then returns ctx's error — no work continues in the
 // background — and the truncated probe is kept out of the collection's
 // statistics and the recall loop. An uncancellable ctx
 // (context.Background) costs one nil check per block.

@@ -8,6 +8,7 @@ import (
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/filter"
+	"vdbms/internal/index"
 	"vdbms/internal/memory"
 	"vdbms/internal/obs"
 	"vdbms/internal/storage"
@@ -140,6 +141,57 @@ func TestEvictByteEquivalence(t *testing.T) {
 			})
 		}
 	}
+	// An IVF index rebinds its scorer as a graph does: a collection with
+	// ivfflat installed evicts, and the plans served by the index answer
+	// from the mapping exactly as they did from the heap.
+	t.Run("index=ivfflat", func(t *testing.T) {
+		c, err := NewCollection("tier", Schema{Dim: d, Attributes: map[string]filter.Kind{"g": filter.Int64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := dataset.Clustered(n+8, d, 5, 0.3, 42)
+		for i := 0; i < n; i++ {
+			if _, err := c.Insert(ds.Row(i), map[string]filter.Value{"g": filter.IntV(int64(i % 4))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CreateIndex("ivfflat", map[string]int{"nlist": 8}); err != nil {
+			t.Fatal(err)
+		}
+		c.WaitForIndex()
+		attachTestManager(t, c)
+		reqs := []SearchRequest{
+			{Vector: ds.Row(n), K: k, NProbe: 3, Policy: "plan:single_stage"},
+			{Vector: ds.Row(n + 1), K: k, NProbe: 3, Policy: "plan:single_stage", Filters: []Filter{{Column: "g", Op: "<", Value: 3}}},
+			{Vector: ds.Row(n + 2), K: k, NProbe: 3, Policy: "plan:post_filter", Filters: []Filter{{Column: "g", Op: "<", Value: 3}}},
+		}
+		search := func() (hits [][]Result) {
+			for _, req := range reqs {
+				res, err := c.Search(bg, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Plan == "brute_force" {
+					t.Fatalf("plan %q: the index served nothing", res.Plan)
+				}
+				hits = append(hits, res.Hits)
+			}
+			return hits
+		}
+		heap := search()
+		if err := c.EvictToMmap(); err != nil {
+			t.Fatal(err)
+		}
+		if tier := c.Tier(); tier != "mmap" {
+			t.Fatalf("post-evict tier %q", tier)
+		}
+		for i, hits := range search() {
+			sameResults(t, heap[i], hits, fmt.Sprintf("ivfflat request %d", i))
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestEvictAccounting checks the budget account's view of tier moves:
@@ -289,6 +341,10 @@ func sameVec(t *testing.T, want, got []float32) {
 	}
 }
 
+// pinnedIndex serves an index without implementing index.Remappable:
+// it keeps scoring the column it was built over.
+type pinnedIndex struct{ index.Index }
+
 // TestEvictRefusals covers the cases where eviction must decline and
 // leave the heap tier intact.
 func TestEvictRefusals(t *testing.T) {
@@ -315,10 +371,15 @@ func TestEvictRefusals(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			c.Insert(ds.Row(i), nil) //nolint:errcheck
 		}
-		if err := c.CreateIndex("ivfflat", map[string]int{"nlist": 4}); err != nil {
+		// Every registered family can rebind, so the index here is a
+		// flat scan behind a type that hides its Remap.
+		flat, err := index.NewFlat(ds.Data, 64, 8, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.WaitForIndex()
+		c.mu.Lock()
+		c.ann = pinnedIndex{flat}
+		c.mu.Unlock()
 		attachTestManager(t, c)
 		if err := c.EvictToMmap(); err == nil {
 			t.Fatal("evicting under a non-remappable index succeeded")

@@ -1,10 +1,13 @@
-package index
+package index_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"vdbms/internal/dataset"
+	"vdbms/internal/index"
+	"vdbms/internal/index/ivf"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
@@ -14,11 +17,10 @@ import (
 // cache-sized block, and one larger than most partitions.
 var blockSizes = []int{1, 7, 64, 1024}
 
+// setScanBlock sweeps the one block size every scan shares.
 func setScanBlock(t *testing.T, bs int) {
 	t.Helper()
-	old := scanBlock
-	scanBlock = bs
-	t.Cleanup(func() { scanBlock = old })
+	t.Cleanup(index.SetScanBlock(bs))
 }
 
 // TestFlatBlockSweep: for metrics whose kernels reproduce the scalar
@@ -44,37 +46,37 @@ func TestFlatBlockSweep(t *testing.T) {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
 			scalar := m.fn
-			baseline, err := NewFlat(ds.Data, ds.Count, ds.Dim,
+			baseline, err := index.NewFlat(ds.Data, ds.Count, ds.Dim,
 				func(a, b []float32) float32 { return scalar(a, b) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := NewFlat(ds.Data, ds.Count, ds.Dim, m.fn)
+			fast, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, m.fn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range qs {
-				want, err := baseline.Search(q, 10, Params{Parallelism: 1})
+				want, err := baseline.Search(q, 10, index.Params{Parallelism: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantPred, err := baseline.Search(q, 10, Params{Parallelism: 1, Filter: pred})
+				wantPred, err := baseline.Search(q, 10, index.Params{Parallelism: 1, Filter: pred})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, bs := range blockSizes {
 					setScanBlock(t, bs)
 					for _, w := range []int{1, 4} {
-						got, err := fast.Search(q, 10, Params{Parallelism: w})
+						got, err := fast.Search(q, 10, index.Params{Parallelism: w})
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameResults(t, m.name, want, got)
-						got, err = fast.Search(q, 10, Params{Parallelism: w, Filter: pred})
+						sameHits(t, m.name, want, got)
+						got, err = fast.Search(q, 10, index.Params{Parallelism: w, Filter: pred})
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameResults(t, m.name+"/pred", wantPred, got)
+						sameHits(t, m.name+"/pred", wantPred, got)
 					}
 				}
 			}
@@ -89,19 +91,19 @@ func TestFlatBlockSweep(t *testing.T) {
 // byte-for-byte.
 func TestFlatCosineBlockSweep(t *testing.T) {
 	ds := dataset.Clustered(3000, 16, 5, 0.3, 5)
-	baseline, err := NewFlat(ds.Data, ds.Count, ds.Dim,
+	baseline, err := index.NewFlat(ds.Data, ds.Count, ds.Dim,
 		func(a, b []float32) float32 { return vec.CosineDistance(a, b) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewFlat(ds.Data, ds.Count, ds.Dim, vec.CosineDistance)
+	fast, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, vec.CosineDistance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range ds.Queries(4, 0.05, 9) {
 		// All rows returned, so near-tie rank swaps cannot change the
 		// result set; distances are compared by id.
-		want, err := baseline.Search(q, ds.Count, Params{Parallelism: 1})
+		want, err := baseline.Search(q, ds.Count, index.Params{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +115,7 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
 			for _, w := range []int{1, 4} {
-				got, err := fast.Search(q, ds.Count, Params{Parallelism: w})
+				got, err := fast.Search(q, ds.Count, index.Params{Parallelism: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +134,7 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 					}
 					continue
 				}
-				sameResults(t, "cosine/self", ref, got)
+				sameHits(t, "cosine/self", ref, got)
 			}
 		}
 	}
@@ -143,23 +145,23 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 // worker count and block size.
 func TestFlatSearchRangeParallel(t *testing.T) {
 	ds := dataset.Clustered(5000, 12, 4, 0.2, 11)
-	f, err := NewFlat(ds.Data, ds.Count, ds.Dim, nil)
+	f, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := func(id int64) bool { return id%2 == 0 }
 	for _, q := range ds.Queries(4, 0.1, 13) {
 		// Pick a radius that admits a few percent of rows.
-		probe, err := f.Search(q, 50, Params{Parallelism: 1})
+		probe, err := f.Search(q, 50, index.Params{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		radius := probe[len(probe)-1].Dist
-		serial, err := f.SearchRange(q, radius, Params{Parallelism: 1})
+		serial, err := f.SearchRange(q, radius, index.Params{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialPred, err := f.SearchRange(q, radius, Params{Parallelism: 1, Filter: pred})
+		serialPred, err := f.SearchRange(q, radius, index.Params{Parallelism: 1, Filter: pred})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,17 +175,62 @@ func TestFlatSearchRangeParallel(t *testing.T) {
 		}
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
-			for _, w := range workerCounts() {
-				got, err := f.SearchRange(q, radius, Params{Parallelism: w})
+			for _, w := range []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3} {
+				got, err := f.SearchRange(q, radius, index.Params{Parallelism: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResults(t, "range", serial, got)
-				got, err = f.SearchRange(q, radius, Params{Parallelism: w, Filter: pred})
+				sameHits(t, "range", serial, got)
+				got, err = f.SearchRange(q, radius, index.Params{Parallelism: w, Filter: pred})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResults(t, "range/pred", serialPred, got)
+				sameHits(t, "range/pred", serialPred, got)
+			}
+		}
+	}
+}
+
+// TestIVFFlatBlockSweep: the Flat-variant list scan gathers admitted
+// ids into blocks; results must be byte-identical at every gather-block
+// size and worker count, with and without a predicate. Probing all
+// lists makes the scan exhaustive, so the reference is the brute-force
+// flat index — same L2 kernels, so the match is exact.
+func TestIVFFlatBlockSweep(t *testing.T) {
+	ds := dataset.Clustered(3000, 16, 8, 0.2, 3)
+	iv, err := ivf.Build(ds.Data, ds.Count, ds.Dim, ivf.Config{NList: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := func(id int64) bool { return id%3 != 0 }
+	for _, q := range ds.Queries(4, 0.05, 7) {
+		want, err := exact.Search(q, 10, index.Params{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPred, err := exact.Search(q, 10, index.Params{Parallelism: 1, Filter: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bs := range blockSizes {
+			setScanBlock(t, bs)
+			for _, w := range []int{1, 4} {
+				p := index.Params{NProbe: iv.NList(), Parallelism: w}
+				got, err := iv.Search(q, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameHits(t, "ivf-flat", want, got)
+				p.Filter = pred
+				got, err = iv.Search(q, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameHits(t, "ivf-flat/pred", wantPred, got)
 			}
 		}
 	}

@@ -284,11 +284,8 @@ func (da *DiskANN) readRecord(id int32, st *index.SearchStats) ([]float32, []int
 // distances (PQ table lookups are not counted), the nodes reached, and
 // the record reads split into disk reads and cache hits.
 func (da *DiskANN) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != da.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), da.dim)
+	if err := index.CheckQuery(q, k, da.dim); err != nil {
+		return nil, err
 	}
 	ef := p.Ef
 	if ef < k {

@@ -88,13 +88,13 @@ func (g *Index) MemoryBytes() (structure, codes int64) {
 // entries and quantized codes are immutable and shared; only the
 // Searcher (and its scorer's data pointer) is fresh.
 func (g *Index) Remap(data []float32) (index.Index, bool) {
-	if len(data) < g.n*g.s.Dim {
+	s := *g.s
+	if !index.Rebind(&s.Scorer, data) {
 		return nil, false
 	}
-	sc := g.s.Scorer.View()
-	sc.Extend(data, g.n)
+	s.Data = data
 	g2 := *g
-	g2.s = &Searcher{Data: data, Dim: g.s.Dim, Scorer: sc, Quant: g.s.Quant}
+	g2.s = &s
 	return &g2, true
 }
 
@@ -103,11 +103,8 @@ func (g *Index) Remap(data []float32) (index.Index, bool) {
 // A quantized traversal widens its candidates to rerank_k and re-scores
 // them exactly.
 func (g *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != g.s.Dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), g.s.Dim)
+	if err := index.CheckQuery(q, k, g.s.Dim); err != nil {
+		return nil, err
 	}
 	ef := p.Ef
 	if ef <= 0 {

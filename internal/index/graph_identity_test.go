@@ -90,13 +90,26 @@ func TestGraphHitIdentity(t *testing.T) {
 	}
 }
 
-// TestGraphRemapIdentity: every graph family rebinds to a copy of its
-// column — the move the memory tier makes between heap and mmap — and
-// answers every query with the same hits, bit for bit, and reports a
-// nonzero resident structure for the budget to account.
+// TestGraphRemapIdentity: every registered family, and the graph cases
+// above, rebinds to a copy of its column — the move the memory tier
+// makes between heap and mmap — and answers every query with the same
+// hits, bit for bit, unfiltered and under the allowlist. A graph family
+// also reports a nonzero resident structure for the budget to account.
 func TestGraphRemapIdentity(t *testing.T) {
 	ds, qs, allow := graphFixture()
+	type remapCase struct {
+		label, name string
+		opts        map[string]int
+		graph       bool
+	}
+	var cases []remapCase
+	for _, name := range index.Names() {
+		cases = append(cases, remapCase{name, name, nil, false})
+	}
 	for _, tc := range graphCases {
+		cases = append(cases, remapCase{tc.label, tc.name, tc.opts, true})
+	}
+	for _, tc := range cases {
 		idx, err := index.Build(tc.name, ds.Data, ds.Count, ds.Dim, vec.L2, tc.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -114,20 +127,21 @@ func TestGraphRemapIdentity(t *testing.T) {
 		if _, ok := rm.Remap(ds.Data[:len(ds.Data)-1]); ok {
 			t.Errorf("%s: Remap took a column one value short", tc.label)
 		}
-		p := index.Params{}
-		if tc.filtered {
-			p.Allow = allow
+		for _, p := range []index.Params{{}, {Allow: allow}} {
+			for i, q := range qs {
+				want, err := idx.Search(q, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := moved.Search(q, 10, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameHits(t, fmt.Sprintf("%s query %d after Remap", tc.label, i), want, got)
+			}
 		}
-		for i, q := range qs {
-			want, err := idx.Search(q, 10, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := moved.Search(q, 10, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameHits(t, fmt.Sprintf("%s query %d after Remap", tc.label, i), want, got)
+		if !tc.graph {
+			continue
 		}
 		mf, ok := idx.(index.MemoryFootprint)
 		if !ok {

@@ -11,7 +11,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"vdbms/internal/bitset"
@@ -56,11 +55,12 @@ type Params struct {
 	// configured (or default) re-rank width; it is ignored by
 	// full-precision indexes.
 	RerankK int
-	// Ctx, when non-nil, cancels the search. Families poll it at their
-	// natural boundaries — a scan block, a popped beam node, an inverted
-	// list — and return Ctx.Err() from the first boundary after it ends,
-	// with the work done so far still counted in Stats. Families with
-	// no such seam rely on the executor's check at entry.
+	// Ctx, when non-nil, cancels the search. Every registered family
+	// polls it at its natural boundaries — a scan block, a popped beam
+	// node, an inverted list, a hash bucket, a tree leaf — and returns
+	// Ctx.Err() from the first boundary after it ends, with the work done
+	// so far still counted in Stats. The unregistered disk indexes
+	// (diskann, spann) rely on the executor's check at entry.
 	Ctx context.Context
 }
 
@@ -191,6 +191,21 @@ type Remappable interface {
 	Remap(data []float32) (idx Index, ok bool)
 }
 
+// Rebind points *sc at a view of itself scoring data, a column holding
+// the same rows: the whole of Remap for an index that scores a column
+// it does not own. Cached per-row state is content-derived and carries
+// over. It reports false, leaving *sc alone, when data is too short.
+func Rebind(sc **vec.Scorer, data []float32) bool {
+	n := (*sc).Rows()
+	if len(data) < n*(*sc).Dim() {
+		return false
+	}
+	v := (*sc).View()
+	v.Extend(data, n)
+	*sc = v
+	return true
+}
+
 // MemoryFootprint is implemented by indexes that can report their
 // resident heap bytes for budget accounting: structure covers the
 // graph/tree/bucket machinery, codes covers quantized code blocks
@@ -206,6 +221,18 @@ var ErrBadK = errors.New("index: k must be positive")
 // ErrDim is returned when a query's dimensionality differs from the
 // index's.
 var ErrDim = errors.New("index: query dimension mismatch")
+
+// CheckQuery is the argument check every Search starts with: a positive
+// k and a query of the index's dimension.
+func CheckQuery(q []float32, k, dim int) error {
+	if k <= 0 {
+		return ErrBadK
+	}
+	if len(q) != dim {
+		return fmt.Errorf("%w: query %d, index %d", ErrDim, len(q), dim)
+	}
+	return nil
+}
 
 // BuildFunc constructs an index over n row-major vectors of dimension
 // d, scoring candidates with metric. Build calls it only with a metric
@@ -343,10 +370,5 @@ func Build(name string, data []float32, n, d int, metric vec.Metric, opts map[st
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(registry))
 }

@@ -11,11 +11,9 @@ package ivf
 
 import (
 	"fmt"
-	"sync"
 
 	"vdbms/internal/index"
 	"vdbms/internal/kmeans"
-	"vdbms/internal/obs"
 	"vdbms/internal/pool"
 	"vdbms/internal/quant"
 	"vdbms/internal/topk"
@@ -148,10 +146,7 @@ func defaultNList(n int) int {
 	for nl*nl < n {
 		nl++
 	}
-	if nl < 4 {
-		nl = 4
-	}
-	return nl
+	return max(nl, 4)
 }
 
 // Name implements index.Index.
@@ -207,200 +202,85 @@ func (iv *IVF) FiltersConcurrently(p index.Params) bool {
 // scan (default 1).
 //
 // The selected inverted lists are partitioned into p.Parallelism
-// contiguous groups scanned concurrently, each into its own collector,
-// merged at the end. Per-list work (including the per-list residual
-// ADC table) is computed identically in every schedule, so results are
-// byte-identical at every worker count. Every worker polls p.Ctx before
-// each list; a cancelled probe returns its context's error with the
-// rows it did score counted.
+// contiguous groups scanned concurrently (index.Fanout). Per-list work
+// (including the per-list residual ADC table) is computed identically
+// in every schedule, so results are byte-identical at every worker
+// count. Every worker polls p.Ctx before each list; a cancelled probe
+// returns its context's error with the rows it did score counted.
 func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
+	if err := index.CheckQuery(q, k, iv.dim); err != nil {
+		return nil, err
 	}
-	if len(q) != iv.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), iv.dim)
-	}
-	nprobe := p.NProbe
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	var sharedADC *quant.ADCTable
-	if iv.cfg.Variant == ADC && !iv.cfg.Residual {
-		// One query-relative table serves every list; workers only read it.
-		sharedADC = iv.pq.ADC(q)
-	}
-	// Quantized variants widen the candidate cut to rerank_k and
-	// re-score it exactly on the retained raw vectors after the merge.
-	kk := k
+	lists := iv.cents.NearestN(q, max(p.NProbe, 1))
+	fan := index.Fanout{Name: iv.Name(), Exact: iv.sc, Tasks: len(lists), Buckets: len(lists),
+		Workers: pool.Default().Effective(p.Parallelism, len(lists))}
 	if iv.cfg.Variant != Flat {
-		kk = (index.QuantSpec{RerankK: iv.cfg.RerankK}).ResolveRerankK(p, k, iv.n)
+		// Quantized variants widen the candidate cut to rerank_k and
+		// re-score it exactly on the retained raw vectors.
+		fan.RerankK = (index.QuantSpec{RerankK: iv.cfg.RerankK}).ResolveRerankK(p, k, iv.n)
 	}
-	lists := iv.cents.NearestN(q, nprobe)
-	w := pool.Default().Effective(p.Parallelism, len(lists))
-	var merged *topk.Collector
-	var work index.ScanWork
-	if w <= 1 {
-		merged = topk.NewCollector(kk)
-		work = iv.scanLists(q, merged, lists, &p, sharedADC)
-	} else {
-		obs.ParallelSearches.With(iv.Name()).Inc()
-		offs := pool.Split(len(lists), w)
-		collectors := make([]*topk.Collector, w)
-		workBy := make([]index.ScanWork, w)
-		pool.Default().Run(w, func(i int) {
-			c := topk.NewCollector(kk)
-			workBy[i] = iv.scanLists(q, c, lists[offs[i]:offs[i+1]], &p, sharedADC)
-			collectors[i] = c
-		})
-		merged = collectors[0]
-		work = workBy[0]
-		for i := 1; i < w; i++ {
-			merged.Merge(collectors[i])
-			work.Add(workBy[i])
-		}
-	}
-	// A worker that stopped early left done closed for good, so this one
-	// check sees every early stop.
-	stopped := index.Stopped(p.Done())
-	var res []topk.Result
-	if !stopped {
-		res = merged.Results()
-		if iv.cfg.Variant != Flat {
-			work.Comps += int64(len(res))
-			res = index.RerankExact(iv.sc, q, res, k)
-		}
-	}
-	if p.Stats != nil {
-		work.Record(p.Stats)
-		p.Stats.BucketsProbed += int64(len(lists))
-		if w < 1 {
-			w = 1
-		}
-		p.Stats.Partitions += int64(w)
-	}
-	if stopped {
-		return nil, p.Err()
-	}
-	return res, nil
-}
-
-// listScanBlock is the gather-buffer size for Flat-variant list
-// scanning: admitted member ids accumulate until a block is full, then
-// one kernel call scores them all. A package variable so tests can
-// sweep it.
-var listScanBlock = 256
-
-// scanLists scores every admitted member of the given inverted lists
-// into c and returns the rows it scored and how many of them the bound
-// cut short, polling p.Ctx before each list and stopping once it has
-// ended. sharedADC is the query-relative table for the non-residual ADC
-// variant (nil otherwise); the residual variant builds a per-list table
-// locally so concurrent workers never share mutable state.
-func (iv *IVF) scanLists(q []float32, c *topk.Collector, lists []int, p *index.Params, sharedADC *quant.ADCTable) (work index.ScanWork) {
 	switch iv.cfg.Variant {
-	case Flat:
-		return iv.scanListsBlocked(iv.sc.Bind(q), c, lists, p)
 	case SQ:
-		// The decode-free LUT kernel shares the gather-block shape of
-		// the Flat scan: build the d×256 table once per worker, then
-		// every admitted member costs d byte-indexed lookups.
-		return iv.scanListsBlocked(vec.Uncut{QuantBound: iv.sqk.Bind(q)}, c, lists, p)
+		// The decode-free LUT kernel is bound once per worker: every
+		// admitted member then costs d byte-indexed lookups.
+		fan.Quant = iv.sqk
+	case ADC:
+		return fan.Search(q, k, &p, iv.adcPart(q, lists, &p))
 	}
-	adc := sharedADC
-	var resid []float32
-	if iv.cfg.Residual {
-		resid = make([]float32, iv.dim)
-	}
-	done := p.Done()
-	for _, list := range lists {
-		if index.Stopped(done) {
-			break
+	return fan.Search(q, k, &p, func(s *index.Scan, lo, hi int) {
+		for _, list := range lists[lo:hi] {
+			if !s.List(iv.lists[list]) {
+				return
+			}
 		}
+	})
+}
+
+// adcPart returns the partition body of an ADC probe over lists: every
+// admitted member of each list costs one lookup per subquantizer in the
+// query's distance table. The non-residual variant shares one
+// query-relative table across workers, which only read it; the residual
+// variant builds each list's table locally, so workers never share
+// mutable state.
+func (iv *IVF) adcPart(q []float32, lists []int, p *index.Params) func(s *index.Scan, lo, hi int) {
+	var shared *quant.ADCTable
+	if !iv.cfg.Residual {
+		shared = iv.pq.ADC(q)
+	}
+	return func(s *index.Scan, lo, hi int) {
+		adc := shared
+		var resid []float32
 		if iv.cfg.Residual {
-			cent := iv.cents.Centroid(list)
-			for j := range resid {
-				resid[j] = q[j] - cent[j]
-			}
-			adc = iv.pq.ADC(resid)
+			resid = make([]float32, iv.dim)
 		}
-		for _, id := range iv.lists[list] {
-			if !p.Admits(int64(id)) {
-				continue
+		for _, list := range lists[lo:hi] {
+			if s.Stopped() {
+				return
 			}
-			d := adc.Distance(iv.pqCodes[int(id)*iv.pq.M : (int(id)+1)*iv.pq.M])
-			work.Comps++
-			c.Push(int64(id), d)
+			if iv.cfg.Residual {
+				cent := iv.cents.Centroid(list)
+				for j := range resid {
+					resid[j] = q[j] - cent[j]
+				}
+				adc = iv.pq.ADC(resid)
+			}
+			for _, id := range iv.lists[list] {
+				if p.Admits(int64(id)) {
+					s.Push(id, adc.Distance(iv.pqCodes[int(id)*iv.pq.M:(int(id)+1)*iv.pq.M]))
+				}
+			}
 		}
 	}
-	return work
 }
 
-// blockScorer is the shared slice of the Bind contract (float Bound
-// and vec.Uncut both satisfy it), so the gather-block list scan below
-// serves the Flat and SQ variants with the same code.
-type blockScorer interface {
-	ScoreIDsWithin(ids []int32, out []float32, bound float32) int
-}
-
-// listBuf is the scratch of one list-scanning worker — the ids gathered
-// for a block and the distances the kernel writes for them — pooled, as
-// Flat's gather buffer is, so a probe allocates neither.
-type listBuf struct {
-	ids  []int32
-	dist []float32
-}
-
-var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
-
-// scanListsBlocked scores the admitted members of the lists in blocks
-// through b, each block within c's k-th distance as Flat's scan does.
-// Without a predicate every member is admitted, so each list goes to
-// the kernel as it is stored, block by block; under one, the admitted
-// ids are gathered across lists into a block first. Only admitted rows
-// are scored (and counted), exactly like the per-row path.
-func (iv *IVF) scanListsBlocked(b blockScorer, c *topk.Collector, lists []int, p *index.Params) (work index.ScanWork) {
-	buf := listBufs.Get().(*listBuf)
-	defer listBufs.Put(buf)
-	if cap(buf.ids) < listScanBlock {
-		buf.ids, buf.dist = make([]int32, 0, listScanBlock), make([]float32, listScanBlock)
+// Remap implements index.Remappable: the lists, centroids and codes are
+// shared, and only the scorer of the raw vectors is rebound to data.
+func (iv *IVF) Remap(data []float32) (index.Index, bool) {
+	iv2 := *iv
+	if !index.Rebind(&iv2.sc, data) {
+		return nil, false
 	}
-	ids, dist := buf.ids[:0], buf.dist[:listScanBlock]
-	score := func(ids []int32) {
-		work.Cut += int64(b.ScoreIDsWithin(ids, dist[:len(ids)], c.Worst()))
-		c.PushIDs(ids, dist)
-		work.Comps += int64(len(ids))
-	}
-	done := p.Done()
-	if !p.Constrained() {
-		for _, list := range lists {
-			if index.Stopped(done) {
-				return work
-			}
-			for members := iv.lists[list]; len(members) > 0; {
-				n := min(len(members), listScanBlock)
-				score(members[:n])
-				members = members[n:]
-			}
-		}
-		return work
-	}
-	for _, list := range lists {
-		if index.Stopped(done) {
-			return work
-		}
-		for _, id := range iv.lists[list] {
-			if !p.Admits(int64(id)) {
-				continue
-			}
-			ids = append(ids, id)
-			if len(ids) == listScanBlock {
-				score(ids)
-				ids = ids[:0]
-			}
-		}
-	}
-	score(ids)
-	return work
+	return &iv2, true
 }
 
 func init() {

@@ -48,7 +48,6 @@ type LSH struct {
 	cfg    Config
 	dim    int
 	n      int
-	data   []float32
 	sc     *vec.Scorer // re-ranks colliding candidates with cached row state
 	tables []map[uint64][]int32
 	// projections: per table, K vectors of dim floats (+ offset for
@@ -83,7 +82,6 @@ func Build(data []float32, n, d int, cfg Config) (*LSH, error) {
 		cfg:     cfg,
 		dim:     d,
 		n:       n,
-		data:    data,
 		sc:      sc,
 		tables:  make([]map[uint64][]int32, cfg.L),
 		proj:    make([][]float32, cfg.L),
@@ -169,49 +167,46 @@ func (l *LSH) CandidateCount(q []float32, tables int) int {
 }
 
 // Search implements index.Index: hash the query into each table, take
-// colliding vectors as candidates, then re-rank exactly, one kernel
-// call per table over the ids it adds. p.NProbe caps the number of
-// tables consulted (defaults to all L).
+// colliding vectors as candidates, then re-rank them exactly through
+// one index.Scan, handing it each table's bucket minus the ids an
+// earlier table offered. p.NProbe caps the number of tables consulted
+// (defaults to all L); p.Ctx is polled before each table.
 func (l *LSH) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != l.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), l.dim)
+	if err := index.CheckQuery(q, k, l.dim); err != nil {
+		return nil, err
 	}
 	tables := p.NProbe
 	if tables <= 0 || tables > l.cfg.L {
 		tables = l.cfg.L
 	}
-	c := topk.NewCollector(k)
+	s := index.NewScan(l.sc, q, k, &p)
 	seen := make(map[int32]struct{}, 64)
-	comps := int64(0)
-	b := l.sc.Bind(q)
-	var ids []int32
-	var dist []float32
+	var fresh []int32
+	probed := 0
 	for t := 0; t < tables; t++ {
-		ids = ids[:0]
+		fresh = fresh[:0]
 		for _, id := range l.tables[t][l.hash(t, q)] {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			if p.Admits(int64(id)) {
-				ids = append(ids, id)
+			if _, dup := seen[id]; !dup {
+				seen[id] = struct{}{}
+				fresh = append(fresh, id)
 			}
 		}
-		if cap(dist) < len(ids) {
-			dist = make([]float32, 2*len(ids))
+		if !s.Bucket(fresh) {
+			break
 		}
-		b.ScoreIDs(ids, dist[:len(ids)])
-		c.PushIDs(ids, dist[:len(ids)])
-		comps += int64(len(ids))
+		probed++
 	}
-	if p.Stats != nil {
-		p.Stats.DistanceComps += comps
-		p.Stats.BucketsProbed += int64(tables)
+	return s.Finish(probed)
+}
+
+// Remap implements index.Remappable: the tables and projections are
+// shared, and only the re-ranking scorer is rebound to data.
+func (l *LSH) Remap(data []float32) (index.Index, bool) {
+	l2 := *l
+	if !index.Rebind(&l2.sc, data) {
+		return nil, false
 	}
-	return c.Results(), nil
+	return &l2, true
 }
 
 func init() {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"maps"
 
 	"vdbms/internal/quant"
 	"vdbms/internal/vec"
@@ -99,18 +100,9 @@ func (s QuantSpec) ResolveRerankK(p Params, k, n int) int {
 		rk = s.RerankK
 	}
 	if rk <= 0 {
-		rk = 4 * k
-		if rk < 32 {
-			rk = 32
-		}
+		rk = max(4*k, 32)
 	}
-	if rk < k {
-		rk = k
-	}
-	if rk > n {
-		rk = n
-	}
-	return rk
+	return min(max(rk, k), n)
 }
 
 // BuildQuantKernel trains the codec named by spec on the n row-major
@@ -199,9 +191,7 @@ func MergeQuantDefaults(kind string, opts map[string]int, quantization string, r
 		return opts, nil
 	}
 	merged := make(map[string]int, len(opts)+2)
-	for k, v := range opts {
-		merged[k] = v
-	}
+	maps.Copy(merged, opts)
 	if _, explicit := merged["quant"]; setQuant && !explicit {
 		merged["quant"] = int(qk)
 	}

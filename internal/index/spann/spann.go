@@ -257,11 +257,8 @@ func (sp *SPANN) readList(li int) ([]entry, int64, error) {
 // replicas. p.Stats receives the distances, the lists probed and the
 // pages read.
 func (sp *SPANN) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != sp.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), sp.dim)
+	if err := index.CheckQuery(q, k, sp.dim); err != nil {
+		return nil, err
 	}
 	if sp.cents == nil {
 		return nil, fmt.Errorf("spann: centroids not loaded; call SetCentroids")

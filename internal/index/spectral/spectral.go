@@ -170,59 +170,49 @@ func (s *Index) Buckets() int { return len(s.table) }
 // Search implements index.Index with multi-probe lookup: buckets are
 // visited in increasing Hamming distance from the query's hash until
 // at least p.Ef candidates (default 8k, floor 64) are re-ranked, each
-// bucket's admitted members in one kernel call.
+// bucket's admitted members handed to one index.Scan. p.Ctx is polled
+// before each bucket.
 func (s *Index) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
-	if k <= 0 {
-		return nil, index.ErrBadK
-	}
-	if len(q) != s.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", index.ErrDim, len(q), s.dim)
+	if err := index.CheckQuery(q, k, s.dim); err != nil {
+		return nil, err
 	}
 	budget := p.Ef
 	if budget <= 0 {
 		budget = max(64, 8*k)
 	}
 	key := s.hash(q)
-	b := s.sc.Bind(q)
-	c := topk.NewCollector(k)
-	var ids []int32
-	var dist []float32
-	examined, probed := 0, 0
-	scan := func(bucket uint32) {
+	sc := index.NewScan(s.sc, q, k, &p)
+	probed := 0
+	// more scans one bucket and reports whether the probe goes on.
+	more := func(bucket uint32) bool {
+		if !sc.Bucket(s.table[bucket]) {
+			return false
+		}
 		probed++
-		ids = ids[:0]
-		for _, id := range s.table[bucket] {
-			if p.Admits(int64(id)) {
-				ids = append(ids, id)
-			}
-		}
-		if cap(dist) < len(ids) {
-			dist = make([]float32, 2*len(ids))
-		}
-		b.ScoreIDs(ids, dist[:len(ids)])
-		c.PushIDs(ids, dist[:len(ids)])
-		examined += len(ids)
+		return sc.Work.Comps < int64(budget)
 	}
 	// Radius 0, then 1, then 2 (pairs of flipped bits).
-	scan(key)
+	goOn := more(key)
 	bits := s.cfg.Bits
-	if examined < budget {
-		for b := 0; b < bits && examined < budget; b++ {
-			scan(key ^ (1 << uint(b)))
+	for b := 0; b < bits && goOn; b++ {
+		goOn = more(key ^ (1 << uint(b)))
+	}
+	for b1 := 0; b1 < bits && goOn; b1++ {
+		for b2 := b1 + 1; b2 < bits && goOn; b2++ {
+			goOn = more(key ^ (1 << uint(b1)) ^ (1 << uint(b2)))
 		}
 	}
-	if examined < budget {
-		for b1 := 0; b1 < bits && examined < budget; b1++ {
-			for b2 := b1 + 1; b2 < bits && examined < budget; b2++ {
-				scan(key ^ (1 << uint(b1)) ^ (1 << uint(b2)))
-			}
-		}
+	return sc.Finish(probed)
+}
+
+// Remap implements index.Remappable: the learned hash and the table are
+// shared, and only the re-ranking scorer is rebound to data.
+func (s *Index) Remap(data []float32) (index.Index, bool) {
+	s2 := *s
+	if !index.Rebind(&s2.sc, data) {
+		return nil, false
 	}
-	if p.Stats != nil {
-		p.Stats.DistanceComps += int64(examined)
-		p.Stats.BucketsProbed += int64(probed)
-	}
-	return c.Results(), nil
+	return &s2, true
 }
 
 func init() {

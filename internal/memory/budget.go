@@ -1,9 +1,10 @@
 // Package memory implements the process-wide memory budget manager of
-// the serving tier. Owners (collections, LSM trees, WAL bindings,
-// page caches) register accounts and push-account their resident
-// bytes by category; the manager compares the accounted total against
-// a configurable budget and walks a graceful-degradation ladder
-// instead of letting the kernel OOM-kill the process:
+// the serving tier. Owners (collections) register accounts and
+// push-account their resident bytes by category (float columns, index
+// structure, quantized codes, WAL buffers); the manager compares the
+// accounted total against a configurable budget and walks a
+// graceful-degradation ladder instead of letting the kernel OOM-kill
+// the process:
 //
 //	Normal      → everything heap-resident, full caches
 //	DropCaches  → page/scorer caches released

@@ -43,7 +43,7 @@ var (
 	IndexBuildLastSecs = Default().NewGauge("vdbms_index_build_last_seconds", "Duration of the most recent completed index build.")
 
 	// Intra-query parallelism (internal/pool and the partitioned scans
-	// in flat/IVF/LSM). PoolInline counts tasks that ran on the
+	// of flat and IVF). PoolInline counts tasks that ran on the
 	// submitting goroutine because the pool was saturated — the
 	// parallel-efficiency signal: inline/tasks near 1 means fan-out is
 	// oversubscribed and queries are effectively serial.

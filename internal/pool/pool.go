@@ -1,9 +1,8 @@
 // Package pool provides the process-wide bounded worker pool behind
 // every parallel fan-out in the engine: intra-query partitioned scans
-// (flat ranges, IVF list groups, LSM memtable+segments) and the
-// cross-query batch executor all draw goroutines from the same token
-// bucket, so batch × intra-query nesting composes without
-// oversubscribing the machine.
+// (flat row ranges, IVF list groups) and the cross-query batch
+// executor all draw goroutines from the same token bucket, so batch ×
+// intra-query nesting composes without oversubscribing the machine.
 //
 // Two properties make the pool safe to call from anywhere:
 //

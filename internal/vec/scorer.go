@@ -39,7 +39,7 @@ import (
 
 // Scorer scores queries against the rows of a row-major dataset with
 // per-row state precomputed at construction. Methods that score are
-// safe for concurrent use; Extend, Refresh, and Reset require the same
+// safe for concurrent use; Extend and Refresh require the same
 // external synchronization as writes to the underlying data.
 type Scorer struct {
 	metric Metric
@@ -236,10 +236,6 @@ func (s *Scorer) Refresh(id int) {
 	}
 }
 
-// Reset drops all rows (caches keep their capacity), so a memtable can
-// be sealed and refilled without reallocating the scorer.
-func (s *Scorer) Reset() { s.extendState(s.data[:0], 0) }
-
 // invNormOf returns 1/||v|| (0 for the zero vector), the cached
 // cosine row state.
 func invNormOf(v []float32) float32 {
@@ -394,8 +390,8 @@ func (b Bound) ScoreBlockWithin(lo, hi int, out []float32, bound float32) (cut i
 // ScoreIDs scores a gather list: out[i] = dist(q, row ids[i]), bit for
 // bit what ScoreAt returns for each id. Used by scans whose candidates
 // are not contiguous (a graph node's neighbour list, inverted lists,
-// filtered scans, memtable rows surviving generation checks); the rows
-// are scattered, so the kernel prefetches ahead along ids.
+// hash buckets and tree leaves, filtered scans); the rows are
+// scattered, so the kernel prefetches ahead along ids.
 func (b Bound) ScoreIDs(ids []int32, out []float32) { b.ScoreIDsWithin(ids, out, inf) }
 
 // ScoreIDsWithin is ScoreIDs under a bound, as ScoreBlockWithin is

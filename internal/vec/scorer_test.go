@@ -293,16 +293,6 @@ func TestScorerExtendRefresh(t *testing.T) {
 		if !sameBits(g, w) {
 			t.Fatalf("metric %v refresh: %v != %v", m, g, w)
 		}
-
-		// Reset drops all rows; a later Extend rebuilds state.
-		grown.Reset()
-		if grown.Rows() != 0 {
-			t.Fatalf("Rows after Reset = %d", grown.Rows())
-		}
-		grown.Extend(data, n)
-		if got := grown.Bind(q).ScoreAt(7); !sameBits(got, w) {
-			t.Fatalf("metric %v post-reset extend: %v != %v", m, got, w)
-		}
 	}
 }
 
