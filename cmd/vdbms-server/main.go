@@ -45,12 +45,12 @@
 // X-Vdbms-Plan header.
 // -mem-budget bounds the process's accounted memory (0 inherits
 // GOMEMLIMIT, -1 disables management): over the budget the server
-// walks a degradation ladder — drop rebuildable caches at 80%, evict
-// the coldest collections' float columns to mmap-backed spill files at
-// 90% (searches stay byte-identical; the kernel pages vectors in on
-// demand), and past 100% shed work-carrying requests with 503 +
-// Retry-After instead of dying. /debug/stats reports the ladder stage
-// and per-collection tier under "memory".
+// walks a degradation ladder — drop rebuildable caches at 80%, map
+// the coldest collections' float columns at 90% (a durable collection
+// maps its checkpoint, others a spill file under -spill-dir; searches
+// stay byte-identical), and past 100% shed work-carrying requests with
+// 503 + Retry-After instead of dying. /debug/stats reports the ladder
+// stage and per-collection tier under "memory".
 // -pprof-addr serves net/http/pprof on a second listener (off by
 // default so profiling endpoints never ride the public port). On
 // SIGINT/SIGTERM the server stops accepting, drains in-flight requests
@@ -89,7 +89,7 @@ func main() {
 	targetRecall := flag.Float64("target-recall", 0, "default recall target queries are tuned to meet (0 = none; per-query target_recall overrides)")
 	tuneReselect := flag.Bool("tune-reselect", false, "allow the recall loop to rebuild an index the workload has drifted away from (background, non-blocking)")
 	memBudget := flag.Int64("mem-budget", 0, "process memory budget in bytes; over it the server drops caches, evicts cold collections to mmap, then sheds with 503 (0 = inherit GOMEMLIMIT; -1 = off)")
-	spillDir := flag.String("spill-dir", "", "directory for mmap-tier spill files (default: <data-dir>/.spill, or the OS temp dir when in-memory)")
+	spillDir := flag.String("spill-dir", "", "directory for the mmap-tier spill files of in-memory collections; durable ones evict onto their checkpoint (default: <data-dir>/.spill, or the OS temp dir when in-memory)")
 	flag.Parse()
 
 	if *pprofAddr != "" {

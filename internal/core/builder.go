@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"vdbms/internal/index"
@@ -83,7 +84,7 @@ func (c *Collection) startBuildLocked(prevKind string, prevOpts map[string]int) 
 // failure (so the next staleness rebuild targets what is installed).
 func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, prevKind string, prevOpts map[string]int, data []float32, n, dirty int) {
 	idx, err := buildTimed(kind, data, n, c.schema.Dim, c.schema.Metric, opts)
-	swap := kind != prevKind || !sameOpts(opts, prevOpts)
+	swap := kind != prevKind || !maps.Equal(opts, prevOpts)
 
 	c.mu.Lock()
 	c.building = false
@@ -128,18 +129,6 @@ func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, pr
 		// error); the swap itself stands.
 		commit.Wait()
 	}
-}
-
-func sameOpts(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // WaitForIndex blocks until no background index build is in flight,

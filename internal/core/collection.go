@@ -326,16 +326,14 @@ type Collection struct {
 
 	// Memory tier (memtier.go). acct is the budget-manager account, nil
 	// for unmanaged collections. mapped is non-nil while c.data aliases
-	// an mmap-backed column file; maps retains every mapping ever handed
-	// to a snapshot so retired epochs stay valid until Close unmaps
-	// them. spillDir hosts the (unlinked) column spill files; evictSeq
-	// makes each spill file name unique — reusing a path would truncate
-	// an inode that old mappings still read.
+	// a mapped column image (a checkpoint's column section or a spill
+	// file); maps retains every mapping ever handed to a snapshot so
+	// retired epochs stay valid until Close unmaps them. spillDir hosts
+	// a non-durable collection's (unlinked) spill files.
 	acct     atomic.Pointer[memory.Account]
 	mapped   *storage.MmapStore
 	maps     []*storage.MmapStore
 	spillDir string
-	evictSeq int
 	// lastAdvise dedupes executor access-pattern hints so steady-state
 	// queries against a mapped column pay an atomic load, not a madvise
 	// syscall, per query. 0 = unset; otherwise 1+AccessPattern.
@@ -544,7 +542,7 @@ func (c *Collection) applyInsertLocked(v []float32, attrs map[string]filter.Valu
 	// mapping is read-only, so writes must land on the heap copy.
 	c.data = append(c.data, v...)
 	if c.mapped != nil {
-		c.promotedLocked("insert")
+		c.promotedLocked()
 	}
 	id := c.nextID
 	c.nextID++
@@ -614,7 +612,7 @@ func (c *Collection) applyUpdateLocked(row int, v []float32) error {
 		}
 		c.data, c.scorer = data, sc
 		if c.mapped != nil {
-			c.promotedLocked("update")
+			c.promotedLocked()
 		}
 	}
 	c.updateEpoch.Add(1)
@@ -771,7 +769,7 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 	stale := c.buildEpoch != epoch
 	if stale {
 		obs.IndexBuildsTotal.With("stale").Inc()
-		if c.annKind != kind || !sameOpts(c.annOpts, opts) {
+		if c.annKind != kind || !maps.Equal(c.annOpts, opts) {
 			// A concurrent CreateIndex/DropIndex superseded this build.
 			c.mu.Unlock()
 			return nil
@@ -804,12 +802,18 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 
 // installLocked adopts a finished build. dirtyAtStart is the dirty
 // counter captured when the build's input was pinned: mutations that
-// landed during the build stay counted against the new index.
+// landed during the build stay counted against the new index. A build
+// reads the heap column it pinned; when an eviction moved the column
+// to the mmap tier meanwhile, the index is rebound onto the mapping,
+// or it would keep the heap column alive behind the tier's back.
 func (c *Collection) installLocked(idx index.Index, covered, dirtyAtStart int) {
 	// idx was built from the current recipe (callers check the build
 	// epoch), so c.annKind is registered.
 	fam, _ := index.Lookup(c.annKind)
 	c.ann, c.annN, c.annKnob = idx, covered, fam.Knob
+	if c.mapped != nil {
+		c.rebindLocked()
+	}
 	c.dirty -= dirtyAtStart
 	if c.dirty < 0 {
 		c.dirty = 0
@@ -860,7 +864,7 @@ func (c *Collection) Compact() error {
 	c.del, c.nDel = nil, 0
 	c.ann, c.annN, c.dirty = nil, 0, 0
 	if c.mapped != nil {
-		c.promotedLocked("compact")
+		c.promotedLocked()
 	}
 	c.buildEpoch++
 	c.updateEpoch.Add(1)

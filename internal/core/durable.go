@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vdbms/internal/obs"
+	"vdbms/internal/storage"
 	"vdbms/internal/wal"
 )
 
@@ -344,24 +345,30 @@ func (c *Collection) Checkpoint() error {
 	}
 	c.ckptMu.Lock()
 	defer c.ckptMu.Unlock()
+	return c.checkpointLocked()
+}
 
+// checkpointLocked is Checkpoint with ckptMu held.
+func (c *Collection) checkpointLocked() error {
 	// Seal the active segment first so the log prefix covered by the
 	// snapshot we are about to pin is removable afterwards.
 	if err := c.wal.log.Rotate(); err != nil {
 		obs.CheckpointsTotal.With("failed").Inc()
 		return fmt.Errorf("core: checkpoint rotate: %w", err)
 	}
+	c.beginRead() // writeSnapshot releases it
 	s := c.snap.Load()
 	// Nothing logged since the last checkpoint and no Compact either (it
 	// is not logged, but changes the rows the checkpoint holds).
 	if s.lsn <= c.ckptLSN && s.rows == c.ckptRows {
+		c.endRead()
 		obs.CheckpointsTotal.With("skipped").Inc()
 		return nil
 	}
 
 	start := time.Now()
 	path := filepath.Join(c.wal.dir, checkpointName(s.lsn))
-	if err := writeSnapshotFile(path, c.fileSnapshotAt(s)); err != nil {
+	if err := c.writeSnapshot(path, s); err != nil {
 		obs.CheckpointsTotal.With("failed").Inc()
 		return fmt.Errorf("core: writing checkpoint: %w", err)
 	}
@@ -385,6 +392,23 @@ func (c *Collection) Checkpoint() error {
 		obs.CheckpointsTotal.With("failed").Inc()
 	}
 	return nil
+}
+
+// mapCheckpoint brings the checkpoint up to date (a no-op when the
+// latest one covers the current LSN and rows) and maps its column
+// section, reporting the LSN and row count the mapping holds. This is
+// how a durable collection enters the mmap tier: the checkpoint is its
+// only on-disk column. ckptMu is held until the mapping exists, so no
+// newer checkpoint can remove the file first.
+func (c *Collection) mapCheckpoint() (m *storage.MmapStore, lsn uint64, rows int, err error) {
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
+	if err := c.checkpointLocked(); err != nil {
+		return nil, 0, 0, err
+	}
+	path := filepath.Join(c.wal.dir, checkpointName(c.ckptLSN))
+	m, err = mapSnapshotColumn(path, c.ckptRows, c.schema.Dim)
+	return m, c.ckptLSN, c.ckptRows, err
 }
 
 // removeOldCheckpoints deletes every checkpoint below keep.

@@ -425,8 +425,9 @@ func TestRecoverTwiceAfterTearBelowCheckpoint(t *testing.T) {
 	// retiring the log: exactly the on-disk state a pinned-snapshot
 	// checkpoint leaves while the tail frames it covers are still in
 	// the page cache.
+	c.beginRead()
 	s := c.snap.Load()
-	if err := writeSnapshotFile(filepath.Join(dir, checkpointName(s.lsn)), c.fileSnapshotAt(s)); err != nil {
+	if err := c.writeSnapshot(filepath.Join(dir, checkpointName(s.lsn)), s); err != nil {
 		t.Fatal(err)
 	}
 	c.wal.log.Close()

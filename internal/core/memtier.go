@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"vdbms/internal/executor"
 	"vdbms/internal/index"
@@ -16,25 +15,23 @@ import (
 // published epoch and exposes three remediation hooks:
 //
 //   - drop caches: release the entity-map cache (rung 1),
-//   - evict: move the float32 column to an mmap-backed spill file and
+//   - evict: move the float32 column to an mmap-backed column image and
 //     rebind the scorer and (Remappable) index onto the mapping, so
 //     the heap copy becomes garbage and the kernel pages vectors in on
 //     demand (rung 2; quantized codes stay heap-hot),
 //   - promote: copy the column back to heap when pressure clears.
 //
-// The eviction protocol never mutates anything a published snapshot
-// can see: the column is written out from a pinned reader window,
-// the swap happens under mu with a staleness re-check, and retired
-// mappings are kept alive until Close because old epochs may still
-// score through them. Spill files are unlinked immediately after
-// mapping — the mapping keeps the inode alive, the namespace stays
-// clean, and a crashed process leaks no disk space. Each eviction
-// writes a fresh uniquely-named file: reusing a path would truncate an
-// inode an older mapping still reads.
+// A durable collection maps its checkpoint, as recovery does, so it
+// keeps one copy of its column on disk; a non-durable one maps a spill
+// file (spillColumn). The eviction protocol never mutates anything a
+// published snapshot can see: the column is written from a pinned
+// reader window, the swap happens under mu with a staleness re-check,
+// and retired mappings are kept alive until Close because old epochs
+// may still score through them.
 
 // AttachMemory registers the collection with the budget manager and
 // enables tier management. spillDir hosts the (transient, unlinked)
-// eviction column files; it is created if missing.
+// spill files of a non-durable collection; it is created if missing.
 func (c *Collection) AttachMemory(m *memory.Manager, spillDir string) error {
 	if spillDir == "" {
 		return fmt.Errorf("core: AttachMemory needs a spill directory")
@@ -139,14 +136,15 @@ func (c *Collection) Tier() string {
 	return "heap"
 }
 
-// EvictToMmap moves the float32 column to an mmap-backed spill file:
-// search results are byte-identical (the mapping holds exactly the
-// bytes the heap column held) but the pages are reclaimable by the
-// kernel, so the collection's accounted vector bytes drop to zero.
-// Quantized codes, the graph structure, and attribute columns stay on
-// heap. Fails (leaving the heap tier intact) when the platform lacks
-// mmap, when the installed index cannot rebind to a new column, or
-// when a concurrent write lands mid-protocol.
+// EvictToMmap moves the float32 column to the mmap tier: a durable
+// collection maps its checkpoint's column section, a non-durable one a
+// spill file. Search results are byte-identical (the mapping holds
+// exactly the bytes the heap column held) but the pages are
+// reclaimable by the kernel, so the collection's accounted vector
+// bytes drop to zero. Quantized codes, the graph structure, and
+// attribute columns stay on heap. Fails (leaving the heap tier intact)
+// when the platform lacks mmap, when the installed index cannot rebind
+// to a new column, or when a concurrent write lands mid-protocol.
 func (c *Collection) EvictToMmap() error {
 	if !storage.MmapSupported() {
 		return fmt.Errorf("core: mmap tier unsupported on this platform")
@@ -155,13 +153,13 @@ func (c *Collection) EvictToMmap() error {
 	// Phase 1 (under mu): pin the column and capture the staleness
 	// witnesses. dataPins disables in-place patching so the pinned
 	// prefix cannot change underneath the file write; COW updates and
-	// inserts are caught by the epoch/row re-check in phase 3.
+	// inserts are caught by the re-check in phase 3.
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("core: collection %q is closed", c.name)
 	}
-	if c.acct.Load() == nil || c.spillDir == "" {
+	if c.acct.Load() == nil {
 		c.mu.Unlock()
 		return fmt.Errorf("core: collection %q is not memory-managed", c.name)
 	}
@@ -177,39 +175,32 @@ func (c *Collection) EvictToMmap() error {
 		c.mu.Unlock()
 		return fmt.Errorf("core: index build in flight; retry")
 	}
-	if c.ann != nil {
-		if _, ok := c.ann.(index.Remappable); !ok {
-			// A non-remappable index keeps scoring the heap column, so
-			// eviction would free nothing. Refuse; the manager moves on.
-			c.mu.Unlock()
-			return fmt.Errorf("core: index %q pins the heap column", c.ann.Name())
-		}
+	if _, ok := c.ann.(index.Remappable); c.ann != nil && !ok {
+		// A non-remappable index keeps scoring the heap column, so
+		// eviction would free nothing. Refuse; the manager moves on.
+		c.mu.Unlock()
+		return fmt.Errorf("core: index %q pins the heap column", c.ann.Name())
 	}
-	n, d := c.n, c.schema.Dim
+	n, d, dir := c.n, c.schema.Dim, c.spillDir
 	epoch0 := c.updateEpoch.Load()
 	data := c.data[:n*d]
-	c.evictSeq++
-	path := filepath.Join(c.spillDir, fmt.Sprintf("%s-%08d.col", c.name, c.evictSeq))
 	c.dataPins++
 	c.mu.Unlock()
 
-	// Phase 2 (off-lock): write and map the column, then unlink. The
-	// write is O(n·d) disk I/O and must not stall writers — they only
-	// lose the in-place-patch fast path while the pin is held.
-	m, err := func() (*storage.MmapStore, error) {
-		if err := storage.WriteColumnFile(path, data, n, d); err != nil {
-			return nil, err
-		}
-		m, err := storage.OpenColumn(path)
-		// Unlink immediately: the mapping keeps the inode alive, and a
-		// crash leaks no spill files.
-		os.Remove(path)
-		if err != nil {
-			return nil, err
-		}
-		m.AdviseRandom()
-		return m, nil
-	}()
+	// Phase 2 (off-lock): take the checkpoint or write the spill file,
+	// and map it; rows and lsn are what the mapping holds (lsn stays 0,
+	// as c.walLSN does, without a WAL). The write is O(n·d) disk I/O and
+	// must not stall writers — they only lose the in-place-patch fast
+	// path meanwhile.
+	var m *storage.MmapStore
+	var lsn uint64
+	rows := n
+	var err error
+	if c.wal != nil {
+		m, lsn, rows, err = c.mapCheckpoint()
+	} else {
+		m, err = spillColumn(dir, c.name, data, n, d)
+	}
 	c.mu.Lock()
 	c.dataPins--
 	// A Compact that landed meanwhile left its rebuild to this pin's
@@ -220,9 +211,10 @@ func (c *Collection) EvictToMmap() error {
 		return fmt.Errorf("core: evicting %q: %w", c.name, err)
 	}
 
-	// Phase 3 (under mu): re-check that the column we spilled is still
-	// the current one, then swap every pointer in one epoch.
-	if c.closed || c.n != n || c.updateEpoch.Load() != epoch0 || c.mapped != nil || c.building {
+	// Phase 3 (under mu): re-check that the mapping holds the current
+	// column — a checkpoint must cover the collection's LSN and rows —
+	// then swap every pointer in one epoch.
+	if c.closed || c.n != rows || c.walLSN != lsn || c.updateEpoch.Load() != epoch0 || c.mapped != nil || c.building {
 		c.mu.Unlock()
 		m.Close() // never published; unmapping is safe
 		return fmt.Errorf("core: eviction raced a write; retry")
@@ -234,19 +226,39 @@ func (c *Collection) EvictToMmap() error {
 	// Same row count: the scorer just repoints its data pointer; cached
 	// per-row state (norms) is content-derived and stays valid.
 	c.scorer.Extend(c.data, c.n)
-	if c.ann != nil {
-		if r, ok := c.ann.(index.Remappable); ok {
-			if idx2, ok2 := r.Remap(c.data); ok2 {
-				c.ann = idx2
-			}
-		}
-	}
+	c.rebindLocked()
 	if a := c.acct.Load(); a != nil {
 		a.SetEvicted(true)
 	}
 	c.publishLocked()
 	c.mu.Unlock()
 	return nil
+}
+
+// spillColumn writes rows [0, n) of data to a fresh spill file in
+// dir, maps it and unlinks it: the mapping keeps the inode alive, the
+// namespace stays clean, and a crash leaks no disk space, so the file
+// is never fsynced. Every spill gets a new name, so no write truncates
+// an inode an older mapping still reads.
+func spillColumn(dir, name string, data []float32, n, d int) (*storage.MmapStore, error) {
+	f, err := os.CreateTemp(dir, name+"-*.col")
+	if err != nil {
+		return nil, err
+	}
+	err = storage.WriteColumnSection(f, data, n, d)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	var m *storage.MmapStore
+	if err == nil {
+		m, err = storage.OpenColumnSection(f.Name(), 0)
+	}
+	os.Remove(f.Name())
+	if err != nil {
+		return nil, err
+	}
+	m.AdviseRandom()
+	return m, nil
 }
 
 // PromoteToHeap copies an evicted column back to heap and rebinds the
@@ -264,13 +276,7 @@ func (c *Collection) PromoteToHeap() error {
 	c.data = heapCol
 	c.retireMappingLocked()
 	c.scorer.Extend(c.data, c.n)
-	if c.ann != nil {
-		if r, ok := c.ann.(index.Remappable); ok {
-			if idx2, ok2 := r.Remap(c.data); ok2 {
-				c.ann = idx2
-			}
-		}
-	}
+	c.rebindLocked()
 	c.publishLocked()
 	return nil
 }
@@ -278,20 +284,23 @@ func (c *Collection) PromoteToHeap() error {
 // promotedLocked finalizes a write-path promotion: the caller already
 // replaced c.data with a heap copy (a reallocating append, or a COW
 // clone), so only the tier bookkeeping and index rebind remain.
-func (c *Collection) promotedLocked(reason string) {
-	_ = reason
+func (c *Collection) promotedLocked() {
 	c.retireMappingLocked()
-	if c.ann != nil {
-		if r, ok := c.ann.(index.Remappable); ok {
-			if idx2, ok2 := r.Remap(c.data); ok2 {
-				c.ann = idx2
-			}
-		}
-	}
+	c.rebindLocked()
 	if a := c.acct.Load(); a != nil {
 		a.CountPromotion()
 	}
 	// The caller's mutation path publishes; accounting rides along.
+}
+
+// rebindLocked points the installed index at c.data when it can rebind
+// (index.Remappable); an index that cannot keeps its old column.
+func (c *Collection) rebindLocked() {
+	if r, ok := c.ann.(index.Remappable); ok {
+		if idx, ok := r.Remap(c.data); ok {
+			c.ann = idx
+		}
+	}
 }
 
 // retireMappingLocked detaches the active mapping without unmapping it

@@ -2,7 +2,12 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +18,7 @@ import (
 	"vdbms/internal/obs"
 	"vdbms/internal/storage"
 	"vdbms/internal/vec"
+	"vdbms/internal/wal"
 )
 
 // attachTestManager puts c under a fresh (unbudgeted) manager so tier
@@ -143,12 +149,10 @@ func TestEvictByteEquivalence(t *testing.T) {
 	}
 	// An IVF index rebinds its scorer as a graph does: a collection with
 	// ivfflat installed evicts, and the plans served by the index answer
-	// from the mapping exactly as they did from the heap.
-	t.Run("index=ivfflat", func(t *testing.T) {
-		c, err := NewCollection("tier", Schema{Dim: d, Attributes: map[string]filter.Kind{"g": filter.Int64}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// from the mapping exactly as they did from the heap. A durable
+	// collection evicts onto its checkpoint and answers the same way.
+	ivfSchema := Schema{Dim: d, Attributes: map[string]filter.Kind{"g": filter.Int64}}
+	evictIVF := func(t *testing.T, c *Collection) {
 		ds := dataset.Clustered(n+8, d, 5, 0.3, 42)
 		for i := 0; i < n; i++ {
 			if _, err := c.Insert(ds.Row(i), map[string]filter.Value{"g": filter.IntV(int64(i % 4))}); err != nil {
@@ -191,6 +195,20 @@ func TestEvictByteEquivalence(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	t.Run("index=ivfflat", func(t *testing.T) {
+		c, err := NewCollection("tier", ivfSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evictIVF(t, c)
+	})
+	t.Run("durable/index=ivfflat", func(t *testing.T) {
+		c, err := CreateDurable(t.TempDir(), "tier", ivfSchema, DurabilityOptions{Fsync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evictIVF(t, c)
 	})
 }
 
@@ -534,36 +552,84 @@ func TestEvictConcurrentWithQueriesAndWrites(t *testing.T) {
 	if !storage.MmapSupported() {
 		t.Skip("no mmap on this platform")
 	}
+	c, _ := NewCollection("race", Schema{Dim: 8})
+	evictRace(t, c, 0)
+}
+
+// TestEvictConcurrentDurable is the same race on a durable collection,
+// whose evictions checkpoint and map the checkpoint while the writes
+// they race are logged. An eviction takes a checkpoint with two fsyncs,
+// which a steady stream of writes would always outrun, so both sides
+// pause: some evictions land and some race a write.
+func TestEvictConcurrentDurable(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	c, err := CreateDurable(t.TempDir(), "race", Schema{Dim: 8}, DurabilityOptions{Fsync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evictRace(t, c, 2*time.Millisecond)
+}
+
+// evictRace evicts and promotes c 40 times while one goroutine
+// searches and another updates and inserts. The evictions start after
+// the first write; the evictor pauses for quiet after every round and
+// the writer after every eighth write.
+func evictRace(t *testing.T, c *Collection, quiet time.Duration) {
 	const d = 8
 	ds := dataset.Clustered(256, d, 4, 0.4, 5)
-	c, _ := NewCollection("race", Schema{Dim: d})
 	for i := 0; i < 128; i++ {
 		c.Insert(ds.Row(i), nil) //nolint:errcheck
 	}
 	attachTestManager(t, c)
-	done := make(chan struct{})
+	started, done := make(chan struct{}), make(chan struct{})
+	evicted, writes := 0, 0
 	go func() {
 		defer close(done)
+		<-started
 		for i := 0; i < 40; i++ {
-			c.EvictToMmap()   //nolint:errcheck
+			if c.EvictToMmap() == nil {
+				evicted++
+			}
 			c.PromoteToHeap() //nolint:errcheck
+			time.Sleep(quiet)
 		}
 	}()
-	for i := 0; done != nil; i++ {
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for ; ; writes++ {
+			if writes == 1 {
+				close(started)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if writes%2 == 0 {
+				c.UpdateVector(int64(writes%64), ds.Row((writes+1)%256)) //nolint:errcheck
+			} else {
+				c.Insert(ds.Row(writes%256), nil) //nolint:errcheck
+			}
+			if writes%8 == 7 {
+				time.Sleep(quiet)
+			}
+		}
+	}()
+	for i := 0; ; i++ {
 		select {
 		case <-done:
-			done = nil
 		default:
-		}
-		switch i % 3 {
-		case 0:
 			c.Search(bg, SearchRequest{Vector: ds.Row(i % 256), K: 3}) //nolint:errcheck
-		case 1:
-			c.UpdateVector(int64(i%64), ds.Row((i+1)%256)) //nolint:errcheck
-		case 2:
-			c.Insert(ds.Row(i%256), nil) //nolint:errcheck
+			continue
 		}
+		break
 	}
+	writer.Wait()
+	t.Logf("%d of 40 evictions landed among %d writes", evicted, writes)
 	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5})
 	if err != nil || len(res.Hits) == 0 {
 		t.Fatalf("post-race search: %v (%d results)", err, len(res.Hits))
@@ -571,7 +637,267 @@ func TestEvictConcurrentWithQueriesAndWrites(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = time.Now
+}
+
+// TestDurableEvictMapsCheckpoint: a durable collection evicts onto its
+// checkpoint and never writes under the spill directory, which is gone
+// here. Right after a checkpoint the eviction writes nothing at all;
+// after more writes it takes one checkpoint, which then holds the only
+// copy of the column on disk. Answers survive Close and Recover.
+func TestDurableEvictMapsCheckpoint(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	const n, d, k = 200, 16, 5
+	dir := t.TempDir()
+	opts := DurabilityOptions{Fsync: wal.SyncNever}
+	ds := dataset.Clustered(n+50, d, 4, 0.3, 21)
+	c, err := CreateDurable(dir, "dur", Schema{Dim: d}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spill := filepath.Join(t.TempDir(), "spill")
+	m := memory.New(0)
+	m.Close()
+	if err := c.AttachMemory(m, spill); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(spill); err != nil {
+		t.Fatal(err)
+	}
+	listDir := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, fmt.Sprintf("%s %d %v", e.Name(), info.Size(), info.ModTime()))
+		}
+		return names
+	}
+	queries := []SearchRequest{
+		{Vector: ds.Row(n + 49), K: k},
+		{Vector: ds.Row(3), K: k, Policy: "plan:brute_force"},
+	}
+	answers := func(c *Collection) (hits [][]Result) {
+		for _, req := range queries {
+			res, err := c.Search(bg, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits = append(hits, res.Hits)
+		}
+		return hits
+	}
+
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files := listDir()
+	_, _, ckpt := c.DurabilityStatus()
+	heap := answers(c)
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	if tier := c.Tier(); tier != "mmap" {
+		t.Fatalf("tier %q after evicting, want mmap", tier)
+	}
+	if got := listDir(); !slices.Equal(got, files) {
+		t.Fatalf("evicting right after a checkpoint changed the directory:\n%v\nwant\n%v", got, files)
+	}
+	if _, _, got := c.DurabilityStatus(); got != ckpt {
+		t.Fatalf("checkpoint LSN %d after evicting, want %d", got, ckpt)
+	}
+	for i, hits := range answers(c) {
+		sameResults(t, heap[i], hits, fmt.Sprintf("mapped query %d", i))
+	}
+
+	// Inserts promote; the next eviction checkpoints and maps the new
+	// checkpoint, which supersedes the old one.
+	for i := n; i < n+40; i++ {
+		if _, err := c.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tier := c.Tier(); tier != "heap" {
+		t.Fatalf("tier %q after inserts, want heap", tier)
+	}
+	heap = answers(c)
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	if tier := c.Tier(); tier != "mmap" {
+		t.Fatalf("tier %q after the second eviction, want mmap", tier)
+	}
+	_, last, ckpt := c.DurabilityStatus()
+	var ckpts []uint64
+	for _, name := range listDir() {
+		if lsn, ok := parseCheckpointName(strings.Fields(name)[0]); ok {
+			ckpts = append(ckpts, lsn)
+		}
+	}
+	if len(ckpts) != 1 || ckpts[0] != last || ckpt != last {
+		t.Fatalf("checkpoints %v (status says %d), want exactly one at LSN %d", ckpts, ckpt, last)
+	}
+	if _, err := os.Stat(spill); !os.IsNotExist(err) {
+		t.Fatalf("spill directory: %v, want it still gone", err)
+	}
+	mapped := answers(c)
+	for i := range heap {
+		sameResults(t, heap[i], mapped[i], fmt.Sprintf("remapped query %d", i))
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Recover(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, hits := range answers(r) {
+		sameResults(t, mapped[i], hits, fmt.Sprintf("recovered query %d", i))
+	}
+}
+
+// TestSnapshotWritesCopyNoColumn: Checkpoint and Save stream the float
+// column from the epoch they write, heap or mapping, so neither
+// allocates anything near a copy of it.
+func TestSnapshotWritesCopyNoColumn(t *testing.T) {
+	const n, d = 20000, 128
+	const column = n * d * 4
+	c, err := CreateDurable(t.TempDir(), "alloc", Schema{Dim: d}, DurabilityOptions{Fsync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := dataset.Clustered(n, d, 8, 0.3, 1)
+	for i := 0; i < n; i++ {
+		if _, err := c.Insert(ds.Row(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save := filepath.Join(t.TempDir(), "alloc.snap")
+	allocates := func(label string, write func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		t.Logf("%s allocated %d bytes", label, after.TotalAlloc-before.TotalAlloc)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= column/4 {
+			t.Fatalf("%s allocated %d bytes for a %d-byte column, want < %d", label, got, column, column/4)
+		}
+	}
+	allocates("heap Checkpoint", c.Checkpoint)
+	allocates("heap Save", func() error { return c.Save(save) })
+	if !storage.MmapSupported() {
+		return
+	}
+	attachTestManager(t, c)
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	// A delete leaves the column mapped and gives the next checkpoint
+	// something to write.
+	if err := c.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if tier := c.Tier(); tier != "mmap" {
+		t.Fatalf("tier %q, want mmap", tier)
+	}
+	allocates("mmap Checkpoint", c.Checkpoint)
+	allocates("mmap Save", func() error { return c.Save(save) })
+}
+
+// Gate for the column-reporting test index: a build parks until the
+// test closes colGate, after signalling colStarted.
+var (
+	colGate    chan struct{}
+	colStarted chan struct{}
+	colOnce    sync.Once
+)
+
+// colIndex is a flat index that remembers the column it scores, so a
+// test can tell which column an installed index reads.
+type colIndex struct {
+	*index.Flat
+	data []float32
+}
+
+func (ci colIndex) Remap(data []float32) (index.Index, bool) {
+	f, ok := ci.Flat.Remap(data)
+	if !ok {
+		return nil, false
+	}
+	return colIndex{f.(*index.Flat), data}, true
+}
+
+func registerColumnIndex() {
+	colOnce.Do(func() {
+		index.Register(index.Family{Name: "testcolumn", Metrics: index.AnyMetric, Build: func(data []float32, n, d int, metric vec.Metric, opts map[string]int) (index.Index, error) {
+			colStarted <- struct{}{}
+			<-colGate
+			f, err := index.NewFlat(data, n, d, nil)
+			if err != nil {
+				return nil, err
+			}
+			return colIndex{f, data}, nil
+		}})
+	})
+}
+
+// TestCreateIndexDuringEviction: a CreateIndex build pins the heap
+// column it reads; when an eviction completes while it runs, the index
+// it installs is rebound onto the mapping instead of keeping the heap
+// column alive under a collection that reports the mmap tier.
+func TestCreateIndexDuringEviction(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	registerColumnIndex()
+	c, ds := newCol(t, 200)
+	defer c.Close()
+	attachTestManager(t, c)
+	colGate, colStarted = make(chan struct{}), make(chan struct{}, 1)
+	release := sync.OnceFunc(func() { close(colGate) })
+	defer release() // a failed test still lets the build return
+	created := make(chan error, 1)
+	go func() { created <- c.CreateIndex("testcolumn", nil) }()
+	<-colStarted
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if tier := c.Tier(); tier != "mmap" {
+		t.Fatalf("tier %q, want mmap", tier)
+	}
+	c.mu.Lock()
+	ci, ok := c.ann.(colIndex)
+	rebound := ok && &ci.data[0] == &c.data[0]
+	c.mu.Unlock()
+	if !rebound {
+		t.Fatal("the installed index does not score the mapped column")
+	}
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(9), K: 1})
+	if err != nil || res.Hits[0].ID != 9 || res.Hits[0].Dist != 0 {
+		t.Fatalf("search after install: %+v %v", res, err)
+	}
 }
 
 // BenchmarkUpdateInPlace measures the satellite-1 fix: with no pinned

@@ -75,8 +75,9 @@ type fileSnapshot struct {
 // 16-byte preamble (magic, column offset), the gob metadata with Data
 // omitted, zero padding to a page boundary, then the float column as a
 // storage column-file image. The column lands page-aligned, so a
-// checkpoint doubles as an mmap source: recovery maps it in place
-// instead of materializing the vectors on the heap
+// checkpoint doubles as an mmap source: recovery and the eviction of a
+// durable collection map it in place instead of holding the vectors on
+// the heap or writing them out a second time
 // (storage.OpenColumnSection).
 const (
 	snapshotVersion = 3
@@ -84,22 +85,18 @@ const (
 	preambleSize    = 16
 )
 
-// fileSnapshotAt serializes one pinned epoch snapshot. The data copy
-// happens inside a reader pin so an in-place update patch cannot land
-// mid-copy; everything else it reads is immutable (the deletion mask
-// is copy-on-write, the attribute view pins its row count).
+// fileSnapshotAt builds the metadata of one epoch snapshot: every
+// field but the float column, which writeSnapshot streams from the
+// epoch itself. Everything it reads is immutable (the deletion mask is
+// copy-on-write, the attribute view pins its row count).
 func (c *Collection) fileSnapshotAt(s *snapshot) *fileSnapshot {
-	c.beginRead()
-	defer c.endRead()
-	d := c.schema.Dim
 	snap := &fileSnapshot{
 		FormatVersion: snapshotVersion,
 		Name:          c.name,
-		Dim:           d,
+		Dim:           c.schema.Dim,
 		Metric:        int32(c.schema.Metric),
 		RebuildFrac:   c.schema.RebuildFraction,
 		N:             s.rows,
-		Data:          append([]float32(nil), s.env.Data[:s.rows*d]...),
 		AttrKinds:     map[string]int32{},
 		IntColumns:    map[string][]int64{},
 		FltColumns:    map[string][]float64{},
@@ -139,22 +136,31 @@ func (c *Collection) fileSnapshotAt(s *snapshot) *fileSnapshot {
 // observe a torn state; rows inserted after the call starts are simply
 // not in the file.
 func (c *Collection) Save(path string) error {
-	snap := c.fileSnapshotAt(c.snap.Load())
-	return writeSnapshotFile(path, snap)
+	c.beginRead()
+	return c.writeSnapshot(path, c.snap.Load())
+}
+
+// writeSnapshot writes epoch s to path: its metadata, then its float
+// column straight from the epoch — heap or mapping — with no copy. The
+// caller loaded s inside a reader pin (beginRead), which keeps an
+// in-place update patch from landing mid-write; writeSnapshot releases
+// that pin once the column bytes are in the file, before the fsync.
+func (c *Collection) writeSnapshot(path string, s *snapshot) error {
+	return writeSnapshotFile(path, c.fileSnapshotAt(s), s.env.Data[:s.rows*c.schema.Dim], c.endRead)
 }
 
 // writeSnapshotFile is the shared atomic write-rename-sync sequence
-// for Save files and checkpoints, emitting the v3 container: metadata
-// gob first, the float column page-aligned at the tail.
-func writeSnapshotFile(path string, snap *fileSnapshot) error {
-	column := snap.Data
-	snap.Data = nil // the column travels in its own section
-	defer func() { snap.Data = column }()
-	var meta bytes.Buffer
-	if err := gob.NewEncoder(&meta).Encode(snap); err != nil {
+// for Save files and checkpoints, emitting the v3 container: the
+// metadata gob first (meta.Data is nil), then column page-aligned at
+// the tail. written is called exactly once, as soon as column is no
+// longer read.
+func writeSnapshotFile(path string, meta *fileSnapshot, column []float32, written func()) error {
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(meta); err != nil {
+		written()
 		return fmt.Errorf("core: encoding snapshot: %w", err)
 	}
-	columnOff := int64(preambleSize + meta.Len())
+	columnOff := int64(preambleSize + enc.Len())
 	if rem := columnOff % storage.ColumnHeaderSize; rem != 0 {
 		columnOff += storage.ColumnHeaderSize - rem
 	}
@@ -165,15 +171,15 @@ func writeSnapshotFile(path string, snap *fileSnapshot) error {
 		if _, err := w.Write(pre[:]); err != nil {
 			return err
 		}
-		if _, err := w.Write(meta.Bytes()); err != nil {
+		if _, err := w.Write(enc.Bytes()); err != nil {
 			return err
 		}
-		pad := make([]byte, columnOff-int64(preambleSize+meta.Len()))
+		pad := make([]byte, columnOff-int64(preambleSize+enc.Len()))
 		if _, err := w.Write(pad); err != nil {
 			return err
 		}
-		return storage.WriteColumnSection(w, column, snap.N, snap.Dim)
-	})
+		return storage.WriteColumnSection(w, column, meta.N, meta.Dim)
+	}, written)
 }
 
 // atomicWriteFile writes path so a crash at any point leaves either
@@ -181,34 +187,31 @@ func writeSnapshotFile(path string, snap *fileSnapshot) error {
 // it, rename over the target, then fsync the parent directory — the
 // last step is what makes the rename itself durable; without it a
 // power failure can resurface the old file (or nothing) even though
-// the rename "succeeded".
-func atomicWriteFile(path string, write func(w io.Writer) error) error {
+// the rename "succeeded". written is called exactly once, after
+// write's bytes reached the file and before the fsync.
+func atomicWriteFile(path string, write func(w io.Writer) error, written func()) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
+		written()
 		return err
 	}
 	w := bufio.NewWriter(f)
-	if err := write(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	written()
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -341,15 +344,31 @@ func openSnapshotFile(path string) (*fileSnapshot, *storage.MmapStore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	m, err := mapSnapshotColumn(path, snap.N, snap.Dim)
+	return snap, m, err
+}
+
+// mapSnapshotColumn maps the column section of the snapshot file at
+// path, checking that it holds n×dim, without decoding the metadata.
+func mapSnapshotColumn(path string, n, dim int) (*storage.MmapStore, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	columnOff, err := readPreamble(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
 	m, err := storage.OpenColumnSection(path, columnOff)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: mapping snapshot column: %w", err)
+		return nil, fmt.Errorf("core: mapping snapshot column: %w", err)
 	}
-	if m.Count() != snap.N || m.Dim() != snap.Dim {
+	if m.Count() != n || m.Dim() != dim {
 		m.Close()
-		return nil, nil, fmt.Errorf("core: snapshot column is %d×%d, metadata says %d×%d", m.Count(), m.Dim(), snap.N, snap.Dim)
+		return nil, fmt.Errorf("core: snapshot column is %d×%d, metadata says %d×%d", m.Count(), m.Dim(), n, dim)
 	}
-	return snap, m, nil
+	return m, nil
 }
 
 // collectionFromSnapshot restores a collection in bulk: columns are

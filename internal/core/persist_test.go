@@ -64,7 +64,9 @@ func TestSaveLoadRoundTripCore(t *testing.T) {
 func loadBad(t *testing.T, snap fileSnapshot) error {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "bad.snap")
-	if err := writeSnapshotFile(path, &snap); err != nil {
+	column := snap.Data
+	snap.Data = nil // the column travels in its own section
+	if err := writeSnapshotFile(path, &snap, column, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Load(path)

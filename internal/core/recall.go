@@ -44,6 +44,7 @@ package core
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"time"
 
@@ -632,7 +633,7 @@ func (c *Collection) swapIndex(decision, kind string, opts map[string]int) bool 
 		return false
 	}
 	c.mu.Lock()
-	if c.closed || c.replaying || c.building || c.n == 0 || (kind == c.annKind && sameOpts(opts, c.annOpts)) {
+	if c.closed || c.replaying || c.building || c.n == 0 || (kind == c.annKind && maps.Equal(opts, c.annOpts)) {
 		c.mu.Unlock()
 		return false
 	}

@@ -11,8 +11,10 @@
 // Column files are NATIVE-ENDIAN (the float payload is written by
 // reinterpreting the []float32 — that is what makes the read side
 // zero-copy). A sentinel in the header rejects files written on a
-// foreign-endian machine. Column files are a serving-tier cache plus
-// the checkpoint column section, not an interchange format.
+// foreign-endian machine. A column image is the column section of a
+// checkpoint (which a durable collection's mmap tier maps in place) or
+// a non-durable collection's transient spill file, not an interchange
+// format.
 package storage
 
 import (
@@ -56,10 +58,11 @@ func bytesF32(b []byte) []float32 {
 }
 
 // WriteColumnSection writes the column-file image (page-sized header
-// plus raw native-endian payload) to w. It is the whole of a column
+// plus raw native-endian payload) to w. It is the whole of a spill
 // file and the tail section of v3 snapshot files — callers embedding
 // it must place it at a page-aligned offset so the payload stays
-// page-aligned in a mapping.
+// page-aligned in a mapping. The payload is written straight from
+// flat, without a copy.
 func WriteColumnSection(w io.Writer, flat []float32, n, dim int) error {
 	if dim <= 0 || n < 0 || len(flat) < n*dim {
 		return fmt.Errorf("storage: bad column shape n=%d dim=%d len=%d", n, dim, len(flat))
@@ -114,21 +117,6 @@ func parseColumnHeader(hdr []byte, name string) (n, dim int, err error) {
 	return n, dim, nil
 }
 
-// WriteColumnFile writes rows [0, n) of the row-major matrix flat
-// (dim floats per row) as a column file at path. The payload is the
-// raw native-endian float bytes, so writing is a single copy.
-func WriteColumnFile(path string, flat []float32, n, dim int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteColumnSection(f, flat, n, dim); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // MmapStore serves a float32 column from a read-only file mapping
 // through the zero-copy Raw view. The mapping must stay alive for as
 // long as any published snapshot references Raw() — owners call Close only when
@@ -140,20 +128,20 @@ type MmapStore struct {
 	n    int
 }
 
-// OpenColumn maps a file written by WriteColumnFile.
-func OpenColumn(path string) (*MmapStore, error) {
-	return OpenColumnSection(path, 0)
-}
-
 // OpenColumnSection validates a column-file image embedded at offset
-// within path (offset 0 for standalone column files; a page-aligned
-// offset for the column section of v3 snapshot files) and maps its
-// payload.
+// within path (offset 0 for a spill file; a page-aligned offset for
+// the column section of v3 snapshot files) and maps its payload.
 func OpenColumnSection(path string, offset int64) (*MmapStore, error) {
+	if offset < 0 || offset%4 != 0 {
+		return nil, fmt.Errorf("storage: bad column offset %d", offset)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	// The fd can be closed once mapped: the mapping keeps the inode
+	// alive even if the file is later unlinked (checkpoint rotation,
+	// spill files).
 	defer f.Close()
 	hdr := make([]byte, 32)
 	if _, err := f.ReadAt(hdr, offset); err != nil {
@@ -163,31 +151,12 @@ func OpenColumnSection(path string, offset int64) (*MmapStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OpenColumnAt(path, offset+ColumnHeaderSize, n, dim)
-}
-
-// OpenColumnAt maps the file at path and exposes the n×dim float32
-// column starting at the given byte offset (which must be 4-byte
-// aligned). This is how checkpoint files double as mmap sources: the
-// checkpoint writer pads its metadata section so the column lands on
-// a page boundary, and recovery maps the column in place instead of
-// materializing it on the heap.
-func OpenColumnAt(path string, offset int64, n, dim int) (*MmapStore, error) {
-	if dim <= 0 || n < 0 || offset < 0 || offset%4 != 0 {
-		return nil, fmt.Errorf("storage: bad column geometry off=%d n=%d dim=%d", offset, n, dim)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	// The fd can be closed once mapped: the mapping keeps the inode
-	// alive even if the file is later unlinked (checkpoint rotation).
-	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	need := offset + int64(n)*int64(dim)*4
+	start := offset + ColumnHeaderSize
+	need := start + int64(n)*int64(dim)*4
 	if fi.Size() < need {
 		return nil, fmt.Errorf("storage: column file %s truncated: %d < %d bytes", path, fi.Size(), need)
 	}
@@ -195,13 +164,7 @@ func OpenColumnAt(path string, offset int64, n, dim int) (*MmapStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: mmap %s: %w", path, err)
 	}
-	m := &MmapStore{
-		raw:  raw,
-		data: bytesF32(raw[offset:need]),
-		dim:  dim,
-		n:    n,
-	}
-	return m, nil
+	return &MmapStore{raw: raw, data: bytesF32(raw[start:need]), dim: dim, n: n}, nil
 }
 
 // Dim returns the vector dimensionality.
@@ -211,14 +174,10 @@ func (m *MmapStore) Dim() int { return m.dim }
 func (m *MmapStore) Count() int { return m.n }
 
 // MmapSupported reports whether this platform serves column files
-// through real memory mappings. When false, OpenColumn materializes
-// the column on heap — correct, but an "eviction" to that tier would
-// free nothing, so callers should refuse to evict.
+// through real memory mappings. When false, OpenColumnSection
+// materializes the column on heap — correct, but an "eviction" to that
+// tier would free nothing, so callers should refuse to evict.
 func MmapSupported() bool { return mmapSupported }
-
-// SizeBytes is the length of the mapping — the bytes that leave the
-// heap when a column is evicted to this tier.
-func (m *MmapStore) SizeBytes() int { return len(m.raw) }
 
 // Raw returns the whole column as a zero-copy row-major view, so
 // scorers bind to it directly. Callers must not mutate it (the mapping
@@ -246,17 +205,6 @@ func (m *MmapStore) AdviseSequential() error {
 // disables readahead so each probe faults only its own page.
 func (m *MmapStore) AdviseRandom() error {
 	return madviseRegion(m.columnRegion(), adviseRandom)
-}
-
-// AdviseNormal restores default kernel readahead behavior.
-func (m *MmapStore) AdviseNormal() error {
-	return madviseRegion(m.columnRegion(), adviseNormal)
-}
-
-// AdviseWillNeed asynchronously pre-faults the column (promotion
-// warm-up before a collection returns to the hot tier).
-func (m *MmapStore) AdviseWillNeed() error {
-	return madviseRegion(m.columnRegion(), adviseWillNeed)
 }
 
 // AdviseDontNeed drops resident pages for the column, returning them

@@ -17,14 +17,26 @@ func randColumn(n, d int, seed int64) []float32 {
 	return flat
 }
 
+// writeColumnFile writes a standalone column file, the layout of a
+// spill file: the column image at offset 0.
+func writeColumnFile(t *testing.T, path string, flat []float32, n, d int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := WriteColumnSection(f, flat, n, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestColumnFileRoundTrip(t *testing.T) {
 	const n, d = 137, 24
 	flat := randColumn(n, d, 1)
 	path := filepath.Join(t.TempDir(), "c.col")
-	if err := WriteColumnFile(path, flat, n, d); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenColumn(path)
+	writeColumnFile(t, path, flat, n, d)
+	m, err := OpenColumnSection(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +117,7 @@ func TestOpenColumnCorruption(t *testing.T) {
 	dir := t.TempDir()
 
 	good := filepath.Join(dir, "good.col")
-	if err := WriteColumnFile(good, flat, n, d); err != nil {
-		t.Fatal(err)
-	}
+	writeColumnFile(t, good, flat, n, d)
 	img, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +135,7 @@ func TestOpenColumnCorruption(t *testing.T) {
 			if err := os.WriteFile(p, corrupt, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if m, err := OpenColumn(p); err == nil {
+			if m, err := OpenColumnSection(p, 0); err == nil {
 				m.Close()
 				t.Fatal("opened a corrupt column file")
 			}
@@ -142,10 +152,8 @@ func TestColumnSurvivesUnlink(t *testing.T) {
 	const n, d = 29, 8
 	flat := randColumn(n, d, 5)
 	path := filepath.Join(t.TempDir(), "gone.col")
-	if err := WriteColumnFile(path, flat, n, d); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenColumn(path)
+	writeColumnFile(t, path, flat, n, d)
+	m, err := OpenColumnSection(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +173,8 @@ func TestColumnAdvise(t *testing.T) {
 	const n, d = 16, 4
 	flat := randColumn(n, d, 6)
 	path := filepath.Join(t.TempDir(), "a.col")
-	if err := WriteColumnFile(path, flat, n, d); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenColumn(path)
+	writeColumnFile(t, path, flat, n, d)
+	m, err := OpenColumnSection(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +182,6 @@ func TestColumnAdvise(t *testing.T) {
 	for name, f := range map[string]func() error{
 		"sequential": m.AdviseSequential,
 		"random":     m.AdviseRandom,
-		"normal":     m.AdviseNormal,
-		"willneed":   m.AdviseWillNeed,
 		"dontneed":   m.AdviseDontNeed,
 	} {
 		if err := f(); err != nil {
@@ -195,10 +199,8 @@ func TestColumnAdvise(t *testing.T) {
 
 func TestColumnEmptyAndClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "z.col")
-	if err := WriteColumnFile(path, nil, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenColumn(path)
+	writeColumnFile(t, path, nil, 0, 4)
+	m, err := OpenColumnSection(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,8 @@ func munmap(b []byte) error {
 
 // Advice values for madviseRegion.
 const (
-	adviseNormal     = syscall.MADV_NORMAL
 	adviseSequential = syscall.MADV_SEQUENTIAL
 	adviseRandom     = syscall.MADV_RANDOM
-	adviseWillNeed   = syscall.MADV_WILLNEED
 	adviseDontNeed   = syscall.MADV_DONTNEED
 )
 

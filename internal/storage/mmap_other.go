@@ -23,10 +23,8 @@ func mmapFile(f *os.File, length int) ([]byte, error) {
 func munmap(b []byte) error { return nil }
 
 const (
-	adviseNormal     = 0
 	adviseSequential = 1
 	adviseRandom     = 2
-	adviseWillNeed   = 3
 	adviseDontNeed   = 4
 )
 

@@ -78,9 +78,15 @@ go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornT
 # (evict its float column to the mmap tier, keep answering correctly,
 # shed work-carrying requests with 503 past the budget) instead of
 # growing without bound. Gates the memory-tiered serving path the same
-# way the kill -9 harness gates the WAL.
+# way the kill -9 harness gates the WAL. A durable collection evicts
+# onto its checkpoint: it writes nothing right after one and keeps one
+# checkpoint after more writes, answers byte-identically mapped and
+# after Recover, and races evictions against queries and logged writes;
+# Checkpoint and Save allocate no copy of a 20 000 x 128 column in
+# either tier; an index whose CreateIndex build outlives an eviction is
+# rebound onto the mapping when it installs.
 go test -race -count=1 -timeout 3m -run 'TestBoundedMemoryLadderSmoke' .
-go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence' ./internal/server/ ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence|TestEvictConcurrent|TestDurableEvictMapsCheckpoint|TestSnapshotWritesCopyNoColumn|TestCreateIndexDuringEviction' ./internal/server/ ./internal/core/
 # Recall loop gates. The tuner must converge on a degraded index
 # (coarse IVF, target_recall=0.95 -> a trusted frontier resolving a
 # parameter cheaper than the ladder maximum that still meets the
