@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -72,20 +73,26 @@ func graphFixture() (*dataset.Dataset, [][]float32, *bitset.Bitset) {
 
 // TestGraphHitIdentity pins the hits of every graph family — ids and
 // distance bits — to the hashes each family's own
-// serving code produced before the six shared one serving index.
+// serving code produced before the six shared one serving index. Each
+// family is built at GOMAXPROCS 1, 2 and 8: a build that uses the cores
+// it finds must build the same graph on any number of them.
 func TestGraphHitIdentity(t *testing.T) {
 	ds, qs, allow := graphFixture()
-	for _, tc := range graphCases {
-		idx, err := index.Build(tc.name, ds.Data, ds.Count, ds.Dim, vec.L2, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := index.Params{}
-		if tc.filtered {
-			p.Allow = allow
-		}
-		if got := graphHits(t, idx, qs, p); got != tc.want {
-			t.Errorf("%s: hits hash %#016x, want %#016x", tc.label, got, tc.want)
+	for _, procs := range []int{1, 2, 8} {
+		for _, tc := range graphCases {
+			old := runtime.GOMAXPROCS(procs)
+			idx, err := index.Build(tc.name, ds.Data, ds.Count, ds.Dim, vec.L2, tc.opts)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := index.Params{}
+			if tc.filtered {
+				p.Allow = allow
+			}
+			if got := graphHits(t, idx, qs, p); got != tc.want {
+				t.Errorf("%s at GOMAXPROCS %d: hits hash %#016x, want %#016x", tc.label, procs, got, tc.want)
+			}
 		}
 	}
 }

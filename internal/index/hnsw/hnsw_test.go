@@ -3,6 +3,7 @@ package hnsw
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -245,20 +246,26 @@ func slabHash(nh graph.Neighborhoods) uint64 {
 // edge, the ones the map-based traversal this package was built on until
 // PR 16 produced (the hashes were taken from that build). Construction
 // runs on the same BeamSearch as serving, so a traversal that visits,
-// prunes or orders differently shows here as a different graph.
+// prunes or orders differently shows here as a different graph; and at
+// GOMAXPROCS 2 and 8 the build runs speculative batches on helpers,
+// which must give the same graph as the serial loop at 1.
 func TestBuildIdentity(t *testing.T) {
 	ds := dataset.Clustered(3000, 32, 8, 1.0, 7)
-	h, err := Build(ds.Data, ds.Count, ds.Dim, Config{M: 16, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	for _, nh := range h.Layers() {
-		got = append(got, slabHash(nh))
-	}
 	want := []uint64{0x465940e4aa6d1701, 0xb34639eaea95ea41, 0x26cb266661d7ddfd, 0x942a627105e6e1c9, 0x1dfeaf773f5ebca5}
-	if !slices.Equal(got, want) {
-		t.Errorf("layers hash to %#x, want %#x", got, want)
+	for _, procs := range []int{1, 2, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		h, err := Build(ds.Data, ds.Count, ds.Dim, Config{M: 16, Seed: 3})
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for _, nh := range h.Layers() {
+			got = append(got, slabHash(nh))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: layers hash to %#x, want %#x", procs, got, want)
+		}
 	}
 }
 

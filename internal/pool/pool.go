@@ -96,6 +96,28 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// TryAcquire takes up to n tokens without blocking and returns how many
+// it took. A job that keeps workers of its own busy for a long time holds
+// them, so that concurrent fan-outs see those workers as taken, and gives
+// them back with Release.
+func (p *Pool) TryAcquire(n int) int {
+	for i := 0; i < n; i++ {
+		select {
+		case p.tokens <- struct{}{}:
+		default:
+			return i
+		}
+	}
+	return max(n, 0)
+}
+
+// Release gives back n tokens taken by TryAcquire.
+func (p *Pool) Release(n int) {
+	for range n {
+		<-p.tokens
+	}
+}
+
 // Split partitions n items into w contiguous ranges of near-equal
 // size and returns the start offsets (len w+1, offsets[w] == n). The
 // partition depends only on (n, w), never on scheduling, so callers

@@ -110,3 +110,24 @@ func TestDefaultShared(t *testing.T) {
 		t.Fatal("default pool must have at least one worker")
 	}
 }
+
+// TryAcquire takes only the tokens that are free and never blocks; while
+// a holder keeps them, Run finds none and runs its tasks inline.
+func TestTryAcquireRelease(t *testing.T) {
+	p := New(3)
+	for _, c := range []struct{ ask, want int }{{-1, 0}, {0, 0}, {2, 2}, {5, 1}, {1, 0}} {
+		if got := p.TryAcquire(c.ask); got != c.want {
+			t.Fatalf("TryAcquire(%d) = %d, want %d", c.ask, got, c.want)
+		}
+	}
+	ran := 0
+	p.Run(4, func(int) { ran++ }) // inline on this goroutine, so no race
+	if ran != 4 {
+		t.Fatalf("a saturated Run ran %d of 4 tasks", ran)
+	}
+	p.Release(3)
+	if got := p.TryAcquire(3); got != 3 {
+		t.Fatalf("%d of 3 tokens free after Release", got)
+	}
+	p.Release(3)
+}
