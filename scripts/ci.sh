@@ -147,6 +147,21 @@ go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
 # searches share, so -race.
 go test -race -count=1 -timeout 5m ./internal/index/graph/
 go test -race -count=1 -timeout 3m -run 'TestBuildIdentity|TestGraphStatsAgree|TestHitIdentity|TestGraphHitIdentity|TestScanHitIdentity|TestGraphRemapIdentity' ./internal/index/ ./internal/index/hnsw/ ./internal/index/nsw/ ./internal/index/nsg/ ./internal/index/knng/ ./internal/index/tree/
+# Parallel HNSW construction: at GOMAXPROCS 2 and 8 the build searches
+# nodes four at a time on helpers holding pool tokens and commits them in
+# id order, re-searching any whose reads a commit changed. The graph must
+# be the serial one edge for edge: the pinned build and hit hashes, the
+# hits after a Remap, every batch width against width 1 (tiny graphs,
+# m = 2, naive selection, every metric) and the staleness rule itself;
+# and no helper or token may outlive a build, two builds at once
+# included, while a build under a saturated pool runs serially. The
+# helpers share the graph, the round hand-over and the scratch pool with
+# the builder, so -race.
+for procs in 2 8; do
+    GOMAXPROCS=$procs go test -race -count=1 -timeout 5m \
+        -run 'TestBuildIdentity|TestGraphHitIdentity|TestGraphRemapIdentity|TestSpeculativeBuildMatchesSerial|TestStaleRule|TestBuildReleasesHelpers' \
+        ./internal/index/ ./internal/index/hnsw/
+done
 # Request path gates. Search, batch and insert bodies are decoded by a
 # hand-written pass that must agree with encoding/json on every input —
 # fuzzed differentially, seeded with the benchmark's bodies. Pooled
