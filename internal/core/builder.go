@@ -1,134 +1,171 @@
 package core
 
 import (
-	"maps"
 	"time"
 
 	"vdbms/internal/index"
 	"vdbms/internal/obs"
-	"vdbms/internal/vec"
+	"vdbms/internal/storage"
 	"vdbms/internal/wal"
 )
 
-// Background index maintenance. The engine used to rebuild a stale
-// index inline on the next search, stalling that query — and, under
-// the old collection-wide lock, every other one — for the full build.
-// Builds now run on a single-flight background goroutine per
-// collection: a write that pushes staleness over the schema threshold
-// starts the builder, the builder pins the current data prefix (safe
-// off-lock: inserts append and updates copy-on-write), builds without
-// holding any lock, and installs the result atomically. An install is
-// discarded when CreateIndex or DropIndex changed the recipe mid-build
-// (the epoch check below); writes that landed during the build keep
-// their staleness, so the builder immediately re-evaluates the
-// threshold and chains a catch-up build when needed. Nothing on the
-// query path ever waits: a search that arrives mid-build simply uses
-// the snapshot's previous index (or an exact scan). The recall loop's
-// drift re-selection runs on the same goroutine body with a new recipe
-// (swapIndex).
+// Background index maintenance. Every index build (CreateIndex, a drift
+// swap, a Compact's rebuild, the recipe Load and Recover restore, and
+// staleness rebuilds) runs on one single-flight builder goroutine per
+// collection. The builder pins the current data prefix (safe off-lock:
+// inserts append and updates copy-on-write while a build runs), builds
+// without holding any lock, and installs the result atomically. A build
+// is discarded when what to build changed mid-build (the epoch check
+// below), and the builder then builds the current recipe; writes that
+// landed during a build keep their staleness, so after an install the
+// builder re-evaluates the threshold and chains a catch-up build. No
+// query ever waits: it uses its snapshot's index (or an exact scan).
 
-// buildTimed runs one index build with duration metrics.
-func buildTimed(kind string, data []float32, n, dim int, metric vec.Metric, opts map[string]int) (index.Index, error) {
-	start := time.Now()
-	idx, err := index.Build(kind, data, n, dim, metric, opts)
-	secs := time.Since(start).Seconds()
-	obs.IndexBuildSeconds.Observe(secs)
-	obs.IndexBuildLastSecs.Set(secs)
-	return idx, err
+// buildRun is one background build: the build epoch it started under,
+// the column mapping it read (nil for a heap column), and done, closed
+// when it has ended.
+type buildRun struct {
+	epoch  uint64
+	mapped *storage.MmapStore
+	done   chan struct{}
 }
 
-// maybeTriggerBuildLocked starts a background rebuild when the
-// mutation fraction exceeds the schema threshold, or when the recipe
-// has no index because a Compact dropped it. Called with mu held from
-// every write path, from Compact and from build completion (catch-up).
-// Single-flight: at most one builder goroutine per collection.
+// recipeChange is a recipe that CreateIndex or a drift swap recorded and
+// no build has installed yet. The build that installs it logs it (so
+// recovery rebuilds it); one that fails reverts to prevKind/prevOpts.
+// Either way err and commit are set and done closes after the frontiers
+// are reset; a superseded change's done closes with neither set.
+type recipeChange struct {
+	prevKind string
+	prevOpts map[string]int
+	done     chan struct{}
+	err      error
+	commit   wal.Commit
+}
+
+// changeRecipeLocked records kind/opts as the recipe to build, ending
+// the change it supersedes, and has the builder build it: a build in
+// flight ends stale, and the builder then builds this recipe. Caller
+// holds mu and has checked that the collection has rows.
+func (c *Collection) changeRecipeLocked(kind string, opts map[string]int) *recipeChange {
+	ch := &recipeChange{prevKind: c.annKind, prevOpts: c.annOpts, done: make(chan struct{})}
+	if old := c.change; old != nil { // revert to the last installed recipe
+		ch.prevKind, ch.prevOpts = old.prevKind, old.prevOpts
+	}
+	c.endChangeLocked()
+	c.change = ch
+	c.buildEpoch++
+	c.annKind, c.annOpts = kind, opts
+	c.maybeTriggerBuildLocked()
+	return ch
+}
+
+// endChangeLocked ends the pending recipe change, if any, as superseded.
+func (c *Collection) endChangeLocked() {
+	if c.change != nil {
+		close(c.change.done)
+		c.change = nil
+	}
+}
+
+// maybeTriggerBuildLocked starts the builder when a recipe change is
+// pending, when the recipe has no index because a Compact dropped it,
+// or when the mutation fraction exceeds the schema threshold. Called
+// with mu held from every write path, from Compact and from build
+// completion (catch-up). Single-flight: at most one build per
+// collection.
 func (c *Collection) maybeTriggerBuildLocked() {
 	// During WAL replay the index is built once at the end of
 	// recovery; kicking builders per replayed record would race the
 	// replay loop for no benefit.
-	if c.replaying || c.annKind == "" || c.building || c.n == 0 {
+	if c.replaying || c.build != nil || c.n == 0 {
 		return
 	}
-	if c.ann == nil {
-		// CreateIndex is building the recipe's first index (it pins
-		// the column until it installs), or an eviction pins it and
-		// re-checks on release.
-		if c.dataPins > 0 {
-			return
-		}
-	} else if grown := c.n - c.annN; float64(c.dirty+grown) <= c.schema.RebuildFraction*float64(c.annN) {
+	stale := c.ann == nil || float64(c.dirty+c.n-c.annN) > c.schema.RebuildFraction*float64(c.annN)
+	if c.change == nil && (c.annKind == "" || !stale) {
 		return
 	}
-	c.startBuildLocked(c.annKind, c.annOpts)
-}
-
-// startBuildLocked starts the builder goroutine on the recorded recipe
-// (annKind/annOpts) over the current data prefix. prevKind/prevOpts
-// name the recipe the build replaces: the same one for a staleness
-// rebuild, the swapped-out one for a drift re-selection. Caller holds
-// mu and has checked that no build is in flight.
-func (c *Collection) startBuildLocked(prevKind string, prevOpts map[string]int) {
-	c.building = true
-	c.buildDone = make(chan struct{})
+	run := &buildRun{epoch: c.buildEpoch, mapped: c.mapped, done: make(chan struct{})}
+	c.build = run
 	obs.IndexBuildState.With(c.name).Set(1)
-	go c.runBuild(c.buildEpoch, c.annKind, c.annOpts, prevKind, prevOpts, c.data[:c.n*c.schema.Dim], c.n, c.dirty)
+	go c.runBuild(run, c.annKind, c.annOpts, c.data[:c.n*c.schema.Dim], c.n, c.dirty)
 }
 
 // runBuild is the builder goroutine body. Its inputs were pinned under
-// mu by startBuildLocked; the data prefix stays immutable while the
-// build runs because inserts only append past it and updates fall
+// mu by maybeTriggerBuildLocked; the data prefix stays immutable while
+// the build runs because inserts only append past it and updates fall
 // back to copy-on-write whenever a build is in flight (tryPatchLocked
-// refuses to patch while c.building is set). A build that changes the
-// recipe is a CreateIndex in all but its caller: it logs the recipe to
-// the WAL on install (so recovery rebuilds it) and reverts it on
-// failure (so the next staleness rebuild targets what is installed).
-func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, prevKind string, prevOpts map[string]int, data []float32, n, dirty int) {
-	idx, err := buildTimed(kind, data, n, c.schema.Dim, c.schema.Metric, opts)
-	swap := kind != prevKind || !maps.Equal(opts, prevOpts)
+// refuses to patch while c.build is set).
+func (c *Collection) runBuild(run *buildRun, kind string, opts map[string]int, data []float32, n, dirty int) {
+	start := time.Now()
+	idx, err := index.Build(kind, data, n, c.schema.Dim, c.schema.Metric, opts)
+	secs := time.Since(start).Seconds()
+	obs.IndexBuildSeconds.Observe(secs)
+	obs.IndexBuildLastSecs.Set(secs)
 
 	c.mu.Lock()
-	c.building = false
-	close(c.buildDone)
+	c.build = nil
+	close(run.done)
 	obs.IndexBuildState.With(c.name).Set(0)
+	ch, current := c.change, run.epoch == c.buildEpoch
 	switch {
-	case err != nil:
-		// Leave the old index standing. Deliberately not re-triggered
-		// here — a deterministic failure would spin hot; the next write
-		// re-evaluates the threshold and retries instead.
-		obs.IndexBuildsTotal.With("failed").Inc()
-		if swap && c.buildEpoch == epoch {
-			c.annKind, c.annOpts = prevKind, prevOpts
-		}
-		c.mu.Unlock()
-		return
-	case epoch != c.buildEpoch:
-		// CreateIndex/DropIndex changed the recipe mid-build; discard
-		// the result but re-check staleness against the new recipe.
+	case !current:
+		// What to build changed: the current recipe is built next. A
+		// pending change rides on that build or, on a collection
+		// compacted to no rows, is logged unbuilt below.
 		obs.IndexBuildsTotal.With("stale").Inc()
-		c.maybeTriggerBuildLocked()
-		c.mu.Unlock()
-		return
+		if c.n > 0 {
+			ch = nil
+		}
+	case err != nil:
+		// Leave the old index standing.
+		obs.IndexBuildsTotal.With("failed").Inc()
+		if ch != nil {
+			c.annKind, c.annOpts = ch.prevKind, ch.prevOpts
+			ch.err = err
+		}
+	default:
+		// The epoch matches, so c.annKind is the recipe built and is
+		// registered. Mutations that landed during the build stay
+		// counted against the new index. When a write retired the
+		// mapping the build read, the index is rebound onto the current
+		// column, so that the mapping can be released.
+		fam, _ := index.Lookup(c.annKind)
+		c.ann, c.annN, c.annKnob = idx, n, fam.Knob
+		c.dirty = max(c.dirty-dirty, 0)
+		if run.mapped != nil && run.mapped != c.mapped {
+			c.rebindLocked()
+		}
+		obs.IndexBuildsTotal.With("installed").Inc()
 	}
-	c.installLocked(idx, n, dirty)
-	obs.IndexBuildsTotal.With("installed").Inc()
-	var commit wal.Commit
-	if swap {
-		commit, _ = c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
+	if ch != nil {
+		c.change = nil
+		if ch.err == nil {
+			// Logged only once built, so replay never re-runs a build
+			// that failed the first time.
+			kind, opts = c.annKind, c.annOpts
+			ch.commit, ch.err = c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
+		}
 	}
 	c.publishLocked()
-	// Writes that landed during the build may already exceed the
-	// threshold again; chain the next build without waiting for
-	// another write.
-	c.maybeTriggerBuildLocked()
-	c.mu.Unlock()
-	if swap {
-		// The old kind's frontier no longer describes the serving index.
-		c.resetFrontier(prevKind)
-		c.resetFrontier(kind)
-		// A commit failure surfaces on the next mutation (sticky WAL
-		// error); the swap itself stands.
-		commit.Wait()
+	if !current || err == nil {
+		// Build the current recipe, or catch up on writes that landed
+		// during the build. A failed build is not retried here: a
+		// deterministic failure would spin hot; the next write retries.
+		c.maybeTriggerBuildLocked()
 	}
+	c.mu.Unlock()
+	if ch == nil {
+		return
+	}
+	if ch.err == nil {
+		// Recall measured against whatever previously answered under
+		// these kinds no longer describes the new index (mu released
+		// first: tuneMu and mu are never held together).
+		c.resetFrontier(ch.prevKind)
+		c.resetFrontier(kind)
+	}
+	close(ch.done)
 }
 
 // WaitForIndex blocks until no background index build is in flight,
@@ -138,13 +175,12 @@ func (c *Collection) runBuild(epoch uint64, kind string, opts map[string]int, pr
 func (c *Collection) WaitForIndex() {
 	for {
 		c.mu.Lock()
-		if !c.building {
-			c.mu.Unlock()
+		run := c.build
+		c.mu.Unlock()
+		if run == nil {
 			return
 		}
-		done := c.buildDone
-		c.mu.Unlock()
-		<-done
+		<-run.done
 	}
 }
 
@@ -154,5 +190,5 @@ func (c *Collection) WaitForIndex() {
 func (c *Collection) IndexStatus() (kind string, covered, dirty int, building bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.annKind, c.annN, c.dirty, c.building
+	return c.annKind, c.annN, c.dirty, c.build != nil
 }

@@ -187,8 +187,8 @@ func (s *snapshot) deleted() *bitset.Bitset {
 // them on plain slices — no lock, map or shared counter per row, while
 // writers keep appending to, and reallocating, the same columns. Writers
 // (Insert, UpdateVector, Delete) serialize on a short mutex covering
-// only the mutation plus publication of the next snapshot; CreateIndex
-// and the automatic rebuilds run their builds off-lock and install
+// only the mutation plus publication of the next snapshot; every index
+// build runs off-lock on the background builder and installs
 // atomically, so no query or write ever waits for an index build.
 type Collection struct {
 	name   string
@@ -276,11 +276,13 @@ type Collection struct {
 	annKnob tuner.Knob // the search parameter ann's family declares
 	dirty   int        // in-place mutations since that build
 
-	// Background builder state (builder.go). buildEpoch invalidates
-	// in-flight builds when CreateIndex/DropIndex changes the recipe.
-	building   bool
-	buildDone  chan struct{}
+	// Background builder state (builder.go). build is the build in
+	// flight (nil when idle); buildEpoch invalidates it when CreateIndex,
+	// DropIndex, a drift swap or a Compact changes what to build; change
+	// is the recorded recipe while no build has installed it yet.
+	build      *buildRun
 	buildEpoch uint64
+	change     *recipeChange
 
 	// Entity-map cache for multi-vector queries, keyed by column name
 	// and validated against the snapshot's column and row count (columns
@@ -319,17 +321,14 @@ type Collection struct {
 	// read is impossible (DESIGN.md §13).
 	active   atomic.Int64
 	patching atomic.Int64
-	// dataPins counts off-lock readers of c.data that bypass the
-	// active/patching handshake (CreateIndex builds pin the column by
-	// reference). Guarded by mu; while non-zero, updates must copy.
-	dataPins int
 
 	// Memory tier (memtier.go). acct is the budget-manager account, nil
 	// for unmanaged collections. mapped is non-nil while c.data aliases
 	// a mapped column image (a checkpoint's column section or a spill
-	// file); maps retains every mapping ever handed to a snapshot so
-	// retired epochs stay valid until Close unmaps them. spillDir hosts
-	// a non-durable collection's (unlinked) spill files.
+	// file); maps holds it and every retired mapping a pinned epoch or
+	// a running build may still read, until releaseRetiredLocked (or
+	// Close) unmaps them. spillDir hosts a non-durable collection's
+	// (unlinked) spill files.
 	acct     atomic.Pointer[memory.Account]
 	mapped   *storage.MmapStore
 	maps     []*storage.MmapStore
@@ -440,6 +439,7 @@ func (c *Collection) publishLocked() {
 		annOpts: c.annOpts,
 		lsn:     c.walLSN,
 	})
+	c.releaseRetiredLocked()
 }
 
 // logLocked appends one mutation record to the WAL, assigning its LSN.
@@ -632,7 +632,7 @@ func (c *Collection) applyUpdateLocked(row int, v []float32) error {
 // store-load handshake with beginRead), writes the row, refreshes the
 // scorer's cached per-row state, and lowers the flag.
 func (c *Collection) tryPatchLocked(row int, v []float32) bool {
-	if c.mapped != nil || c.building || c.dataPins != 0 {
+	if c.mapped != nil || c.build != nil {
 		return false
 	}
 	c.patching.Store(1)
@@ -721,16 +721,17 @@ func (c *Collection) liveRowLocked(id int64) (int, error) {
 }
 
 // CreateIndex builds (or replaces) the ANN index using a registered
-// family ("hnsw", "ivfflat", "lsh", ...) and its options. The build
-// runs without holding the writer lock — inserts, updates, deletes,
-// and searches all proceed while it runs — and the finished index
-// installs atomically. Writes that land during the build leave it
-// trailing (inserts) or stale (updates/deletes); the background
-// builder observes the gap and schedules a catch-up rebuild.
+// family ("hnsw", "ivfflat", "lsh", ...) and its options. It records the
+// recipe and waits for the background builder to build and install it
+// (after any build in flight; again over the new rows if a Compact lands
+// meanwhile) while writes and searches proceed. It returns that build's
+// error or its WAL commit's, or nil when a later CreateIndex, DropIndex
+// or drift swap supersedes the recipe first. Writes during the build
+// leave the index trailing or stale, and the builder catches up.
 func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 	// Fold the collection-level quantization default into the recipe
-	// before anything is pinned or logged: the materialized opts map is
-	// what builds AND what replays.
+	// before anything is logged: the materialized opts map is what
+	// builds AND what replays.
 	opts, qerr := index.MergeQuantDefaults(kind, opts, c.schema.Quantization, c.schema.RerankK)
 	if qerr != nil {
 		return qerr
@@ -740,84 +741,13 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("core: cannot index an empty collection")
 	}
-	// Bumping the epoch invalidates any in-flight background build of
-	// the old recipe; recording the new recipe first means rebuilds
-	// triggered mid-build already target it.
-	c.buildEpoch++
-	epoch := c.buildEpoch
-	prevKind, prevOpts := c.annKind, c.annOpts
-	c.annKind, c.annOpts = kind, opts
-	data, n, dirty := c.data[:c.n*c.schema.Dim], c.n, c.dirty
-	// Pin the column by reference: the build reads it off-lock, so
-	// in-place update patching must stay disabled until it finishes
-	// (updates copy-on-write instead; the build's input stays frozen).
-	c.dataPins++
+	ch := c.changeRecipeLocked(kind, opts)
 	c.mu.Unlock()
-
-	idx, err := buildTimed(kind, data, n, c.schema.Dim, c.schema.Metric, opts)
-
-	c.mu.Lock()
-	c.dataPins--
-	if err != nil {
-		obs.IndexBuildsTotal.With("failed").Inc()
-		if c.buildEpoch == epoch {
-			c.annKind, c.annOpts = prevKind, prevOpts
-		}
-		c.mu.Unlock()
-		return err
+	<-ch.done
+	if ch.err != nil {
+		return ch.err
 	}
-	stale := c.buildEpoch != epoch
-	if stale {
-		obs.IndexBuildsTotal.With("stale").Inc()
-		if c.annKind != kind || !maps.Equal(c.annOpts, opts) {
-			// A concurrent CreateIndex/DropIndex superseded this build.
-			c.mu.Unlock()
-			return nil
-		}
-		// A Compact renumbered the rows under this build; the recipe
-		// stands, and the builder builds it over the compacted rows.
-	} else {
-		c.installLocked(idx, n, dirty)
-		obs.IndexBuildsTotal.With("installed").Inc()
-	}
-	// The recipe is logged only after the build succeeded, so replay
-	// never re-runs a build that failed the first time.
-	commit, lerr := c.logLocked(func() []byte { return encodeCreateIndex(kind, opts) })
-	c.publishLocked()
-	c.maybeTriggerBuildLocked()
-	c.mu.Unlock()
-	if stale {
-		c.WaitForIndex()
-	}
-	// Recall measured against whatever previously answered under these
-	// kinds no longer describes the new index (mu released first:
-	// tuneMu and mu are never held together).
-	c.resetFrontier(prevKind)
-	c.resetFrontier(kind)
-	if lerr != nil {
-		return lerr
-	}
-	return commit.Wait()
-}
-
-// installLocked adopts a finished build. dirtyAtStart is the dirty
-// counter captured when the build's input was pinned: mutations that
-// landed during the build stay counted against the new index. A build
-// reads the heap column it pinned; when an eviction moved the column
-// to the mmap tier meanwhile, the index is rebound onto the mapping,
-// or it would keep the heap column alive behind the tier's back.
-func (c *Collection) installLocked(idx index.Index, covered, dirtyAtStart int) {
-	// idx was built from the current recipe (callers check the build
-	// epoch), so c.annKind is registered.
-	fam, _ := index.Lookup(c.annKind)
-	c.ann, c.annN, c.annKnob = idx, covered, fam.Knob
-	if c.mapped != nil {
-		c.rebindLocked()
-	}
-	c.dirty -= dirtyAtStart
-	if c.dirty < 0 {
-		c.dirty = 0
-	}
+	return ch.commit.Wait()
 }
 
 // Compact drops the deleted rows: the live rows, their attributes and
@@ -879,6 +809,7 @@ func (c *Collection) DropIndex() {
 	c.mu.Lock()
 	commit, _ := c.logLocked(func() []byte { return encodeDropIndex() })
 	c.buildEpoch++
+	c.endChangeLocked()
 	prevKind := c.annKind
 	c.ann, c.annKind, c.annOpts = nil, "", nil
 	c.annN, c.dirty = 0, 0
@@ -892,9 +823,8 @@ func (c *Collection) DropIndex() {
 
 // IndexInfo reports the current index family and staleness.
 func (c *Collection) IndexInfo() (kind string, covered, dirty int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.annKind, c.annN, c.dirty
+	kind, covered, dirty, _ = c.IndexStatus()
+	return kind, covered, dirty
 }
 
 // Result is one hit: the index's own type, handed up without a copy.

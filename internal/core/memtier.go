@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"vdbms/internal/executor"
 	"vdbms/internal/index"
@@ -25,9 +26,10 @@ import (
 // keeps one copy of its column on disk; a non-durable one maps a spill
 // file (spillColumn). The eviction protocol never mutates anything a
 // published snapshot can see: the column is written from a pinned
-// reader window, the swap happens under mu with a staleness re-check,
-// and retired mappings are kept alive until Close because old epochs
-// may still score through them.
+// reader window and the swap happens under mu with a staleness
+// re-check. A mapping retired by a promotion stays alive while an old
+// epoch may still score through it: releaseRetiredLocked unmaps it once
+// no build runs and no reader is pinned.
 
 // AttachMemory registers the collection with the budget manager and
 // enables tier management. spillDir hosts the (transient, unlinked)
@@ -150,8 +152,8 @@ func (c *Collection) EvictToMmap() error {
 		return fmt.Errorf("core: mmap tier unsupported on this platform")
 	}
 
-	// Phase 1 (under mu): pin the column and capture the staleness
-	// witnesses. dataPins disables in-place patching so the pinned
+	// Phase 1 (under mu): capture the staleness witnesses and pin the
+	// column as a reader, which disables in-place patching so the
 	// prefix cannot change underneath the file write; COW updates and
 	// inserts are caught by the re-check in phase 3.
 	c.mu.Lock()
@@ -171,7 +173,7 @@ func (c *Collection) EvictToMmap() error {
 		c.mu.Unlock()
 		return fmt.Errorf("core: nothing to evict")
 	}
-	if c.building {
+	if c.build != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("core: index build in flight; retry")
 	}
@@ -184,7 +186,7 @@ func (c *Collection) EvictToMmap() error {
 	n, d, dir := c.n, c.schema.Dim, c.spillDir
 	epoch0 := c.updateEpoch.Load()
 	data := c.data[:n*d]
-	c.dataPins++
+	c.beginRead() // no patch is in flight: patches run under mu
 	c.mu.Unlock()
 
 	// Phase 2 (off-lock): take the checkpoint or write the spill file,
@@ -201,11 +203,8 @@ func (c *Collection) EvictToMmap() error {
 	} else {
 		m, err = spillColumn(dir, c.name, data, n, d)
 	}
+	c.endRead()
 	c.mu.Lock()
-	c.dataPins--
-	// A Compact that landed meanwhile left its rebuild to this pin's
-	// release (maybeTriggerBuildLocked); the build then wins the race.
-	c.maybeTriggerBuildLocked()
 	if err != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("core: evicting %q: %w", c.name, err)
@@ -214,7 +213,7 @@ func (c *Collection) EvictToMmap() error {
 	// Phase 3 (under mu): re-check that the mapping holds the current
 	// column — a checkpoint must cover the collection's LSN and rows —
 	// then swap every pointer in one epoch.
-	if c.closed || c.n != rows || c.walLSN != lsn || c.updateEpoch.Load() != epoch0 || c.mapped != nil || c.building {
+	if c.closed || c.n != rows || c.walLSN != lsn || c.updateEpoch.Load() != epoch0 || c.mapped != nil || c.build != nil {
 		c.mu.Unlock()
 		m.Close() // never published; unmapping is safe
 		return fmt.Errorf("core: eviction raced a write; retry")
@@ -304,8 +303,8 @@ func (c *Collection) rebindLocked() {
 }
 
 // retireMappingLocked detaches the active mapping without unmapping it
-// (published snapshots may still read through it until Close) and
-// hints the kernel its pages are reclaimable.
+// (pinned readers and a running build may still read through it, until
+// releaseRetiredLocked) and hints the kernel its pages are reclaimable.
 func (c *Collection) retireMappingLocked() {
 	if c.mapped == nil {
 		return
@@ -318,9 +317,34 @@ func (c *Collection) retireMappingLocked() {
 	}
 }
 
-// closeMaps unmaps every column mapping the collection ever served
-// from. Only safe once no reader can hold a snapshot — Close calls it
-// after the WAL and checkpointer are down.
+// releaseRetiredLocked unmaps the retired mappings (all but the current
+// one, which is always last) once nothing reads them: no build runs, the
+// index scores c.data (rebindLocked), and no reader is pinned, proven by
+// tryPatchLocked's handshake. Called with mu held from publishLocked.
+func (c *Collection) releaseRetiredLocked() {
+	retired := len(c.maps)
+	if c.mapped != nil {
+		retired--
+	}
+	if retired == 0 || c.build != nil {
+		return
+	}
+	if _, ok := c.ann.(index.Remappable); c.ann != nil && !ok {
+		return
+	}
+	c.patching.Store(1)
+	if c.active.Load() == 0 {
+		for _, m := range c.maps[:retired] {
+			m.Close() // a failed unmap leaks address space, nothing else
+		}
+		c.maps = slices.Delete(c.maps, 0, retired)
+	}
+	c.patching.Store(0)
+}
+
+// closeMaps unmaps every column mapping the collection still holds.
+// Only safe once no reader can hold a snapshot — Close calls it after
+// the WAL and checkpointer are down.
 func (c *Collection) closeMaps() error {
 	c.mu.Lock()
 	maps := c.maps

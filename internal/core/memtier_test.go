@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"vdbms/internal/dataset"
+	"vdbms/internal/executor"
 	"vdbms/internal/filter"
 	"vdbms/internal/index"
 	"vdbms/internal/memory"
@@ -859,10 +860,11 @@ func registerColumnIndex() {
 	})
 }
 
-// TestCreateIndexDuringEviction: a CreateIndex build pins the heap
-// column it reads; when an eviction completes while it runs, the index
-// it installs is rebound onto the mapping instead of keeping the heap
-// column alive under a collection that reports the mmap tier.
+// TestCreateIndexDuringEviction: a CreateIndex build runs on the
+// collection's builder, so an eviction that lands during it is refused
+// with the retry error and the column stays on heap; once CreateIndex
+// returns, eviction maps the column and the installed index is rebound
+// onto the mapping.
 func TestCreateIndexDuringEviction(t *testing.T) {
 	if !storage.MmapSupported() {
 		t.Skip("no mmap on this platform")
@@ -877,11 +879,17 @@ func TestCreateIndexDuringEviction(t *testing.T) {
 	created := make(chan error, 1)
 	go func() { created <- c.CreateIndex("testcolumn", nil) }()
 	<-colStarted
-	if err := c.EvictToMmap(); err != nil {
-		t.Fatal(err)
+	if err := c.EvictToMmap(); err == nil || !strings.Contains(err.Error(), "retry") {
+		t.Fatalf("eviction during the build: %v, want the retry error", err)
+	}
+	if tier := c.Tier(); tier != "heap" {
+		t.Fatalf("tier %q during the build, want heap", tier)
 	}
 	release()
 	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EvictToMmap(); err != nil {
 		t.Fatal(err)
 	}
 	if tier := c.Tier(); tier != "mmap" {
@@ -889,14 +897,164 @@ func TestCreateIndexDuringEviction(t *testing.T) {
 	}
 	c.mu.Lock()
 	ci, ok := c.ann.(colIndex)
-	rebound := ok && &ci.data[0] == &c.data[0]
+	rebound := ok && &ci.data[0] == &c.data[0] && &c.data[0] == &c.mapped.Raw()[0]
 	c.mu.Unlock()
 	if !rebound {
 		t.Fatal("the installed index does not score the mapped column")
 	}
 	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(9), K: 1})
 	if err != nil || res.Hits[0].ID != 9 || res.Hits[0].Dist != 0 {
-		t.Fatalf("search after install: %+v %v", res, err)
+		t.Fatalf("search after eviction: %+v %v", res, err)
+	}
+}
+
+// mapsHeld reports how many column mappings the collection holds.
+func mapsHeld(c *Collection) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.maps)
+}
+
+// TestRetiredMappingsReleased: the mapping a promotion retires is
+// unmapped by the first write that finds no build running and no reader
+// pinned, so a collection cycling between the tiers — in memory, or
+// durable and evicting onto a fresh checkpoint each time — holds at
+// most its current mapping, not one per eviction until Close.
+func TestRetiredMappingsReleased(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	cycle := func(t *testing.T, c *Collection, insert func(i int) error) {
+		t.Helper()
+		attachTestManager(t, c)
+		for i := 0; i < 20; i++ {
+			if err := c.EvictToMmap(); err != nil {
+				t.Fatalf("cycle %d: %v", i, err)
+			}
+			if err := insert(i); err != nil {
+				t.Fatal(err)
+			}
+			if held := mapsHeld(c); held > 1 {
+				t.Fatalf("cycle %d: %d mappings held, want at most 1", i, held)
+			}
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		c, ds := newCol(t, 200)
+		defer c.Close()
+		cycle(t, c, func(i int) error {
+			_, err := c.Insert(ds.Row(i), map[string]filter.Value{"g": filter.IntV(1)})
+			return err
+		})
+	})
+	t.Run("durable", func(t *testing.T) {
+		c, ds := newDurable(t, t.TempDir(), 200, DurabilityOptions{Fsync: wal.SyncNever})
+		defer c.Close()
+		cycle(t, c, func(i int) error {
+			_, err := c.Insert(ds.Row(i), durableRowAttrs(i))
+			return err
+		})
+	})
+}
+
+// TestPinnedReaderKeepsRetiredMapping: a reader pinned across a
+// promotion keeps scoring the mapped epoch it loaded — the row an
+// update replaced still answers from the mapping — and the mapping is
+// released by the first write after the reader unpins.
+func TestPinnedReaderKeepsRetiredMapping(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	c, ds := newCol(t, 200)
+	defer c.Close()
+	attachTestManager(t, c)
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	c.beginRead()
+	s := c.snap.Load()
+	exact := func() []Result {
+		hits, _, err := s.env.Search(ds.Row(9), 3, nil, executor.Options{Deleted: s.deleted()}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	before := exact()
+	if err := c.UpdateVector(9, ds.Row(10)); err != nil { // promotes: the column is copied
+		t.Fatal(err)
+	}
+	if tier := c.Tier(); tier != "heap" || mapsHeld(c) != 1 {
+		t.Fatalf("after the promotion: tier %q with %d mappings, want heap keeping the pinned one", tier, mapsHeld(c))
+	}
+	after := exact()
+	sameResults(t, before, after, "pinned epoch across a promotion")
+	if after[0].ID != 9 || after[0].Dist != 0 {
+		t.Fatalf("pinned epoch lost row 9's old vector: %+v", after)
+	}
+	c.endRead()
+	if _, err := c.Insert(ds.Row(0), map[string]filter.Value{"g": filter.IntV(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if held := mapsHeld(c); held != 0 {
+		t.Fatalf("%d mappings held after the reader unpinned and a write, want 0", held)
+	}
+	res, err := c.Search(bg, SearchRequest{Vector: ds.Row(10), K: 2})
+	if err != nil || len(res.Hits) != 2 || res.Hits[1].Dist != 0 {
+		t.Fatalf("search after release: %+v %v", res, err)
+	}
+}
+
+// TestRetiredDuringBuildRebinds: a build that reads a mapping a write
+// retires mid-build keeps it alive until the build ends; the index it
+// installs is rebound onto the current heap column, the mapping is
+// released, and the index still answers correctly.
+func TestRetiredDuringBuildRebinds(t *testing.T) {
+	if !storage.MmapSupported() {
+		t.Skip("no mmap on this platform")
+	}
+	registerColumnIndex()
+	c, ds := newCol(t, 200)
+	defer c.Close()
+	attachTestManager(t, c)
+	if err := c.EvictToMmap(); err != nil {
+		t.Fatal(err)
+	}
+	colGate, colStarted = make(chan struct{}), make(chan struct{}, 1)
+	release := sync.OnceFunc(func() { close(colGate) })
+	defer release()
+	created := make(chan error, 1)
+	go func() { created <- c.CreateIndex("testcolumn", nil) }()
+	<-colStarted
+	if err := c.UpdateVector(9, ds.Row(9)); err != nil { // promotes mid-build
+		t.Fatal(err)
+	}
+	if tier, held := c.Tier(), mapsHeld(c); tier != "heap" || held != 1 {
+		t.Fatalf("mid-build: tier %q with %d mappings, want heap keeping the one the build reads", tier, held)
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if held := mapsHeld(c); held != 0 {
+		t.Fatalf("%d mappings held after the install, want 0", held)
+	}
+	c.mu.Lock()
+	ci, ok := c.ann.(colIndex)
+	rebound := ok && &ci.data[0] == &c.data[0]
+	c.mu.Unlock()
+	if !rebound {
+		t.Fatal("the installed index does not score the heap column")
+	}
+	for _, row := range []int{0, 9, 199} {
+		hits, err := ci.Search(ds.Row(row), 1, index.Params{})
+		if err != nil || hits[0].ID != int64(row) || hits[0].Dist != 0 {
+			t.Fatalf("index search for row %d: %+v %v", row, hits, err)
+		}
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(row), K: 1})
+		if err != nil || res.Hits[0].ID != int64(row) || res.Hits[0].Dist != 0 {
+			t.Fatalf("search for row %d: %+v %v", row, res, err)
+		}
 	}
 }
 

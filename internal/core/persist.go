@@ -258,10 +258,14 @@ func readPreamble(r io.Reader) (int64, error) {
 	return columnOff, nil
 }
 
-// decodeSnapshot reads and version-checks one serialized snapshot from
-// a stream, materializing the column section on the heap.
-func decodeSnapshot(r io.Reader) (*fileSnapshot, error) {
-	br := bufio.NewReader(r)
+// decodeSnapshot reads and version-checks one serialized snapshot file,
+// materializing the column section on the heap.
+func decodeSnapshot(f *os.File) (*fileSnapshot, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(f)
 	columnOff, err := readPreamble(br)
 	if err != nil {
 		return nil, err
@@ -275,7 +279,7 @@ func decodeSnapshot(r io.Reader) (*fileSnapshot, error) {
 			return nil, fmt.Errorf("core: snapshot padding: %w", err)
 		}
 	}
-	flat, n, dim, err := storage.ReadColumnSection(br)
+	flat, n, dim, err := storage.ReadColumnSection(br, fi.Size()-columnOff)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot column: %w", err)
 	}
@@ -468,12 +472,15 @@ func collectionFromSnapshot(snap *fileSnapshot, m *storage.MmapStore) (*Collecti
 // recipe the family's option table refuses (index.ErrOption; logged
 // before the table bounded its options) leaves the collection
 // unindexed, serving exact scans, instead of failing recovery:
-// CreateIndex has counted the failed build, and the next checkpoint
-// records no index. A collection compacted down to no rows keeps its
-// recipe unbuilt; the builder builds it once rows arrive.
+// CreateIndex has counted the failed build and reverted the recipe to
+// none, so the next checkpoint records no index. A collection compacted
+// to no rows keeps its recipe unbuilt until rows arrive.
 func (c *Collection) buildRecordedIndex() error {
 	c.mu.Lock()
 	kind, opts, n := c.annKind, c.annOpts, c.n
+	if kind != "" && n > 0 {
+		c.annKind, c.annOpts = "", nil // what a refused recipe reverts to
+	}
 	c.mu.Unlock()
 	if kind == "" || n == 0 {
 		return nil
@@ -481,10 +488,6 @@ func (c *Collection) buildRecordedIndex() error {
 	err := c.CreateIndex(kind, opts)
 	if errors.Is(err, index.ErrOption) {
 		log.Printf("vdbms: %q recovers unindexed: recorded %s index %v refused: %v", c.name, kind, opts, err)
-		c.mu.Lock()
-		c.annKind, c.annOpts = "", nil
-		c.publishLocked()
-		c.mu.Unlock()
 		return nil
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"os"
 	"path/filepath"
@@ -155,6 +156,36 @@ func TestLoadUncompactedV3Snapshot(t *testing.T) {
 	}
 	if id, err := c.Insert(rowVec(20), map[string]filter.Value{"g": filter.IntV(60)}); err != nil || id != 20 {
 		t.Fatalf("insert after compact: id %d, %v; want 20", id, err)
+	}
+}
+
+// TestLoadCorruptColumnRows: testdata/uncompacted-v3.snap with its
+// column header's row count set past what the file holds — 2^50 rows,
+// and 2^62, whose byte size overflows int64 — is refused with an error
+// on both read paths, the heap reader Load takes and the mapping
+// Recover takes, before anything is sized by the count.
+func TestLoadCorruptColumnRows(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "uncompacted-v3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnOff := binary.LittleEndian.Uint64(img[8:])
+	for _, rows := range []uint64{1 << 50, 1 << 62} {
+		bad := slices.Clone(img)
+		binary.LittleEndian.PutUint64(bad[columnOff+16:], rows)
+		path := filepath.Join(t.TempDir(), "rows.snap")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("Load with %d rows: want truncated error, got %v", rows, err)
+		}
+		if _, m, err := openSnapshotFile(path); err == nil || !strings.Contains(err.Error(), "truncated") {
+			if m != nil {
+				m.Close()
+			}
+			t.Fatalf("openSnapshotFile with %d rows: want truncated error, got %v", rows, err)
+		}
 	}
 }
 

@@ -633,14 +633,12 @@ func (c *Collection) swapIndex(decision, kind string, opts map[string]int) bool 
 		return false
 	}
 	c.mu.Lock()
-	if c.closed || c.replaying || c.building || c.n == 0 || (kind == c.annKind && maps.Equal(opts, c.annOpts)) {
+	if c.closed || c.replaying || c.build != nil || c.n == 0 || (kind == c.annKind && maps.Equal(opts, c.annOpts)) {
 		c.mu.Unlock()
 		return false
 	}
-	prevKind, prevOpts := c.annKind, c.annOpts
-	c.buildEpoch++
-	c.annKind, c.annOpts = kind, opts
-	c.startBuildLocked(prevKind, prevOpts)
+	prevKind := c.annKind
+	c.changeRecipeLocked(kind, opts)
 	c.mu.Unlock()
 
 	obs.PlanReselects.With(decision).Inc()

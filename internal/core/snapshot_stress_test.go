@@ -195,7 +195,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 }
 
 // Gate for the blocking test index: when armed, builds park on the
-// channel; the synchronous CreateIndex build runs before arming.
+// channel; a CreateIndex issued before arming builds at once.
 var (
 	holdMu      sync.Mutex
 	holdCh      chan struct{}

@@ -218,7 +218,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		rec.schema.Quantization = d.str()
 		rec.schema.RerankK = int(d.u32())
 		n := int(d.u32())
-		rec.schema.Attributes = make(map[string]filter.Kind, n)
+		rec.schema.Attributes = map[string]filter.Kind{} // no hint: n is unchecked
 		for i := 0; i < n && d.err == nil; i++ {
 			col := d.str()
 			rec.schema.Attributes[col] = filter.Kind(d.u8())
@@ -226,7 +226,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	case opInsert:
 		rec.vec = d.f32s()
 		n := int(d.u32())
-		rec.attrs = make(map[string]filter.Value, n)
+		rec.attrs = map[string]filter.Value{}
 		for i := 0; i < n && d.err == nil; i++ {
 			col := d.str()
 			switch filter.Kind(d.u8()) {
@@ -246,7 +246,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	case opCreateIndex:
 		rec.indexKind = d.str()
 		n := int(d.u32())
-		rec.indexOpts = make(map[string]int, n)
+		rec.indexOpts = map[string]int{}
 		for i := 0; i < n && d.err == nil; i++ {
 			k := d.str()
 			rec.indexOpts[k] = int(int64(d.u64()))

@@ -82,12 +82,14 @@ func WriteColumnSection(w io.Writer, flat []float32, n, dim int) error {
 
 // ReadColumnSection reads a column-file image from r onto the heap —
 // the portable path for snapshot streams and platforms without mmap.
-func ReadColumnSection(r io.Reader) (flat []float32, n, dim int, err error) {
+// size is how many bytes r holds from the header on: a header claiming
+// more rows than that is refused before anything is allocated.
+func ReadColumnSection(r io.Reader, size int64) (flat []float32, n, dim int, err error) {
 	hdr := make([]byte, ColumnHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, 0, 0, fmt.Errorf("storage: column header: %w", err)
 	}
-	n, dim, err = parseColumnHeader(hdr, "stream")
+	n, dim, err = parseColumnHeader(hdr, "stream", size-ColumnHeaderSize)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -98,8 +100,9 @@ func ReadColumnSection(r io.Reader) (flat []float32, n, dim int, err error) {
 	return flat, n, dim, nil
 }
 
-// parseColumnHeader validates the fixed column header fields.
-func parseColumnHeader(hdr []byte, name string) (n, dim int, err error) {
+// parseColumnHeader validates the fixed column header fields against
+// the payload bytes that follow the header.
+func parseColumnHeader(hdr []byte, name string, payload int64) (n, dim int, err error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != columnMagic {
 		return 0, 0, fmt.Errorf("storage: %s is not a column file", name)
 	}
@@ -113,6 +116,10 @@ func parseColumnHeader(hdr []byte, name string) (n, dim int, err error) {
 	n = int(binary.LittleEndian.Uint64(hdr[16:]))
 	if dim <= 0 || n < 0 {
 		return 0, 0, fmt.Errorf("storage: column header corrupt (dim=%d n=%d)", dim, n)
+	}
+	// n·dim·4 ≤ payload, divided out so that no product can overflow.
+	if int64(n) > payload/4/int64(dim) {
+		return 0, 0, fmt.Errorf("storage: %s truncated: header says %d×%d floats, %d payload bytes follow", name, n, dim, payload)
 	}
 	return n, dim, nil
 }
@@ -147,19 +154,16 @@ func OpenColumnSection(path string, offset int64) (*MmapStore, error) {
 	if _, err := f.ReadAt(hdr, offset); err != nil {
 		return nil, fmt.Errorf("storage: column header: %w", err)
 	}
-	n, dim, err := parseColumnHeader(hdr, path)
-	if err != nil {
-		return nil, err
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	start := offset + ColumnHeaderSize
-	need := start + int64(n)*int64(dim)*4
-	if fi.Size() < need {
-		return nil, fmt.Errorf("storage: column file %s truncated: %d < %d bytes", path, fi.Size(), need)
+	n, dim, err := parseColumnHeader(hdr, path, fi.Size()-start)
+	if err != nil {
+		return nil, err
 	}
+	need := start + int64(n)*int64(dim)*4
 	raw, err := mmapFile(f, int(fi.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("storage: mmap %s: %w", path, err)

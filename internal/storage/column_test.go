@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -62,7 +64,7 @@ func TestColumnSectionRoundTrip(t *testing.T) {
 	if err := WriteColumnSection(&buf, flat, n, d); err != nil {
 		t.Fatal(err)
 	}
-	got, gn, gd, err := ReadColumnSection(&buf)
+	got, gn, gd, err := ReadColumnSection(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,20 @@ func TestOpenColumnCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// rows rewrites the header's row count: 2^50 rows would allocate
+	// petabytes, and 2^62 rows of 4 floats overflow n·dim·4 to 0 bytes.
+	rows := func(n uint64) []byte {
+		b := slices.Clone(img)
+		binary.LittleEndian.PutUint64(b[16:], n)
+		return b
+	}
 	cases := map[string][]byte{
 		"bad-magic":         append(append([]byte{}, 'X', 'X', 'X', 'X'), img[4:]...),
 		"truncated-header":  img[:ColumnHeaderSize/2],
 		"truncated-payload": img[:len(img)-7],
 		"empty":             {},
+		"huge-row-count":    rows(1 << 50),
+		"overflowing-rows":  rows(1 << 62),
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -138,6 +149,9 @@ func TestOpenColumnCorruption(t *testing.T) {
 			if m, err := OpenColumnSection(p, 0); err == nil {
 				m.Close()
 				t.Fatal("opened a corrupt column file")
+			}
+			if _, _, _, err := ReadColumnSection(bytes.NewReader(corrupt), int64(len(corrupt))); err == nil {
+				t.Fatal("read a corrupt column image onto the heap")
 			}
 		})
 	}

@@ -233,8 +233,18 @@ func TestScorerPathConsistency(t *testing.T) {
 			t.Fatalf("Mahalanobis scorer: %v (factored %v)", err, mah != nil && mah.chol != nil)
 		}
 		scalar := map[Metric]DistanceFunc{L2: SquaredL2, InnerProduct: NegInnerProduct}
+		// The scalar metrics have no cached state and no kernel path;
+		// they join the symmetry case only.
+		for _, m := range []Metric{L1, Linf, Hamming} {
+			sc, err := NewScorer(m, data, n, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSymmetry(t, fmt.Sprintf("%v d=%d", m, d), sc, n)
+		}
 		for _, sc := range []*Scorer{l2, ip, cos, mah} {
 			m := sc.Metric()
+			checkSymmetry(t, fmt.Sprintf("%v d=%d", m, d), sc, n)
 			// The query is a stored row, so that ScoreRows, which takes
 			// both sides from the cache, has a ScoreAt to agree with.
 			const qi = 17
@@ -292,6 +302,35 @@ func TestScorerPathConsistency(t *testing.T) {
 			}
 			checkWithin(t, fmt.Sprintf("%v d=%d NaN query", m, d), nb, nref, ids)
 		}
+	}
+}
+
+// asymmetricRows lists the metrics whose ScoreRows(i, j) and
+// ScoreRows(j, i) may differ in the last bit. Cosine computes
+// 1 − dp·inv[j]·inv[i], and the float products round differently when
+// the arguments swap. A graph build that stores d(id, nb) where it
+// would compute d(nb, id) must keep re-scoring for these metrics.
+var asymmetricRows = map[Metric]bool{Cosine: true}
+
+// checkSymmetry holds ScoreRows to symmetry, bit for bit, over every
+// pair of the first rows — except for a metric in asymmetricRows, which
+// must show at least one asymmetric pair, so that the list stays exact.
+func checkSymmetry(t *testing.T, label string, sc *Scorer, n int) {
+	t.Helper()
+	rows := min(n, 60)
+	asym := 0
+	for i := 0; i < rows; i++ {
+		for j := i + 1; j < rows; j++ {
+			if a, b := sc.ScoreRows(i, j), sc.ScoreRows(j, i); !sameBits(a, b) {
+				if !asymmetricRows[sc.Metric()] {
+					t.Fatalf("%s: ScoreRows(%d, %d) = %v, ScoreRows(%d, %d) = %v", label, i, j, a, j, i, b)
+				}
+				asym++
+			}
+		}
+	}
+	if asymmetricRows[sc.Metric()] && asym == 0 {
+		t.Fatalf("%s: listed as asymmetric, but every pair scores the same both ways", label)
 	}
 }
 

@@ -83,10 +83,22 @@ go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornT
 # checkpoint after more writes, answers byte-identically mapped and
 # after Recover, and races evictions against queries and logged writes;
 # Checkpoint and Save allocate no copy of a 20 000 x 128 column in
-# either tier; an index whose CreateIndex build outlives an eviction is
-# rebound onto the mapping when it installs.
+# either tier; an eviction during a CreateIndex build is refused and,
+# after it, maps the column under the installed index. A mapping a
+# promotion retires is unmapped by the first write with no build
+# running and no reader pinned: 20 evict/insert cycles hold at most one
+# mapping, a reader pinned across a promotion keeps scoring its epoch,
+# and a build that read a mapping retired mid-build installs an index
+# rebound onto the heap column.
 go test -race -count=1 -timeout 3m -run 'TestBoundedMemoryLadderSmoke' .
-go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence|TestEvictConcurrent|TestDurableEvictMapsCheckpoint|TestSnapshotWritesCopyNoColumn|TestCreateIndexDuringEviction' ./internal/server/ ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence|TestEvictConcurrent|TestDurableEvictMapsCheckpoint|TestSnapshotWritesCopyNoColumn|TestCreateIndexDuringEviction|TestRetiredMappingsReleased|TestPinnedReaderKeepsRetiredMapping|TestRetiredDuringBuildRebinds' ./internal/server/ ./internal/core/
+# One builder per collection: a CreateIndex racing a parked staleness
+# rebuild, a drift swap or a second CreateIndex never runs beside it
+# (a counting index sees one build in flight), each call returns its
+# own build's error or nil when superseded, and a Compact mid-build has
+# CreateIndex wait for the rebuild. Builder, writers and waiters share
+# the collection, so -race.
+go test -race -count=1 -timeout 3m -run 'TestOneBuildInFlight|TestCreateIndexSupersededByCompact|TestSearchDuringBackgroundBuild' ./internal/core/
 # Recall loop gates. The tuner must converge on a degraded index
 # (coarse IVF, target_recall=0.95 -> a trusted frontier resolving a
 # parameter cheaper than the ladder maximum that still meets the
@@ -183,6 +195,16 @@ go test -run '^$' -fuzz '^FuzzDecodeSearchBody$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzIndexOptions$' -fuzztime 10s ./internal/index/
 go test -run '^$' -fuzz '^FuzzSearchRequest$' -fuzztime 10s ./internal/server/
+# Persistence inputs and VQL are fuzzed for panics and for allocations
+# sized by an unchecked count: a WAL record payload (decoded, then
+# replayed onto a fresh collection), a WAL segment through wal.Scan, a
+# snapshot file through Load and Recover (seeded with the pre-ids v3
+# file and a fresh Save), and a VQL statement. Minimizing one new
+# snapshot input takes thousands of Load+Recover runs, so it is capped.
+go test -run '^$' -fuzz '^FuzzWALRecord$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
+go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/wal/
+go test -run '^$' -fuzz '^FuzzVQL$' -fuzztime 10s ./internal/vql/
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithinABucket|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
