@@ -333,10 +333,6 @@ type Collection struct {
 	mapped   *storage.MmapStore
 	maps     []*storage.MmapStore
 	spillDir string
-	// lastAdvise dedupes executor access-pattern hints so steady-state
-	// queries against a mapped column pay an atomic load, not a madvise
-	// syscall, per query. 0 = unset; otherwise 1+AccessPattern.
-	lastAdvise atomic.Int32
 }
 
 // beginRead pins the caller as an active reader: until the matching
@@ -421,9 +417,6 @@ func (c *Collection) publishLocked() {
 	// Hand the executor the shared stats tracker before the env becomes
 	// visible to readers — after the Store it is immutable by contract.
 	env.Stats = c.stats
-	if c.mapped != nil {
-		env.Advise = c.adviseHook(c.mapped)
-	}
 	c.accountLocked()
 	c.snap.Store(&snapshot{
 		rows:    c.n,
@@ -1025,7 +1018,7 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 				len(req.Weights), len(req.Vectors))
 		}
 		rec.Plan = planner.Plan{Kind: planner.SingleStage}
-		res.Hits, err = c.multiVector(s, req, agg, opts)
+		res.Hits, err = c.multiVector(s, req, agg, preds, opts)
 	case forced:
 		res.Hits, err = env.Execute(plan, req.Vector, req.K, preds, opts)
 		s.toIDs(res.Hits)
@@ -1074,7 +1067,9 @@ func (c *Collection) entityMap(s *snapshot, name string, col *filter.Column) *ex
 	return m
 }
 
-func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggregator, opts executor.Options) ([]Result, error) {
+// multiVector answers a multi-vector query on s: entities are scored
+// over their live rows that pass preds.
+func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggregator, preds []filter.Predicate, opts executor.Options) ([]Result, error) {
 	env := s.env
 	col, ok := env.Attrs.Column(req.EntityColumn)
 	if !ok {
@@ -1085,9 +1080,9 @@ func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggreg
 	}
 	m := c.entityMap(s, req.EntityColumn, col)
 	if env.ANN != nil {
-		return env.MultiVectorANN(m, agg, req.Vectors, req.Weights, req.K, 0, opts)
+		return env.MultiVectorANN(m, agg, req.Vectors, req.Weights, req.K, 0, preds, opts)
 	}
-	return env.MultiVectorExact(m, agg, req.Vectors, req.Weights, req.K)
+	return env.MultiVectorExact(m, agg, req.Vectors, req.Weights, req.K, preds, opts)
 }
 
 // SearchRange returns all live rows within the squared-distance

@@ -5,7 +5,6 @@ import (
 	"os"
 	"slices"
 
-	"vdbms/internal/executor"
 	"vdbms/internal/index"
 	"vdbms/internal/memory"
 	"vdbms/internal/storage"
@@ -98,26 +97,6 @@ func indexMemoryBytes(idx index.Index) (structure, codes int64) {
 		return f.MemoryBytes()
 	}
 	return 0, 0
-}
-
-// adviseHook builds the executor's access-pattern hook for one mapped
-// column: the planner's chosen plan tells the kernel whether the query
-// will stream the whole column (enlarge readahead, drop behind) or
-// probe random rows (fault only the touched pages). Repeated hints
-// dedupe on lastAdvise, so the syscall is paid only when the workload's
-// plan mix actually changes.
-func (c *Collection) adviseHook(m *storage.MmapStore) func(executor.AccessPattern) {
-	return func(p executor.AccessPattern) {
-		want := int32(p) + 1 // 0 means "no hint issued yet"
-		if c.lastAdvise.Load() == want || c.lastAdvise.Swap(want) == want {
-			return
-		}
-		if p == executor.AdviseSequential {
-			m.AdviseSequential()
-		} else {
-			m.AdviseRandom()
-		}
-	}
 }
 
 // dropCaches is the DropCaches-rung hook: release per-collection
@@ -221,7 +200,6 @@ func (c *Collection) EvictToMmap() error {
 	c.mapped = m
 	c.maps = append(c.maps, m)
 	c.data = m.Raw()
-	c.lastAdvise.Store(0) // fresh mapping, no hint issued yet
 	// Same row count: the scorer just repoints its data pointer; cached
 	// per-row state (norms) is content-derived and stays valid.
 	c.scorer.Extend(c.data, c.n)
@@ -253,11 +231,7 @@ func spillColumn(dir, name string, data []float32, n, d int) (*storage.MmapStore
 		m, err = storage.OpenColumnSection(f.Name(), 0)
 	}
 	os.Remove(f.Name())
-	if err != nil {
-		return nil, err
-	}
-	m.AdviseRandom()
-	return m, nil
+	return m, err
 }
 
 // PromoteToHeap copies an evicted column back to heap and rebinds the
@@ -311,7 +285,6 @@ func (c *Collection) retireMappingLocked() {
 	}
 	c.mapped.AdviseDontNeed()
 	c.mapped = nil
-	c.lastAdvise.Store(0)
 	if a := c.acct.Load(); a != nil {
 		a.SetEvicted(false)
 	}

@@ -47,25 +47,7 @@ type Env struct {
 	// from the queries it has served exactly as a collection does.
 	Stats *stats.Collection
 	own   atomic.Pointer[stats.Collection]
-	// Advise, when non-nil, receives the access pattern the chosen plan
-	// is about to drive over Data — AdviseSequential for exhaustive
-	// scans (brute force, pre-filter allowlists, range scans),
-	// AdviseRandom for index traversals. Collections whose column is
-	// mmap-backed forward it to madvise so the kernel sizes readahead to
-	// the plan; heap-backed collections leave it nil. Must be safe for
-	// concurrent calls and cheap when the pattern is unchanged.
-	Advise func(pattern AccessPattern)
 }
-
-// AccessPattern is the plan-level access hint fed to Env.Advise.
-type AccessPattern int
-
-const (
-	// AdviseSequential marks a full-column pass (flat scans).
-	AdviseSequential AccessPattern = iota
-	// AdviseRandom marks point lookups driven by an index traversal.
-	AdviseRandom
-)
 
 // tracker is where the Env's observations go and its measured inputs
 // come from: the owner's Stats, or else the Env's own tracker.
@@ -78,13 +60,6 @@ func (e *Env) tracker() *stats.Collection {
 	}
 	e.own.CompareAndSwap(nil, stats.New(""))
 	return e.own.Load()
-}
-
-// advise forwards the plan's access pattern to the owner's hook.
-func (e *Env) advise(p AccessPattern) {
-	if e.Advise != nil {
-		e.Advise(p)
-	}
 }
 
 // NewEnv wires an environment, building the Flat index. Canonical vec
@@ -304,16 +279,12 @@ func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predica
 	rec.Plan, rec.preds = p, preds
 	switch p.Kind {
 	case planner.BruteForce:
-		e.advise(AdviseSequential)
 		return e.bruteForce(q, k, cp, opts, rec)
 	case planner.PreFilter:
-		e.advise(AdviseSequential)
 		return e.preFilter(q, k, cp, opts, rec)
 	case planner.PostFilter:
-		e.advise(AdviseRandom)
 		return e.postFilter(q, k, cp, p.Alpha, opts, rec)
 	case planner.SingleStage:
-		e.advise(AdviseRandom)
 		return e.singleStage(q, k, cp, opts, rec)
 	default:
 		return nil, fmt.Errorf("executor: unknown plan %v", p.Kind)
@@ -605,7 +576,6 @@ func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate,
 		rec = new(Record)
 	}
 	defer func() { e.publish(rec, err) }()
-	e.advise(AdviseSequential)
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, err
@@ -658,7 +628,6 @@ func (e *Env) ReplayANN(q []float32, k, ef, nprobe int, preds []filter.Predicate
 // inflating the very serving statistics it is meant to validate.
 // deleted mirrors Options.Deleted (deletion mask).
 func (e *Env) ExactGroundTruth(q []float32, k int, preds []filter.Predicate, deleted *bitset.Bitset) ([]topk.Result, error) {
-	e.advise(AdviseSequential)
 	cp, err := e.compile(preds)
 	if err != nil {
 		return nil, err

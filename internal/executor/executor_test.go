@@ -348,14 +348,14 @@ func TestMultiVectorExactAndANN(t *testing.T) {
 		t.Fatal("entity map wrong")
 	}
 	queries := [][]float32{ds.Row(30), ds.Row(31)}
-	exact, err := env.MultiVectorExact(m, vec.AggMin, queries, nil, 5)
+	exact, err := env.MultiVectorExact(m, vec.AggMin, queries, nil, 5, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact[0].ID != 10 { // rows 30,31 belong to entity 10; min distance 0
 		t.Fatalf("exact top entity = %d", exact[0].ID)
 	}
-	approx, err := env.MultiVectorANN(m, vec.AggMin, queries, nil, 5, 20, Options{Ef: 100})
+	approx, err := env.MultiVectorANN(m, vec.AggMin, queries, nil, 5, 20, nil, Options{Ef: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +382,13 @@ func TestMultiVectorValidation(t *testing.T) {
 	env, ds := buildEnv(t, 90)
 	owner := make([]int64, ds.Count)
 	m := NewEntityMap(owner)
-	if _, err := env.MultiVectorExact(m, vec.AggMin, [][]float32{{1}}, nil, 5); err == nil {
+	if _, err := env.MultiVectorExact(m, vec.AggMin, [][]float32{{1}}, nil, 5, nil, Options{}); err == nil {
 		t.Fatal("want dim error")
 	}
-	if _, err := env.MultiVectorExact(m, vec.AggMin, nil, nil, 0); err == nil {
+	if _, err := env.MultiVectorExact(m, vec.AggMin, nil, nil, 0, nil, Options{}); err == nil {
 		t.Fatal("want bad-k error")
 	}
-	if _, err := env.MultiVectorANN(m, vec.AggMin, nil, nil, 0, 0, Options{}); err == nil {
+	if _, err := env.MultiVectorANN(m, vec.AggMin, nil, nil, 0, 0, nil, Options{}); err == nil {
 		t.Fatal("want bad-k error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vdbms/internal/filter"
 	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
@@ -49,8 +50,10 @@ func (m *EntityMap) Members(ent int64) []int32 { return m.members[ent] }
 func (m *EntityMap) Owner(row int64) int64 { return m.owner[row] }
 
 // MultiVectorExact scores every entity by the aggregate of pairwise
-// distances between the query vectors and the entity's vectors.
-func (e *Env) MultiVectorExact(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k int) ([]topk.Result, error) {
+// distances between the query vectors and the entity's admitted rows:
+// rows in opts.Deleted or failing preds do not count, and an entity
+// with no admitted row is not returned. It publishes nothing.
+func (e *Env) MultiVectorExact(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k int, preds []filter.Predicate, opts Options) ([]topk.Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("executor: k must be positive")
 	}
@@ -59,25 +62,20 @@ func (e *Env) MultiVectorExact(m *EntityMap, agg vec.Aggregator, queries [][]flo
 			return nil, fmt.Errorf("executor: multi-vector query dim %d, env %d", len(q), e.Dim)
 		}
 	}
-	c := topk.NewCollector(k)
-	for _, ent := range m.Entities() {
-		rows := m.Members(ent)
-		entityVecs := make([][]float32, len(rows))
-		for i, r := range rows {
-			entityVecs[i] = e.Data[int(r)*e.Dim : (int(r)+1)*e.Dim]
-		}
-		d := vec.AggregateDistance(agg, e.Fn, queries, entityVecs, weights)
-		c.Push(ent, d)
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
 	}
-	return c.Results(), nil
+	return e.scoreEntities(m, m.Entities(), agg, queries, weights, k, visitFilter(cp, opts.Deleted)), nil
 }
 
-// MultiVectorANN generates candidate entities by running one ANN
-// search of width fanout per query vector, then aggregate-scores only
-// the union — trading a small recall loss for large speedups when
-// entities are many. The probes fold into one index_probe stage of the
-// query's record.
-func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k, fanout int, opts Options) (_ []topk.Result, err error) {
+// MultiVectorANN generates candidate entities by running one
+// single-stage search of width fanout per query vector over the
+// admitted rows (live and matching preds), then aggregate-scores only
+// the union over the same rows — trading a small recall loss for large
+// speedups when entities are many. The probes fold into one
+// index_probe stage of the query's record.
+func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float32, weights []float32, k, fanout int, preds []filter.Predicate, opts Options) (_ []topk.Result, err error) {
 	rec := opts.Record
 	if rec == nil {
 		rec = new(Record)
@@ -89,9 +87,14 @@ func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float
 	if fanout <= 0 {
 		fanout = 4 * k
 	}
+	cp, err := e.compile(preds)
+	if err != nil {
+		return nil, err
+	}
+	rec.preds = preds
 	cands := map[int64]struct{}{}
 	for _, q := range queries {
-		res, err := e.indexOrFlat(q, fanout, opts, rec)
+		res, err := e.singleStage(q, fanout, cp, opts, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -105,14 +108,25 @@ func (e *Env) MultiVectorANN(m *EntityMap, agg vec.Aggregator, queries [][]float
 		ids = append(ids, ent)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return e.scoreEntities(m, ids, agg, queries, weights, k, visitFilter(cp, opts.Deleted)), nil
+}
+
+// scoreEntities returns the k entities of ents nearest the queries by
+// the aggregate over their rows that admit accepts (every row when
+// admit is nil); an entity with no admitted row is skipped.
+func (e *Env) scoreEntities(m *EntityMap, ents []int64, agg vec.Aggregator, queries [][]float32, weights []float32, k int, admit func(int64) bool) []topk.Result {
 	c := topk.NewCollector(k)
-	for _, ent := range ids {
-		rows := m.Members(ent)
-		entityVecs := make([][]float32, len(rows))
-		for i, r := range rows {
-			entityVecs[i] = e.Data[int(r)*e.Dim : (int(r)+1)*e.Dim]
+	var rows [][]float32
+	for _, ent := range ents {
+		rows = rows[:0]
+		for _, r := range m.Members(ent) {
+			if admit == nil || admit(int64(r)) {
+				rows = append(rows, e.Data[int(r)*e.Dim:(int(r)+1)*e.Dim])
+			}
 		}
-		c.Push(ent, vec.AggregateDistance(agg, e.Fn, queries, entityVecs, weights))
+		if len(rows) > 0 {
+			c.Push(ent, vec.AggregateDistance(agg, e.Fn, queries, rows, weights))
+		}
 	}
-	return c.Results(), nil
+	return c.Results()
 }

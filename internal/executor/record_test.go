@@ -102,7 +102,7 @@ func TestRecordReconciles(t *testing.T) {
 	m := NewEntityMap(owner)
 	for i := 0; i+3 <= 30; i += 3 {
 		var rec Record
-		env.MultiVectorANN(m, vec.AggMin, qs[i:i+3], nil, 5, 0, Options{Ef: 32, Record: &rec}) //nolint:errcheck
+		env.MultiVectorANN(m, vec.AggMin, qs[i:i+3], nil, 5, 0, nil, Options{Ef: 32, Record: &rec}) //nolint:errcheck
 		if rec.Probes != 3 || len(rec.Trace("search", 0).Children) != 1 {
 			t.Fatalf("multi-vector record: %d probes, trace %+v; want 3 probes folded into one index_probe", rec.Probes, rec.Trace("search", 0))
 		}

@@ -117,3 +117,29 @@ func BenchmarkBeamSearch(b *testing.B) {
 		}
 	}
 }
+
+// TestUpperLayerBytes holds the memory the budget accounts for the
+// benchmark's graph: each layer above the base costs at most 8 bytes
+// per node with a list plus 4 per edge (no offset per node of the
+// graph), and the whole structure at most 1.40 MB.
+func TestUpperLayerBytes(t *testing.T) {
+	h, _, _, _ := benchGraph(t)
+	for l, nh := range h.Layers()[1:] {
+		nodes, edges := 0, 0
+		for i := 0; i < nh.Len(); i++ {
+			if e := len(nh.Neighbors(int32(i))); e > 0 {
+				nodes++
+				edges += e
+			}
+		}
+		if got, limit := graph.NeighborhoodBytes(nh), 8*nodes+4*edges; got > limit {
+			t.Errorf("layer %d: %d B for %d nodes and %d edges, want at most %d", l+1, got, nodes, edges, limit)
+		}
+		t.Logf("layer %d: %d nodes, %d edges, %d B", l+1, nodes, edges, graph.NeighborhoodBytes(nh))
+	}
+	structure, _ := h.MemoryBytes()
+	t.Logf("structure %d B (base %d B)", structure, graph.NeighborhoodBytes(h.Layers()[0]))
+	if structure > 1_400_000 {
+		t.Errorf("structure %d B, want at most 1 400 000", structure)
+	}
+}

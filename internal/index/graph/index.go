@@ -23,17 +23,20 @@ type Index struct {
 	quant   index.QuantSpec
 }
 
-// NewIndex freezes the layers a family constructed, base layer first,
-// and serves them as name, starting every search from entries (HNSW
-// descends from its single top entry). When spec selects a codec the
-// quantized kernel is trained here, after construction: insertion and
-// pruning compare stored rows pairwise at full precision, which codes
-// cannot serve, so only the finished graph's traversal scans codes.
+// NewIndex freezes the layers a family constructed, base layer first
+// (the base as a dense Slab, each sparser layer above it as a
+// sparseSlab), and serves them as name, starting every search from
+// entries (HNSW descends from its single top entry). When spec selects
+// a codec the quantized kernel is trained here, after construction:
+// insertion and pruning compare stored rows pairwise at full
+// precision, which codes cannot serve, so only the finished graph's
+// traversal scans codes.
 func NewIndex(name string, s *Searcher, layers []Adjacency, entries []int32, spec index.QuantSpec) (*Index, error) {
 	g := &Index{name: name, s: s, entries: entries, n: len(layers[0]), quant: spec,
 		layers: make([]Neighborhoods, len(layers))}
-	for l, adj := range layers {
-		g.layers[l] = Freeze(adj)
+	g.layers[0] = Freeze(layers[0])
+	for l, adj := range layers[1:] {
+		g.layers[l+1] = freezeSparse(adj)
 	}
 	qsc, err := index.BuildQuantKernel(spec, s.Scorer.Metric(), s.Data, g.n, s.Dim)
 	if err != nil {

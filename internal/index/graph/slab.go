@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"unsafe"
 
 	"vdbms/internal/vec"
@@ -39,6 +40,67 @@ func Freeze(adj Adjacency) Neighborhoods {
 	return s
 }
 
+// sparseSlab is frozen adjacency for a layer where few nodes have a
+// list, as in HNSW's layers above the base: the sorted ids of the nodes
+// with a list, each beside the end offset of its list in flat, so the
+// layer costs 8 bytes per such node plus 4 per edge instead of a dense
+// offset per node of the graph.
+type sparseSlab struct {
+	ids  []int32  // ascending ids of the nodes with a non-empty list
+	end  []uint32 // ids[i]'s neighbors are flat[end[i-1]:end[i]] (0 for i = 0)
+	flat []int32
+	n    int
+}
+
+// freezeSparse packs adj into a sparseSlab, returning adj unchanged when
+// its edge count overflows uint32 offsets, as Freeze does.
+func freezeSparse(adj Adjacency) Neighborhoods {
+	total, lists := 0, 0
+	for _, nbrs := range adj {
+		total += len(nbrs)
+		if len(nbrs) > 0 {
+			lists++
+		}
+	}
+	if uint64(total) > uint64(^uint32(0)) {
+		return adj
+	}
+	s := &sparseSlab{
+		ids:  make([]int32, 0, lists),
+		end:  make([]uint32, 0, lists),
+		flat: make([]int32, 0, total),
+		n:    len(adj),
+	}
+	for i, nbrs := range adj {
+		if len(nbrs) > 0 {
+			s.flat = append(s.flat, nbrs...)
+			s.ids = append(s.ids, int32(i))
+			s.end = append(s.end, uint32(len(s.flat)))
+		}
+	}
+	return s
+}
+
+// Neighbors implements Neighborhoods with a binary search over the ids
+// that have a list.
+func (s *sparseSlab) Neighbors(id int32) []int32 {
+	i, ok := slices.BinarySearch(s.ids, id)
+	if !ok {
+		return nil
+	}
+	start := uint32(0)
+	if i > 0 {
+		start = s.end[i-1]
+	}
+	return s.flat[start:s.end[i]]
+}
+
+// Len implements Neighborhoods.
+func (s *sparseSlab) Len() int { return s.n }
+
+// Bytes is the resident size of the slab (memory accounting).
+func (s *sparseSlab) Bytes() int { return (len(s.ids) + len(s.end) + len(s.flat)) * 4 }
+
 // Neighbors implements Neighborhoods.
 func (s *Slab) Neighbors(id int32) []int32 {
 	return s.flat[s.off[id]:s.off[id+1]]
@@ -71,6 +133,8 @@ func (s *Slab) Bytes() int { return len(s.flat)*4 + len(s.off)*4 }
 func NeighborhoodBytes(nh Neighborhoods) int {
 	switch g := nh.(type) {
 	case *Slab:
+		return g.Bytes()
+	case *sparseSlab:
 		return g.Bytes()
 	case Adjacency:
 		total := len(g) * 24 // slice headers

@@ -199,25 +199,16 @@ func (m *MmapStore) columnRegion() []byte {
 	return m.raw[start:]
 }
 
-// AdviseSequential hints an upcoming sequential pass (flat scans):
-// the kernel enlarges readahead and drops pages behind the scan.
-func (m *MmapStore) AdviseSequential() error {
-	return madviseRegion(m.columnRegion(), adviseSequential)
-}
-
-// AdviseRandom hints random point accesses (graph traversal probes):
-// disables readahead so each probe faults only its own page.
-func (m *MmapStore) AdviseRandom() error {
-	return madviseRegion(m.columnRegion(), adviseRandom)
-}
-
-// AdviseDontNeed drops resident pages for the column, returning them
-// to the kernel. The mapping stays valid — the next access faults the
-// page back in from the file. This is the "cold" lever of the memory
-// budget ladder and what the bench harness uses to measure cold-tier
-// latency deterministically.
+// AdviseDontNeed tells the kernel the column's pages are not needed
+// now. On this file-backed shared mapping that drops the process's
+// page-table entries only: the page cache keeps the bytes, so the next
+// access is a minor fault served from memory, not a read from disk. A
+// cold read needs the file's page cache dropped as well
+// (posix_fadvise POSIX_FADV_DONTNEED on the file). The mapping stays
+// valid. A retired mapping is advised away so its pages stop counting
+// against the process.
 func (m *MmapStore) AdviseDontNeed() error {
-	return madviseRegion(m.columnRegion(), adviseDontNeed)
+	return madviseDontNeed(m.columnRegion())
 }
 
 // Close unmaps the column. Unsafe while any snapshot still references

@@ -27,19 +27,12 @@ func munmap(b []byte) error {
 	return syscall.Munmap(b)
 }
 
-// Advice values for madviseRegion.
-const (
-	adviseSequential = syscall.MADV_SEQUENTIAL
-	adviseRandom     = syscall.MADV_RANDOM
-	adviseDontNeed   = syscall.MADV_DONTNEED
-)
-
-// madviseRegion hints the kernel about the access pattern for a
-// page-aligned region of a mapping. Errors are returned for tests but
-// callers treat hints as best-effort.
-func madviseRegion(b []byte, advice int) error {
+// madviseDontNeed applies MADV_DONTNEED to a page-aligned region of a
+// mapping. Errors are returned for tests; callers treat it as
+// best-effort.
+func madviseDontNeed(b []byte) error {
 	if len(b) == 0 {
 		return nil
 	}
-	return syscall.Madvise(b, advice)
+	return syscall.Madvise(b, syscall.MADV_DONTNEED)
 }

@@ -22,10 +22,4 @@ func mmapFile(f *os.File, length int) ([]byte, error) {
 
 func munmap(b []byte) error { return nil }
 
-const (
-	adviseSequential = 1
-	adviseRandom     = 2
-	adviseDontNeed   = 4
-)
-
-func madviseRegion(b []byte, advice int) error { return nil }
+func madviseDontNeed(b []byte) error { return nil }

@@ -223,6 +223,11 @@ go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOve
 # undeclared key) is a 400 before any build starts.
 go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413|TestIndexOptionsRefused' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestWeightedSumNeedsOneWeightPerVector' .
+# Multi-vector queries admit rows as single-vector search does: on the
+# exact entity scan and on hnsw candidate generation, a deleted row or
+# one failing the filters does not count toward its entity's score, and
+# an entity with none left is not returned.
+go test -race -count=1 -timeout 3m -run 'TestMultiVectorAdmitsLiveFilteredRows' ./internal/core/
 # Request path smoke: the decoder against encoding/json on the
 # ann_search body, and one loopback round trip.
 go test -run '^$' -bench 'BenchmarkDecodeSearchBody|BenchmarkServeSearch' -benchtime 1x ./internal/server/
@@ -271,3 +276,8 @@ go test -run '^$' -bench 'BenchmarkQuantScan/sq8' -benchtime 1x ./internal/index
 go test -run '^$' -bench 'BenchmarkPlanTuned/tuned' -benchtime 1x -timeout 30m ./internal/core/
 go test -run '^$' -bench 'BenchmarkFlatScan' -benchtime 1x ./internal/index/
 go test -run '^$' -bench 'BenchmarkMixedReadWrite|BenchmarkWALInsert|BenchmarkMemTierSearch' -benchtime 1x ./internal/core/
+# Cold mmap tier: a durable 60 000 x 128 hnsw collection evicted onto
+# its checkpoint, with its mapping's pages and the checkpoint's page
+# cache dropped before each round of default-plan and brute-force
+# queries (Linux only; both acts touch only the benchmark's own files).
+go test -run '^$' -bench 'BenchmarkMemTierCold' -benchtime 1x ./internal/core/
