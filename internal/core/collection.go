@@ -669,13 +669,11 @@ func (c *Collection) Delete(id int64) error {
 // WAL replay. Caller holds mu and has resolved the id to row.
 func (c *Collection) applyDeleteLocked(row int) {
 	// Copy-on-write mask, regrown to the current row count so the new
-	// epoch's bitset covers every id it can be asked about.
+	// epoch's bitset covers every id it can be asked about. The old mask
+	// covers no more rows than there are, so its words copy as they are.
 	del := bitset.New(c.n)
 	if c.del != nil {
-		c.del.ForEach(func(i int) bool {
-			del.Set(i)
-			return true
-		})
+		copy(del.Words(), c.del.Words())
 	}
 	del.Set(row)
 	c.del = del

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vdbms/internal/filter"
@@ -78,14 +79,27 @@ func encodeSchema(name string, s Schema) []byte {
 	return b
 }
 
+// encodeInsert and encodeUpdate size their buffer before writing it:
+// they run on every logged write, and growing from one byte would
+// reallocate it several times per record.
 func encodeInsert(v []float32, attrs map[string]filter.Value, kinds map[string]filter.Kind) []byte {
-	b := []byte{opInsert}
-	b = appendF32s(b, v)
-	cols := make([]string, 0, len(attrs))
-	for c := range attrs {
+	var colsBuf [8]string
+	cols := colsBuf[:0]
+	size := 1 + 4 + 4*len(v) + 4
+	for c, val := range attrs {
 		cols = append(cols, c)
+		size += 4 + len(c) + 1
+		switch kinds[c] {
+		case filter.Int64, filter.Float64:
+			size += 8
+		default:
+			size += 4 + len(val.S)
+		}
 	}
-	sort.Strings(cols)
+	slices.Sort(cols)
+	b := make([]byte, 1, size)
+	b[0] = opInsert
+	b = appendF32s(b, v)
 	b = appendU32(b, uint32(len(cols)))
 	for _, c := range cols {
 		b = appendStr(b, c)
@@ -105,7 +119,8 @@ func encodeInsert(v []float32, attrs map[string]filter.Value, kinds map[string]f
 }
 
 func encodeUpdate(id int64, v []float32) []byte {
-	b := []byte{opUpdate}
+	b := make([]byte, 1, 1+8+4+4*len(v))
+	b[0] = opUpdate
 	b = appendU64(b, uint64(id))
 	return appendF32s(b, v)
 }
