@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/filter"
@@ -78,4 +79,67 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 	close(stop)
 	wg.Wait()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkWriteWhileSearch measures hnsw search throughput on a
+// collection served static and on the same collection written while it
+// is searched: 10 000 × 64 clustered rows indexed at m = 16, searched
+// at ef 64 by b.RunParallel goroutines. Under "writing" one goroutine
+// inserts a row every millisecond beside them, so the index trails the
+// inserts by up to RebuildFraction (0.2) of its rows, each search also
+// scans that tail, and the staleness rule rebuilds the index in the
+// background whenever the tail passes it. queries/s counts searches.
+func BenchmarkWriteWhileSearch(b *testing.B) {
+	const rows, dim = 10000, 64
+	ds := dataset.Clustered(rows+20000, dim, 32, 1, 61)
+	qs := ds.Queries(256, 0.1, 67)
+	for _, name := range []string{"static", "writing"} {
+		c, err := NewCollection("wws", Schema{Dim: dim})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := c.Insert(ds.Row(i), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.CreateIndex("hnsw", map[string]int{"m": 16}); err != nil {
+			b.Fatal(err)
+		}
+		next := rows
+		b.Run(name, func(b *testing.B) {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			if name == "writing" {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ; next < ds.Count; next++ {
+						select {
+						case <-stop:
+							return
+						case <-time.After(time.Millisecond):
+						}
+						if _, err := c.Insert(ds.Row(next), nil); err != nil {
+							panic(err)
+						}
+					}
+				}()
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					if _, err := c.Search(bg, SearchRequest{Vector: qs[i%len(qs)], K: 10, Ef: 64}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
+		c.WaitForIndex()
+	}
 }

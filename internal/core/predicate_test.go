@@ -86,8 +86,12 @@ func referenceTopK(ds *dataset.Dataset, n int, q []float32, k int, admit func(id
 // The installed indexes are exact (a flat index; ivfflat probing every
 // list, which also runs the per-id matcher on several workers at once),
 // so every plan has an exact reference: post_filter's is the
-// unfiltered top alpha*k, filtered.
+// unfiltered top alpha*k, filtered. The tail subtests repeat this on
+// snapshots whose index covers only a prefix of the rows.
 func TestForcedPlansMatchReference(t *testing.T) {
+	for _, kind := range []string{"ivfflat", "hnsw"} {
+		t.Run("tail/"+kind, func(t *testing.T) { forcedPlansWithTail(t, kind) })
+	}
 	const n, dim, k, alpha = 3000, 16, 10, 8
 	for _, ix := range []struct {
 		kind   string
@@ -146,6 +150,137 @@ func TestForcedPlansMatchReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// forcedPlansWithTail runs every forced plan, filtered and unfiltered,
+// at parallelism 1, 2 and 8, on snapshots whose index covers a prefix
+// of the rows and whose tail the executor scans: a tail of inserts past
+// the build, then deletes in both the prefix and the tail, then a
+// Compact (the index rebuilt over the survivors, ids no longer rows)
+// followed by a fresh tail with deletes of its own. An ivfflat index
+// probing every list is exact, so its hits are byte-identical to the
+// reference. hnsw is approximate: brute_force is byte-identical, and
+// every other plan returns live, admitted ids at their exact distances
+// in (dist, id) order, among them every reference hit in the tail —
+// the tail is scanned exactly, so none may be lost to the merge.
+func forcedPlansWithTail(t *testing.T, kind string) {
+	const n0, n, extra, dim, k, alpha = 2400, 3000, 300, 16, 10, 8
+	opts, nprobe, ef := map[string]int{"nlist": 8}, 8, 0
+	if kind == "hnsw" {
+		opts, nprobe, ef = map[string]int{"m": 8}, 0, 48
+	}
+	c, err := NewCollection("tail", Schema{
+		Dim:             dim,
+		Attributes:      map[string]filter.Kind{"g": filter.Int64, "tag": filter.String},
+		RebuildFraction: 100, // no staleness rebuild: the tail stays
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.Clustered(n+extra, dim, 6, 0.5, 17)
+	insert := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if _, err := c.Insert(ds.Row(i), corpusAttrs(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, n0)
+	if err := c.CreateIndex(kind, opts); err != nil {
+		t.Fatal(err)
+	}
+	insert(n0, n)
+	dead := map[int64]bool{}
+	del := func(lo, hi, step int) {
+		for id := lo; id < hi; id += step {
+			if err := c.Delete(int64(id)); err != nil {
+				t.Fatal(err)
+			}
+			dead[int64(id)] = true
+		}
+	}
+	ids, tailFrom := n, int64(n0) // ids issued; first id of the tail
+	for _, phase := range []string{"tail", "deletes", "compacted"} {
+		switch phase {
+		case "deletes":
+			del(0, n, 5)
+		case "compacted":
+			if err := c.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			c.WaitForIndex()
+			insert(n, n+extra)
+			del(n+1, n+extra, 7)
+			ids, tailFrom = n+extra, n
+		}
+		s := c.snap.Load()
+		if got, want := s.env.ANN.Size(), s.rows-(ids-int(tailFrom)); got != want || got >= s.rows {
+			t.Fatalf("%s: index covers %d of %d rows, want %d", phase, got, s.rows, want)
+		}
+		live := func(id int64) bool { return !dead[id] }
+		for _, fs := range [][]Filter{corpusFilters, nil} {
+			admit := func(id int64) bool { return live(id) && (fs == nil || corpusMatch(id)) }
+			for qi, q := range ds.Queries(6, 0.1, 23) {
+				exact := referenceTopK(ds, ids, q, k, admit)
+				var post []Result
+				for _, r := range referenceTopK(ds, ids, q, alpha*k, live) {
+					if admit(r.ID) && len(post) < k {
+						post = append(post, r)
+					}
+				}
+				for _, plan := range []string{"brute_force", "pre_filter", "single_stage", "post_filter"} {
+					want := exact
+					if plan == "post_filter" {
+						want = post
+					}
+					for _, par := range []int{1, 2, 8} {
+						res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: fs, Policy: "plan:" + plan,
+							Alpha: alpha, NProbe: nprobe, Ef: ef, Parallelism: par})
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("%s %s filtered=%v query %d plan %s parallelism %d", kind, phase, fs != nil, qi, plan, par)
+						if kind == "ivfflat" || plan == "brute_force" {
+							if fmt.Sprint(res.Hits) != fmt.Sprint(want) {
+								t.Fatalf("%s:\n got %v\nwant %v", label, res.Hits, want)
+							}
+							continue
+						}
+						checkTailHits(t, label, ds, q, res.Hits, want, admit, tailFrom)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkTailHits holds approximate hits to what a probe plus an exact
+// tail scan guarantees: admitted ids at their exact distances, in
+// (dist, id) order, at most k of them, and every hit of want at or past
+// tailFrom among them.
+func checkTailHits(t *testing.T, label string, ds *dataset.Dataset, q []float32, got, want []Result, admit func(int64) bool, tailFrom int64) {
+	t.Helper()
+	if len(got) > len(want) && len(want) > 0 {
+		t.Fatalf("%s: %d hits, want at most %d", label, len(got), len(want))
+	}
+	in := map[int64]bool{}
+	for i, r := range got {
+		if !admit(r.ID) {
+			t.Fatalf("%s: hit %d id %d is deleted or not admitted", label, i, r.ID)
+		}
+		if d := vec.SquaredL2(q, ds.Row(int(r.ID))); math.Float32bits(d) != math.Float32bits(r.Dist) {
+			t.Fatalf("%s: hit %d id %d at %v, exact distance %v", label, i, r.ID, r.Dist, d)
+		}
+		if i > 0 && (r.Dist < got[i-1].Dist || r.Dist == got[i-1].Dist && r.ID <= got[i-1].ID) {
+			t.Fatalf("%s: hits out of (dist, id) order at %d: %v", label, i, got)
+		}
+		in[r.ID] = true
+	}
+	for _, r := range want {
+		if r.ID >= tailFrom && !in[r.ID] {
+			t.Fatalf("%s: tail hit %v missing:\n got %v\nwant %v", label, r, got, want)
 		}
 	}
 }

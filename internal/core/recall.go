@@ -323,8 +323,8 @@ func (c *Collection) recallPass(cfg RecallConfig) (RecallReport, error) {
 	epoch := c.updateEpoch.Load()
 	deleted := s.deleted()
 
-	// Serving is exact when no index is live (none, or one bypassed as
-	// stale): there is no ladder to replay.
+	// Serving is exact when no index is installed: there is no ladder
+	// to replay.
 	var fr *tuner.Frontier
 	var ladder []int
 	var knob tuner.Knob

@@ -18,15 +18,17 @@ import (
 // The flat path materializes the full ordering once (exact). The ANN
 // path re-queries with growing k, de-duplicating already returned ids
 // — the "restart with larger k" strategy the paper notes indexes force
-// today.
+// today — each time over the index's rows and the unindexed tail past
+// them (Env.searchAll).
 
 // Iterator pages through a ranked result stream.
 type Iterator struct {
 	env *Env
 	q   []float32
-	// admit is the visit-first test (compiled predicate and deletion
+	// admit is the visit-first test (compiled predicate cp and deletion
 	// mask) built once at open; nil admits every row.
 	admit    func(id int64) bool
+	cp       *filter.Compiled
 	opts     Options
 	useANN   bool
 	returned map[int64]struct{}
@@ -48,7 +50,7 @@ func (e *Env) NewIterator(q []float32, preds []filter.Predicate, opts Options) (
 		return nil, err
 	}
 	return &Iterator{
-		env: e, q: q, admit: visitFilter(cp, opts.Deleted), opts: opts,
+		env: e, q: q, admit: visitFilter(cp, opts.Deleted), cp: cp, opts: opts,
 		useANN:   e.ANN != nil,
 		returned: map[int64]struct{}{},
 		depth:    32,
@@ -115,7 +117,7 @@ func (it *Iterator) refill() error {
 	if k > e.N {
 		k = e.N
 	}
-	res, err := e.ANN.Search(it.q, k, params)
+	res, _, err := e.searchAll(e.ANN, it.q, k, params, it.cp, it.opts.Deleted)
 	if err != nil {
 		return err
 	}

@@ -151,3 +151,42 @@ func TestReadmeCapabilityMatrix(t *testing.T) {
 		t.Errorf("README index families table lists %q, which is not registered", name)
 	}
 }
+
+// TestSizeIsRowsCovered: every registered family reports as its Size
+// the rows it was built over, before and after a Remap onto a longer
+// column, and never returns an id past them. The executor scans the
+// rows from Size on as the unindexed tail, so a family that miscounted
+// would drop rows from every answer or score some twice.
+func TestSizeIsRowsCovered(t *testing.T) {
+	const n, dim = 600, 8
+	ds := dataset.Clustered(2*n, dim, 4, 0.3, 7)
+	qs := ds.Queries(5, 0.05, 11)
+	for _, name := range index.Names() {
+		idx, err := index.Build(name, ds.Data[:n*dim], n, dim, vec.L2, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		idxs := []index.Index{idx}
+		if r, ok := idx.(index.Remappable); ok {
+			if moved, ok := r.Remap(ds.Data); ok {
+				idxs = append(idxs, moved)
+			}
+		}
+		for _, ix := range idxs {
+			if ix.Size() != n {
+				t.Fatalf("%s: Size %d over %d rows", name, ix.Size(), n)
+			}
+			for _, q := range qs {
+				res, err := ix.Search(q, 2*n, index.Params{Ef: 2 * n, NProbe: 1 << 10})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, r := range res {
+					if r.ID < 0 || r.ID >= n {
+						t.Fatalf("%s: id %d outside the %d rows it covers", name, r.ID, n)
+					}
+				}
+			}
+		}
+	}
+}

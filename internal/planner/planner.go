@@ -129,6 +129,11 @@ type Env struct {
 	AttrCostRatio float64
 	// Alpha for post-filter plans; default 4.
 	Alpha int
+	// Tail is the rows past the ANN index's coverage: every ANN plan
+	// scans them exactly beside its probe, so each pays them as a
+	// brute-force scan of Tail rows would. A long tail therefore prices
+	// the index out, and brute force wins.
+	Tail int
 	// QuantRatio, in (0,1), discounts IndexComps when the index scans
 	// quantized codes and one code comparison is cheaper than one
 	// full-precision comparison. 0 means a full-precision index; ≥1
@@ -182,14 +187,19 @@ func Cost(p Plan, e Env) float64 {
 	n := float64(e.N)
 	sel := e.Selectivity
 	attr := e.AttrCostRatio
+	// The unindexed tail's exact scan: the predicate on every tail row,
+	// a distance on each survivor. Plans that probe unfiltered score the
+	// whole tail instead.
+	tail := float64(e.Tail)
 	switch p.Kind {
 	case BruteForce:
 		// Evaluate the predicate on every row, distance on survivors.
 		return n*attr + n*sel
 	case PreFilter:
 		// Bitmap build (attr on every row) + exact scan over survivors
-		// when few, or blocked index scan otherwise.
-		return n*attr + min(sel*n, e.IndexComps/max(sel, 1e-6))
+		// when few, or blocked index scan plus the tail's survivors
+		// otherwise.
+		return n*attr + min(sel*n, e.IndexComps/max(sel, 1e-6)+tail*sel)
 	case PostFilter:
 		alpha := float64(p.Alpha)
 		if alpha <= 0 {
@@ -197,7 +207,7 @@ func Cost(p Plan, e Env) float64 {
 		}
 		// One ANN search sized for alpha*k results + attr checks on
 		// the candidates. Shortfall risk is handled by CostBased.
-		return e.IndexComps*alpha/4 + alpha*float64(e.K)*attr
+		return e.IndexComps*alpha/4 + tail + alpha*float64(e.K)*attr
 	case SingleStage:
 		// Traversal must explore beyond the unfiltered beam to fill k
 		// admitted results. Empirically the extra exploration grows
@@ -206,7 +216,7 @@ func Cost(p Plan, e Env) float64 {
 		// traversed, just not returned). Estimating this precisely is
 		// open problem 3 of the paper.
 		visits := min(e.IndexComps/max(math.Sqrt(sel), 1e-3), n)
-		return visits * (1 + attr)
+		return visits*(1+attr) + tail*(attr+sel)
 	default:
 		return n
 	}

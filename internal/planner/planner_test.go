@@ -286,3 +286,37 @@ func TestAdaptiveEnvCalibratedRatios(t *testing.T) {
 		t.Fatalf("quant discount invented for full-precision index: %v", e.QuantRatio)
 	}
 }
+
+// TestTailFlipsToBruteForce: the unindexed tail is priced as the exact
+// scan it is. On 20 000 rows with a 2 000-comp probe a query keeps an
+// index plan while the tail is short, and a tail past the crossover
+// (where probe plus tail costs more than scanning every row) picks
+// brute_force, unfiltered or filtered. Every index plan pays for a tail.
+func TestTailFlipsToBruteForce(t *testing.T) {
+	for _, tc := range []struct {
+		sel   float64
+		tail  int
+		brute bool
+	}{
+		{1, 0, false},
+		{1, 4000, false},
+		{1, 19000, true},
+		{0.5, 2000, false},
+		{0.5, 19500, true},
+	} {
+		e := Env{N: 20000, K: 10, HasIndex: true, Selectivity: tc.sel, IndexComps: 2000, Tail: tc.tail}
+		if got := CostBased(e).Kind; (got == BruteForce) != tc.brute {
+			t.Fatalf("selectivity %.1f, tail %d: plan %v, brute force wanted: %v (costs: brute %.0f, post %.0f, single %.0f)", tc.sel, tc.tail, got, tc.brute,
+				Cost(Plan{Kind: BruteForce}, e), Cost(Plan{Kind: PostFilter, Alpha: 4}, e), Cost(Plan{Kind: SingleStage}, e))
+		}
+		if tc.tail > 0 {
+			short := e
+			short.Tail = 0
+			for _, p := range Enumerate(true, 4)[1:] {
+				if d := Cost(p, e) - Cost(p, short); d <= 0 {
+					t.Fatalf("%v: a tail of %d rows adds %.0f to its cost", p.Kind, tc.tail, d)
+				}
+			}
+		}
+	}
+}

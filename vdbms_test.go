@@ -355,7 +355,8 @@ func TestInsertAfterIndexBypassesStaleIndex(t *testing.T) {
 	if err := col.CreateIndex("hnsw", nil); err != nil {
 		t.Fatal(err)
 	}
-	// New insert not covered by the index must still be findable.
+	// New insert not covered by the index must still be findable: the
+	// executor scans the rows past the index's coverage beside its probe.
 	probe := make([]float32, 16)
 	for i := range probe {
 		probe[i] = -50
