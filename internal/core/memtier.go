@@ -266,6 +266,14 @@ func (c *Collection) promotedLocked() {
 	// The caller's mutation path publishes; accounting rides along.
 }
 
+// annCurrentLocked reports whether the column holds the vectors the
+// installed index was built over: no vector update (nor compaction) has
+// landed since its build. Deletes and inserts leave those rows as they
+// were. Caller holds mu.
+func (c *Collection) annCurrentLocked() bool {
+	return c.updateEpoch.Load() == c.annUpdates
+}
+
 // rebindLocked points the installed index at c.data when it can rebind
 // (index.Remappable); an index that cannot keeps its old column.
 func (c *Collection) rebindLocked() {
