@@ -192,13 +192,21 @@ type SearchResult = core.SearchResult
 // int column, an int beyond 2^53 in a float column, or no value.
 var ErrAttrType = core.ErrAttrType
 
+// ErrWindow is wrapped by the error a query returns when its Radius or
+// After cannot be served: a negative, NaN or infinite radius, a cursor
+// with a NaN distance or a negative id, a radius under a forced plan
+// other than brute_force, or either one on a multi-vector query or a
+// batch.
+var ErrWindow = core.ErrWindow
+
 // ErrFilterType is wrapped by the error a query returns when a filter's
 // operand cannot be compared with its column: a string against a
 // numeric column (or the reverse), a number the column's type cannot
 // represent exactly, or no operand at all.
 var ErrFilterType = core.ErrFilterType
 
-// Search executes a k-NN, hybrid, or multi-vector query.
+// Search executes a k-NN, hybrid, range (Radius) or multi-vector query,
+// or the next page of one past a cursor (After).
 func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
 	return c.SearchContext(context.Background(), req)
 }
@@ -215,12 +223,6 @@ func (c *Collection) Search(req SearchRequest) (SearchResult, error) {
 // block.
 func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (SearchResult, error) {
 	return c.inner.Search(ctx, req)
-}
-
-// SearchRange returns every live vector within the squared-distance
-// radius, optionally filtered.
-func (c *Collection) SearchRange(q []float32, radius float32, filters []Filter) ([]Hit, error) {
-	return c.inner.SearchRange(q, radius, filters)
 }
 
 // SearchBatch answers a batch of queries in parallel, all against one
@@ -241,15 +243,6 @@ func (c *Collection) SearchBatch(qs [][]float32, req SearchRequest) ([][]Hit, er
 // fails with ctx's error.
 func (c *Collection) SearchBatchContext(ctx context.Context, qs [][]float32, req SearchRequest) ([][]Hit, error) {
 	return c.inner.SearchBatch(ctx, qs, req)
-}
-
-// Iterator pages through results incrementally (Section 2.6(5)): Next
-// returns up to n further hits; empty means exhausted.
-type Iterator = core.Iterator
-
-// OpenIterator starts an incremental query; call Next for pages.
-func (c *Collection) OpenIterator(q []float32, filters []Filter, ef int) (*Iterator, error) {
-	return c.inner.OpenIterator(q, filters, ef)
 }
 
 // IndexKinds lists the registered ANN index families available to

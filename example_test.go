@@ -59,15 +59,24 @@ func ExampleCollection_Search_hybrid() {
 	// 2
 }
 
-func ExampleCollection_OpenIterator() {
+func ExampleCollection_Search_rangePages() {
 	db := vdbms.New()
 	col, _ := db.CreateCollection("stream", vdbms.Schema{Dim: 1})
 	for i := 0; i < 5; i++ {
 		col.Insert([]float32{float32(i)}, nil)
 	}
-	it, _ := col.OpenIterator([]float32{0}, nil, 0)
-	page1, _ := it.Next(2)
-	page2, _ := it.Next(2)
-	fmt.Println(page1[0].ID, page1[1].ID, page2[0].ID, page2[1].ID)
-	// Output: 0 1 2 3
+	// The rows within squared distance 9 of the query, two at a time:
+	// each page passes the last hit of the page before as its cursor.
+	req := vdbms.SearchRequest{Vector: []float32{0}, K: 2, Radius: 9}
+	for {
+		res, _ := col.Search(req)
+		if len(res.Hits) == 0 {
+			break
+		}
+		fmt.Println(res.Hits)
+		req.After = &res.Hits[len(res.Hits)-1]
+	}
+	// Output:
+	// [{0 0} {1 1}]
+	// [{2 4} {3 9}]
 }

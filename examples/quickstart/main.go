@@ -95,21 +95,26 @@ func main() {
 		fmt.Printf("  id=%-5d dist=%.4f lang=%v year=%v\n", h.ID, h.Dist, attrs["lang"], attrs["year"])
 	}
 
-	// Range query: everything within a squared-distance threshold.
-	hits, err := col.SearchRange(q, 5.0, nil)
+	// Range query: the nearest rows within a squared-distance threshold,
+	// K of them at most, nearest first.
+	res, err = col.Search(vdbms.SearchRequest{Vector: q, K: col.Len(), Radius: 5.0})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrange query (r^2=5.0): %d vectors in range\n", len(hits))
+	fmt.Printf("\nrange query (r^2=5.0, plan=%s): %d vectors in range\n", res.Plan, len(res.Hits))
 
-	// Incremental paging (Section 2.6(5) of the paper).
-	it, err := col.OpenIterator(q, nil, 0)
+	// Incremental paging (Section 2.6(5) of the paper): each page passes
+	// the previous page's last hit back as its cursor.
+	page1, err := col.Search(vdbms.SearchRequest{Vector: q, K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	page1, _ := it.Next(3)
-	page2, _ := it.Next(3)
-	fmt.Printf("\nincremental pages: %v then %v\n", ids(page1), ids(page2))
+	last := page1.Hits[len(page1.Hits)-1]
+	page2, err := col.Search(vdbms.SearchRequest{Vector: q, K: 3, After: &last})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nincremental pages: %v then %v\n", ids(page1.Hits), ids(page2.Hits))
 }
 
 func ids(hits []vdbms.Hit) []int64 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vdbms/internal/dataset"
+	"vdbms/internal/obs"
 	"vdbms/internal/stats"
 )
 
@@ -14,7 +15,9 @@ import (
 // returns the context's error and leaves no mark on what the planner,
 // the recall auditor and the tuner learn from — no query shape, no
 // probe cost (its truncated comps would bias MeanProbeComps), no
-// reservoir sample — while a completed search leaves all three.
+// reservoir sample — while a completed search leaves all three. Ranges
+// and pages past a cursor stop and are observed the same way, and are
+// never offered to the reservoir.
 func TestCancelledSearchIsNotObserved(t *testing.T) {
 	ds := dataset.Clustered(2000, 8, 8, 0.3, 6)
 	c, err := NewCollection("cancel", Schema{Dim: 8})
@@ -35,10 +38,22 @@ func TestCancelledSearchIsNotObserved(t *testing.T) {
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, policy := range []string{"", "plan:brute_force", "plan:single_stage", "plan:post_filter"} {
+	cursor := &Result{ID: 1, Dist: 0}
+	for _, req := range []SearchRequest{
+		{Vector: ds.Row(1), K: 5},
+		{Vector: ds.Row(1), K: 5, Policy: "plan:brute_force"},
+		{Vector: ds.Row(1), K: 5, Policy: "plan:single_stage"},
+		{Vector: ds.Row(1), K: 5, Policy: "plan:post_filter"},
+		{Vector: ds.Row(1), K: 5, Radius: 100},
+		{Vector: ds.Row(1), K: 5, After: cursor},
+		{Vector: ds.Row(1), K: 5, After: cursor, Policy: "plan:brute_force"},
+	} {
+		if _, err := c.Search(dead, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v, cancelled: err %v, want context.Canceled", req, err)
+		}
 		ctx := &lateCtx{Context: dead}
-		if _, err := c.Search(ctx, SearchRequest{Vector: ds.Row(1), K: 5, Policy: policy}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("policy %q: err %v, want context.Canceled", policy, err)
+		if _, err := c.Search(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: err %v, want context.Canceled", req, err)
 		}
 	}
 	if _, n := c.stats.MeanProbeComps(); n != 0 || r.Seen() != 0 || c.Stats().Queries != 0 {
@@ -50,6 +65,28 @@ func TestCancelledSearchIsNotObserved(t *testing.T) {
 	}
 	if _, n := c.stats.MeanProbeComps(); n != 1 || r.Seen() != 1 || c.Stats().Queries != 1 {
 		t.Fatalf("completed search: %d probes, %d samples offered, %d queries; want 1 each", n, r.Seen(), c.Stats().Queries)
+	}
+
+	// A served range and a served page are observed as searches —
+	// counted, timed, their plan tallied — but never offered to the
+	// recall reservoir, whose replay would score them as plain k-NN.
+	searches, ranged := obs.SearchTotal.Value(), obs.SearchPlans.With("brute_force").Value()
+	for _, req := range []SearchRequest{
+		{Vector: ds.Row(1), K: 5, Radius: 100},
+		{Vector: ds.Row(1), K: 5, After: cursor},
+	} {
+		if _, err := c.Search(bg, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := obs.SearchTotal.Value() - searches; got != 2 || c.Stats().Queries != 3 {
+		t.Fatalf("range and page: %d searches counted, %d queries recorded; want 2 and 3", got, c.Stats().Queries)
+	}
+	if obs.SearchPlans.With("brute_force").Value() == ranged {
+		t.Fatal("the range's brute_force plan was not tallied")
+	}
+	if r.Seen() != 1 {
+		t.Fatalf("%d samples offered; a range or a page must not reach the reservoir", r.Seen())
 	}
 }
 

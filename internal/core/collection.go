@@ -166,6 +166,24 @@ func (s *snapshot) toIDs(hits []Result) {
 	}
 }
 
+// window maps req's Radius and After onto the epoch's rows. Ids rise
+// with rows, so a cursor id maps to the last row whose id is at most
+// it, whether its own row is live, deleted or compacted away.
+func (s *snapshot) window(req *SearchRequest) topk.Window {
+	w := topk.Window{Radius: req.Radius}
+	if a := req.After; a != nil {
+		w.After = &topk.Result{ID: a.ID, Dist: a.Dist}
+		if s.ids != nil {
+			i, found := slices.BinarySearch(s.ids[:s.rows], a.ID)
+			if !found {
+				i--
+			}
+			w.After.ID = int64(i)
+		}
+	}
+	return w
+}
+
 // deleted is the epoch's deletion mask as the executor takes it: nil
 // while nothing is deleted. The mask is frozen at the row count of the
 // delete that produced it and may be shorter than the epoch; the
@@ -179,14 +197,14 @@ func (s *snapshot) deleted() *bitset.Bitset {
 
 // Collection is a mutable vector collection with hybrid search.
 //
-// The query path is lock-free: Search, SearchRange, SearchBatch, Get,
-// and OpenIterator load the current snapshot with one atomic pointer
-// read and never contend with writers or index builds. That covers
-// predicates: a query compiles its filters once against the snapshot's
-// attribute view (one read-lock per referenced column, to capture the
-// slice header of its immutable prefix) and from then on evaluates
-// them on plain slices — no lock, map or shared counter per row, while
-// writers keep appending to, and reallocating, the same columns. Writers
+// The query path is lock-free: Search, SearchBatch and Get load the
+// current snapshot with one atomic pointer read and never contend with
+// writers or index builds. That covers predicates: a query compiles its
+// filters once against the snapshot's attribute view (one read-lock per
+// referenced column, to capture the slice header of its immutable
+// prefix) and from then on evaluates them on plain slices — no lock,
+// map or shared counter per row, while writers keep appending to, and
+// reallocating, the same columns. Writers
 // (Insert, UpdateVector, Delete) serialize on a short mutex covering
 // only the mutation plus publication of the next snapshot; every index
 // build runs off-lock on the background builder and installs
@@ -867,6 +885,9 @@ func (c *Collection) Search(ctx context.Context, req SearchRequest) (SearchResul
 	if err := ctx.Err(); err != nil {
 		return SearchResult{}, err
 	}
+	if err := checkWindow(&req); err != nil {
+		return SearchResult{}, err
+	}
 	preds, err := c.convertFilters(req.Filters)
 	if err != nil {
 		return SearchResult{}, err
@@ -917,10 +938,11 @@ func (c *Collection) observe(req *SearchRequest, preds []filter.Predicate, s *sn
 	obs.SearchPlans.With(res.Plan).Inc()
 	obs.PlanParamSource.With(res.ParamSource).Inc()
 	c.stats.RecordQuery(req.K, req.Ef, req.NProbe, len(preds) > 0)
-	if len(req.Vectors) == 0 && len(req.Vector) > 0 && c.sampling.Load() {
-		// Offer the served query to the recall reservoir. The sample copy
-		// (vector, predicates, result ids) is built only on admission,
-		// which Algorithm R makes vanishingly rare at volume.
+	if len(req.Vectors) == 0 && len(req.Vector) > 0 && req.Radius == 0 && req.After == nil && c.sampling.Load() {
+		// Offer the served k-NN query (not a range or a page, which a
+		// replay would score as k-NN) to the recall reservoir. The sample
+		// copy is built only on admission, which Algorithm R makes
+		// vanishingly rare at volume.
 		hits := res.Hits
 		c.sampler.Load().MaybeOffer(func() stats.Sample { return makeSample(req, preds, hits, epoch, s.rows) })
 	}
@@ -1011,7 +1033,13 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 	if err != nil {
 		return SearchResult{}, err
 	}
-	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Record: rec, Ctx: ctx}
+	if req.Radius > 0 {
+		if forced && plan.Kind != planner.BruteForce {
+			return SearchResult{}, fmt.Errorf("%w: a radius is answered by plan:brute_force, not %s", ErrWindow, req.Policy)
+		}
+		plan, forced = planner.Plan{Kind: planner.BruteForce}, true
+	}
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Record: rec, Ctx: ctx, Window: s.window(req)}
 
 	switch {
 	case len(req.Vectors) > 0:
@@ -1090,38 +1118,14 @@ func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggreg
 	return env.MultiVectorExact(m, agg, req.Vectors, req.Weights, req.K, preds, opts)
 }
 
-// SearchRange returns all live rows within the squared-distance
-// radius, subject to filters. Like Search it runs lock-free on one
-// snapshot and is counted and timed in the obs registry; the deletion
-// mask is pushed into the scan as an exclusion filter, so dead rows
-// are skipped before scoring instead of being filtered afterwards.
-func (c *Collection) SearchRange(q []float32, radius float32, fs []Filter) ([]Result, error) {
-	preds, err := c.convertFilters(fs)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	c.beginRead()
-	s := c.snap.Load()
-	res, err := s.env.SearchRange(q, radius, preds, executor.Options{Deleted: s.deleted()})
-	s.toIDs(res)
-	c.endRead()
-	c.touchAccount()
-	obs.SearchTotal.Inc()
-	c.latency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		obs.SearchErrors.Inc()
-	}
-	return res, err
-}
-
 // SearchBatch answers many queries under one shared plan, against one
 // snapshot. The request supplies the same execution knobs as Search —
 // Policy (including "plan:<kind>" forcing), K, Filters, Ef, NProbe,
 // Alpha, Parallelism — but the plan is chosen once and reused for the
 // whole batch, so the per-query fields (Vector, Vectors, EntityColumn,
-// Trace) are ignored. ctx stops the batch as it stops a Search: every
-// query still running returns ctx's error. Per-query failures are
+// Trace) are ignored, and a Radius or After is an error (ErrWindow): a
+// page cursor belongs to one query. ctx stops the batch as it stops a
+// Search: every query still running returns ctx's error. Per-query failures are
 // partial, not fatal: successful slots are returned alongside an error
 // naming each failing query's index (a failed slot is nil). Each query
 // is observed as the search it answers, with the batch's latency — what
@@ -1129,6 +1133,9 @@ func (c *Collection) SearchRange(q []float32, radius float32, fs []Filter) ([]Re
 func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req SearchRequest) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if req.Radius != 0 || req.After != nil {
+		return nil, fmt.Errorf("%w: a batch takes neither a radius nor a cursor", ErrWindow)
 	}
 	preds, err := c.convertFilters(req.Filters)
 	if err != nil {
@@ -1164,44 +1171,6 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 		c.observe(&one, preds, s, epoch, start, &recs[i], &res)
 	}
 	return out, err
-}
-
-// Iterator pages through a ranked result stream in ids.
-type Iterator struct {
-	it *executor.Iterator
-	s  *snapshot
-}
-
-// Next returns up to n further hits in ascending distance order; an
-// empty page means the stream is exhausted.
-func (it *Iterator) Next(n int) ([]Result, error) {
-	res, err := it.it.Next(n)
-	it.s.toIDs(res)
-	return res, err
-}
-
-// OpenIterator starts incremental paging over the collection. The
-// iterator is pinned to the snapshot current at open time: rows
-// inserted, updated, deleted or compacted afterwards do not affect its
-// pages. The pin also counts as an active reader until the iterator is
-// garbage-collected, so in-place update patching is suppressed (every
-// update copies) while pages may still be fetched.
-func (c *Collection) OpenIterator(q []float32, fs []Filter, ef int) (*Iterator, error) {
-	preds, err := c.convertFilters(fs)
-	if err != nil {
-		return nil, err
-	}
-	c.beginRead()
-	s := c.snap.Load()
-	it, err := s.env.NewIterator(q, preds, executor.Options{Ef: ef, Deleted: s.deleted()})
-	if err != nil {
-		c.endRead()
-		return nil, err
-	}
-	// The iterator has no Close; release the reader pin when it dies.
-	out := &Iterator{it: it, s: s}
-	runtime.SetFinalizer(out, func(*Iterator) { c.endRead() })
-	return out, nil
 }
 
 // Stats returns a point-in-time snapshot of the collection's online

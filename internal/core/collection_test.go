@@ -9,6 +9,7 @@ import (
 	"vdbms/internal/filter"
 	"vdbms/internal/obs"
 	"vdbms/internal/planner"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -234,10 +235,11 @@ func TestMultiVectorEntityColumnValidation(t *testing.T) {
 func TestSearchRangeRespectsDeletes(t *testing.T) {
 	c, ds := newCol(t, 50)
 	c.Delete(7) //nolint:errcheck
-	res, err := c.SearchRange(ds.Row(7), 0.01, nil)
+	out, err := c.Search(bg, SearchRequest{Vector: ds.Row(7), K: 50, Radius: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Hits
 	for _, r := range res {
 		if r.ID == 7 {
 			t.Fatal("deleted id in range result")
@@ -255,13 +257,13 @@ func TestBatchAndIterator(t *testing.T) {
 	if err != nil || len(batch) != 3 || len(batch[0]) != 4 {
 		t.Fatalf("batch: %v %v", batch, err)
 	}
-	it, err := c.OpenIterator(ds.Row(0), nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	first, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5})
+	if err != nil || len(first.Hits) != 5 {
+		t.Fatalf("page 1: %v %v", first.Hits, err)
 	}
-	page, err := it.Next(5)
-	if err != nil || len(page) != 5 {
-		t.Fatalf("iterator: %v %v", page, err)
+	next, err := c.Search(bg, SearchRequest{Vector: ds.Row(0), K: 5, After: &first.Hits[4]})
+	if err != nil || len(next.Hits) != 5 || !topk.Less(first.Hits[4], next.Hits[0]) {
+		t.Fatalf("page 2 after %v: %v %v", first.Hits[4], next.Hits, err)
 	}
 }
 

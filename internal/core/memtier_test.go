@@ -107,9 +107,11 @@ func TestEvictByteEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					a.plain, a.filtered = plain.Hits, filtered.Hits
-					if a.rng, err = c.SearchRange(queries[2], 8.5, nil); err != nil {
+					rng, err := c.Search(bg, SearchRequest{Vector: queries[2], K: c.Rows(), Radius: 8.5})
+					if err != nil {
 						t.Fatal(err)
 					}
+					a.rng = rng.Hits
 					if a.batch, err = c.SearchBatch(bg, queries, SearchRequest{K: k, Ef: 64}); err != nil {
 						t.Fatal(err)
 					}

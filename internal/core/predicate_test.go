@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vdbms/internal/dataset"
-	"vdbms/internal/executor"
 	"vdbms/internal/filter"
 	"vdbms/internal/obs"
 	"vdbms/internal/vec"
@@ -40,19 +39,12 @@ func corpusAttrs(id int64) map[string]filter.Value {
 	return map[string]filter.Value{"g": filter.IntV(id * 7 % 100), "tag": filter.StringV(fmt.Sprintf("t%d", id%3))}
 }
 
-// corpusFilters is g < 30 AND tag IN (t0, t2), corpusPreds the same
-// conjunction as the engine compiles it; corpusMatch is the predicate
-// decided from the row id.
-var (
-	corpusFilters = []Filter{
-		{Column: "g", Op: "<", Value: 30},
-		{Column: "tag", Op: "in", Set: []any{"t0", "t2"}},
-	}
-	corpusPreds = []filter.Predicate{
-		{Column: "g", Op: filter.Lt, Value: filter.IntV(30)},
-		{Column: "tag", Op: filter.In, Set: []filter.Value{filter.StringV("t0"), filter.StringV("t2")}},
-	}
-)
+// corpusFilters is g < 30 AND tag IN (t0, t2); corpusMatch is the
+// predicate decided from the row id.
+var corpusFilters = []Filter{
+	{Column: "g", Op: "<", Value: 30},
+	{Column: "tag", Op: "in", Set: []any{"t0", "t2"}},
+}
 
 func corpusMatch(id int64) bool { return id*7%100 < 30 && id%3 != 1 }
 
@@ -325,7 +317,7 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 			if ch.Stage == "filter" {
 				filterSpan = &report.Children[i]
 			}
-			if ch.Stage == "index_probe" || ch.Stage == "range_scan" {
+			if ch.Stage == "index_probe" {
 				for _, g := range ch.Children {
 					if g.Stage == "filter" {
 						t.Fatalf("%s: filter span nested inside %s", name, ch.Stage)
@@ -349,15 +341,13 @@ func TestExhaustivePlansRecordFilterStage(t *testing.T) {
 		})
 	}
 	check("range", func() (*obs.SpanReport, error) {
-		s := c.snap.Load()
-		var rec executor.Record
-		_, err := s.env.SearchRange(ds.Row(3), 4, corpusPreds, executor.Options{Deleted: s.deleted(), Record: &rec})
-		return rec.Trace("search", 0), err
+		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(3), K: n, Radius: 4, Filters: corpusFilters, Trace: true})
+		return res.Trace, err
 	})
 }
 
 // TestPredicateReadPathRace runs predicate searches, range queries and
-// iterators while a writer appends rows (reallocating every attribute
+// paged queries while a writer appends rows (reallocating every attribute
 // column many times over), deletes and compacts (replacing every column
 // and renumbering the rows under the ids). Run under -race: the readers
 // evaluate predicates on plain slices captured at compile time, with
@@ -447,30 +437,26 @@ func TestPredicateReadPathRace(t *testing.T) {
 				check("search", ids(res.Hits), nd)
 
 				nd = delDone.Load()
-				rng, err := c.SearchRange(q, 1.5, corpusFilters)
+				rng, err := c.Search(bg, SearchRequest{Vector: q, K: c.Rows(), Radius: 1.5, Filters: corpusFilters})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				check("range", ids(rng), nd)
+				check("range", ids(rng.Hits), nd)
 
 				nd = delDone.Load()
-				it, err := c.OpenIterator(q, corpusFilters, 32)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				var after *Result
 				for page := 0; page < 2; page++ {
-					hits, err := it.Next(7)
+					res, err := c.Search(bg, SearchRequest{Vector: q, K: 7, Ef: 32, Filters: corpusFilters, After: after})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					pageIDs := make([]int64, len(hits))
-					for j, h := range hits {
-						pageIDs[j] = h.ID
+					check("page", ids(res.Hits), nd)
+					if len(res.Hits) == 0 {
+						break
 					}
-					check("iterator", pageIDs, nd)
+					after = &res.Hits[len(res.Hits)-1]
 				}
 			}
 		}(r)

@@ -74,6 +74,13 @@ type SearchRequest struct {
 	// Weights per query vector.
 	Aggregator string    `json:"aggregator,omitempty"`
 	Weights    []float32 `json:"weights,omitempty"`
+	// Radius, when positive, makes the query a range query (Section
+	// 2.1): the K nearest rows within it, by plan:brute_force; 0 is none.
+	Radius float32 `json:"radius,omitempty"`
+	// After, the previous page's last hit, pages the query (Section
+	// 2.6(5)): the next K hits strictly after it in (Dist, ID) order.
+	// Nothing is kept between pages.
+	After *Result `json:"after,omitempty"`
 	// Trace, when true, records a span tree of the query pipeline
 	// (plan, filter, index probe, ...) and returns it in
 	// SearchResult.Trace. Adds a few microseconds per query. HTTP
@@ -98,6 +105,29 @@ type SearchResult struct {
 	// Trace is the span tree of this query, present only when
 	// SearchRequest.Trace was set.
 	Trace *obs.SpanReport `json:"Trace,omitempty"`
+}
+
+// ErrWindow is wrapped by the error a query returns when its Radius or
+// After cannot be served: a negative, NaN or infinite radius, a cursor
+// with a NaN distance or a negative id, a radius under a forced plan
+// other than brute_force, either one on a multi-vector query or a batch.
+var ErrWindow = errors.New("vdbms: invalid radius or page cursor")
+
+// checkWindow refuses a Radius or After no single-vector query serves.
+func checkWindow(req *SearchRequest) error {
+	if req.Radius == 0 && req.After == nil {
+		return nil
+	}
+	r, a := float64(req.Radius), req.After
+	switch {
+	case r < 0 || math.IsNaN(r) || math.IsInf(r, 0):
+		return fmt.Errorf("%w: radius %v", ErrWindow, req.Radius)
+	case a != nil && (math.IsNaN(float64(a.Dist)) || a.ID < 0):
+		return fmt.Errorf("%w: after %+v", ErrWindow, *a)
+	case len(req.Vectors) > 0:
+		return fmt.Errorf("%w: a multi-vector query takes neither", ErrWindow)
+	}
+	return nil
 }
 
 // ErrAttrType is wrapped by the error an insert returns when an

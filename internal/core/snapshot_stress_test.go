@@ -169,12 +169,12 @@ func TestSnapshotIsolationStress(t *testing.T) {
 		defer readers.Done()
 		for i := 0; i < 100; i++ {
 			pre := copyDead()
-			res, err := c.SearchRange(ds.Row(i%preload), 2.0, nil)
+			out, err := c.Search(bg, SearchRequest{Vector: ds.Row(i % preload), K: c.Rows(), Radius: 2.0})
 			if err != nil {
 				record(fmt.Errorf("range %d: %w", i, err))
 				return
 			}
-			for _, r := range res {
+			for _, r := range out.Hits {
 				if _, gone := pre[r.ID]; gone {
 					record(fmt.Errorf("range: id %d surfaced after its delete completed", r.ID))
 					return

@@ -68,7 +68,7 @@ func (s *LocalShard) Count() int { return s.col.Len() }
 // collection under ctx, then mapping hit ids to global ids. An empty
 // partition answers with no hits.
 func (s *LocalShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]topk.Result, error) {
-	if err := checkSingleVector(req); err != nil {
+	if err := checkShardable(req); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -94,12 +94,17 @@ func (s *LocalShard) Search(ctx context.Context, req vdbms.SearchRequest) ([]top
 	return out, nil
 }
 
-// checkSingleVector rejects multi-vector requests: their hits are
-// entity ids aggregated over the rows one shard holds, and merging
-// per-shard partial aggregates as complete scores would be wrong.
-func checkSingleVector(req vdbms.SearchRequest) error {
+// checkShardable rejects what a shard cannot answer in global terms:
+// a multi-vector request, whose hits are entity ids aggregated over the
+// rows one shard holds (merging per-shard partial aggregates as
+// complete scores would be wrong), and a page cursor, whose id is a
+// global one a shard would rank against its local ids.
+func checkShardable(req vdbms.SearchRequest) error {
 	if len(req.Vectors) > 0 || req.EntityColumn != "" {
 		return fmt.Errorf("dist: multi-vector search is not supported across shards")
+	}
+	if req.After != nil {
+		return fmt.Errorf("dist: paging with After is not supported across shards")
 	}
 	return nil
 }
@@ -333,12 +338,13 @@ func (r *Router) ShardStates() []string {
 // gracefully: the merged top-k over the shards that answered is
 // returned together with a Partial report naming the failures. An
 // error is returned only when fewer than the configured minimum of
-// shards answered. Multi-vector requests are rejected.
+// shards answered. Multi-vector requests and page cursors (After) are
+// rejected; a range (Radius) merges like any top-k.
 func (r *Router) Search(ctx context.Context, req vdbms.SearchRequest, probes int) ([]topk.Result, Partial, error) {
 	if req.K <= 0 {
 		return nil, Partial{}, fmt.Errorf("dist: k must be positive, got %d", req.K)
 	}
-	if err := checkSingleVector(req); err != nil {
+	if err := checkShardable(req); err != nil {
 		return nil, Partial{}, err
 	}
 	var subset []int

@@ -148,9 +148,10 @@ func TestRouterRejectsNonPositiveK(t *testing.T) {
 	}
 }
 
-// Multi-vector hits are entity ids, not shard rows: the router and
-// each shard refuse them with an error instead of mapping (or
-// indexing past) the shard's id slice.
+// Multi-vector hits are entity ids, not shard rows, and a page cursor
+// names a global id: the router and each shard refuse both with an
+// error instead of mapping (or indexing past) the shard's id slice or
+// ranking against local ids.
 func TestMultiVectorRejected(t *testing.T) {
 	ds := dataset.Uniform(40, 4, 3)
 	attrs := make([]map[string]any, ds.Count)
@@ -162,13 +163,17 @@ func TestMultiVectorRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := vdbms.SearchRequest{Vectors: [][]float32{ds.Row(0), ds.Row(1)}, EntityColumn: "ent", K: 3}
-	if _, _, err := NewRouter(shards, nil).Search(context.Background(), req, 0); err == nil {
-		t.Fatal("router accepted a multi-vector request")
-	}
-	for i, s := range shards {
-		if _, err := s.Search(context.Background(), req); err == nil {
-			t.Fatalf("shard %d accepted a multi-vector request", i)
+	for _, req := range []vdbms.SearchRequest{
+		{Vectors: [][]float32{ds.Row(0), ds.Row(1)}, EntityColumn: "ent", K: 3},
+		{Vector: ds.Row(0), K: 3, After: &vdbms.Hit{ID: 4, Dist: 0}},
+	} {
+		if _, _, err := NewRouter(shards, nil).Search(context.Background(), req, 0); err == nil {
+			t.Fatalf("router accepted %+v", req)
+		}
+		for i, s := range shards {
+			if _, err := s.Search(context.Background(), req); err == nil {
+				t.Fatalf("shard %d accepted %+v", i, req)
+			}
 		}
 	}
 }

@@ -7,13 +7,15 @@ import (
 
 	"vdbms/internal/planner"
 	"vdbms/internal/stats"
+	"vdbms/internal/topk"
 )
 
 // TestCancelledQueryStopsAndRecordsNothing runs every plan under a
 // cancelled context: the allowlist build of the exhaustive plans polls
 // it before its first block and the probe refuses to start, so each
-// returns context.Canceled — and none of them feeds the cost model a
-// probe, a comparison timing or a selectivity it did not complete.
+// returns context.Canceled, as do a range and a page past a cursor —
+// and none of them feeds the cost model a probe, a comparison timing or
+// a selectivity it did not complete.
 func TestCancelledQueryStopsAndRecordsNothing(t *testing.T) {
 	env, ds := buildEnv(t, 20000)
 	env.Stats = stats.New("cancel")
@@ -32,6 +34,18 @@ func TestCancelledQueryStopsAndRecordsNothing(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%v, preds %v: err %v, want context.Canceled", p.Kind, preds, err)
 			}
+		}
+	}
+	// A range and a page past a cursor stop the same way: the range on
+	// the exact scan, the page on every plan.
+	ranged := Options{Ctx: ctx, Window: topk.Window{Radius: 1e6}}
+	if _, err := env.Execute(planner.Plan{Kind: planner.BruteForce}, q, 10, nil, ranged); !errors.Is(err, context.Canceled) {
+		t.Fatalf("range: err %v, want context.Canceled", err)
+	}
+	for _, p := range planner.Enumerate(true, 4) {
+		paged := Options{Ef: 64, Ctx: ctx, Window: topk.Window{After: &topk.Result{ID: 0, Dist: 0}}}
+		if _, err := env.Execute(p, q, 10, catLt(50), paged); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v page: err %v, want context.Canceled", p.Kind, err)
 		}
 	}
 	if _, n := env.Stats.MeanProbeComps(); n != 0 {

@@ -2,8 +2,9 @@
 // similarity-projection + top-k operators, the hybrid scan operators
 // (block-first via bitmap, visit-first via traversal predicate,
 // post-filter with over-fetch), batched execution, multi-vector
-// queries via aggregate scores, and the incremental (resumable) k-NN
-// iterator from the open problems of Section 2.6.
+// queries via aggregate scores, and windowed queries: range queries
+// (Section 2.1) and incremental paging, one of the open problems of
+// Section 2.6.
 package executor
 
 import (
@@ -121,6 +122,11 @@ type Options struct {
 	// index.Params, so a cancelled query stops within one block or
 	// expansion and returns Ctx.Err().
 	Ctx context.Context
+	// Window keeps the query's hits inside (After, Radius] of the
+	// (dist, row) order (topk.Window). The exact scan applies it in its
+	// one bounded pass; an ANN probe pages past a cursor by deepening
+	// (Env.deepen) and takes no radius.
+	Window topk.Window
 }
 
 func (o Options) params() index.Params {
@@ -306,20 +312,76 @@ func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predica
 // probe runs one index scan over all N rows (searchAll), recording its
 // time as the index_probe stage, its SearchStats against the index
 // family that served it and its tail's work in rec. Every plan
-// funnels its index/flat scans through here. A query whose context has
-// ended is refused here — the one check families that do not poll
-// params.Ctx themselves get — and records nothing.
-func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, cp *filter.Compiled, del *bitset.Bitset, rec *Record) ([]topk.Result, error) {
+// funnels its index/flat scans through here. The exact scan keeps the
+// top k inside win in its one pass; an ANN probe with a cursor in win
+// deepens past it (deepen), and one with a radius is refused. A query
+// whose context has ended is refused here — the one check families
+// that do not poll params.Ctx themselves get — and records nothing.
+func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, cp *filter.Compiled, del *bitset.Bitset, win topk.Window, rec *Record) ([]topk.Result, error) {
 	if err := params.Err(); err != nil {
 		return nil, err
 	}
+	exact := idx == index.Index(e.Flat)
+	if win.Radius > 0 && !exact {
+		return nil, fmt.Errorf("executor: a radius is answered by the exact scan, not by %s", idx.Name())
+	}
 	params.Stats = &rec.Probe
 	start := time.Now()
-	res, tail, err := e.searchAll(idx, q, k, params, cp, del)
+	var res []topk.Result
+	var tail tailWork
+	var err error
+	width := k
+	switch {
+	case exact:
+		res, err = e.Flat.SearchWindow(q, k, params, win)
+	case win.After != nil:
+		res, width, tail, err = e.deepen(idx, q, k, params, cp, del, *win.After)
+		rec.paged = true
+	default:
+		res, tail, err = e.searchAll(idx, q, k, params, cp, del)
+	}
 	rec.stage(stageProbe, time.Since(start))
 	rec.tail.add(tail)
-	e.probed(rec, idx, k)
+	e.probed(rec, idx, width)
 	return res, err
+}
+
+// deepen answers the k hits strictly after the cursor from an ANN index
+// by the "restart with larger k" strategy the paper notes indexes force
+// on incremental search (Section 2.6(5)), keeping no state between
+// pages: it probes (searchAll, the tail included) for the top depth =
+// 2k, 4k, ... at ef >= depth until k hits past the cursor come back or
+// the depth reaches 4 × rows. An unset ef stays unset: each family
+// that reads ef defaults to at least 4·depth for k = depth, and a hit a
+// shallow beam misses is skipped for good once the cursor passes it.
+// With ef unset the probe for every row is the last: a deeper one would
+// repeat it. It returns those hits in probe order, the last depth and
+// the probes' tail work.
+func (e *Env) deepen(idx index.Index, q []float32, k int, params index.Params, cp *filter.Compiled, del *bitset.Bitset, after topk.Result) ([]topk.Result, int, tailWork, error) {
+	var tw tailWork
+	for depth := 2 * k; ; depth *= 2 {
+		if err := params.Err(); err != nil {
+			return nil, depth, tw, err
+		}
+		p := params
+		if p.Ef > 0 {
+			p.Ef = max(p.Ef, depth)
+		}
+		res, t, err := e.searchAll(idx, q, min(depth, e.N), p, cp, del)
+		tw.add(t)
+		if err != nil {
+			return nil, depth, tw, err
+		}
+		page := res[:0]
+		for _, r := range res {
+			if len(page) < k && topk.Less(after, r) {
+				page = append(page, r)
+			}
+		}
+		if len(page) == k || depth >= 4*e.N || depth >= e.N && params.Ef <= 0 {
+			return page, depth, tw, nil
+		}
+	}
 }
 
 // tailWork is what the scan of an unindexed tail cost beside its probe:
@@ -389,7 +451,7 @@ func (e *Env) bruteForce(q []float32, k int, cp *filter.Compiled, opts Options, 
 	if params.Allow, err = e.allowlist(cp, &params, opts.Deleted, rec); err != nil {
 		return nil, err
 	}
-	res, err := e.probe(e.Flat, q, k, params, nil, nil, rec)
+	res, err := e.probe(e.Flat, q, k, params, nil, nil, opts.Window, rec)
 	releaseBitmap(params.Allow)
 	return res, err
 }
@@ -418,7 +480,7 @@ func (e *Env) preFilter(q []float32, k int, cp *filter.Compiled, opts Options, r
 	if e.ANN != nil && rec.Survivors > int64(exactCutoff) {
 		idx = e.ANN
 	}
-	res, err := e.probe(idx, q, k, params, cp, opts.Deleted, rec)
+	res, err := e.probe(idx, q, k, params, cp, opts.Deleted, opts.Window, rec)
 	releaseBitmap(params.Allow)
 	return res, err
 }
@@ -480,7 +542,7 @@ func (e *Env) singleStage(q []float32, k int, cp *filter.Compiled, opts Options,
 	} else {
 		params.Filter = visitFilter(cp, opts.Deleted)
 	}
-	return e.probe(e.ANN, q, k, params, cp, opts.Deleted, rec)
+	return e.probe(e.ANN, q, k, params, cp, opts.Deleted, opts.Window, rec)
 }
 
 // indexOrFlat answers an unpredicated top-k over the live rows: the
@@ -491,7 +553,7 @@ func (e *Env) indexOrFlat(q []float32, k int, opts Options, rec *Record) ([]topk
 	}
 	params := opts.params()
 	params.Filter = visitFilter(nil, opts.Deleted)
-	return e.probe(e.ANN, q, k, params, nil, opts.Deleted, rec)
+	return e.probe(e.ANN, q, k, params, nil, opts.Deleted, opts.Window, rec)
 }
 
 // Plan chooses an execution plan for a (k, preds) query shape without
@@ -637,36 +699,6 @@ func (e *Env) SearchBatch(p planner.Plan, qs [][]float32, k int, preds []filter.
 		}
 	}
 	return out, recs, errors.Join(failed...)
-}
-
-// SearchRange answers a range query: all (admitted) vectors within the
-// given distance threshold. It is an exhaustive operator: predicates
-// and the deletion mask in opts become one allowlist (the "filter"
-// stage, as in Execute), and the scan over it is the "range_scan" stage,
-// counted against the flat index family.
-func (e *Env) SearchRange(q []float32, radius float32, preds []filter.Predicate, opts Options) (res []topk.Result, err error) {
-	rec := opts.Record
-	if rec == nil {
-		rec = new(Record)
-	}
-	defer func() { e.publish(rec, err) }()
-	cp, err := e.compile(preds)
-	if err != nil {
-		return nil, err
-	}
-	rec.preds = preds
-	params := opts.params()
-	if params.Allow, err = e.allowlist(cp, &params, opts.Deleted, rec); err != nil {
-		return nil, err
-	}
-	params.Stats = &rec.Probe
-	start := time.Now()
-	res, err = e.Flat.SearchRange(q, radius, params)
-	rec.stage(stageRange, time.Since(start))
-	releaseBitmap(params.Allow)
-	e.probed(rec, e.Flat, 0)
-	rec.Hits = int64(len(res))
-	return res, err
 }
 
 // ReplayANN answers a (k, preds) query with one single-stage ANN probe

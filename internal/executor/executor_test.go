@@ -2,6 +2,8 @@ package executor
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -249,7 +251,7 @@ func TestStandaloneEnvMeasuresItself(t *testing.T) {
 
 // TestEveryANNOperatorServesTail: with the index over the first 1 500
 // of 2 000 rows, every ANN operator — each forced plan, the planned
-// search, the batch, the iterator, multi-vector candidate generation
+// search, the batch, a page past a cursor, multi-vector candidate generation
 // and the recall loop's replay — finds a tail row queried by its own
 // vector at distance 0, and none returns it once the deletion mask or
 // the predicate hides it.
@@ -287,11 +289,10 @@ func TestEveryANNOperatorServesTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		top["batch"] = batch[0]
-		it, err := env.NewIterator(q, hide.preds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if top["iterator"], err = it.Next(3); err != nil {
+		// A page past a cursor ahead of every row deepens the ANN probe.
+		paged := opts
+		paged.Window.After = &topk.Result{ID: -1, Dist: float32(math.Inf(-1))}
+		if top["paged"], err = env.Execute(planner.Plan{Kind: planner.SingleStage}, q, 3, hide.preds, paged); err != nil {
 			t.Fatal(err)
 		}
 		if top["multi_vector"], err = env.MultiVectorANN(m, vec.AggMin, [][]float32{q}, nil, 3, 0, hide.preds, opts); err != nil {
@@ -381,27 +382,36 @@ func TestSearchBatchPropagatesErrors(t *testing.T) {
 	}
 }
 
+// rangeOf answers a range query as the engine does: the exact scan,
+// windowed at radius, keeping every row inside.
+func rangeOf(env *Env, q []float32, radius float32, preds []filter.Predicate) ([]topk.Result, error) {
+	return env.Execute(planner.Plan{Kind: planner.BruteForce}, q, env.N, preds, Options{Window: topk.Window{Radius: radius}})
+}
+
 func TestSearchRange(t *testing.T) {
 	env, ds := buildEnv(t, 500)
 	q := ds.Row(0)
-	got, err := env.SearchRange(q, 0.5, nil, Options{})
+	got, err := rangeOf(env, q, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range got {
+	for i, r := range got {
 		if r.ID == 0 {
 			found = true
 		}
 		if r.Dist > 0.5 {
 			t.Fatalf("range violated: %v", r)
 		}
+		if i > 0 && !topk.Less(got[i-1], r) {
+			t.Fatalf("range hits out of (dist, id) order at %d: %v", i, got)
+		}
 	}
 	if !found {
 		t.Fatal("query point itself not in range result")
 	}
 	// With predicate.
-	got, err = env.SearchRange(q, 10, catLt(10), Options{})
+	got, err = rangeOf(env, q, 10, catLt(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,59 +482,74 @@ func TestMultiVectorValidation(t *testing.T) {
 	}
 }
 
-func TestIteratorPagesExact(t *testing.T) {
-	ds := dataset.Clustered(400, 8, 4, 0.4, 9)
-	env, err := NewEnv(ds.Data, ds.Count, ds.Dim, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds.Queries(1, 0.05, 10)[0]
-	it, err := env.NewIterator(q, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []int64
-	prev := float32(-1)
+// pageAll pages through every hit of a query at page size k, each page
+// the next k past the previous page's last hit, until a page comes back
+// short. It fails on a page out of (dist, id) order or not strictly past
+// its cursor.
+func pageAll(t *testing.T, env *Env, p planner.Plan, q []float32, k int, preds []filter.Predicate, opts Options) []topk.Result {
+	t.Helper()
+	var all []topk.Result
 	for {
-		page, err := it.Next(7)
+		page, err := env.Execute(p, q, k, preds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(page) == 0 {
-			break
-		}
 		for _, r := range page {
-			if r.Dist < prev {
-				t.Fatalf("pages regressed: %v after %v", r.Dist, prev)
+			if after := opts.Window.After; after != nil && !topk.Less(*after, r) {
+				t.Fatalf("page size %d: hit %v not past the cursor %v", k, r, *after)
 			}
-			prev = r.Dist
-			all = append(all, r.ID)
+			if n := len(all); n > 0 && !topk.Less(all[n-1], r) {
+				t.Fatalf("page size %d: hit %v after %v goes backwards", k, r, all[n-1])
+			}
+			all = append(all, r)
 		}
-	}
-	if len(all) != 400 {
-		t.Fatalf("iterator returned %d of 400", len(all))
-	}
-	seen := map[int64]bool{}
-	for _, id := range all {
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
+		if len(page) < k {
+			return all
 		}
-		seen[id] = true
+		opts.Window.After = &page[len(page)-1]
 	}
 }
 
+// TestIteratorPagesExact: paging the exact scan at page sizes 1, 7 and
+// 10 reproduces the full exact (dist, id) order, with no duplicate and
+// no gap — also where ties (duplicated rows) span a page boundary.
+func TestIteratorPagesExact(t *testing.T) {
+	for _, ties := range []bool{false, true} {
+		ds := dataset.Clustered(400, 8, 4, 0.4, 9)
+		for i := 0; ties && i+1 < ds.Count; i += 3 {
+			copy(ds.Row(i+1), ds.Row(i)) // pairs of equal distance
+		}
+		env, err := NewEnv(ds.Data, ds.Count, ds.Dim, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := ds.Queries(1, 0.05, 10)[0]
+		want, err := env.Flat.Search(q, ds.Count, index.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 7, 10} {
+			got := pageAll(t, env, planner.Plan{Kind: planner.BruteForce}, q, k, nil, Options{})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("ties=%v page size %d: %d hits, want the exact order of all %d", ties, k, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestIteratorANNPagination: pages of an ANN probe past a cursor never
+// repeat an id or go backwards, the first one matches a direct top-10
+// search closely, and a deepened probe feeds the cost model nothing.
 func TestIteratorANNPagination(t *testing.T) {
 	env, ds := buildEnv(t, 1200)
+	env.Stats = stats.New("paging")
 	q := ds.Queries(1, 0.05, 11)[0]
-	it, err := env.NewIterator(q, nil, Options{})
+	ss := planner.Plan{Kind: planner.SingleStage}
+	page1, err := env.Execute(ss, q, 10, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	page1, err := it.Next(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page2, err := it.Next(10)
+	page2, err := env.Execute(ss, q, 10, nil, Options{Window: topk.Window{After: &page1[len(page1)-1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,8 +563,11 @@ func TestIteratorANNPagination(t *testing.T) {
 		}
 		ids[r.ID] = true
 	}
+	if !topk.Less(page1[9], page2[0]) {
+		t.Fatalf("page 2 starts at %v, before page 1's last %v", page2[0], page1[9])
+	}
 	// First page should match a direct top-10 search closely.
-	direct, _ := env.Execute(planner.Plan{Kind: planner.SingleStage}, q, 10, nil, Options{Ef: 64})
+	direct, _ := env.Execute(ss, q, 10, nil, Options{Ef: 64})
 	want := map[int64]bool{}
 	for _, r := range direct {
 		want[r.ID] = true
@@ -553,49 +581,50 @@ func TestIteratorANNPagination(t *testing.T) {
 	if hits < 7 {
 		t.Fatalf("first page overlap = %d/10", hits)
 	}
+	// A deepened probe runs at widths the planner never plans: only the
+	// first page and the direct search teach it a probe cost.
+	if _, n := env.Stats.MeanProbeComps(); n != 2 {
+		t.Fatalf("%d probes recorded as probe cost, want 2", n)
+	}
+	// Paged to the end, the ANN stream holds each id once, in order.
+	all := pageAll(t, env, ss, q, 50, nil, Options{})
+	if len(all) < 1000 {
+		t.Fatalf("paged ANN stream reached %d of 1200 rows", len(all))
+	}
 }
 
+// TestIteratorValidation: a windowed query is checked as any other —
+// its dimension, its columns and its page size k — and a radius is
+// refused by every plan that probes the ANN index.
 func TestIteratorValidation(t *testing.T) {
 	env, ds := buildEnv(t, 100)
-	if _, err := env.NewIterator([]float32{1}, nil, Options{}); err == nil {
+	bf := planner.Plan{Kind: planner.BruteForce}
+	cursor := Options{Window: topk.Window{After: &topk.Result{ID: 3, Dist: 1}}}
+	if _, err := env.Execute(bf, []float32{1}, 5, nil, cursor); err == nil {
 		t.Fatal("want dim error")
 	}
-	if _, err := env.NewIterator(ds.Row(0), []filter.Predicate{{Column: "nope"}}, Options{}); err == nil {
+	if _, err := env.Execute(bf, ds.Row(0), 5, []filter.Predicate{{Column: "nope"}}, cursor); err == nil {
 		t.Fatal("want column error")
 	}
-	it, err := env.NewIterator(ds.Row(0), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := env.Execute(bf, ds.Row(0), 0, nil, cursor); !errors.Is(err, index.ErrBadK) {
+		t.Fatalf("page size 0: %v, want ErrBadK", err)
 	}
-	if _, err := it.Next(0); err == nil {
-		t.Fatal("want page-size error")
+	radius := Options{Window: topk.Window{Radius: 1}}
+	if _, err := env.Execute(planner.Plan{Kind: planner.SingleStage}, ds.Row(0), 5, nil, radius); err == nil {
+		t.Fatal("a radius on the ANN probe must be refused")
 	}
 }
 
 func TestIteratorWithPredicate(t *testing.T) {
 	env, ds := buildEnv(t, 600)
-	it, err := env.NewIterator(ds.Row(0), catLt(20), Options{})
-	if err != nil {
-		t.Fatal(err)
+	all := pageAll(t, env, planner.Plan{Kind: planner.SingleStage}, ds.Row(0), 25, catLt(20), Options{})
+	for _, r := range all {
+		if r.ID%100 >= 20 {
+			t.Fatalf("predicate violated: %d", r.ID)
+		}
 	}
-	total := 0
-	for {
-		page, err := it.Next(25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(page) == 0 {
-			break
-		}
-		for _, r := range page {
-			if r.ID%100 >= 20 {
-				t.Fatalf("predicate violated: %d", r.ID)
-			}
-		}
-		total += len(page)
-	}
-	if total == 0 {
-		t.Fatal("predicated iterator returned nothing")
+	if len(all) == 0 {
+		t.Fatal("predicated pages returned nothing")
 	}
 }
 

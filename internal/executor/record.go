@@ -18,11 +18,10 @@ const (
 	stageFilter
 	stageProbe
 	stagePostFilter
-	stageRange
 	numStages
 )
 
-var stageNames = [numStages]string{"plan", "filter", "index_probe", "post_filter", "range_scan"}
+var stageNames = [numStages]string{"plan", "filter", "index_probe", "post_filter"}
 
 // stageSeconds are the stage histograms, bound once so publishing pays
 // one observe per stage that ran — never a labeled lookup. Together they
@@ -58,11 +57,10 @@ type Record struct {
 	// rows. Fetched and Kept are the post-filter's candidates and the
 	// ones it returned. Evaluated and Admitted count the predicate checks
 	// a post-filter or a serial traversal made and passed — a measured
-	// selectivity sample. Hits is a range scan's result count.
+	// selectivity sample.
 	Survivors           int64
 	Fetched, Kept       int64
 	Evaluated, Admitted int64
-	Hits                int64
 
 	// Index names the index family the query probed and K the width each
 	// probe asked for; Probes counts the probes (one per query vector of
@@ -70,7 +68,9 @@ type Record struct {
 	// index probe from an exact scan, Quantized a compressed-code scan
 	// from a full-precision one. tail is the probes' scans past the ANN
 	// index's coverage, timed within the probe stage; Probe.DistanceComps
-	// counts the tail rows too (Tail).
+	// counts the tail rows too (Tail). paged marks an ANN probe deepened
+	// past a page cursor (Env.deepen): its work is that of widths the
+	// planner never plans, so it teaches the cost model nothing.
 	Index     string
 	K         int
 	Probes    int
@@ -78,6 +78,7 @@ type Record struct {
 	ANN       bool
 	Quantized bool
 	tail      tailWork
+	paged     bool
 
 	// Err is the query's outcome: nil when it answered.
 	Err error
@@ -158,7 +159,7 @@ func (e *Env) publish(r *Record, err error) {
 	if r.Evaluated >= minSelEvals {
 		recordSel(tr, r.preds, r.Admitted, r.Evaluated)
 	}
-	if r.has(stageProbe) {
+	if r.has(stageProbe) && !r.paged {
 		comps := r.Probe.DistanceComps - r.tail.rows
 		if r.ANN {
 			// Observed probe cost feeds the cost model; exact scans are
@@ -194,8 +195,8 @@ func recordSel(tr *stats.Collection, preds []filter.Predicate, admitted, evaluat
 // total, and one child per stage that ran, in execution order, carrying
 // the stage's counters — the plan's inputs and where each came from, the
 // filter's survivors, the probe's work (summed over a multi-vector
-// query's probes, its tail rows included), the post-filter's fetched and kept candidates, a
-// range scan's comps and hits.
+// query's probes, its tail rows included) and the post-filter's fetched
+// and kept candidates.
 func (r *Record) Trace(root string, total time.Duration) *obs.SpanReport {
 	rep := &obs.SpanReport{Stage: root, DurationNanos: int64(total)}
 	for s, name := range stageNames {
@@ -238,11 +239,6 @@ func (r *Record) Trace(root string, total time.Duration) *obs.SpanReport {
 			}
 		case stagePostFilter:
 			a["fetched"], a["kept"] = r.Fetched, r.Kept
-		case stageRange:
-			a["distance_comps"], a["hits"] = r.Probe.DistanceComps, r.Hits
-			if r.Probe.Abandoned > 0 {
-				a["abandoned"] = r.Probe.Abandoned
-			}
 		}
 		rep.Children = append(rep.Children, sp)
 	}

@@ -13,6 +13,7 @@ import (
 	"vdbms/internal/obs"
 	"vdbms/internal/planner"
 	"vdbms/internal/stats"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -122,7 +123,7 @@ func recordReconciles(t *testing.T, covered int) {
 	}
 	for i, q := range qs[:20] {
 		var rec Record
-		env.SearchRange(q, 0.5, preds(i), Options{Record: &rec}) //nolint:errcheck
+		env.Execute(planner.Plan{Kind: planner.BruteForce}, q, ds.Count, preds(i), Options{Record: &rec, Window: topk.Window{Radius: 0.5}}) //nolint:errcheck
 		add(&rec)
 	}
 	after := readPublished(env)

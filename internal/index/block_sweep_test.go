@@ -140,9 +140,10 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 	}
 }
 
-// TestFlatSearchRangeParallel: the partitioned range scan must return
-// the same hits as the serial scan, in ascending id order, at every
-// worker count and block size.
+// TestFlatSearchRangeParallel: the partitioned range scan — a scan
+// windowed at a radius — must return the rows of the exact ranking
+// within the radius, in (dist, id) order, at every worker count and
+// block size, with and without a predicate.
 func TestFlatSearchRangeParallel(t *testing.T) {
 	ds := dataset.Clustered(5000, 12, 4, 0.2, 11)
 	f, err := index.NewFlat(ds.Data, ds.Count, ds.Dim, nil)
@@ -157,31 +158,33 @@ func TestFlatSearchRangeParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		radius := probe[len(probe)-1].Dist
-		serial, err := f.SearchRange(q, radius, index.Params{Parallelism: 1})
+		// The reference: the full exact ranking cut at the radius.
+		all, err := f.Search(q, ds.Count, index.Params{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialPred, err := f.SearchRange(q, radius, index.Params{Parallelism: 1, Filter: pred})
-		if err != nil {
-			t.Fatal(err)
+		var serial, serialPred []topk.Result
+		for _, r := range all {
+			if r.Dist <= radius {
+				serial = append(serial, r)
+				if pred(r.ID) {
+					serialPred = append(serialPred, r)
+				}
+			}
 		}
 		if len(serial) == 0 {
 			t.Fatal("radius admitted no rows; bad test setup")
 		}
-		for i := 1; i < len(serial); i++ {
-			if serial[i].ID <= serial[i-1].ID {
-				t.Fatalf("serial range results not ascending at %d", i)
-			}
-		}
+		w := topk.Window{Radius: radius}
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
-			for _, w := range []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3} {
-				got, err := f.SearchRange(q, radius, index.Params{Parallelism: w})
+			for _, workers := range []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3} {
+				got, err := f.SearchWindow(q, ds.Count, index.Params{Parallelism: workers}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameHits(t, "range", serial, got)
-				got, err = f.SearchRange(q, radius, index.Params{Parallelism: w, Filter: pred})
+				got, err = f.SearchWindow(q, ds.Count, index.Params{Parallelism: workers, Filter: pred}, w)
 				if err != nil {
 					t.Fatal(err)
 				}

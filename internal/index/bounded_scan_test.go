@@ -83,7 +83,7 @@ func sameHits(t *testing.T, label string, want, got []topk.Result) {
 
 // TestBoundedScanMatchesReference pins the exactness of the bounded
 // scans: Flat.Search cuts rows at its collectors' k-th distance,
-// Flat.SearchRange at the radius and ivfflat's list scan at its
+// Flat.SearchWindow at the radius and ivfflat's list scan at its
 // collectors' k-th distance, and each must return the ids and distance
 // bits of a collector fed ScoreAt — at k 1, 10, 100 and n, at
 // parallelism 1, 2 and 8, with and without an allowlist and a deletion
@@ -196,24 +196,29 @@ func TestBoundedScanMatchesReference(t *testing.T) {
 							sameHits(t, fmt.Sprintf("ivfflat nprobe=%d %s", nprobe, label), referenceTopK(b, cands, admit, k), got)
 						}
 					}
-					// Range scans at radii with ties on the boundary: the
-					// 10th and the 100th smallest distance.
-					ref := referenceTopK(b, all, admit, 100)
-					for _, radius := range []float32{0, ref[9].Dist, ref[99].Dist} {
-						var st index.SearchStats
-						p.Stats = &st
-						got, err := f.SearchRange(q, radius, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cut["range "+sc.Metric().String()] += st.Abandoned
-						var want []topk.Result
-						for id := 0; id < n; id++ {
-							if d := b.ScoreAt(id); admit(int64(id)) && d <= radius {
-								want = append(want, topk.Result{ID: int64(id), Dist: d})
+					// Windowed scans at radii with ties on the boundary —
+					// the smallest positive radius (rows at distance 0), the
+					// 10th and the 100th smallest distance — alone and past
+					// a cursor on the 10th hit, whose ties span it.
+					order := referenceTopK(b, all, admit, n)
+					for _, radius := range []float32{math.SmallestNonzeroFloat32, order[9].Dist, order[99].Dist} {
+						for _, after := range []*topk.Result{nil, &order[9]} {
+							var st index.SearchStats
+							p.Stats = &st
+							w := topk.Window{After: after, Radius: radius}
+							got, err := f.SearchWindow(q, n, p, w)
+							if err != nil {
+								t.Fatal(err)
 							}
+							cut["range "+sc.Metric().String()] += st.Abandoned
+							var want []topk.Result
+							for i, r := range order {
+								if r.Dist <= radius && (after == nil || i > 9) {
+									want = append(want, r)
+								}
+							}
+							sameHits(t, fmt.Sprintf("window %v q%d %s par=%d radius=%v after=%v", sc.Metric(), qi, pr.name, par, radius, after), want, got)
 						}
-						sameHits(t, fmt.Sprintf("range %v q%d %s par=%d radius=%v", sc.Metric(), qi, pr.name, par, radius), want, got)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 
-	"vdbms/internal/obs"
 	"vdbms/internal/pool"
 	"vdbms/internal/topk"
 	"vdbms/internal/tuner"
@@ -27,8 +26,8 @@ type Flat struct {
 	// qsc, when non-nil, is the compressed-scan kernel: Search scans
 	// codes instead of floats, keeps the top rerank_k approximate
 	// candidates, and re-scores them exactly with sc before the final
-	// top-k cut. SearchRange always scans full precision (a radius
-	// compare on approximate distances would drop boundary rows).
+	// top-k cut. A windowed search always scans full precision
+	// (Fanout.Window).
 	qsc  vec.QuantScorer
 	spec QuantSpec
 }
@@ -157,11 +156,20 @@ func (f *Flat) FiltersConcurrently(p Params) bool { return f.workers(&p) > 1 }
 // into p.Parallelism contiguous ranges (Fanout), and every block is
 // scored within the collector's k-th distance (Scan).
 func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
+	return f.SearchWindow(q, k, p, topk.Window{})
+}
+
+// SearchWindow is Search keeping the top k inside w (topk.Window), in
+// one bounded scan: a radius answers the range query of Section
+// 2.1(2), and a cursor the next page of a paged one (Section 2.6(5)).
+// A windowed scan scores full precision even over a quantized index.
+func (f *Flat) SearchWindow(q []float32, k int, p Params, w topk.Window) ([]topk.Result, error) {
 	if err := CheckQuery(q, k, f.dim); err != nil {
 		return nil, err
 	}
-	fan := Fanout{Name: "flat", Exact: f.sc, Quant: f.qsc, Tasks: f.n, Workers: f.workers(&p)}
-	if f.qsc != nil {
+	fan := Fanout{Name: "flat", Exact: f.sc, Tasks: f.n, Workers: f.workers(&p), Window: w}
+	if f.qsc != nil && !w.Bounded() {
+		fan.Quant = f.qsc
 		fan.RerankK = f.spec.ResolveRerankK(p, k, f.n)
 	}
 	return fan.Search(q, k, &p, (*Scan).rows)
@@ -181,43 +189,4 @@ func (f *Flat) SearchTail(q []float32, k int, p Params, from int, seed []topk.Re
 	rows := max(f.n-from, 0)
 	fan := Fanout{Name: "flat", Exact: f.sc, Tasks: rows, Workers: ProbeWorkers(&p, rows), Seed: seed}
 	return fan.Search(q, k, &p, func(s *Scan, lo, hi int) { s.rows(from+lo, from+hi) })
-}
-
-// SearchRange returns all ids within the distance threshold, the range
-// query of Section 2.1(2), scoring every block within the radius. Like
-// Search it partitions the scan across the worker pool; per-partition
-// hit lists are concatenated in partition order, so the output stays
-// sorted by ascending id at every worker count.
-func (f *Flat) SearchRange(q []float32, radius float32, p Params) ([]topk.Result, error) {
-	if len(q) != f.dim {
-		return nil, fmt.Errorf("%w: query %d, index %d", ErrDim, len(q), f.dim)
-	}
-	w := max(f.workers(&p), 1)
-	if w > 1 {
-		obs.ParallelSearches.With("flat").Inc()
-	}
-	offs := pool.Split(f.n, w)
-	hitsBy := make([][]topk.Result, w)
-	workBy := make([]ScanWork, w)
-	pool.Default().Run(w, func(i int) {
-		s := newScan(f.sc, nil, q, &p, nil, radius)
-		s.rows(offs[i], offs[i+1])
-		s.flush()
-		hitsBy[i], workBy[i] = s.hits, s.Work
-		s.release()
-	})
-	var out []topk.Result
-	var work ScanWork
-	for i := range w {
-		out = append(out, hitsBy[i]...)
-		work.Add(workBy[i])
-	}
-	if p.Stats != nil {
-		work.Record(p.Stats)
-		p.Stats.Partitions += int64(w)
-	}
-	if Stopped(p.Done()) {
-		return nil, p.Err()
-	}
-	return out, nil
 }

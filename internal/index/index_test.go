@@ -2,10 +2,13 @@ package index
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/dataset"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -89,14 +92,23 @@ func TestFlatStats(t *testing.T) {
 func TestFlatSearchRange(t *testing.T) {
 	data := []float32{0, 1, 2, 10}
 	f, _ := NewFlat(data, 4, 1, nil)
-	got, err := f.SearchRange([]float32{0}, 4.5, Params{})
+	got, err := f.SearchWindow([]float32{0}, 4, Params{}, topk.Window{Radius: 4.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 { // 0,1,2 within sqrt? squared L2 <= 4.5 means |x| <= ~2.1
+	// Squared L2 <= 4.5 keeps 0, 1 and 2, nearest first.
+	if fmt.Sprint(got) != "[{0 0} {1 1} {2 4}]" {
 		t.Fatalf("range hits = %v", got)
 	}
-	if _, err := f.SearchRange([]float32{0, 0}, 1, Params{}); !errors.Is(err, ErrDim) {
+	// A row exactly at the radius is kept; one at the next float32 above
+	// it is not.
+	if got, _ := f.SearchWindow([]float32{0}, 4, Params{}, topk.Window{Radius: 4}); len(got) != 3 {
+		t.Fatalf("radius 4: %v, want row 2 at distance 4 kept", got)
+	}
+	if got, _ := f.SearchWindow([]float32{0}, 4, Params{}, topk.Window{Radius: math.Nextafter32(4, 0)}); len(got) != 2 {
+		t.Fatalf("radius below 4: %v, want row 2 dropped", got)
+	}
+	if _, err := f.SearchWindow([]float32{0, 0}, 1, Params{}, topk.Window{Radius: 1}); !errors.Is(err, ErrDim) {
 		t.Fatal("want dim error")
 	}
 }

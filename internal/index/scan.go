@@ -31,34 +31,32 @@ type blockScorer interface {
 // it one bucket at a time.
 //
 // Candidates are scored scanBlock at a time, each block within its
-// sink's bound — the collector's k-th distance as it stood before the
-// block, or a range radius: the sink keeps nothing above it, so a row
-// the kernel cuts there could never have entered
-// (vec.Bound.ScoreBlockWithin). Only rows the query's predicates admit
+// collector's bound as it stood before the block — the k-th distance,
+// or the radius of a windowed collector (topk.Window) while it has
+// room: the collector keeps nothing above it, so a row the kernel cuts
+// there could never have entered (vec.Bound.ScoreBlockWithin). Only rows the query's predicates admit
 // are scored and counted. The scan polls the query's context before
 // every contiguous block, before every list and after every gathered
 // block, and scores nothing more once it has ended. Scans are pooled,
 // so neither the float binding nor the gather buffer allocates.
 type Scan struct {
 	// Work is what the scan has scored so far.
-	Work   ScanWork
-	b      blockScorer
-	fb     vec.Bound // the float binding b points at
-	p      Params
-	done   <-chan struct{}
-	stop   bool
-	c      *topk.Collector // top-k sink; nil in a range scan
-	radius float32
-	hits   []topk.Result // range sink, in scan order
-	ids    []int32       // admitted candidates gathered, not yet scored
-	dist   []float32
+	Work ScanWork
+	b    blockScorer
+	fb   vec.Bound // the float binding b points at
+	p    Params
+	done <-chan struct{}
+	stop bool
+	c    *topk.Collector // the sink
+	ids  []int32         // admitted candidates gathered, not yet scored
+	dist []float32
 }
 
 var scans = sync.Pool{New: func() any { return new(Scan) }}
 
-// newScan takes a pooled scan of q feeding c, or, with c nil, keeping
-// the rows within radius. It scores with qsc when set, else with sc.
-func newScan(sc *vec.Scorer, qsc vec.QuantScorer, q []float32, p *Params, c *topk.Collector, radius float32) *Scan {
+// newScan takes a pooled scan of q feeding c. It scores with qsc when
+// set, else with sc.
+func newScan(sc *vec.Scorer, qsc vec.QuantScorer, q []float32, p *Params, c *topk.Collector) *Scan {
 	s := scans.Get().(*Scan)
 	if cap(s.dist) < scanBlock {
 		s.ids, s.dist = make([]int32, 0, scanBlock), make([]float32, scanBlock)
@@ -69,7 +67,7 @@ func newScan(sc *vec.Scorer, qsc vec.QuantScorer, q []float32, p *Params, c *top
 		s.fb = sc.Bind(q)
 		s.b = &s.fb
 	}
-	s.p, s.done, s.c, s.radius = *p, p.Done(), c, radius
+	s.p, s.done, s.c = *p, p.Done(), c
 	return s
 }
 
@@ -82,7 +80,7 @@ func (s *Scan) release() {
 // NewScan begins a top-k scan of q under sc over candidates the caller
 // hands it bucket by bucket; Finish ends it.
 func NewScan(sc *vec.Scorer, q []float32, k int, p *Params) *Scan {
-	return newScan(sc, nil, q, p, topk.NewCollector(k), 0)
+	return newScan(sc, nil, q, p, topk.NewCollector(k))
 }
 
 // Finish ends a scan from NewScan: it records its work and the buckets
@@ -216,44 +214,20 @@ func (s *Scan) flush() {
 	s.ids = s.ids[:0]
 }
 
-// bound is the sink's cut: the collector's k-th distance or the radius.
-func (s *Scan) bound() float32 {
-	if s.c != nil {
-		return s.c.Worst()
-	}
-	return s.radius
-}
-
 // score scores a gathered block into the sink.
 func (s *Scan) score(ids []int32) {
 	dist := s.dist[:len(ids)]
-	s.Work.Cut += int64(s.b.ScoreIDsWithin(ids, dist, s.bound()))
+	s.Work.Cut += int64(s.b.ScoreIDsWithin(ids, dist, s.c.Worst()))
 	s.Work.Comps += int64(len(ids))
-	if s.c != nil {
-		s.c.PushIDs(ids, dist)
-		return
-	}
-	for i, d := range dist {
-		if d <= s.radius {
-			s.hits = append(s.hits, topk.Result{ID: int64(ids[i]), Dist: d})
-		}
-	}
+	s.c.PushIDs(ids, dist)
 }
 
 // scoreRange scores the contiguous rows [lo, hi) into the sink.
 func (s *Scan) scoreRange(lo, hi int) {
 	dist := s.dist[:hi-lo]
-	s.Work.Cut += int64(s.b.ScoreBlockWithin(lo, hi, dist, s.bound()))
+	s.Work.Cut += int64(s.b.ScoreBlockWithin(lo, hi, dist, s.c.Worst()))
 	s.Work.Comps += int64(len(dist))
-	if s.c != nil {
-		s.c.PushBlock(int64(lo), dist)
-		return
-	}
-	for i, d := range dist {
-		if d <= s.radius {
-			s.hits = append(s.hits, topk.Result{ID: int64(lo + i), Dist: d})
-		}
-	}
+	s.c.PushBlock(int64(lo), dist)
 }
 
 // Fanout is one partitioned top-k scan: Tasks units of work (rows, or
@@ -270,12 +244,17 @@ func (s *Scan) scoreRange(lo, hi int) {
 // SearchStats.BucketsProbed. Seed, exact hits found elsewhere, enters
 // the first part's collector before it scans, so that part starts at
 // their k-th distance and the merge ranks them with the scanned rows.
+// Window bounds every part's collector (topk.NewWindow): the scan keeps
+// the top k inside it. A windowed scan scores exactly: a cursor or a
+// radius compared with approximate distances would misplace rows at
+// the boundary.
 type Fanout struct {
 	Name                             string
 	Exact                            *vec.Scorer
 	Quant                            vec.QuantScorer
 	RerankK, Tasks, Workers, Buckets int
 	Seed                             []topk.Result
+	Window                           topk.Window
 }
 
 // ProbeWorkers is how many parts a scan inside or beside an index probe
@@ -347,9 +326,10 @@ func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi 
 	return res, nil
 }
 
-// collector is part i's collector: the first part's holds the seed.
+// collector is part i's collector, windowed as f is: the first part's
+// holds the seed.
 func (f Fanout) collector(k, i int) *topk.Collector {
-	c := topk.NewCollector(k)
+	c := topk.NewWindow(k, f.Window)
 	if i == 0 {
 		for _, r := range f.Seed {
 			c.Push(r.ID, r.Dist)
@@ -360,7 +340,7 @@ func (f Fanout) collector(k, i int) *topk.Collector {
 
 // scan runs one part into c and returns its work.
 func (f Fanout) scan(q []float32, p *Params, c *topk.Collector, lo, hi int, part func(s *Scan, lo, hi int)) ScanWork {
-	s := newScan(f.Exact, f.Quant, q, p, c, 0)
+	s := newScan(f.Exact, f.Quant, q, p, c)
 	part(s, lo, hi)
 	s.flush()
 	work := s.Work

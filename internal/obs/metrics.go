@@ -16,9 +16,9 @@ var (
 
 	// Stage-level latency decomposition (internal/executor,
 	// internal/core, internal/dist): where each millisecond of a query
-	// goes, independent of tracing. Stages: plan, filter, index_probe,
-	// post_filter, range_scan, topk_merge, shard_fanout,
-	// wal_commit_wait.
+	// goes, independent of tracing. Stages: plan, filter, index_probe
+	// (a range query's scan included), post_filter, topk_merge,
+	// shard_fanout, wal_commit_wait.
 	SearchStageSeconds = Default().NewHistogramVec("vdbms_search_stage_seconds", "Query latency decomposed by pipeline stage.", "stage", nil)
 
 	// The recall loop (internal/core recall.go + internal/stats): a

@@ -32,7 +32,9 @@ import (
 //     encoding/json rewrites), a number a field's type cannot hold,
 //     null inside a float array, an array or object where it expects a
 //     scalar, nesting deeper than maxSkipDepth;
-//   - anything that is not an object at the top.
+//   - anything that is not an object at the top;
+//   - a "radius" or "after" key: a range or paged query is rare
+//     enough that encoding/json decodes it.
 //
 // Keys match their fields case-insensitively, as encoding/json's do,
 // unknown keys are skipped (their values syntax-checked), and, as with
@@ -171,6 +173,7 @@ func (rb *reqBuf) slice(s span) []float32 {
 var searchFields = [...]string{
 	"vector", "vectors", "k", "filters", "policy", "ef", "nprobe",
 	"target_recall", "alpha", "rerank_k", "parallelism", "entity_column", "aggregator", "weights",
+	"radius", "after",
 }
 
 const (
@@ -188,6 +191,8 @@ const (
 	fEntityColumn
 	fAggregator
 	fWeights
+	fRadius
+	fAfter
 )
 
 // searchBody is the single pass over a SearchBody.
@@ -232,6 +237,8 @@ func (rb *reqBuf) searchBody(req *SearchBody) bool {
 		case fWeights:
 			weights, ok = d.floats(&rb.floats)
 			return ok
+		case fRadius, fAfter:
+			return false
 		}
 		return d.skip(0)
 	})

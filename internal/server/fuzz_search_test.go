@@ -12,14 +12,18 @@ import (
 	"vdbms"
 	"vdbms/internal/dataset"
 	"vdbms/internal/planner"
+	"vdbms/internal/topk"
 )
 
 // FuzzSearchRequest drives the search route end to end: any body, sent
 // to a 200-row collection with an hnsw index and an int attribute,
 // answers 200 or 4xx within a second, and a 200 carries at most k
-// distinct ids, each below Rows. The seeds are the benchmark's bodies
-// (as TestWireFormatGolden pins them, on the collection's dimension),
-// each with one integer field at 2^33, and one body per forced plan.
+// distinct ids, each below Rows, in (dist, id) order — within the
+// radius when one is set, and strictly after the cursor when one is.
+// The seeds are the benchmark's bodies (as TestWireFormatGolden pins
+// them, on the collection's dimension), each with one integer field at
+// 2^33, one body per forced plan, and ranges (radius 0, 2^33, negative,
+// one admitting a few rows) and pages past a cursor.
 func FuzzSearchRequest(f *testing.F) {
 	const n, dim = 200, 8
 	db := vdbms.New()
@@ -72,7 +76,13 @@ func FuzzSearchRequest(f *testing.F) {
 	for k := planner.BruteForce; k <= planner.SingleStage; k++ {
 		add(SearchBody{Vector: v, K: 10, Policy: "plan:" + k.String(), Alpha: 8,
 			Filters: []vdbms.Filter{{Column: "cat", Op: "=", Value: int64(1)}}})
+		add(SearchBody{Vector: v, K: 10, Policy: "plan:" + k.String(), After: &vdbms.Hit{ID: 7, Dist: 0.5}})
 	}
+	for _, radius := range []float32{0, huge, -1, 0.5} {
+		add(SearchBody{Vector: v, K: 10, Radius: radius})
+		add(SearchBody{Vector: v, K: 10, Radius: radius, After: &vdbms.Hit{ID: 3, Dist: 0.1}})
+	}
+	add(SearchBody{Vector: v, K: 10, After: &vdbms.Hit{ID: huge, Dist: 0}})
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -99,17 +109,26 @@ func FuzzSearchRequest(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("%q: answered 200, but encoding/json refuses it: %v", body, err)
 		}
-		var res struct{ Hits []struct{ ID int64 } }
+		var res struct{ Hits []vdbms.Hit }
 		if err := json.Unmarshal(out, &res); err != nil {
 			t.Fatalf("%q: answer %s: %v", body, out, err)
 		}
 		rows := int64(col.Stats().Rows)
 		seen := map[int64]bool{}
-		for _, h := range res.Hits {
+		for i, h := range res.Hits {
 			if seen[h.ID] || h.ID < 0 || h.ID >= rows {
 				t.Fatalf("%q: hits %v repeat an id or name one past %d rows", body, res.Hits, rows)
 			}
 			seen[h.ID] = true
+			if i > 0 && !topk.Less(res.Hits[i-1], h) {
+				t.Fatalf("%q: hits %v out of (dist, id) order at %d", body, res.Hits, i)
+			}
+			if req.Radius > 0 && h.Dist > req.Radius {
+				t.Fatalf("%q: hit %v past the radius %v", body, h, req.Radius)
+			}
+			if req.After != nil && !topk.Less(*req.After, h) {
+				t.Fatalf("%q: hit %v not after the cursor %v", body, h, *req.After)
+			}
 		}
 		if len(res.Hits) > req.K {
 			t.Fatalf("%q: %d hits for k=%d", body, len(res.Hits), req.K)

@@ -235,6 +235,69 @@ func TestInsertRouteChecksAttributeTypes(t *testing.T) {
 	}
 }
 
+// TestWindowedSearchRoute: a range or paged query reaches /search as
+// two more body fields, decoded by encoding/json; one the engine cannot
+// serve is a 400 naming ErrWindow, and a windowed /batch is refused.
+func TestWindowedSearchRoute(t *testing.T) {
+	srv, col, _, ds := ownershipServer(t)
+	q, err := json.Marshal(ds.Row(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := string(q)
+	post := func(route, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/collections/s/"+route, strings.NewReader(body)))
+		return rec
+	}
+	for _, c := range []struct{ name, route, body string }{
+		{"negative radius", "search", `{"vector":` + vec + `,"k":5,"radius":-1}`},
+		{"infinite radius", "search", `{"vector":` + vec + `,"k":5,"radius":1e39}`},
+		{"negative cursor id", "search", `{"vector":` + vec + `,"k":5,"after":{"ID":-1,"Dist":0}}`},
+		{"radius under single_stage", "search", `{"vector":` + vec + `,"k":5,"radius":4,"policy":"plan:single_stage"}`},
+		{"radius under post_filter", "search", `{"vector":` + vec + `,"k":5,"radius":4,"policy":"plan:post_filter"}`},
+		{"multi-vector radius", "search", `{"vectors":[` + vec + `],"k":5,"radius":4}`},
+		{"multi-vector cursor", "search", `{"vectors":[` + vec + `],"k":5,"after":{"ID":1,"Dist":0}}`},
+		{"batch radius", "batch", `{"vectors":[` + vec + `],"k":5,"radius":4}`},
+		{"batch cursor", "batch", `{"vectors":[` + vec + `],"k":5,"after":{"ID":1,"Dist":0}}`},
+	} {
+		// 1e39 overflows a float32: encoding/json refuses it first.
+		rec := post(c.route, c.body)
+		if rec.Code != http.StatusBadRequest || c.name != "infinite radius" && !strings.Contains(rec.Body.String(), vdbms.ErrWindow.Error()) {
+			t.Fatalf("%s: %d %s, want 400 naming ErrWindow", c.name, rec.Code, rec.Body)
+		}
+	}
+
+	// Served: the range under brute_force, and the page after it.
+	want, err := col.Search(vdbms.SearchRequest{Vector: ds.Row(3), K: 20, Policy: "plan:brute_force"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius := want.Hits[9].Dist
+	var page struct {
+		Hits []vdbms.Hit
+		Plan string
+	}
+	rec := post("search", fmt.Sprintf(`{"vector":%s,"k":2000,"radius":%v}`, vec, radius))
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("range: %d %s %v", rec.Code, rec.Body, err)
+	}
+	if page.Plan != "brute_force" || fmt.Sprint(page.Hits) != fmt.Sprint(want.Hits[:10]) {
+		t.Fatalf("range plan %s hits %v, want the first 10 of %v", page.Plan, page.Hits, want.Hits)
+	}
+	after, err := json.Marshal(page.Hits[9])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = post("search", fmt.Sprintf(`{"vector":%s,"k":10,"policy":"plan:brute_force","after":%s}`, vec, after))
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("page: %d %s %v", rec.Code, rec.Body, err)
+	}
+	if fmt.Sprint(page.Hits) != fmt.Sprint(want.Hits[10:]) {
+		t.Fatalf("page after %s: %v, want %v", after, page.Hits, want.Hits[10:])
+	}
+}
+
 var raceEnabled bool // set by race_test.go
 
 // leanWriter is a ResponseWriter that allocates nothing per response, so

@@ -29,6 +29,13 @@ type Collector struct {
 	k      int
 	heap   []Result // max-heap on Dist
 	pushes int64    // candidates offered, kept or not
+	// win marks a collector from NewWindow: it keeps only candidates
+	// strictly after after and no farther than radius. radius is +Inf
+	// otherwise; Worst returns it while the heap has room, so a block
+	// push cuts at the radius with no test of its own.
+	win    bool
+	after  Result
+	radius float32
 }
 
 // NewCollector returns a collector for the k nearest results. k must
@@ -37,7 +44,36 @@ func NewCollector(k int) *Collector {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &Collector{k: k, heap: make([]Result, 0, k)}
+	return &Collector{k: k, heap: make([]Result, 0, k), radius: float32(math.Inf(1))}
+}
+
+// Window is the part of the (Dist, ID) order a windowed collector keeps:
+// the candidates strictly after the cursor After and at distance at
+// most Radius, (After, Radius]. It is how one bounded scan answers a
+// range query and the next page of a paged one.
+type Window struct {
+	// After is the last hit of the previous page; nil starts at the
+	// nearest candidate.
+	After *Result
+	// Radius is the largest distance kept; 0 bounds nothing.
+	Radius float32
+}
+
+// Bounded reports whether w leaves anything out.
+func (w Window) Bounded() bool { return w.After != nil || w.Radius > 0 }
+
+// NewWindow returns a collector for the k nearest results inside w. The
+// zero Window is NewCollector.
+func NewWindow(k int, w Window) *Collector {
+	c := NewCollector(k)
+	c.win, c.after = w.Bounded(), Result{ID: math.MinInt64, Dist: float32(math.Inf(-1))}
+	if w.After != nil {
+		c.after = *w.After
+	}
+	if w.Radius > 0 {
+		c.radius = w.Radius
+	}
+	return c
 }
 
 // K returns the requested result count.
@@ -50,13 +86,13 @@ func (c *Collector) Len() int { return len(c.heap) }
 func (c *Collector) Full() bool { return len(c.heap) == c.k }
 
 // Worst returns the pruning bound: the largest kept distance when
-// Full(), +Inf otherwise. A collector with room left cannot prune
-// anything, so the historical empty-heap sentinel of 0 — which
-// silently discarded every candidate in callers that skipped the
-// Full() guard — is gone.
+// Full(), otherwise the window's radius — +Inf outside a window. A
+// collector with room left prunes nothing inside its window, so the
+// historical empty-heap sentinel of 0 — which silently discarded every
+// candidate in callers that skipped the Full() guard — is gone.
 func (c *Collector) Worst() float32 {
 	if len(c.heap) < c.k {
-		return float32(math.Inf(1))
+		return c.radius
 	}
 	return c.heap[0].Dist
 }
@@ -66,6 +102,11 @@ func (c *Collector) Worst() float32 {
 // or not they were kept. Merge traces use it to report how many
 // per-shard candidates fed the final top-k.
 func (c *Collector) Pushes() int64 { return c.pushes }
+
+// Less reports whether a ranks before b in the (Dist, ID) total order
+// every collector keeps: a hit is strictly after a page cursor c when
+// Less(c, hit).
+func Less(a, b Result) bool { return worse(b, a) }
 
 // worse reports whether a ranks after b in the (Dist, ID) total
 // order — i.e. a is the one to evict first.
@@ -84,8 +125,13 @@ func (c *Collector) Push(id int64, dist float32) bool {
 	return c.offer(Result{ID: id, Dist: dist})
 }
 
-// offer is Push without the accounting.
+// offer is Push without the accounting. A windowed collector tests
+// its window here, where only a candidate at or under the bound
+// arrives: a row a block push cuts costs no window test.
 func (c *Collector) offer(r Result) bool {
+	if c.win && !(r.Dist <= c.radius && worse(r, c.after)) {
+		return false
+	}
 	if len(c.heap) < c.k {
 		c.heap = append(c.heap, r)
 		c.siftUp(len(c.heap) - 1)
@@ -175,9 +221,10 @@ func (c *Collector) Reset() {
 	c.pushes = 0
 }
 
-// ResetK is Reset for a collector that is reused at a different k.
+// ResetK is Reset for a collector that is reused at a different k, as
+// an unwindowed one: it also readies a zero Collector for use.
 func (c *Collector) ResetK(k int) {
-	c.k = k
+	c.k, c.win, c.radius = k, false, float32(math.Inf(1))
 	c.Reset()
 }
 

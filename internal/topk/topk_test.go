@@ -179,6 +179,55 @@ func TestCollectorMatchesSort(t *testing.T) {
 	}
 }
 
+// TestWindowKeepsItsSlice: a windowed collector keeps the first k
+// candidates of the (Dist, ID) order strictly after the cursor and at
+// most the radius away, whether fed by Push, PushBlock or PushIDs, on
+// tie-heavy streams whose cursor and radius fall on ties; the zero
+// Window is NewCollector.
+func TestWindowKeepsItsSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(60) + 1
+		dist := make([]float32, n)
+		ids := make([]int32, n)
+		all := make([]Result, n)
+		for i := range dist {
+			dist[i], ids[i] = float32(rng.Intn(6)), int32(i)
+			all[i] = Result{ID: int64(i), Dist: dist[i]}
+		}
+		sortResults(all)
+		w := Window{}
+		if rng.Intn(2) == 0 {
+			w.After = &all[rng.Intn(n)]
+		}
+		if rng.Intn(2) == 0 {
+			w.Radius = float32(rng.Intn(6))
+		}
+		k := rng.Intn(n) + 1
+		var want []Result
+		for _, r := range all {
+			after := w.After == nil || worse(r, *w.After)
+			if after && (w.Radius == 0 || r.Dist <= w.Radius) && len(want) < k {
+				want = append(want, r)
+			}
+		}
+		push, block, gathered := NewWindow(k, w), NewWindow(k, w), NewWindow(k, w)
+		for i, d := range dist {
+			push.Push(int64(i), d)
+		}
+		block.PushBlock(0, dist)
+		gathered.PushIDs(ids, dist)
+		for name, c := range map[string]*Collector{"push": push, "block": block, "ids": gathered} {
+			if got := c.Results(); len(got) != len(want) || (len(want) > 0 && !resultsEqual(got, want)) {
+				t.Fatalf("trial %d %s k=%d window=%+v: got %v, want %v", trial, name, k, w, got, want)
+			}
+		}
+	}
+	if c := NewWindow(3, Window{}); c.win || !math.IsInf(float64(c.Worst()), 1) {
+		t.Fatal("the zero Window must be an unwindowed collector")
+	}
+}
+
 func TestMinQueueOrdering(t *testing.T) {
 	var q MinQueue
 	for i, d := range []float32{4, 1, 3, 2, 5} {

@@ -45,14 +45,17 @@ GOMAXPROCS=1 go test -timeout 3m ./...
 # tiers and under -race.
 go test -tags purego -count=1 -timeout 5m ./internal/vec/ ./internal/index/... ./internal/kmeans/ ./internal/quant/
 go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathConsistency' ./internal/vec/
-# Bounded scans are exact: Flat.Search, SearchRange and the ivfflat list
-# scan, whose kernels stop reading a row once its partial L2 sum passes
-# the collector's k-th distance (or the radius), return the ids and
-# distance bits of a collector fed ScoreAt — on tie-heavy data with
-# duplicated rows, under L2 and Mahalanobis, at parallelism 1/2/8, with
-# and without an allowlist and a deletion mask — on both tiers and
-# under -race.
-go test -race -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference' ./internal/index/
+# Bounded scans are exact: Flat.Search, the windowed Flat.SearchWindow
+# (a range radius, alone and past a page cursor on a tie) and the
+# ivfflat list scan, whose kernels stop reading a row once its partial
+# L2 sum passes the collector's k-th distance (or the radius), return
+# the ids and distance bits of a collector fed ScoreAt — on tie-heavy
+# data with duplicated rows, under L2 and Mahalanobis, at parallelism
+# 1/2/8, with and without an allowlist and a deletion mask — on both
+# tiers and under -race. A range scan split over every worker count,
+# with and without a predicate, returns the exact ranking cut at its
+# radius.
+go test -race -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference|TestFlatSearchRange' ./internal/index/
 go test -race -tags purego -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference' ./internal/index/
 # Distributed read path = single-node engine + merge: four loopback
 # net/rpc shards hosting collections must return the exact hits (ids
@@ -89,9 +92,11 @@ go test -race -count=1 -timeout 3m -run 'TestCrashRecoveryKill9|TestRecoverTornT
 # running and no reader pinned: 20 evict/insert cycles hold at most one
 # mapping, a reader pinned across a promotion keeps scoring its epoch,
 # and a build that read a mapping retired mid-build installs an index
-# rebound onto the heap column.
+# rebound onto the heap column. No pin outlives a request: with a page
+# cursor held on a 20 000 x 128 hnsw collection, 200 UpdateVectors
+# patch the column in place and allocate under 1 MiB.
 go test -race -count=1 -timeout 3m -run 'TestBoundedMemoryLadderSmoke' .
-go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence|TestEvictConcurrent|TestDurableEvictMapsCheckpoint|TestSnapshotWritesCopyNoColumn|TestCreateIndexDuringEviction|TestRetiredMappingsReleased|TestPinnedReaderKeepsRetiredMapping|TestRetiredDuringBuildRebinds' ./internal/server/ ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquivalence|TestEvictConcurrent|TestDurableEvictMapsCheckpoint|TestSnapshotWritesCopyNoColumn|TestCreateIndexDuringEviction|TestRetiredMappingsReleased|TestPinnedReaderKeepsRetiredMapping|TestRetiredDuringBuildRebinds|TestPageCursorHoldsNoPin' ./internal/server/ ./internal/core/
 # One builder per collection: a CreateIndex racing a parked staleness
 # rebuild, a drift swap or a second CreateIndex never runs beside it
 # (a counting index sees one build in flight), each call returns its
@@ -121,8 +126,8 @@ go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDri
 # matcher and the column-at-a-time evaluator to a reference evaluator
 # over every Kind x Op, and every forced plan at parallelism 1/2/8,
 # with and without deletions, to filter-then-brute-force. The race
-# test runs predicate searches, range queries and iterators against a
-# writer that reallocates the columns under them — the read path takes
+# test runs predicate searches, range queries and paged queries against
+# a writer that reallocates the columns under them — the read path takes
 # no lock per row, so -race is the only thing standing between a
 # missed happens-before edge and production. The deadlock regression
 # holds a recall pass in flight across an EnableRecall. Plan selection: the
@@ -134,9 +139,16 @@ go test -race -count=1 -timeout 3m ./internal/filter/
 # (hnsw, ivfflat; compacted and not; deletes in prefix and tail), every
 # ANN operator serves the tail, the audit on a tail-heavy snapshot
 # matches truth within 0.01, and a tail past the crossover plans
-# brute_force.
-go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestMixedSelectivityKeepsPostFilter|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass|TestAuditDisableNeverDeadlocks|TestAuditRecallOnTailHeavySnapshot' ./internal/core/
-go test -race -count=1 -timeout 3m -run 'TestEveryANNOperatorServesTail|TestTailFlipsToBruteForce' ./internal/executor/ ./internal/planner/
+# brute_force. Range and paging are two fields of the one search
+# request: a range keeps a row exactly at its radius and no further
+# one, excludes deleted rows and runs as brute_force; paging with After
+# at page sizes 1, 7 and 10 reproduces the exact (dist, id) order with
+# no duplicate or gap — ties across page boundaries, a cursor deleted
+# or compacted away included — and ANN pages never repeat an id or go
+# backwards; a radius or cursor the engine cannot serve is ErrWindow.
+go test -race -count=1 -timeout 3m -run 'TestForcedPlansMatchReference|TestMixedSelectivityKeepsPostFilter|TestPredicateReadPathRace|TestExhaustivePlansRecordFilterStage|TestTuneReconfigureDuringPass|TestAuditDisableNeverDeadlocks|TestAuditRecallOnTailHeavySnapshot|TestPagingReproducesExactOrder|TestRangeBoundary|TestWindowValidation|TestSearchRangeRespectsDeletes|TestBatchAndIterator' ./internal/core/
+go test -race -count=1 -timeout 3m -run 'TestEveryANNOperatorServesTail|TestTailFlipsToBruteForce|TestSearchRange|TestIteratorPagesExact|TestIteratorANNPagination|TestIteratorValidation|TestIteratorWithPredicate' ./internal/executor/ ./internal/planner/
+go test -race -count=1 -timeout 3m -run 'TestWindowKeepsItsSlice' ./internal/topk/
 go test -race -count=1 -timeout 3m -run 'TestUnfilteredSearchKeepsEf' ./internal/executor/
 # One query record: the trace, the stage histograms, the per-index
 # counters and the tracker are all read from it, so over every forced
@@ -148,7 +160,7 @@ go test -race -count=1 -timeout 3m -run 'TestUnfilteredSearchKeepsEf' ./internal
 # its own.
 go test -race -count=1 -timeout 3m -run 'TestRecordReconciles|TestReplayPublishesNothing|TestRecordTrace|TestTailCalibratesApart' ./internal/executor/
 go test -race -count=1 -timeout 3m -run 'TestBatchQueriesAreCounted' ./internal/core/
-go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion' .
+go test -race -count=1 -timeout 3m -run 'TestFilterOperandCoercion|TestSearchRangeAndBatchAndIterator|ExampleCollection_Search_rangePages' .
 # Graph traversal gates. The candidate pool against the map-based
 # oracle (hits and per-query counts, every predicate shape) on tie-heavy
 # grid graphs and, in TestBeamSearchFloatSweep, on the benchmark's
@@ -213,7 +225,8 @@ go test -tags purego -count=1 -timeout 3m -run 'TestTrainIdentity' ./internal/km
 # (the seeds put every declared key at its bound and one past it).
 # Search bodies are fuzzed through the server: any body sent to a
 # 200-row hnsw collection answers 200 or 4xx within a second, and a 200
-# carries at most k distinct ids, each one the collection issued.
+# carries at most k distinct ids, each one the collection issued, in
+# (dist, id) order, within its radius and past its cursor.
 go test -run '^$' -fuzz '^FuzzDecodeSearchBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzDecodeInsertBody$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzIndexOptions$' -fuzztime 10s ./internal/index/
@@ -236,8 +249,10 @@ go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchSto
 # weighted_sum weights reach the engine over HTTP and a query without
 # one weight per vector is an error (400), not a panic; a stopped
 # /batch answers 499/504 like a stopped search (TestStoppedSearchStatus
-# above covers both routes).
-go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOverHTTP|TestStatsShowCalibration' ./internal/server/
+# above covers both routes); a range and a page reach /search as body
+# fields, and a radius or cursor the engine cannot serve is a 400, on
+# /batch too.
+go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOverHTTP|TestStatsShowCalibration|TestWindowedSearchRoute' ./internal/server/
 # Nothing a request says sizes an allocation past the data: a k of 2^33
 # over HTTP on a 200-row collection returns its 200 rows (search, forced
 # exact scan, post-filter, /batch), a body past the server's limit is a

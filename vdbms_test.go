@@ -237,11 +237,11 @@ func TestFilterOperandCoercion(t *testing.T) {
 	col, ds := productCollection(t, n) // cat = i%100 (int), price = i%500 (float), brand (string)
 	count := func(f Filter) int {
 		t.Helper()
-		hits, err := col.SearchRange(ds.Row(0), math.MaxFloat32, []Filter{f})
+		res, err := col.Search(SearchRequest{Vector: ds.Row(0), K: n, Radius: math.MaxFloat32, Filters: []Filter{f}})
 		if err != nil {
 			t.Fatalf("%+v: %v", f, err)
 		}
-		return len(hits)
+		return len(res.Hits)
 	}
 	same := [][2]Filter{
 		{{Column: "cat", Op: "<", Value: 5.0}, {Column: "cat", Op: "<", Value: 5}},
@@ -286,8 +286,8 @@ func TestFilterOperandCoercion(t *testing.T) {
 			t.Fatalf("%+v: error %v, want ErrFilterType", bad, err)
 		}
 	}
-	if _, err := col.OpenIterator(ds.Row(0), []Filter{{Column: "brand", Op: "<", Value: 1}}, 0); !errors.Is(err, ErrFilterType) {
-		t.Fatalf("iterator: error %v, want ErrFilterType", err)
+	if _, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 1, After: &Hit{ID: 0, Dist: 0}, Filters: []Filter{{Column: "brand", Op: "<", Value: 1}}}); !errors.Is(err, ErrFilterType) {
+		t.Fatalf("page: error %v, want ErrFilterType", err)
 	}
 	if _, err := col.SearchBatch([][]float32{ds.Row(0)}, SearchRequest{K: 1, Filters: []Filter{{Column: "cat", Op: "=", Value: "1"}}}); !errors.Is(err, ErrFilterType) {
 		t.Fatalf("batch: error %v, want ErrFilterType", err)
@@ -450,12 +450,12 @@ func TestWeightedSumNeedsOneWeightPerVector(t *testing.T) {
 
 func TestSearchRangeAndBatchAndIterator(t *testing.T) {
 	col, ds := productCollection(t, 400)
-	hits, err := col.SearchRange(ds.Row(0), 0.25, nil)
+	rng, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 400, Radius: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, h := range hits {
+	for _, h := range rng.Hits {
 		if h.ID == 0 {
 			found = true
 		}
@@ -468,13 +468,13 @@ func TestSearchRangeAndBatchAndIterator(t *testing.T) {
 	if err != nil || len(batch) != 4 {
 		t.Fatalf("batch: %v %d", err, len(batch))
 	}
-	it, err := col.OpenIterator(ds.Row(0), nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	page1, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 10})
+	if err != nil || len(page1.Hits) != 10 {
+		t.Fatalf("page 1: %v %v", err, page1.Hits)
 	}
-	page, err := it.Next(10)
-	if err != nil || len(page) != 10 {
-		t.Fatalf("iterator page: %v %d", err, len(page))
+	page2, err := col.Search(SearchRequest{Vector: ds.Row(0), K: 10, After: &page1.Hits[9]})
+	if err != nil || len(page2.Hits) != 10 || !(page2.Hits[0].Dist > page1.Hits[9].Dist || page2.Hits[0].Dist == page1.Hits[9].Dist && page2.Hits[0].ID > page1.Hits[9].ID) {
+		t.Fatalf("page 2 after %v: %v %v", page1.Hits[9], err, page2.Hits)
 	}
 }
 
