@@ -147,7 +147,9 @@ func (c *Collection) CreateIndex(kind string, opts map[string]int) error {
 func (c *Collection) DropIndex() { c.inner.DropIndex() }
 
 // IndexInfo reports the index family (empty if none), how many rows
-// the build covers, and how many mutations have accrued since.
+// are served through the index — the rows its build covers, plus the
+// inserts an ivfflat index filed since — and how many in-place
+// mutations (updates and deletes) have accrued since the build.
 func (c *Collection) IndexInfo() (kind string, covered, dirty int) {
 	return c.inner.IndexInfo()
 }

@@ -140,6 +140,7 @@ func (c *Collection) runBuild(run *buildRun, kind string, opts map[string]int, d
 		if (run.mapped != nil && run.mapped != c.mapped) || moved {
 			c.rebindLocked()
 		}
+		c.extendLocked() // the rows inserted while it was built
 		obs.IndexBuildsTotal.With("installed").Inc()
 	}
 	if ch != nil {
@@ -191,8 +192,15 @@ func (c *Collection) WaitForIndex() {
 // IndexStatus reports the index family, coverage, staleness, and
 // whether a background build is currently running — IndexInfo plus the
 // builder state, for operational surfaces (/debug/stats, healthz).
+// covered is the rows served through the index (its Size): the rows it
+// was built over plus those an extendable family filed since. The
+// rebuild threshold counts from the rows the build trained on, which
+// filing does not move.
 func (c *Collection) IndexStatus() (kind string, covered, dirty int, building bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.annKind, c.annN, c.dirty, c.build != nil
+	if c.ann != nil {
+		covered = c.ann.Size()
+	}
+	return c.annKind, covered, c.dirty, c.build != nil
 }

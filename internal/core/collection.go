@@ -92,12 +92,14 @@ type Schema struct {
 //     order), so id → row is a binary search and ties broken by row
 //     break the same way by id. Inserts append past the epoch's rows,
 //     which a reader never reads, and a compaction builds a new array.
-//   - ann/annN describe the installed ANN index and the rows [0, annN)
-//     it was built over. env.ANN is ann whenever one is installed: the
-//     executor probes it over that prefix and scans the unindexed tail
-//     [annN, rows) exactly beside it, so inserts since the build are
-//     served at once, and an index stale through in-place updates stays
-//     live too (DESIGN.md §9 spells out the visibility contract).
+//   - ann is the installed ANN index, serving the rows [0, ann.Size()):
+//     the rows it was built over, plus the inserts since that an
+//     extendable family (ivfflat) filed into it. env.ANN is ann whenever
+//     one is installed: the executor probes it over that prefix and
+//     scans the unindexed tail [ann.Size(), rows) exactly beside it, so
+//     inserts since the build are served at once, and an index stale
+//     through in-place updates stays live too (DESIGN.md §9 spells out
+//     the visibility contract).
 type snapshot struct {
 	rows   int // rows in this epoch (live + deleted, not yet compacted)
 	nDel   int // deleted rows
@@ -106,7 +108,6 @@ type snapshot struct {
 	ids    []int64        // row → id; nil while ids are rows
 	nextID int64          // the next insert's id: the bound Rows reports
 	ann    index.Index    // installed index; may trail rows
-	annN   int            // rows covered by ann
 	// annKnob is the search parameter ann's family declares, resolved
 	// once at install so knob resolution takes no registry lock.
 	annKnob tuner.Knob
@@ -291,7 +292,7 @@ type Collection struct {
 	annKind string
 	annOpts map[string]int
 	ann     index.Index
-	annN    int        // rows covered by the current index build
+	annN    int        // rows the current index was trained on
 	annKnob tuner.Knob // the search parameter ann's family declares
 	dirty   int        // in-place mutations since that build
 	// annUpdates is the updateEpoch of the column ann was built over:
@@ -444,7 +445,6 @@ func (c *Collection) publishLocked() {
 		ids:     c.ids,
 		nextID:  c.nextID,
 		ann:     c.ann,
-		annN:    c.annN,
 		annKnob: c.annKnob,
 		annKind: c.annKind,
 		annOpts: c.annOpts,
@@ -569,11 +569,33 @@ func (c *Collection) applyInsertLocked(v []float32, attrs map[string]filter.Valu
 	}
 	c.n++
 	c.scorer.Extend(c.data, c.n)
-	// Growth is tracked as n - annN; dirty counts only in-place
-	// mutations, so inserts are not double counted.
+	c.extendLocked()
+	// Growth is tracked as n - annN whether or not the index filed the
+	// row; dirty counts only in-place mutations, so inserts are not
+	// double counted.
 	c.publishLocked()
 	c.maybeTriggerBuildLocked()
 	return id, nil
+}
+
+// extendLocked files the rows past the installed index into it when its
+// family can (index.Extendable), so that they are served through the
+// index rather than scanned as its tail. It files only while no vector
+// update has landed since the build and the column is on the heap: the
+// index would otherwise mix the vectors it was built over with the
+// updated column. The extended index shares the old one's structure, which
+// published snapshots keep searching unchanged. annN stays the rows the
+// build trained on, so filed rows still count towards a rebuild.
+// Caller holds mu.
+func (c *Collection) extendLocked() {
+	if c.ann == nil || c.ann.Size() >= c.n || c.mapped != nil || !c.annCurrentLocked() {
+		return
+	}
+	if e, ok := c.ann.(index.Extendable); ok {
+		if idx, ok := e.Extend(c.data, c.n); ok {
+			c.ann = idx
+		}
+	}
 }
 
 // UpdateVector overwrites the vector stored at id. The flat scan path
@@ -837,7 +859,8 @@ func (c *Collection) DropIndex() {
 	commit.Wait()
 }
 
-// IndexInfo reports the current index family and staleness.
+// IndexInfo reports the current index family, the rows served through
+// it and the in-place mutations since its build (IndexStatus).
 func (c *Collection) IndexInfo() (kind string, covered, dirty int) {
 	kind, covered, dirty, _ = c.IndexStatus()
 	return kind, covered, dirty

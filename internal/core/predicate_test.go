@@ -79,11 +79,14 @@ func referenceTopK(ds *dataset.Dataset, n int, q []float32, k int, admit func(id
 // list, which also runs the per-id matcher on several workers at once),
 // so every plan has an exact reference: post_filter's is the
 // unfiltered top alpha*k, filtered. The tail subtests repeat this on
-// snapshots whose index covers only a prefix of the rows.
+// snapshots whose index covers only a prefix of the rows; the extended
+// subtest on snapshots whose ivfflat index filed every insert past its
+// build.
 func TestForcedPlansMatchReference(t *testing.T) {
 	for _, kind := range []string{"ivfflat", "hnsw"} {
-		t.Run("tail/"+kind, func(t *testing.T) { forcedPlansWithTail(t, kind) })
+		t.Run("tail/"+kind, func(t *testing.T) { forcedPlansWithTail(t, kind, false) })
 	}
+	t.Run("extended/ivfflat", func(t *testing.T) { forcedPlansWithTail(t, "ivfflat", true) })
 	const n, dim, k, alpha = 3000, 16, 10, 8
 	for _, ix := range []struct {
 		kind   string
@@ -147,17 +150,21 @@ func TestForcedPlansMatchReference(t *testing.T) {
 }
 
 // forcedPlansWithTail runs every forced plan, filtered and unfiltered,
-// at parallelism 1, 2 and 8, on snapshots whose index covers a prefix
-// of the rows and whose tail the executor scans: a tail of inserts past
-// the build, then deletes in both the prefix and the tail, then a
-// Compact (the index rebuilt over the survivors, ids no longer rows)
-// followed by a fresh tail with deletes of its own. An ivfflat index
-// probing every list is exact, so its hits are byte-identical to the
-// reference. hnsw is approximate: brute_force is byte-identical, and
-// every other plan returns live, admitted ids at their exact distances
-// in (dist, id) order, among them every reference hit in the tail —
-// the tail is scanned exactly, so none may be lost to the merge.
-func forcedPlansWithTail(t *testing.T, kind string) {
+// at parallelism 1, 2 and 8, on snapshots with rows inserted past the
+// index build: those inserts, then deletes among both the built rows
+// and them, then a Compact (the index rebuilt over the survivors, ids
+// no longer rows) followed by fresh inserts with deletes of their own.
+// Unless filed, each build is followed by an update that rewrites a row
+// with its own vector: no answer changes, but an ivfflat index files no
+// insert until its next build, so the inserts form a tail the executor
+// scans. Filed, the ivfflat index serves every row and no tail is left.
+// An ivfflat index probing every list is exact, so its hits are
+// byte-identical to the reference. hnsw is approximate: brute_force is
+// byte-identical, and every other plan returns live, admitted ids at
+// their exact distances in (dist, id) order, among them every reference
+// hit in the tail — the tail is scanned exactly, so none may be lost to
+// the merge.
+func forcedPlansWithTail(t *testing.T, kind string, filed bool) {
 	const n0, n, extra, dim, k, alpha = 2400, 3000, 300, 16, 10, 8
 	opts, nprobe, ef := map[string]int{"nlist": 8}, 8, 0
 	if kind == "hnsw" {
@@ -179,10 +186,18 @@ func forcedPlansWithTail(t *testing.T, kind string) {
 			}
 		}
 	}
+	stale := func() {
+		if !filed {
+			if err := c.UpdateVector(1, ds.Row(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	insert(0, n0)
 	if err := c.CreateIndex(kind, opts); err != nil {
 		t.Fatal(err)
 	}
+	stale()
 	insert(n0, n)
 	dead := map[int64]bool{}
 	del := func(lo, hi, step int) {
@@ -203,12 +218,17 @@ func forcedPlansWithTail(t *testing.T, kind string) {
 				t.Fatal(err)
 			}
 			c.WaitForIndex()
+			stale()
 			insert(n, n+extra)
 			del(n+1, n+extra, 7)
 			ids, tailFrom = n+extra, n
 		}
 		s := c.snap.Load()
-		if got, want := s.env.ANN.Size(), s.rows-(ids-int(tailFrom)); got != want || got >= s.rows {
+		want := s.rows - (ids - int(tailFrom))
+		if filed {
+			want = s.rows
+		}
+		if got := s.env.ANN.Size(); got != want || !filed && got >= s.rows {
 			t.Fatalf("%s: index covers %d of %d rows, want %d", phase, got, s.rows, want)
 		}
 		live := func(id int64) bool { return !dead[id] }

@@ -15,9 +15,10 @@ import (
 // TestAuditRecallOnTailHeavySnapshot: the recall loop audits what the
 // serving path answered on a snapshot whose index covers half the rows.
 // A degraded ivfflat (nprobe 1 of 64 lists) over the first 6 000 rows
-// serves 6 000 more as its tail; the pass's recall of the served
-// queries lies within ±0.01 of their recall against brute force over
-// all 12 000 rows.
+// serves 6 000 more as its tail — an update right after the build, which
+// rewrites a row with its own vector, stops the index filing them; the
+// pass's recall of the served queries lies within ±0.01 of their recall
+// against brute force over all 12 000 rows.
 func TestAuditRecallOnTailHeavySnapshot(t *testing.T) {
 	const n0, n, d, k, nq = 6000, 12000, 8, 10, 100
 	ds := dataset.Uniform(n, d, 41)
@@ -30,6 +31,9 @@ func TestAuditRecallOnTailHeavySnapshot(t *testing.T) {
 			if err := c.CreateIndex("ivfflat", map[string]int{"nlist": 64}); err != nil {
 				t.Fatal(err)
 			}
+			if err := c.UpdateVector(0, ds.Row(0)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := c.Insert(ds.Row(i), nil); err != nil {
 			t.Fatal(err)
@@ -37,6 +41,9 @@ func TestAuditRecallOnTailHeavySnapshot(t *testing.T) {
 	}
 	if _, covered, _ := c.IndexInfo(); covered != n0 {
 		t.Fatalf("index covers %d rows, want %d", covered, n0)
+	}
+	if s := c.snap.Load(); s.env.ANN.Size() >= s.rows {
+		t.Fatalf("index serves %d of %d rows: no tail", s.env.ANN.Size(), s.rows)
 	}
 	c.EnableRecall(RecallConfig{ReservoirSize: 2 * nq})
 	defer c.DisableRecall()
@@ -82,15 +89,44 @@ func TestAuditRecallOnTailHeavySnapshot(t *testing.T) {
 }
 
 // TestWriteWhileSearchHNSW races searches against a writer on an hnsw
-// collection whose index trails the inserts: the writer inserts 2 000
-// rows onto 2 000 indexed ones (the staleness rule rebuilds the index
-// in the background meanwhile, and inserts reallocate the column under
-// it), deletes every tenth new row, and reads each insert back while the
-// index does not cover it yet — the tail must serve it. Two readers
-// search with and without a predicate throughout: every hit is an
-// issued id at its exact distance, in (dist, id) order, and no id
-// deleted before the search began comes back. Run under -race.
+// collection whose index trails the inserts (writeWhileSearch): each
+// insert read back while the index does not cover it yet must come from
+// the tail. Run under -race.
 func TestWriteWhileSearchHNSW(t *testing.T) {
+	served, tail := writeWhileSearch(t, "hnsw", map[string]int{"m": 8}, SearchRequest{Ef: 32}, false)
+	if tail < 100 {
+		t.Fatalf("%d inserts read back while in the tail (%d served by the index): too few to show anything", tail, served)
+	}
+}
+
+// TestWriteWhileSearchIVF is TestWriteWhileSearchHNSW on ivfflat, which
+// files every insert into its lists: each one is served through the
+// index the moment Insert returns, across the rebuilds the staleness
+// rule starts meanwhile, and no tail is left. The index probes every
+// list, so every read-back is exact. Run under -race.
+func TestWriteWhileSearchIVF(t *testing.T) {
+	const nlist = 16
+	served, tail := writeWhileSearch(t, "ivfflat", map[string]int{"nlist": nlist}, SearchRequest{NProbe: nlist}, true)
+	if tail != 0 || served < 1000 {
+		t.Fatalf("%d inserts read back from the index and %d from the tail, want every one from the index", served, tail)
+	}
+}
+
+// writeWhileSearch races searches against a writer on a collection
+// indexed by kind with opts: the writer inserts 2 000 rows onto 2 000
+// indexed ones (the staleness rule rebuilds the index in the background
+// meanwhile, and inserts reallocate the column under it), deletes every
+// tenth new row, and reads each insert back at once, under the knobs of
+// req. A read-back must find the row at distance 0 when the row was in
+// the tail — the tail is scanned exactly — and, when exact, also when
+// the index served it. Two readers search with and without a predicate
+// throughout: every hit is an issued id at its exact distance, in (dist,
+// id) order, and no id deleted before the search began comes back. It
+// returns how many inserts were read back while the index served them
+// and how many while they were in its tail; once the builds settle, the
+// index serves every row a filing family has seen inserted.
+func writeWhileSearch(t *testing.T, kind string, opts map[string]int, req SearchRequest, exact bool) (served, tail int) {
+	t.Helper()
 	const n0, n, dim, k = 2000, 4000, 16, 10
 	ds := dataset.Clustered(n, dim, 8, 0.4, 47)
 	c, err := NewCollection("wws", Schema{Dim: dim, Attributes: map[string]filter.Kind{"g": filter.Int64}})
@@ -103,7 +139,7 @@ func TestWriteWhileSearchHNSW(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
+	if err := c.CreateIndex(kind, opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +165,8 @@ func TestWriteWhileSearchHNSW(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !done.Load(); i++ {
 				q := qs[(i+r)%len(qs)]
-				req := SearchRequest{Vector: q, K: k, Ef: 32}
+				req := req
+				req.Vector, req.K = q, k
 				if i%2 == 1 {
 					req.Filters = []Filter{{Column: "g", Op: "<", Value: 5}}
 				}
@@ -161,23 +198,28 @@ func TestWriteWhileSearchHNSW(t *testing.T) {
 			}
 		}(r)
 	}
-	tailReads := 0
 	for i := n0; i < n && !done.Load(); i++ {
 		id, err := c.Insert(ds.Row(i), attrs(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Search(bg, SearchRequest{Vector: ds.Row(i), K: 1, Ef: 32})
+		back := req
+		back.Vector, back.K = ds.Row(i), 1
+		res, err := c.Search(bg, back)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Coverage only grows here, so a row past it now was in the
+		// tail when the search ran, and one below it was served then.
+		inTail := false
 		if _, covered, _ := c.IndexInfo(); int64(covered) <= id {
-			// Coverage only grows here, so the row was in the tail when
-			// the search ran.
-			tailReads++
-			if len(res.Hits) != 1 || res.Hits[0].ID != id || res.Hits[0].Dist != 0 {
-				t.Fatalf("insert %d not read back from the tail: %v", id, res.Hits)
-			}
+			inTail = true
+			tail++
+		} else {
+			served++
+		}
+		if (inTail || exact) && (len(res.Hits) != 1 || res.Hits[0].ID != id || res.Hits[0].Dist != 0) {
+			t.Fatalf("insert %d (in the tail: %v) not read back: %v", id, inTail, res.Hits)
 		}
 		if i%10 == 0 {
 			delMu.Lock()
@@ -196,9 +238,13 @@ func TestWriteWhileSearchHNSW(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.WaitForIndex()
-	if tailReads < 100 || searches.Load() < 100 {
-		t.Fatalf("%d inserts read back while in the tail, %d concurrent searches: too few to show anything", tailReads, searches.Load())
+	if searches.Load() < 100 {
+		t.Fatalf("%d concurrent searches: too few to show anything", searches.Load())
 	}
+	if s := c.snap.Load(); tail == 0 && s.env.ANN.Size() != s.rows {
+		t.Fatalf("index serves %d of %d rows after its builds settled", s.env.ANN.Size(), s.rows)
+	}
+	return served, tail
 }
 
 // TestInsertReallocRebindsIndex: an insert that reallocates the heap

@@ -272,6 +272,34 @@ func TestRecordTrace(t *testing.T) {
 			t.Fatalf("tail probe stage %+v (record tail %d), want hnsw with %d tail rows among its comps", p, rec.Tail(), tc.tail)
 		}
 	}
+
+	// The same rows under an ivfflat index built over the first 1 500
+	// and extended over the other 500: the probe serves every row, so
+	// its span reads no tail rows, and a row past the build comes back
+	// through it.
+	built, err := ivf.Build(tds.Data[:1500*tds.Dim], 1500, tds.Dim, ivf.Config{NList: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, ok := built.Extend(tds.Data, 2000)
+	if !ok {
+		t.Fatal("ivfflat refused to extend")
+	}
+	eenv := envOver(t, tds, ext)
+	for _, preds := range [][]filter.Predicate{nil, catLt(10)} {
+		rec = Record{}
+		res, err := eenv.Execute(planner.Plan{Kind: planner.SingleStage}, tds.Row(1800), 5, preds, Options{NProbe: 16, Record: &rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = rec.Trace("search", 0).Children[0]
+		if a := p.Annotations; p.Stage != "index_probe" || p.Tags["index"] != "ivfflat" || a["tail_rows"] != 0 || rec.Tail() != 0 || a["distance_comps"] <= 0 {
+			t.Fatalf("extended probe stage %+v (record tail %d), want ivfflat with no tail rows", p, rec.Tail())
+		}
+		if len(res) == 0 || res[0].ID != 1800 || res[0].Dist != 0 {
+			t.Fatalf("extended probe %v, want row 1800 first", res)
+		}
+	}
 }
 
 // TestTailCalibratesApart: a quantized index (ivf SQ) over the first

@@ -154,37 +154,51 @@ func TestReadmeCapabilityMatrix(t *testing.T) {
 
 // TestSizeIsRowsCovered: every registered family reports as its Size
 // the rows it was built over, before and after a Remap onto a longer
-// column, and never returns an id past them. The executor scans the
-// rows from Size on as the unindexed tail, so a family that miscounted
-// would drop rows from every answer or score some twice.
+// column, and never returns an id past them; a family that extends
+// (index.Extendable) onto the longer column reports and returns every
+// row of it. The executor scans the rows from Size on as the unindexed
+// tail, so a family that miscounted would drop rows from every answer
+// or score some twice.
 func TestSizeIsRowsCovered(t *testing.T) {
 	const n, dim = 600, 8
 	ds := dataset.Clustered(2*n, dim, 4, 0.3, 7)
 	qs := ds.Queries(5, 0.05, 11)
+	type covering struct {
+		ix   index.Index
+		rows int
+	}
 	for _, name := range index.Names() {
 		idx, err := index.Build(name, ds.Data[:n*dim], n, dim, vec.L2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		idxs := []index.Index{idx}
+		idxs := []covering{{idx, n}}
 		if r, ok := idx.(index.Remappable); ok {
 			if moved, ok := r.Remap(ds.Data); ok {
-				idxs = append(idxs, moved)
+				idxs = append(idxs, covering{moved, n})
 			}
 		}
-		for _, ix := range idxs {
-			if ix.Size() != n {
-				t.Fatalf("%s: Size %d over %d rows", name, ix.Size(), n)
+		if e, ok := idx.(index.Extendable); ok {
+			if grown, ok := e.Extend(ds.Data, 2*n); ok {
+				idxs = append(idxs, covering{grown, 2 * n})
+			}
+		}
+		for _, c := range idxs {
+			if c.ix.Size() != c.rows {
+				t.Fatalf("%s: Size %d over %d rows", name, c.ix.Size(), c.rows)
 			}
 			for _, q := range qs {
-				res, err := ix.Search(q, 2*n, index.Params{Ef: 2 * n, NProbe: 1 << 10})
+				res, err := c.ix.Search(q, 2*c.rows, index.Params{Ef: 2 * c.rows, NProbe: 1 << 10})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for _, r := range res {
-					if r.ID < 0 || r.ID >= n {
-						t.Fatalf("%s: id %d outside the %d rows it covers", name, r.ID, n)
+					if r.ID < 0 || r.ID >= int64(c.rows) {
+						t.Fatalf("%s: id %d outside the %d rows it covers", name, r.ID, c.rows)
 					}
+				}
+				if c.rows > n && len(res) != c.rows {
+					t.Fatalf("%s: %d hits of the %d rows it was extended over", name, len(res), c.rows)
 				}
 			}
 		}

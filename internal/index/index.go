@@ -191,6 +191,22 @@ type Remappable interface {
 	Remap(data []float32) (idx Index, ok bool)
 }
 
+// Extendable is implemented by indexes that can serve rows appended
+// to their column without a rebuild. Extend returns an index over the
+// rows [0, n) of data — the receiver's rows, which data holds as they
+// were, plus the rows past them — sharing the receiver's structure;
+// its Size is n. ok is false when the family cannot file rows (the
+// caller then scans them beside the index). Implementations never
+// write where an older version reads: they append past every older
+// version's lengths, copy the slice headers they grow and rebind their
+// scorer with View and Extend, the column's own append rules. So the
+// receiver, and every version it was extended from, still answers as
+// before — provided each version is extended at most once, the newest
+// of the chain.
+type Extendable interface {
+	Extend(data []float32, n int) (idx Index, ok bool)
+}
+
 // Rebind points *sc at a view of itself scoring data, a column holding
 // the same rows: the whole of Remap for an index that scores a column
 // it does not own. Cached per-row state is content-derived and carries

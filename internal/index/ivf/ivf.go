@@ -11,6 +11,7 @@ package ivf
 
 import (
 	"fmt"
+	"slices"
 
 	"vdbms/internal/index"
 	"vdbms/internal/kmeans"
@@ -278,6 +279,28 @@ func (iv *IVF) Remap(data []float32) (index.Index, bool) {
 	iv2 := *iv
 	if !index.Rebind(&iv2.sc, data) {
 		return nil, false
+	}
+	return &iv2, true
+}
+
+// Extend implements index.Extendable for the Flat variant: each row of
+// [Size(), n) is filed into the list of its nearest centroid, the
+// centroids as trained. The copy gets its own list headers and its rows
+// land past every list's end, so the receiver keeps its lists as they
+// were; the scorer is rebound onto data and extended over the new rows.
+// The code variants would need codes for the new rows and refuse.
+func (iv *IVF) Extend(data []float32, n int) (index.Index, bool) {
+	if iv.cfg.Variant != Flat || n < iv.n || len(data) < n*iv.dim {
+		return nil, false
+	}
+	iv2 := *iv
+	iv2.n = n
+	iv2.sc = iv.sc.View()
+	iv2.sc.Extend(data, n)
+	iv2.lists = slices.Clone(iv.lists)
+	for id := iv.n; id < n; id++ {
+		list, _ := iv.cents.Nearest(data[id*iv.dim : (id+1)*iv.dim])
+		iv2.lists[list] = append(iv2.lists[list], int32(id))
 	}
 	return &iv2, true
 }

@@ -2,11 +2,13 @@ package ivf
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/topk"
 	"vdbms/internal/vec"
 )
 
@@ -261,6 +263,80 @@ func TestSearchBatchRespectsPredicates(t *testing.T) {
 			if r.ID%2 != 0 {
 				t.Fatalf("filter violated: %d", r.ID)
 			}
+		}
+	}
+}
+
+// TestExtendKeepsOlderVersions: Extend files each new row into the list
+// of its nearest centroid, so a self query probing one list finds it,
+// and the extended index probing every list answers as a flat index
+// over all its rows. An older version returns the same hits after its
+// successor is extended in turn, although the versions share one
+// column, the lists' backing arrays and the scorer's per-row state
+// (cosine norms): successors write only past what it reads. The code
+// variants refuse to extend.
+func TestExtendKeepsOlderVersions(t *testing.T) {
+	const n0, n1, n2, d, nlist = 1200, 1600, 2000, 16, 16
+	ds := dataset.Clustered(n2, d, 16, 0.3, 5)
+	qs := ds.Queries(8, 0.05, 6)
+	for _, m := range []vec.Metric{vec.L2, vec.Cosine} {
+		hits := func(ix index.Index, nprobe int) string {
+			t.Helper()
+			var all [][]topk.Result
+			for _, q := range qs {
+				res, err := ix.Search(q, 10, index.Params{NProbe: nprobe})
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, res)
+			}
+			return fmt.Sprint(all)
+		}
+		v0, err := Build(ds.Data[:n0*d], n0, d, Config{NList: nlist, Seed: 3, Metric: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var versions []index.Index
+		var before []string
+		for _, n := range []int{n0, n1, n2} {
+			ix := index.Index(v0)
+			if len(versions) > 0 {
+				ext, ok := versions[len(versions)-1].(index.Extendable).Extend(ds.Data[:n*d], n)
+				if !ok || ext.Size() != n {
+					t.Fatalf("%v: extend to %d rows: ok %v", m, n, ok)
+				}
+				ix = ext
+			}
+			for i, old := range versions {
+				if got := hits(old, 1) + hits(old, nlist); got != before[i] {
+					t.Fatalf("%v: version over %d rows changed its hits once extended to %d", m, old.Size(), n)
+				}
+			}
+			versions = append(versions, ix)
+			before = append(before, hits(ix, 1)+hits(ix, nlist))
+			flat, err := index.Build("flat", ds.Data[:n*d], n, d, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := hits(ix, nlist), hits(flat, 1); got != want {
+				t.Fatalf("%v over %d rows, every list probed:\n got %s\nwant %s", m, n, got, want)
+			}
+		}
+		last := versions[len(versions)-1]
+		for id := n0; id < n2; id++ {
+			res, err := last.Search(ds.Row(id), 1, index.Params{NProbe: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].ID != int64(id) {
+				t.Fatalf("%v: filed row %d not found in its own list: %v", m, id, res)
+			}
+		}
+	}
+	for _, v := range []Variant{SQ, ADC} {
+		iv, _ := buildClustered(t, v, false)
+		if _, ok := iv.Extend(iv.sc.Data(), iv.Size()); ok {
+			t.Fatalf("%s extended", iv.Name())
 		}
 	}
 }

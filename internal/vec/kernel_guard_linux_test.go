@@ -61,16 +61,18 @@ func guardedIDs(t *testing.T, ids ...int32) []int32 {
 //
 // The gather kernels get the same operands plus an id list that is
 // itself flush against an unreadable page, of every length up to twice
-// the kernel's prefetch distance and naming the first and the last row
-// of the block in every position: the row prefetched while another is
-// scored is named by an id further on, and near the end of the list
-// there is none — a kernel that read it anyway faults on the ids, and
+// the longer prefetch distance (the bounded kernel's) and naming the
+// first and the last row of the block in every position: the row
+// prefetched while another is scored is named by an id further on, and
+// near the end of the list — in all of a list shorter than the distance
+// — there is none: a kernel that read it anyway faults on the ids, and
 // one that loaded what it should only prefetch faults on the rows.
 func TestKernelStaysInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const rowsPerBlock = 3
+	const ahead = 6 // kernel_amd64.s's gatherCutAhead
 	var idLists [][]int32
-	for n := 0; n <= 5; n++ {
+	for n := 0; n <= 2*ahead+1; n++ {
 		for first := int32(0); first < rowsPerBlock; first++ {
 			ids := make([]int32, n)
 			for i := range ids {
@@ -110,7 +112,7 @@ func TestKernelStaysInBounds(t *testing.T) {
 				l2Rows(vecG, freeBlock, out, bound)
 			}
 		}
-		gout := make([]float32, 5)
+		gout := make([]float32, 2*ahead+1)
 		for _, ids := range idLists {
 			dotGather(heap[:d], blockG, ids, gout)
 			dotGather(vecG, heap[:rowsPerBlock*d], ids, gout)

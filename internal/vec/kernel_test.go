@@ -213,9 +213,9 @@ func spdMatrix(rng *rand.Rand, d int) [][]float32 {
 // TestScorerPathConsistency is the numeric contract of scorer.go: for
 // the four metrics served by the kernels, ScoreAt, ScoreBlock at every
 // split of a 300-row range, ScoreIDs, ScoreRows and (where the metric
-// has one) the exported scalar function return the same bits; and the
-// bounded paths, for a stored row and a NaN query, return those bits
-// for every row they do not cut.
+// has one) the exported scalar function return the same bits; ScoreRows
+// is symmetric under every metric; and the bounded paths, for a stored
+// row and a NaN query, return those bits for every row they do not cut.
 func TestScorerPathConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n = 300
@@ -305,32 +305,18 @@ func TestScorerPathConsistency(t *testing.T) {
 	}
 }
 
-// asymmetricRows lists the metrics whose ScoreRows(i, j) and
-// ScoreRows(j, i) may differ in the last bit. Cosine computes
-// 1 − dp·inv[j]·inv[i], and the float products round differently when
-// the arguments swap. A graph build that stores d(id, nb) where it
-// would compute d(nb, id) must keep re-scoring for these metrics.
-var asymmetricRows = map[Metric]bool{Cosine: true}
-
 // checkSymmetry holds ScoreRows to symmetry, bit for bit, over every
-// pair of the first rows — except for a metric in asymmetricRows, which
-// must show at least one asymmetric pair, so that the list stays exact.
+// pair of the first rows, so a graph build may store d(id, nb) where it
+// would compute d(nb, id).
 func checkSymmetry(t *testing.T, label string, sc *Scorer, n int) {
 	t.Helper()
 	rows := min(n, 60)
-	asym := 0
 	for i := 0; i < rows; i++ {
 		for j := i + 1; j < rows; j++ {
 			if a, b := sc.ScoreRows(i, j), sc.ScoreRows(j, i); !sameBits(a, b) {
-				if !asymmetricRows[sc.Metric()] {
-					t.Fatalf("%s: ScoreRows(%d, %d) = %v, ScoreRows(%d, %d) = %v", label, i, j, a, j, i, b)
-				}
-				asym++
+				t.Fatalf("%s: ScoreRows(%d, %d) = %v, ScoreRows(%d, %d) = %v", label, i, j, a, j, i, b)
 			}
 		}
-	}
-	if asymmetricRows[sc.Metric()] && asym == 0 {
-		t.Fatalf("%s: listed as asymmetric, but every pair scores the same both ways", label)
 	}
 }
 

@@ -248,7 +248,9 @@ func invNormOf(v []float32) float32 {
 
 // cosineOf turns a dot product and the two cached inverse norms into a
 // cosine distance; every cosine path goes through this one expression.
-func cosineOf(dp, invA, invB float32) float32 { return 1 - dp*invA*invB }
+// The norms multiply first, so swapping them — ScoreRows(i, j) against
+// ScoreRows(j, i) — rounds the same.
+func cosineOf(dp, invA, invB float32) float32 { return 1 - dp*(invA*invB) }
 
 // ScoreAt scores row id against q. One-shot convenience; loops should
 // Bind once and use the bound scorer.

@@ -105,9 +105,11 @@ go test -race -count=1 -timeout 3m -run 'TestShedRefusesWork|TestEvictByteEquiva
 # the collection, so -race. The index serves the rows it covers while
 # the collection grows: searches race a writer on hnsw, each hit an
 # issued, undeleted id at its exact distance and each insert read back
-# from the tail; an insert that reallocates the column rebinds an index
-# no vector update has made stale, also after a delete.
-go test -race -count=1 -timeout 3m -run 'TestOneBuildInFlight|TestCreateIndexSupersededByCompact|TestSearchDuringBackgroundBuild|TestWriteWhileSearchHNSW|TestInsertReallocRebindsIndex' ./internal/core/
+# from the tail, and on ivfflat, which files each insert into its lists
+# and reads it back through the index; an insert that reallocates the
+# column rebinds an index no vector update has made stale, also after a
+# delete.
+go test -race -count=1 -timeout 3m -run 'TestOneBuildInFlight|TestCreateIndexSupersededByCompact|TestSearchDuringBackgroundBuild|TestWriteWhileSearchHNSW|TestWriteWhileSearchIVF|TestInsertReallocRebindsIndex' ./internal/core/
 # Recall loop gates. The tuner must converge on a degraded index
 # (coarse IVF, target_recall=0.95 -> a trusted frontier resolving a
 # parameter cheaper than the ladder maximum that still meets the
