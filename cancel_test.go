@@ -64,7 +64,7 @@ func TestSearchContextLeavesNoGoroutines(t *testing.T) {
 	timedOut := 0
 	for i := 0; i < 200; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
-		_, err := col.SearchContext(ctx, SearchRequest{Vector: ds.Row(i), K: 10, Policy: "plan:brute_force", Parallelism: 2})
+		_, err := col.SearchContext(ctx, SearchRequest{Vector: ds.Row(i), K: 10, Policy: "plan:brute_force"})
 		cancel()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

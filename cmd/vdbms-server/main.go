@@ -80,7 +80,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 	slowQuery := flag.Duration("slow-query", 0, "log searches slower than this with their span tree (0 = off)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
-	parallelism := flag.Int("parallelism", 0, "default intra-query workers for partitioned scans (0 = GOMAXPROCS, 1 = serial)")
 	dataDir := flag.String("data-dir", "", "data directory for the durable write path (empty = in-memory, nothing survives restart)")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always (acked writes survive power loss), interval, or never")
 	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint period (0 = only checkpoint on shutdown)")
@@ -132,7 +131,6 @@ func main() {
 	opts := []server.Option{
 		server.WithQueryTimeout(*queryTimeout),
 		server.WithSlowQueryLog(*slowQuery),
-		server.WithParallelism(*parallelism),
 	}
 	if *memBudget >= 0 {
 		dir := *spillDir

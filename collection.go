@@ -229,8 +229,8 @@ func (c *Collection) SearchContext(ctx context.Context, req SearchRequest) (Sear
 
 // SearchBatch answers a batch of queries in parallel, all against one
 // snapshot. req carries the shared execution knobs — K, Filters,
-// Policy (including "plan:<kind>" forcing), Ef, NProbe, Alpha,
-// Parallelism — and one plan is chosen and reused for the whole batch;
+// Policy (including "plan:<kind>" forcing), Ef, NProbe and Alpha —
+// and one plan is chosen and reused for the whole batch;
 // the per-query fields (Vector, Vectors, EntityColumn, Trace) are
 // ignored. A query that fails does not discard the rest of the batch:
 // its slot is nil and the returned error wraps each failing query's

@@ -301,7 +301,7 @@ func attrCostTable(w io.Writer, env *executor.Env, n, d int) {
 			return
 		}
 		q := ds.Queries(1, 0.05, 4)[0]
-		dist := perRow(n, func() { fl.Search(q, 10, index.Params{Parallelism: 1}) }) //nolint:errcheck
+		dist := perRow(n, func() { fl.SearchTail(q, 10, index.Params{}, 0, nil) }) //nolint:errcheck
 		t.AddRow(dd, dist, block, perID, block/dist, perID/dist)
 	}
 	t.Print(w)

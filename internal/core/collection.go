@@ -1062,7 +1062,7 @@ func (c *Collection) search(ctx context.Context, s *snapshot, req *SearchRequest
 		}
 		plan, forced = planner.Plan{Kind: planner.BruteForce}, true
 	}
-	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Record: rec, Ctx: ctx, Window: s.window(req)}
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Deleted: s.deleted(), Record: rec, Ctx: ctx, Window: s.window(req)}
 
 	switch {
 	case len(req.Vectors) > 0:
@@ -1144,7 +1144,7 @@ func (c *Collection) multiVector(s *snapshot, req *SearchRequest, agg vec.Aggreg
 // SearchBatch answers many queries under one shared plan, against one
 // snapshot. The request supplies the same execution knobs as Search —
 // Policy (including "plan:<kind>" forcing), K, Filters, Ef, NProbe,
-// Alpha, Parallelism — but the plan is chosen once and reused for the
+// Alpha — but the plan is chosen once and reused for the
 // whole batch, so the per-query fields (Vector, Vectors, EntityColumn,
 // Trace) are ignored, and a Radius or After is an error (ErrWindow): a
 // page cursor belongs to one query. ctx stops the batch as it stops a
@@ -1184,7 +1184,7 @@ func (c *Collection) SearchBatch(ctx context.Context, qs [][]float32, req Search
 	// defaults exactly once for the whole batch.
 	res := SearchResult{Plan: plan.Kind.String()}
 	res.Ef, res.NProbe, res.ParamSource = c.resolveKnobs(&req, s)
-	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Parallelism: req.Parallelism, Deleted: s.deleted(), Ctx: ctx}
+	opts := executor.Options{Ef: res.Ef, NProbe: res.NProbe, RerankK: req.RerankK, Deleted: s.deleted(), Ctx: ctx}
 	out, recs, err := env.SearchBatch(plan, qs, req.K, preds, opts)
 	one := req
 	one.Vectors, one.Trace = nil, false

@@ -70,14 +70,14 @@ func referenceTopK(ds *dataset.Dataset, n int, q []float32, k int, admit func(id
 	return all
 }
 
-// TestForcedPlansMatchReference: under every forced plan, at
-// parallelism 1, 2 and 8, with and without a deletion mask, and after
+// TestForcedPlansMatchReference: under every forced plan, with and
+// without a deletion mask, and after
 // a Compact dropped the deleted rows (ids no longer rows, the index
 // rebuilt over the survivors), the hits (ids, order, distances) are
 // byte-identical to a reference that filters and then brute-forces.
-// The installed indexes are exact (a flat index; ivfflat probing every
-// list, which also runs the per-id matcher on several workers at once),
-// so every plan has an exact reference: post_filter's is the
+// The installed indexes are exact (a flat index, whose 3 000-row scan
+// splits across the pool's workers on two or more CPUs; ivfflat probing
+// every list), so every plan has an exact reference: post_filter's is the
 // unfiltered top alpha*k, filtered. The tail subtests repeat this on
 // snapshots whose index covers only a prefix of the rows; the extended
 // subtest on snapshots whose ivfflat index filed every insert past its
@@ -132,16 +132,14 @@ func TestForcedPlansMatchReference(t *testing.T) {
 					if plan == "post_filter" {
 						want = post
 					}
-					for _, par := range []int{1, 2, 8} {
-						res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: corpusFilters, Policy: "plan:" + plan,
-							Alpha: alpha, NProbe: ix.nprobe, Parallelism: par})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := res.Hits; fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("index %q %s query %d plan %s parallelism %d:\n got %v\nwant %v",
-								ix.kind, phase, qi, plan, par, got, want)
-						}
+					res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: corpusFilters, Policy: "plan:" + plan,
+						Alpha: alpha, NProbe: ix.nprobe})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := res.Hits; fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("index %q %s query %d plan %s:\n got %v\nwant %v",
+							ix.kind, phase, qi, plan, got, want)
 					}
 				}
 			}
@@ -150,7 +148,7 @@ func TestForcedPlansMatchReference(t *testing.T) {
 }
 
 // forcedPlansWithTail runs every forced plan, filtered and unfiltered,
-// at parallelism 1, 2 and 8, on snapshots with rows inserted past the
+// on snapshots with rows inserted past the
 // index build: those inserts, then deletes among both the built rows
 // and them, then a Compact (the index rebuilt over the survivors, ids
 // no longer rows) followed by fresh inserts with deletes of their own.
@@ -247,21 +245,19 @@ func forcedPlansWithTail(t *testing.T, kind string, filed bool) {
 					if plan == "post_filter" {
 						want = post
 					}
-					for _, par := range []int{1, 2, 8} {
-						res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: fs, Policy: "plan:" + plan,
-							Alpha: alpha, NProbe: nprobe, Ef: ef, Parallelism: par})
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("%s %s filtered=%v query %d plan %s parallelism %d", kind, phase, fs != nil, qi, plan, par)
-						if kind == "ivfflat" || plan == "brute_force" {
-							if fmt.Sprint(res.Hits) != fmt.Sprint(want) {
-								t.Fatalf("%s:\n got %v\nwant %v", label, res.Hits, want)
-							}
-							continue
-						}
-						checkTailHits(t, label, ds, q, res.Hits, want, admit, tailFrom)
+					res, err := c.Search(bg, SearchRequest{Vector: q, K: k, Filters: fs, Policy: "plan:" + plan,
+						Alpha: alpha, NProbe: nprobe, Ef: ef})
+					if err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("%s %s filtered=%v query %d plan %s", kind, phase, fs != nil, qi, plan)
+					if kind == "ivfflat" || plan == "brute_force" {
+						if fmt.Sprint(res.Hits) != fmt.Sprint(want) {
+							t.Fatalf("%s:\n got %v\nwant %v", label, res.Hits, want)
+						}
+						continue
+					}
+					checkTailHits(t, label, ds, q, res.Hits, want, admit, tailFrom)
 				}
 			}
 		}

@@ -60,12 +60,6 @@ type SearchRequest struct {
 	// scans (0 = index default, max(4k, 32)). Larger values trade
 	// latency for recall; ignored by full-precision indexes.
 	RerankK int `json:"rerank_k,omitempty"`
-	// Parallelism is the intra-query worker count: exhaustive and
-	// bucket scans partition their work across this many workers,
-	// drawn from a shared process-wide pool. 0 uses every CPU
-	// (GOMAXPROCS); 1 scans serially. Results are identical at every
-	// setting — partitions merge through an id-deterministic top-k.
-	Parallelism int `json:"parallelism,omitempty"`
 	// EntityColumn names an int attribute grouping rows into entities
 	// for multi-vector queries.
 	EntityColumn string `json:"entity_column,omitempty"`

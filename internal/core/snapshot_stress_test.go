@@ -20,8 +20,8 @@ import (
 //     a row whose Delete completed before the search started.
 //  2. No build on the query path: searches complete while a background
 //     index build is parked inside its build function.
-//  3. Determinism: against a frozen snapshot, results are identical at
-//     every Parallelism setting and across Search/SearchBatch.
+//  3. Determinism: against a frozen snapshot, results are identical
+//     across repeated searches and across Search/SearchBatch.
 
 // TestSnapshotIsolationStress is guarantee (1): concurrent inserts,
 // deletes, updates, index create/drop, and searches, with a
@@ -129,7 +129,7 @@ func TestSnapshotIsolationStress(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
 				pre := copyDead()
-				req := SearchRequest{Vector: ds.Row((seed*31 + i) % preload), K: 5, Ef: 48, Parallelism: 1 + i%3}
+				req := SearchRequest{Vector: ds.Row((seed*31 + i) % preload), K: 5, Ef: 48}
 				if i%4 == 3 {
 					req.Policy = "plan:brute_force"
 				}
@@ -365,8 +365,8 @@ func TestCreateIndexSupersededByCompact(t *testing.T) {
 }
 
 // TestFrozenSnapshotDeterminism is guarantee (3): once writes quiesce,
-// the same request returns byte-identical results at every worker
-// count and through the batch path.
+// the same request returns byte-identical results every time and
+// through the batch path.
 func TestFrozenSnapshotDeterminism(t *testing.T) {
 	c, ds := newCol(t, 400)
 	if err := c.CreateIndex("hnsw", map[string]int{"m": 8}); err != nil {
@@ -385,8 +385,8 @@ func TestFrozenSnapshotDeterminism(t *testing.T) {
 
 	for _, policy := range []string{"", "plan:brute_force"} {
 		var want []Result
-		for _, par := range []int{1, 2, 7} {
-			out, err := c.Search(bg, SearchRequest{Vector: ds.Row(5), K: 10, Ef: 64, Parallelism: par, Policy: policy})
+		for rep := range 3 {
+			out, err := c.Search(bg, SearchRequest{Vector: ds.Row(5), K: 10, Ef: 64, Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,11 +396,11 @@ func TestFrozenSnapshotDeterminism(t *testing.T) {
 				continue
 			}
 			if len(res) != len(want) {
-				t.Fatalf("policy %q parallelism %d: %d results, want %d", policy, par, len(res), len(want))
+				t.Fatalf("policy %q repeat %d: %d results, want %d", policy, rep, len(res), len(want))
 			}
 			for i := range res {
 				if res[i] != want[i] {
-					t.Fatalf("policy %q parallelism %d: result %d = %v, want %v", policy, par, i, res[i], want[i])
+					t.Fatalf("policy %q repeat %d: result %d = %v, want %v", policy, rep, i, res[i], want[i])
 				}
 			}
 		}

@@ -103,11 +103,6 @@ type Options struct {
 	// allowlist word-wise; traversals test it per visited id. It may
 	// cover fewer rows than the Env: uncovered rows are live.
 	Deleted *bitset.Bitset
-	// Parallelism is the intra-query worker count for partitioned
-	// scans (flat ranges, IVF inverted lists). 0 uses the shared pool
-	// width (GOMAXPROCS), 1 forces serial scans. Results are identical
-	// at every setting.
-	Parallelism int
 	// RerankK overrides the exact re-rank width of quantized index
 	// scans for this query (0 keeps the index's configured default;
 	// ignored by full-precision indexes).
@@ -130,7 +125,7 @@ type Options struct {
 }
 
 func (o Options) params() index.Params {
-	return index.Params{Ef: o.Ef, NProbe: o.NProbe, Parallelism: o.Parallelism, RerankK: o.RerankK, Ctx: o.Ctx}
+	return index.Params{Ef: o.Ef, NProbe: o.NProbe, RerankK: o.RerankK, Ctx: o.Ctx}
 }
 
 // compile binds the query's predicates to this snapshot's attribute
@@ -253,11 +248,11 @@ func countingFilter(cp *filter.Compiled, del *bitset.Bitset, rec *Record) func(i
 }
 
 // filtersSerially reports whether idx will call params.Filter from one
-// goroutine only: every family does except the ones that partition a
-// query across pool workers and say so through index.ConcurrentFilter.
+// goroutine only: every family does but a flat scan split across pool
+// workers.
 func filtersSerially(idx index.Index, params index.Params) bool {
-	cf, ok := idx.(index.ConcurrentFilter)
-	return !ok || !cf.FiltersConcurrently(params)
+	f, ok := idx.(*index.Flat)
+	return !ok || !f.FiltersConcurrently(params)
 }
 
 // Execute runs a (possibly predicated) top-k query under the given

@@ -56,6 +56,7 @@ func portableDot(a, b []float32) float32 {
 // with the portable tier's loops (none for cosine: its per-row scalar
 // form is the perrow row already).
 func BenchmarkFlatScan(b *testing.B) {
+	defer SetScanParts(1)()
 	ds := dataset.Uniform(100_000, 128, 1)
 	q := ds.Queries(1, 0.1, 2)[0]
 	rows := float64(ds.Count)
@@ -91,7 +92,7 @@ func BenchmarkFlatScan(b *testing.B) {
 			b.Run(m.name+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(int64(ds.Count) * int64(ds.Dim) * 4)
 				for i := 0; i < b.N; i++ {
-					if _, err := f.Search(q, 10, Params{Parallelism: 1}); err != nil {
+					if _, err := f.Search(q, 10, Params{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -113,6 +114,7 @@ func BenchmarkFlatScan(b *testing.B) {
 // measured outside the timed loop). PQ/OPQ codebooks train on a 20k
 // subsample to keep the setup cost bounded; encoding covers all rows.
 func BenchmarkQuantScan(b *testing.B) {
+	defer SetScanParts(1)()
 	const (
 		k       = 10
 		rerankK = 100
@@ -193,7 +195,7 @@ func BenchmarkQuantScan(b *testing.B) {
 		// iteration count: measure once outside the timed loop.
 		var recall float64
 		for i, q := range qs {
-			res, err := v.f.Search(q, k, Params{Parallelism: 1})
+			res, err := v.f.Search(q, k, Params{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -215,7 +217,7 @@ func BenchmarkQuantScan(b *testing.B) {
 			b.SetBytes(int64(ds.Count) * int64(bytesPerRow))
 			q := qs[0]
 			for i := 0; i < b.N; i++ {
-				if _, err := v.f.Search(q, k, Params{Parallelism: 1}); err != nil {
+				if _, err := v.f.Search(q, k, Params{}); err != nil {
 					b.Fatal(err)
 				}
 			}

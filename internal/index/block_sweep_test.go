@@ -23,10 +23,16 @@ func setScanBlock(t *testing.T, bs int) {
 	t.Cleanup(index.SetScanBlock(bs))
 }
 
+// setScanParts sweeps the part count of every fan-out.
+func setScanParts(t *testing.T, w int) {
+	t.Helper()
+	t.Cleanup(index.SetScanParts(w))
+}
+
 // TestFlatBlockSweep: for metrics whose kernels reproduce the scalar
 // accumulation order (L2, inner product, Hamming), the block-scored
 // flat scan must return byte-identical results to a per-row scalar
-// baseline at every block size and worker count, with and without a
+// baseline at every block size and part count, with and without a
 // predicate. The baseline wraps the canonical function in a closure so
 // MetricOf cannot recognize it and Flat falls back to row-at-a-time
 // scoring.
@@ -56,23 +62,25 @@ func TestFlatBlockSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range qs {
-				want, err := baseline.Search(q, 10, index.Params{Parallelism: 1})
+				setScanParts(t, 1)
+				want, err := baseline.Search(q, 10, index.Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantPred, err := baseline.Search(q, 10, index.Params{Parallelism: 1, Filter: pred})
+				wantPred, err := baseline.Search(q, 10, index.Params{Filter: pred})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, bs := range blockSizes {
 					setScanBlock(t, bs)
 					for _, w := range []int{1, 4} {
-						got, err := fast.Search(q, 10, index.Params{Parallelism: w})
+						setScanParts(t, w)
+						got, err := fast.Search(q, 10, index.Params{})
 						if err != nil {
 							t.Fatal(err)
 						}
 						sameHits(t, m.name, want, got)
-						got, err = fast.Search(q, 10, index.Params{Parallelism: w, Filter: pred})
+						got, err = fast.Search(q, 10, index.Params{Filter: pred})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -87,7 +95,7 @@ func TestFlatBlockSweep(t *testing.T) {
 // TestFlatCosineBlockSweep: cosine scores through cached inverse norms,
 // a reformulation of the scalar 1 - dot/(na*nb), so the contract is
 // 1e-5 relative agreement with the scalar baseline — but across block
-// sizes and worker counts the scorer path must agree with itself
+// sizes and part counts the scorer path must agree with itself
 // byte-for-byte.
 func TestFlatCosineBlockSweep(t *testing.T) {
 	ds := dataset.Clustered(3000, 16, 5, 0.3, 5)
@@ -103,7 +111,8 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 	for _, q := range ds.Queries(4, 0.05, 9) {
 		// All rows returned, so near-tie rank swaps cannot change the
 		// result set; distances are compared by id.
-		want, err := baseline.Search(q, ds.Count, index.Params{Parallelism: 1})
+		setScanParts(t, 1)
+		want, err := baseline.Search(q, ds.Count, index.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +124,8 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
 			for _, w := range []int{1, 4} {
-				got, err := fast.Search(q, ds.Count, index.Params{Parallelism: w})
+				setScanParts(t, w)
+				got, err := fast.Search(q, ds.Count, index.Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +152,7 @@ func TestFlatCosineBlockSweep(t *testing.T) {
 
 // TestFlatSearchRangeParallel: the partitioned range scan — a scan
 // windowed at a radius — must return the rows of the exact ranking
-// within the radius, in (dist, id) order, at every worker count and
+// within the radius, in (dist, id) order, at every part count and
 // block size, with and without a predicate.
 func TestFlatSearchRangeParallel(t *testing.T) {
 	ds := dataset.Clustered(5000, 12, 4, 0.2, 11)
@@ -153,13 +163,14 @@ func TestFlatSearchRangeParallel(t *testing.T) {
 	pred := func(id int64) bool { return id%2 == 0 }
 	for _, q := range ds.Queries(4, 0.1, 13) {
 		// Pick a radius that admits a few percent of rows.
-		probe, err := f.Search(q, 50, index.Params{Parallelism: 1})
+		setScanParts(t, 1)
+		probe, err := f.Search(q, 50, index.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		radius := probe[len(probe)-1].Dist
 		// The reference: the full exact ranking cut at the radius.
-		all, err := f.Search(q, ds.Count, index.Params{Parallelism: 1})
+		all, err := f.Search(q, ds.Count, index.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,12 +190,13 @@ func TestFlatSearchRangeParallel(t *testing.T) {
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
 			for _, workers := range []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3} {
-				got, err := f.SearchWindow(q, ds.Count, index.Params{Parallelism: workers}, w)
+				setScanParts(t, workers)
+				got, err := f.SearchWindow(q, ds.Count, index.Params{}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameHits(t, "range", serial, got)
-				got, err = f.SearchWindow(q, ds.Count, index.Params{Parallelism: workers, Filter: pred}, w)
+				got, err = f.SearchWindow(q, ds.Count, index.Params{Filter: pred}, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +208,7 @@ func TestFlatSearchRangeParallel(t *testing.T) {
 
 // TestIVFFlatBlockSweep: the Flat-variant list scan gathers admitted
 // ids into blocks; results must be byte-identical at every gather-block
-// size and worker count, with and without a predicate. Probing all
+// size and part count, with and without a predicate. Probing all
 // lists makes the scan exhaustive, so the reference is the brute-force
 // flat index — same L2 kernels, so the match is exact.
 func TestIVFFlatBlockSweep(t *testing.T) {
@@ -211,18 +223,20 @@ func TestIVFFlatBlockSweep(t *testing.T) {
 	}
 	pred := func(id int64) bool { return id%3 != 0 }
 	for _, q := range ds.Queries(4, 0.05, 7) {
-		want, err := exact.Search(q, 10, index.Params{Parallelism: 1})
+		setScanParts(t, 1)
+		want, err := exact.Search(q, 10, index.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPred, err := exact.Search(q, 10, index.Params{Parallelism: 1, Filter: pred})
+		wantPred, err := exact.Search(q, 10, index.Params{Filter: pred})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bs := range blockSizes {
 			setScanBlock(t, bs)
 			for _, w := range []int{1, 4} {
-				p := index.Params{NProbe: iv.NList(), Parallelism: w}
+				setScanParts(t, w)
+				p := index.Params{NProbe: iv.NList()}
 				got, err := iv.Search(q, 10, p)
 				if err != nil {
 					t.Fatal(err)

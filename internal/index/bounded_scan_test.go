@@ -86,10 +86,11 @@ func sameHits(t *testing.T, label string, want, got []topk.Result) {
 // Flat.SearchWindow at the radius and ivfflat's list scan at its
 // collectors' k-th distance, and each must return the ids and distance
 // bits of a collector fed ScoreAt — at k 1, 10, 100 and n, at
-// parallelism 1, 2 and 8, with and without an allowlist and a deletion
+// 1, 2 and 8 parts (SetScanParts), with and without an allowlist and a deletion
 // mask, on tie-heavy data with duplicated rows, under L2 and the
 // Cholesky-factored Mahalanobis distance (ivfflat: L2, its metrics).
 func TestBoundedScanMatchesReference(t *testing.T) {
+	t.Cleanup(index.SetScanParts(0))
 	const n, d = 2400, 70
 	rng := rand.New(rand.NewSource(43))
 	data := tieHeavy(rng, n, d)
@@ -153,7 +154,8 @@ func TestBoundedScanMatchesReference(t *testing.T) {
 			b := sc.Bind(q)
 			for _, pr := range preds {
 				for _, par := range []int{1, 2, 8} {
-					p := index.Params{Allow: pr.allow, Filter: pr.filter, Parallelism: par}
+					index.SetScanParts(par)
+					p := index.Params{Allow: pr.allow, Filter: pr.filter}
 					admit := p.Admits
 					for _, k := range []int{1, 10, 100, n} {
 						label := fmt.Sprintf("%v q%d %s par=%d k=%d", sc.Metric(), qi, pr.name, par, k)

@@ -127,34 +127,28 @@ func (f *Flat) Size() int { return f.n }
 // per worker the goroutine hand-off costs more than the scan itself.
 const minRowsPerPartition = 1024
 
-// workers picks the partition count for a scan under p, backing off
-// defaulted parallelism when partitions would be tiny. The work is the
-// rows actually scored: all of them, or an allowlist's survivors (one
-// popcount pass — a 1 %-selective scan is not worth a second worker).
+// workers picks the partition count of a full-column scan under p: one
+// part per minRowsPerPartition rows scored, up to the pool's width. The
+// work is the rows actually scored: all of them, or an allowlist's
+// survivors (one popcount pass — a 1 %-selective scan is not worth a
+// second worker).
 func (f *Flat) workers(p *Params) int {
-	w := pool.Default().Effective(p.Parallelism, f.n)
-	if p.Parallelism <= 0 && w > 1 {
-		// Defaulted parallelism backs off when partitions would be tiny;
-		// an explicit knob is honored as given.
-		work := f.n
-		if p.Allow != nil {
-			work = p.Allow.Count()
-		}
-		if byWork := (work + minRowsPerPartition - 1) / minRowsPerPartition; byWork < w {
-			w = byWork
-		}
+	work := f.n
+	if p.Allow != nil {
+		work = p.Allow.Count()
 	}
-	return w
+	return pool.Default().Effective((work + minRowsPerPartition - 1) / minRowsPerPartition)
 }
 
-// FiltersConcurrently implements ConcurrentFilter.
-func (f *Flat) FiltersConcurrently(p Params) bool { return f.workers(&p) > 1 }
+// FiltersConcurrently reports whether a Search with these params would
+// call p.Filter on more than one goroutine: whether it splits.
+func (f *Flat) FiltersConcurrently(p Params) bool { return parts(f.workers(&p), f.n) > 1 }
 
 // Search implements Index by exhaustive scan. With a predicate it
 // degenerates to the "single-stage brute-force scan" plan the paper
 // attributes to Qdrant/Vespa rule-based selection. The rows are split
-// into p.Parallelism contiguous ranges (Fanout), and every block is
-// scored within the collector's k-th distance (Scan).
+// into contiguous ranges (Fanout), as many as workers says, and every
+// block is scored within the collector's k-th distance (Scan).
 func (f *Flat) Search(q []float32, k int, p Params) ([]topk.Result, error) {
 	return f.SearchWindow(q, k, p, topk.Window{})
 }
@@ -179,14 +173,14 @@ func (f *Flat) SearchWindow(q []float32, k int, p Params, w topk.Window) ([]topk
 // it scores the rows of [from, Size()) that p admits, exactly, into a
 // collector already holding seed — the index probe's hits, at their
 // exact distances — and returns the top k of both by (dist, id). The
-// first block is cut at the probe's k-th distance. The tail is split as
-// ProbeWorkers says: one part at the default parallelism. Bits of
-// p.Allow below from are never read.
+// first block is cut at the probe's k-th distance. The tail is scanned
+// in one part on the calling goroutine, as every scan inside or beside
+// an index probe is (Fanout). Bits of p.Allow below from are never read.
 func (f *Flat) SearchTail(q []float32, k int, p Params, from int, seed []topk.Result) ([]topk.Result, error) {
 	if err := CheckQuery(q, k, f.dim); err != nil {
 		return nil, err
 	}
 	rows := max(f.n-from, 0)
-	fan := Fanout{Name: "flat", Exact: f.sc, Tasks: rows, Workers: ProbeWorkers(&p, rows), Seed: seed}
+	fan := Fanout{Name: "flat", Exact: f.sc, Tasks: rows, Seed: seed}
 	return fan.Search(q, k, &p, func(s *Scan, lo, hi int) { s.rows(from+lo, from+hi) })
 }

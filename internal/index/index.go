@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"vdbms/internal/bitset"
 	"vdbms/internal/quant"
@@ -43,12 +44,6 @@ type Params struct {
 	// the executor can attribute it per query without cross-query
 	// races. Each query must pass its own struct.
 	Stats *SearchStats
-	// Parallelism is the intra-query worker count for indexes that
-	// partition their scan (flat ranges, IVF inverted lists). 0 selects
-	// the shared pool's width (GOMAXPROCS), 1 forces a serial scan.
-	// Results are identical at every setting: partitions merge through
-	// the id-deterministic top-k collector.
-	Parallelism int
 	// RerankK, for indexes that scan quantized codes, overrides how
 	// many approximate candidates are re-scored with full-precision
 	// distances before the final top-k cut. 0 keeps the index's
@@ -88,12 +83,20 @@ func Stopped(done <-chan struct{}) bool {
 	}
 }
 
-// Err is the error of a search Stopped cut short: its context's.
+// Err is the error of a search whose context has ended, nil while it
+// runs: the context's, or context.DeadlineExceeded once the deadline
+// has passed on the clock but the context's timer has not run yet —
+// with every CPU busy it runs only once a goroutine yields, which a
+// one-part scan never does.
 func (p *Params) Err() error {
 	if p.Ctx == nil {
 		return nil
 	}
-	return p.Ctx.Err()
+	err := p.Ctx.Err()
+	if d, ok := p.Ctx.Deadline(); err == nil && ok && time.Now().After(d) {
+		err = context.DeadlineExceeded
+	}
+	return err
 }
 
 // SearchStats collects the work one Search call performed. Every
@@ -165,17 +168,6 @@ type Index interface {
 	Size() int
 	// Search returns up to k results ordered by ascending distance.
 	Search(q []float32, k int, p Params) ([]topk.Result, error)
-}
-
-// ConcurrentFilter is implemented by index families that may split one
-// Search across pool workers (flat row ranges, IVF inverted lists) and
-// so call Params.Filter from several goroutines at once. A caller that
-// hangs single-goroutine state on the filter — a plain counter — asks
-// first; families that do not implement it always filter serially.
-type ConcurrentFilter interface {
-	// FiltersConcurrently reports whether a Search with these params
-	// would evaluate the filter on more than one goroutine.
-	FiltersConcurrently(p Params) bool
 }
 
 // Remappable is implemented by indexes that can rebind themselves to

@@ -190,30 +190,22 @@ func (iv *IVF) ScannedFraction(q []float32, nprobe int) float64 {
 	return float64(total) / float64(iv.n)
 }
 
-// FiltersConcurrently implements index.ConcurrentFilter: the probed
-// lists are split across workers whenever Search would use more than
-// one.
-func (iv *IVF) FiltersConcurrently(p index.Params) bool {
-	return index.ProbeWorkers(&p, min(max(p.NProbe, 1), iv.cents.K)) > 1
-}
-
 // Search implements index.Index. p.NProbe selects how many buckets to
 // scan (default 1).
 //
-// With an explicit p.Parallelism the selected inverted lists are
-// partitioned into that many contiguous groups scanned concurrently
-// (index.Fanout); by default they are scanned serially. Per-list work
-// (including the per-list residual ADC table) is computed identically
-// in every schedule, so results are byte-identical at every worker
-// count. Every worker polls p.Ctx before each list; a cancelled probe
-// returns its context's error with the rows it did score counted.
+// The selected inverted lists are scanned in one part on the calling
+// goroutine, as every scan inside an index probe is (index.Fanout).
+// Per-list work (including the per-list residual ADC table) is computed
+// the same way whatever the lists' grouping, so a split scan would
+// return the same bytes. The scan polls p.Ctx before each list; a
+// cancelled probe returns its context's error with the rows it did
+// score counted.
 func (iv *IVF) Search(q []float32, k int, p index.Params) ([]topk.Result, error) {
 	if err := index.CheckQuery(q, k, iv.dim); err != nil {
 		return nil, err
 	}
 	lists := iv.cents.NearestN(q, max(p.NProbe, 1))
-	fan := index.Fanout{Name: iv.Name(), Exact: iv.sc, Tasks: len(lists), Buckets: len(lists),
-		Workers: index.ProbeWorkers(&p, len(lists))}
+	fan := index.Fanout{Name: iv.Name(), Exact: iv.sc, Tasks: len(lists), Buckets: len(lists)}
 	if iv.cfg.Variant != Flat {
 		// Quantized variants widen the candidate cut to rerank_k and
 		// re-score it exactly on the retained raw vectors.

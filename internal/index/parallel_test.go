@@ -9,7 +9,7 @@ import (
 	"vdbms/internal/topk"
 )
 
-// workerCounts is the sweep the acceptance criteria name: serial, two
+// workerCounts is the part-count sweep (SetScanParts): serial, two
 // partitions, and one per CPU (plus an overcommit point so partition
 // count > pool width is covered even on small machines).
 func workerCounts() []int {
@@ -30,9 +30,10 @@ func sameResults(t *testing.T, label string, want, got []topk.Result) {
 }
 
 // TestFlatParallelDeterminism: the partitioned flat scan must return
-// byte-identical results to the serial scan at every worker count,
-// with and without predicates.
+// byte-identical results to the serial scan at every part count, with
+// and without predicates.
 func TestFlatParallelDeterminism(t *testing.T) {
+	t.Cleanup(SetScanParts(0))
 	// Clustered data with a small sigma produces duplicate-ish rows and
 	// distance ties — the boundary regime that exposes merge bugs.
 	ds := dataset.Clustered(6000, 16, 5, 0.05, 3)
@@ -43,21 +44,23 @@ func TestFlatParallelDeterminism(t *testing.T) {
 	qs := ds.Queries(8, 0.05, 7)
 	pred := func(id int64) bool { return id%3 != 0 }
 	for _, q := range qs {
-		serial, err := f.Search(q, 10, Params{Parallelism: 1})
+		SetScanParts(1)
+		serial, err := f.Search(q, 10, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialPred, err := f.Search(q, 10, Params{Parallelism: 1, Filter: pred})
+		serialPred, err := f.Search(q, 10, Params{Filter: pred})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerCounts() {
-			got, err := f.Search(q, 10, Params{Parallelism: w})
+			SetScanParts(w)
+			got, err := f.Search(q, 10, Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResults(t, "flat", serial, got)
-			got, err = f.Search(q, 10, Params{Parallelism: w, Filter: pred})
+			got, err = f.Search(q, 10, Params{Filter: pred})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,18 +73,21 @@ func TestFlatParallelDeterminism(t *testing.T) {
 // distance-computation total as the serial scan, plus its partition
 // count.
 func TestFlatParallelStats(t *testing.T) {
+	t.Cleanup(SetScanParts(0))
 	ds := dataset.Uniform(4096, 8, 11)
 	f, _ := NewFlat(ds.Data, ds.Count, ds.Dim, nil)
 	q := ds.Row(0)
 	var serial SearchStats
-	if _, err := f.Search(q, 5, Params{Parallelism: 1, Stats: &serial}); err != nil {
+	SetScanParts(1)
+	if _, err := f.Search(q, 5, Params{Stats: &serial}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.Partitions != 1 {
 		t.Fatalf("serial partitions = %d, want 1", serial.Partitions)
 	}
 	var par SearchStats
-	if _, err := f.Search(q, 5, Params{Parallelism: 4, Stats: &par}); err != nil {
+	SetScanParts(4)
+	if _, err := f.Search(q, 5, Params{Stats: &par}); err != nil {
 		t.Fatal(err)
 	}
 	if par.DistanceComps != serial.DistanceComps {
@@ -103,9 +109,10 @@ func BenchmarkFlatSearch(b *testing.B) {
 	}
 	q := ds.Queries(1, 0.1, 2)[0]
 	b.Run("serial", func(b *testing.B) {
+		defer SetScanParts(1)()
 		b.SetBytes(int64(ds.Count) * int64(ds.Dim) * 4)
 		for i := 0; i < b.N; i++ {
-			if _, err := f.Search(q, 10, Params{Parallelism: 1}); err != nil {
+			if _, err := f.Search(q, 10, Params{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package index
 import (
 	"math/bits"
 	"sync"
+	"time"
 
 	"vdbms/internal/obs"
 	"vdbms/internal/pool"
@@ -35,10 +36,11 @@ type blockScorer interface {
 // or the radius of a windowed collector (topk.Window) while it has
 // room: the collector keeps nothing above it, so a row the kernel cuts
 // there could never have entered (vec.Bound.ScoreBlockWithin). Only rows the query's predicates admit
-// are scored and counted. The scan polls the query's context before
-// every contiguous block, before every list and after every gathered
-// block, and scores nothing more once it has ended. Scans are pooled,
-// so neither the float binding nor the gather buffer allocates.
+// are scored and counted. The scan polls the query's context, and its
+// deadline on the clock, before every contiguous block, before every
+// list and after every gathered block, and scores nothing more once it
+// has ended. Scans are pooled, so neither the float binding nor the
+// gather buffer allocates.
 type Scan struct {
 	// Work is what the scan has scored so far.
 	Work ScanWork
@@ -46,6 +48,7 @@ type Scan struct {
 	fb   vec.Bound // the float binding b points at
 	p    Params
 	done <-chan struct{}
+	end  time.Time // the query's deadline, zero if none
 	stop bool
 	c    *topk.Collector // the sink
 	ids  []int32         // admitted candidates gathered, not yet scored
@@ -68,6 +71,9 @@ func newScan(sc *vec.Scorer, qsc vec.QuantScorer, q []float32, p *Params, c *top
 		s.b = &s.fb
 	}
 	s.p, s.done, s.c = *p, p.Done(), c
+	if p.Ctx != nil {
+		s.end, _ = p.Ctx.Deadline()
+	}
 	return s
 }
 
@@ -93,15 +99,16 @@ func (s *Scan) Finish(buckets int) ([]topk.Result, error) {
 		work.Record(p.Stats)
 		p.Stats.BucketsProbed += int64(buckets)
 	}
-	if Stopped(p.Done()) {
-		return nil, p.Err()
+	if err := p.Err(); err != nil {
+		return nil, err
 	}
 	return c.Results(), nil
 }
 
-// Stopped polls the query's context and reports whether it has ended.
+// Stopped polls the query's context, and its deadline on the clock
+// (Params.Err), and reports whether it has ended.
 func (s *Scan) Stopped() bool {
-	s.stop = Stopped(s.done)
+	s.stop = Stopped(s.done) || !s.end.IsZero() && time.Now().After(s.end)
 	return s.stop
 }
 
@@ -235,7 +242,16 @@ func (s *Scan) scoreRange(lo, hi int) {
 // its own collector and merged at the end. Because the per-part
 // collectors and the merge resolve ties by (dist, id), and the kernels
 // score every row on its own in one accumulation order, the result is
-// byte-identical at every worker count and block size.
+// byte-identical at every part count and block size.
+//
+// Only a full-column flat scan sets Workers (Flat.workers). Every scan
+// inside or beside an index probe — an IVF probe's lists, the unindexed
+// tail past an index's rows — leaves it zero and runs in one part on
+// the calling goroutine: the parts past the first never see a tight
+// k-th distance and read whole rows, and under concurrent queries the
+// hand-offs cost more than the split saves. A long tail is priced into
+// the plan as an exact scan (planner.Env.Tail), so a tail too long for
+// one part plans brute_force, whose full-column scan keeps its fan-out.
 //
 // The parts score with Quant when it is set, else with Exact. A
 // positive RerankK marks a scan of codes: the parts collect RerankK
@@ -257,35 +273,34 @@ type Fanout struct {
 	Window                           topk.Window
 }
 
-// ProbeWorkers is how many parts a scan inside or beside an index probe
-// — an IVF probe's lists, the unindexed tail past an index's rows — is
-// split into. At the default parallelism it is one part on the calling
-// goroutine: the parts past the first never see a tight k-th distance
-// and read whole rows, and under concurrent queries the hand-offs cost
-// more than the split saves. A long tail is priced into the plan as an
-// exact scan (planner.Env.Tail), so a tail too long for one part plans
-// brute_force, whose full-column scan keeps its fan-out. An explicit
-// p.Parallelism splits tasks into that many parts.
-func ProbeWorkers(p *Params, tasks int) int {
-	if p.Parallelism <= 0 {
-		return 1
+// scanParts, when positive, replaces the part count of every fan-out.
+// Only tests set it (SetScanParts), to sweep part counts the rule
+// would not pick on their machine.
+var scanParts int
+
+// parts is the part count of a fan-out of tasks whose rule picks want:
+// the count a test forced instead, if any, clamped to [1, tasks].
+func parts(want, tasks int) int {
+	if scanParts > 0 {
+		want = scanParts
 	}
-	return pool.Default().Effective(p.Parallelism, tasks)
+	return max(min(want, tasks), 1)
 }
 
 // Search runs part over each of f's parts — inline when there is one,
 // on the worker pool otherwise — each with its own Scan of q, then
 // merges their collectors, re-ranks a scan of codes and records the
-// query's work, buckets and partitions in p.Stats. A part that stopped
-// early left the context's done channel closed for good, so one check
-// after the merge sees every early stop; the search then returns the
-// context's error with the rows it did score counted.
+// query's work, buckets and partitions in p.Stats. A part stops early
+// only once the context's done channel has closed or its deadline has
+// passed, both for good, so one check after the merge sees every early
+// stop; the search then returns the context's error with the rows it
+// did score counted.
 func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi int)) ([]topk.Result, error) {
 	kk := k
 	if f.RerankK > 0 {
 		kk = f.RerankK
 	}
-	w := max(f.Workers, 1)
+	w := parts(f.Workers, f.Tasks)
 	var merged *topk.Collector
 	var work ScanWork
 	if w == 1 {
@@ -306,9 +321,9 @@ func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi 
 			work.Add(workBy[i])
 		}
 	}
-	stopped := Stopped(p.Done())
+	err := p.Err()
 	var res []topk.Result
-	if !stopped {
+	if err == nil {
 		res = merged.Results()
 		if f.RerankK > 0 {
 			work.Comps += int64(len(res))
@@ -320,8 +335,8 @@ func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi 
 		p.Stats.BucketsProbed += int64(f.Buckets)
 		p.Stats.Partitions += int64(w)
 	}
-	if stopped {
-		return nil, p.Err()
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

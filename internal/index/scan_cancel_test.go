@@ -3,10 +3,12 @@ package index_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"vdbms/internal/dataset"
 	"vdbms/internal/index"
+	"vdbms/internal/index/ivf"
 	"vdbms/internal/vec"
 )
 
@@ -51,5 +53,48 @@ func TestSearchStopsWithinABucket(t *testing.T) {
 		} else if st.BucketsProbed > 1 || full.BucketsProbed <= 1 {
 			t.Fatalf("%s: %d buckets probed after a cancel in the first, %d by the whole probe", name, st.BucketsProbed, full.BucketsProbed)
 		}
+	}
+}
+
+// TestSplitIVFProbeStopsWithinAList cancels an ivfflat probe forced
+// into two parts (SetScanParts) at the first member it admits: each
+// part finishes the inverted list it is on and stops before its next,
+// so the probe scores at most one list per part and returns
+// context.Canceled.
+func TestSplitIVFProbeStopsWithinAList(t *testing.T) {
+	t.Cleanup(index.SetScanParts(2))
+	ds := dataset.Clustered(20000, 8, 32, 0.3, 4)
+	iv, err := ivf.Build(ds.Data, ds.Count, ds.Dim, ivf.Config{NList: 32, Metric: vec.L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for l := range iv.NList() {
+		largest = max(largest, len(iv.ListMembers(l)))
+	}
+	q := ds.Row(3)
+	var full index.SearchStats
+	if _, err := iv.Search(q, 10, index.Params{NProbe: 16, Stats: &full}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var calls atomic.Int64
+	var st index.SearchStats
+	res, err := iv.Search(q, 10, index.Params{NProbe: 16, Ctx: ctx, Stats: &st, Filter: func(int64) bool {
+		if calls.Add(1) == 1 {
+			cancel()
+		}
+		return true
+	}})
+	cancel()
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("%d hits, err %v; want context.Canceled", len(res), err)
+	}
+	if st.Partitions != 2 {
+		t.Fatalf("probe ran in %d parts, want 2", st.Partitions)
+	}
+	if limit := int64(2 * largest); st.DistanceComps > limit || st.DistanceComps >= full.DistanceComps {
+		t.Fatalf("scored %d rows after a cancel in the first list (largest list %d, full probe %d)",
+			st.DistanceComps, largest, full.DistanceComps)
 	}
 }

@@ -30,11 +30,12 @@ var scanCases = []struct {
 }
 
 // scanHits searches every query unfiltered, under an allowlist and
-// under a Filter, each at parallelism 1 and 3, and folds the ids and
+// under a Filter, each at 1 and 3 parts (SetScanParts), and folds the ids and
 // distance bits of every hit and the query's work counters into one
 // value.
 func scanHits(t *testing.T, idx index.Index, qs [][]float32, allow *bitset.Bitset, filter func(int64) bool) uint64 {
 	t.Helper()
+	t.Cleanup(index.SetScanParts(0))
 	h := fnv.New64a()
 	var buf [12]byte
 	put := func(v int64) {
@@ -43,9 +44,10 @@ func scanHits(t *testing.T, idx index.Index, qs [][]float32, allow *bitset.Bitse
 	}
 	for _, pred := range []string{"none", "allow", "filter"} {
 		for _, w := range []int{1, 3} {
+			index.SetScanParts(w)
 			for qi, q := range qs {
 				var st index.SearchStats
-				p := index.Params{NProbe: 4, Parallelism: w, Stats: &st}
+				p := index.Params{NProbe: 4, Stats: &st}
 				switch pred {
 				case "allow":
 					p.Allow = allow

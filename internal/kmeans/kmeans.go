@@ -161,7 +161,7 @@ func newTrainer(data []float32, n, d, k int) *trainer {
 	// A pass is worth a worker from about 64K multiply-adds on; a
 	// dimension range keeps at least 16 floats so workers do not share
 	// a cache line of the sums.
-	w := p.Effective(0, n*k*d>>16)
+	w := p.Effective(n * k * d >> 16)
 	return &trainer{
 		data: data, n: n, d: d, k: k, points: points, pool: p,
 		rows: pool.Split(n, w),

@@ -42,8 +42,8 @@ var (
 	IndexBuildSeconds  = Default().NewHistogram("vdbms_index_build_seconds", "Wall-clock duration of ANN index builds (background and CreateIndex).", BuildBuckets)
 	IndexBuildLastSecs = Default().NewGauge("vdbms_index_build_last_seconds", "Duration of the most recent completed index build.")
 
-	// Intra-query parallelism (internal/pool and the partitioned scans
-	// of flat and IVF). PoolInline counts tasks that ran on the
+	// Intra-query fan-out (internal/pool and the partitioned
+	// full-column flat scan). PoolInline counts tasks that ran on the
 	// submitting goroutine because the pool was saturated — the
 	// parallel-efficiency signal: inline/tasks near 1 means fan-out is
 	// oversubscribed and queries are effectively serial.

@@ -1,8 +1,8 @@
 // Package pool provides the process-wide bounded worker pool behind
 // every parallel fan-out in the engine: intra-query partitioned scans
-// (flat row ranges, IVF list groups) and the cross-query batch
-// executor all draw goroutines from the same token bucket, so batch ×
-// intra-query nesting composes without oversubscribing the machine.
+// (flat row ranges) and the cross-query batch executor all draw
+// goroutines from the same token bucket, so batch × intra-query nesting
+// composes without oversubscribing the machine.
 //
 // Two properties make the pool safe to call from anywhere:
 //
@@ -11,8 +11,9 @@
 //     worker fanning out its own partitions) therefore never deadlock
 //     — under saturation they just degrade to serial execution.
 //   - Determinism neutrality: the pool only schedules; how work is
-//     partitioned is fixed by the caller's parallelism knob, so
-//     results never depend on how many tokens happened to be free.
+//     partitioned is fixed by the caller from the work and the pool's
+//     width, so results never depend on how many tokens happened to be
+//     free.
 package pool
 
 import (
@@ -45,22 +46,10 @@ func Default() *Pool { return defaultPool }
 // Size returns the worker bound.
 func (p *Pool) Size() int { return cap(p.tokens) }
 
-// Effective resolves a caller's parallelism knob against the task
-// count: requested <= 0 selects the pool size (the "use the machine"
-// default), and the result is clamped to [1, tasks] so no partition is
-// ever empty.
-func (p *Pool) Effective(requested, tasks int) int {
-	w := requested
-	if w <= 0 {
-		w = p.Size()
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// Effective is how many workers a fan-out of tasks uses: the pool's
+// width, clamped to [1, tasks] so no partition is ever empty.
+func (p *Pool) Effective(tasks int) int {
+	return max(min(p.Size(), tasks), 1)
 }
 
 // Run executes fn(0..n-1), fanning tasks onto pool workers when tokens
@@ -121,7 +110,7 @@ func (p *Pool) Release(n int) {
 // Split partitions n items into w contiguous ranges of near-equal
 // size and returns the start offsets (len w+1, offsets[w] == n). The
 // partition depends only on (n, w), never on scheduling, so callers
-// get identical per-worker inputs for a given parallelism knob.
+// get identical per-worker inputs for a given worker count.
 func Split(n, w int) []int {
 	if w < 1 {
 		w = 1

@@ -63,18 +63,15 @@ func TestConcurrencyBounded(t *testing.T) {
 
 func TestEffective(t *testing.T) {
 	p := New(4)
-	cases := []struct{ req, tasks, want int }{
-		{0, 100, 4},  // default: pool size
-		{1, 100, 1},  // serial
-		{8, 100, 8},  // explicit overcommit allowed (pool still bounds concurrency)
-		{8, 3, 3},    // clamped to task count
-		{0, 2, 2},    // default clamped too
-		{-5, 100, 4}, // negative = default
-		{3, 0, 1},    // never below 1
+	cases := []struct{ tasks, want int }{
+		{100, 4}, // pool size
+		{2, 2},   // clamped to task count
+		{0, 1},   // never below 1
+		{-5, 1},
 	}
 	for _, c := range cases {
-		if got := p.Effective(c.req, c.tasks); got != c.want {
-			t.Fatalf("Effective(%d, %d) = %d, want %d", c.req, c.tasks, got, c.want)
+		if got := p.Effective(c.tasks); got != c.want {
+			t.Fatalf("Effective(%d) = %d, want %d", c.tasks, got, c.want)
 		}
 	}
 }

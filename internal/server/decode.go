@@ -172,7 +172,7 @@ func (rb *reqBuf) slice(s span) []float32 {
 // field constants below.
 var searchFields = [...]string{
 	"vector", "vectors", "k", "filters", "policy", "ef", "nprobe",
-	"target_recall", "alpha", "rerank_k", "parallelism", "entity_column", "aggregator", "weights",
+	"target_recall", "alpha", "rerank_k", "entity_column", "aggregator", "weights",
 	"radius", "after",
 }
 
@@ -187,7 +187,6 @@ const (
 	fTargetRecall
 	fAlpha
 	fRerankK
-	fParallelism
 	fEntityColumn
 	fAggregator
 	fWeights
@@ -228,8 +227,6 @@ func (rb *reqBuf) searchBody(req *SearchBody) bool {
 			return d.int(&req.Alpha)
 		case fRerankK:
 			return d.int(&req.RerankK)
-		case fParallelism:
-			return d.int(&req.Parallelism)
 		case fEntityColumn:
 			return d.string(&req.EntityColumn)
 		case fAggregator:

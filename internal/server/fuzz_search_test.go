@@ -22,7 +22,8 @@ import (
 // radius when one is set, and strictly after the cursor when one is.
 // The seeds are the benchmark's bodies (as TestWireFormatGolden pins
 // them, on the collection's dimension), each with one integer field at
-// 2^33, one body per forced plan, and ranges (radius 0, 2^33, negative,
+// 2^33 and each with the retired "parallelism" key at 2^33, which the
+// server skips like any unknown key, one body per forced plan, and ranges (radius 0, 2^33, negative,
 // one admitting a few rows) and pages past a cursor.
 func FuzzSearchRequest(f *testing.F) {
 	const n, dim = 200, 8
@@ -50,23 +51,25 @@ func FuzzSearchRequest(f *testing.F) {
 		{Vector: v, K: 10, Policy: "plan:brute_force"},
 		{Vector: v, K: 10, NProbe: 8},
 	}
-	add := func(b SearchBody) {
+	marshal := func(b SearchBody) []byte {
 		body, err := json.Marshal(b)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body)
+		return body
 	}
+	add := func(b SearchBody) { f.Add(marshal(b)) }
 	const huge = 1 << 33
 	for _, b := range golden {
 		add(b)
+		body := marshal(b)
+		f.Add(append(body[:len(body)-1:len(body)-1], `,"parallelism":8589934592}`...))
 		for _, field := range []func(*SearchBody) *int{
 			func(b *SearchBody) *int { return &b.K },
 			func(b *SearchBody) *int { return &b.Ef },
 			func(b *SearchBody) *int { return &b.NProbe },
 			func(b *SearchBody) *int { return &b.Alpha },
 			func(b *SearchBody) *int { return &b.RerankK },
-			func(b *SearchBody) *int { return &b.Parallelism },
 		} {
 			s := b
 			*field(&s) = huge

@@ -45,7 +45,6 @@ type Server struct {
 	limited      http.Handler // mux behind the MaxBodyBytes limit
 	queryTimeout time.Duration
 	slowQuery    time.Duration
-	parallelism  int
 	logf         func(format string, args ...any)
 	mem          *memory.Manager
 	// requests holds each route's vdbms_http_requests_total child,
@@ -70,13 +69,6 @@ func WithQueryTimeout(d time.Duration) Option {
 // still stripped from responses that did not ask for it. 0 disables.
 func WithSlowQueryLog(d time.Duration) Option {
 	return func(s *Server) { s.slowQuery = d }
-}
-
-// WithParallelism sets the default intra-query worker count applied
-// to searches whose body does not carry its own "parallelism" field
-// (0 = every CPU, 1 = serial). Per-request values always win.
-func WithParallelism(n int) Option {
-	return func(s *Server) { s.parallelism = n }
 }
 
 // WithLogf redirects the server's log output (used by tests).
@@ -386,9 +378,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms
 	// slow-query log needs span trees to be useful.
 	wantTrace := r.Header.Get(TraceHeader) == "1"
 	req.Trace = wantTrace || s.slowQuery > 0
-	if req.Parallelism == 0 {
-		req.Parallelism = s.parallelism
-	}
 	start := time.Now()
 	res, err := col.SearchContext(ctx, *req)
 	elapsed := time.Since(start)
@@ -423,7 +412,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *vdbms
 // handleBatch serves POST /collections/{name}/batch, which answers many
 // queries in one round trip. Vectors carries the batch; the remaining
 // fields are the shared execution knobs (k, filters, policy, ef,
-// nprobe, alpha, parallelism). Partial failures follow the library
+// nprobe, alpha, rerank_k). Partial failures follow the library
 // contract: failed slots are null and "error" names each failing
 // query, alongside HTTP 200 for the successes. The batch runs under the
 // same context as a search and is answered 499 or 504 when it is
@@ -442,9 +431,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, col *vdbms.
 	}
 	ctx, cancel := s.searchCtx(r)
 	defer cancel()
-	if req.Parallelism == 0 {
-		req.Parallelism = s.parallelism
-	}
 	hits, err := col.SearchBatchContext(ctx, req.Vectors, *req)
 	if err != nil && (hits == nil || ctx.Err() != nil) {
 		writeErr(w, searchErrStatus(err), err)

@@ -34,9 +34,10 @@ GOARCH=arm64 go vet ./internal/vec/
 # package default) fails late. With it the run dies in minutes, with
 # a goroutine dump naming the two sides.
 go test -race -timeout 5m ./...
-# Intra-query parallelism must degrade to serial cleanly: the whole
-# suite also runs single-threaded, where the worker pool has width 1
-# and every fan-out takes the inline path.
+# Intra-query fan-out must degrade to serial cleanly: the whole suite
+# also runs single-threaded, where the worker pool has width 1, the
+# flat scan's rule picks one part, and every fan-out a test forces
+# wider (part counts under SetScanParts) takes the inline path.
 GOMAXPROCS=1 go test -timeout 3m ./...
 # The portable kernel tier on this (AVX) host: the purego tag swaps the
 # assembly for the portable loops under SquaredL2/Dot, and the packages
@@ -50,8 +51,8 @@ go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathC
 # ivfflat list scan, whose kernels stop reading a row once its partial
 # L2 sum passes the collector's k-th distance (or the radius), return
 # the ids and distance bits of a collector fed ScoreAt — on tie-heavy
-# data with duplicated rows, under L2 and Mahalanobis, at parallelism
-# 1/2/8, with and without an allowlist and a deletion mask — on both
+# data with duplicated rows, under L2 and Mahalanobis, at part counts
+# 1/2/8 under SetScanParts, with and without an allowlist and a deletion mask — on both
 # tiers and under -race. A range scan split over every worker count,
 # with and without a predicate, returns the exact ranking cut at its
 # radius.
@@ -126,8 +127,10 @@ go test -race -count=1 -timeout 3m -run 'TestOneBuildInFlight|TestCreateIndexSup
 go test -race -count=1 -timeout 3m -run 'TestTunerConvergesDegradedIndex|TestDriftBuildGraphReselect|TestDriftDebounceAndCooldown|TestKnobResolutionPrecedence|TestTargetRecallTunesDeclaredKnob|TestDeclaredKnobMovesWork|TestReadmeCapabilityMatrix|TestTuneLoopLifecycle|TestAuditBackgroundLoop|TestRecallCloseLeavesNoGoroutine|TestRecallPassOneExactScanPerSample|TestRecallLadderRotates|TestRecallIgnoresLaterInserts|TestFrontierIgnoresLaterInserts' ./internal/core/ ./internal/index/
 # Compiled-predicate gates. The differential tests hold the per-id
 # matcher and the column-at-a-time evaluator to a reference evaluator
-# over every Kind x Op, and every forced plan at parallelism 1/2/8,
-# with and without deletions, to filter-then-brute-force. The race
+# over every Kind x Op, and every forced plan (its flat scans at the
+# part count the rule picks; part counts 1/2/8 under SetScanParts are
+# swept in internal/index), with and without deletions, to
+# filter-then-brute-force. The race
 # test runs predicate searches, range queries and paged queries against
 # a writer that reallocates the columns under them — the read path takes
 # no lock per row, so -race is the only thing standing between a
@@ -218,8 +221,10 @@ go test -tags purego -count=1 -timeout 3m -run 'TestTrainIdentity' ./internal/km
 # on release while eight goroutines search and insert. A cancelled or
 # timed-out search must stop within one scan block, beam expansion,
 # inverted list, hash bucket or tree leaf on the caller's goroutine,
-# leave no goroutine behind and feed nothing to the statistics. All
-# shared-state tests, so -race.
+# leave no goroutine behind and feed nothing to the statistics; a scan
+# reads its deadline off the clock, so it stops even before the
+# context's timer has run (on one busy CPU it runs only once the scan
+# yields). All shared-state tests, so -race.
 # Index options are fuzzed through the engine: a registered family, one
 # of its declared keys or an arbitrary one, any value, any metric, built
 # on 200 x 8 rows — the build must fail with index.ErrOption or
@@ -244,7 +249,7 @@ go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime 10s -fuzzminimizetime 100
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzVQL$' -fuzztime 10s ./internal/vql/
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
-go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestSearchStopsWithinABucket|TestSearchStopsWithin|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
+go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestScanStopsAtItsDeadline|TestSearchStopsWithinABucket|TestSearchStopsWithin|TestSplitIVFProbeStopsWithinAList|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
 # One request type from the wire to the engine: the bodies the benchmark
 # sends, a search result and the stats document keep their exact JSON;
@@ -260,8 +265,12 @@ go test -race -count=1 -timeout 3m -run 'TestWireFormatGolden|TestWeightedSumOve
 # exact scan, post-filter, /batch), a body past the server's limit is a
 # 413 on every route that reads one, and an index option outside its
 # family's declared table (2^33 neighbours, tables or trees; an
-# undeclared key) is a 400 before any build starts.
-go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413|TestIndexOptionsRefused' ./internal/server/
+# undeclared key) is a 400 before any build starts. No integer body
+# field at 2^33 (k, ef, nprobe, alpha, rerank_k, the retired
+# parallelism key) allocates more than twice what answering every row
+# of a 20 000-row ivfflat collection does, and a body still carrying
+# "parallelism" answers /search and /batch as it would without it.
+go test -race -count=1 -timeout 3m -run 'TestHugeKReturnsEveryRow|TestOversizedBodyIs413|TestIndexOptionsRefused|TestSearchBodyCostBoundedByRows|TestRetiredParallelismKeyIsSkipped' ./internal/server/
 go test -race -count=1 -timeout 3m -run 'TestWeightedSumNeedsOneWeightPerVector' .
 # Multi-vector queries admit rows as single-vector search does: on the
 # exact entity scan and on hnsw candidate generation, a deleted row or
