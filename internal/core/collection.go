@@ -894,7 +894,9 @@ const (
 // allowlist build check ctx once per block, the graph indexes (hnsw,
 // nsw, nsg, vamana, fanng, knng) once per expanded node, the IVF family
 // once per inverted list, LSH and spectral hashing once per bucket and
-// the trees once per leaf. The search then returns ctx's error — no work continues in the
+// the trees once per leaf; the scans, the allowlist build and the
+// graphs also read ctx's deadline off the clock, the graphs every few
+// expansions. The search then returns ctx's error — no work continues in the
 // background — and the truncated probe is kept out of the collection's
 // statistics and the recall loop. An uncancellable ctx
 // (context.Background) costs one nil check per block.

@@ -205,9 +205,9 @@ func (e *Env) allowlist(cp *filter.Compiled, params *index.Params, del *bitset.B
 
 // matches takes a pooled bitmap over the Env's rows and sets in it the
 // rows of [from, N) that cp admits; with cp nil it sets every row, those
-// below from included. The evaluation polls the query's context before
-// every bitmapBlock rows and gives up with its error, the bitmap
-// released, once it has ended.
+// below from included. The evaluation polls the query's context, and
+// its deadline on the clock, before every bitmapBlock rows and gives up
+// with its error, the bitmap released, once it has ended.
 func (e *Env) matches(from int, cp *filter.Compiled, params *index.Params) (*bitset.Bitset, error) {
 	bm := bitmapPool.Get().(*bitset.Bitset)
 	bm.Reset(e.N)
@@ -217,7 +217,7 @@ func (e *Env) matches(from int, cp *filter.Compiled, params *index.Params) (*bit
 	}
 	done := params.Done()
 	for lo := from; lo < e.N; lo += bitmapBlock {
-		if index.Stopped(done) {
+		if index.Stopped(done) || params.Late() {
 			releaseBitmap(bm)
 			return nil, params.Err()
 		}
@@ -313,10 +313,16 @@ func (e *Env) execute(p planner.Plan, q []float32, k int, preds []filter.Predica
 // whose context has ended is refused here — the one check families
 // that do not poll params.Ctx themselves get — and records nothing.
 func (e *Env) probe(idx index.Index, q []float32, k int, params index.Params, cp *filter.Compiled, del *bitset.Bitset, win topk.Window, rec *Record) ([]topk.Result, error) {
+	exact := idx == index.Index(e.Flat)
+	if exact {
+		// The exact scan holds a core of the worker pool while it runs,
+		// if one is free: a full-column scan splits only onto the cores
+		// no other holds (index.Fanout).
+		defer pool.Default().Release(pool.Default().TryAcquire(1))
+	}
 	if err := params.Err(); err != nil {
 		return nil, err
 	}
-	exact := idx == index.Index(e.Flat)
 	if win.Radius > 0 && !exact {
 		return nil, fmt.Errorf("executor: a radius is answered by the exact scan, not by %s", idx.Name())
 	}
@@ -658,10 +664,11 @@ func (e *Env) Search(q []float32, k int, preds []filter.Predicate, opts Options,
 }
 
 // SearchBatch answers a batch of queries (Section 2.1(3), batched
-// queries), fanning out over the shared worker pool — the same pool
-// intra-query partitioned scans draw from, so batch × intra-query
-// nesting cannot oversubscribe the machine. Results and records (one
-// per query, each published) align with the input order.
+// queries) on the caller and on a helper per idle core of the shared
+// worker pool (pool.Run), each helper holding its core while it runs —
+// the pool intra-query partitioned scans split onto, so batch ×
+// intra-query nesting cannot oversubscribe the machine. Results and
+// records (one per query, each published) align with the input order.
 //
 // A failing query does not discard the others: its slot is nil, its
 // record carries its error, and the returned error (joined across

@@ -203,6 +203,11 @@ func (t *Traversal) Score(entries []int32) []topk.Result {
 	return t.seeds
 }
 
+// clockPoll is how many expansions a beam search makes per read of the
+// clock: an expansion scores a neighbour list, about a microsecond at
+// the degrees the families build, so a deadline is seen within a few.
+const clockPoll = 8
+
 // BeamSearch runs best-first search from the entry points with beam
 // width ef, returning up to k admitted results. It is the canonical
 // procedure of NSW/HNSW/NSG/Vamana: keep the ef closest nodes seen, and
@@ -212,9 +217,12 @@ func (t *Traversal) Score(entries []int32) []topk.Result {
 // blocked nodes are still *traversed* (otherwise a selective filter
 // disconnects the graph) but never enter the result set.
 //
-// p.Ctx is polled once per expansion: a cancelled search returns its
-// context's error after at most one further expansion, with the nodes
-// it did score counted. A search without one cannot fail.
+// p.Ctx is polled once per expansion, and its deadline on the clock
+// (Params.Late) once every clockPoll expansions: a cancelled search
+// returns its context's error after at most one further expansion, and
+// one past its deadline context.DeadlineExceeded within clockPoll of
+// them, timer run or not, with the nodes it did score counted. A search
+// without a context cannot fail.
 func BeamSearch(s *Searcher, adj Neighborhoods, q []float32, entries []int32, k, ef int, p index.Params) ([]topk.Result, error) {
 	t := s.Begin(q)
 	res, err := t.BeamSearch(adj, t.Score(entries), k, ef, &p)
@@ -251,8 +259,8 @@ func (t *Traversal) BeamSearch(adj Neighborhoods, entries []topk.Result, k, ef i
 	}
 	slab, _ := adj.(*Slab)
 	done := p.Done()
-	for t.next < len(t.pool) {
-		if index.Stopped(done) {
+	for polls := 0; t.next < len(t.pool); polls++ {
+		if index.Stopped(done) || polls%clockPoll == 0 && p.Late() {
 			return nil, p.Err()
 		}
 		cur := &t.pool[t.next]

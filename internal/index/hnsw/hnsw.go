@@ -135,8 +135,10 @@ func randomLevel(rng *rand.Rand, ml float64) int {
 }
 
 // run inserts nodes 1..n-1 in id order. With pool tokens free for
-// helpers it runs the speculative batches, whose graph is the serial
-// one edge for edge; without, the plain serial loop.
+// helpers — cores that no exact scan, scan part or other build holds — it
+// runs the speculative batches, whose graph is the serial one edge for
+// edge, each helper holding its token until the build ends; without,
+// the plain serial loop on the caller.
 func (h *builder) run() {
 	helpers := 0
 	if width > 1 {

@@ -85,18 +85,32 @@ func Stopped(done <-chan struct{}) bool {
 
 // Err is the error of a search whose context has ended, nil while it
 // runs: the context's, or context.DeadlineExceeded once the deadline
-// has passed on the clock but the context's timer has not run yet —
-// with every CPU busy it runs only once a goroutine yields, which a
-// one-part scan never does.
+// has passed on the clock (Late) but the context's timer has not run
+// yet.
 func (p *Params) Err() error {
 	if p.Ctx == nil {
 		return nil
 	}
-	err := p.Ctx.Err()
-	if d, ok := p.Ctx.Deadline(); err == nil && ok && time.Now().After(d) {
-		err = context.DeadlineExceeded
+	if err := p.Ctx.Err(); err != nil {
+		return err
 	}
-	return err
+	if p.Late() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// Late reports whether Ctx's deadline has passed on the clock. On a busy
+// CPU Ctx's timer runs only once a goroutine yields, which a scan or a
+// traversal may never do: a poll that reads Late beside Stopped — every
+// allowlist block, every few graph expansions — stops at the deadline
+// whether that timer has run or not.
+func (p *Params) Late() bool {
+	if p.Ctx == nil {
+		return false
+	}
+	d, ok := p.Ctx.Deadline()
+	return ok && time.Now().After(d)
 }
 
 // SearchStats collects the work one Search call performed. Every

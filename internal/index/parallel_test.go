@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"vdbms/internal/dataset"
+	"vdbms/internal/obs"
+	"vdbms/internal/pool"
 	"vdbms/internal/topk"
 )
 
@@ -125,4 +127,69 @@ func BenchmarkFlatSearch(b *testing.B) {
 			}
 		}
 	})
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestScanSplitsOnlyOntoIdleCores: a full-column scan splits only onto
+// the pool's free tokens. With every token held — every core serving a
+// query — a 100 000 × 8 scan runs in one part on its caller: it starts
+// no goroutine (a filter sampling the goroutine count sees none beside
+// the test's own) and allocates no more than a one-part scan forced by
+// SetScanParts (not under the race detector, whose sync.Pool drops
+// scans on purpose). Its bytes equal those of the same scan on an idle
+// pool, which splits to the pool's width.
+func TestScanSplitsOnlyOntoIdleCores(t *testing.T) {
+	ds := dataset.Uniform(100_000, 8, 13)
+	f, err := NewFlat(ds.Data, ds.Count, ds.Dim, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Row(7)
+	p := pool.Default()
+	scan := func(label string, filter func(int64) bool) ([]topk.Result, SearchStats) {
+		t.Helper()
+		var st SearchStats
+		res, err := f.Search(q, 10, Params{Stats: &st, Filter: filter})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res, st
+	}
+
+	idle, st := scan("idle", nil)
+	if st.Partitions != int64(p.Size()) {
+		t.Fatalf("idle pool of width %d: %d partitions", p.Size(), st.Partitions)
+	}
+	restore := SetScanParts(1)
+	forced := testing.AllocsPerRun(20, func() { scan("forced one part", nil) })
+	restore()
+
+	held := p.TryAcquire(p.Size())
+	defer p.Release(held)
+	if held != p.Size() {
+		t.Fatalf("%d of %d tokens free before the loaded scans", held, p.Size())
+	}
+	declined := obs.ScanPartsDeclined.Value()
+	loaded, st := scan("loaded", nil)
+	if st.Partitions != 1 || st.DistanceComps != int64(ds.Count) {
+		t.Fatalf("every token held: %d partitions, %d comps; want 1 and %d", st.Partitions, st.DistanceComps, ds.Count)
+	}
+	if got, want := obs.ScanPartsDeclined.Value()-declined, int64(p.Size()-1); got != want {
+		t.Fatalf("every token held: %d parts declined, want %d", got, want)
+	}
+	sameResults(t, "loaded vs idle", idle, loaded)
+	if allocs := testing.AllocsPerRun(20, func() { scan("loaded", nil) }); allocs > forced && !raceEnabled {
+		t.Fatalf("every token held: %.1f allocs per scan, a forced one-part scan makes %.1f", allocs, forced)
+	}
+	base := runtime.NumGoroutine()
+	most := 0
+	filtered, st := scan("loaded, filtered", func(int64) bool {
+		most = max(most, runtime.NumGoroutine())
+		return true
+	})
+	if st.Partitions != 1 || most > base {
+		t.Fatalf("every token held: %d partitions, %d goroutines during the scan, %d before", st.Partitions, most, base)
+	}
+	sameResults(t, "loaded filtered vs idle", idle, filtered)
 }

@@ -279,7 +279,8 @@ type Fanout struct {
 var scanParts int
 
 // parts is the part count of a fan-out of tasks whose rule picks want:
-// the count a test forced instead, if any, clamped to [1, tasks].
+// the count a test forced instead, if any, clamped to [1, tasks]. It is
+// the most parts the fan-out runs in (Fanout.Search).
 func parts(want, tasks int) int {
 	if scanParts > 0 {
 		want = scanParts
@@ -287,20 +288,38 @@ func parts(want, tasks int) int {
 	return max(min(want, tasks), 1)
 }
 
-// Search runs part over each of f's parts — inline when there is one,
-// on the worker pool otherwise — each with its own Scan of q, then
-// merges their collectors, re-ranks a scan of codes and records the
-// query's work, buckets and partitions in p.Stats. A part stops early
-// only once the context's done channel has closed or its deadline has
-// passed, both for good, so one check after the merge sees every early
-// stop; the search then returns the context's error with the rows it
-// did score counted.
+// Search runs part over each of f's parts, each with its own Scan of q,
+// then merges their collectors, re-ranks a scan of codes and records
+// the query's work, buckets and partitions in p.Stats.
+//
+// The parts are split onto idle cores only: beyond the calling
+// goroutine's own part, the scan cuts one more part per token of the
+// worker pool it finds free, up to what the rule wants (parts), and
+// runs them with pool.Run, the caller scanning beside its helpers. The
+// parts its rule wanted but found no free token for are counted in
+// obs.ScanPartsDeclined; under load the scan runs whole on its caller,
+// allocating what an index probe does. A part count a test forced runs
+// as forced.
+//
+// A part stops early only once the context's done channel has closed or
+// its deadline has passed, both for good, so one check after the merge
+// sees every early stop; the search then returns the context's error
+// with the rows it did score counted.
 func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi int)) ([]topk.Result, error) {
 	kk := k
 	if f.RerankK > 0 {
 		kk = f.RerankK
 	}
 	w := parts(f.Workers, f.Tasks)
+	if w > 1 && scanParts == 0 {
+		// The free tokens only size the split: pool.Run takes them
+		// again for its helpers, and runs a part whose token another
+		// fan-out took in between on the caller.
+		free := pool.Default().TryAcquire(w - 1)
+		pool.Default().Release(free)
+		obs.ScanPartsDeclined.Add(int64(w - 1 - free))
+		w = 1 + free
+	}
 	var merged *topk.Collector
 	var work ScanWork
 	if w == 1 {
@@ -308,18 +327,7 @@ func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi 
 		work = f.scan(q, p, merged, 0, f.Tasks, part)
 	} else {
 		obs.ParallelSearches.With(f.Name).Inc()
-		offs := pool.Split(f.Tasks, w)
-		collectors := make([]*topk.Collector, w)
-		workBy := make([]ScanWork, w)
-		pool.Default().Run(w, func(i int) {
-			collectors[i] = f.collector(kk, i)
-			workBy[i] = f.scan(q, p, collectors[i], offs[i], offs[i+1], part)
-		})
-		merged, work = collectors[0], workBy[0]
-		for i := 1; i < w; i++ {
-			merged.Merge(collectors[i])
-			work.Add(workBy[i])
-		}
+		merged, work = f.split(q, kk, p, w, part)
 	}
 	err := p.Err()
 	var res []topk.Result
@@ -339,6 +347,29 @@ func (f Fanout) Search(q []float32, k int, p *Params, part func(s *Scan, lo, hi 
 		return nil, err
 	}
 	return res, nil
+}
+
+// scanPart is one part of a split scan: its collector and its work.
+type scanPart struct {
+	c    *topk.Collector
+	work ScanWork
+}
+
+// split scans f's tasks in w contiguous parts, pool.Split's ranges, on
+// the worker pool (pool.Run), and merges the parts' collectors and
+// work in part order.
+func (f Fanout) split(q []float32, k int, p *Params, w int, part func(s *Scan, lo, hi int)) (*topk.Collector, ScanWork) {
+	parts := make([]scanPart, w)
+	pool.Default().Run(w, func(i int) {
+		c := f.collector(k, i)
+		parts[i] = scanPart{c, f.scan(q, p, c, i*f.Tasks/w, (i+1)*f.Tasks/w, part)}
+	})
+	merged, work := parts[0].c, parts[0].work
+	for _, pt := range parts[1:] {
+		merged.Merge(pt.c)
+		work.Add(pt.work)
+	}
+	return merged, work
 }
 
 // collector is part i's collector, windowed as f is: the first part's

@@ -42,14 +42,14 @@ var (
 	IndexBuildSeconds  = Default().NewHistogram("vdbms_index_build_seconds", "Wall-clock duration of ANN index builds (background and CreateIndex).", BuildBuckets)
 	IndexBuildLastSecs = Default().NewGauge("vdbms_index_build_last_seconds", "Duration of the most recent completed index build.")
 
-	// Intra-query fan-out (internal/pool and the partitioned
-	// full-column flat scan). PoolInline counts tasks that ran on the
-	// submitting goroutine because the pool was saturated — the
-	// parallel-efficiency signal: inline/tasks near 1 means fan-out is
-	// oversubscribed and queries are effectively serial.
-	PoolTasks        = Default().NewCounter("vdbms_pool_tasks_total", "Tasks submitted to the shared worker pool.")
-	PoolInline       = Default().NewCounter("vdbms_pool_inline_total", "Pool tasks run inline on the caller because all workers were busy.")
-	ParallelSearches = Default().NewCounterVec("vdbms_parallel_search_total", "Searches that partitioned work across >1 worker, by site.", "site")
+	// Intra-query fan-out (the partitioned full-column flat scan). A
+	// scan splits only onto idle cores (internal/pool): each part past
+	// the first takes a token, and ScanPartsDeclined counts the parts
+	// its rule wanted that found none free — the load signal: near the
+	// wanted parts, every core was already running a scan and the
+	// scans ran whole on their callers.
+	ScanPartsDeclined = Default().NewCounter("vdbms_scan_parts_declined_total", "Scan parts a full-column scan wanted but did not take because no core was idle.")
+	ParallelSearches  = Default().NewCounterVec("vdbms_parallel_search_total", "Searches that partitioned work across >1 worker, by site.", "site")
 
 	// Index probes (internal/executor).
 	IndexProbes        = Default().NewCounterVec("vdbms_index_probe_total", "Index probe calls by index family.", "index")

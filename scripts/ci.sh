@@ -37,7 +37,7 @@ go test -race -timeout 5m ./...
 # Intra-query fan-out must degrade to serial cleanly: the whole suite
 # also runs single-threaded, where the worker pool has width 1, the
 # flat scan's rule picks one part, and every fan-out a test forces
-# wider (part counts under SetScanParts) takes the inline path.
+# wider (part counts under SetScanParts) runs its parts on the caller.
 GOMAXPROCS=1 go test -timeout 3m ./...
 # The portable kernel tier on this (AVX) host: the purego tag swaps the
 # assembly for the portable loops under SquaredL2/Dot, and the packages
@@ -57,6 +57,16 @@ go test -race -tags purego -count=1 -timeout 3m -run 'TestKernel|TestScorerPathC
 # with and without a predicate, returns the exact ranking cut at its
 # radius.
 go test -race -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference|TestFlatSearchRange' ./internal/index/
+# Scans split only onto idle cores: every exact scan holds a pool token
+# while it runs, and a full-column scan cuts one more part per token it
+# finds free. With every token held a 100 000-row scan runs in one part,
+# starts no goroutine and allocates what a one-part scan does, with the
+# bytes of the idle pool's split; two searches at once on two free
+# cores scan in one part each, a lone one in two; the forced part-count
+# sweeps keep their results and counters; and the pool runs every task
+# once, nested and bounded. Tokens are shared state, so -race.
+go test -race -count=1 -timeout 3m -run 'TestScanSplitsOnlyOntoIdleCores|TestConcurrentScansRunInOnePart|TestFlatParallelDeterminism|TestFlatParallelStats|TestIVFParallelDeterminism|TestIVFParallelStats' ./internal/index/ ./internal/core/
+go test -race -count=1 -timeout 3m ./internal/pool/
 go test -race -tags purego -count=1 -timeout 3m -run 'TestBoundedScanMatchesReference' ./internal/index/
 # Distributed read path = single-node engine + merge: four loopback
 # net/rpc shards hosting collections must return the exact hits (ids
@@ -249,8 +259,13 @@ go test -run '^$' -fuzz '^FuzzSnapshotFile$' -fuzztime 10s -fuzzminimizetime 100
 go test -run '^$' -fuzz '^FuzzWALScan$' -fuzztime 10s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzVQL$' -fuzztime 10s ./internal/vql/
 go test -race -count=1 -timeout 3m -run 'TestPooledVectorsAreNotRetained|TestStoppedSearchStatus' ./internal/server/
-go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestScanStopsAtItsDeadline|TestSearchStopsWithinABucket|TestSearchStopsWithin|TestSplitIVFProbeStopsWithinAList|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines' \
+go test -race -count=1 -timeout 3m -run 'TestFlatStopsWithinABlock|TestScanStopsAtItsDeadline|TestSearchStopsWithinABucket|TestSearchStopsWithin|TestSplitIVFProbeStopsWithinAList|TestCancelledQueryStopsAndRecordsNothing|TestCancelledSearchIsNotObserved|TestSearchContextLeavesNoGoroutines|TestSearchesStopAtTheirDeadline|TestScanSplitsOnlyOntoIdleCores|TestConcurrentScansRunInOnePart' \
     . ./internal/index/ ./internal/index/hnsw/ ./internal/index/ivf/ ./internal/executor/ ./internal/core/
+# The six graph families and the allowlist build read the query's
+# deadline off the clock too: on one CPU, with the context's timer not
+# yet run, a probe or a build whose deadline passes mid-way returns
+# context.DeadlineExceeded instead of its hits.
+GOMAXPROCS=1 go test -count=1 -timeout 3m -run 'TestSearchesStopAtTheirDeadline|TestScanStopsAtItsDeadline' ./internal/executor/ ./internal/index/
 # One request type from the wire to the engine: the bodies the benchmark
 # sends, a search result and the stats document keep their exact JSON;
 # weighted_sum weights reach the engine over HTTP and a query without
